@@ -115,6 +115,7 @@ func openStore(vol string, blocks uint64, mem bool, opts hfad.Options) (*hfad.St
 			return nil, err
 		}
 		log.Printf("hfadd: opened %s (%d blocks)", vol, dev.NumBlocks())
+		log.Printf("hfadd: recovery: %s", st.RecoveryReport())
 		return st, nil
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		// Only a definitely-absent image takes the create path:

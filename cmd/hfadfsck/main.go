@@ -371,6 +371,7 @@ func crashDemo() error {
 	if err != nil {
 		return err
 	}
+	fmt.Println("  recovery:", st2.RecoveryReport())
 	if err := report(st2); err != nil {
 		return err
 	}

@@ -222,6 +222,38 @@ func TestChaosMediaFaults(t *testing.T) {
 		}
 	}
 
+	// Power cut: the image as it stands, log tail and all, recovered on a
+	// device of its own. Recovery restores the allocator from a snapshot
+	// slot plus the tail; wherever fsck finds the recovered volume sound,
+	// that allocator must be exactly the one the reachability walk defines.
+	exact := func(s *hfad.Store, phase string) {
+		t.Helper()
+		rep, err := s.Check()
+		if err != nil || !rep.Ok() {
+			t.Logf("chaos: %s: fsck sees the injected damage (%v, %d problems); allocator oracle not applicable", phase, err, len(rep.Problems))
+			return
+		}
+		if err := s.Volume().VerifyAllocator(); err != nil {
+			t.Fatalf("%s: fsck is clean but the recovered allocator is not the walk's (%s): %v", phase, s.RecoveryReport(), err)
+		}
+	}
+	crash := hfad.NewMemDevice(1 << 14)
+	if err := crash.RestoreFrom(mem.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if stc, err := hfad.Open(crash, hfad.Options{Transactional: true, WALBlocks: 512}); err != nil {
+		if !typedChaosErr(err) {
+			t.Fatalf("crash reopen: untyped error %v", err)
+		}
+		t.Logf("chaos: crash reopen detected corruption (typed): %v", err)
+	} else {
+		for _, oid := range oids {
+			verify(stc, oid, "post-crash")
+		}
+		exact(stc, "post-crash")
+		stc.Close() //hfadvet:allow syncerr — a scratch image, discarded
+	}
+
 	// Close (flushes through the now-honest device), reopen through
 	// recovery, and hold the same invariant on the recovered image.
 	if err := st.Close(); err != nil && !typedChaosErr(err) {
@@ -236,6 +268,7 @@ func TestChaosMediaFaults(t *testing.T) {
 		return
 	}
 	defer st2.Close()
+	exact(st2, "post-recovery")
 	reDetected := 0
 	for _, oid := range oids {
 		if verify(st2, oid, "post-recovery") {

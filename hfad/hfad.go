@@ -347,6 +347,13 @@ func (s *Store) Stats() StoreStats {
 // Check runs a full volume consistency check (fsck).
 func (s *Store) Check() (*core.CheckReport, error) { return s.vol.Check() }
 
+// RecoveryReport says what Open did to bring this store up, phase by
+// phase, with a count and a duration each: sidecar load, log scan, replay
+// and write-home, allocator restore (or the reason it was rebuilt by the
+// reachability walk), recounts, undo of loser transactions, checkpoint.
+// It is the zero report for a store that was just created.
+func (s *Store) RecoveryReport() core.RecoveryReport { return s.vol.Recovery() }
+
 // Health reports the volume's degraded/wedged state and fault counters.
 // A degraded store fails mutations fast with core.ErrReadOnly while
 // reads keep serving and the background checkpointer retries.

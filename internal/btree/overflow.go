@@ -30,10 +30,10 @@ func (t *Tree) writeOverflow(op *pager.Op, val []byte) (uint64, error) {
 		if end > len(val) {
 			end = len(val)
 		}
-		pno, err := t.alloc.AllocPage()
+		pno, err := t.space.Alloc(op, 1)
 		if err != nil {
 			if first != 0 {
-				_ = t.freeOverflow(first) // release partial chain
+				_ = t.freeOverflow(op, first) // release partial chain
 			}
 			return 0, err
 		}
@@ -95,7 +95,7 @@ func (t *Tree) readOverflow(pno uint64, totalLen uint64) ([]byte, error) {
 }
 
 // freeOverflow releases the chain starting at pno.
-func (t *Tree) freeOverflow(pno uint64) error {
+func (t *Tree) freeOverflow(op *pager.Op, pno uint64) error {
 	for pno != 0 {
 		pg, err := t.pg.Acquire(pno)
 		if err != nil {
@@ -103,7 +103,7 @@ func (t *Tree) freeOverflow(pno uint64) error {
 		}
 		next := binary.LittleEndian.Uint64(pg.Data()[offPtrA:])
 		t.pg.Release(pg)
-		if err := t.freePage(pno); err != nil {
+		if err := t.freePage(op, pno); err != nil {
 			return err
 		}
 		pno = next

@@ -14,11 +14,20 @@ import (
 )
 
 // PageAllocator provides single-page allocation for tree growth. The
-// volume implements it on top of the buddy allocator.
+// volume implements it on top of the buddy allocator. The tree never
+// calls it directly: every allocation and free goes through a
+// pager.Space, which takes the operation and logs the mutation in it.
 type PageAllocator interface {
 	AllocPage() (uint64, error)
 	FreePage(no uint64) error
 }
+
+// pageRuns presents a PageAllocator as the one-block runs of a
+// pager.BlockAllocator.
+type pageRuns struct{ a PageAllocator }
+
+func (r pageRuns) Alloc(uint64) (uint64, error) { return r.a.AllocPage() }
+func (r pageRuns) Free(addr, _ uint64) error    { return r.a.FreePage(addr) }
 
 // Header page field offsets.
 const (
@@ -41,8 +50,13 @@ type Stats struct {
 // concurrent use; mutations take an exclusive lock.
 type Tree struct {
 	pg     *pager.Pager
-	alloc  PageAllocator
+	space  pager.Space
 	hdrPno uint64
+	// creator is the ID of the operation that created the tree (0 when
+	// opened, or created unlogged). Until that operation commits nothing
+	// else can reach the tree, so the pages its splits allocate belong to
+	// the operation, not to the split's system transaction (allocOp).
+	creator uint64
 
 	mu     sync.RWMutex
 	root   uint64
@@ -63,15 +77,16 @@ func Create(pg *pager.Pager, alloc PageAllocator) (*Tree, error) {
 // CreateOp is Create with the creating operation's redo capture, so trees
 // created inside a transaction (fulltext segments) recover with it.
 func CreateOp(pg *pager.Pager, alloc PageAllocator, op *pager.Op) (*Tree, error) {
-	hdr, err := alloc.AllocPage()
+	space := pager.NewSpace(pageRuns{alloc})
+	hdr, err := space.Alloc(op, 1)
 	if err != nil {
 		return nil, err
 	}
-	rootPno, err := alloc.AllocPage()
+	rootPno, err := space.Alloc(op, 1)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{pg: pg, alloc: alloc, hdrPno: hdr, root: rootPno, height: 1}
+	t := &Tree{pg: pg, space: space, hdrPno: hdr, root: rootPno, height: 1, creator: op.ID()}
 	// Initialize root leaf.
 	rp, err := pg.AcquireZero(rootPno)
 	if err != nil {
@@ -99,7 +114,7 @@ func Open(pg *pager.Pager, alloc PageAllocator, headerPno uint64) (*Tree, error)
 	}
 	return &Tree{
 		pg:     pg,
-		alloc:  alloc,
+		space:  pager.NewSpace(pageRuns{alloc}),
 		hdrPno: headerPno,
 		root:   binary.LittleEndian.Uint64(d[hOffRoot:]),
 		height: int(binary.LittleEndian.Uint64(d[hOffHeight:])),
@@ -423,7 +438,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 			op.StageUndo(undo.KeyPut(t.hdrPno, key, old))
 		}
 		if c.overflow != 0 {
-			if err := t.freeOverflow(c.overflow); err != nil {
+			if err := t.freeOverflow(op, c.overflow); err != nil {
 				t.pg.Release(pg)
 				return err
 			}
@@ -512,7 +527,9 @@ func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, 
 		splitAt = len(raws) - 1
 	}
 
-	rightPno, err := t.alloc.AllocPage()
+	sys := op.NewSys()
+	aop := t.allocOp(op, sys)
+	rightPno, err := t.space.Alloc(aop, 1)
 	if err != nil {
 		t.pg.Release(pg)
 		return err
@@ -520,6 +537,7 @@ func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, 
 	rpg, err := t.pg.AcquireZero(rightPno)
 	if err != nil {
 		t.pg.Release(pg)
+		_ = t.freePage(aop, rightPno) // never joined the tree
 		return err
 	}
 	rp := initPage(rpg.Data(), pageLeaf)
@@ -548,7 +566,6 @@ func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, 
 	lp.setPtrA(rightPno)
 	lp.setPtrB(oldPrev)
 	sep := keys[splitAt-1]
-	sys := op.NewSys()
 	t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
 		encOp(opSplitLeaf, u64b(rightPno), keyb(sep)))
 	t.pg.MarkDirty(rpg)
@@ -571,7 +588,7 @@ func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, 
 		t.pg.Release(npg)
 	}
 	t.addStats(0, 0, 1, 0)
-	err = t.insertSeparator(sys, path, sep, leafPno, rightPno)
+	err = t.insertSeparator(sys, aop, path, sep, leafPno, rightPno)
 	// Append whatever was staged even on error: each record was staged
 	// right after its mutation landed in cache, so the log stays
 	// consistent with the (possibly partially split) in-cache tree —
@@ -593,16 +610,18 @@ func decodeKeyFromRaw(raw []byte) []byte {
 // insertSeparator inserts (sep → leftPno) into the parent at the end of
 // path, where the existing reference at that position currently reaches
 // leftPno and must now reach rightPno. Splits parents as needed. All
-// records go into sys — the structure modification's system transaction.
-func (t *Tree) insertSeparator(sys *pager.Op, path []pathElem, sep []byte, leftPno, rightPno uint64) error {
+// records go into sys — the structure modification's system transaction
+// — except the allocations, which aop carries (see allocOp).
+func (t *Tree) insertSeparator(sys, aop *pager.Op, path []pathElem, sep []byte, leftPno, rightPno uint64) error {
 	if len(path) == 0 {
 		// Split the root: create a new internal root.
-		newRoot, err := t.alloc.AllocPage()
+		newRoot, err := t.space.Alloc(aop, 1)
 		if err != nil {
 			return err
 		}
 		pg, err := t.pg.AcquireZero(newRoot)
 		if err != nil {
+			_ = t.freePage(aop, newRoot) // never joined the tree
 			return err
 		}
 		p := initPage(pg.Data(), pageInternal)
@@ -661,14 +680,14 @@ func (t *Tree) insertSeparator(sys *pager.Op, path []pathElem, sep []byte, leftP
 		return nil
 	}
 	// Parent full: split it.
-	return t.splitInternalAndInsert(sys, pg, parent.pno, parent.idx, sep, leftPno, path[:len(path)-1])
+	return t.splitInternalAndInsert(sys, aop, pg, parent.pno, parent.idx, sep, leftPno, path[:len(path)-1])
 }
 
 // splitInternalAndInsert splits the (pinned) full internal node while
 // inserting cell (sep, leftPno) at index idx. Consumes the pin. Internal
 // pages are mutated only by system transactions, so replay re-executes
 // the identical middle-cell split against identical cells.
-func (t *Tree) splitInternalAndInsert(sys *pager.Op, pg *pager.Page, pno uint64, idx int, sep []byte, leftPno uint64, path []pathElem) error {
+func (t *Tree) splitInternalAndInsert(sys, aop *pager.Op, pg *pager.Page, pno uint64, idx int, sep []byte, leftPno uint64, path []pathElem) error {
 	p := pageRef{pg.Data()}
 	n := p.ncells()
 	type icell struct {
@@ -694,7 +713,7 @@ func (t *Tree) splitInternalAndInsert(sys *pager.Op, pg *pager.Page, pno uint64,
 	m := len(cells) / 2
 	promoted := cells[m]
 
-	rightPno, err := t.alloc.AllocPage()
+	rightPno, err := t.space.Alloc(aop, 1)
 	if err != nil {
 		t.pg.Release(pg)
 		return err
@@ -702,6 +721,7 @@ func (t *Tree) splitInternalAndInsert(sys *pager.Op, pg *pager.Page, pno uint64,
 	rpg, err := t.pg.AcquireZero(rightPno)
 	if err != nil {
 		t.pg.Release(pg)
+		_ = t.freePage(aop, rightPno) // never joined the tree
 		return err
 	}
 	rp := initPage(rpg.Data(), pageInternal)
@@ -732,7 +752,7 @@ func (t *Tree) splitInternalAndInsert(sys *pager.Op, pg *pager.Page, pno uint64,
 	t.pg.Release(rpg)
 	t.pg.Release(pg)
 	t.addStats(0, 0, 1, 0)
-	return t.insertSeparator(sys, path, promoted.key, pno, rightPno)
+	return t.insertSeparator(sys, aop, path, promoted.key, pno, rightPno)
 }
 
 // Delete removes key from the tree, returning ErrNotFound if absent.
@@ -788,7 +808,7 @@ func (t *Tree) DeleteOp(op *pager.Op, key []byte) error {
 		op.StageUndo(undo.KeyPut(t.hdrPno, key, old))
 	}
 	if c.overflow != 0 {
-		if err := t.freeOverflow(c.overflow); err != nil {
+		if err := t.freeOverflow(op, c.overflow); err != nil {
 			t.pg.Release(pg)
 			return err
 		}
@@ -916,7 +936,7 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) error 
 			t.addStats(0, 0, 0, 1)
 			if rootEmpty {
 				// Collapse the root.
-				if err := t.freePage(parent.pno); err != nil {
+				if err := t.freePage(sys, parent.pno); err != nil {
 					return err
 				}
 				t.root = newRoot
@@ -1049,14 +1069,29 @@ func (t *Tree) tryMergePair(sys *pager.Op, pp pageRef, leftPno, rightPno uint64,
 		pp.setPtrA(leftPno)
 	}
 	pp.removeCell(li)
-	return true, t.freePage(rightPno)
+	return true, t.freePage(sys, rightPno)
 }
 
-func (t *Tree) freePage(pno uint64) error {
+func (t *Tree) freePage(op *pager.Op, pno uint64) error {
 	if err := t.pg.Invalidate(pno); err != nil {
 		return err
 	}
-	return t.alloc.FreePage(pno)
+	return t.space.Free(op, pno, 1)
+}
+
+// allocOp picks the operation that carries a split's page allocations.
+// Normally that is the split's own system transaction: the split is
+// redone whatever becomes of op, and its new pages are linked into a tree
+// others can see. But while the operation that created this tree is still
+// open, the tree is reachable only through that operation's uncommitted
+// records: if they are dropped at a crash, the replayed split has built
+// pages nothing points at, and an allocation logged with it would leak
+// them. Logged with the creating operation, it shares that fate.
+func (t *Tree) allocOp(op, sys *pager.Op) *pager.Op {
+	if t.creator != 0 && op.ID() == t.creator {
+		return op
+	}
+	return sys
 }
 
 // Sync flushes the tree's header; page data is flushed by the volume.
@@ -1121,8 +1156,9 @@ func (t *Tree) RecountKeys() error {
 }
 
 // Drop frees every page owned by the tree — nodes, overflow chains, and
-// the header. The tree must not be used afterwards.
-func (t *Tree) Drop() error {
+// the header — logging the frees into op. The tree must not be used
+// afterwards.
+func (t *Tree) Drop(op *pager.Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gen++
@@ -1169,16 +1205,16 @@ func (t *Tree) Drop() error {
 			}
 		}
 		for _, o := range overflows {
-			if err := t.freeOverflow(o); err != nil {
+			if err := t.freeOverflow(op, o); err != nil {
 				return err
 			}
 		}
-		return t.freePage(pno)
+		return t.freePage(op, pno)
 	}
 	if err := freeWalk(t.root, 0); err != nil {
 		return err
 	}
-	if err := t.freePage(t.hdrPno); err != nil {
+	if err := t.freePage(op, t.hdrPno); err != nil {
 		return err
 	}
 	t.root, t.height, t.nkeys = 0, 0, 0

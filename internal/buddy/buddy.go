@@ -48,11 +48,13 @@ type Allocator struct {
 	// list instead of returning them to the free lists; ReleaseLimbo
 	// performs the real frees. Transactional volumes enable this so a run
 	// freed by an operation cannot be reallocated — and overwritten —
-	// before the free is durable: redo-only recovery has no undo, so if
-	// the freeing transaction's commit never reaches the device while a
-	// reuser's does, both the old structure (still live on disk) and the
-	// new one would own the blocks. Limbo drains at checkpoints, when
-	// everything referencing the old run is durably gone.
+	// before the free is durable: object bytes are written in place,
+	// outside the log, so if the freeing transaction never commits (or is
+	// rolled back) while a reuser's does, both the old structure (still
+	// live on disk) and the new one would own the blocks. Limbo drains at
+	// checkpoints, when everything referencing the old run is durably
+	// gone; the checkpoint's snapshot already counts it free
+	// (SnapshotReleased).
 	deferFrees bool
 	limbo      []limboRun
 	limboTotal uint64
@@ -136,6 +138,49 @@ func (a *Allocator) Alloc(n uint64) (uint64, error) {
 	a.allocCalls++
 	a.freeBlocks -= uint64(1) << k
 	return a.base + addr, nil
+}
+
+// AllocAt reserves the specific run [addr, addr+RoundUp(n)) — the redo of
+// a logged allocation: recovery restores a checkpoint's snapshot and
+// replays the log tail's allocations onto it, so it must take exactly the
+// blocks the original Alloc took. The run must be wholly free.
+func (a *Allocator) AllocAt(addr, n uint64) error {
+	if n == 0 {
+		return fmt.Errorf("%w: zero-length alloc", ErrBadSize)
+	}
+	k := orderFor(n)
+	sz := uint64(1) << k
+	if addr < a.base || addr-a.base+sz > a.size || (addr-a.base)&(sz-1) != 0 {
+		return fmt.Errorf("%w: run [%d,+%d) outside range or misaligned", ErrBadFree, addr, sz)
+	}
+	rel := addr - a.base
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	// The free chunk holding the run is the one enclosing aligned chunk,
+	// at some order j >= k, that sits on a free list.
+	for j := k; j < maxOrders; j++ {
+		chunk := rel &^ (uint64(1)<<j - 1)
+		if !a.removeFree(j, chunk) {
+			continue
+		}
+		// Split down to order k, returning the halves that do not hold
+		// the run to the free lists.
+		for j > k {
+			j--
+			a.splitCount++
+			half := chunk + uint64(1)<<j
+			if rel >= half {
+				a.insertFree(j, chunk)
+				chunk = half
+			} else {
+				a.insertFree(j, half)
+			}
+		}
+		a.allocCalls++
+		a.freeBlocks -= sz
+		return nil
+	}
+	return fmt.Errorf("%w: run [%d,+%d) is not free", ErrBadFree, rel, sz)
 }
 
 // SetDeferredFrees toggles limbo mode (see the field comment). Frees
@@ -350,6 +395,27 @@ func (a *Allocator) Snapshot() []byte {
 	return out
 }
 
+// SnapshotReleased is Snapshot of the state ReleaseLimbo would leave:
+// every parked run counted free. A checkpoint persists this form before
+// it releases limbo, so the durable snapshot describes the allocator as
+// the checkpoint's generation boundary leaves it. The allocator itself
+// is not changed.
+func (a *Allocator) SnapshotReleased() ([]byte, error) {
+	a.mu.Lock()
+	c := &Allocator{base: a.base, size: a.size, freeBlocks: a.freeBlocks}
+	for k := range a.free {
+		c.free[k] = append([]uint64(nil), a.free[k]...)
+	}
+	runs := append([]limboRun(nil), a.limbo...)
+	a.mu.Unlock()
+	for _, r := range runs {
+		if err := c.freeNow(r.addr, r.n); err != nil {
+			return nil, err
+		}
+	}
+	return c.Snapshot(), nil
+}
+
 // Restore reconstructs an allocator from a Snapshot.
 func Restore(data []byte) (*Allocator, error) {
 	pos := 0
@@ -408,9 +474,10 @@ func Restore(data []byte) (*Allocator, error) {
 }
 
 // ReplaceWith copies src's free-list state into a, which must manage the
-// same block range. Components that captured a pointer to a keep working
-// against the replaced state — the crash-recovery rebuild path relies on
-// this.
+// same block range, and drops a's parked frees: src is the whole truth
+// (the walk counts a parked run free already). Components that captured a
+// pointer to a keep working against the replaced state — the volume's
+// rebuild-by-walk relies on this.
 func (a *Allocator) ReplaceWith(src *Allocator) error {
 	if src.base != a.base || src.size != a.size {
 		return fmt.Errorf("%w: geometry mismatch", ErrBadSize)
@@ -423,6 +490,7 @@ func (a *Allocator) ReplaceWith(src *Allocator) error {
 		a.free[k] = append([]uint64(nil), src.free[k]...)
 	}
 	a.freeBlocks = src.freeBlocks
+	a.limbo, a.limboTotal = nil, 0
 	return nil
 }
 
@@ -440,8 +508,9 @@ func (a *Allocator) IsFree(addr, n uint64) bool {
 
 // FromUsed reconstructs an allocator for [base, base+size) in which the
 // given absolute block ranges are allocated and everything else is free.
-// This is the crash-recovery path: after replaying the WAL, the volume
-// walks all reachable structures and rebuilds allocator state from them.
+// This is the allocator's definition — what fsck holds it to — and the
+// volume's repair when a crashed device offers no snapshot to restore:
+// walk all reachable structures and rebuild allocator state from them.
 // Ranges may be unsorted but must not overlap or leave the region.
 func FromUsed(base, size uint64, used [][2]uint64) (*Allocator, error) {
 	rel := make([][2]uint64, 0, len(used))

@@ -1,6 +1,7 @@
 package buddy
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -379,5 +380,155 @@ func TestDeferredFreesLimbo(t *testing.T) {
 	}
 	if err := a.CheckFreeIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocAtReplaysHistory is the property crash recovery rests on: take
+// a snapshot at a "checkpoint", keep allocating and freeing, then replay
+// the recorded mutations onto the restored snapshot with AllocAt and Free.
+// The result must be the live allocator — and the allocator FromUsed
+// builds from the live runs — free list for free list, on a range that
+// is not a power of two.
+func TestAllocAtReplaysHistory(t *testing.T) {
+	const base, size = 37, 5000
+	a := New(base, size)
+	rng := rand.New(rand.NewPCG(7, 18))
+	type run struct{ addr, n uint64 }
+	type event struct {
+		free bool
+		run
+	}
+	var live []run
+	var snap []byte
+	var tail []event
+	for i := 0; i < 4000; i++ {
+		if i == 1500 {
+			snap = a.Snapshot()
+		}
+		if len(live) == 0 || rng.IntN(5) < 3 {
+			n := uint64(1 + rng.IntN(40))
+			addr, err := a.Alloc(n)
+			if errors.Is(err, ErrNoSpace) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, run{addr, n})
+			if snap != nil {
+				tail = append(tail, event{false, run{addr, n}})
+			}
+		} else {
+			k := rng.IntN(len(live))
+			r := live[k]
+			live = append(live[:k], live[k+1:]...)
+			if err := a.Free(r.addr, r.n); err != nil {
+				t.Fatal(err)
+			}
+			if snap != nil {
+				tail = append(tail, event{true, r})
+			}
+		}
+	}
+	b, err := Restore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range tail {
+		if e.free {
+			err = b.Free(e.addr, e.n)
+		} else {
+			err = b.AllocAt(e.addr, e.n)
+		}
+		if err != nil {
+			t.Fatalf("tail event %d (%+v): %v", i, e, err)
+		}
+	}
+	if !bytes.Equal(b.Snapshot(), a.Snapshot()) {
+		t.Fatal("snapshot + replayed tail differs from the live allocator")
+	}
+	var used [][2]uint64
+	for _, r := range live {
+		used = append(used, [2]uint64{r.addr, r.addr + RoundUp(r.n)})
+	}
+	w, err := FromUsed(base, size, used)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Snapshot(), w.Snapshot()) {
+		t.Fatal("replayed allocator differs from FromUsed over the live runs")
+	}
+	if err := b.CheckFreeIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllocAtRejects: a run that is not wholly free, is misaligned for
+// its order, or leaves the range cannot be taken.
+func TestAllocAtRejects(t *testing.T) {
+	a := New(10, 64)
+	p, err := a.Alloc(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		addr, n uint64
+	}{
+		{"allocated run", p, 4},
+		{"run overlapping an allocated one", p, 8},
+		{"misaligned", 10 + 6, 4},
+		{"below base", 2, 1},
+		{"beyond range", 10 + 64, 1},
+	} {
+		if err := a.AllocAt(c.addr, c.n); !errors.Is(err, ErrBadFree) {
+			t.Errorf("%s: AllocAt(%d,%d) = %v, want ErrBadFree", c.name, c.addr, c.n, err)
+		}
+	}
+	if err := a.AllocAt(10+32, 0); !errors.Is(err, ErrBadSize) {
+		t.Errorf("zero-length AllocAt = %v, want ErrBadSize", err)
+	}
+	if err := a.AllocAt(10+32, 16); err != nil {
+		t.Fatalf("AllocAt of a free run: %v", err)
+	}
+	if a.IsFree(10+32, 16) || a.FreeBlocks() != 64-4-16 {
+		t.Fatalf("after AllocAt: free=%d", a.FreeBlocks())
+	}
+}
+
+// TestSnapshotReleasedCountsLimboFree: the checkpoint form of the
+// snapshot equals the snapshot taken after ReleaseLimbo, and taking it
+// leaves limbo parked.
+func TestSnapshotReleasedCountsLimboFree(t *testing.T) {
+	a := New(0, 256)
+	a.SetDeferredFrees(true)
+	var runs []uint64
+	for i := 0; i < 12; i++ {
+		p, err := a.Alloc(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, p)
+	}
+	for _, p := range runs[:7] {
+		if err := a.Free(p, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := a.SnapshotReleased()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.LimboBlocks() != 7*4 {
+		t.Fatalf("SnapshotReleased changed limbo: %d blocks", a.LimboBlocks())
+	}
+	if bytes.Equal(got, a.Snapshot()) {
+		t.Fatal("SnapshotReleased ignored limbo")
+	}
+	if err := a.ReleaseLimbo(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, a.Snapshot()) {
+		t.Fatal("SnapshotReleased differs from the snapshot after ReleaseLimbo")
 	}
 }

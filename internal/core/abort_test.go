@@ -132,6 +132,7 @@ func TestConcurrentBracketsSameObjectAbort(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crash reopen: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	defer v2.Close()
 	check("crash-replayed volume", v2)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -65,7 +66,7 @@ func (u *usage) sortAndValidate(report *CheckReport) error {
 
 // collectUsage walks every structure on the volume and returns the set of
 // blocks they own, filling counts into report when non-nil. Shared by
-// Check and the crash-recovery allocator rebuild.
+// Check and rebuildAllocator.
 func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 	u := &usage{}
 	addTree := func(name string, tr *btree.Tree) error {
@@ -272,8 +273,39 @@ func (v *Volume) checkNaming(report *CheckReport) {
 	}
 }
 
-// rebuildAllocator reconstructs buddy state from reachability — the
-// crash-recovery path when the volume was not cleanly closed.
+// VerifyAllocator holds the allocator to its definition, exactly: the
+// free lists (limbo counted free) must be the ones buddy.FromUsed builds
+// from the blocks the reachability walk finds owned — order for order,
+// not merely the same number of free blocks. Check's leak equation
+// follows from it; recovery's tests call it after every Open, because
+// Open no longer computes the allocator this way.
+func (v *Volume) VerifyAllocator() error {
+	u, err := v.collectUsage(nil)
+	if err != nil {
+		return err
+	}
+	if err := u.sortAndValidate(nil); err != nil {
+		return err
+	}
+	want, err := buddy.FromUsed(v.dataStart, v.dataBlocks, u.ranges)
+	if err != nil {
+		return err
+	}
+	got, err := v.ba.SnapshotReleased()
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, want.Snapshot()) {
+		return fmt.Errorf("core: allocator holds %d free blocks, the reachability walk %d, or the same in other runs",
+			v.ba.FreeBlocks()+v.ba.LimboBlocks(), want.FreeBlocks())
+	}
+	return nil
+}
+
+// rebuildAllocator reconstructs buddy state from reachability: the
+// definition Check holds the allocator to, and Open's repair when the
+// device holds no snapshot slot it can restore instead (restoreAllocator
+// lists when).
 func (v *Volume) rebuildAllocator() error {
 	u, err := v.collectUsage(nil)
 	if err != nil {
@@ -282,6 +314,7 @@ func (v *Volume) rebuildAllocator() error {
 	if err := u.sortAndValidate(nil); err != nil {
 		return err
 	}
+	v.recovery.Allocator.Count = int64(len(u.ranges))
 	ba, err := buddy.FromUsed(v.dataStart, v.dataBlocks, u.ranges)
 	if err != nil {
 		return err

@@ -96,6 +96,7 @@ func TestCrashLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
+		assertRecoveryExact(t, v2)
 		rep, err := v2.Check()
 		if err != nil {
 			t.Fatalf("round %d fsck: %v", round, err)
@@ -181,6 +182,7 @@ func sharedPageAnomaly(t *testing.T, imageLogging bool) bool {
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	defer v2.Close()
 	rep, err := v2.Check()
 	if err != nil {
@@ -282,6 +284,7 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
+		assertRecoveryExact(t, v2)
 		rep, err := v2.Check()
 		if err != nil {
 			t.Fatalf("round %d fsck: %v", round, err)
@@ -342,6 +345,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	rep, err := v2.Check()
 	if err != nil || !rep.Ok() {
 		t.Fatalf("fsck after torn tail: %+v, %v", rep, err)
@@ -375,6 +379,7 @@ func TestNonTransactionalCrashLosesOnlyTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dirty open: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	rep, err := v2.Check()
 	if err != nil {
 		t.Fatal(err)
@@ -431,6 +436,7 @@ func TestReplayOverAppliedPagesIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery over applied pages: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	defer v2.Close()
 	rep, err := v2.Check()
 	if err != nil {

@@ -99,6 +99,15 @@ func (s *pageSums) set(no uint64, sum uint32) {
 	s.dirty[i/uint64(s.perBlk)].Store(true)
 }
 
+// forget drops the recorded sum of a block whose content changed outside
+// the wrapper's sight (recovery: object bytes written after the checkpoint
+// the loaded sidecar describes). The next read learns the new sum.
+func (s *pageSums) forget(no uint64) {
+	i := no - s.start
+	atomic.StoreUint64(&s.v[i], 0)
+	s.dirty[i/uint64(s.perBlk)].Store(true)
+}
+
 // get returns the recorded sum and whether one is known.
 func (s *pageSums) get(no uint64) (uint32, bool) {
 	e := atomic.LoadUint64(&s.v[no-s.start])

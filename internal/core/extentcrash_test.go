@@ -113,6 +113,7 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovery open (fault at write %d, op err %v): %v", n, werr, err)
 			}
+			assertRecoveryExact(t, v2)
 			defer v2.Close()
 			rep, err := v2.Check()
 			if err != nil {
@@ -200,6 +201,7 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	rep, err := v2.Check()
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +225,10 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 }
 
 // TestRecountHealsCountersAndTableSize pins the unclean-open recount
-// path end to end: when an extent tree's recovered absolute counters
-// disagree with its leaves (here induced by editing a leaf cell's Len
-// on the raw image), extent.Recount must repair the subtree counts and
+// path end to end: when the recovered absolute counters of an extent
+// tree the log tail touched disagree with its leaves (here induced by
+// editing a leaf cell's Len on the raw image), extent.Recount must
+// repair the subtree counts and
 // header — and the heal must reach the OSD object table and shadow
 // meta too, or the volume would fail its own table-size-vs-tree-bytes
 // fsck cross-check right after "repairing" itself.
@@ -247,6 +250,13 @@ func TestRecountHealsCountersAndTableSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := v.Sync(); err != nil { // checkpoint: pages home, log reset
+		t.Fatal(err)
+	}
+	// The log tail: one in-place overwrite. It rewrites no leaf cell, but
+	// like every extent mutation it logs the tree's header — which is how
+	// recovery knows this tree's counters may have moved. (Recovery
+	// recounts the trees the tail touched, not every object's.)
+	if err := obj.WriteAt([]byte("tail"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Find the extent leaf on the raw image and stretch the tail cell's
@@ -287,6 +297,7 @@ func TestRecountHealsCountersAndTableSize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unclean open over skewed counters: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	defer v2.Close()
 	rep, err := v2.Check()
 	if err != nil {
@@ -355,6 +366,7 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			seed := byte(round*writers + w)
+			wrng := rand.New(rand.NewPCG(0xE16, uint64(seed))) // rng is the main goroutine's
 			go func() {
 				defer wg.Done()
 				obj, err := v.OSD.CreateObject("churn", osd.ModeRegular)
@@ -393,7 +405,7 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 						}
 					case 2: // truncate away the tail
 						if len(oracle) > 1000 {
-							cut := uint64(len(oracle) - rng.IntN(900) - 1)
+							cut := uint64(len(oracle) - wrng.IntN(900) - 1)
 							if err := obj.Truncate(cut); err != nil {
 								return
 							}
@@ -419,6 +431,7 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
+		assertRecoveryExact(t, v2)
 		rep, err := v2.Check()
 		if err != nil {
 			t.Fatalf("round %d fsck: %v", round, err)

@@ -182,10 +182,7 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 // the catalog, reverse index, object table, image index, KV index
 // shards, or a fulltext segment tree.
 func (v *Volume) treeByHeader(hdr uint64) (*btree.Tree, error) {
-	trees := []*btree.Tree{v.catalog, v.reverse, v.OSD.MetaTree(), v.img.Tree()}
-	trees = append(trees, v.kvTrees...)
-	trees = append(trees, v.ft.Inner().Trees()...)
-	for _, tr := range trees {
+	for _, tr := range v.allTrees() {
 		if tr.HeaderPage() == hdr {
 			return tr, nil
 		}

@@ -15,18 +15,23 @@
 // Query), and access interfaces that manipulate an object once located
 // (Object read/write/insert/truncate-range, via the OSD layer).
 //
-// Durability: with Transactional set, every mutating operation commits
-// its own write set (the pages it dirtied, captured per transaction by
-// the pager) through the WAL's group committer — no-steal / no-force,
-// with a background checkpointer writing committed pages home when the
-// log passes its high-water mark — and crash recovery replays committed
-// images. Without it, the volume is flushed on Sync and Close only — the
-// paper's "the OSD may be transactional, but this is an implementation
-// decision" made concrete and measurable (experiments E10, E13, E14).
+// Durability: with Transactional set, every mutating operation stages
+// typed redo records — and the logical inverses that undo them — in its
+// own pager.Op as it mutates pages, and commits them through the WAL's
+// group committer (full ARIES: physiological redo, logical undo, steal /
+// no-force). A background checkpointer writes pages home and resets the
+// log when it passes its high-water mark. Allocation is a logged mutation
+// like any other: each checkpoint leaves an allocator snapshot stamped
+// with the log's LSN fence, and crash recovery repeats history from the
+// log tail — pages, allocator and all — then rolls losers back, so Open
+// costs what the tail costs, not what the volume holds (recovery.go,
+// allocsnap.go). Without Transactional, the volume is flushed on Sync and
+// Close only — the paper's "the OSD may be transactional, but this is an
+// implementation decision" made concrete and measurable (experiments E10,
+// E13, E14).
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -109,7 +114,8 @@ type Options struct {
 	NoSteal bool
 	// WALBlocks sizes the log region (default 256 blocks).
 	WALBlocks uint64
-	// SnapshotBlocks sizes the allocator snapshot region (default 64).
+	// SnapshotBlocks sizes the allocator snapshot region (default 64,
+	// split into two alternating slots).
 	SnapshotBlocks uint64
 	// CachePages sizes the buffer cache (default 1024).
 	CachePages int
@@ -129,6 +135,9 @@ func (o *Options) fill() {
 	}
 	if o.SnapshotBlocks == 0 {
 		o.SnapshotBlocks = 64
+	}
+	if o.SnapshotBlocks < 2 {
+		o.SnapshotBlocks = 2 // one block per slot (allocsnap.go)
 	}
 	if o.CachePages == 0 {
 		o.CachePages = 1024
@@ -168,6 +177,14 @@ type Volume struct {
 	dataStart, dataBlocks uint64
 	snapStart, snapBlocks uint64
 	csumStart, csumBlocks uint64
+
+	// snapCur is the allocator snapshot slot the log generation on the
+	// device belongs to (-1: none), snapSeq the last slot sequence number
+	// written; both change only under the checkpoint fence (allocsnap.go).
+	snapCur int
+	snapSeq uint64
+	// recovery is what Open did (see Recovery).
+	recovery RecoveryReport
 
 	// commitMu serializes commits only in SerialCommit compatibility
 	// mode; the group-committed pipeline never takes it.
@@ -278,6 +295,7 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 		snapBlocks: opts.SnapshotBlocks,
 		csumStart:  csumStart,
 		csumBlocks: csumBlocks,
+		snapCur:    -1,
 		registry:   index.NewRegistry(),
 	}
 	v.sums = newPageSums(dataStart, dataBlocks, dev.BlockSize())
@@ -345,6 +363,18 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	}
 	if err := v.flushPageSums(); err != nil {
 		return nil, err
+	}
+	// Formatting allocated unlogged; the first snapshot slot records the
+	// result against the fence the empty log was reset behind, so a crash
+	// before the first checkpoint recovers from it. Whatever slots an
+	// earlier volume left on the device go first.
+	if err := v.wipeAllocSlots(); err != nil {
+		return nil, err
+	}
+	if v.logsAllocations() {
+		if v.snapCur, err = v.writeAllocSlot(v.log.Fence()); err != nil {
+			return nil, err
+		}
 	}
 	if err := v.raw.Sync(); err != nil {
 		return nil, err
@@ -529,9 +559,29 @@ func readSuperblock(dev blockdev.Device) (*superblock, error) {
 	}, nil
 }
 
-// Open loads an existing volume, performing WAL recovery and allocator
-// reconstruction as needed.
+// Open loads an existing volume and recovers it. A transactional volume
+// has one recovery sequence, whatever state it was left in:
+//
+//  1. load the checksum sidecar;
+//  2. scan the log and repeat history — committed transactions, system
+//     transactions and loser chunks — writing the rebuilt pages home;
+//  3. restore the allocator: the snapshot slot stamped with the log's
+//     fence, plus the tail's allocator records;
+//  4. open the structures; recount btree key counts, and the counters of
+//     the extent trees the tail touched;
+//  5. roll loser chains back through their logical inverses;
+//  6. checkpoint: pages home, sidecar, a fresh snapshot slot, log reset.
+//
+// Steps 2, 3, 5 and 6 cost what the tail costs; after a clean shutdown
+// the tail is empty and 4 is skipped. The reachability walk — what fsck
+// checks the allocator against — replaces step 3 only when the device
+// holds nothing to restore from (restoreAllocator lists when), and always
+// serves a non-transactional volume that was not closed. It runs after
+// step 4 (it reads the structures), recounts every extent tree, and when
+// there are losers runs again after step 5, having wiped both snapshot
+// slots before it.
 func Open(dev blockdev.Device, opts Options) (*Volume, error) {
+	t0 := time.Now()
 	opts.fill()
 	sb, err := readSuperblock(dev)
 	if err != nil {
@@ -547,16 +597,20 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 		snapBlocks: sb.snapBlocks,
 		csumStart:  sb.csumStart,
 		csumBlocks: sb.csumBlocks,
+		snapCur:    -1,
 		registry:   index.NewRegistry(),
 	}
+	rep := &v.recovery
+	rep.Clean = sb.clean
 	v.sums = newPageSums(sb.dataStart, sb.dataBlocks, dev.BlockSize())
 	if sb.transactional || sb.clean {
 		// The durable sidecar matches the last durable checkpoint; any
 		// later home write is covered by WAL records whose replay below
 		// rewrites the page (recomputing its sum) through v.dev.
-		if err := v.loadPageSums(); err != nil {
+		if err := timed(&rep.SidecarLoad, v.loadPageSums); err != nil {
 			return nil, err
 		}
+		rep.SidecarLoad.Count = int64(sb.csumBlocks)
 	} else {
 		// Unclean non-transactional shutdown: no log vouches for the
 		// sidecar, so restart detection from the surviving bytes.
@@ -568,59 +622,28 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	v.dev = v.cdev
 	v.pg = pager.New(v.dev, opts.CachePages, !sb.transactional)
 
-	// Recover the WAL first so all metadata pages are current: committed
-	// redo records replay in LSN (mutation) order against an in-memory
+	// Recover the WAL first so all metadata pages are current: redo
+	// records replay in LSN (mutation) order against an in-memory
 	// materialization of the touched pages, which is then written home.
+	// The log is not reset yet: everything recovery itself logs below —
+	// base images of pages the recounts heal, the losers' compensations —
+	// joins the same generation, and the checkpoint that ends Open resets
+	// it, so a crash anywhere in between replays from the same bytes.
+	var tail replayed
 	var losers []wal.LoserChain
 	if sb.transactional {
 		v.log = wal.New(dev, sb.walStart, sb.walBlocks)
-		if err := v.replayLog(); err != nil {
+		if tail, err = v.replayLog(); err != nil {
 			return nil, err
 		}
 		v.pg.SeedLSN(v.log.MaxLSN())
 		losers = v.log.Losers()
-		if len(losers) == 0 {
-			// The reset discards the records that vouched for replay's home
-			// writes, so the sums they refreshed must be durable first.
-			if err := v.flushPageSums(); err != nil {
-				return nil, err
-			}
-			if err := v.raw.Sync(); err != nil {
-				return nil, err
-			}
-			if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
-				return nil, err
-			}
-		}
-		// With losers, the early checkpoint is skipped: recovery left the
-		// log positioned for continued appends, and the undo pass below
-		// (after the structures load) commits its compensations against
-		// the same generation so each loser chain is resolved before the
-		// log resets.
 		v.enableBaseImages()
 		v.enableSteal()
 	}
 
-	// Allocator: restore the snapshot on clean shutdown, else rebuild
-	// from reachability after loading the trees. A snapshot that fails
-	// its checksum (or decode) is treated as an unclean open: the
-	// allocator is rebuilt from reachability — repaired, not fatal.
-	clean := sb.clean
-	if clean {
-		snap, err := v.readSnapshot()
-		if err == nil {
-			v.ba, err = buddy.Restore(snap)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadSuperblock) {
-				return nil, err
-			}
-			clean = false
-		}
-	}
-	if !clean {
-		// Placeholder; replaced after structures load.
-		v.ba = buddy.New(sb.dataStart, sb.dataBlocks)
+	if err := timed(&rep.Allocator, func() error { return v.restoreAllocator(sb, tail.allocs, losers) }); err != nil {
+		return nil, err
 	}
 	if sb.transactional {
 		v.ba.SetDeferredFrees(true)
@@ -653,48 +676,136 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err := v.openIndexes(); err != nil {
 		return nil, err
 	}
-	if !clean {
-		// Physiological logging does not journal per-tree key counts
-		// (cross-transaction counters no single redo record can own);
-		// recount them from the leaves before the structural checks below
-		// — the walk is a sliver of the reachability rebuild that follows.
-		if err := v.recountTreeKeys(); err != nil {
+	if !sb.clean {
+		if err := timed(&rep.BtreeRecount, v.recountTreeKeys); err != nil {
 			return nil, err
 		}
-		if err := v.recountExtentTrees(); err != nil {
+		hdrs := tail.extHeaders
+		if rep.AllocWalk != "" {
+			// Nothing on the device says which trees moved either.
+			if hdrs, err = v.allExtentHeaders(); err != nil {
+				return nil, err
+			}
+		}
+		if err := timed(&rep.ExtentRecount, func() error { return v.recountExtentTrees(hdrs) }); err != nil {
 			return nil, err
 		}
-		if err := v.rebuildAllocator(); err != nil {
+	}
+	if rep.AllocWalk != "" {
+		if err := timed(&rep.Allocator, v.rebuildAllocator); err != nil {
 			return nil, err
 		}
 	}
 	if len(losers) > 0 {
+		if rep.AllocWalk != "" {
+			// The undo below commits compensations that resolve the chains:
+			// an open after a crash from here on sees no loser, and a slot
+			// the log's fence still vouched for, plus the tail, would count
+			// what the rollback unlinks as allocated — for good, since that
+			// open would not walk. Leave it nothing to trust until the
+			// checkpoint below writes the allocator the second walk finds.
+			if err := v.wipeAllocSlots(); err != nil {
+				return nil, err
+			}
+			if err := v.raw.Sync(); err != nil {
+				return nil, err
+			}
+		}
 		// ARIES undo of losers: repeat-history replay above brought every
 		// page to its crash state (loser edits included); now the loser
 		// chains' logical inverses run newest-first through the live
 		// structures, and each chain commits its compensations naming the
 		// chain's tail — resolving it, so a crash before the checkpoint
 		// below re-runs the undo idempotently. Requires the allocator and
-		// counters rebuilt first: the inverses allocate and free for real.
-		if err := v.undoLosers(losers); err != nil {
+		// counters restored first: the inverses allocate and free for real.
+		if err := timed(&rep.Undo, func() error { return v.undoLosers(losers) }); err != nil {
 			return nil, err
 		}
-		if err := v.checkpointNow(); err != nil {
+		rep.Undo.Count = int64(len(losers))
+		if rep.AllocWalk != "" {
+			// Logical inverses do not hand back what the loser allocated
+			// (a tree created and never linked, a tail copy that stays):
+			// what the rolled-back structures no longer reach is free. The
+			// walk reads through the cache, so it needs no checkpoint first.
+			if err := timed(&rep.Allocator, v.rebuildAllocator); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if sb.transactional {
+		if !v.logsAllocations() {
+			// This session's operations will stage no allocator records:
+			// leave no slot a crash could trust (the checkpoint's syncs
+			// make the wipe durable before the superblock turns dirty).
+			if err := v.wipeAllocSlots(); err != nil {
+				return nil, err
+			}
+		}
+		if err := timed(&rep.Checkpoint, v.checkpointNow); err != nil {
 			return nil, err
 		}
-		// The undo pass freed structure through deferred (limbo) frees the
-		// checkpoint just released; rebuild so the in-memory allocator
-		// matches the healed structures exactly.
-		if err := v.rebuildAllocator(); err != nil {
-			return nil, err
-		}
+		rep.Checkpoint.Count = 1
 	}
 	// Mark the volume dirty while open.
 	if err := v.writeSuperblock(false); err != nil {
 		return nil, err
 	}
 	v.startCheckpointer()
+	rep.Total = time.Since(t0)
 	return v, nil
+}
+
+// restoreAllocator is Open's step 3. It sets v.ba — exact, or a
+// placeholder with recovery.AllocWalk saying why the reachability walk
+// must fill it in once the structures are open. The reasons are all read
+// off the device:
+//
+//   - a non-transactional volume that was not closed has no log;
+//   - no snapshot slot carries the fence of the log on the device: both
+//     torn, or wiped — by a checkpoint whose snapshot outgrew the slot, by
+//     a session in a mode that logs no allocations (SerialCommit,
+//     ImageLogging), by a walking recovery that did not finish — or
+//     written by nobody yet;
+//   - the slot does not decode, or the tail does not apply to it;
+//   - a loser chain allocated or freed: its rollback runs logical
+//     inverses, which restore content, not the allocator's shape.
+func (v *Volume) restoreAllocator(sb *superblock, tail []allocRec, losers []wal.LoserChain) error {
+	rep := &v.recovery
+	walk := func(why string) error {
+		rep.AllocWalk = why
+		v.ba = buddy.New(sb.dataStart, sb.dataBlocks)
+		return nil
+	}
+	if !sb.transactional && !sb.clean {
+		return walk("non-transactional volume not closed")
+	}
+	fence := uint64(0)
+	if v.log != nil {
+		fence = v.log.Fence()
+	}
+	payload, lsn, err := v.loadAllocSlots(func(s allocSlot) bool { return !sb.transactional || s.lsn == fence })
+	if err != nil {
+		return err
+	}
+	if payload == nil {
+		return walk("no valid snapshot slot for the log's fence")
+	}
+	for _, l := range losers {
+		if l.AllocRecs > 0 {
+			return walk("loser chain allocated")
+		}
+	}
+	ba, err := replayAllocator(payload, tail)
+	if err == nil && (ba.Base() != sb.dataStart || ba.Size() != sb.dataBlocks) {
+		err = fmt.Errorf("covers [%d,+%d), not the data region", ba.Base(), ba.Size())
+	}
+	if err != nil {
+		return walk(fmt.Sprintf("snapshot slot unusable: %v", err))
+	}
+	v.ba = ba
+	rep.AllocSlotLSN = lsn
+	rep.Allocator.Count = int64(len(tail))
+	return nil
 }
 
 func (v *Volume) openIndexes() error {
@@ -756,141 +867,6 @@ func (v *Volume) openIndexes() error {
 		return err
 	}
 	v.registry.Register(v.img)
-	return nil
-}
-
-// replayLog applies the committed redo records of the log. Records
-// arrive in LSN order; pages are materialized once from their home
-// locations into a recovery map, mutated in place (images and ranges
-// generically, btree ops by re-execution), and written home at the end.
-// Ops that span pages (splits, merges) fetch their other pages through
-// the same map, so cross-page modifications replay against exactly the
-// state earlier records built.
-func (v *Volume) replayLog() error {
-	bs := v.raw.BlockSize()
-	pages := make(map[uint64][]byte)
-	pristine := make(map[uint64][]byte)
-	// Materialization reads bypass checksum verification: a stolen page's
-	// home legitimately leads the checkpoint-time sidecar, and a page the
-	// log modifies is rebuilt from its logged first-touch base image
-	// before any delta applies, so disk content is only a placeholder.
-	// The pristine copy lets the write-home loop skip pages replay merely
-	// fetched — rewriting those through the checksumming device would
-	// launder any rot in them into a fresh valid sum.
-	get := func(pno uint64) ([]byte, error) {
-		if d, ok := pages[pno]; ok {
-			return d, nil
-		}
-		if pno >= v.raw.NumBlocks() {
-			return nil, fmt.Errorf("%w: replayed page %d beyond device", ErrBadSuperblock, pno)
-		}
-		d := make([]byte, bs)
-		if err := v.raw.ReadBlock(pno, d); err != nil {
-			return nil, err
-		}
-		pages[pno] = d
-		p := make([]byte, bs)
-		copy(p, d)
-		pristine[pno] = p
-		return d, nil
-	}
-	//hfadvet:replay-exempt KindUndo KindChunk — both terminate inside the WAL: undo records drive rollback through chain resolution and chunk records reassemble oversized payloads before Recover ever surfaces a logical record here
-	n, err := v.log.Recover(func(r redo.Record) error {
-		switch r.Kind {
-		case redo.KindImage:
-			if len(r.Data) != bs {
-				return fmt.Errorf("%w: logged page image has %d bytes", ErrBadSuperblock, len(r.Data))
-			}
-			d, err := get(r.Page)
-			if err != nil {
-				return err
-			}
-			copy(d, r.Data)
-			return nil
-		case redo.KindRange:
-			d, err := get(r.Page)
-			if err != nil {
-				return err
-			}
-			return redo.ApplyRange(d, r.Data)
-		case redo.KindBtreeOp:
-			return btree.ReplayOp(get, r.Page, r.Data)
-		case redo.KindExtentOp:
-			return extent.ReplayOp(get, r.Page, r.Data)
-		default:
-			return fmt.Errorf("%w: unknown redo kind %d", ErrBadSuperblock, r.Kind)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return nil
-	}
-	for pno, d := range pages {
-		if bytes.Equal(d, pristine[pno]) {
-			// The home already holds the WAL-prescribed content (it was
-			// flushed after the last sidecar flush), so the durable sum
-			// may trail it: refresh the entry from the materialized
-			// content, which is WAL-derived via the first-touch base
-			// image, without rewriting the block.
-			if v.sums.covers(pno) {
-				v.sums.set(pno, crc32.Checksum(d, crcTable))
-			}
-			continue
-		}
-		// Through the checksumming device: replayed pages get their sums
-		// recomputed as they go home.
-		if err := v.dev.WriteBlock(pno, d); err != nil {
-			return err
-		}
-	}
-	return v.raw.Sync()
-}
-
-// recountTreeKeys refreshes every btree's header key count from its
-// leaves (see Open: physiological recovery recounts rather than logs).
-func (v *Volume) recountTreeKeys() error {
-	trees := []*btree.Tree{v.catalog, v.reverse, v.OSD.MetaTree(), v.img.Tree()}
-	trees = append(trees, v.kvTrees...)
-	trees = append(trees, v.ft.Inner().Trees()...)
-	for _, tr := range trees {
-		if err := tr.RecountKeys(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recountExtentTrees refreshes every object extent tree's subtree byte
-// totals and header counters from its leaves — the extent analogue of
-// recountTreeKeys: the counts are absolute cross-transaction counters no
-// single redo record can own, so an unclean open recomputes them.
-func (v *Volume) recountExtentTrees() error {
-	var metas []osd.Meta
-	if err := v.OSD.ForEach(func(m osd.Meta) bool {
-		metas = append(metas, m)
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, m := range metas {
-		ext, err := extent.Open(v.pg, v.ba, m.ExtentHeader, v.opts.ExtentConfig)
-		if err != nil {
-			return err
-		}
-		if err := ext.Recount(); err != nil {
-			return err
-		}
-		// The heal must reach the object table too, or fsck's table-size
-		// vs tree-bytes cross-check would flag the very state the
-		// recount just repaired.
-		if size := ext.Size(); size != m.Size {
-			if err := v.OSD.RepairSize(m.OID, size); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -1287,11 +1263,27 @@ func (v *Volume) doCheckpoint() error {
 	if err := v.flushPageSums(); err != nil {
 		return err
 	}
+	// So does the allocator snapshot, stamped with the fence the log is
+	// about to be reset behind, into the slot the generation being closed
+	// does not depend on — or, when it has outgrown a slot, the wipe of
+	// both (allocsnap.go). No operation is in flight, so the allocator is
+	// exactly what the flushed pages own, once limbo is counted free.
+	fence := v.pg.CurrentLSN()
+	slot := -1
+	if v.logsAllocations() {
+		var err error
+		if slot, err = v.writeAllocSlot(fence); err != nil {
+			return err
+		}
+	}
 	if err := v.dev.Sync(); err != nil {
 		return err
 	}
-	if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
+	if err := v.log.Checkpoint(fence); err != nil {
 		return err
+	}
+	if slot >= 0 {
+		v.snapCur = slot
 	}
 	return v.ba.ReleaseLimbo()
 }
@@ -1359,66 +1351,6 @@ func (v *Volume) Fulltext() *index.Fulltext { return v.ft }
 // Images returns the image plug-in index.
 func (v *Volume) Images() *index.ImageIndex { return v.img }
 
-// readSnapshot loads the allocator snapshot region, verifying its CRC.
-// Header: [0:8] length, [8:12] CRC32C of the payload.
-func (v *Volume) readSnapshot() ([]byte, error) {
-	bs := v.raw.BlockSize()
-	buf := make([]byte, bs)
-	if err := v.raw.ReadBlock(v.snapStart, buf); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint64(buf)
-	if n > (v.snapBlocks*uint64(bs))-12 {
-		return nil, fmt.Errorf("%w: snapshot length %d", ErrBadSuperblock, n)
-	}
-	want := binary.LittleEndian.Uint32(buf[8:])
-	out := make([]byte, 0, n)
-	out = append(out, buf[12:min(int(n)+12, bs)]...)
-	blk := v.snapStart + 1
-	for uint64(len(out)) < n {
-		if err := v.raw.ReadBlock(blk, buf); err != nil {
-			return nil, err
-		}
-		remain := int(n) - len(out)
-		out = append(out, buf[:min(remain, bs)]...)
-		blk++
-	}
-	if crc32.Checksum(out, crcTable) != want {
-		return nil, fmt.Errorf("%w: allocator snapshot checksum mismatch", ErrCorrupt)
-	}
-	return out, nil
-}
-
-// writeSnapshot persists the allocator state into the snapshot region.
-func (v *Volume) writeSnapshot() error {
-	snap := v.ba.Snapshot()
-	bs := v.raw.BlockSize()
-	capacity := v.snapBlocks*uint64(bs) - 12
-	if uint64(len(snap)) > capacity {
-		return fmt.Errorf("core: allocator snapshot %d bytes exceeds region %d", len(snap), capacity)
-	}
-	buf := make([]byte, bs)
-	binary.LittleEndian.PutUint64(buf, uint64(len(snap)))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(snap, crcTable))
-	n := copy(buf[12:], snap)
-	if err := v.raw.WriteBlock(v.snapStart, buf); err != nil {
-		return err
-	}
-	blk := v.snapStart + 1
-	for n < len(snap) {
-		for i := range buf {
-			buf[i] = 0
-		}
-		m := copy(buf, snap[n:])
-		if err := v.raw.WriteBlock(blk, buf); err != nil {
-			return err
-		}
-		n += m
-		blk++
-	}
-	return nil
-}
-
 // Sync flushes all state to the device without closing. On a
 // transactional volume this is a checkpoint: it quiesces mutating
 // operations, writes every cached dirty page home, syncs the device, and
@@ -1437,8 +1369,9 @@ func (v *Volume) Sync() error {
 	return v.dev.Sync()
 }
 
-// Close cleanly shuts the volume down: flush, snapshot the allocator,
-// mark clean. The volume must not be used afterwards.
+// Close cleanly shuts the volume down: checkpoint (or flush), make sure an
+// allocator snapshot slot describes the result, mark clean. The volume
+// must not be used afterwards.
 func (v *Volume) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -1452,18 +1385,25 @@ func (v *Volume) Close() error {
 	if err := v.Sync(); err != nil {
 		return err
 	}
-	if v.log != nil {
-		if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
+	if !v.logsAllocations() {
+		// No checkpoint of this session wrote a snapshot slot (allocsnap.go):
+		// a volume with no log, or a mode that logs no allocations. With
+		// everything durably home and the log empty, one is exact — and the
+		// clean flag below is what lets the next Open trust it.
+		fence := uint64(0)
+		if v.log != nil {
+			if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
+				return err
+			}
+			fence = v.log.Fence()
+		}
+		if err := v.ba.ReleaseLimbo(); err != nil {
 			return err
 		}
-	}
-	// Everything is durably home: deferred frees can join the snapshot as
-	// free space.
-	if err := v.ba.ReleaseLimbo(); err != nil {
-		return err
-	}
-	if err := v.writeSnapshot(); err != nil {
-		return err
+		var err error
+		if v.snapCur, err = v.writeAllocSlot(fence); err != nil {
+			return err
+		}
 	}
 	if err := v.writeSuperblock(true); err != nil {
 		return err

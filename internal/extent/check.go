@@ -173,7 +173,10 @@ func (t *Tree) Check() (*CheckResult, error) {
 // cross-transaction counters — absolute values whose freshest committed
 // record may have been computed on top of a neighbour's since-dropped
 // uncommitted edit — that no single redo record can own, exactly like
-// btree key counts (btree.RecountKeys).
+// btree key counts (btree.RecountKeys). Like RecountKeys it dirties only
+// what was wrong: recovery runs it with first-touch base images already
+// on, so a header rewritten for nothing would log a 4 KiB image per
+// object and could fill the log recovery had just emptied.
 func (t *Tree) Recount() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -219,6 +222,9 @@ func (t *Tree) Recount() error {
 	total, exts, err := walk(t.root, 0)
 	if err != nil {
 		return err
+	}
+	if total == t.size && exts == t.extents {
+		return nil
 	}
 	t.size, t.extents = total, exts
 	return t.writeHeader()

@@ -44,6 +44,10 @@ type crEnv struct {
 	ba  *buddy.Allocator
 	log *wal.Log
 	tr  *Tree
+	// allocSnap is the allocator snapshot of the last checkpoint — what
+	// the volume keeps in its snapshot slot. Recovery restores it and
+	// replays the log tail's allocator records on top.
+	allocSnap []byte
 }
 
 type walAppender struct{ log *wal.Log }
@@ -86,6 +90,11 @@ func (e *crEnv) checkpoint() {
 	if err := e.pg.FlushDirty(); err != nil {
 		e.t.Fatal(err)
 	}
+	snap, err := e.ba.SnapshotReleased()
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	e.allocSnap = snap
 	if err := e.dev.Sync(); err != nil {
 		e.t.Fatal(err)
 	}
@@ -133,30 +142,86 @@ func (e *crEnv) commitOp(op *pager.Op, opErr error) error {
 }
 
 // recoverImage restores a device snapshot into a fresh device, replays
-// the committed WAL records the way core.Open does, and opens the tree.
-func recoverImage(t *testing.T, snap []byte, hdrPno uint64) (*Tree, error) {
+// the committed WAL records the way core.Open does — pages from the log,
+// the allocator from the checkpoint's snapshot plus the tail's allocator
+// records — and opens the tree. The restored allocator must be exactly
+// what the reachability walk would have built; callers check that with
+// assertAllocatorIsWalk once the tree's counters are known good.
+func recoverImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64) (*Tree, *buddy.Allocator, error) {
 	t.Helper()
 	dev := blockdev.NewMem(crBlocks, blockdev.DefaultBlockSize)
 	if err := dev.RestoreFrom(snap); err != nil {
 		t.Fatal(err)
 	}
-	log, err := replayInto(t, dev)
+	_, tail, err := replayInto(t, dev)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	_ = log
 	pg := pager.New(dev, 512, true)
-	ba := buddy.New(crDataStart, crBlocks-crDataStart)
-	return Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
+	ba := restoreAllocator(t, allocSnap, tail)
+	tr, err := Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
+	return tr, ba, err
+}
+
+// restoreAllocator is core.restoreAllocator at package scale.
+func restoreAllocator(t *testing.T, allocSnap []byte, tail []redo.Record) *buddy.Allocator {
+	t.Helper()
+	ba, err := buddy.Restore(allocSnap)
+	if err != nil {
+		t.Fatalf("restore allocator snapshot: %v", err)
+	}
+	for _, r := range tail {
+		free, n, err := redo.DecodeAlloc(r.Data)
+		if err == nil && free {
+			err = ba.Free(r.Page, n)
+		} else if err == nil {
+			err = ba.AllocAt(r.Page, n)
+		}
+		if err != nil {
+			t.Fatalf("apply allocator record (lsn %d): %v", r.LSN, err)
+		}
+	}
+	return ba
+}
+
+// assertAllocatorIsWalk is the recovery oracle: the slow definition —
+// everything the tree does not reach is free — must produce the very free
+// lists the fast path restored (limbo counted free).
+func assertAllocatorIsWalk(t *testing.T, label string, ba *buddy.Allocator, tr *Tree) {
+	t.Helper()
+	res, err := tr.Check()
+	if err != nil {
+		t.Fatalf("%s: check: %v", label, err)
+	}
+	var used [][2]uint64
+	for _, p := range res.AllPages {
+		used = append(used, [2]uint64{p, p + 1})
+	}
+	for _, ex := range res.DataExtents {
+		used = append(used, [2]uint64{ex.Alloc, ex.Alloc + uint64(ex.AllocBlocks)})
+	}
+	want, err := buddy.FromUsed(crDataStart, crBlocks-crDataStart, used)
+	if err != nil {
+		t.Fatalf("%s: walk: %v", label, err)
+	}
+	got, err := ba.SnapshotReleased()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !bytes.Equal(got, want.Snapshot()) {
+		t.Fatalf("%s: restored allocator differs from the reachability walk (restored %d free, walk %d free)",
+			label, ba.FreeBlocks()+ba.LimboBlocks(), want.FreeBlocks())
+	}
 }
 
 // replayInto replays dev's WAL region onto dev — repeat history, loser
 // chunks included — and returns the log with its loser chains resolved
-// for the caller to roll back.
-func replayInto(t *testing.T, dev *blockdev.MemDevice) (*wal.Log, error) {
+// for the caller to roll back, plus the tail's allocator records.
+func replayInto(t *testing.T, dev *blockdev.MemDevice) (*wal.Log, []redo.Record, error) {
 	t.Helper()
 	log := wal.New(dev, crWALStart, crWALBlocks)
 	bs := dev.BlockSize()
+	var allocs []redo.Record
 	pages := make(map[uint64][]byte)
 	get := func(pno uint64) ([]byte, error) {
 		if d, ok := pages[pno]; ok {
@@ -186,19 +251,22 @@ func replayInto(t *testing.T, dev *blockdev.MemDevice) (*wal.Log, error) {
 			return redo.ApplyRange(d, r.Data)
 		case redo.KindExtentOp:
 			return ReplayOp(get, r.Page, r.Data)
+		case redo.KindAlloc:
+			allocs = append(allocs, r)
+			return nil
 		default:
 			return fmt.Errorf("unexpected redo kind %d", r.Kind)
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for pno, d := range pages {
 		if err := dev.WriteBlock(pno, d); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return log, nil
+	return log, allocs, nil
 }
 
 // verifyAgainstOracle checks structure (Check), size, and full content
@@ -377,7 +445,7 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 				// Mid-operation cut: mutations are in cache (and any splits
 				// in the log as system transactions), the commit is not.
 				midSnap := e.dev.Snapshot()
-				trMid, merr := recoverImage(t, midSnap, hdr)
+				trMid, baMid, merr := recoverImage(t, midSnap, e.allocSnap, hdr)
 				if merr != nil {
 					t.Fatalf("op %d: mid-op recovery: %v", i, merr)
 				}
@@ -390,6 +458,7 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 					t.Fatalf("op %d: mid-op recount: %v", i, merr)
 				}
 				verifyWithOverlap(t, fmt.Sprintf("op %d mid-op cut", i), trMid, oracle, wrOff, wrEnd, wrData)
+				assertAllocatorIsWalk(t, fmt.Sprintf("op %d mid-op cut", i), baMid, trMid)
 
 				if cerr := e.commitOp(op, err); cerr != nil {
 					t.Fatalf("op %d kind %d: %v", i, kind, cerr)
@@ -398,11 +467,12 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 
 				// Commit-boundary cut.
 				snap := e.dev.Snapshot()
-				tr2, rerr := recoverImage(t, snap, hdr)
+				tr2, ba2, rerr := recoverImage(t, snap, e.allocSnap, hdr)
 				if rerr != nil {
 					t.Fatalf("op %d: boundary recovery: %v", i, rerr)
 				}
 				verifyAgainstOracle(t, fmt.Sprintf("op %d boundary cut", i), tr2, oracle)
+				assertAllocatorIsWalk(t, fmt.Sprintf("op %d boundary cut", i), ba2, tr2)
 
 				// Cross log generations now and then.
 				if rng.IntN(10) == 0 || e.log.Used() > e.log.Capacity()*2/3 {
@@ -494,13 +564,13 @@ func (e *crEnv) rollback(op *pager.Op) {
 // because CLR-mode operations are never chunk-flushed. Returns the
 // opened tree, its device (for re-cut snapshots), the loser chains
 // Recover found, and the number of inverses applied.
-func recoverUndoImage(t *testing.T, snap []byte, hdrPno uint64, stopAfter int) (*Tree, *blockdev.MemDevice, []wal.LoserChain, int) {
+func recoverUndoImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64, stopAfter int) (*Tree, *blockdev.MemDevice, []wal.LoserChain, int) {
 	t.Helper()
 	dev := blockdev.NewMem(crBlocks, blockdev.DefaultBlockSize)
 	if err := dev.RestoreFrom(snap); err != nil {
 		t.Fatal(err)
 	}
-	log, err := replayInto(t, dev)
+	log, tail, err := replayInto(t, dev)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -510,18 +580,29 @@ func recoverUndoImage(t *testing.T, snap []byte, hdrPno uint64, stopAfter int) (
 	// Seed the LSN counter past everything replayed, exactly core.Open's
 	// order — the undo's compensations must sort after history.
 	pg.SeedLSN(log.MaxLSN())
+	losers := log.Losers()
+	if len(losers) == 0 {
+		// Committed history only (runtime rollbacks included: their
+		// compensations committed with them): the allocator is the
+		// snapshot plus the tail, and must equal the walk.
+		ba := restoreAllocator(t, allocSnap, tail)
+		tr, err := Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		assertAllocatorIsWalk(t, "recovered image", ba, tr)
+		return tr, dev, losers, 0
+	}
 	ba := buddy.New(crDataStart, crBlocks-crDataStart)
 	tr, err := Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	losers := log.Losers()
-	if len(losers) == 0 {
-		return tr, dev, losers, 0
-	}
-	// Unclean open with replayed loser records: recount, then rebuild the
-	// allocator from reachability before mutating through the live APIs —
-	// the undo's deletes free real blocks (core.Open's order).
+	// Unclean open with replayed loser records that allocated: recount,
+	// then rebuild the allocator from reachability before mutating through
+	// the live APIs — the undo's deletes free real blocks, and its logical
+	// inverses do not return the allocator to its old shape (core.Open's
+	// order for a loser chain that carries allocator records).
 	if err := tr.Recount(); err != nil {
 		t.Fatalf("recount: %v", err)
 	}
@@ -687,7 +768,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 					}
 					e.rollback(op)
 					verifyAgainstOracle(t, fmt.Sprintf("round %d live tree after abort", i), e.tr, oracle)
-					tr2, _, losers, _ := recoverUndoImage(t, e.dev.Snapshot(), hdr, -1)
+					tr2, _, losers, _ := recoverUndoImage(t, e.dev.Snapshot(), e.allocSnap, hdr, -1)
 					if len(losers) != 0 {
 						t.Fatalf("round %d: %d loser chains after a committed rollback", i, len(losers))
 					}
@@ -716,7 +797,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 					snap := e.dev.Snapshot()
 
 					// Full recovery: repeat history, undo the loser, commit.
-					tr2, dev2, losers, nsteps := recoverUndoImage(t, snap, hdr, -1)
+					tr2, dev2, losers, nsteps := recoverUndoImage(t, snap, e.allocSnap, hdr, -1)
 					if len(losers) == 0 {
 						t.Fatalf("round %d: expected a loser chain (dependency flush did not fire)", i)
 					}
@@ -724,7 +805,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 
 					// The chain is resolved: a second crash after the undo
 					// commit finds no losers and the same state.
-					tr3, _, losers3, _ := recoverUndoImage(t, dev2.Snapshot(), hdr, -1)
+					tr3, _, losers3, _ := recoverUndoImage(t, dev2.Snapshot(), e.allocSnap, hdr, -1)
 					if len(losers3) != 0 {
 						t.Fatalf("round %d: %d loser chains survived the undo commit", i, len(losers3))
 					}
@@ -733,8 +814,8 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 					// Mid-undo power cut: interrupt the rollback before its
 					// compensations commit, cut again, recover from scratch.
 					if nsteps > 0 {
-						_, devP, _, _ := recoverUndoImage(t, snap, hdr, rng.IntN(nsteps))
-						trF, _, losersF, _ := recoverUndoImage(t, devP.Snapshot(), hdr, -1)
+						_, devP, _, _ := recoverUndoImage(t, snap, e.allocSnap, hdr, rng.IntN(nsteps))
+						trF, _, losersF, _ := recoverUndoImage(t, devP.Snapshot(), e.allocSnap, hdr, -1)
 						if len(losersF) == 0 {
 							t.Fatalf("round %d: mid-undo cut resolved the chain without a commit", i)
 						}

@@ -117,13 +117,19 @@ type Stats struct {
 
 // Tree is a counted B+tree extent map for one object.
 type Tree struct {
-	pg    *pager.Pager
-	ba    *buddy.Allocator
+	pg *pager.Pager
+	// space is the tree's only door to the allocator: every allocation
+	// and free names the operation whose log records carry it.
+	space pager.Space
 	dev   blockdev.Device
 	cfg   Config
 	hdr   uint64
 	bs    int
 	bsU64 uint64
+
+	// creator is the ID of the operation that created the tree (0 when
+	// opened, or created unlogged); see allocOp.
+	creator uint64
 
 	mu      sync.RWMutex
 	root    uint64
@@ -172,18 +178,19 @@ func Create(pg *pager.Pager, ba *buddy.Allocator, cfg Config) (*Tree, error) {
 // and no garbage home content is ever logged as a base image.
 func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
-	hdr, err := ba.Alloc(1)
+	space := pager.NewSpace(ba)
+	hdr, err := space.Alloc(op, 1)
 	if err != nil {
 		return nil, err
 	}
-	rootPno, err := ba.Alloc(1)
+	rootPno, err := space.Alloc(op, 1)
 	if err != nil {
 		return nil, err
 	}
 	t := &Tree{
-		pg: pg, ba: ba, dev: pg.Device(), cfg: cfg, hdr: hdr,
+		pg: pg, space: space, dev: pg.Device(), cfg: cfg, hdr: hdr,
 		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
-		root: rootPno, height: 1,
+		root: rootPno, height: 1, creator: op.ID(),
 	}
 	rp, err := pg.AcquireZero(rootPno)
 	if err != nil {
@@ -216,7 +223,7 @@ func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, cfg Config) (*
 		return nil, fmt.Errorf("%w: page %d is not an extent tree header", ErrCorrupt, headerPno)
 	}
 	return &Tree{
-		pg: pg, ba: ba, dev: pg.Device(), cfg: cfg, hdr: headerPno,
+		pg: pg, space: pager.NewSpace(ba), dev: pg.Device(), cfg: cfg, hdr: headerPno,
 		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
 		root:    binary.LittleEndian.Uint64(d[hOffRoot:]),
 		height:  int(binary.LittleEndian.Uint64(d[hOffHeight:])),
@@ -488,4 +495,11 @@ func (t *Tree) bumpCounts(path []pathElem, delta int64) error {
 		t.pg.Release(pg)
 	}
 	return nil
+}
+
+// IsHeaderPage reports whether page bytes are an extent tree's header —
+// how crash recovery finds, among the pages replay rebuilt, the trees
+// whose counters the log tail could have moved.
+func IsHeaderPage(d []byte) bool {
+	return len(d) >= hOffRoot && d[offType] == pageHeader && binary.LittleEndian.Uint32(d[hOffMagic:]) == treeMagic
 }

@@ -454,7 +454,7 @@ func TestDestroyFreesEverything(t *testing.T) {
 	if err := tr.InsertAt(1234, pattern(999, 9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Destroy(); err != nil {
+	if err := tr.Destroy(nil); err != nil {
 		t.Fatalf("Destroy: %v", err)
 	}
 	if got := e.ba.FreeBlocks(); got != free0 {

@@ -194,6 +194,9 @@ func (t *Tree) writeAtLocked(p []byte, off uint64) error {
 			m = int(avail)
 		}
 		if !e.IsHole() {
+			if err := t.recWrote(e, eOff, uint64(m)); err != nil {
+				return err
+			}
 			if err := t.writeExtentData(e, eOff, p[done:done+m]); err != nil {
 				return err
 			}
@@ -370,7 +373,7 @@ func (t *Tree) deleteRangeLocked(off, n uint64) error {
 			// before this delete's commit — and the checkpoint covering it
 			// — are durable, or a crash could replay the old extent over a
 			// new owner's blocks.
-			if err := t.ba.Free(e.Alloc, uint64(e.AllocBlocks)); err != nil {
+			if err := t.space.Free(t.curOp, e.Alloc, uint64(e.AllocBlocks)); err != nil {
 				return err
 			}
 		}
@@ -415,9 +418,9 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 	}
 }
 
-// Destroy frees all extents and tree pages, including the header. The
-// tree must not be used afterwards.
-func (t *Tree) Destroy() error {
+// Destroy frees all extents and tree pages, including the header,
+// logging the frees into op. The tree must not be used afterwards.
+func (t *Tree) Destroy(op *pager.Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Free data allocations by walking the leaf chain.
@@ -440,7 +443,7 @@ func (t *Tree) Destroy() error {
 		next := node.next()
 		t.pg.Release(pg)
 		for _, e := range allocs {
-			if err := t.ba.Free(e.Alloc, uint64(e.AllocBlocks)); err != nil {
+			if err := t.space.Free(op, e.Alloc, uint64(e.AllocBlocks)); err != nil {
 				return err
 			}
 		}
@@ -466,12 +469,12 @@ func (t *Tree) Destroy() error {
 				}
 			}
 		}
-		return t.freePage(pno)
+		return t.freePage(op, pno)
 	}
 	if err := freeTree(t.root, 0); err != nil {
 		return err
 	}
-	if err := t.freePage(t.hdr); err != nil {
+	if err := t.freePage(op, t.hdr); err != nil {
 		return err
 	}
 	t.size, t.extents, t.root, t.height = 0, 0, 0, 0
@@ -532,21 +535,17 @@ func (t *Tree) splitBoundaryLocked(off uint64) error {
 		return t.insertCellAtOff(off, Extent{Len: uint32(rightLen)})
 	}
 	// Copy the tail into a fresh allocation.
-	blocks := (rightLen + t.bsU64 - 1) / t.bsU64
-	alloc, err := t.ba.Alloc(blocks)
-	if err != nil {
-		return err
-	}
 	buf := make([]byte, rightLen)
 	if err := t.readExtentData(e, eOff, buf); err != nil {
 		return err
 	}
-	right := Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(rightLen)}
-	if err := t.writeExtentData(right, 0, buf); err != nil {
+	right, err := t.allocAndWrite(buf)
+	if err != nil {
 		return err
 	}
 	t.addStat(func(s *Stats) { s.ExtentSplits++; s.TailCopyBytes += int64(rightLen) })
 	if err := t.setLeafCellLen(path, leafPno, idx, uint32(eOff)); err != nil {
+		_ = t.space.Free(t.curOp, right.Alloc, uint64(right.AllocBlocks)) // never joined the tree
 		return err
 	}
 	return t.insertCellAtOff(off, right)
@@ -678,12 +677,16 @@ func (t *Tree) appendHole(n uint64) error {
 // allocAndWrite allocates blocks for p and writes it, returning the extent.
 func (t *Tree) allocAndWrite(p []byte) (Extent, error) {
 	blocks := (uint64(len(p)) + t.bsU64 - 1) / t.bsU64
-	alloc, err := t.ba.Alloc(blocks)
+	alloc, err := t.space.Alloc(t.curOp, blocks)
 	if err != nil {
 		return Extent{}, err
 	}
 	e := Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(len(p))}
 	if err := t.writeExtentData(e, 0, p); err != nil {
+		// The run never joined the tree. Its allocation is already in the
+		// operation's records, which commit even when the operation fails,
+		// so it must be given back in the same records or it is lost.
+		_ = t.space.Free(t.curOp, alloc, blocks)
 		return Extent{}, err
 	}
 	return e, nil
@@ -712,6 +715,22 @@ func (t *Tree) readExtentData(e Extent, extOff uint64, p []byte) error {
 		p = p[n:]
 		extOff += uint64(n)
 	}
+	return nil
+}
+
+// recWrote stages, against the header page, the data blocks an in-place
+// overwrite of [extOff, extOff+n) of e is about to rewrite. No leaf cell
+// changes, so without it nothing in the log would name them, and recovery
+// would hold the new bytes to the sums of the old (see DataRun).
+func (t *Tree) recWrote(e Extent, extOff, n uint64) error {
+	hp, err := t.pg.Acquire(t.hdr)
+	if err != nil {
+		return err
+	}
+	first := extOff / t.bsU64
+	last := (extOff + n - 1) / t.bsU64
+	t.rec(hp, t.curOp, encXop(xopWrote, xu64(e.Alloc+first), xu64(last-first+1)))
+	t.pg.Release(hp)
 	return nil
 }
 

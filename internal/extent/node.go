@@ -15,38 +15,60 @@ import (
 // always a plain per-operation record into a leaf with room and the
 // split records never carry the (possibly uncommitted) triggering cell.
 // Callers hold the tree lock.
+//
+// The call takes over e's allocation: if the cell cannot be inserted the
+// run goes back to the allocator, in the operation's own records — they
+// commit even when the operation fails, and already hold the run's
+// allocation.
 func (t *Tree) insertCellAtOff(off uint64, e Extent) error {
+	inserted, err := t.insertCell(off, e)
+	if !inserted && !e.IsHole() {
+		_ = t.space.Free(t.curOp, e.Alloc, uint64(e.AllocBlocks))
+	}
+	return err
+}
+
+// insertCell is insertCellAtOff's body; it reports whether the cell
+// reached its leaf (an error may still follow, from the count fixups).
+func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 	for {
 		path, leafPno, rem, err := t.descend(off)
 		if err != nil {
-			return err
+			return false, err
 		}
 		pg, err := t.pg.Acquire(leafPno)
 		if err != nil {
-			return err
+			return false, err
 		}
 		n := nodeRef{pg.Data()}
 		if n.typ() != pageLeaf {
 			t.pg.Release(pg)
-			return fmt.Errorf("%w: insert into non-leaf %d", ErrCorrupt, leafPno)
+			return false, fmt.Errorf("%w: insert into non-leaf %d", ErrCorrupt, leafPno)
 		}
 		idx, eOff := n.findInLeaf(rem)
 		if eOff != 0 {
 			t.pg.Release(pg)
-			return fmt.Errorf("%w: insert target %d not on boundary", ErrCorrupt, off)
+			return false, fmt.Errorf("%w: insert target %d not on boundary", ErrCorrupt, off)
 		}
 		if n.ncells() < t.leafCap() {
 			n.insertLeafCell(idx, e)
 			t.rec(pg, t.curOp, encXop(xopLeafIns, xu16(idx), encCell(e)))
 			t.pg.Release(pg)
 			t.extents++
-			return t.bumpCounts(path, int64(e.Len))
+			return true, t.bumpCounts(path, int64(e.Len))
 		}
 		t.pg.Release(pg)
 
 		// Leaf full: split it, then re-descend and retry the insert.
 		sys := t.curOp.NewSys()
 		_, _, err = t.splitNodeSys(sys, path, leafPno)
+		// Every split touches the header, grown root or not: recovery
+		// recounts the trees whose header page replay materialized, and a
+		// split replayed without the cells of a dropped operation leaves
+		// the parent's sums for that recount to heal.
+		if herr := t.writeRootSys(sys); err == nil {
+			err = herr
+		}
 		// Append whatever was staged even on error: each record was
 		// staged right after its mutation landed in cache, so the log
 		// stays consistent with the (possibly partially split) in-cache
@@ -55,10 +77,10 @@ func (t *Tree) insertCellAtOff(off uint64, e Extent) error {
 		// right page.
 		aerr := sys.AppendSys()
 		if err != nil {
-			return err
+			return false, err
 		}
 		if aerr != nil {
-			return aerr
+			return false, aerr
 		}
 	}
 }
@@ -73,18 +95,21 @@ func (t *Tree) insertCellAtOff(off uint64, e Extent) error {
 // without disturbing any operation's count deltas. Returns the new
 // right sibling's page and the split index.
 func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64, int, error) {
-	rightPno, err := t.ba.Alloc(1)
+	aop := t.allocOp(sys)
+	rightPno, err := t.space.Alloc(aop, 1)
 	if err != nil {
 		return 0, 0, err
 	}
 	pg, err := t.pg.Acquire(pno)
 	if err != nil {
+		_ = t.freePage(aop, rightPno) // never joined the tree
 		return 0, 0, err
 	}
 	n := nodeRef{pg.Data()}
 	rpg, err := t.pg.AcquireZero(rightPno)
 	if err != nil {
 		t.pg.Release(pg)
+		_ = t.freePage(aop, rightPno)
 		return 0, 0, err
 	}
 	rn := nodeRef{rpg.Data()}
@@ -127,12 +152,13 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 
 	if len(path) == 0 {
 		// Grow the root: new internal root with the two halves.
-		newRoot, err := t.ba.Alloc(1)
+		newRoot, err := t.space.Alloc(aop, 1)
 		if err != nil {
 			return rightPno, mid, err
 		}
 		npg, err := t.pg.AcquireZero(newRoot)
 		if err != nil {
+			_ = t.freePage(aop, newRoot)
 			return rightPno, mid, err
 		}
 		nn := nodeRef{npg.Data()}
@@ -144,7 +170,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 		t.pg.Release(npg)
 		t.root = newRoot
 		t.height++
-		return rightPno, mid, t.writeRootSys(sys)
+		return rightPno, mid, nil // insertCellAtOff logs the new root
 	}
 
 	// Record the new sibling in the parent, splitting it first if full.
@@ -328,11 +354,11 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool,
 		underfull := pn.ncells() < t.internalCap()/4
 		t.pg.Release(ppg)
 
-		if err := t.freePage(right.child); err != nil {
+		if err := t.freePage(sys, right.child); err != nil {
 			return true, err
 		}
 		if rootSingle {
-			if err := t.freePage(pe.pno); err != nil {
+			if err := t.freePage(sys, pe.pno); err != nil {
 				return true, err
 			}
 			t.root = newRoot
@@ -415,11 +441,24 @@ func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, err
 	return true, nil
 }
 
-func (t *Tree) freePage(pno uint64) error {
+func (t *Tree) freePage(op *pager.Op, pno uint64) error {
 	if err := t.pg.Invalidate(pno); err != nil {
 		return err
 	}
-	return t.ba.Free(pno, 1)
+	return t.space.Free(op, pno, 1)
+}
+
+// allocOp picks the operation that carries a split's page allocations:
+// the split's system transaction sys, unless the mutating operation is
+// the one that created this tree — then nothing but that operation's own
+// uncommitted records reaches the tree, and an allocation logged with an
+// always-redone split would leak its page whenever those records are
+// dropped at a crash (btree.Tree.allocOp has the long form).
+func (t *Tree) allocOp(sys *pager.Op) *pager.Op {
+	if t.creator != 0 && t.curOp.ID() == t.creator {
+		return t.curOp
+	}
+	return sys
 }
 
 // setLeafCellLen updates the Len of one cell and fixes counts along path.

@@ -141,7 +141,7 @@ func TestNoLeaksAcrossChurn(t *testing.T) {
 	if _, err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Destroy(); err != nil {
+	if err := tr.Destroy(nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.ba.FreeBlocks(); got != free0 {

@@ -42,6 +42,8 @@
 //	xopNewRoot  left u64 | leftBytes u64 | right u64 | rightBytes u64
 //	xopMerge    li u16                        (page = parent: children at
 //	                                           li, li+1 merge into li's child)
+//	xopWrote    block u64 | blocks u64        (page = header, unchanged: data
+//	                                           blocks overwritten in place)
 package extent
 
 import (
@@ -61,6 +63,7 @@ const (
 	xopSplit    = 8
 	xopNewRoot  = 9
 	xopMerge    = 10
+	xopWrote    = 11
 )
 
 func encCell(e Extent) []byte {
@@ -367,7 +370,31 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		n.removeChildCell(li + 1)
 		return nil
 
+	case xopWrote:
+		// Changes no page: the record only names data blocks (DataRun).
+		if len(b) != 16 {
+			return errXReplay("xopWrote payload of %d bytes", len(b))
+		}
+		return nil
+
 	default:
 		return errXReplay("unknown opcode %d", code)
 	}
+}
+
+// DataRun reports the device run named by a record: a leaf-cell insert or
+// rewrite of a real extent's cell names the extent's run, an in-place
+// overwrite (which changes no cell) the blocks it rewrote. They are the
+// blocks whose bytes the operation wrote, directly and outside the log.
+// Recovery uses it to stop trusting the checkpoint-time checksums of
+// exactly those blocks.
+func DataRun(payload []byte) (alloc uint64, blocks uint32, ok bool) {
+	if len(payload) == 1+16 && payload[0] == xopWrote {
+		return binary.LittleEndian.Uint64(payload[1:]), uint32(binary.LittleEndian.Uint64(payload[9:])), true
+	}
+	if len(payload) != 1+2+leafCellSize || (payload[0] != xopLeafIns && payload[0] != xopLeafSet) {
+		return 0, 0, false
+	}
+	e := decCell(payload[3:])
+	return e.Alloc, e.AllocBlocks, !e.IsHole()
 }

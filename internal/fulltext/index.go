@@ -404,7 +404,7 @@ func (x *Index) compactLocked(op *pager.Op) error {
 				return err
 			}
 		}
-		if err := s.tree.Drop(); err != nil {
+		if err := s.tree.Drop(op); err != nil {
 			return err
 		}
 	}
@@ -610,16 +610,35 @@ func (x *Index) StopLazy() {
 // Close stops background work and flushes buffered postings.
 func (x *Index) Close() error {
 	x.StopLazy()
+	// The final flush allocates a segment like any other, so it runs in
+	// an operation bracket like any other: an unlogged allocation on a
+	// transactional volume would be missing from the log the next open
+	// rebuilds the allocator from.
+	var op *pager.Op
+	done := func(err error) error { return err }
+	flush := true
+	if x.cfg.Bracket != nil {
+		if bop, bdone, err := x.cfg.Bracket(); err == nil {
+			op, done = bop, bdone
+		} else {
+			// The volume refuses mutations (degraded, read-only). Buffered
+			// postings were never durable; they stay unflushed rather than
+			// reach the pages behind the log's back.
+			flush = false
+		}
+	}
 	x.mu.Lock()
-	defer x.mu.Unlock()
 	if x.closed {
-		return ErrClosed
+		x.mu.Unlock()
+		return done(ErrClosed)
 	}
-	if err := x.flushLocked(nil); err != nil {
-		return err
+	var err error
+	if flush {
+		err = x.flushLocked(op)
 	}
-	x.closed = true
-	return nil
+	x.closed = err == nil
+	x.mu.Unlock()
+	return done(err)
 }
 
 // --- postings codec ---

@@ -511,7 +511,7 @@ func (s *Store) deleteObject(op *pager.Op, oid OID) error {
 			return err
 		}
 	}
-	if err := ext.Destroy(); err != nil {
+	if err := ext.Destroy(op); err != nil {
 		return err
 	}
 	if err := s.meta.DeleteOp(op, oidKey(oid)); err != nil {
@@ -524,9 +524,12 @@ func (s *Store) deleteObject(op *pager.Op, oid OID) error {
 // LookupByHeader resolves the OID whose extent tree is rooted at the
 // given header page — the reverse of Meta.ExtentHeader. Open handles
 // are checked first (the common case during a runtime abort); otherwise
-// the object table is scanned. The recovery undo executor uses it to
-// route extent inverses, which address trees by header page, through
-// the object layer so metadata stays in step.
+// the header page's shadow metadata names the object, and the object
+// table confirms that the object still exists and still lives there — one
+// page and one lookup, not a scan of the table. Recovery (the extent
+// recount and the undo executor, which both address trees by header
+// page) uses it to route through the object layer so metadata stays in
+// step.
 func (s *Store) LookupByHeader(hdr uint64) (OID, error) {
 	s.mu.Lock()
 	for oid, obj := range s.open {
@@ -536,21 +539,17 @@ func (s *Store) LookupByHeader(hdr uint64) (OID, error) {
 		}
 	}
 	s.mu.Unlock()
-	var found OID
-	ok := false
-	if err := s.ForEach(func(m Meta) bool {
-		if m.ExtentHeader == hdr {
-			found, ok = m.OID, true
-			return false
+	shadow, err := s.ShadowMeta(hdr)
+	if err == nil {
+		var m Meta
+		if m, err = s.Stat(shadow.OID); err == nil && m.ExtentHeader == hdr {
+			return m.OID, nil
 		}
-		return true
-	}); err != nil {
-		return 0, err
 	}
-	if !ok {
-		return 0, fmt.Errorf("%w: no object with header page %d", ErrNotFound, hdr)
+	if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrCorrupt) {
+		return 0, err // the device, not the lookup, failed
 	}
-	return found, nil
+	return 0, fmt.Errorf("%w: no object with header page %d", ErrNotFound, hdr)
 }
 
 // ForEach visits every object's metadata in OID order.

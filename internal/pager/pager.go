@@ -167,8 +167,9 @@ type Pager struct {
 	// Open per-operation captures, enumerated by steal flush rounds.
 	// Only regular ops register; system transactions must stay atomic
 	// (they auto-commit via AppendSys) and are never chunk-flushed.
-	opMu sync.Mutex
-	ops  map[*Op]struct{}
+	opMu  sync.Mutex
+	ops   map[*Op]struct{}
+	opSeq atomic.Uint64 // source of Op.ID
 
 	// appendSeq counts completed log appends that covered page records;
 	// syncedSeq is the latest value known covered by a device sync.
@@ -436,12 +437,19 @@ func (p *Pager) flushOpChunk(op *Op) (int, error) {
 	p.chunkFlushes.Add(1)
 	seq := p.appendSeq.Add(1)
 	for _, r := range pending {
-		if redo.BaseKind(r.Kind) == redo.KindUndo {
-			continue
+		if gatesPage(r.Kind) {
+			p.noteAppended(r.Page, seq)
 		}
-		p.noteAppended(r.Page, seq)
 	}
 	return len(pending), nil
+}
+
+// gatesPage reports whether a staged record of this kind raised its
+// page's unflushed gate (markDirtyStamp did): undo records and allocator
+// records name no cached page.
+func gatesPage(kind uint8) bool {
+	k := redo.BaseKind(kind)
+	return k != redo.KindUndo && k != redo.KindAlloc
 }
 
 // noteAppended records that one staged record of page no reached the log
@@ -577,6 +585,7 @@ type Appender interface {
 type Op struct {
 	p   *Pager
 	app Appender
+	id  uint64 // see ID
 
 	mu       sync.Mutex
 	recs     []redo.Record // redo and undo records, staging (= LSN) order
@@ -599,13 +608,24 @@ type Op struct {
 // transactions emitted by structure-modification operations inside this
 // op; it may be nil only if the op never mutates structured trees.
 func (p *Pager) NewOp(app Appender) *Op {
-	op := &Op{p: p, app: app, finishCh: make(chan struct{})}
+	op := &Op{p: p, app: app, id: p.opSeq.Add(1), finishCh: make(chan struct{})}
 	if p.stealApp != nil {
 		p.opMu.Lock()
 		p.ops[op] = struct{}{}
 		p.opMu.Unlock()
 	}
 	return op
+}
+
+// ID identifies the operation among those of its pager (never 0; 0 for
+// a nil op). A structure remembers the ID of the operation that created
+// it: until that operation commits, nothing else can reach the structure
+// (see allocOp in btree and extent). Nil-safe.
+func (op *Op) ID() uint64 {
+	if op == nil {
+		return 0
+	}
+	return op.id
 }
 
 // NewSys opens a capture for a system transaction nested in op (records
@@ -639,7 +659,9 @@ func (op *Op) AppendSys() error {
 	if err == nil && op.p.stealApp != nil {
 		seq := op.p.appendSeq.Add(1)
 		for _, r := range recs {
-			op.p.noteAppended(r.Page, seq)
+			if gatesPage(r.Kind) {
+				op.p.noteAppended(r.Page, seq)
+			}
 		}
 	}
 	return err
@@ -865,10 +887,9 @@ func (p *Pager) FinishOp(op *Op, appended bool) {
 	}
 	if seq != 0 {
 		for _, r := range pending {
-			if redo.BaseKind(r.Kind) == redo.KindUndo {
-				continue
+			if gatesPage(r.Kind) {
+				p.noteAppended(r.Page, seq)
 			}
-			p.noteAppended(r.Page, seq)
 		}
 	}
 	if p.stealApp != nil {
@@ -909,6 +930,50 @@ func (op *Op) stage(r redo.Record) {
 	}
 	op.recs = append(op.recs, r)
 	op.mu.Unlock()
+}
+
+// BlockAllocator is the raw allocator under a Space (buddy.Allocator).
+type BlockAllocator interface {
+	Alloc(n uint64) (uint64, error)
+	Free(addr, n uint64) error
+}
+
+// Space is the structure layers' only door to the block allocator: both
+// methods take the operation, and stage a redo.KindAlloc record in it, so
+// an allocation cannot be made without saying which operation's log
+// records carry it. Recovery then rebuilds the allocator from the last
+// checkpoint's snapshot plus the records of the log tail. A nil op is
+// unlogged: a non-transactional volume, formatting, or a page-image
+// baseline mode — none of which leaves a snapshot a crashed open trusts.
+type Space struct{ a BlockAllocator }
+
+// NewSpace wraps a.
+func NewSpace(a BlockAllocator) Space { return Space{a} }
+
+// Alloc reserves a run of at least n blocks for op.
+func (s Space) Alloc(op *Op, n uint64) (uint64, error) {
+	addr, err := s.a.Alloc(n)
+	if err == nil {
+		op.stageAlloc(false, addr, n)
+	}
+	return addr, err
+}
+
+// Free releases the run Alloc(n) returned at addr, on behalf of op.
+func (s Space) Free(op *Op, addr, n uint64) error {
+	err := s.a.Free(addr, n)
+	if err == nil {
+		op.stageAlloc(true, addr, n)
+	}
+	return err
+}
+
+// stageAlloc stages the allocator record of a run just taken or given
+// back. Nil-safe.
+func (op *Op) stageAlloc(free bool, addr, n uint64) {
+	if op != nil {
+		op.stage(redo.Record{LSN: op.p.lsn.Add(1), Page: addr, Kind: redo.KindAlloc, Data: redo.EncodeAlloc(free, n)})
+	}
 }
 
 // MarkDirtyRec marks the page dirty and stages a redo record for op.

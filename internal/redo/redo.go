@@ -31,6 +31,13 @@
 //     extent.ReplayOp — cell inserts/removes/rewrites, subtree count
 //     deltas, and the split/merge/root structure modifications that ride
 //     WAL system transactions.
+//   - KindAlloc: Page is the first block of a buddy-allocator run and
+//     Data names what happened to it: a u8 code (allocated / freed) and
+//     the u32 block count the structure layer asked for. The record rides
+//     the operation that allocated or freed — committed, chunk-flushed
+//     and replayed with it — so recovery rebuilds the allocator from the
+//     last checkpoint's snapshot plus the log tail instead of walking the
+//     volume.
 package redo
 
 import (
@@ -59,6 +66,8 @@ const (
 	// the transaction names its last chunk, and recovery resolves the
 	// chain backward; an unresolved chain is a loser.
 	KindChunk = 8
+	// KindAlloc logs one allocator mutation (see EncodeAlloc).
+	KindAlloc = 9
 )
 
 // FlagCLR marks a record as a Compensation Log Record: a redo record
@@ -100,4 +109,30 @@ func ApplyRange(page, payload []byte) error {
 	}
 	copy(page[off:], b)
 	return nil
+}
+
+// Allocator mutation codes (byte 0 of a KindAlloc payload).
+const (
+	allocTake = 1
+	allocGive = 2
+)
+
+// EncodeAlloc builds a KindAlloc payload for a run of n blocks that was
+// allocated (free == false) or freed (free == true).
+func EncodeAlloc(free bool, n uint64) []byte {
+	out := make([]byte, 5)
+	out[0] = allocTake
+	if free {
+		out[0] = allocGive
+	}
+	binary.LittleEndian.PutUint32(out[1:], uint32(n))
+	return out
+}
+
+// DecodeAlloc parses a KindAlloc payload.
+func DecodeAlloc(payload []byte) (free bool, n uint64, err error) {
+	if len(payload) != 5 || (payload[0] != allocTake && payload[0] != allocGive) {
+		return false, 0, fmt.Errorf("redo: malformed alloc payload (%d bytes)", len(payload))
+	}
+	return payload[0] == allocGive, uint64(binary.LittleEndian.Uint32(payload[1:])), nil
 }

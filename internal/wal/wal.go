@@ -1,41 +1,49 @@
-// Package wal implements a redo-only write-ahead log on a reserved block
-// range of the volume device.
+// Package wal implements the write-ahead log on a reserved block range
+// of the volume device: an append-only sequence of typed redo records,
+// undo records, and the commit, chunk and system-transaction markers that
+// say which of them count.
 //
 // The paper leaves transactionality open ("in hFAD, the OSD may be
 // transactional, but this is an implementation decision, not a
 // requirement"); this package makes the decision measurable: the OSD can
 // run with the WAL on or off, and experiment E10 reports the overhead.
 //
-// Protocol (no-steal / no-force, group commit):
+// Protocol (ARIES: steal / no-force, group commit):
 //
-//  1. During an operation, metadata pages are mutated only in the pager
-//     cache (the pager runs in no-steal mode, so nothing reaches home
-//     locations).
-//  2. At commit, the transaction's own dirty-page images (its write set,
-//     captured by the pager per transaction) are handed to the group
+//  1. An operation mutates pages in the pager cache and stages, per
+//     mutation, a physiological redo record (a byte range, a typed btree
+//     or extent op, an allocator mutation) stamped with an LSN under the
+//     page latch, and the logical inverse that would undo it.
+//  2. At commit the operation's records are handed to the group
 //     committer: a leader drains the queue of pending commit batches,
-//     appends all their page images plus commit records in one contiguous
+//     appends all their records plus commit records in one contiguous
 //     write, and issues a single device sync that releases every waiter —
 //     N concurrent committers pay one sync.
-//  3. Pages are NOT forced home at commit. They stay dirty in the cache
-//     until a checkpoint (triggered in the background when the log passes
-//     a high-water mark, or by Sync/Close) flushes them and resets the
-//     log.
-//  4. Checkpoint records that all committed data is home, allowing the log
-//     to be reset.
+//  3. Pages are NOT forced home at commit. A dirty page — even one with
+//     uncommitted edits — may be written home once every record staged
+//     against it is durably logged; to get there the pager flushes an open
+//     operation's records early as a *chunk* (AppendChunk), chained to the
+//     operation's earlier chunks and resolved by its commit record.
+//     Structure modifications (splits, merges, first-touch base images)
+//     are auto-committed *system transactions* (AppendSystem).
+//  4. A checkpoint (background, past a high-water mark, or Sync/Close)
+//     flushes every dirty page and resets the log behind an LSN fence.
 //
-// Recovery replays the redo records of committed transactions in LSN
-// (mutation) order; torn or uncommitted tails are detected by CRC and
-// dropped. Physiological records (ranges, typed btree ops) carry a
-// non-zero LSN stamped at mutation time under the page latch; page-image
-// records from the image-logging mode carry LSN 0 and replay in log
-// order (the stable sort preserves it).
+// Recover scans the region once, front to back, through one block buffer,
+// and "repeats history": records of committed transactions, system
+// transactions and unresolved chunk chains (losers) all replay, in LSN
+// (mutation) order; torn or never-terminated tails are detected by CRC
+// and dropped. The caller then rolls each loser chain back through its
+// undo records (Losers). Page-image records from the image-logging
+// baseline mode carry LSN 0 and replay in log order (the stable sort
+// preserves it).
 //
 // Log record layout (little-endian), packed back to back across blocks:
 //
 //	[0:4]   crc32 (castagnoli) of bytes [4:recordLen]
 //	[4:8]   payload length
-//	[8]     kind (1=page image, 2=commit, 3=checkpoint, 4=range, 5=btree op, 6=extent op)
+//	[8]     kind (1=page image, 2=commit, 3=checkpoint, 4=range, 5=btree op,
+//	        6=extent op, 7=undo, 8=chunk, 9=allocator; 0x80 flags a CLR)
 //	[9:17]  txn id
 //	[17:25] page number (redo records)
 //	[25:33] lsn (redo records; 0 for image-mode records)
@@ -67,8 +75,8 @@ import (
 	"repro/internal/redo"
 )
 
-// Record kinds. Redo-record kinds (1, 4, 5, 6) are shared with package
-// redo; commit and checkpoint are log-internal.
+// Record kinds. Redo, undo and chunk kinds (1, 4–9) are shared with
+// package redo; commit and checkpoint are log-internal.
 const (
 	kindPage       = redo.KindImage
 	kindCommit     = 2
@@ -106,6 +114,8 @@ type Stats struct {
 	Checkpoints     int64
 	SalvagedCommits int64 // commits acknowledged from the durable frontier after a device error
 	Recoveries      int64
+	RecordsScanned  int64 // records of every kind the last Recover read from the region
+	BytesScanned    int64 // their bytes: the length of the tail that Recover cost
 	PagesReplayed   int64 // redo records replayed
 	LoserChains     int64 // unresolved chunk chains found by the last Recover
 }
@@ -120,6 +130,12 @@ type Stats struct {
 type LoserChain struct {
 	Tail  uint64        // txid of the chain's last chunk
 	Undos []redo.Record // KindUndo records, ascending LSN
+	// AllocRecs counts the chain's redo.KindAlloc records. The volume's
+	// allocator restore is exact for committed history; a loser that
+	// allocated or freed is rolled back by logical inverses that do not
+	// return the allocator to its old shape, so such a chain sends the
+	// open through the reachability walk.
+	AllocRecs int
 }
 
 // Log is a write-ahead log occupying blocks [start, start+nblocks) of dev.
@@ -757,6 +773,10 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 		hdrFence = binary.LittleEndian.Uint64(l.buf[16:])
 	}
 
+	// The scan only moves forward, so one block buffer serves it: the
+	// header read above left block 0 in l.buf, and each later block is
+	// read once, when the scan first reaches it.
+	held := uint64(0)
 	readAt := func(off uint64, p []byte) error {
 		for len(p) > 0 {
 			blk := off / uint64(l.bs)
@@ -764,8 +784,11 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 			if blk >= l.blocks {
 				return ErrFull
 			}
-			if err := l.dev.ReadBlock(l.start+blk, l.buf); err != nil {
-				return err
+			if blk != held {
+				if err := l.dev.ReadBlock(l.start+blk, l.buf); err != nil {
+					return err
+				}
+				held = blk
 			}
 			n := copy(p, l.buf[bo:])
 			p = p[n:]
@@ -774,17 +797,17 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 		return nil
 	}
 
-	var hdr [recHdrSize]byte
 	var lastTxid uint64
 	for {
 		if pos+8 > l.Capacity() {
 			break
 		}
-		if err := readAt(pos, hdr[:8]); err != nil {
+		var pre [8]byte
+		if err := readAt(pos, pre[:]); err != nil {
 			return 0, err
 		}
-		crc := binary.LittleEndian.Uint32(hdr[0:])
-		plen := binary.LittleEndian.Uint32(hdr[4:])
+		crc := binary.LittleEndian.Uint32(pre[0:])
+		plen := binary.LittleEndian.Uint32(pre[4:])
 		if crc == 0 && plen == 0 {
 			break // end marker
 		}
@@ -792,7 +815,8 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 			break // torn tail
 		}
 		full := make([]byte, recHdrSize+int(plen))
-		if err := readAt(pos, full); err != nil {
+		copy(full, pre[:])
+		if err := readAt(pos+8, full[8:]); err != nil {
 			return 0, err
 		}
 		if crc32.Checksum(full[4:], crcTable) != crc {
@@ -912,6 +936,9 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 		if r.lsn > 0 && r.lsn <= hdrFence {
 			continue // stale-generation leftover beyond the fence
 		}
+		if idx, ok := loserOf[r.txid]; ok && redo.BaseKind(r.kind) == redo.KindAlloc {
+			l.losers[idx].AllocRecs++
+		}
 		if redo.BaseKind(r.kind) == redo.KindUndo {
 			if idx, ok := loserOf[r.txid]; ok {
 				l.losers[idx].Undos = append(l.losers[idx].Undos, redo.Record{
@@ -952,6 +979,8 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 		l.lsnFence = hdrFence
 	}
 	l.stats.Recoveries++
+	l.stats.RecordsScanned = int64(len(recs))
+	l.stats.BytesScanned = int64(pos - logHdrSize)
 	l.stats.PagesReplayed += int64(replayed)
 	return replayed, nil
 }
@@ -963,6 +992,16 @@ func (l *Log) MaxLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.maxLSN
+}
+
+// Fence returns the LSN fence of the log generation now in the region:
+// the value the last checkpoint persisted (or the last Recover read). The
+// volume stamps its allocator snapshot with it, and trusts a snapshot only
+// when the stamps agree.
+func (l *Log) Fence() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lsnFence
 }
 
 // Losers returns the unresolved chunk chains found by the last Recover —
