@@ -1,6 +1,7 @@
-// Command hfadbench regenerates every exhibit and experiment recorded in
-// EXPERIMENTS.md: the paper's Table 1 and Figure 1, and the
-// claim-derived experiments E1–E14 against the hierarchical baseline.
+// Command hfadbench regenerates every exhibit and experiment of
+// internal/bench: the paper's Table 1 and Figure 1, and the claim-derived
+// experiments E1–E10 and E13–E18 against the hierarchical baseline. The
+// accepted end-to-end benchmark is `go run ./benchmark`.
 //
 // Usage:
 //
@@ -22,8 +23,9 @@ import (
 	"repro/internal/bench"
 )
 
-// jsonResult is one experiment's machine-readable record; CI emits these
-// (BENCH_pr<N>.json) so the perf trajectory accumulates across PRs.
+// jsonResult is one experiment's machine-readable record — the format of
+// the frozen BENCH_pr3–BENCH_pr8.json files (the perf trajectory now lives
+// in benchmark/results/).
 type jsonResult struct {
 	ID     string      `json:"id"`
 	Name   string      `json:"name"`

@@ -113,15 +113,6 @@ type Options struct {
 	// FulltextFlushDocs buffers this many documents before writing a
 	// segment (default 512).
 	FulltextFlushDocs int
-	// SerialCommit reproduces the pre-group-commit write path (one sync
-	// per operation, full dirty-cache scan, commits serialized). It is a
-	// measurement baseline for experiment E13; leave it off.
-	SerialCommit bool
-	// ImageLogging reproduces the page-image redo pipeline (whole-page
-	// write sets shared conservatively between concurrent transactions).
-	// It is the measurement baseline for experiment E15 and retains the
-	// shared-page commit anomaly; leave it off.
-	ImageLogging bool
 	// Clock injects timestamps; nil uses time.Now.
 	Clock func() time.Time
 }
@@ -130,8 +121,6 @@ func (o Options) toCore() core.Options {
 	return core.Options{
 		Transactional:  o.Transactional,
 		WALBlocks:      o.WALBlocks,
-		SerialCommit:   o.SerialCommit,
-		ImageLogging:   o.ImageLogging,
 		CachePages:     o.CachePages,
 		IndexShards:    o.IndexShards,
 		ExtentConfig:   extent.Config{MaxExtentBytes: o.MaxExtentBytes},

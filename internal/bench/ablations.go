@@ -409,7 +409,7 @@ func RunE10(s Scale) (*Result, error) {
 		Claim:  "§3.3: \"in hFAD, the OSD may be transactional, but this is an implementation decision, not a requirement\" — here is what the decision costs.",
 		Tables: []*stats.Table{tbl},
 		Notes: []string{
-			"wal on: every metadata mutation logs its own write set through the group committer (no-steal/no-force; see DESIGN.md)",
+			"wal on: every metadata mutation logs its own physiological records through the group committer (steal/no-force; see DESIGN.md)",
 			"crash-atomicity of the transactional mode is verified separately by the core recovery tests",
 			"E13/E14 measure the same pipeline under concurrency and batching",
 		},

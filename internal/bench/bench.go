@@ -1,11 +1,12 @@
-// Package bench implements the experiment harness behind EXPERIMENTS.md:
+// Package bench implements the experiment harness behind cmd/hfadbench:
 // one runner per paper exhibit (T1 = Table 1, F1 = Figure 1) and per
-// claim-derived experiment (E1–E10). The paper is a position paper with
-// no quantitative evaluation, so these experiments operationalize its
-// claims against the hierarchical baseline; see DESIGN.md for the index.
+// claim-derived experiment (E1–E10, E13–E18). The paper is a position
+// paper with no quantitative evaluation, so these experiments
+// operationalize its claims against the hierarchical baseline; see
+// DESIGN.md for the index. Each exhibit is defined here and only here.
 //
-// Each runner takes a Scale: Smoke for unit tests and testing.B, Full for
-// the cmd/hfadbench reproduction runs. Experiments that depend on device
+// Each runner takes a Scale: Smoke for unit tests, Full for the
+// cmd/hfadbench reproduction runs. Experiments that depend on device
 // behaviour use the simulated cost models (virtual time, deterministic);
 // concurrency experiments use wall-clock ops/sec.
 package bench
@@ -25,8 +26,8 @@ type Scale int
 
 // Scales.
 const (
-	Smoke Scale = iota // seconds-fast, for tests and testing.B
-	Full               // the EXPERIMENTS.md runs
+	Smoke Scale = iota // seconds-fast, for tests
+	Full               // the hfadbench reproduction runs
 )
 
 // Result is one experiment's rendered output.

@@ -134,6 +134,9 @@ func RunE1(s Scale) (*Result, error) {
 			if err != nil {
 				return err
 			}
+			if len(ids) == 0 {
+				return fmt.Errorf("E1: FULLTEXT %q resolved no object", term)
+			}
 			for _, oid := range ids {
 				obj, err := store.OpenObject(oid)
 				if err != nil {

@@ -11,24 +11,22 @@ import (
 )
 
 // RunE15 measures write-ahead-log amplification: bytes logged per small
-// naming operation under concurrent writers, page-image logging versus
-// physiological logging. Each op tags an existing object with a short
-// value — a ~64-byte logical edit. Under page-image logging the edit
-// logs whole pages, and the conservative shared capture multiplies that
-// by the number of concurrently open transactions touching the same
-// leaves; physiological logging logs a typed record per edit.
+// naming operation under concurrent writers. Each op tags an existing
+// object with a short value — a ~64-byte logical edit — and physiological
+// logging logs a typed record per edit, so the bytes do not grow with
+// the number of writers sharing the index leaves. The page-image
+// pipeline it replaced is retired; its rows are frozen in BENCH_pr4.
 func RunE15(s Scale) (*Result, error) {
 	ops := pick(s, 240, 2400)
 
-	tbl := stats.NewTable("E15 — log bytes per op, image vs physiological (16 writers)",
-		"mode", "writers", "ops", "bytes/op", "records/op", "ops/sec")
+	tbl := stats.NewTable("E15 — log bytes per small naming op, physiological redo",
+		"writers", "ops", "bytes/op", "records/op", "ops/sec")
 
-	var imageBytes, physBytes [2]float64 // [writers==1, writers==16]
-	run := func(imageLogging bool, writers, slot int) error {
+	var bytes16 float64 // bytes/op at 16 writers
+	run := func(writers int) error {
 		st, err := NewSyncCostStore(devBlocks(s, 1<<15, 1<<16), hfad.Options{
 			Transactional: true,
 			WALBlocks:     4096,
-			ImageLogging:  imageLogging,
 			IndexShards:   1, // one UDEF tree: writers genuinely share pages
 		})
 		if err != nil {
@@ -73,38 +71,27 @@ func RunE15(s Scale) (*Result, error) {
 		}
 		ws := st.Volume().WAL().Stats()
 		bytesPerOp := float64(ws.BytesLogged-ws0.BytesLogged) / float64(ops)
-		mode := "physiological"
-		if imageLogging {
-			mode = "page-image (pre-PR)"
-			imageBytes[slot] = bytesPerOp
-		} else {
-			physBytes[slot] = bytesPerOp
+		if writers == 16 {
+			bytes16 = bytesPerOp
 		}
-		tbl.AddRow(mode, writers, ops, bytesPerOp,
+		tbl.AddRow(writers, ops, bytesPerOp,
 			float64(ws.PagesLogged-ws0.PagesLogged)/float64(ops),
 			float64(ops)/wall.Seconds())
 		return nil
 	}
-	for _, imageLogging := range []bool{true, false} {
-		for slot, writers := range []int{1, 16} {
-			if err := run(imageLogging, writers, slot); err != nil {
-				return nil, err
-			}
+	for _, writers := range []int{1, 16} {
+		if err := run(writers); err != nil {
+			return nil, err
 		}
 	}
 
-	notes := []string{
-		"each op is one Tag (forward index put + reverse index put), value ~8 bytes — the paper-store's hot naming edit",
-		"page-image mode logs every dirtied page whole, and its conservative capture shares pages across all open transactions, so amplification grows with writer count",
-	}
-	if physBytes[1] > 0 {
-		notes = append(notes, fmt.Sprintf("16-writer amplification: %.0f bytes/op image vs %.0f physiological (%.1f×)",
-			imageBytes[1], physBytes[1], imageBytes[1]/physBytes[1]))
-	}
 	return &Result{
 		ID:     "E15",
 		Claim:  "physiological redo records cut the log bytes a small edit pays from whole shared pages to the edit itself, so log bandwidth no longer scales with writer count.",
 		Tables: []*stats.Table{tbl},
-		Notes:  notes,
+		Notes: []string{
+			"each op is one Tag (forward index put + reverse index put), value ~8 bytes — the paper-store's hot naming edit",
+			fmt.Sprintf("16-writer bytes/op: %.0f physiological vs 16 617.8 under the retired page-image pipeline (BENCH_pr4.json)", bytes16),
+		},
 	}, nil
 }

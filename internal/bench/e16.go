@@ -19,125 +19,116 @@ import (
 // shadow-metadata page — exactly the block-oriented log amplification
 // the paper's "stuck in the past" critique targets. Physiological
 // extent records log the logical mutation: a cell rewrite, the count
-// deltas, and two short header ranges.
+// deltas, and two short header ranges. The image route is retired; its
+// rows are frozen in BENCH_pr5.
 func RunE16(s Scale) (*Result, error) {
 	ops := pick(s, 320, 3200)
 	const writers = 16
 	const editBytes = 64
 
 	tbl := stats.NewTable("E16 — extent-tree log bytes per small data op (16 writers)",
-		"mode", "workload", "ops", "bytes/op", "records/op", "ops/sec")
+		"workload", "ops", "bytes/op", "records/op", "ops/sec")
 
-	// [image, physiological] bytes/op for the append workload.
-	var appendBytes [2]float64
-	run := func(imageLogging bool, slot int) error {
-		st, err := NewSyncCostStore(devBlocks(s, 1<<15, 1<<16), hfad.Options{
-			Transactional:  true,
-			WALBlocks:      8192,
-			ImageLogging:   imageLogging,
-			MaxExtentBytes: 4096, // many extents => a real multi-node tree
-		})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
+	st, err := NewSyncCostStore(devBlocks(s, 1<<15, 1<<16), hfad.Options{
+		Transactional:  true,
+		WALBlocks:      8192,
+		MaxExtentBytes: 4096, // many extents => a real multi-node tree
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
 
-		// Each writer owns one large object: ~300 extents, so the tree
-		// has split past a single leaf and small edits touch several
-		// levels. Built before the measured window.
-		objs := make([]*hfad.Object, writers)
-		chunk := make([]byte, 4096)
-		for i := range objs {
-			obj, err := st.CreateObject("w")
+	// Each writer owns one large object: ~300 extents, so the tree has
+	// split past a single leaf and small edits touch several levels. Built
+	// before the measured window, one Batch per object.
+	objs := make([]*hfad.Object, writers)
+	chunk := make([]byte, 4096)
+	for i := range objs {
+		err := st.Batch(func(b *hfad.Batch) error {
+			obj, err := b.CreateObject("w")
 			if err != nil {
 				return err
 			}
+			objs[i] = obj
 			for j := 0; j < 300; j++ {
 				chunk[0] = byte(j)
-				if err := obj.Append(chunk); err != nil {
+				if err := b.Append(obj, chunk); err != nil {
 					return err
 				}
 			}
-			objs[i] = obj
-		}
-		defer func() {
-			for _, o := range objs {
-				o.Close()
-			}
-		}()
-
-		mode := "physiological"
-		if imageLogging {
-			mode = "page-image (pre-PR)"
-		}
-		for _, workload := range []string{"append-64B", "overwrite-64B"} {
-			ws0 := st.Volume().WAL().Stats()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			var firstErr atomic.Value
-			edit := make([]byte, editBytes)
-			t0 := time.Now()
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					obj := objs[w]
-					buf := append([]byte(nil), edit...)
-					for {
-						i := next.Add(1)
-						if i > int64(ops) {
-							return
-						}
-						buf[0] = byte(i)
-						var err error
-						if workload == "append-64B" {
-							err = obj.Append(buf)
-						} else {
-							off := (uint64(i) * 8191) % (obj.Size() - editBytes)
-							err = obj.WriteAt(buf, off)
-						}
-						if err != nil {
-							firstErr.Store(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			wall := time.Since(t0)
-			if err, ok := firstErr.Load().(error); ok {
-				return err
-			}
-			ws := st.Volume().WAL().Stats()
-			bytesPerOp := float64(ws.BytesLogged-ws0.BytesLogged) / float64(ops)
-			if workload == "append-64B" {
-				appendBytes[slot] = bytesPerOp
-			}
-			tbl.AddRow(mode, workload, ops, bytesPerOp,
-				float64(ws.PagesLogged-ws0.PagesLogged)/float64(ops),
-				float64(ops)/wall.Seconds())
-		}
-		return nil
-	}
-	for slot, imageLogging := range []bool{true, false} {
-		if err := run(imageLogging, slot); err != nil {
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
+	defer func() {
+		for _, o := range objs {
+			if o != nil {
+				o.Close()
+			}
+		}
+	}()
 
-	notes := []string{
-		"each op edits 64 bytes of a ~1.2 MB object whose extent tree spans multiple nodes (MaxExtentBytes=4096)",
-		"image mode logs a 4 KiB record per touched extent page per op (leaf, internal, header) plus the meta pages; physiological mode logs the cell rewrite, count deltas, and two header ranges",
-		"appends mostly extend the tail extent in place (one leaf-cell rewrite); every 64th crosses a block boundary and inserts a fresh cell",
+	var appendBytes float64
+	for _, workload := range []string{"append-64B", "overwrite-64B"} {
+		ws0 := st.Volume().WAL().Stats()
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		var firstErr atomic.Value
+		edit := make([]byte, editBytes)
+		t0 := time.Now()
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				obj := objs[w]
+				buf := append([]byte(nil), edit...)
+				for {
+					i := next.Add(1)
+					if i > int64(ops) {
+						return
+					}
+					buf[0] = byte(i)
+					var err error
+					if workload == "append-64B" {
+						err = obj.Append(buf)
+					} else {
+						off := (uint64(i) * 8191) % (obj.Size() - editBytes)
+						err = obj.WriteAt(buf, off)
+					}
+					if err != nil {
+						firstErr.Store(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		wall := time.Since(t0)
+		if err, ok := firstErr.Load().(error); ok {
+			return nil, err
+		}
+		ws := st.Volume().WAL().Stats()
+		bytesPerOp := float64(ws.BytesLogged-ws0.BytesLogged) / float64(ops)
+		if workload == "append-64B" {
+			appendBytes = bytesPerOp
+		}
+		tbl.AddRow(workload, ops, bytesPerOp,
+			float64(ws.PagesLogged-ws0.PagesLogged)/float64(ops),
+			float64(ops)/wall.Seconds())
 	}
-	if appendBytes[1] > 0 {
-		notes = append(notes, fmt.Sprintf("16-writer small-append amplification: %.0f bytes/op image vs %.0f physiological (%.1f×)",
-			appendBytes[0], appendBytes[1], appendBytes[0]/appendBytes[1]))
-	}
+
 	return &Result{
 		ID:     "E16",
 		Claim:  "physiological extent records retire per-object image logging: a small data edit logs the logical mutation, not a 4 KiB page per tree level, cutting data-path log bandwidth by well over an order of magnitude.",
 		Tables: []*stats.Table{tbl},
-		Notes:  notes,
+		Notes: []string{
+			"each op edits 64 bytes of a ~1.2 MB object whose extent tree spans multiple nodes (MaxExtentBytes=4096)",
+			"a record is the cell rewrite, count deltas, and two header ranges; the retired image route logged a 4 KiB page per touched extent level plus the meta pages",
+			"appends mostly extend the tail extent in place (one leaf-cell rewrite); every 64th crosses a block boundary and inserts a fresh cell",
+			fmt.Sprintf("16-writer small-append bytes/op: %.0f physiological vs 20 678 (append) and 12 420 (overwrite) under the retired page-image route (BENCH_pr5.json)", appendBytes),
+		},
 	}, nil
 }

@@ -57,6 +57,9 @@ func RunT1(s Scale) (*Result, error) {
 		if err != nil {
 			return err
 		}
+		if len(ids) != 1 || ids[0] != oid {
+			return fmt.Errorf("T1 %s row resolved %v, want [%d]", use, ids, oid)
+		}
 		tbl.AddRow(use, tag, value, fmt.Sprintf("%v", ids))
 		return nil
 	}

@@ -22,10 +22,10 @@ import (
 //     generation replays onto it;
 //   - slot torn mid-write: its CRC fails, the other slot still belongs to
 //     the log generation on the device;
-//   - neither slot valid for the log's fence — torn, wiped because the
-//     snapshot outgrew a slot, or wiped by a session that logs no
-//     allocations: nothing on the device vouches for the allocator, and
-//     Open rebuilds it by the reachability walk.
+//   - neither slot valid for the log's fence — torn, never written, or
+//     wiped because the snapshot outgrew a slot: nothing on the device
+//     vouches for the allocator, and Open rebuilds it by the reachability
+//     walk.
 //
 // Slot layout (little-endian), starting at the slot's first block:
 //
@@ -146,12 +146,10 @@ func (v *Volume) writeAllocSlot(lsn uint64) (int, error) {
 }
 
 // wipeAllocSlots invalidates both slots. Formatting does it (the device
-// may hold a previous volume's slots); so does every open in a mode whose
-// operations stage no allocator records (SerialCommit, ImageLogging): a
-// crash of such a session must find nothing it could mistake for its
-// allocator; so does a checkpoint whose snapshot does not fit a slot, and
-// a recovery about to roll back losers on a walked allocator (Open). The
-// caller syncs before anything depends on the wipe.
+// may hold a previous volume's slots); so does a checkpoint whose snapshot
+// does not fit a slot, and a recovery about to roll back losers on a
+// walked allocator (Open). The caller syncs before anything depends on
+// the wipe.
 func (v *Volume) wipeAllocSlots() error {
 	zero := make([]byte, v.raw.BlockSize())
 	for idx := uint64(0); idx < 2; idx++ {
@@ -161,13 +159,6 @@ func (v *Volume) wipeAllocSlots() error {
 	}
 	v.snapCur = -1
 	return nil
-}
-
-// logsAllocations reports whether this session's operations stage
-// redo.KindAlloc records — the physiological pipeline, the only one whose
-// checkpoints may leave a slot for a crashed open to trust.
-func (v *Volume) logsAllocations() bool {
-	return v.log != nil && !v.opts.SerialCommit && !v.opts.ImageLogging
 }
 
 // allocRec is one redo.KindAlloc record of the log tail.

@@ -116,7 +116,7 @@ func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 		if n := v2.Pager().Stats().Writebacks; n > maxPages {
 			t.Errorf("%s: recovery wrote %d pages back", label, n)
 		}
-		if n := v2.Pager().DirtyCount(); n != 0 {
+		if n := v2.Pager().Stats().Dirty; n != 0 {
 			t.Errorf("%s: recovery left %d dirty pages", label, n)
 		}
 		if h := v2.Health(); h.WALWedged || h.Degraded {
@@ -800,56 +800,6 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	}
 }
 
-// TestBaselineModesLeaveNoTrustedSlot: the SerialCommit and ImageLogging
-// baselines run with a nil operation capture and stage no allocator
-// records, so a snapshot slot left over from an earlier session would be
-// stale the moment they allocate. A crash of such a session must find no
-// slot to trust; a clean close of one leaves an exact slot behind.
-func TestBaselineModesLeaveNoTrustedSlot(t *testing.T) {
-	for _, mode := range []Options{{SerialCommit: true}, {ImageLogging: true}} {
-		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{Transactional: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		populate(t, v, 30)
-		if err := v.Close(); err != nil { // a valid slot, stamped with the log's fence
-			t.Fatal(err)
-		}
-		vb, err := Open(mem, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if why := vb.Recovery().AllocWalk; why != "" {
-			t.Fatalf("%+v: clean open walked: %s", mode, why)
-		}
-		obj, err := vb.OSD.CreateObject("baseline", osd.ModeRegular)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := obj.Append(fill(20000, 8)); err != nil {
-			t.Fatal(err)
-		}
-		v2 := mustOpenExact(t, crashCopy(t, vb, mem))
-		if v2.Recovery().AllocWalk == "" {
-			t.Fatalf("%+v: a crashed baseline session left a slot recovery trusted", mode)
-		}
-		if got := readExtObj(t, v2, obj.OID(), 20000); !bytes.Equal(got, fill(20000, 8)) {
-			t.Fatalf("%+v: committed content diverged", mode)
-		}
-		v2.Close()
-
-		if err := vb.Close(); err != nil {
-			t.Fatal(err)
-		}
-		v3 := mustOpenExact(t, mem)
-		if rep := v3.Recovery(); !rep.Clean || rep.AllocWalk != "" {
-			t.Fatalf("%+v: clean close of a baseline session: %s", mode, rep)
-		}
-		v3.Close()
-	}
-}
-
 // TestRecoverySnapshotOutgrowsSlot fragments the free space past what a snapshot
 // slot holds (8 bytes per free chunk). The checkpoint must go through —
 // failing it would leave a log that can never be reset and a volume that
@@ -862,6 +812,9 @@ func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every checkpoint below is the test's own Sync: it reads v.snapCur,
+	// which a background checkpoint would write concurrently.
+	v.stopCheckpointer()
 	oids := populate(t, v, 3000)
 	if err := v.Sync(); err != nil {
 		t.Fatal(err)

@@ -27,9 +27,9 @@ import (
 // run newest-first through the live structure APIs, and the original
 // records plus the compensations commit as one transaction — a net
 // no-op under replay, with the op's chunk chain (if any) resolved by the
-// commit. When undo is off, or an inverse fails mid-rollback, it
-// degrades to committing the state as it stands — the pre-undo
-// behaviour: self-consistent partial state, page-atomic in the log.
+// commit. When the op captured no inverse (a non-undoable section), or
+// an inverse fails mid-rollback, it degrades to committing the state as
+// it stands: self-consistent partial state, page-atomic in the log.
 //
 // abortMu is held across the inverses *and* the commit: rollbacks
 // serialize, so a dependency flush never catches a rollback between its

@@ -95,23 +95,6 @@ const (
 type Options struct {
 	// Transactional enables the WAL.
 	Transactional bool
-	// SerialCommit reproduces the pre-group-commit pipeline (full-cache
-	// dirty scan, one sync per operation, force pages home at commit,
-	// commits serialized on one mutex). It exists as a measurement
-	// baseline for experiment E13 — do not use it in production.
-	SerialCommit bool
-	// ImageLogging reproduces the page-image redo pipeline (conservative
-	// whole-page capture at MarkDirty, shared across open transactions).
-	// It exists as the measurement baseline for experiment E15 and
-	// carries the shared-page commit anomaly physiological logging
-	// fixes — do not use it in production.
-	ImageLogging bool
-	// NoSteal disables steal eviction and undo capture, restoring the
-	// PR-6 no-steal/redo-only pipeline: uncommitted dirty pages are
-	// pinned in cache, failed operations commit their partial state, and
-	// a transaction's dirty set must fit the cache. A measurement
-	// baseline and compatibility escape — not for production use.
-	NoSteal bool
 	// WALBlocks sizes the log region (default 256 blocks).
 	WALBlocks uint64
 	// SnapshotBlocks sizes the allocator snapshot region (default 64,
@@ -186,10 +169,7 @@ type Volume struct {
 	// recovery is what Open did (see Recovery).
 	recovery RecoveryReport
 
-	// commitMu serializes commits only in SerialCommit compatibility
-	// mode; the group-committed pipeline never takes it.
-	commitMu sync.Mutex
-	closed   bool
+	closed bool
 	// mu is the volume lifecycle lock: naming and query operations hold
 	// it shared — so any number of Finds/Queries (and index mutations,
 	// which serialize on their own tree locks) proceed in parallel —
@@ -213,9 +193,6 @@ type Volume struct {
 	ckptDone     chan struct{}
 	ckptStopOnce sync.Once
 
-	// stealOn records that the pager runs with steal eviction and undo
-	// capture (set by enableSteal).
-	stealOn bool
 	// abortMu serializes rollbacks: at most one operation executes its
 	// inverses at a time, so a rollback never waits on another unfinished
 	// CLR-mode op (see pager.FlushOpDeps) and a dependency flush hitting a
@@ -371,7 +348,7 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err := v.wipeAllocSlots(); err != nil {
 		return nil, err
 	}
-	if v.logsAllocations() {
+	if v.log != nil {
 		if v.snapCur, err = v.writeAllocSlot(v.log.Fence()); err != nil {
 			return nil, err
 		}
@@ -386,29 +363,26 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 }
 
 // enableBaseImages turns on the pager's first-touch base-image logging
-// for the physiological pipeline (see pager.EnableBaseImages). Called
-// only at a clean generation boundary — after formatting or recovery —
-// so no page is dirtied before its base can be captured.
+// (see pager.EnableBaseImages). Called only at a clean generation
+// boundary — after formatting or recovery — so no page is dirtied before
+// its base can be captured.
 func (v *Volume) enableBaseImages() {
-	if v.log == nil || v.opts.SerialCommit || v.opts.ImageLogging {
-		return
+	if v.log != nil {
+		v.pg.EnableBaseImages(sysAppender{v})
 	}
-	v.pg.EnableBaseImages(sysAppender{v})
 }
 
-// enableSteal turns on steal eviction and undo capture for the
-// physiological pipeline: an uncommitted dirty page becomes evictable
-// once its staged records are chunk-appended to the WAL and synced
-// (WAL-before-data), and every typed mutation captures its logical
-// inverse so aborts and loser recovery can roll back. Called at the same
-// clean generation boundaries as enableBaseImages.
+// enableSteal turns on steal eviction and undo capture: an uncommitted
+// dirty page becomes evictable once its staged records are chunk-appended
+// to the WAL and synced (WAL-before-data), and every typed mutation
+// captures its logical inverse so aborts and loser recovery can roll
+// back. Called at the same clean generation boundaries as
+// enableBaseImages.
 func (v *Volume) enableSteal() {
-	if v.log == nil || v.opts.SerialCommit || v.opts.ImageLogging || v.opts.NoSteal {
-		return
+	if v.log != nil {
+		v.pg.EnableSteal(v.log)
+		v.pg.EnableUndo()
 	}
-	v.pg.EnableSteal(v.log)
-	v.pg.EnableUndo()
-	v.stealOn = true
 }
 
 // createIndexes builds the standard Table 1 index stores plus the image
@@ -733,14 +707,6 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 		}
 	}
 	if sb.transactional {
-		if !v.logsAllocations() {
-			// This session's operations will stage no allocator records:
-			// leave no slot a crash could trust (the checkpoint's syncs
-			// make the wipe durable before the superblock turns dirty).
-			if err := v.wipeAllocSlots(); err != nil {
-				return nil, err
-			}
-		}
 		if err := timed(&rep.Checkpoint, v.checkpointNow); err != nil {
 			return nil, err
 		}
@@ -763,9 +729,7 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 //   - a non-transactional volume that was not closed has no log;
 //   - no snapshot slot carries the fence of the log on the device: both
 //     torn, or wiped — by a checkpoint whose snapshot outgrew the slot, by
-//     a session in a mode that logs no allocations (SerialCommit,
-//     ImageLogging), by a walking recovery that did not finish — or
-//     written by nobody yet;
+//     a walking recovery that did not finish — or written by nobody yet;
 //   - the slot does not decode, or the tail does not apply to it;
 //   - a loser chain allocated or freed: its rollback runs logical
 //     inverses, which restore content, not the allocator's shape.
@@ -916,9 +880,7 @@ func (v *Volume) fulltextConfig() fulltext.Config {
 // it opens a physiological redo capture (threaded by the caller through
 // every page mutation) and returns it with the commit half, which stages
 // the captured records as one transaction in the WAL's group committer.
-// Non-transactional volumes get a nil capture and a passthrough; the
-// ImageLogging and SerialCommit baselines get a nil capture and the
-// page-image pipelines.
+// Non-transactional volumes get a nil capture and a passthrough.
 //
 // Brackets must not nest (see ckptMu); compound operations call the
 // Deferred variants of sub-operations under a single bracket.
@@ -932,50 +894,14 @@ func (v *Volume) beginOp() (*pager.Op, func(error) error, error) {
 	if v.degraded.Load() {
 		return nil, nil, ErrReadOnly
 	}
-	if v.opts.SerialCommit {
-		return nil, func(err error) error {
-			if err != nil {
-				return err
-			}
-			return v.commitSerial()
-		}, nil
-	}
-	if v.opts.ImageLogging {
-		v.ckptMu.RLock()
-		txn := v.pg.BeginTxn()
-		return nil, func(opErr error) error {
-			if opErr != nil {
-				// The operation failed part-way. Its pages are already
-				// mutated in cache and redo-only logging has no undo, so
-				// commit the captured images anyway: the partial state
-				// becomes page-atomic in the log, and a later checkpoint
-				// flush cannot tear it across a crash. The operation's
-				// own error still wins; on ErrFull the checkpoint
-				// fallback flushes the same pages home durably instead.
-				cerr := v.commitTxnImages(txn)
-				v.ckptMu.RUnlock()
-				if errors.Is(cerr, wal.ErrFull) {
-					_ = v.checkpointNow()
-				}
-				return opErr
-			}
-			err := v.commitTxnImages(txn)
-			v.ckptMu.RUnlock()
-			if errors.Is(err, wal.ErrFull) {
-				return v.checkpointNow()
-			}
-			return err
-		}, nil
-	}
 	v.ckptMu.RLock()
 	op := v.pg.NewOp(sysAppender{v})
 	return op, func(opErr error) error {
 		if opErr != nil {
 			// Roll the failed operation back: its captured inverses run
 			// newest-first as CLRs and commit together with the original
-			// records — a net no-op under replay. (With undo off, abortOp
-			// degrades to committing the partial state, the pre-undo
-			// behaviour.)
+			// records — a net no-op under replay. (If an inverse fails,
+			// abortOp degrades to committing the partial state.)
 			cerr := v.abortOp(op)
 			v.ckptMu.RUnlock()
 			if errors.Is(cerr, wal.ErrFull) {
@@ -1074,91 +1000,15 @@ func (v *Volume) commitOpChain(op *pager.Op, chain uint64) error {
 	return nil
 }
 
-// commitTxnImages is the ImageLogging-mode commit: the conservative
-// page-image write set captured by the pager's broadcast Txn, enqueued
-// atomically with the capture's close (CommitWith) so a concurrent
-// writer re-dirtying one of these pages cannot commit its fresher image
-// with a smaller txid — image records carry no LSN, so log order is
-// replay order.
-func (v *Volume) commitTxnImages(txn *pager.Txn) error {
-	wtx := v.log.Begin()
-	err := wtx.CommitWith(func(wtx *wal.Txn) {
-		for pno, data := range txn.WriteSet() {
-			wtx.LogPageOwned(pno, data)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	v.maybeTriggerCheckpoint()
-	return nil
-}
-
-// commitSerial is the pre-group-commit pipeline, kept verbatim behind
-// Options.SerialCommit as the E13 measurement baseline: scan and copy the
-// entire pager dirty set, log it, sync, and force every page home —
-// serialized on commitMu.
-func (v *Volume) commitSerial() error {
-	v.commitMu.Lock()
-	defer v.commitMu.Unlock()
-	dirty := v.pg.DirtyPages()
-	if len(dirty) == 0 {
-		return nil
-	}
-	txn := v.log.Begin()
-	for pno, data := range dirty {
-		txn.LogPage(pno, data)
-	}
-	err := txn.Commit()
-	if errors.Is(err, wal.ErrFull) {
-		if err := v.pg.FlushDirty(); err != nil {
-			return err
-		}
-		if err := v.flushPageSums(); err != nil {
-			return err
-		}
-		if err := v.dev.Sync(); err != nil {
-			return err
-		}
-		if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
-			return err
-		}
-		return v.ba.ReleaseLimbo()
-	}
-	if err != nil {
-		return err
-	}
-	if err := v.pg.FlushDirty(); err != nil {
-		return err
-	}
-	if v.log.Used() > v.log.Capacity()/2 {
-		if err := v.flushPageSums(); err != nil {
-			return err
-		}
-		if err := v.dev.Sync(); err != nil {
-			return err
-		}
-		if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
-			return err
-		}
-		return v.ba.ReleaseLimbo()
-	}
-	return nil
-}
-
 // maybeTriggerCheckpoint pokes the background checkpointer when the log
-// passes its high-water mark. With steal off (NoSteal or the baseline
-// modes) it also fires when dirty pages pile past the cache's configured
-// capacity — no-steal cannot evict them, so without a drain a log sized
-// for the ingest burst would let residency grow with WALBlocks instead
-// of CachePages; with steal on, eviction itself bounds residency and the
-// capacity panic trigger is gone. Non-blocking: if a checkpoint is
-// already pending, the poke is dropped.
+// passes its high-water mark, or when deferred frees pile up past the
+// cache's size. Dirty pages need no trigger of their own: steal eviction
+// bounds residency. Non-blocking: if a checkpoint is already pending, the
+// poke is dropped.
 func (v *Volume) maybeTriggerCheckpoint() {
 	logHigh := v.log.Used()*ckptHighWaterDen >= v.log.Capacity()*ckptHighWaterNum
-	cacheHigh := !v.stealOn && v.pg.DirtyCount() >= v.opts.CachePages*3/4
 	limboHigh := v.ba.LimboBlocks() >= uint64(v.opts.CachePages)
-	if !logHigh && !cacheHigh && !limboHigh {
+	if !logHigh && !limboHigh {
 		return
 	}
 	select {
@@ -1269,12 +1119,9 @@ func (v *Volume) doCheckpoint() error {
 	// both (allocsnap.go). No operation is in flight, so the allocator is
 	// exactly what the flushed pages own, once limbo is counted free.
 	fence := v.pg.CurrentLSN()
-	slot := -1
-	if v.logsAllocations() {
-		var err error
-		if slot, err = v.writeAllocSlot(fence); err != nil {
-			return err
-		}
+	slot, err := v.writeAllocSlot(fence)
+	if err != nil {
+		return err
 	}
 	if err := v.dev.Sync(); err != nil {
 		return err
@@ -1357,7 +1204,7 @@ func (v *Volume) Images() *index.ImageIndex { return v.img }
 // resets the log (committed state was already durable via the WAL; after
 // Sync it is durable in place).
 func (v *Volume) Sync() error {
-	if v.log != nil && !v.opts.SerialCommit {
+	if v.log != nil {
 		return v.checkpointNow()
 	}
 	if err := v.pg.FlushDirty(); err != nil {
@@ -1385,23 +1232,13 @@ func (v *Volume) Close() error {
 	if err := v.Sync(); err != nil {
 		return err
 	}
-	if !v.logsAllocations() {
-		// No checkpoint of this session wrote a snapshot slot (allocsnap.go):
-		// a volume with no log, or a mode that logs no allocations. With
-		// everything durably home and the log empty, one is exact — and the
-		// clean flag below is what lets the next Open trust it.
-		fence := uint64(0)
-		if v.log != nil {
-			if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
-				return err
-			}
-			fence = v.log.Fence()
-		}
-		if err := v.ba.ReleaseLimbo(); err != nil {
-			return err
-		}
+	if v.log == nil {
+		// A volume with no log has no checkpoints, so nothing wrote a
+		// snapshot slot (allocsnap.go). With everything durably home, one
+		// is exact — and the clean flag below is what lets the next Open
+		// trust it.
 		var err error
-		if v.snapCur, err = v.writeAllocSlot(fence); err != nil {
+		if v.snapCur, err = v.writeAllocSlot(0); err != nil {
 			return err
 		}
 	}

@@ -140,9 +140,8 @@ type Tree struct {
 	// each public entry point under mu (which serializes all mutators).
 	// Mutators stage typed extent records (redo.KindExtentOp) and header
 	// range records into it; splits and merges ride system transactions
-	// derived from it (curOp.NewSys). Nil = unlogged — non-transactional
-	// volume, or the page-image logging baseline where the pager's
-	// broadcast capture does the work instead.
+	// derived from it (curOp.NewSys). Nil = unlogged (a non-transactional
+	// volume).
 	curOp *pager.Op
 	// rebalOp/rebalOff dedup deferred rebalances: a multi-cell delete
 	// registers ONE post-commit RebalanceAt per operation, retargeted

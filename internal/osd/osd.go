@@ -121,8 +121,8 @@ type Options struct {
 	// last mutation. A non-nil error refuses the bracket — the volume is
 	// read-only (degraded) — and the operation must fail before touching
 	// any page. The volume wires this to physiological redo capture
-	// and WAL group commit; the capture is nil in the page-image logging
-	// modes. Nil means non-transactional.
+	// and WAL group commit; a non-transactional volume returns a nil
+	// capture. Nil means non-transactional.
 	Begin func() (*pager.Op, func(error) error, error)
 	// ExtentConfig tunes the per-object extent trees.
 	ExtentConfig extent.Config

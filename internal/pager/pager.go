@@ -124,18 +124,6 @@ type Pager struct {
 	evictDirty  bool
 	shards      [numShards]shard
 
-	// Open dirty-capture transactions (see BeginTxn). ntxns mirrors
-	// len(txns) so MarkDirty can skip the registry entirely when no
-	// capture is open (the non-transactional hot path).
-	txnMu sync.Mutex
-	txns  map[*Txn]struct{}
-	ntxns atomic.Int32
-
-	// ndirty counts dirty cached pages, maintained at every transition
-	// so DirtyCount is lock-free — the volume consults it per commit to
-	// decide when the no-steal cache needs a checkpoint to drain.
-	ndirty atomic.Int64
-
 	// lsn is the volume-wide LSN counter for physiological logging.
 	// Records are stamped from it at mutation time, inside the page's
 	// shard latch, so per-page LSN order equals byte-mutation order.
@@ -208,7 +196,6 @@ func New(dev blockdev.Device, capacity int, evictDirty bool) *Pager {
 		p.shards[i].lru = list.New()
 		p.shards[i].dirty = make(map[uint64]*Page)
 	}
-	p.txns = make(map[*Txn]struct{})
 	p.ops = make(map[*Op]struct{})
 	return p
 }
@@ -368,7 +355,6 @@ func (p *Pager) makeRoomLocked(s *shard) (bool, error) {
 			victim.fresh = false
 			victim.unflushed = 0
 			delete(s.dirty, victim.no)
-			p.ndirty.Add(-1)
 		}
 		s.lru.Remove(victim.elem)
 		victim.elem = nil
@@ -496,7 +482,6 @@ func (p *Pager) MarkDirty(pg *Page) {
 	if p.appendBase(base) && p.stealApp != nil {
 		p.noteAppended(pg.no, p.appendSeq.Add(1))
 	}
-	p.noteDirty(pg)
 }
 
 // EnableBaseImages turns on first-touch base-image logging (see the
@@ -512,7 +497,6 @@ func (p *Pager) setDirtyLocked(s *shard, pg *Page) *redo.Record {
 	}
 	pg.dirty = true
 	s.dirty[pg.no] = pg
-	p.ndirty.Add(1)
 	if p.baseApp == nil || pg.fresh {
 		return nil
 	}
@@ -579,9 +563,8 @@ type Appender interface {
 // mutate pages, and logical inverses through StageUndo; the volume
 // stages the collected redo records as one WAL transaction at commit (or
 // executes the inverses and commits the compensations at abort). A nil
-// *Op is accepted everywhere and means "unlogged" (non-transactional
-// volume, or the page-image logging mode where the broadcast Txn capture
-// below does the work instead).
+// *Op is accepted everywhere and means "unlogged" (a non-transactional
+// volume, or formatting).
 type Op struct {
 	p   *Pager
 	app Appender
@@ -943,8 +926,8 @@ type BlockAllocator interface {
 // an allocation cannot be made without saying which operation's log
 // records carry it. Recovery then rebuilds the allocator from the last
 // checkpoint's snapshot plus the records of the log tail. A nil op is
-// unlogged: a non-transactional volume, formatting, or a page-image
-// baseline mode — none of which leaves a snapshot a crashed open trusts.
+// unlogged: a non-transactional volume, or formatting — neither of which
+// leaves a snapshot a crashed open trusts.
 type Space struct{ a BlockAllocator }
 
 // NewSpace wraps a.
@@ -1025,120 +1008,7 @@ func (p *Pager) markDirtyStamp(pg *Page, op *Op, kind uint8) (uint64, *Op) {
 	if p.appendBase(base) && p.stealApp != nil {
 		p.noteAppended(pg.no, p.appendSeq.Add(1))
 	}
-	p.noteDirty(pg)
 	return lsn, dep
-}
-
-// --- per-transaction dirty capture (page-image logging mode) ---
-
-// Txn captures the pages dirtied while it is open, so a commit can log
-// exactly the pages its operation touched instead of scanning and
-// copying the whole cache's dirty set. Page images are copied at
-// MarkDirty time, under the mutator's own structure latch (B-tree lock,
-// extent lock, ...) — the only synchronization that actually guards the
-// page bytes — so a capture never observes a page mid-mutation and
-// logged images are never torn. Captures are conservative: while several
-// transactions are open concurrently, a page dirtied by any of them is
-// recorded in all of them (physical redo logging shares pages between
-// writers, so a commit must log the freshest image of every co-written
-// page, or a later commit could replay a stale image over a neighbour's
-// acknowledged change). The guarantee is per page, not per operation: a
-// capture can include one page of a concurrent writer's multi-page
-// mutation, so a crash in that window may recover a neighbour's partial
-// operation — see DESIGN.md's sharing caveat; true operation isolation
-// needs physiological logging, which page-image redo does not attempt.
-type Txn struct {
-	p     *Pager
-	mu    sync.Mutex
-	pages map[uint64][]byte // freshest captured image per page
-	done  bool
-}
-
-// BeginTxn opens a dirty-page capture. Every MarkDirty between BeginTxn
-// and WriteSet/Abort records the page image into this transaction.
-func (p *Pager) BeginTxn() *Txn {
-	t := &Txn{p: p, pages: make(map[uint64][]byte, 16)}
-	p.txnMu.Lock()
-	p.txns[t] = struct{}{}
-	p.txnMu.Unlock()
-	p.ntxns.Add(1)
-	return t
-}
-
-// noteDirty snapshots a just-dirtied page into every open capture: one
-// copy, taken while the MarkDirty caller still holds the structure latch
-// that serializes writers of this page, shared read-only by all
-// captures (buffers are never mutated after registration — the WAL and
-// every capture only read them). Txn.mu is leaf-level (never held while
-// taking a shard lock), so lock order is shard → registry → txn.
-func (p *Pager) noteDirty(pg *Page) {
-	if p.ntxns.Load() == 0 {
-		return
-	}
-	c := make([]byte, len(pg.data))
-	copy(c, pg.data)
-	p.txnMu.Lock()
-	for t := range p.txns {
-		t.mu.Lock()
-		if !t.done {
-			t.pages[pg.no] = c
-		}
-		t.mu.Unlock()
-	}
-	p.txnMu.Unlock()
-}
-
-func (p *Pager) endTxn(t *Txn) {
-	p.txnMu.Lock()
-	if _, ok := p.txns[t]; ok {
-		delete(p.txns, t)
-		p.ntxns.Add(-1)
-	}
-	p.txnMu.Unlock()
-}
-
-// WriteSet closes the capture and returns the captured page images. The
-// caller takes ownership of the map; the image buffers may be shared
-// with concurrent captures and must be treated as read-only.
-func (t *Txn) WriteSet() map[uint64][]byte {
-	t.mu.Lock()
-	t.done = true
-	out := t.pages
-	t.pages = nil
-	t.mu.Unlock()
-	t.p.endTxn(t)
-	return out
-}
-
-// Abort closes the capture without collecting images. The pages stay
-// dirty in the cache; they reach the device via a later transaction that
-// re-dirties them or via checkpoint/sync.
-func (t *Txn) Abort() {
-	t.mu.Lock()
-	t.done = true
-	t.pages = nil
-	t.mu.Unlock()
-	t.p.endTxn(t)
-}
-
-// DirtyPages returns the numbers and contents of all dirty pages.
-// Contents are copied so the caller may hold them across further
-// mutation. Commits no longer use this full-cache scan (they log
-// per-transaction write sets via BeginTxn); it remains for tests and
-// diagnostics.
-func (p *Pager) DirtyPages() map[uint64][]byte {
-	out := make(map[uint64][]byte)
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for no, pg := range s.dirty {
-			c := make([]byte, len(pg.data))
-			copy(c, pg.data)
-			out[no] = c
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // FlushDirty writes every dirty page home and marks it clean. Callers
@@ -1160,17 +1030,10 @@ func (p *Pager) FlushDirty() error {
 			pg.unflushed = 0
 			pg.lastXop = nil
 			delete(s.dirty, no)
-			p.ndirty.Add(-1)
 		}
 		s.mu.Unlock()
 	}
 	return nil
-}
-
-// DirtyCount returns the number of dirty cached pages. Lock-free: the
-// volume checks it on every commit for the checkpoint dirty high-water.
-func (p *Pager) DirtyCount() int {
-	return int(p.ndirty.Load())
 }
 
 // Invalidate drops the page from the cache without writing it back.
@@ -1192,7 +1055,6 @@ func (p *Pager) Invalidate(no uint64) error {
 	delete(s.table, no)
 	if pg.dirty {
 		delete(s.dirty, no)
-		p.ndirty.Add(-1)
 	}
 	return nil
 }

@@ -56,8 +56,8 @@ func TestDirtyWritebackOnFlush(t *testing.T) {
 	pg.Data()[0] = 99
 	p.MarkDirty(pg)
 	p.Release(pg)
-	if p.DirtyCount() != 1 {
-		t.Fatalf("dirty count = %d, want 1", p.DirtyCount())
+	if n := p.Stats().Dirty; n != 1 {
+		t.Fatalf("dirty count = %d, want 1", n)
 	}
 	if err := p.FlushDirty(); err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestDirtyWritebackOnFlush(t *testing.T) {
 	if got[0] != 99 {
 		t.Errorf("device byte = %d, want 99 after flush", got[0])
 	}
-	if p.DirtyCount() != 0 {
-		t.Errorf("dirty count after flush = %d, want 0", p.DirtyCount())
+	if n := p.Stats().Dirty; n != 0 {
+		t.Errorf("dirty count after flush = %d, want 0", n)
 	}
 }
 
@@ -101,7 +101,10 @@ func TestEvictionWritesDirtyWhenStealAllowed(t *testing.T) {
 	}
 }
 
-func TestNoStealKeepsDirtyPagesOffDevice(t *testing.T) {
+// TestStealOffKeepsDirtyPageOffDevice: a pager with no chunk appender
+// (recovery's replay, the structure layers' own tests) never writes a
+// dirty page home by eviction.
+func TestStealOffKeepsDirtyPageOffDevice(t *testing.T) {
 	p, dev := newPager(t, 256, 64, false)
 	pg, _ := p.Acquire(0)
 	pg.Data()[0] = 7
@@ -157,19 +160,6 @@ func TestAcquireOutOfRange(t *testing.T) {
 	p, _ := newPager(t, 8, 8, true)
 	if _, err := p.Acquire(100); !errors.Is(err, ErrBadPage) {
 		t.Errorf("Acquire(100) = %v, want ErrBadPage", err)
-	}
-}
-
-func TestDirtyPagesSnapshotIsCopied(t *testing.T) {
-	p, _ := newPager(t, 8, 8, true)
-	pg, _ := p.Acquire(1)
-	pg.Data()[0] = 1
-	p.MarkDirty(pg)
-	snap := p.DirtyPages()
-	pg.Data()[0] = 2 // mutate after snapshot
-	p.Release(pg)
-	if snap[1][0] != 1 {
-		t.Error("DirtyPages snapshot aliases live page data")
 	}
 }
 
@@ -397,91 +387,6 @@ func TestAcquireFailedReadWithWaiter(t *testing.T) {
 	if got := p.Stats().Cached; got != 0 {
 		t.Errorf("cached = %d after failed fills, want 0", got)
 	}
-}
-
-func TestTxnCapturesOwnPages(t *testing.T) {
-	p, _ := newPager(t, 64, 16, false)
-	dirty := func(no uint64) {
-		pg, err := p.Acquire(no)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg.Data()[0] = byte(no)
-		p.MarkDirty(pg)
-		p.Release(pg)
-	}
-	dirty(1) // before any capture: belongs to no transaction
-
-	t1 := p.BeginTxn()
-	dirty(2)
-	dirty(3)
-	ws1 := t1.WriteSet()
-
-	t2 := p.BeginTxn()
-	dirty(4)
-	ws2 := t2.WriteSet()
-
-	if len(ws1) != 2 || ws1[2] == nil || ws1[3] == nil {
-		t.Errorf("txn1 write set = %v, want pages {2,3}", keys(ws1))
-	}
-	if len(ws2) != 1 || ws2[4] == nil {
-		t.Errorf("txn2 write set = %v, want page {4}", keys(ws2))
-	}
-	if ws1[2][0] != 2 {
-		t.Error("write set image does not reflect page content")
-	}
-	// Images are copies, not aliases.
-	pg, _ := p.Acquire(2)
-	pg.Data()[0] = 99
-	p.MarkDirty(pg)
-	p.Release(pg)
-	if ws1[2][0] != 2 {
-		t.Error("write set aliases live page data")
-	}
-}
-
-func TestConcurrentTxnsBothCaptureSharedPage(t *testing.T) {
-	p, _ := newPager(t, 64, 16, false)
-	t1 := p.BeginTxn()
-	t2 := p.BeginTxn()
-	pg, err := p.Acquire(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.Data()[0] = 5
-	p.MarkDirty(pg)
-	p.Release(pg)
-	ws1 := t1.WriteSet()
-	ws2 := t2.WriteSet()
-	if ws1[5] == nil || ws2[5] == nil {
-		t.Error("page dirtied under two open txns must land in both write sets")
-	}
-}
-
-func TestTxnAbortCaptureNothing(t *testing.T) {
-	p, _ := newPager(t, 64, 16, false)
-	tx := p.BeginTxn()
-	pg, _ := p.Acquire(1)
-	pg.Data()[0] = 1
-	p.MarkDirty(pg)
-	p.Release(pg)
-	tx.Abort()
-	// The page stays dirty for a later flush; a fresh capture is empty.
-	if p.DirtyCount() != 1 {
-		t.Errorf("dirty count = %d after abort, want 1", p.DirtyCount())
-	}
-	tx2 := p.BeginTxn()
-	if ws := tx2.WriteSet(); len(ws) != 0 {
-		t.Errorf("fresh capture saw %d pages, want 0", len(ws))
-	}
-}
-
-func keys(m map[uint64][]byte) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 func TestConcurrentAcquireRelease(t *testing.T) {

@@ -15,9 +15,9 @@
 // Record kinds (these are also the WAL wire kinds; 2 and 3 are reserved
 // by the WAL for commit and checkpoint records):
 //
-//   - KindImage: Data is the full page image. The conservative fallback
-//     — used by the page-image logging mode and for first-touch base
-//     images.
+//   - KindImage: Data is the full page image. Used for first-touch base
+//     images (an older binary's image-logging mode also wrote them, with
+//     LSN 0; recovery still replays those).
 //   - KindRange: Data is a u32 page offset followed by the bytes written
 //     there. Idempotent absolute overwrite; used for pointer stitches,
 //     tree headers, shadow metadata, and overflow-page content.

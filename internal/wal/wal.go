@@ -34,9 +34,9 @@
 // transactions and unresolved chunk chains (losers) all replay, in LSN
 // (mutation) order; torn or never-terminated tails are detected by CRC
 // and dropped. The caller then rolls each loser chain back through its
-// undo records (Losers). Page-image records from the image-logging
-// baseline mode carry LSN 0 and replay in log order (the stable sort
-// preserves it).
+// undo records (Losers). Whole-page image records written by an older
+// binary's image-logging mode carry LSN 0 and replay in log order (the
+// stable sort preserves it), so such a log still recovers.
 //
 // Log record layout (little-endian), packed back to back across blocks:
 //
@@ -46,7 +46,7 @@
 //	        6=extent op, 7=undo, 8=chunk, 9=allocator; 0x80 flags a CLR)
 //	[9:17]  txn id
 //	[17:25] page number (redo records)
-//	[25:33] lsn (redo records; 0 for image-mode records)
+//	[25:33] lsn (redo records; 0 in an older binary's image-mode records)
 //	[33:]   payload (redo records)
 //
 // A zero length+crc marks the end of the log.
@@ -261,18 +261,13 @@ func (l *Log) Begin() *Txn {
 }
 
 // LogPage records the post-image of page no. The data is copied. Image
-// records carry LSN 0 and replay in log order (the image-logging mode).
+// records carry LSN 0 and replay in log order — the shape an older
+// binary's image-logging mode wrote; this package's tests stage records
+// with it.
 func (t *Txn) LogPage(no uint64, data []byte) {
 	c := make([]byte, len(data))
 	copy(c, data)
 	t.recs = append(t.recs, redo.Record{Page: no, Kind: redo.KindImage, Data: c})
-}
-
-// LogPageOwned records the post-image of page no without copying; the
-// caller hands over ownership of data (the volume's per-txn write sets
-// are already private copies, so a second copy here would be waste).
-func (t *Txn) LogPageOwned(no uint64, data []byte) {
-	t.recs = append(t.recs, redo.Record{Page: no, Kind: redo.KindImage, Data: data})
 }
 
 // LogRecord stages one physiological redo record (already LSN-stamped by
@@ -292,34 +287,9 @@ func (t *Txn) PageCount() int { return len(t.recs) }
 // does not fit in the remaining log space) the caller should checkpoint;
 // other batches in the same group are unaffected.
 func (t *Txn) Commit() error {
-	return t.commit(nil)
-}
-
-// CommitWith is Commit with the page images produced by fill, invoked
-// atomically with the transaction's queue insertion. Queue order is
-// append order is txid order, so a write set snapshotted inside fill can
-// never be enqueued AFTER a fresher image of one of its pages committed
-// with a smaller txid — the inversion that would let recovery replay a
-// stale image over an acknowledged update. Returns nil without logging
-// anything if fill stages no pages.
-func (t *Txn) CommitWith(fill func(*Txn)) error {
-	return t.commit(fill)
-}
-
-func (t *Txn) commit(fill func(*Txn)) error {
 	l := t.l
 	b := &gcBatch{txn: t}
 	l.gmu.Lock()
-	if fill != nil {
-		fill(t)
-		// A transaction with flushed chunks must still write its commit
-		// record even when nothing new is staged — the chain payload is
-		// what resolves the chunks as committed at recovery.
-		if len(t.recs) == 0 && t.chain == 0 {
-			l.gmu.Unlock()
-			return nil
-		}
-	}
 	l.gqueue = append(l.gqueue, b)
 	for !b.done && l.gbusy {
 		l.gcond.Wait()
@@ -918,7 +888,8 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 	}
 	// Replay in LSN order: transactions append in commit order but mutate
 	// in LSN order, and per-page correctness requires the latter. The
-	// sort is stable so image-mode records (LSN 0) keep their log order.
+	// sort is stable so LSN-0 image records (an older binary's
+	// image-logging mode) keep their log order.
 	// Repeat history: committed transactions AND loser chunks replay;
 	// undo records replay nowhere — losers' undo records are collected
 	// for the caller, committed transactions' are dead weight already
