@@ -1,6 +1,6 @@
 // Command hfadbench regenerates every exhibit and experiment of
 // internal/bench: the paper's Table 1 and Figure 1, and the claim-derived
-// experiments E1–E10 and E13–E18 against the hierarchical baseline. The
+// experiments E1–E9 and E13–E18 against the hierarchical baseline. The
 // accepted end-to-end benchmark is `go run ./benchmark`.
 //
 // Usage:

@@ -55,7 +55,7 @@ func TestBadCommands(t *testing.T) {
 // TestRemoteScript runs the -addr command set against an in-process
 // hfadd server.
 func TestRemoteScript(t *testing.T) {
-	st, err := hfad.Create(hfad.NewMemDevice(1<<14), hfad.Options{Transactional: true, WALBlocks: 2048})
+	st, err := hfad.Create(hfad.NewMemDevice(1<<14), hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,8 @@ func main() {
 
 func run(addr, vol string, blocks uint64, mem bool, walBlks uint64, cache, inflight, queue, coalesce, workers, drainS int) error {
 	opts := hfad.Options{
-		Transactional: true,
-		WALBlocks:     walBlks,
-		CachePages:    cache,
+		WALBlocks:  walBlks,
+		CachePages: cache,
 	}
 	st, err := openStore(vol, blocks, mem, opts)
 	if err != nil {

@@ -108,12 +108,13 @@ func corruptionDemo() error {
 	}
 
 	// Scribble over in-use metadata: scan the data region for occupied
-	// blocks (past the superblock and allocator-snapshot region) and
-	// flip bits in a handful of them.
+	// blocks (past the superblock, log, allocator-snapshot and checksum
+	// regions) and flip bits in a handful of them.
 	fmt.Println("== after corrupting metadata blocks ==")
 	buf := make([]byte, blockdev.DefaultBlockSize)
 	corrupted := 0
-	for target := uint64(65); target < mem.NumBlocks() && corrupted < 6; target++ {
+	start, _ := st.Volume().DataRegion()
+	for target := start; target < mem.NumBlocks() && corrupted < 6; target++ {
 		if err := mem.ReadBlock(target, buf); err != nil {
 			return err
 		}
@@ -281,7 +282,7 @@ func extentDemo() error {
 // naming each — plus the typed read-time detection a client would see.
 func scrubDemo() error {
 	mem := blockdev.NewMem(1<<15, blockdev.DefaultBlockSize)
-	st, err := hfad.Create(mem, hfad.Options{Transactional: true, MaxExtentBytes: 4096})
+	st, err := hfad.Create(mem, hfad.Options{MaxExtentBytes: 4096})
 	if err != nil {
 		return err
 	}
@@ -339,14 +340,14 @@ func scrubDemo() error {
 func crashDemo() error {
 	mem := blockdev.NewMem(1<<15, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	st, err := hfad.Create(fd, hfad.Options{Transactional: true})
+	st, err := hfad.Create(fd, hfad.Options{})
 	if err != nil {
 		return err
 	}
 	if err := populate(st); err != nil {
 		return err
 	}
-	fmt.Println("== committed state built (transactional volume) ==")
+	fmt.Println("== committed state built ==")
 
 	fmt.Println("== injecting device failure mid-operation ==")
 	fd.FailAfterWrites(7)

@@ -12,8 +12,6 @@
 //
 // Analyzers (each documented in its package under internal/analysis):
 //
-//	opbracket        beginOp/Options.Begin brackets reach done(err) on
-//	                 every path; op-threading call errors are not dropped
 //	lockorder        documented lock order Volume.mu → osd.Object.wmu →
 //	                 tree locks → pager shard latches never inverts
 //	sentinelerr      sentinel errors are matched with errors.Is, not ==
@@ -27,7 +25,12 @@
 //	atomicfield      a field accessed via sync/atomic is accessed
 //	                 atomically everywhere
 //	syncerr          errors from durability barriers (Sync, Close,
-//	                 FlushDirty, Checkpoint) are checked (liveness)
+//	                 FlushDirty, Checkpoint) are checked (liveness);
+//	                 op-threading call errors are not dropped
+//
+// The operation bracket needs no analyzer: core's withOp takes the
+// operation as a closure and commits it on return, so a bracket that
+// never reaches its commit cannot be written.
 //
 // A finding can be suppressed — visibly, greppably — with a trailing
 // comment: //hfadvet:allow <analyzer> — reason.
@@ -42,7 +45,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/opbracket"
 	"repro/internal/analysis/pinbalance"
 	"repro/internal/analysis/pinescape"
 	"repro/internal/analysis/replayexhaustive"
@@ -54,7 +56,6 @@ import (
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		opbracket.Analyzer,
 		lockorder.Analyzer,
 		sentinelerr.Analyzer,
 		replayexhaustive.Analyzer,

@@ -57,7 +57,7 @@ func TestChaosMediaFaults(t *testing.T) {
 	mem := hfad.NewMemDevice(1 << 14)
 	fd := blockdev.NewFault(mem)
 	fd.Seed(int64(seed))
-	st, err := hfad.Create(fd, hfad.Options{Transactional: true, WALBlocks: 512})
+	st, err := hfad.Create(fd, hfad.Options{WALBlocks: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestChaosMediaFaults(t *testing.T) {
 	if err := crash.RestoreFrom(mem.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if stc, err := hfad.Open(crash, hfad.Options{Transactional: true, WALBlocks: 512}); err != nil {
+	if stc, err := hfad.Open(crash, hfad.Options{WALBlocks: 512}); err != nil {
 		if !typedChaosErr(err) {
 			t.Fatalf("crash reopen: untyped error %v", err)
 		}
@@ -259,7 +259,7 @@ func TestChaosMediaFaults(t *testing.T) {
 	if err := st.Close(); err != nil && !typedChaosErr(err) {
 		t.Fatalf("close: untyped error %v", err)
 	}
-	st2, err := hfad.Open(mem, hfad.Options{Transactional: true, WALBlocks: 512})
+	st2, err := hfad.Open(mem, hfad.Options{WALBlocks: 512})
 	if err != nil {
 		if !typedChaosErr(err) {
 			t.Fatalf("reopen: untyped error %v", err)

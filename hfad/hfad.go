@@ -92,15 +92,17 @@ const (
 // TV builds a TagValue from strings.
 func TV(tag, value string) TagValue { return core.TV(tag, value) }
 
-// Options configures volume creation.
+// Options configures volume creation. Every volume is write-ahead
+// logged: each operation (or Batch) commits atomically, and a crash
+// recovers by replaying the log.
 type Options struct {
-	// Transactional turns on write-ahead logging: every metadata
-	// operation commits atomically and crashes recover by log replay.
+	// Deprecated: every volume is transactional; ignored.
 	Transactional bool
 	// WALBlocks sizes the log region (default 256 blocks = 1 MiB). Size
 	// it for the ingest burst: the background checkpointer drains the log
 	// when it passes its high-water mark, and a bigger region means fewer
-	// checkpoint pauses on sustained writes.
+	// checkpoint pauses on sustained writes. Open uses the size the
+	// volume was created with.
 	WALBlocks uint64
 	// CachePages sizes the buffer cache (default 1024 pages).
 	CachePages int
@@ -119,7 +121,6 @@ type Options struct {
 
 func (o Options) toCore() core.Options {
 	return core.Options{
-		Transactional:  o.Transactional,
 		WALBlocks:      o.WALBlocks,
 		CachePages:     o.CachePages,
 		IndexShards:    o.IndexShards,
@@ -258,10 +259,10 @@ func (s *Store) FindPage(p Page, pairs ...TagValue) ([]OID, error) {
 //		return nil
 //	})
 //
-// A non-nil error from fn skips the buffered tag puts and is returned —
-// but it is not a rollback: mutations fn already applied persist
-// (redo-only storage has no undo). Run independent batches from
-// independent goroutines; a single Batch is not for concurrent use.
+// A non-nil error from fn skips the buffered tag puts, rolls back what
+// fn already applied (object deletes excepted: they have no inverse) and
+// is returned. Run independent batches from independent goroutines; a
+// single Batch is not for concurrent use.
 //
 // Inside fn, touch the volume ONLY through the Batch's own methods and
 // direct object reads (OpenObject/ReadAt/Stat). The Store's mutating
@@ -314,23 +315,20 @@ type StoreStats struct {
 	Objects osd.Stats
 	Cache   pager.Stats
 	Alloc   buddy.Stats
-	// WAL is nil on non-transactional volumes.
+	// WAL is always set.
 	WAL *wal.Stats
 }
 
 // Stats snapshots the volume's operation, cache, allocator, and WAL
 // counters.
 func (s *Store) Stats() StoreStats {
-	st := StoreStats{
+	ws := s.vol.WAL().Stats()
+	return StoreStats{
 		Objects: s.vol.OSD.Stats(),
 		Cache:   s.vol.Pager().Stats(),
 		Alloc:   s.vol.Allocator().Stats(),
+		WAL:     &ws,
 	}
-	if l := s.vol.WAL(); l != nil {
-		ws := l.Stats()
-		st.WAL = &ws
-	}
-	return st
 }
 
 // Check runs a full volume consistency check (fsck).

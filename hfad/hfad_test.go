@@ -140,7 +140,7 @@ func TestSearchRefinementPublic(t *testing.T) {
 
 func TestPersistencePublic(t *testing.T) {
 	dev := hfad.NewMemDevice(1 << 15)
-	st, err := hfad.Create(dev, hfad.Options{Transactional: true})
+	st, err := hfad.Create(dev, hfad.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestPaginationAndProfilePublic(t *testing.T) {
 }
 
 func TestBatchPublicAPI(t *testing.T) {
-	st, err := hfad.Create(hfad.NewMemDevice(1<<13), hfad.Options{Transactional: true})
+	st, err := hfad.Create(hfad.NewMemDevice(1<<13), hfad.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,11 @@
 // publishes them). Intentional discards — a read-only close on an
 // error path, say — take a `//hfadvet:allow syncerr — reason` at the
 // call site.
+//
+// The same analyzer flags a statement that calls a mutator threading a
+// *pager.Op and drops its error result: the op's captured records and
+// inverses no longer match the structure state the caller believes in,
+// which is how a partially applied mutation slips past rollback.
 package syncerr
 
 import (
@@ -39,7 +44,7 @@ import (
 // Analyzer is the syncerr analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "syncerr",
-	Doc:  "errors from durability barriers (Sync/Flush/Close/Checkpoint) must be checked",
+	Doc:  "errors from durability barriers (Sync/Flush/Close/Checkpoint) and op-threading mutators must be checked",
 	Run:  run,
 }
 
@@ -72,6 +77,7 @@ func run(pass *analysis.Pass) error {
 			})
 		}
 	}
+	checkDiscardedOpErrors(pass)
 	return nil
 }
 
@@ -314,4 +320,57 @@ func durabilityCall(pass *analysis.Pass, call *ast.CallExpr) string {
 		name = named.Obj().Name()
 	}
 	return name + "." + f.Name()
+}
+
+// checkDiscardedOpErrors flags expression statements that call a
+// function threading a *pager.Op and drop its error result.
+func checkDiscardedOpErrors(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			es, ok := n.(*ast.ExprStmt)
+			if !ok {
+				return true
+			}
+			call, ok := es.X.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			tv, ok := pass.TypesInfo.Types[call.Fun]
+			if !ok {
+				return true
+			}
+			sig, ok := tv.Type.Underlying().(*types.Signature)
+			if !ok || sig.Results().Len() == 0 {
+				return true
+			}
+			if !analysis.IsErrorType(sig.Results().At(sig.Results().Len() - 1).Type()) {
+				return true
+			}
+			opParam := false
+			for i := 0; i < sig.Params().Len(); i++ {
+				if isPagerOpPtr(sig.Params().At(i).Type()) {
+					opParam = true
+					break
+				}
+			}
+			if !opParam {
+				return true
+			}
+			pass.Reportf(es.Pos(), "error result of op-threading call is discarded: a failed mutation leaves the op's capture out of sync with the structure")
+			return true
+		})
+	}
+}
+
+func isPagerOpPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Op" && obj.Pkg() != nil && analysis.LastElem(obj.Pkg().Path()) == "pager"
 }

@@ -356,62 +356,3 @@ func RunE9(s Scale) (*Result, error) {
 		Notes:  []string{"ingest time excludes indexing in lazy mode; searchable-after includes the drain"},
 	}, nil
 }
-
-// RunE10 measures §3.3's deliberately open decision: the cost of running
-// the OSD transactionally. The same create/write/tag mix runs with the
-// WAL off and on.
-func RunE10(s Scale) (*Result, error) {
-	objects := pick(s, 100, 1500)
-	payload := workload.NewRng(5).Bytes(8 << 10)
-
-	tbl := stats.NewTable("E10 — transactional OSD overhead",
-		"mode", "objects", "wall ms", "device writes", "bytes logged")
-
-	run := func(transactional bool) error {
-		st, sim, err := newHFAD(devBlocks(s, 1<<15, 1<<17), blockdev.NullModel{},
-			hfad.Options{Transactional: transactional})
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		for i := 0; i < objects; i++ {
-			obj, err := st.CreateObject("u")
-			if err != nil {
-				return err
-			}
-			if err := obj.Append(payload); err != nil {
-				return err
-			}
-			if err := st.Tag(obj.OID(), hfad.TagUDef, fmt.Sprintf("batch:%d", i%10)); err != nil {
-				return err
-			}
-			obj.Close()
-		}
-		elapsed := time.Since(t0)
-		mode := "wal off"
-		logged := int64(0)
-		if transactional {
-			mode = "wal on"
-			logged = st.Volume().WAL().Stats().BytesLogged
-		}
-		tbl.AddRow(mode, objects, ms(elapsed), sim.Stats().Writes, logged)
-		return st.Close()
-	}
-	if err := run(false); err != nil {
-		return nil, err
-	}
-	if err := run(true); err != nil {
-		return nil, err
-	}
-
-	return &Result{
-		ID:     "E10",
-		Claim:  "§3.3: \"in hFAD, the OSD may be transactional, but this is an implementation decision, not a requirement\" — here is what the decision costs.",
-		Tables: []*stats.Table{tbl},
-		Notes: []string{
-			"wal on: every metadata mutation logs its own physiological records through the group committer (steal/no-force; see DESIGN.md)",
-			"crash-atomicity of the transactional mode is verified separately by the core recovery tests",
-			"E13/E14 measure the same pipeline under concurrency and batching",
-		},
-	}, nil
-}

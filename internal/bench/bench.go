@@ -1,6 +1,6 @@
 // Package bench implements the experiment harness behind cmd/hfadbench:
 // one runner per paper exhibit (T1 = Table 1, F1 = Figure 1) and per
-// claim-derived experiment (E1–E10, E13–E18). The paper is a position
+// claim-derived experiment (E1–E9, E13–E18). The paper is a position
 // paper with no quantitative evaluation, so these experiments
 // operationalize its claims against the hierarchical baseline; see
 // DESIGN.md for the index. Each exhibit is defined here and only here.
@@ -71,7 +71,6 @@ func All() []Runner {
 		{"E7", "extent map ablation", RunE7},
 		{"E8", "index sharding ablation", RunE8},
 		{"E9", "lazy full-text indexing", RunE9},
-		{"E10", "transactional OSD overhead", RunE10},
 		{"E13", "group-commit concurrent ingest", RunE13},
 		{"E14", "batched vs unbatched ingest", RunE14},
 		{"E15", "log amplification: image vs physiological", RunE15},

@@ -125,9 +125,14 @@ func RunE2(s Scale) (*Result, error) {
 	}, nil
 }
 
+// e3MaxExtent is the extent bound E3's store runs with (the default),
+// named so the shape check and the note quote the value the run used.
+const e3MaxExtent = 256 << 10
+
 // RunE3 measures §3.1.2: insert and truncate anywhere in an object. hFAD
 // pays O(log extents) plus one bounded tail copy; the hierarchy pays a
-// read-shift-rewrite of everything after the insertion point.
+// read-shift-rewrite of everything after the insertion point. It fails
+// unless hFAD moves at most one extent at every size.
 func RunE3(s Scale) (*Result, error) {
 	sizes := []int{64 << 10, 1 << 20, 16 << 20}
 	if s == Smoke {
@@ -159,7 +164,7 @@ func RunE3(s Scale) (*Result, error) {
 		tbl.AddRow(fmtBytes(size), "hierfs", moved, d.Writes, ms(d.VirtualTime))
 
 		// hFAD: extent split + O(log n) insert.
-		st, hsim, err := newHFAD(devBlocks(s, 1<<15, 1<<16), blockdev.DefaultHDD(), hfad.Options{})
+		st, hsim, err := newHFAD(devBlocks(s, 1<<15, 1<<16), blockdev.DefaultHDD(), hfad.Options{MaxExtentBytes: e3MaxExtent})
 		if err != nil {
 			return nil, err
 		}
@@ -180,6 +185,9 @@ func RunE3(s Scale) (*Result, error) {
 		tbl.AddRow(fmtBytes(size), "hFAD", copied, hd.Writes, ms(hd.VirtualTime))
 		obj.Close()
 		st.Close()
+		if copied > e3MaxExtent {
+			return nil, fmt.Errorf("E3: hFAD moved %d bytes inserting into %s, more than one extent (%d)", copied, fmtBytes(size), e3MaxExtent)
+		}
 
 		// Verify both systems agree on the result (correctness guard).
 		got, err := fs.ReadFile("/victim")
@@ -197,14 +205,15 @@ func RunE3(s Scale) (*Result, error) {
 		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			"hierfs bytes-moved grows linearly with object size (O(n) tail shift)",
-			"hFAD bytes-moved is bounded by one extent (≤ 256 KiB) regardless of object size",
+			fmt.Sprintf("hFAD bytes-moved is bounded by one extent (≤ %s) regardless of object size", fmtBytes(e3MaxExtent)),
 		},
 	}, nil
 }
 
 // RunE4 measures §2.2: one datum belonging to several collections. hFAD
 // adds tags; a canonical hierarchy without links must copy, paying space
-// and an update anomaly.
+// and an update anomaly. It fails unless hFAD's space and update writes
+// are the same at every k while the hierarchy's grow with k.
 func RunE4(s Scale) (*Result, error) {
 	items := pick(s, 30, 300)
 	categories := []int{1, 2, 4, 8}
@@ -214,6 +223,10 @@ func RunE4(s Scale) (*Result, error) {
 	tbl := stats.NewTable("E4 — k categorizations of the same items",
 		"k", "system", "space bytes", "content-update writes", "re-categorize ms")
 
+	// One row per k of each system's (space bytes, update writes), for
+	// the shape check after the loop.
+	type cost struct{ space, writes int64 }
+	var hier, flat []cost
 	for _, k := range categories {
 		// hierfs with copies (the folder-per-collection reality the
 		// paper describes for media libraries).
@@ -259,9 +272,11 @@ func RunE4(s Scale) (*Result, error) {
 		recat := time.Since(t0)
 		space := int64(items*k) * int64(itemSize)
 		tbl.AddRow(k, "hierfs copies", space, updWrites, ms(recat))
+		hier = append(hier, cost{space, updWrites})
 
-		// hFAD: one object, k tags.
-		st, hsim, err := newHFAD(devBlocks(s, 1<<15, 1<<16), blockdev.DefaultSSD(), hfad.Options{})
+		// hFAD: one object, k tags. The log is sized so no checkpoint
+		// starts in the background.
+		st, hsim, err := newHFAD(devBlocks(s, 1<<15, 1<<16), blockdev.DefaultSSD(), hfad.Options{WALBlocks: 8192})
 		if err != nil {
 			return nil, err
 		}
@@ -282,11 +297,29 @@ func RunE4(s Scale) (*Result, error) {
 				}
 			}
 		}
-		hbase := hsim.Stats()
+		var hSpace int64
+		for _, oid := range oids {
+			m, err := st.Stat(oid)
+			if err != nil {
+				return nil, err
+			}
+			hSpace += int64(m.Size)
+		}
+		// Sync resets the log, so the measured commit lands at the same log
+		// offset whatever k is; a first update takes the first-touch base
+		// images of the pages an update dirties, so the measured second one
+		// is the steady-state cost.
+		if err := st.Sync(); err != nil {
+			return nil, err
+		}
 		obj, err := st.OpenObject(oids[0])
 		if err != nil {
 			return nil, err
 		}
+		if err := obj.WriteAt([]byte("PATCH"), 0); err != nil {
+			return nil, err
+		}
+		hbase := hsim.Stats()
 		if err := obj.WriteAt([]byte("PATCH"), 0); err != nil {
 			return nil, err
 		}
@@ -299,9 +332,19 @@ func RunE4(s Scale) (*Result, error) {
 			}
 		}
 		hRecat := time.Since(t0)
-		hSpace := int64(items) * int64(itemSize)
 		tbl.AddRow(k, "hFAD tags", hSpace, hUpdWrites, ms(hRecat))
+		flat = append(flat, cost{hSpace, hUpdWrites})
 		st.Close()
+	}
+	for i := 1; i < len(categories); i++ {
+		if flat[i] != flat[0] {
+			return nil, fmt.Errorf("E4: hFAD at k=%d costs %d bytes and %d update writes, at k=%d %d and %d",
+				categories[i], flat[i].space, flat[i].writes, categories[0], flat[0].space, flat[0].writes)
+		}
+		if hier[i].space <= hier[i-1].space || hier[i].writes <= hier[i-1].writes {
+			return nil, fmt.Errorf("E4: hierfs at k=%d costs %d bytes and %d update writes, no more than at k=%d (%d, %d)",
+				categories[i], hier[i].space, hier[i].writes, categories[i-1], hier[i-1].space, hier[i-1].writes)
+		}
 	}
 
 	return &Result{

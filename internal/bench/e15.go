@@ -25,9 +25,8 @@ func RunE15(s Scale) (*Result, error) {
 	var bytes16 float64 // bytes/op at 16 writers
 	run := func(writers int) error {
 		st, err := NewSyncCostStore(devBlocks(s, 1<<15, 1<<16), hfad.Options{
-			Transactional: true,
-			WALBlocks:     4096,
-			IndexShards:   1, // one UDEF tree: writers genuinely share pages
+			WALBlocks:   4096,
+			IndexShards: 1, // one UDEF tree: writers genuinely share pages
 		})
 		if err != nil {
 			return err

@@ -30,7 +30,6 @@ func RunE16(s Scale) (*Result, error) {
 		"workload", "ops", "bytes/op", "records/op", "ops/sec")
 
 	st, err := NewSyncCostStore(devBlocks(s, 1<<15, 1<<16), hfad.Options{
-		Transactional:  true,
 		WALBlocks:      8192,
 		MaxExtentBytes: 4096, // many extents => a real multi-node tree
 	})

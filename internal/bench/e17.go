@@ -46,9 +46,8 @@ func RunE17(s Scale) (*Result, error) {
 		return nil, err
 	}
 	st, err := hfad.Create(&SyncCostDevice{Device: fdev, Latency: 100 * time.Microsecond}, hfad.Options{
-		Transactional: true,
-		WALBlocks:     8192,
-		CachePages:    8192,
+		WALBlocks:  8192,
+		CachePages: 8192,
 	})
 	if err != nil {
 		return nil, err

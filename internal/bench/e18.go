@@ -36,9 +36,8 @@ func RunE18(s Scale) (*Result, error) {
 	payload := []byte("steal pager exhibit: uncommitted dirty pages evict behind the log")
 	for _, mult := range multiples {
 		st, err := NewSyncCostStore(devBlocks(s, 1<<15, 1<<17), hfad.Options{
-			Transactional: true,
-			WALBlocks:     16384,
-			CachePages:    cachePages,
+			WALBlocks:  16384,
+			CachePages: cachePages,
 		})
 		if err != nil {
 			return nil, err

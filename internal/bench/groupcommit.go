@@ -56,8 +56,7 @@ func RunE13(s Scale) (*Result, error) {
 
 	run := func(writers int) error {
 		st, err := NewSyncCostStore(devBlocks(s, 1<<15, 1<<16), hfad.Options{
-			Transactional: true,
-			WALBlocks:     4096,
+			WALBlocks: 4096,
 		})
 		if err != nil {
 			return err
@@ -137,8 +136,7 @@ func RunE14(s Scale) (*Result, error) {
 
 	newStore := func() (*hfad.Store, error) {
 		return NewSyncCostStore(devBlocks(s, 1<<15, 1<<16), hfad.Options{
-			Transactional: true,
-			WALBlocks:     4096,
+			WALBlocks: 4096,
 		})
 	}
 

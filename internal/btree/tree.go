@@ -592,8 +592,9 @@ func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, 
 	// Append whatever was staged even on error: each record was staged
 	// right after its mutation landed in cache, so the log stays
 	// consistent with the (possibly partially split) in-cache tree —
-	// and the enclosing op's own records, which beginOp commits even on
-	// failure, may already target the new right page.
+	// and the enclosing op's own records, which the volume's bracket
+	// (core.withOp) commits even on failure, may already target the new
+	// right page.
 	aerr := sys.AppendSys()
 	if err != nil {
 		return err

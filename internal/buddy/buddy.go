@@ -46,9 +46,9 @@ type Allocator struct {
 
 	// Deferred (limbo) frees. While enabled, Free parks runs on the limbo
 	// list instead of returning them to the free lists; ReleaseLimbo
-	// performs the real frees. Transactional volumes enable this so a run
-	// freed by an operation cannot be reallocated — and overwritten —
-	// before the free is durable: object bytes are written in place,
+	// performs the real frees. Volumes enable this so a run freed by an
+	// operation cannot be reallocated — and overwritten — before the
+	// free is durable: object bytes are written in place,
 	// outside the log, so if the freeing transaction never commits (or is
 	// rolled back) while a reuser's does, both the old structure (still
 	// live on disk) and the new one would own the blocks. Limbo drains at

@@ -30,9 +30,8 @@ func TestConcurrentBracketsSameObjectAbort(t *testing.T) {
 	}
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{
-		Transactional: true,
-		WALBlocks:     2048,
-		ExtentConfig:  extent.Config{MaxExtentBytes: 8192},
+		WALBlocks:    2048,
+		ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,16 +57,13 @@ func (v *Volume) Batch(fn func(*Batch) error) error {
 		return err
 	}
 	defer unlock()
-	op, done, err := v.beginOp()
-	if err != nil {
-		return err
-	}
-	b := &Batch{v: v, op: op, puts: make(map[index.Store][]index.Put)}
-	err = fn(b)
-	if err == nil {
-		err = b.flush()
-	}
-	return done(err)
+	return v.withOp(func(op *pager.Op) error {
+		b := &Batch{v: v, op: op, puts: make(map[index.Store][]index.Put)}
+		if err := fn(b); err != nil {
+			return err
+		}
+		return b.flush()
+	})
 }
 
 // flush applies the buffered index work: one multi-put for the reverse

@@ -16,7 +16,6 @@ import (
 
 func newTxnVolume(t *testing.T, opts Options) (*Volume, *blockdev.MemDevice) {
 	t.Helper()
-	opts.Transactional = true
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(dev, opts)
 	if err != nil {
@@ -132,7 +131,7 @@ func TestBatchErrorSkipsBufferedTags(t *testing.T) {
 // crash in full — recovery may not resurrect half a batch.
 func TestBatchCrashRecoversAtomically(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(dev, Options{Transactional: true, WALBlocks: 256})
+	v, err := Create(dev, Options{WALBlocks: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +410,7 @@ func TestBatchConcurrentCloseNoDeadlock(t *testing.T) {
 // checkpoint at all.
 func TestDirtyHighWaterTriggersCheckpoint(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(dev, Options{Transactional: true, WALBlocks: 4096, CachePages: 64})
+	v, err := Create(dev, Options{WALBlocks: 4096, CachePages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,12 +444,12 @@ func TestDirtyHighWaterTriggersCheckpoint(t *testing.T) {
 }
 
 // TestReformatDoesNotResurrectOldLog: Create over a device that held an
-// earlier transactional volume must terminate the stale log region —
+// earlier volume must terminate the stale log region —
 // a crash right after the format (before the first new commit) must not
 // let recovery replay the previous generation over the fresh volume.
 func TestReformatDoesNotResurrectOldLog(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(dev, Options{Transactional: true, WALBlocks: 128})
+	v, err := Create(dev, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +461,7 @@ func TestReformatDoesNotResurrectOldLog(t *testing.T) {
 	}
 	// No Close: the log region holds the old generation's committed
 	// records. Reformat, then "crash" (no clean shutdown) and reopen.
-	v2, err := Create(dev, Options{Transactional: true, WALBlocks: 128})
+	v2, err := Create(dev, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatalf("reformat: %v", err)
 	}
@@ -488,12 +487,12 @@ func TestReformatDoesNotResurrectOldLog(t *testing.T) {
 	}
 }
 
-// TestLazyIndexingTransactional: the background indexer's page writes
-// now run inside operation brackets, so lazily indexed postings are
+// TestLazyIndexingSurvivesCrash: the background indexer's page writes
+// run inside operation brackets, so lazily indexed postings are
 // WAL-committed and survive a crash without a clean close.
-func TestLazyIndexingTransactional(t *testing.T) {
+func TestLazyIndexingSurvivesCrash(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(dev, Options{Transactional: true, WALBlocks: 256})
+	v, err := Create(dev, Options{WALBlocks: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,11 +505,7 @@ func TestLazyIndexingTransactional(t *testing.T) {
 	// Make the postings searchable: flush the in-memory buffer to a
 	// segment (still inside the worker-free foreground path is fine —
 	// Flush itself is synchronous).
-	op, done, berr := v.beginOp()
-	if berr != nil {
-		t.Fatal(berr)
-	}
-	if err := done(v.ft.Inner().Flush(op)); err != nil {
+	if err := v.withOp(v.ft.Inner().Flush); err != nil {
 		t.Fatal(err)
 	}
 	// Crash without Close; recovery must replay the lazy postings.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
@@ -417,34 +419,66 @@ func TestFsckCleanVolume(t *testing.T) {
 	}
 }
 
-func TestTransactionalVolumeBasics(t *testing.T) {
-	v, dev := newVolume(t, Options{Transactional: true})
-	oid := mustCreateObject(t, v, "u", "transactional data")
+// TestVolumeWALBasics: operations commit through the log, and a volume
+// reopened with default options keeps the log region it was created with
+// — writing the default size back into the superblock would let the next
+// open run its log over the snapshot slots that follow the region.
+func TestVolumeWALBasics(t *testing.T) {
+	v, dev := newVolume(t, Options{WALBlocks: 128})
+	oid := mustCreateObject(t, v, "u", "logged data")
 	if err := v.AddName(oid, "USER", []byte("u")); err != nil {
 		t.Fatal(err)
-	}
-	if v.WAL() == nil {
-		t.Fatal("no WAL on transactional volume")
 	}
 	if v.WAL().Stats().Commits == 0 {
 		t.Error("no commits recorded")
 	}
+	logCap := v.WAL().Capacity()
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := Open(dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := v2.Resolve(TV("USER", "u"))
-	if err != nil || !reflect.DeepEqual(ids, []OID{oid}) {
-		t.Errorf("reopened = %v, %v", ids, err)
+	for reopen := 1; reopen <= 2; reopen++ {
+		v2, err := Open(dev, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v2.WAL().Capacity(); got != logCap {
+			t.Fatalf("reopen %d: log capacity %d, created with %d", reopen, got, logCap)
+		}
+		ids, err := v2.Resolve(TV("USER", "u"))
+		if err != nil || !reflect.DeepEqual(ids, []OID{oid}) {
+			t.Errorf("reopen %d = %v, %v", reopen, ids, err)
+		}
+		if err := v2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestCrashRecoveryDirtyOpen simulates a crash (no Close) on a
-// non-transactional volume: reopen must rebuild the allocator from
-// reachability and fsck must pass.
+// TestOpenRefusesVolumeWithoutLog: every volume has a log region, and
+// its superblock says so; Open refuses one that does not rather than run
+// it unlogged.
+func TestOpenRefusesVolumeWithoutLog(t *testing.T) {
+	v, dev := newVolume(t, Options{})
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, dev.BlockSize())
+	if err := dev.ReadBlock(0, b); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[12:], binary.LittleEndian.Uint32(b[12:])&^flagLogged)
+	binary.LittleEndian.PutUint32(b[96:], crc32.ChecksumIEEE(b[:96]))
+	if err := dev.WriteBlock(0, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+		t.Fatalf("Open of a volume without a log region: %v, want ErrBadSuperblock", err)
+	}
+}
+
+// TestCrashRecoveryDirtyOpen simulates a crash (no Close) after Sync:
+// what Sync made durable survives the dirty reopen, fsck passes, and the
+// recovered volume takes new work.
 func TestCrashRecoveryDirtyOpen(t *testing.T) {
 	v, dev := newVolume(t, Options{})
 	for i := 0; i < 10; i++ {
@@ -462,6 +496,7 @@ func TestCrashRecoveryDirtyOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dirty Open: %v", err)
 	}
+	assertRecoveryExact(t, v2)
 	rep, err := v2.Check()
 	if err != nil {
 		t.Fatal(err)
@@ -484,11 +519,11 @@ func TestCrashRecoveryDirtyOpen(t *testing.T) {
 }
 
 // TestCrashRecoveryWAL injects a device fault mid-operation on a
-// transactional volume, then recovers from the surviving image.
+// volume, then recovers from the surviving image.
 func TestCrashRecoveryWAL(t *testing.T) {
 	mem := blockdev.NewMem(32768, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{Transactional: true})
+	v, err := Create(fd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

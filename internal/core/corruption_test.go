@@ -30,7 +30,7 @@ type corruptionFixture struct {
 	byClass  map[int]uint64 // one representative block per scrub class
 }
 
-// buildCorruptionFixture populates a transactional volume with enough
+// buildCorruptionFixture populates a volume with enough
 // structure to have every block class — btree nodes (catalog/reverse/
 // object table), external extent-tree nodes (one object large enough to
 // spill its tree), and data blocks — then closes it cleanly and
@@ -38,7 +38,7 @@ type corruptionFixture struct {
 func buildCorruptionFixture(t *testing.T) *corruptionFixture {
 	t.Helper()
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true, WALBlocks: 256})
+	v, err := Create(mem, Options{WALBlocks: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,10 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/index"
 	"repro/internal/osd"
+	"repro/internal/pager"
 )
 
-// TestCrashLoop repeatedly crashes a transactional volume at random write
+// TestCrashLoop repeatedly crashes a volume at random write
 // counts, recovers, fscks, and verifies previously committed data — the
 // strongest durability property the repository claims. Every iteration:
 //
@@ -29,7 +30,7 @@ import (
 func TestCrashLoop(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{Transactional: true, WALBlocks: 128})
+	v, err := Create(fd, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +145,8 @@ func TestSharedPageAnomalyFixed(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
 	v, err := Create(fd, Options{
-		Transactional: true,
-		WALBlocks:     128,
-		IndexShards:   1, // one UDEF tree, so both names share its leaf
+		WALBlocks:   128,
+		IndexShards: 1, // one UDEF tree, so both names share its leaf
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,32 +154,50 @@ func TestSharedPageAnomalyFixed(t *testing.T) {
 	oid1 := mustCreateObject(t, v, "u", "neighbour")
 	oid2 := mustCreateObject(t, v, "u", "committer")
 
-	op1, done1, err1 := v.beginOp()
-	op2, done2, err2 := v.beginOp()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	// The neighbour edits the leaf, then parks inside its bracket: it is
+	// still open, uncommitted, when the volume crashes. Released after
+	// the test, it rolls back against the dead device.
+	edited := make(chan *pager.Op)
+	release := make(chan struct{})
+	parked := make(chan error, 1)
+	go func() {
+		parked <- v.withOp(func(op *pager.Op) error {
+			if err := v.addNameDeferred(op, oid1, index.TagUDef, []byte("ghost")); err != nil {
+				close(edited)
+				return err
+			}
+			edited <- op
+			<-release
+			return errors.New("crashed before commit")
+		})
+	}()
+	t.Cleanup(func() {
+		close(release)
+		<-parked
+	})
+	op1, ok := <-edited
+	if !ok {
+		t.Fatal("the neighbour's edit failed")
 	}
-	_ = done1 // never called: txn 1 crashes uncommitted
-	if err := v.addNameDeferred(op1, oid1, index.TagUDef, []byte("ghost")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.addNameDeferred(op2, oid2, index.TagUDef, []byte("alive")); err != nil {
-		t.Fatal(err)
-	}
-	// The hazard needs both operations to have edited one page: the page
-	// a whole-page image of the committer would have carried the ghost on.
-	touched := map[uint64]bool{}
-	for _, r := range op1.Records() {
-		touched[r.Page] = true
-	}
-	shared := false
-	for _, r := range op2.Records() {
-		shared = shared || touched[r.Page]
-	}
-	if !shared {
-		t.Fatal("test premise broken: the two operations share no page")
-	}
-	if err := done2(nil); err != nil {
+	err = v.withOp(func(op2 *pager.Op) error {
+		if err := v.addNameDeferred(op2, oid2, index.TagUDef, []byte("alive")); err != nil {
+			return err
+		}
+		// The hazard needs both operations to have edited one page: the
+		// page a whole-page image of the committer would have carried the
+		// ghost on.
+		touched := map[uint64]bool{}
+		for _, r := range op1.Records() {
+			touched[r.Page] = true
+		}
+		for _, r := range op2.Records() {
+			if touched[r.Page] {
+				return nil
+			}
+		}
+		return errors.New("test premise broken: the two operations share no page")
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Crash: no further device writes land.
@@ -216,7 +234,7 @@ func TestSharedPageAnomalyFixed(t *testing.T) {
 func TestCrashLoopConcurrentWriters(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{Transactional: true, WALBlocks: 128, IndexShards: 1})
+	v, err := Create(fd, Options{WALBlocks: 128, IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +334,7 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 func TestTornWALTailRecovered(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{Transactional: true, WALBlocks: 128})
+	v, err := Create(fd, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,46 +369,6 @@ func TestTornWALTailRecovered(t *testing.T) {
 	}
 }
 
-// TestNonTransactionalCrashLosesOnlyTail: without a WAL, a crash after
-// Sync preserves synced state; fsck still passes via allocator rebuild.
-func TestNonTransactionalCrashLosesOnlyTail(t *testing.T) {
-	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oid := mustCreateObject(t, v, "u", "synced data")
-	if err := v.AddName(oid, index.TagUDef, []byte("synced")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Unsynced work that a crash may lose (cache-only).
-	_ = mustCreateObject(t, v, "u", "maybe lost")
-
-	// Crash: reopen from the device as-is.
-	v2, err := Open(mem, Options{})
-	if err != nil {
-		t.Fatalf("dirty open: %v", err)
-	}
-	assertRecoveryExact(t, v2)
-	rep, err := v2.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Ok() {
-		t.Fatalf("fsck: %v", rep.Problems)
-	}
-	ids, err := v2.Resolve(TagValue{index.TagUDef, []byte("synced")})
-	if err != nil || len(ids) != 1 {
-		t.Errorf("synced data lost: %v, %v", ids, err)
-	}
-	if errors.Is(err, ErrNotFound) {
-		t.Error("unexpected not-found")
-	}
-}
-
 // TestReplayOverAppliedPagesIdempotent pins the checkpoint crash window:
 // a checkpoint's page flush completes (home pages hold post-applied
 // state, including split results) but the crash lands before the log
@@ -400,7 +378,7 @@ func TestNonTransactionalCrashLosesOnlyTail(t *testing.T) {
 // already-split leaf wipes the right sibling and corrupts the chain.
 func TestReplayOverAppliedPagesIdempotent(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true, WALBlocks: 2048, IndexShards: 1})
+	v, err := Create(mem, Options{WALBlocks: 2048, IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,8 +205,7 @@ func (v *Volume) flushPageSums() error {
 	return nil
 }
 
-// loadPageSums reads the sidecar into the in-memory table (transactional
-// volumes and clean non-transactional ones; see Open).
+// loadPageSums reads the sidecar into the in-memory table (see Open).
 func (v *Volume) loadPageSums() error {
 	s := v.sums
 	bs := v.raw.BlockSize()
@@ -229,21 +228,6 @@ func (v *Volume) loadPageSums() error {
 	}
 	for i := range s.dirty {
 		s.dirty[i].Store(false)
-	}
-	return nil
-}
-
-// recomputePageSums rebuilds the table from device content — the unclean
-// non-transactional open, where no log exists to vouch for the sidecar.
-// Detection restarts from the surviving bytes.
-func (v *Volume) recomputePageSums() error {
-	s := v.sums
-	buf := make([]byte, v.raw.BlockSize())
-	for no := s.start; no < s.start+s.blocks; no++ {
-		if err := v.raw.ReadBlock(no, buf); err != nil {
-			return err
-		}
-		s.set(no, crc32.Checksum(buf, crcTable))
 	}
 	return nil
 }

@@ -82,9 +82,8 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 			mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 			fd := &failNthDevice{Device: mem}
 			v, err := Create(fd, Options{
-				Transactional: true,
-				WALBlocks:     512,
-				ExtentConfig:  extent.Config{MaxExtentBytes: 8192},
+				WALBlocks:    512,
+				ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -151,9 +150,8 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{
-		Transactional: true,
-		WALBlocks:     1024,
-		ExtentConfig:  extent.Config{MaxExtentBytes: 8192},
+		WALBlocks:    1024,
+		ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +233,8 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 func TestRecountHealsCountersAndTableSize(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{
-		Transactional: true,
-		WALBlocks:     256,
-		ExtentConfig:  extent.Config{MaxExtentBytes: 4096},
+		WALBlocks:    256,
+		ExtentConfig: extent.Config{MaxExtentBytes: 4096},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,9 +323,8 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
 	v, err := Create(fd, Options{
-		Transactional: true,
-		WALBlocks:     256,
-		ExtentConfig:  extent.Config{MaxExtentBytes: 4096},
+		WALBlocks:    256,
+		ExtentConfig: extent.Config{MaxExtentBytes: 4096},
 	})
 	if err != nil {
 		t.Fatal(err)

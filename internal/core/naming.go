@@ -63,11 +63,7 @@ func (v *Volume) AddName(oid OID, tag string, value []byte) error {
 		return err
 	}
 	defer unlock()
-	op, done, err := v.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(v.addNameDeferred(op, oid, tag, value))
+	return v.withOp(func(op *pager.Op) error { return v.addNameDeferred(op, oid, tag, value) })
 }
 
 // addNameDeferred does the index and reverse-index work of AddName with
@@ -100,11 +96,7 @@ func (v *Volume) RemoveName(oid OID, tag string, value []byte) error {
 		return err
 	}
 	defer unlock()
-	op, done, err := v.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(v.removeNameDeferred(op, oid, tag, value))
+	return v.withOp(func(op *pager.Op) error { return v.removeNameDeferred(op, oid, tag, value) })
 }
 
 func (v *Volume) removeNameDeferred(op *pager.Op, oid OID, tag string, value []byte) error {
@@ -158,11 +150,7 @@ func (v *Volume) RemoveAllNames(oid OID) error {
 		return err
 	}
 	defer unlock()
-	op, done, err := v.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(v.removeAllNamesDeferred(op, oid))
+	return v.withOp(func(op *pager.Op) error { return v.removeAllNamesDeferred(op, oid) })
 }
 
 func (v *Volume) removeAllNamesDeferred(op *pager.Op, oid OID) error {
@@ -194,21 +182,17 @@ func (v *Volume) DeleteObject(oid OID) error {
 		return err
 	}
 	defer unlock()
-	op, done, err := v.beginOp()
-	if err != nil {
-		return err
-	}
-	// The whole section (name stripping included) is non-undoable: the
-	// destroy frees extents with no inverse, so a rollback that restored
-	// only the names would resurrect references to a destroyed object.
-	resume := op.SuspendUndo()
-	if err := v.removeAllNamesDeferred(op, oid); err != nil {
-		resume()
-		return done(err)
-	}
-	err = v.OSD.DeleteObjectDeferred(op, oid)
-	resume()
-	return done(err)
+	return v.withOp(func(op *pager.Op) error {
+		// The whole section (name stripping included) is non-undoable: the
+		// destroy frees extents with no inverse, so a rollback that
+		// restored only the names would resurrect references to a
+		// destroyed object.
+		defer op.SuspendUndo()()
+		if err := v.removeAllNamesDeferred(op, oid); err != nil {
+			return err
+		}
+		return v.OSD.DeleteObjectDeferred(op, oid)
+	})
 }
 
 // Resolve is the paper's naming operation: a vector of tag/value pairs
@@ -777,11 +761,7 @@ func (v *Volume) IndexContent(oid OID) error {
 	if err != nil {
 		return err
 	}
-	op, done, err := v.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(v.addNameDeferred(op, oid, index.TagFulltext, text))
+	return v.withOp(func(op *pager.Op) error { return v.addNameDeferred(op, oid, index.TagFulltext, text) })
 }
 
 // IndexContentLazy queues the object for the background indexer ("we use
@@ -802,11 +782,7 @@ func (v *Volume) IndexContentLazy(oid OID) error {
 	}
 	// Record the name relationship immediately; postings land when the
 	// background thread gets there.
-	op, done, err := v.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(v.reverse.PutOp(op, revKey(oid, index.TagFulltext, nil), nil))
+	return v.withOp(func(op *pager.Op) error { return v.reverse.PutOp(op, revKey(oid, index.TagFulltext, nil), nil) })
 }
 
 // StartLazyIndexing launches the background indexer.

@@ -22,8 +22,8 @@ type RecoveryPhase struct {
 }
 
 // RecoveryReport says what Open did to bring the volume up, phase by
-// phase. On a transactional volume every phase but BtreeRecount costs
-// what the log tail costs; AllocWalk names the exception.
+// phase. Every phase but BtreeRecount costs what the log tail costs;
+// AllocWalk names the exception.
 type RecoveryReport struct {
 	// Clean: the superblock recorded a clean shutdown.
 	Clean bool
@@ -52,8 +52,7 @@ type RecoveryReport struct {
 	BtreeRecount RecoveryPhase
 	// Undo: loser chains rolled back.
 	Undo RecoveryPhase
-	// Checkpoint: the checkpoint that ends recovery (1, or 0 when a
-	// non-transactional volume has no log to reset).
+	// Checkpoint: the checkpoint that ends recovery.
 	Checkpoint RecoveryPhase
 	// Total is the wall time of Open.
 	Total time.Duration
@@ -290,7 +289,7 @@ func (v *Volume) recountExtentTrees(hdrs []uint64) error {
 }
 
 // allExtentHeaders lists every object's extent-tree header, for the
-// opens that have no log to say which trees moved.
+// opens that rebuild the allocator by the walk.
 func (v *Volume) allExtentHeaders() ([]uint64, error) {
 	var hdrs []uint64
 	err := v.OSD.ForEach(func(m osd.Meta) bool {

@@ -98,7 +98,7 @@ func fill(n int, seed byte) []byte {
 // header pages, two base images) and nothing that grows with the volume.
 func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true})
+	v, err := Create(mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	t.Run("append into an extent's slack", func(t *testing.T) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{Transactional: true})
+		v, err := Create(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	t.Run("overwrite in place", func(t *testing.T) {
 		// No leaf cell changes: the overwrite's own record must name the run.
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{Transactional: true})
+		v, err := Create(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	})
 	t.Run("new extent on a block freed earlier", func(t *testing.T) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{Transactional: true})
+		v, err := Create(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestRecoveryCheckpointCutEverywhere(t *testing.T) {
 	for cut := int64(0); ; cut++ {
 		mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
 		fd := blockdev.NewFault(mem)
-		v, err := Create(fd, Options{Transactional: true, ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
+		v, err := Create(fd, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestRecoveryCheckpointCutEverywhere(t *testing.T) {
 // not fatal; the other slot, damaged, changes nothing.
 func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true})
+	v, err := Create(mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 // fails; the next one recovers from whatever it left, exactly.
 func TestRecoveryCutDuringWriteHome(t *testing.T) {
 	mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true, ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
+	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func loserImage(t *testing.T, v *Volume, mem *blockdev.MemDevice, step func(b *B
 func TestRecoveryLosers(t *testing.T) {
 	setup := func(t *testing.T) (*Volume, *blockdev.MemDevice, []OID) {
 		mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{Transactional: true, CachePages: 64, WALBlocks: 4096})
+		v, err := Create(mem, Options{CachePages: 64, WALBlocks: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +581,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 	for name, mk := range steps {
 		t.Run(name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
-			v, err := Create(mem, Options{Transactional: true, CachePages: 64, WALBlocks: 512})
+			v, err := Create(mem, Options{CachePages: 64, WALBlocks: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -641,7 +641,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 // deleting operation and replay with it.
 func TestRecoveryDeleteInTail(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +693,7 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 	}
 	run := func(n int) RecoveryReport {
 		mem := blockdev.NewMem(1<<16, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{Transactional: true, WALBlocks: 4096})
+		v, err := Create(mem, Options{WALBlocks: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -741,7 +741,7 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 // phase, and each field of the report must say so.
 func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true, CachePages: 64, WALBlocks: 4096})
+	v, err := Create(mem, Options{CachePages: 64, WALBlocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +808,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 // fits again, recovery is back on the slot.
 func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{Transactional: true, SnapshotBlocks: 2}) // one-block slots: ~500 chunks
+	v, err := Create(mem, Options{SnapshotBlocks: 2}) // one-block slots: ~500 chunks
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // A volume ties the substrates together on one block device:
 //
 //	superblock (block 0)
-//	write-ahead log region (optional)
+//	write-ahead log region
 //	allocator snapshot region
 //	data region: buddy-managed pages and extents holding
 //	    the OSD object table, per-object extent trees,
@@ -15,20 +15,18 @@
 // Query), and access interfaces that manipulate an object once located
 // (Object read/write/insert/truncate-range, via the OSD layer).
 //
-// Durability: with Transactional set, every mutating operation stages
-// typed redo records — and the logical inverses that undo them — in its
-// own pager.Op as it mutates pages, and commits them through the WAL's
-// group committer (full ARIES: physiological redo, logical undo, steal /
-// no-force). A background checkpointer writes pages home and resets the
-// log when it passes its high-water mark. Allocation is a logged mutation
-// like any other: each checkpoint leaves an allocator snapshot stamped
-// with the log's LSN fence, and crash recovery repeats history from the
-// log tail — pages, allocator and all — then rolls losers back, so Open
-// costs what the tail costs, not what the volume holds (recovery.go,
-// allocsnap.go). Without Transactional, the volume is flushed on Sync and
-// Close only — the paper's "the OSD may be transactional, but this is an
-// implementation decision" made concrete and measurable (experiments E10,
-// E13, E14).
+// Durability: the paper's "the OSD may be transactional, but this is an
+// implementation decision" is decided — every volume is transactional.
+// Each mutating operation runs inside withOp, stages typed redo records —
+// and the logical inverses that undo them — in its own pager.Op as it
+// mutates pages, and commits them through the WAL's group committer (full
+// ARIES: physiological redo, logical undo, steal / no-force). A
+// background checkpointer writes pages home and resets the log when it
+// passes its high-water mark. Allocation is a logged mutation like any
+// other: each checkpoint leaves an allocator snapshot stamped with the
+// log's LSN fence, and crash recovery repeats history from the log tail —
+// pages, allocator and all — then rolls losers back, so Open costs what
+// the tail costs, not what the volume holds (recovery.go, allocsnap.go).
 package core
 
 import (
@@ -75,7 +73,7 @@ type OID = osd.OID
 //	[0:4]    magic
 //	[4:8]    version
 //	[8:12]   block size
-//	[12:16]  flags (bit 0: transactional, bit 1: clean shutdown)
+//	[12:16]  flags (bit 0: log region present — always set, bit 1: clean shutdown)
 //	[16:24]  wal start block   [24:32]  wal blocks
 //	[32:40]  snapshot start    [40:48]  snapshot blocks
 //	[48:56]  data region start [56:64]  data region blocks
@@ -87,15 +85,14 @@ const (
 	sbMagic   = 0x68464144 // "hFAD"
 	sbVersion = 2          // v2: page-checksum sidecar region
 
-	flagTransactional = 1 << 0
-	flagClean         = 1 << 1
+	flagLogged = 1 << 0
+	flagClean  = 1 << 1
 )
 
 // Options configures volume creation.
 type Options struct {
-	// Transactional enables the WAL.
-	Transactional bool
-	// WALBlocks sizes the log region (default 256 blocks).
+	// WALBlocks sizes the log region (default 256 blocks). Open takes the
+	// size the volume was created with.
 	WALBlocks uint64
 	// SnapshotBlocks sizes the allocator snapshot region (default 64,
 	// split into two alternating slots).
@@ -147,7 +144,7 @@ type Volume struct {
 	opts Options
 	pg   *pager.Pager
 	ba   *buddy.Allocator
-	log  *wal.Log // nil when non-transactional
+	log  *wal.Log
 	OSD  *osd.Store
 
 	catalog  *btree.Tree
@@ -243,11 +240,7 @@ func (a pageAlloc) FreePage(no uint64) error   { return a.ba.Free(no, 1) }
 // Create formats dev as a new hFAD volume.
 func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	opts.fill()
-	walBlocks := opts.WALBlocks
-	if !opts.Transactional {
-		walBlocks = 0
-	}
-	snapStart := 1 + walBlocks
+	snapStart := 1 + opts.WALBlocks
 	csumStart := snapStart + opts.SnapshotBlocks
 	if dev.NumBlocks() <= csumStart+16 {
 		return nil, fmt.Errorf("%w: %d blocks, need > %d", ErrTooSmall, dev.NumBlocks(), csumStart+16)
@@ -278,31 +271,29 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	v.sums = newPageSums(dataStart, dataBlocks, dev.BlockSize())
 	v.cdev = &csumDevice{inner: dev, sums: v.sums}
 	v.dev = v.cdev
-	v.pg = pager.New(v.dev, opts.CachePages, !opts.Transactional)
-	if opts.Transactional {
-		v.log = wal.New(dev, 1, walBlocks)
-		// The device may previously have held a volume whose log region
-		// still contains CRC-valid committed records. Scan it (replaying
-		// nothing) to adopt the old generation's txn-id and LSN
-		// high-water marks, then reset the region — otherwise a crash
-		// before this volume's first commit could let recovery replay the
-		// old generation over the fresh format, and old high-id leftovers
-		// past a new tail would slip the monotonic fences.
-		if _, err := v.log.Recover(nil); err != nil {
-			return nil, err
-		}
-		v.pg.SeedLSN(v.log.MaxLSN())
-		if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
-			return nil, err
-		}
-		// Deferred (limbo) frees: a run freed mid-generation must not be
-		// reused before the free is durable; limbo drains at checkpoints.
-		v.ba.SetDeferredFrees(true)
+	v.pg = pager.New(v.dev, opts.CachePages, false)
+	v.log = wal.New(dev, 1, opts.WALBlocks)
+	// The device may previously have held a volume whose log region still
+	// contains CRC-valid committed records. Scan it (replaying nothing) to
+	// adopt the old generation's txn-id and LSN high-water marks, then
+	// reset the region — otherwise a crash before this volume's first
+	// commit could let recovery replay the old generation over the fresh
+	// format, and old high-id leftovers past a new tail would slip the
+	// monotonic fences.
+	if _, err := v.log.Recover(nil); err != nil {
+		return nil, err
 	}
+	v.pg.SeedLSN(v.log.MaxLSN())
+	if err := v.log.Checkpoint(v.pg.CurrentLSN()); err != nil {
+		return nil, err
+	}
+	// Deferred (limbo) frees: a run freed mid-generation must not be
+	// reused before the free is durable; limbo drains at checkpoints.
+	v.ba.SetDeferredFrees(true)
 
 	var err error
 	v.OSD, err = osd.Create(v.pg, v.ba, osd.Options{
-		Begin:        v.beginHook(),
+		Begin:        v.withOp,
 		ExtentConfig: opts.ExtentConfig,
 		Clock:        opts.Clock,
 	})
@@ -348,10 +339,8 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err := v.wipeAllocSlots(); err != nil {
 		return nil, err
 	}
-	if v.log != nil {
-		if v.snapCur, err = v.writeAllocSlot(v.log.Fence()); err != nil {
-			return nil, err
-		}
+	if v.snapCur, err = v.writeAllocSlot(v.log.Fence()); err != nil {
+		return nil, err
 	}
 	if err := v.raw.Sync(); err != nil {
 		return nil, err
@@ -367,9 +356,7 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 // boundary — after formatting or recovery — so no page is dirtied before
 // its base can be captured.
 func (v *Volume) enableBaseImages() {
-	if v.log != nil {
-		v.pg.EnableBaseImages(sysAppender{v})
-	}
+	v.pg.EnableBaseImages(sysAppender{v})
 }
 
 // enableSteal turns on steal eviction and undo capture: an uncommitted
@@ -379,10 +366,8 @@ func (v *Volume) enableBaseImages() {
 // back. Called at the same clean generation boundaries as
 // enableBaseImages.
 func (v *Volume) enableSteal() {
-	if v.log != nil {
-		v.pg.EnableSteal(v.log)
-		v.pg.EnableUndo()
-	}
+	v.pg.EnableSteal(v.log)
+	v.pg.EnableUndo()
 }
 
 // createIndexes builds the standard Table 1 index stores plus the image
@@ -462,20 +447,13 @@ func (v *Volume) writeSuperblock(clean bool) error {
 	binary.LittleEndian.PutUint32(b[0:], sbMagic)
 	binary.LittleEndian.PutUint32(b[4:], sbVersion)
 	binary.LittleEndian.PutUint32(b[8:], uint32(v.dev.BlockSize()))
-	var flags uint32
-	if v.opts.Transactional {
-		flags |= flagTransactional
-	}
+	flags := uint32(flagLogged)
 	if clean {
 		flags |= flagClean
 	}
 	binary.LittleEndian.PutUint32(b[12:], flags)
-	walBlocks := uint64(0)
-	if v.opts.Transactional {
-		walBlocks = v.opts.WALBlocks
-	}
 	binary.LittleEndian.PutUint64(b[16:], 1)
-	binary.LittleEndian.PutUint64(b[24:], walBlocks)
+	binary.LittleEndian.PutUint64(b[24:], v.opts.WALBlocks)
 	binary.LittleEndian.PutUint64(b[32:], v.snapStart)
 	binary.LittleEndian.PutUint64(b[40:], v.snapBlocks)
 	binary.LittleEndian.PutUint64(b[48:], v.dataStart)
@@ -489,7 +467,6 @@ func (v *Volume) writeSuperblock(clean bool) error {
 }
 
 type superblock struct {
-	transactional         bool
 	clean                 bool
 	walStart, walBlocks   uint64
 	snapStart, snapBlocks uint64
@@ -517,8 +494,10 @@ func readSuperblock(dev blockdev.Device) (*superblock, error) {
 		return nil, fmt.Errorf("%w: block size %d, device has %d", ErrBadSuperblock, got, dev.BlockSize())
 	}
 	flags := binary.LittleEndian.Uint32(b[12:])
+	if flags&flagLogged == 0 {
+		return nil, fmt.Errorf("%w: volume has no log region", ErrBadSuperblock)
+	}
 	return &superblock{
-		transactional: flags&flagTransactional != 0,
 		clean:         flags&flagClean != 0,
 		walStart:      binary.LittleEndian.Uint64(b[16:]),
 		walBlocks:     binary.LittleEndian.Uint64(b[24:]),
@@ -533,8 +512,8 @@ func readSuperblock(dev blockdev.Device) (*superblock, error) {
 	}, nil
 }
 
-// Open loads an existing volume and recovers it. A transactional volume
-// has one recovery sequence, whatever state it was left in:
+// Open loads an existing volume and recovers it. A volume has one
+// recovery sequence, whatever state it was left in:
 //
 //  1. load the checksum sidecar;
 //  2. scan the log and repeat history — committed transactions, system
@@ -549,11 +528,10 @@ func readSuperblock(dev blockdev.Device) (*superblock, error) {
 // Steps 2, 3, 5 and 6 cost what the tail costs; after a clean shutdown
 // the tail is empty and 4 is skipped. The reachability walk — what fsck
 // checks the allocator against — replaces step 3 only when the device
-// holds nothing to restore from (restoreAllocator lists when), and always
-// serves a non-transactional volume that was not closed. It runs after
-// step 4 (it reads the structures), recounts every extent tree, and when
-// there are losers runs again after step 5, having wiped both snapshot
-// slots before it.
+// holds nothing to restore from (restoreAllocator lists when). It runs
+// after step 4 (it reads the structures), recounts every extent tree, and
+// when there are losers runs again after step 5, having wiped both
+// snapshot slots before it.
 func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	t0 := time.Now()
 	opts.fill()
@@ -561,7 +539,7 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.Transactional = sb.transactional
+	opts.WALBlocks = sb.walBlocks
 
 	v := &Volume{
 		raw: dev, opts: opts,
@@ -577,24 +555,16 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	rep := &v.recovery
 	rep.Clean = sb.clean
 	v.sums = newPageSums(sb.dataStart, sb.dataBlocks, dev.BlockSize())
-	if sb.transactional || sb.clean {
-		// The durable sidecar matches the last durable checkpoint; any
-		// later home write is covered by WAL records whose replay below
-		// rewrites the page (recomputing its sum) through v.dev.
-		if err := timed(&rep.SidecarLoad, v.loadPageSums); err != nil {
-			return nil, err
-		}
-		rep.SidecarLoad.Count = int64(sb.csumBlocks)
-	} else {
-		// Unclean non-transactional shutdown: no log vouches for the
-		// sidecar, so restart detection from the surviving bytes.
-		if err := v.recomputePageSums(); err != nil {
-			return nil, err
-		}
+	// The durable sidecar matches the last durable checkpoint; any later
+	// home write is covered by WAL records whose replay below rewrites the
+	// page (recomputing its sum) through v.dev.
+	if err := timed(&rep.SidecarLoad, v.loadPageSums); err != nil {
+		return nil, err
 	}
+	rep.SidecarLoad.Count = int64(sb.csumBlocks)
 	v.cdev = &csumDevice{inner: dev, sums: v.sums}
 	v.dev = v.cdev
-	v.pg = pager.New(v.dev, opts.CachePages, !sb.transactional)
+	v.pg = pager.New(v.dev, opts.CachePages, false)
 
 	// Recover the WAL first so all metadata pages are current: redo
 	// records replay in LSN (mutation) order against an in-memory
@@ -603,28 +573,23 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	// base images of pages the recounts heal, the losers' compensations —
 	// joins the same generation, and the checkpoint that ends Open resets
 	// it, so a crash anywhere in between replays from the same bytes.
-	var tail replayed
-	var losers []wal.LoserChain
-	if sb.transactional {
-		v.log = wal.New(dev, sb.walStart, sb.walBlocks)
-		if tail, err = v.replayLog(); err != nil {
-			return nil, err
-		}
-		v.pg.SeedLSN(v.log.MaxLSN())
-		losers = v.log.Losers()
-		v.enableBaseImages()
-		v.enableSteal()
+	v.log = wal.New(dev, sb.walStart, sb.walBlocks)
+	tail, err := v.replayLog()
+	if err != nil {
+		return nil, err
 	}
+	v.pg.SeedLSN(v.log.MaxLSN())
+	losers := v.log.Losers()
+	v.enableBaseImages()
+	v.enableSteal()
 
 	if err := timed(&rep.Allocator, func() error { return v.restoreAllocator(sb, tail.allocs, losers) }); err != nil {
 		return nil, err
 	}
-	if sb.transactional {
-		v.ba.SetDeferredFrees(true)
-	}
+	v.ba.SetDeferredFrees(true)
 
 	v.OSD, err = osd.Open(v.pg, v.ba, sb.osdHeader, osd.Options{
-		Begin:        v.beginHook(),
+		Begin:        v.withOp,
 		ExtentConfig: opts.ExtentConfig,
 		Clock:        opts.Clock,
 	})
@@ -706,12 +671,10 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 			}
 		}
 	}
-	if sb.transactional {
-		if err := timed(&rep.Checkpoint, v.checkpointNow); err != nil {
-			return nil, err
-		}
-		rep.Checkpoint.Count = 1
+	if err := timed(&rep.Checkpoint, v.checkpointNow); err != nil {
+		return nil, err
 	}
+	rep.Checkpoint.Count = 1
 	// Mark the volume dirty while open.
 	if err := v.writeSuperblock(false); err != nil {
 		return nil, err
@@ -726,7 +689,6 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 // must fill it in once the structures are open. The reasons are all read
 // off the device:
 //
-//   - a non-transactional volume that was not closed has no log;
 //   - no snapshot slot carries the fence of the log on the device: both
 //     torn, or wiped — by a checkpoint whose snapshot outgrew the slot, by
 //     a walking recovery that did not finish — or written by nobody yet;
@@ -740,14 +702,8 @@ func (v *Volume) restoreAllocator(sb *superblock, tail []allocRec, losers []wal.
 		v.ba = buddy.New(sb.dataStart, sb.dataBlocks)
 		return nil
 	}
-	if !sb.transactional && !sb.clean {
-		return walk("non-transactional volume not closed")
-	}
-	fence := uint64(0)
-	if v.log != nil {
-		fence = v.log.Fence()
-	}
-	payload, lsn, err := v.loadAllocSlots(func(s allocSlot) bool { return !sb.transactional || s.lsn == fence })
+	fence := v.log.Fence()
+	payload, lsn, err := v.loadAllocSlots(func(s allocSlot) bool { return s.lsn == fence })
 	if err != nil {
 		return err
 	}
@@ -862,96 +818,87 @@ func (a sysAppender) Wedge() {
 	}
 }
 
-// beginHook returns the OSD's operation bracket (Options.Begin).
-func (v *Volume) beginHook() func() (*pager.Op, func(error) error, error) {
-	return func() (*pager.Op, func(error) error, error) { return v.beginOp() }
-}
-
 // fulltextConfig is the user's fulltext tuning plus the volume's
 // operation bracket, so the lazy indexer's background page writes commit
 // (and respect the checkpoint fence) like any foreground operation.
 func (v *Volume) fulltextConfig() fulltext.Config {
 	cfg := v.opts.FulltextConfig
-	cfg.Bracket = v.beginHook()
+	cfg.Bracket = v.withOp
 	return cfg
 }
 
-// beginOp opens the transactional bracket for one mutating operation:
-// it opens a physiological redo capture (threaded by the caller through
-// every page mutation) and returns it with the commit half, which stages
-// the captured records as one transaction in the WAL's group committer.
-// Non-transactional volumes get a nil capture and a passthrough.
+// withOp runs fn as one mutating operation. fn receives the operation's
+// physiological redo capture and threads it through every page mutation;
+// its result decides the operation's fate. Nil commits the captured
+// records as one transaction through the WAL's group committer; an error
+// rolls the operation back through its captured inverses and is
+// returned. The commit is withOp's own epilogue, so no path through fn
+// can leave the bracket — and the checkpoint fence it holds — open.
 //
 // Brackets must not nest (see ckptMu); compound operations call the
-// Deferred variants of sub-operations under a single bracket.
+// Deferred variants of sub-operations inside a single fn.
 //
-// A degraded volume fails the bracket before any page is touched —
-// mutations must not half-apply against a log that cannot commit them.
-func (v *Volume) beginOp() (*pager.Op, func(error) error, error) {
-	if v.log == nil {
-		return nil, func(err error) error { return err }, nil
-	}
+// A degraded volume refuses the bracket before fn runs — mutations must
+// not half-apply against a log that cannot commit them.
+func (v *Volume) withOp(fn func(*pager.Op) error) error {
 	if v.degraded.Load() {
-		return nil, nil, ErrReadOnly
+		return ErrReadOnly
 	}
 	v.ckptMu.RLock()
 	op := v.pg.NewOp(sysAppender{v})
-	return op, func(opErr error) error {
-		if opErr != nil {
-			// Roll the failed operation back: its captured inverses run
-			// newest-first as CLRs and commit together with the original
-			// records — a net no-op under replay. (If an inverse fails,
-			// abortOp degrades to committing the partial state.)
-			cerr := v.abortOp(op)
-			v.ckptMu.RUnlock()
-			if errors.Is(cerr, wal.ErrFull) {
-				_ = v.checkpointNow()
-			}
-			return opErr
-		}
-		err := v.commitOp(op)
-		if err == nil {
-			// Deferred structural rebalancing (see btree.DeleteOp): runs
-			// only after this operation's deletes are durable, as its own
-			// system transactions, still inside the checkpoint fence.
-			// Staged records are appended even when fn fails part-way —
-			// they describe mutations already applied in cache, and
-			// dropping them would leave later commits building on an
-			// unlogged structure change.
-			for _, fn := range op.Deferred() {
-				sys := v.pg.NewOp(sysAppender{v})
-				rerr := fn(sys)
-				aerr := sys.AppendSys()
-				if err == nil && rerr != nil {
-					err = rerr
-				}
-				if err == nil && aerr != nil {
-					err = aerr
-				}
-			}
-		}
+	if opErr := fn(op); opErr != nil {
+		// Roll the failed operation back: its captured inverses run
+		// newest-first as CLRs and commit together with the original
+		// records — a net no-op under replay. (If an inverse fails,
+		// abortOp degrades to committing the partial state.)
+		cerr := v.abortOp(op)
 		v.ckptMu.RUnlock()
-		if errors.Is(err, wal.ErrFull) {
-			// This transaction alone cannot fit the remaining log region
-			// (or the log wedged behind an unlogged structure
-			// modification). Fall back to a full checkpoint — after
-			// releasing the shared fence: checkpointNow quiesces all
-			// operations first, so it never flushes a neighbour's
-			// mid-operation pages home nor resets the log while a
-			// concurrent group commit is being acknowledged. Afterwards
-			// this operation's pages are durably home and the commit is
-			// moot. This is the log-capacity escape; the cache-capacity
-			// fallback it used to share a path with is gone — steal
-			// bounds a transaction by the log, not the cache.
-			v.ckptFallbacks.Add(1)
-			return v.checkpointNow()
+		if errors.Is(cerr, wal.ErrFull) {
+			_ = v.checkpointNow()
 		}
-		return err
-	}, nil
+		return opErr
+	}
+	err := v.commitOp(op)
+	if err == nil {
+		// Deferred structural rebalancing (see btree.DeleteOp): runs only
+		// after this operation's deletes are durable, as its own system
+		// transactions, still inside the checkpoint fence. Staged records
+		// are appended even when a rebalance fails part-way — they
+		// describe mutations already applied in cache, and dropping them
+		// would leave later commits building on an unlogged structure
+		// change.
+		for _, rebalance := range op.Deferred() {
+			sys := v.pg.NewOp(sysAppender{v})
+			rerr := rebalance(sys)
+			aerr := sys.AppendSys()
+			if err == nil && rerr != nil {
+				err = rerr
+			}
+			if err == nil && aerr != nil {
+				err = aerr
+			}
+		}
+	}
+	v.ckptMu.RUnlock()
+	if errors.Is(err, wal.ErrFull) {
+		// This transaction alone cannot fit the remaining log region (or
+		// the log wedged behind an unlogged structure modification). Fall
+		// back to a full checkpoint — after releasing the shared fence:
+		// checkpointNow quiesces all operations first, so it never
+		// flushes a neighbour's mid-operation pages home nor resets the
+		// log while a concurrent group commit is being acknowledged.
+		// Afterwards this operation's pages are durably home and the
+		// commit is moot. This is the log-capacity escape; the
+		// cache-capacity fallback it used to share a path with is gone —
+		// steal bounds a transaction by the log, not the cache.
+		v.ckptFallbacks.Add(1)
+		return v.checkpointNow()
+	}
+	return err
 }
 
 // CheckpointFallbacks reports how many commits fell back to a full
-// checkpoint on wal.ErrFull (see beginOp). E18 asserts this stays zero
+// checkpoint on wal.ErrFull (see withOp). E18 asserts this stays zero
 // for dirty sets larger than the cache.
 func (v *Volume) CheckpointFallbacks() int64 { return v.ckptFallbacks.Load() }
 
@@ -1017,12 +964,8 @@ func (v *Volume) maybeTriggerCheckpoint() {
 	}
 }
 
-// startCheckpointer launches the background checkpoint goroutine
-// (transactional volumes only).
+// startCheckpointer launches the background checkpoint goroutine.
 func (v *Volume) startCheckpointer() {
-	if v.log == nil {
-		return
-	}
 	v.ckptCh = make(chan struct{}, 1)
 	v.ckptQuit = make(chan struct{})
 	v.ckptDone = make(chan struct{})
@@ -1069,9 +1012,6 @@ func (v *Volume) startCheckpointer() {
 // it to drain. Safe to call more than once; ckptCh stays valid so late
 // commit pokes remain harmless.
 func (v *Volume) stopCheckpointer() {
-	if v.ckptQuit == nil {
-		return
-	}
 	v.ckptStopOnce.Do(func() {
 		close(v.ckptQuit)
 		<-v.ckptDone
@@ -1162,15 +1102,12 @@ type Health struct {
 
 // Health reports the volume's degraded/wedged state and fault counters.
 func (v *Volume) Health() Health {
-	h := Health{
+	return Health{
 		Degraded:           v.degraded.Load(),
+		WALWedged:          v.log.Wedged(),
 		CheckpointFailures: v.ckptFailures.Load(),
 		CorruptReads:       v.cdev.corrupt.Load(),
 	}
-	if v.log != nil {
-		h.WALWedged = v.log.Wedged()
-	}
-	return h
 }
 
 // Degraded reports whether the volume is in read-only degraded mode.
@@ -1186,7 +1123,7 @@ func (v *Volume) Allocator() *buddy.Allocator { return v.ba }
 // Pager exposes the buffer cache (experiments, fsck).
 func (v *Volume) Pager() *pager.Pager { return v.pg }
 
-// WAL returns the log, or nil when non-transactional.
+// WAL returns the volume's write-ahead log.
 func (v *Volume) WAL() *wal.Log { return v.log }
 
 // Registry exposes the index-store registry (plug-in extension point).
@@ -1198,27 +1135,15 @@ func (v *Volume) Fulltext() *index.Fulltext { return v.ft }
 // Images returns the image plug-in index.
 func (v *Volume) Images() *index.ImageIndex { return v.img }
 
-// Sync flushes all state to the device without closing. On a
-// transactional volume this is a checkpoint: it quiesces mutating
-// operations, writes every cached dirty page home, syncs the device, and
-// resets the log (committed state was already durable via the WAL; after
-// Sync it is durable in place).
-func (v *Volume) Sync() error {
-	if v.log != nil {
-		return v.checkpointNow()
-	}
-	if err := v.pg.FlushDirty(); err != nil {
-		return err
-	}
-	if err := v.flushPageSums(); err != nil {
-		return err
-	}
-	return v.dev.Sync()
-}
+// Sync flushes all state to the device without closing. It is a
+// checkpoint: it quiesces mutating operations, writes every cached dirty
+// page home, syncs the device, and resets the log (committed state was
+// already durable via the WAL; after Sync it is durable in place).
+func (v *Volume) Sync() error { return v.checkpointNow() }
 
-// Close cleanly shuts the volume down: checkpoint (or flush), make sure an
-// allocator snapshot slot describes the result, mark clean. The volume
-// must not be used afterwards.
+// Close cleanly shuts the volume down: checkpoint — which leaves an
+// allocator snapshot slot describing the result — then mark clean. The
+// volume must not be used afterwards.
 func (v *Volume) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -1231,16 +1156,6 @@ func (v *Volume) Close() error {
 	}
 	if err := v.Sync(); err != nil {
 		return err
-	}
-	if v.log == nil {
-		// A volume with no log has no checkpoints, so nothing wrote a
-		// snapshot slot (allocsnap.go). With everything durably home, one
-		// is exact — and the clean flag below is what lets the next Open
-		// trust it.
-		var err error
-		if v.snapCur, err = v.writeAllocSlot(0); err != nil {
-			return err
-		}
 	}
 	if err := v.writeSuperblock(true); err != nil {
 		return err

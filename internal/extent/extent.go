@@ -140,8 +140,8 @@ type Tree struct {
 	// each public entry point under mu (which serializes all mutators).
 	// Mutators stage typed extent records (redo.KindExtentOp) and header
 	// range records into it; splits and merges ride system transactions
-	// derived from it (curOp.NewSys). Nil = unlogged (a non-transactional
-	// volume).
+	// derived from it (curOp.NewSys). Nil = unlogged (formatting, or a
+	// tree used outside a volume).
 	curOp *pager.Op
 	// rebalOp/rebalOff dedup deferred rebalances: a multi-cell delete
 	// registers ONE post-commit RebalanceAt per operation, retargeted

@@ -35,14 +35,16 @@ type Config struct {
 	FlushDocs int
 	// MaxSegments triggers automatic compaction when exceeded. Default 8.
 	MaxSegments int
-	// Bracket, when non-nil, wraps each background (lazy) indexing job in
-	// the volume's transactional operation bracket, so the worker's page
+	// Bracket wraps each background (lazy) indexing job, and Close's
+	// final flush, in the volume's operation bracket, so their page
 	// writes are captured and committed like any foreground operation —
-	// and the volume's checkpoint fence quiesces the worker too. It
-	// returns the bracket's redo capture and its commit half. The
-	// synchronous API does not use it: those calls already run inside
-	// their caller's bracket and receive its capture as a parameter.
-	Bracket func() (*pager.Op, func(error) error, error)
+	// and the volume's checkpoint fence quiesces the worker too. It calls
+	// fn with the bracket's redo capture and commits or rolls back by
+	// fn's result (the shape of osd.Options.Begin); it may refuse to call
+	// fn when the volume is read-only. The synchronous API does not use
+	// it: those calls already run inside their caller's bracket and
+	// receive its capture as a parameter. Nil runs fn unlogged.
+	Bracket func(fn func(*pager.Op) error) error
 }
 
 func (c *Config) fill() {
@@ -561,17 +563,10 @@ func (x *Index) StartLazy(queueDepth int) {
 	go func() {
 		defer x.workerWG.Done()
 		for job := range x.lazyCh {
-			// Indexing failures are recorded by dropping the doc; the
+			// Indexing failures — a refused bracket (degraded volume)
+			// included — are recorded by dropping the doc; the
 			// synchronous API is available when callers need errors.
-			if x.cfg.Bracket != nil {
-				// A refused bracket (degraded volume) drops the doc, same
-				// as any other lazy indexing failure.
-				if op, done, err := x.cfg.Bracket(); err == nil {
-					_ = done(x.Add(op, job.docID, job.text))
-				}
-			} else {
-				_ = x.Add(nil, job.docID, job.text)
-			}
+			_ = x.bracket(func(op *pager.Op) error { return x.Add(op, job.docID, job.text) })
 			x.lazyWG.Done()
 		}
 	}()
@@ -607,38 +602,48 @@ func (x *Index) StopLazy() {
 	x.workerWG.Wait()
 }
 
+// bracket runs fn inside cfg.Bracket, or unlogged when there is none.
+func (x *Index) bracket(fn func(*pager.Op) error) error {
+	if x.cfg.Bracket == nil {
+		return fn(nil)
+	}
+	return x.cfg.Bracket(fn)
+}
+
 // Close stops background work and flushes buffered postings.
 func (x *Index) Close() error {
 	x.StopLazy()
 	// The final flush allocates a segment like any other, so it runs in
-	// an operation bracket like any other: an unlogged allocation on a
-	// transactional volume would be missing from the log the next open
-	// rebuilds the allocator from.
-	var op *pager.Op
-	done := func(err error) error { return err }
-	flush := true
-	if x.cfg.Bracket != nil {
-		if bop, bdone, err := x.cfg.Bracket(); err == nil {
-			op, done = bop, bdone
-		} else {
-			// The volume refuses mutations (degraded, read-only). Buffered
-			// postings were never durable; they stay unflushed rather than
-			// reach the pages behind the log's back.
-			flush = false
-		}
+	// an operation bracket like any other: an unlogged allocation would be
+	// missing from the log the next open rebuilds the allocator from.
+	ran := false
+	err := x.bracket(func(op *pager.Op) error {
+		ran = true
+		return x.close(op, true)
+	})
+	if !ran {
+		// The volume refuses mutations (degraded, read-only). Buffered
+		// postings were never durable; they stay unflushed rather than
+		// reach the pages behind the log's back.
+		return x.close(nil, false)
 	}
+	return err
+}
+
+// close marks the index closed, flushing buffered postings first when
+// flush is set; a failed flush leaves it open.
+func (x *Index) close(op *pager.Op, flush bool) error {
 	x.mu.Lock()
+	defer x.mu.Unlock()
 	if x.closed {
-		x.mu.Unlock()
-		return done(ErrClosed)
+		return ErrClosed
 	}
 	var err error
 	if flush {
 		err = x.flushLocked(op)
 	}
 	x.closed = err == nil
-	x.mu.Unlock()
-	return done(err)
+	return err
 }
 
 // --- postings codec ---

@@ -60,11 +60,7 @@ func (o *Object) ReadAt(p []byte, off uint64) (int, error) {
 // WriteAt writes p at offset off, growing the object as needed; writes
 // past the end create holes (sparse objects).
 func (o *Object) WriteAt(p []byte, off uint64) error {
-	op, done, err := o.s.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(o.writeAt(op, p, off))
+	return o.s.withOp(func(op *pager.Op) error { return o.writeAt(op, p, off) })
 }
 
 // WriteAtDeferred is WriteAt without the per-operation commit, for
@@ -99,12 +95,10 @@ func (o *Object) finishMutation(op *pager.Op, err error) error {
 
 // Append writes p at the current end of the object.
 func (o *Object) Append(p []byte) error {
-	op, done, err := o.s.beginOp()
-	if err != nil {
+	return o.s.withOp(func(op *pager.Op) error {
+		_, err := o.append(op, p)
 		return err
-	}
-	_, err = o.append(op, p)
-	return done(err)
+	})
 }
 
 // AppendDeferred is Append without the per-operation commit (core.Batch).
@@ -132,11 +126,7 @@ func (o *Object) append(op *pager.Op, p []byte) (uint64, error) {
 // insert call ("arguments identical to the write call, but instead of
 // overwriting bytes ... it inserts those bytes, growing the file").
 func (o *Object) InsertAt(off uint64, p []byte) error {
-	op, done, err := o.s.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(o.insertAt(op, off, p))
+	return o.s.withOp(func(op *pager.Op) error { return o.insertAt(op, off, p) })
 }
 
 // InsertAtDeferred is InsertAt without the per-operation commit.
@@ -158,11 +148,7 @@ func (o *Object) insertAt(op *pager.Op, off uint64, p []byte) error {
 // down — the paper's two-off_t truncate ("an offset and length, indicating
 // exactly which bytes to remove from the file").
 func (o *Object) TruncateRange(off, length uint64) error {
-	op, done, err := o.s.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(o.truncateRange(op, off, length))
+	return o.s.withOp(func(op *pager.Op) error { return o.truncateRange(op, off, length) })
 }
 
 // TruncateRangeDeferred is TruncateRange without the per-operation commit.
@@ -182,14 +168,11 @@ func (o *Object) truncateRange(op *pager.Op, off, length uint64) error {
 
 // Truncate sets the object's size (POSIX-style single-argument form).
 func (o *Object) Truncate(size uint64) error {
-	op, done, err := o.s.beginOp()
-	if err != nil {
-		return err
-	}
-	o.wmu.Lock()
-	err = o.finishMutation(op, o.ext.TruncateOp(op, size))
-	o.wmu.Unlock()
-	return done(err)
+	return o.s.withOp(func(op *pager.Op) error {
+		o.wmu.Lock()
+		defer o.wmu.Unlock()
+		return o.finishMutation(op, o.ext.TruncateOp(op, size))
+	})
 }
 
 // refreshMeta updates size/mtime in the object table (no commit; the

@@ -13,10 +13,11 @@
 // page ("we use a NULL key value in the Btree to store the meta-data
 // associated with an object"), which fsck cross-checks.
 //
-// Transactionality is optional, exactly as the paper frames it: the store
-// accepts a commit hook; when the volume wires it to a WAL, every mutating
-// operation commits its dirty metadata pages. Experiment E10 measures the
-// cost of turning that decision on.
+// The store does not own its commits: every mutating operation runs
+// inside the bracket the volume passes as Options.Begin, which threads
+// the operation's redo capture through the mutation and commits it to the
+// WAL (or rolls it back) when the mutation returns. A store with no Begin
+// hook — a standalone store in tests — mutates unlogged.
 package osd
 
 import (
@@ -113,17 +114,15 @@ var seqKey = []byte{}
 
 // Options configures a Store.
 type Options struct {
-	// Begin, when non-nil, brackets every mutating operation: it is
-	// invoked before the operation's first page mutation, returning the
+	// Begin brackets every mutating operation: it calls fn with the
 	// operation's redo capture (threaded through every page mutation so
-	// each structure layer logs exactly this operation's edits) and the
-	// commit function invoked with the operation's outcome after its
-	// last mutation. A non-nil error refuses the bracket — the volume is
-	// read-only (degraded) — and the operation must fail before touching
-	// any page. The volume wires this to physiological redo capture
-	// and WAL group commit; a non-transactional volume returns a nil
-	// capture. Nil means non-transactional.
-	Begin func() (*pager.Op, func(error) error, error)
+	// each structure layer logs exactly this operation's edits), then
+	// commits the operation if fn returns nil or rolls it back if fn
+	// fails, and returns fn's error or the commit's. It may refuse to
+	// call fn at all — the volume is read-only (degraded) — and return
+	// why. The volume wires this to physiological redo capture and WAL
+	// group commit. Nil runs fn with a nil capture: unlogged.
+	Begin func(fn func(*pager.Op) error) error
 	// ExtentConfig tunes the per-object extent trees.
 	ExtentConfig extent.Config
 	// Clock supplies timestamps; nil uses time.Now. Tests inject fakes.
@@ -232,25 +231,17 @@ func (s *Store) persistSeq(op *pager.Op) error {
 	return s.meta.PutOp(op, seqKey, v[:])
 }
 
-// beginOp opens the transactional bracket for one mutating operation and
-// returns its redo capture plus the function that commits (or, on a
-// non-nil operation error, aborts) it. With no Begin hook all parts are
-// no-ops.
-func (s *Store) beginOp() (*pager.Op, func(error) error, error) {
+// withOp runs fn as one mutating operation inside the Begin bracket and
+// counts it when it commits. With no Begin hook fn runs unlogged.
+func (s *Store) withOp(fn func(*pager.Op) error) error {
 	if s.opts.Begin == nil {
-		return nil, func(err error) error { return err }, nil
+		return fn(nil)
 	}
-	op, done, err := s.opts.Begin()
-	if err != nil {
-		return nil, nil, err
+	err := s.opts.Begin(fn)
+	if err == nil {
+		s.stats.commits.Add(1)
 	}
-	return op, func(opErr error) error {
-		err := done(opErr)
-		if opErr == nil && err == nil {
-			s.stats.commits.Add(1)
-		}
-		return err
-	}, nil
+	return err
 }
 
 func (s *Store) now() int64 { return s.opts.Clock().UnixNano() }
@@ -279,12 +270,12 @@ func (s *Store) Stats() Stats {
 // mode bits and returns an open handle. The whole allocation commits as
 // one transaction.
 func (s *Store) CreateObject(owner string, mode uint32) (*Object, error) {
-	op, done, err := s.beginOp()
+	var obj *Object
+	err := s.withOp(func(op *pager.Op) (err error) {
+		obj, err = s.createObject(op, owner, mode)
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	obj, err := s.createObject(op, owner, mode)
-	if err := done(err); err != nil {
 		return nil, err
 	}
 	return obj, nil
@@ -403,11 +394,7 @@ func (s *Store) SetTimes(oid OID, atime, mtime int64) error {
 }
 
 func (s *Store) updateMeta(oid OID, f func(*Meta)) error {
-	op, done, err := s.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(s.updateMetaNoCommit(op, oid, f))
+	return s.withOp(func(op *pager.Op) error { return s.updateMetaNoCommit(op, oid, f) })
 }
 
 // shadowMetaOff is where the redundant metadata copy lives in the extent
@@ -472,11 +459,7 @@ func (s *Store) RepairSize(oid OID, size uint64) error {
 // DeleteObject destroys the object and releases all its storage. Open
 // handles become invalid.
 func (s *Store) DeleteObject(oid OID) error {
-	op, done, err := s.beginOp()
-	if err != nil {
-		return err
-	}
-	return done(s.deleteObject(op, oid))
+	return s.withOp(func(op *pager.Op) error { return s.deleteObject(op, oid) })
 }
 
 // DeleteObjectDeferred is DeleteObject without the per-operation commit,

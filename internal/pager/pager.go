@@ -563,8 +563,8 @@ type Appender interface {
 // mutate pages, and logical inverses through StageUndo; the volume
 // stages the collected redo records as one WAL transaction at commit (or
 // executes the inverses and commits the compensations at abort). A nil
-// *Op is accepted everywhere and means "unlogged" (a non-transactional
-// volume, or formatting).
+// *Op is accepted everywhere and means "unlogged": formatting, or a
+// structure used outside a volume.
 type Op struct {
 	p   *Pager
 	app Appender
@@ -926,8 +926,8 @@ type BlockAllocator interface {
 // an allocation cannot be made without saying which operation's log
 // records carry it. Recovery then rebuilds the allocator from the last
 // checkpoint's snapshot plus the records of the log tail. A nil op is
-// unlogged: a non-transactional volume, or formatting — neither of which
-// leaves a snapshot a crashed open trusts.
+// unlogged: formatting, or a structure used outside a volume — neither of
+// which leaves a snapshot a crashed open trusts.
 type Space struct{ a BlockAllocator }
 
 // NewSpace wraps a.

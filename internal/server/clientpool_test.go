@@ -18,7 +18,7 @@ import (
 // tests can assert the client's transport actually reuses them.
 func newCountingServer(t *testing.T, opts Options) (*Client, *int64) {
 	t.Helper()
-	st, err := hfad.Create(hfad.NewMemDevice(1<<14), hfad.Options{Transactional: true, WALBlocks: 2048})
+	st, err := hfad.Create(hfad.NewMemDevice(1<<14), hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestMain(m *testing.M) {
 func crashServeMain(img string) {
 	var st *hfad.Store
 	var err error
-	opts := hfad.Options{Transactional: true, WALBlocks: 2048}
+	opts := hfad.Options{WALBlocks: 2048}
 	if _, serr := os.Stat(img); serr == nil {
 		var dev *blockdev.FileDevice
 		if dev, err = blockdev.OpenFile(img, 0); err == nil {
@@ -148,7 +148,7 @@ func TestServerKillNineDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := hfad.Open(dev, hfad.Options{Transactional: true, WALBlocks: 2048})
+	st, err := hfad.Open(dev, hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatalf("reopen after kill -9: %v", err)
 	}

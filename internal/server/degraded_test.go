@@ -22,7 +22,7 @@ import (
 // store back to 200s without a restart.
 func TestServerDegradedMode(t *testing.T) {
 	fd := blockdev.NewFault(hfad.NewMemDevice(1 << 14))
-	st, err := hfad.Create(fd, hfad.Options{Transactional: true, WALBlocks: 2048})
+	st, err := hfad.Create(fd, hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestServerDegradedMode(t *testing.T) {
 // sleeping past the caller's deadline.
 func TestClientBackoffHonorsDeadline(t *testing.T) {
 	fd := blockdev.NewFault(hfad.NewMemDevice(1 << 14))
-	st, err := hfad.Create(fd, hfad.Options{Transactional: true, WALBlocks: 2048})
+	st, err := hfad.Create(fd, hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,8 @@ type Server struct {
 // latencyClasses key the per-class request histograms.
 var latencyClasses = []string{"read", "write", "query", "admin"}
 
-// New wraps an open store in a server. The store must be transactional
-// for write durability guarantees to hold (acks imply a synced commit).
+// New wraps an open store in a server. Acks imply a synced commit: every
+// store is write-ahead logged.
 func New(st *hfad.Store, opts Options) *Server {
 	opts.fill()
 	s := &Server{

@@ -19,7 +19,7 @@ import (
 // httptest server and returns a client for it.
 func newTestServer(t *testing.T, opts Options) (*Server, *Client) {
 	t.Helper()
-	st, err := hfad.Create(hfad.NewMemDevice(1<<14), hfad.Options{Transactional: true, WALBlocks: 2048})
+	st, err := hfad.Create(hfad.NewMemDevice(1<<14), hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestServerAdmissionControl(t *testing.T) {
 // survive Shutdown and the volume reopens fsck-clean.
 func TestServerGracefulShutdown(t *testing.T) {
 	dev := hfad.NewMemDevice(1 << 14)
-	st, err := hfad.Create(dev, hfad.Options{Transactional: true, WALBlocks: 2048})
+	st, err := hfad.Create(dev, hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 
 	// Reopen the same device: fsck must pass and every acked OID exist.
-	st2, err := hfad.Open(dev, hfad.Options{Transactional: true, WALBlocks: 2048})
+	st2, err := hfad.Open(dev, hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

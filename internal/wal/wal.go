@@ -5,8 +5,8 @@
 //
 // The paper leaves transactionality open ("in hFAD, the OSD may be
 // transactional, but this is an implementation decision, not a
-// requirement"); this package makes the decision measurable: the OSD can
-// run with the WAL on or off, and experiment E10 reports the overhead.
+// requirement"); this repository decides it: every volume runs on this
+// log.
 //
 // Protocol (ARIES: steal / no-force, group commit):
 //
