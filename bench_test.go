@@ -1,8 +1,8 @@
 // Package repro's root benchmarks are the measurements that have no
 // runner elsewhere: the streaming query engine against the slice
 // evaluator it replaced (E11), pagination against full materialization
-// (E12), and two DESIGN.md ablations. Every other exhibit — T1, F1,
-// E1–E9 and E13–E18 — is defined once, as an internal/bench runner:
+// (E12), and two DESIGN.md ablations. Every other paper exhibit — T1,
+// F1 and E1–E9 — is defined once, as an internal/bench runner:
 // `go run ./cmd/hfadbench` prints them and internal/bench's
 // TestAllExperimentsSmoke runs them all. The accepted end-to-end
 // benchmark is `go run ./benchmark` (see benchmark/README.md).

@@ -28,7 +28,10 @@ type Batch struct {
 	v    *Volume
 	op   *pager.Op
 	puts map[index.Store][]index.Put
-	revK [][]byte
+	// stores lists puts' keys in the order the batch first named them, so
+	// flush splits and allocates in the same order on every run.
+	stores []index.Store
+	revK   [][]byte
 }
 
 // Batch runs fn, then commits everything it did as one transaction.
@@ -67,11 +70,12 @@ func (v *Volume) Batch(fn func(*Batch) error) error {
 }
 
 // flush applies the buffered index work: one multi-put for the reverse
-// index, then one multi-put per tag store. Reverse first: if the flush
-// dies in the middle, reverse-only leftovers are self-healing
-// (RemoveAllNames walks the reverse index and removing an absent forward
-// pair is idempotent), whereas forward-only leftovers would be
-// unreachable garbage that Find returns forever.
+// index, then one multi-put per tag store, in the order the batch first
+// named the stores. Reverse first: if the flush dies in the middle,
+// reverse-only leftovers are self-healing (RemoveAllNames walks the
+// reverse index and removing an absent forward pair is idempotent),
+// whereas forward-only leftovers would be unreachable garbage that Find
+// returns forever.
 func (b *Batch) flush() error {
 	if len(b.revK) > 0 {
 		vals := make([][]byte, len(b.revK))
@@ -79,12 +83,13 @@ func (b *Batch) flush() error {
 			return err
 		}
 	}
-	for st, puts := range b.puts {
-		if err := index.InsertAll(b.op, st, puts); err != nil {
+	for _, st := range b.stores {
+		if err := index.InsertAll(b.op, st, b.puts[st]); err != nil {
 			return err
 		}
 	}
 	b.puts = nil
+	b.stores = nil
 	b.revK = nil
 	return nil
 }
@@ -134,6 +139,9 @@ func (b *Batch) AddName(oid OID, tag string, value []byte) error {
 	if _, ok := st.(index.BatchInserter); ok {
 		// Copy: the caller may reuse the value buffer before flush.
 		c := append([]byte(nil), value...)
+		if _, named := b.puts[st]; !named {
+			b.stores = append(b.stores, st)
+		}
 		b.puts[st] = append(b.puts[st], index.Put{Value: c, OID: oid})
 		b.revK = append(b.revK, rk)
 		return nil

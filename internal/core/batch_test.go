@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/osd"
 )
@@ -517,5 +519,124 @@ func TestLazyIndexingSurvivesCrash(t *testing.T) {
 	ids, err := v2.Resolve(TagValue{index.TagFulltext, []byte("unusualword")})
 	if err != nil || len(ids) != 1 || ids[0] != oid {
 		t.Fatalf("lazy-indexed posting lost after crash: %v, %v", ids, err)
+	}
+}
+
+// TestBatchBeyondCacheSteals: one Batch whose dirty set is four times the
+// cache commits through steal alone. The pager chunk-flushes the
+// transaction's records and evicts uncommitted pages behind them
+// (WAL-before-data), no commit falls back to a checkpoint, and the stolen
+// pages read back intact.
+func TestBatchBeyondCacheSteals(t *testing.T) {
+	const cachePages, objects = 128, 512
+	v, _ := newVolume(t, Options{CachePages: cachePages, WALBlocks: 4096})
+	defer v.Close()
+	payload := []byte("steal: uncommitted dirty pages evict behind the log")
+	cs0 := v.Pager().Stats()
+	oids := make([]OID, 0, objects)
+	err := v.Batch(func(b *Batch) error {
+		for i := 0; i < objects; i++ {
+			obj, err := b.CreateObject("u")
+			if err != nil {
+				return err
+			}
+			oids = append(oids, obj.OID())
+			err = b.Append(obj, payload)
+			obj.Close()
+			if err != nil {
+				return err
+			}
+			if err := b.Tag(oids[i], index.TagUDef, fmt.Sprintf("lot:%d", i%50)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := v.Pager().Stats()
+	steals, chunks := cs.Steals-cs0.Steals, cs.ChunkFlushes-cs0.ChunkFlushes
+	t.Logf("%d objects against %d cache pages: %d steals, %d chunk flushes", objects, cachePages, steals, chunks)
+	if n := v.CheckpointFallbacks(); n != 0 {
+		t.Errorf("%d checkpoint fallbacks, want 0: steal should carry the batch", n)
+	}
+	if steals == 0 || chunks == 0 {
+		t.Errorf("steals = %d, chunk flushes = %d: the batch did not exercise eviction", steals, chunks)
+	}
+	buf := make([]byte, len(payload))
+	for _, i := range []int{0, objects / 2, objects - 1} {
+		obj, err := v.OSD.OpenObject(oids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := obj.ReadAt(buf, 0)
+		obj.Close()
+		if n != len(buf) || string(buf) != string(payload) {
+			t.Errorf("object %d read back %q (%v) after steal", oids[i], buf[:n], err)
+		}
+	}
+	rep, err := v.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() {
+		t.Fatalf("check: %v", rep.Problems)
+	}
+}
+
+// TestBatchFlushOrderIsDeterministic: the same single-goroutine batches
+// fed to two fresh volumes must log the same bytes and lay out every index
+// tree on the same pages. The buffered multi-puts of one flush split and
+// allocate in several trees (three tag stores of four shards each), so
+// neither the order the flush applies the stores in nor the order a
+// sharded store applies its shards in may depend on map iteration.
+func TestBatchFlushOrderIsDeterministic(t *testing.T) {
+	epoch := time.Unix(1_700_000_000, 0)
+	build := func() *Volume {
+		// A log large enough that no checkpoint runs.
+		v, _ := newVolume(t, Options{WALBlocks: 8192, Clock: func() time.Time { return epoch }})
+		for batch := 0; batch < 16; batch++ {
+			err := v.Batch(func(b *Batch) error {
+				for i := 0; i < 200; i++ {
+					obj, err := b.CreateObject("det")
+					if err != nil {
+						return err
+					}
+					oid := obj.OID()
+					obj.Close()
+					for _, tag := range []string{index.TagUser, index.TagUDef, index.TagApp} {
+						if err := b.Tag(oid, tag, fmt.Sprintf("%s:%d:%d", tag, batch, i)); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v
+	}
+	a, b := build(), build()
+	defer a.Close()
+	defer b.Close()
+	if la, lb := a.WAL().Stats().BytesLogged, b.WAL().Stats().BytesLogged; la != lb {
+		t.Errorf("BytesLogged %d vs %d", la, lb)
+	}
+	pages := func(tr *btree.Tree) []uint64 {
+		res, err := tr.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.AllPages
+	}
+	trees := func(v *Volume) []*btree.Tree { return append([]*btree.Tree{v.reverse}, v.kvTrees...) }
+	ta, tb := trees(a), trees(b)
+	for i := range ta {
+		if pa, pb := pages(ta[i]), pages(tb[i]); !slices.Equal(pa, pb) {
+			t.Errorf("index tree %d: pages %v vs %v", i, pa, pb)
+		}
 	}
 }

@@ -235,17 +235,14 @@ func (v *Volume) checkNaming(report *CheckReport) {
 			report.addf("reverse entry (%d, %s): %v", oid, tv.Tag, err)
 			return true
 		}
-		ids, err := st.Lookup(tv.Value)
+		found, err := posted(st, tv.Value, oid)
 		if err != nil {
 			report.addf("reverse entry (%d, %s): lookup: %v", oid, tv.Tag, err)
 			return true
 		}
-		for _, id := range ids {
-			if id == oid {
-				return true
-			}
+		if !found {
+			report.addf("reverse entry (%d, %s=%q): no forward entry", oid, tv.Tag, tv.Value)
 		}
-		report.addf("reverse entry (%d, %s=%q): no forward entry", oid, tv.Tag, tv.Value)
 		return true
 	})
 	// Forward → reverse, for the KV trees.
@@ -271,6 +268,18 @@ func (v *Volume) checkNaming(report *CheckReport) {
 			return true
 		})
 	}
+}
+
+// posted reports whether oid is in value's posting list in st. It seeks
+// rather than scans, so checking every entry of an n-OID list costs n
+// seeks, not n².
+func posted(st index.Store, value []byte, oid OID) (bool, error) {
+	it, err := index.IterFor(st, value)
+	if err != nil {
+		return false, err
+	}
+	got, ok, err := it.Seek(oid)
+	return ok && got == oid, err
 }
 
 // VerifyAllocator holds the allocator to its definition, exactly: the

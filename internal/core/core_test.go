@@ -14,6 +14,7 @@ import (
 	"repro/internal/extent"
 	"repro/internal/index"
 	"repro/internal/osd"
+	"repro/internal/pager"
 )
 
 func newVolume(t *testing.T, opts Options) (*Volume, *blockdev.MemDevice) {
@@ -634,6 +635,65 @@ func TestObjectDataIntact(t *testing.T) {
 	want := append(append(append([]byte{}, content[:1000]...), []byte("INSERTED")...), content[1000:]...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("data mismatch after reopen")
+	}
+}
+
+// TestCheckNamesNamingMismatches plants one naming defect in each
+// direction inside a 1 000-OID posting list: a reverse entry whose
+// forward entry is gone, and a forward entry whose reverse entry is gone.
+// Check must name each one, and nothing else.
+func TestCheckNamesNamingMismatches(t *testing.T) {
+	v, _ := newVolume(t, Options{IndexShards: 1})
+	defer v.Close()
+	const n = 1000
+	oids := make([]OID, 0, n)
+	err := v.Batch(func(b *Batch) error {
+		for i := 0; i < n; i++ {
+			obj, err := b.CreateObject("all")
+			if err != nil {
+				return err
+			}
+			oids = append(oids, obj.OID())
+			obj.Close()
+			if err := b.Tag(obj.OID(), index.TagUDef, "all"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := v.Check(); err != nil || !rep.Ok() {
+		t.Fatalf("check before planting: %v %v", rep, err)
+	}
+
+	value := []byte("all")
+	noForward, noReverse := oids[n/3], oids[2*n/3]
+	st, err := v.registry.Get(index.TagUDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = v.withOp(func(op *pager.Op) error {
+		if err := st.Remove(op, value, noForward); err != nil {
+			return err
+		}
+		return v.reverse.DeleteOp(op, revKey(noReverse, index.TagUDef, reverseValue(index.TagUDef, value)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := v.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("reverse entry (%d, %s=%q): no forward entry", noForward, index.TagUDef, value),
+		fmt.Sprintf("forward entry (oid %d, value %q): no reverse entry", noReverse, value),
+	}
+	if !reflect.DeepEqual(rep.Problems, want) {
+		t.Fatalf("problems = %q, want %q", rep.Problems, want)
 	}
 }
 

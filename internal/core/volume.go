@@ -197,8 +197,9 @@ type Volume struct {
 	abortMu sync.Mutex
 	// ckptFallbacks counts commits that fell back to a full checkpoint on
 	// wal.ErrFull — the log-capacity escape hatch that remains after the
-	// cache-capacity (no-steal) fallback was retired. E18 asserts it stays
-	// zero for bigger-than-cache batches.
+	// cache-capacity (no-steal) fallback was retired.
+	// TestBatchBeyondCacheSteals asserts it stays zero for bigger-than-cache
+	// batches.
 	ckptFallbacks atomic.Int64
 
 	// degraded latches when a checkpoint fails and clears when one
@@ -898,8 +899,8 @@ func (v *Volume) withOp(fn func(*pager.Op) error) error {
 }
 
 // CheckpointFallbacks reports how many commits fell back to a full
-// checkpoint on wal.ErrFull (see withOp). E18 asserts this stays zero
-// for dirty sets larger than the cache.
+// checkpoint on wal.ErrFull (see withOp). TestBatchBeyondCacheSteals
+// asserts this stays zero for dirty sets larger than the cache.
 func (v *Volume) CheckpointFallbacks() int64 { return v.ckptFallbacks.Load() }
 
 // commitOp makes one operation's redo records durable through the group

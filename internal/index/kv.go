@@ -276,10 +276,12 @@ func (s *Sharded) Tag() string { return s.tag }
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-func (s *Sharded) pick(value []byte) Store {
+func (s *Sharded) pick(value []byte) Store { return s.shards[s.shardOf(value)] }
+
+func (s *Sharded) shardOf(value []byte) int {
 	h := fnv.New32a()
 	h.Write(value)
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
+	return int(h.Sum32() % uint32(len(s.shards)))
 }
 
 // Insert implements Store.
@@ -293,15 +295,18 @@ func (s *Sharded) Remove(op *pager.Op, value []byte, oid OID) error {
 }
 
 // InsertMany implements BatchInserter: pairs are grouped by shard and each
-// shard receives one batched insert.
+// shard receives one batched insert, in shard order.
 func (s *Sharded) InsertMany(op *pager.Op, puts []Put) error {
-	groups := make(map[Store][]Put)
+	groups := make([][]Put, len(s.shards))
 	for _, p := range puts {
-		st := s.pick(p.Value)
-		groups[st] = append(groups[st], p)
+		i := s.shardOf(p.Value)
+		groups[i] = append(groups[i], p)
 	}
-	for st, group := range groups {
-		if err := InsertAll(op, st, group); err != nil {
+	for i, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
+		if err := InsertAll(op, s.shards[i], group); err != nil {
 			return err
 		}
 	}

@@ -342,15 +342,19 @@ func (s *Store) OpenObject(oid OID) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext, err := extent.Open(s.pg, s.ba, m.ExtentHeader, s.opts.ExtentConfig)
-	if err != nil {
-		return nil, err
-	}
+	// Load the tree and publish its handle under one hold of the lock. A
+	// tree loaded outside it could predate the mutations of a handle
+	// opened, written through and closed in the meantime, and would then
+	// carry a stale size and root.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if obj, ok := s.open[oid]; ok { // lost a race; use the winner
 		obj.refs++
 		return obj, nil
+	}
+	ext, err := extent.Open(s.pg, s.ba, m.ExtentHeader, s.opts.ExtentConfig)
+	if err != nil {
+		return nil, err
 	}
 	obj := &Object{s: s, oid: oid, ext: ext, refs: 1}
 	s.open[oid] = obj

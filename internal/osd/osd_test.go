@@ -438,8 +438,16 @@ func TestConcurrentAppendsResolveDistinctOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const want = writers * perWriter * chunk
-	if got := obj.Size(); got != want {
+	checkAppendsLanded(t, obj, writers, perWriter, chunk)
+}
+
+// checkAppendsLanded verifies that writers each appended perWriter chunks
+// of chunk bytes filled with their 1-based index: no lost update, no torn
+// chunk, and an extent tree that passes its own check.
+func checkAppendsLanded(t *testing.T, obj *Object, writers, perWriter, chunk int) {
+	t.Helper()
+	want := writers * perWriter * chunk
+	if got := obj.Size(); got != uint64(want) {
 		t.Fatalf("size = %d, want %d (lost update)", got, want)
 	}
 	buf := make([]byte, want)
@@ -461,4 +469,94 @@ func TestConcurrentAppendsResolveDistinctOffsets(t *testing.T) {
 			t.Fatalf("writer %d: %d of %d appends survived", w, got, perWriter)
 		}
 	}
+	if _, err := obj.ExtentTree().Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendsThroughShortLivedHandles: concurrent writers that each open
+// a handle, append once and close it — a server's per-request pattern —
+// must all land. When the last handle closes, the next OpenObject loads
+// the tree from its header page; loading it outside the open-table lock
+// let a handle opened, appended through and closed in that window go
+// unseen, so the newly published handle carried a stale size (a lost
+// update) and a stale root (a corrupt extent tree).
+func TestAppendsThroughShortLivedHandles(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	s, _ := newStore(t, Options{})
+	obj, err := s.CreateObject("hot", ModeRegular|0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := obj.OID()
+	obj.Close()
+
+	const writers, readers = 2, 8
+	const perWriter = 16000
+	const chunk = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+readers)
+	// Readers churn handles on another object, as a server's reads do, so
+	// an opener of the hot one often waits for the open-table lock.
+	cold, err := s.CreateObject("cold", ModeRegular|0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldOID := cold.OID()
+	cold.Close()
+	stop := make(chan struct{})
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			buf := make([]byte, chunk)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h, err := s.OpenObject(coldOID)
+				if err != nil {
+					errs <- err
+					return
+				}
+				_, _ = h.ReadAt(buf, 0)
+				h.Close()
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte(w + 1)}, chunk)
+			for i := 0; i < perWriter; i++ {
+				h, err := s.OpenObject(oid)
+				if err == nil {
+					err = h.Append(payload)
+					h.Close()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	rwg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	obj, err = s.OpenObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	checkAppendsLanded(t, obj, writers, perWriter, chunk)
 }

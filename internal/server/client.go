@@ -28,10 +28,10 @@ type Client struct {
 // sharedTransport pools keep-alive connections across every Client in
 // the process. The defaults it overrides matter under fan-in: the
 // standard transport keeps only 2 idle connections per host, so a
-// 16-connection ingest run (E17's shape) churns through TCP handshakes
-// as fast as it retires requests — each one a new ephemeral port and a
-// slow-start window. One transport sized past the bench's connection
-// count keeps every connection hot.
+// 16-connection ingest run churns through TCP handshakes as fast as it
+// retires requests — each one a new ephemeral port and a slow-start
+// window. One transport sized past such a run's connection count keeps
+// every connection hot.
 var sharedTransport = &http.Transport{
 	MaxIdleConns:        256,
 	MaxIdleConnsPerHost: 32,

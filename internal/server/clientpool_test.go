@@ -61,8 +61,8 @@ func TestClientConnectionReuse(t *testing.T) {
 	}
 }
 
-// TestClientConnectionReuseFanIn pins the idle-pool sizing: E17's shape
-// is many clients hammering one server concurrently. The default
+// TestClientConnectionReuseFanIn pins the idle-pool sizing: fan-in is
+// many clients hammering one server concurrently. The default
 // transport keeps only 2 idle connections per host, so every round
 // beyond the first would open fresh connections; the shared transport's
 // per-host pool must hold the whole fan-in set across rounds.

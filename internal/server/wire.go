@@ -13,7 +13,7 @@
 //	           commits (the fan-in the WAL's leader/follower queue was
 //	           built for)
 //	metrics.go /metrics and /debug/stats
-//	client.go  the Go client (hfadctl -addr, bench E17)
+//	client.go  the Go client (hfadctl -addr, the package's tests)
 package server
 
 import (

@@ -188,9 +188,6 @@ func (t *Table) AddRow(cells ...any) {
 // NumRows reports the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Rows returns the rendered cell rows (for machine-readable export).
-func (t *Table) Rows() [][]string { return t.rows }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/redo"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blockdev"
 )
@@ -447,6 +448,73 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		if final[uint64(100+w)] != perWriter-1 {
 			t.Errorf("writer %d final image = %d, want %d", w, final[uint64(100+w)], perWriter-1)
 		}
+	}
+}
+
+// gateDevice parks the first Sync until release is closed, so a test can
+// queue committers behind an in-flight sync without relying on timing.
+type gateDevice struct {
+	blockdev.Device
+	once    sync.Once
+	parked  chan struct{} // closed once the first Sync is parked
+	release chan struct{}
+}
+
+func (d *gateDevice) Sync() error {
+	d.once.Do(func() {
+		close(d.parked)
+		<-d.release
+	})
+	return d.Device.Sync()
+}
+
+// TestGroupCommitRidesInFlightSync pins group commit as a count: while
+// one leader's sync is in flight, every commit that arrives queues, and
+// the next leader drains the whole queue into one append and one sync.
+// Sixteen committers therefore cost two syncs, not sixteen.
+func TestGroupCommitRidesInFlightSync(t *testing.T) {
+	const writers = 16
+	dev := &gateDevice{
+		Device:  blockdev.NewMem(2048+10, bs),
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	l := New(dev, 10, 2048)
+	errs := make(chan error, writers)
+	commit := func(w int) {
+		tx := l.Begin()
+		tx.LogPage(uint64(100+w), page(byte(w)))
+		errs <- tx.Commit()
+	}
+
+	go commit(0)
+	<-dev.parked
+	for w := 1; w < writers; w++ {
+		go commit(w)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		l.gmu.Lock()
+		queued := len(l.gqueue)
+		l.gmu.Unlock()
+		if queued == writers-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d committers queued behind the in-flight sync", queued, writers-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(dev.release)
+	for i := 0; i < writers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := l.Stats()
+	if s.Commits != writers || s.Syncs != 2 || s.Groups != 2 {
+		t.Fatalf("Commits=%d Syncs=%d Groups=%d, want %d, 2, 2", s.Commits, s.Syncs, s.Groups, writers)
 	}
 }
 

@@ -73,7 +73,7 @@ func (r Rng) NewZipf(n uint64) Zipf {
 // Next returns the next rank.
 func (z Zipf) Next() uint64 { return z.z.Uint64() }
 
-// --- mixed-op streams (the serving workload behind experiment E17) ---
+// --- mixed-op streams (the serving workload of the server's hot-object test) ---
 
 // OpKind is one operation class in a mixed serving workload.
 type OpKind uint8

@@ -143,8 +143,9 @@ func TestBytesDeterministic(t *testing.T) {
 }
 
 // TestZipfPinned pins the exact first draws of the Zipf sampler for a
-// fixed seed: the E17 scale-tier run is only reproducible across hosts
-// and PRs if the generator's byte-for-byte output never drifts.
+// fixed seed: a mixed-op run (internal/server's
+// TestHotObjectAppendsAcrossConnections) is only reproducible across
+// hosts and PRs if the generator's byte-for-byte output never drifts.
 func TestZipfPinned(t *testing.T) {
 	z := NewRng(17).NewZipf(100000)
 	want := []uint64{406, 69, 22, 3, 1, 237, 3, 27861, 45551, 1003, 221, 1}
