@@ -263,8 +263,7 @@ func executeRemote(c *server.Client, cmd []string) error {
 		}
 		fmt.Printf("objects=%d creates=%d reads=%d writes=%d\n",
 			m.Objects.Objects, m.Objects.Creates, m.Objects.Reads, m.Objects.Writes)
-		fmt.Printf("server: admitted=%d rejected=%d ingest: %d ops in %d batches (avg %.1f)\n",
-			m.Admitted, m.RejectedInflight+m.RejectedQueue, m.IngestOps, m.IngestBatches, m.AvgCoalesce)
+		fmt.Printf("server: admitted=%d rejected=%d\n", m.Admitted, m.RejectedInflight)
 		if w := m.WAL; w != nil {
 			fmt.Printf("wal: commits=%d groups=%d syncs=%d (avg group %.1f)\n",
 				w.Commits, w.Groups, w.Syncs, w.AvgGroup)

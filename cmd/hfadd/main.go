@@ -1,13 +1,14 @@
 // Command hfadd serves an hFAD volume over HTTP/JSON: the full store
-// surface (create/append/read/stat/tag/find/query/search/batch) with
-// cross-connection write coalescing, admission control, and /metrics.
+// surface (create/append/read/stat/tag/find/query/search/batch), one
+// transaction per write request, admission control, and /metrics.
+// Concurrent writes share device syncs through the WAL's group commit.
 //
 //	hfadd -vol /data/hfad.img -blocks 262144 -addr :8080
 //
 // The volume is a file-backed block device, created and formatted on
 // first use; -mem serves an in-memory volume instead (testing). SIGINT
 // or SIGTERM triggers a graceful shutdown: stop accepting, finish
-// in-flight requests, drain the ingest queue, close the store.
+// in-flight requests, close the store.
 package main
 
 import (
@@ -37,18 +38,15 @@ func main() {
 		walBlks  = flag.Uint64("wal", 4096, "WAL region size in blocks")
 		cache    = flag.Int("cache", 4096, "buffer cache pages")
 		inflight = flag.Int("max-inflight", 256, "max concurrently executing requests (admission bound)")
-		queue    = flag.Int("queue", 1024, "ingest queue depth (write admission bound)")
-		coalesce = flag.Int("coalesce", 128, "max writes coalesced into one transaction")
-		workers  = flag.Int("ingest-workers", 0, "coalescing workers (0 = min(4, GOMAXPROCS))")
 		drainS   = flag.Int("drain-timeout", 30, "graceful shutdown timeout, seconds")
 	)
 	flag.Parse()
-	if err := run(*addr, *vol, *blocks, *mem, *walBlks, *cache, *inflight, *queue, *coalesce, *workers, *drainS); err != nil {
+	if err := run(*addr, *vol, *blocks, *mem, *walBlks, *cache, *inflight, *drainS); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(addr, vol string, blocks uint64, mem bool, walBlks uint64, cache, inflight, queue, coalesce, workers, drainS int) error {
+func run(addr, vol string, blocks uint64, mem bool, walBlks uint64, cache, inflight, drainS int) error {
 	opts := hfad.Options{
 		WALBlocks:  walBlks,
 		CachePages: cache,
@@ -58,12 +56,7 @@ func run(addr, vol string, blocks uint64, mem bool, walBlks uint64, cache, infli
 		return err
 	}
 
-	srv := server.New(st, server.Options{
-		MaxInFlight:    inflight,
-		QueueDepth:     queue,
-		CoalesceWindow: coalesce,
-		IngestWorkers:  workers,
-	})
+	srv := server.New(st, server.Options{MaxInFlight: inflight})
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

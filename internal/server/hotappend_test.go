@@ -33,7 +33,7 @@ type appendAck struct {
 
 // TestHotObjectAppendsAcrossConnections runs a zipfian read/append/query
 // mix from 16 connections over a preloaded population, so the hottest
-// OIDs take appends from several ingest workers inside coalesced batches.
+// OIDs take appends from up to 16 concurrent brackets.
 // Every append payload is unique, which gives each ack an oracle: acks
 // for one OID report distinct sizes, each object's final size is its
 // preload plus its acked bytes, the bytes just below each acked size are
@@ -46,17 +46,15 @@ func TestHotObjectAppendsAcrossConnections(t *testing.T) {
 		mixedOps   = 8000
 		batchItems = objects / conns
 	)
-	// Force real interleaving of the ingest workers even on small runners
-	// (see core's TestConcurrentAppendsSameObjectNoLostUpdate).
+	// Force real interleaving of the 16 concurrent brackets even on small
+	// runners (see core's TestConcurrentAppendsSameObjectNoLostUpdate).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	dev := hfad.NewMemDevice(1 << 14)
 	st, err := hfad.Create(slowSyncDevice{dev}, hfad.Options{WALBlocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// IngestWorkers is pinned so every host runs the same number of
-	// concurrent brackets.
-	srv := New(st, Options{MaxInFlight: 2 * conns, QueueDepth: 4096, CoalesceWindow: 256, IngestWorkers: 4})
+	srv := New(st, Options{MaxInFlight: 2 * conns})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

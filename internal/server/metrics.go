@@ -15,12 +15,14 @@ type Metrics struct {
 	// Admission.
 	Admitted         int64 `json:"admitted"`
 	RejectedInflight int64 `json:"rejected_inflight"`
-	RejectedQueue    int64 `json:"rejected_queue"`
+	// Deprecated: there is no write queue; always 0.
+	RejectedQueue int64 `json:"rejected_queue"`
 
-	// Write-path coalescing.
-	IngestBatches int64   `json:"ingest_batches"`
-	IngestOps     int64   `json:"ingest_ops"`
-	AvgCoalesce   float64 `json:"avg_coalesce"` // ops per batch
+	// Deprecated: each write is its own transaction, so IngestBatches
+	// and IngestOps both count Create, Append, Tag and Batch calls.
+	IngestBatches int64 `json:"ingest_batches"`
+	// Deprecated: equal to IngestBatches.
+	IngestOps int64 `json:"ingest_ops"`
 
 	// Request latency per class, nanoseconds.
 	Latency map[string]LatencySummary `json:"latency_ns"`
@@ -95,16 +97,13 @@ type AllocMetrics struct {
 // Metrics snapshots the server and its store. Safe to call concurrently
 // with any operation — every source is atomic or mutex-guarded.
 func (s *Server) Metrics() Metrics {
+	writes := s.writes.Load()
 	m := Metrics{
 		Admitted:         s.admitted.Load(),
 		RejectedInflight: s.rejectedInflight.Load(),
-		RejectedQueue:    s.in.rejected.Load(),
-		IngestBatches:    s.in.batches.Load(),
-		IngestOps:        s.in.ops.Load(),
+		IngestBatches:    writes,
+		IngestOps:        writes,
 		Latency:          make(map[string]LatencySummary, len(s.latency)),
-	}
-	if m.IngestBatches > 0 {
-		m.AvgCoalesce = float64(m.IngestOps) / float64(m.IngestBatches)
 	}
 	for class, h := range s.latency {
 		hs := h.Snapshot()
@@ -179,10 +178,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	c("hfadd_admitted_total", m.Admitted)
 	c("hfadd_rejected_inflight_total", m.RejectedInflight)
-	c("hfadd_rejected_queue_total", m.RejectedQueue)
 	c("hfadd_ingest_batches_total", m.IngestBatches)
 	c("hfadd_ingest_ops_total", m.IngestOps)
-	g("hfadd_ingest_avg_coalesce", m.AvgCoalesce)
 
 	for _, class := range stats.SortedKeys(latencyCounts(m)) {
 		l := m.Latency[class]

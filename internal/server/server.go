@@ -15,6 +15,7 @@ import (
 
 	"repro/hfad"
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/osd"
 	"repro/internal/stats"
 )
@@ -24,48 +25,35 @@ type Options struct {
 	// MaxInFlight bounds concurrently executing requests (admission
 	// control; default 256). Excess requests get 429 immediately.
 	MaxInFlight int
-	// QueueDepth bounds writes waiting for a coalescing slot (default
-	// 1024). A full queue 429s.
-	QueueDepth int
-	// CoalesceWindow bounds how many queued writes one Store.Batch
-	// absorbs (default 128).
-	CoalesceWindow int
-	// IngestWorkers sizes the coalescing pool (default min(4,
-	// GOMAXPROCS)); each worker builds one batch at a time and the
-	// workers' commits share WAL group-commit syncs.
-	IngestWorkers int
 }
 
-func (o *Options) fill() {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 256
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
-	if o.CoalesceWindow <= 0 {
-		o.CoalesceWindow = 128
-	}
-}
+// Server errors, mapped to HTTP 429/503 by the transport layer.
+var (
+	// ErrBusy means in-flight admission is at capacity; the client
+	// should back off and retry.
+	ErrBusy = errors.New("server: overloaded, retry later")
+	// ErrShutdown means the server is shutting down and accepts no new
+	// work.
+	ErrShutdown = errors.New("server: shutting down")
+)
 
 // Server serves one hFAD store over a transport. The op methods
 // (Create, Append, Read, ...) are transport-agnostic — the HTTP adapter
 // below maps JSON onto them, and a gRPC adapter could map protobufs onto
 // the same methods.
 type Server struct {
-	st   *hfad.Store
-	opts Options
-	in   *ingester
+	st *hfad.Store
 
 	// inflight is the admission semaphore; acquire is non-blocking so an
 	// overloaded server answers 429 instead of queueing goroutines.
 	inflight chan struct{}
 
 	// admitted counts accepted requests; rejectedInflight counts 429s
-	// from the in-flight bound (queue-bound rejections live on the
-	// ingester). latency is per-op-class request time.
+	// from the in-flight bound; writes counts Create, Append, Tag and
+	// Batch transactions. latency is per-op-class request time.
 	admitted         stats.Counter
 	rejectedInflight stats.Counter
+	writes           stats.Counter
 	latency          map[string]*stats.Histogram
 
 	mu      sync.Mutex
@@ -79,17 +67,17 @@ var latencyClasses = []string{"read", "write", "query", "admin"}
 // New wraps an open store in a server. Acks imply a synced commit: every
 // store is write-ahead logged.
 func New(st *hfad.Store, opts Options) *Server {
-	opts.fill()
+	if opts.MaxInFlight <= 0 {
+		opts.MaxInFlight = 256
+	}
 	s := &Server{
 		st:       st,
-		opts:     opts,
 		inflight: make(chan struct{}, opts.MaxInFlight),
 		latency:  make(map[string]*stats.Histogram, len(latencyClasses)),
 	}
 	for _, c := range latencyClasses {
 		s.latency[c] = &stats.Histogram{}
 	}
-	s.in = newIngester(st, opts.QueueDepth, opts.CoalesceWindow, opts.IngestWorkers)
 	return s
 }
 
@@ -109,6 +97,15 @@ func (s *Server) admit() (func(), error) {
 }
 
 // --- transport-agnostic op layer ---
+
+// batch runs one request's writes as its own Store.Batch: an error from
+// fn rolls back everything fn did. Concurrent requests share device
+// syncs through the WAL's group commit, the only cross-connection
+// fan-in.
+func (s *Server) batch(fn func(*hfad.Batch) error) error {
+	s.writes.Inc()
+	return s.st.Batch(fn)
+}
 
 // applyCreate stages one CreateReq inside a batch and fills resp.
 func applyCreate(b *hfad.Batch, req *CreateReq, resp *CreateResp) error {
@@ -142,17 +139,14 @@ func applyCreate(b *hfad.Batch, req *CreateReq, resp *CreateResp) error {
 	return nil
 }
 
-// Create makes one object (with optional content and names) through the
-// coalesced write path.
+// Create makes one object (with optional content and names) in one
+// transaction: if any part fails, nothing of it remains.
 func (s *Server) Create(req *CreateReq) (*CreateResp, error) {
 	if len(req.Data) > MaxDataBytes {
 		return nil, fmt.Errorf("%w: data %d bytes > max %d", ErrBadRequest, len(req.Data), MaxDataBytes)
 	}
 	var resp CreateResp
-	err := s.in.submit(func(b *hfad.Batch) error {
-		return applyCreate(b, req, &resp)
-	})
-	if err != nil {
+	if err := s.batch(func(b *hfad.Batch) error { return applyCreate(b, req, &resp) }); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -175,16 +169,13 @@ func applyAppend(b *hfad.Batch, st *hfad.Store, req *AppendReq, resp *AppendResp
 	return nil
 }
 
-// Append extends an existing object through the coalesced write path.
+// Append extends an existing object in one transaction.
 func (s *Server) Append(req *AppendReq) (*AppendResp, error) {
 	if len(req.Data) > MaxDataBytes {
 		return nil, fmt.Errorf("%w: data %d bytes > max %d", ErrBadRequest, len(req.Data), MaxDataBytes)
 	}
 	var resp AppendResp
-	err := s.in.submit(func(b *hfad.Batch) error {
-		return applyAppend(b, s.st, req, &resp)
-	})
-	if err != nil {
+	if err := s.batch(func(b *hfad.Batch) error { return applyAppend(b, s.st, req, &resp) }); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -225,16 +216,13 @@ func (s *Server) Stat(oid uint64) (*StatResp, error) {
 	}, nil
 }
 
-// Tag adds one name through the coalesced write path.
+// Tag adds one name.
 func (s *Server) Tag(req *TagReq) error {
-	return s.in.submit(func(b *hfad.Batch) error {
-		return b.Tag(hfad.OID(req.OID), req.Tag, req.Value)
-	})
+	s.writes.Inc()
+	return s.st.Tag(hfad.OID(req.OID), req.Tag, req.Value)
 }
 
-// Untag removes one name. Untag has no batch variant (index removal is
-// not coalesced), so it commits as its own bracket — still sharing group
-// commits with concurrent writers at the WAL layer.
+// Untag removes one name.
 func (s *Server) Untag(req *TagReq) error {
 	return s.st.Untag(hfad.OID(req.OID), req.Tag, req.Value)
 }
@@ -325,8 +313,9 @@ func (s *Server) Explain(req *FindReq) (*ExplainResp, error) {
 	return resp, nil
 }
 
-// Batch runs every item as one transaction through the coalesced write
-// path. Item errors are per-item; a commit failure fails all.
+// Batch runs every item as one transaction. Item errors are per-item:
+// a failed item does not abort the others, and whatever it applied
+// before failing commits with them. A commit failure fails all.
 func (s *Server) Batch(req *BatchReq) (*BatchResp, error) {
 	if len(req.Items) == 0 || len(req.Items) > MaxBatchItems {
 		return nil, fmt.Errorf("%w: batch wants 1..%d items, got %d", ErrBadRequest, MaxBatchItems, len(req.Items))
@@ -355,7 +344,7 @@ func (s *Server) Batch(req *BatchReq) (*BatchResp, error) {
 		return nil, fmt.Errorf("%w: batch payload %d bytes > max %d", ErrBadRequest, total, MaxDataBytes)
 	}
 	resp := &BatchResp{Results: make([]BatchItemResult, len(req.Items))}
-	err := s.in.submit(func(b *hfad.Batch) error {
+	err := s.batch(func(b *hfad.Batch) error {
 		for i := range req.Items {
 			it, res := &req.Items[i], &resp.Results[i]
 			var err error
@@ -669,7 +658,8 @@ const (
 )
 
 // writeErr maps op-layer errors onto HTTP statuses: admission pressure
-// is 429 with a backoff hint, drain is 503, lookups 404, malformed 400.
+// is 429 with a backoff hint, shutdown is 503, lookups 404, malformed
+// requests and names the indexes reject 400.
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	retryMS := 0
@@ -687,7 +677,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 		retryMS = shutdownRetryMS
 		w.Header().Set("Retry-After", strconv.Itoa(shutdownRetryMS/1000))
-	case errors.Is(err, ErrBadRequest), errors.Is(err, core.ErrQuery):
+	case errors.Is(err, ErrBadRequest), errors.Is(err, core.ErrQuery),
+		errors.Is(err, index.ErrUnknownTag), errors.Is(err, index.ErrBadValue):
 		code = http.StatusBadRequest
 	case errors.Is(err, osd.ErrNotFound), errors.Is(err, core.ErrNotFound):
 		code = http.StatusNotFound
@@ -711,18 +702,16 @@ func (s *Server) Serve(ln net.Listener) error {
 	return hs.Serve(ln)
 }
 
-// Shutdown drains the server gracefully, in dependency order:
+// Shutdown stops the server gracefully in two steps:
 //
-//  1. Stop the listener and wait for in-flight handlers — any write a
-//     handler has submitted keeps its coalescing slot.
-//  2. Drain the ingest queue: workers keep batching until it is empty,
-//     so every accepted write is acked with its true commit result.
-//  3. Only then Close the store — no bracket can still be in flight, so
-//     Close's checkpoint sees a quiescent volume and the image reopens
-//     clean.
+//  1. http.Server.Shutdown stops the listener and waits for in-flight
+//     handlers, so every accepted request gets its true commit result.
+//  2. Store.Close waits for any bracket still running (each holds the
+//     volume's lifecycle lock shared), checkpoints and marks the image
+//     clean. A write that arrives later fails with core.ErrClosed (503).
 //
-// Acked writes were already WAL-durable at ack time; the drain ordering
-// is about never failing an accepted request spuriously.
+// Acked writes were already WAL-durable at ack time; the ordering is
+// about never failing an accepted request spuriously.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -737,7 +726,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if hs != nil {
 		err = hs.Shutdown(ctx)
 	}
-	s.in.drain()
 	if cerr := s.st.Close(); err == nil {
 		err = cerr
 	}

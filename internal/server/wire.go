@@ -6,12 +6,10 @@
 //
 //	wire.go    request/response structs and the query-tree wire form
 //	           (transport-agnostic; gRPC can map onto the same types)
-//	server.go  the op layer (one method per op) plus the HTTP/JSON
-//	           adapter and graceful shutdown
-//	ingest.go  the write path: admission control and cross-connection
-//	           coalescing into Store.Batch, so N clients share group
-//	           commits (the fan-in the WAL's leader/follower queue was
-//	           built for)
+//	server.go  the op layer (one method per op; each write request is
+//	           its own transaction, and N clients share device syncs
+//	           through the WAL's group commit), admission control, the
+//	           HTTP/JSON adapter and graceful shutdown
 //	metrics.go /metrics and /debug/stats
 //	client.go  the Go client (hfadctl -addr, the package's tests)
 package server
@@ -129,7 +127,7 @@ func toQueries(nodes []QueryNode) ([]hfad.Query, error) {
 
 // CreateReq creates one object, optionally with initial content and
 // names — the common ingest compound, so one admission ticket and one
-// coalesced batch slot cover the whole logical insert.
+// transaction cover the whole logical insert.
 type CreateReq struct {
 	Owner string    `json:"owner,omitempty"`
 	Data  []byte    `json:"data,omitempty"` // base64 on the wire
@@ -215,8 +213,7 @@ type PlanStep struct {
 }
 
 // BatchReq is the client-side batch: every item commits as one
-// transaction (one write set, one group-commit slot) — and the whole
-// request is additionally coalesced with other connections' writes.
+// transaction (one write set, one group-commit slot).
 type BatchReq struct {
 	Items []BatchItem `json:"items"`
 }
