@@ -248,14 +248,8 @@ func executeRemote(c *server.Client, cmd []string) error {
 		if err != nil {
 			return err
 		}
-		resp, err := c.Batch(&server.BatchReq{Items: []server.BatchItem{{Index: &oid}}})
-		if err != nil {
-			return err
-		}
-		if e := resp.Results[0].Err; e != "" {
-			return fmt.Errorf("%s", e)
-		}
-		return nil
+		_, err = c.Batch(&server.BatchReq{Items: []server.BatchItem{{Index: &oid}}})
+		return err
 	case "stats":
 		m, err := c.Stats()
 		if err != nil {

@@ -18,19 +18,20 @@
 //	replayexhaustive every redo record kind/opcode is handled by replay
 //	waldata          no direct device writes bypass the WAL capture in
 //	                 btree, extent, osd
-//	pinbalance       every page Acquire reaches exactly one Release on
-//	                 all paths (forward dataflow over the CFG)
-//	pinescape        values derived from pinned page data must not
-//	                 outlive the pin (interprocedural taint facts)
+//	pinescape        values derived from a page pinned by a With closure
+//	                 must not outlive the closure (interprocedural taint
+//	                 facts); Acquire/Release are not called outside pager
 //	atomicfield      a field accessed via sync/atomic is accessed
 //	                 atomically everywhere
 //	syncerr          errors from durability barriers (Sync, Close,
 //	                 FlushDirty, Checkpoint) are checked (liveness);
 //	                 op-threading call errors are not dropped
 //
-// The operation bracket needs no analyzer: core's withOp takes the
-// operation as a closure and commits it on return, so a bracket that
-// never reaches its commit cannot be written.
+// The operation bracket and the page pin need no analyzer of their own:
+// core's withOp takes the operation as a closure and commits it on
+// return, and pager.With takes the pinned page as a closure and unpins it
+// on return, so neither a bracket that never commits nor a leaked pin can
+// be written.
 //
 // A finding can be suppressed — visibly, greppably — with a trailing
 // comment: //hfadvet:allow <analyzer> — reason.
@@ -45,7 +46,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/pinbalance"
 	"repro/internal/analysis/pinescape"
 	"repro/internal/analysis/replayexhaustive"
 	"repro/internal/analysis/sentinelerr"
@@ -60,7 +60,6 @@ func analyzers() []*analysis.Analyzer {
 		sentinelerr.Analyzer,
 		replayexhaustive.Analyzer,
 		waldata.Analyzer,
-		pinbalance.Analyzer,
 		pinescape.Analyzer,
 		atomicfield.Analyzer,
 		syncerr.Analyzer,

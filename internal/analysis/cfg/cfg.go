@@ -12,8 +12,8 @@
 //   - short-circuit && / || / ! in branch conditions: each leaf
 //     condition terminates its own block (Cond non-nil) with Succs[0]
 //     the true edge and Succs[1] the false edge, so a dataflow client
-//     can refine facts along a specific branch (pinbalance keys on the
-//     `err != nil` guard this way);
+//     can refine facts along a specific branch (e.g. on an
+//     `err != nil` guard);
 //   - return/panic edges to the synthetic Exit block;
 //   - defer: the DeferStmt appears in its block (argument evaluation
 //     happens at the defer site) AND is collected in Graph.Defers, since

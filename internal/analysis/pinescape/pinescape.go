@@ -1,20 +1,29 @@
 // Package pinescape polices the lifetime of pinned page data. A
 // `Page.Data()` slice aliases the pager's cache frame and is valid only
-// while the page is pinned — the comment on Data says so, nothing
-// enforced it. Once the pin drops, the frame can be evicted and refilled
-// with a different page (or, under the steal policy, written back and
-// reused mid-transaction), so a retained slice is silent cross-page
-// corruption: reads see another page's bytes, writes corrupt a page the
-// WAL never logged. The same applies to a retained `*pager.Page` whose
-// pin was released.
+// while the page is pinned. Once the pin drops, the frame can be evicted
+// and refilled with a different page (or, under the steal policy, written
+// back and reused mid-transaction), so a retained slice is silent
+// cross-page corruption: reads see another page's bytes, writes corrupt a
+// page the WAL never logged. The same applies to a retained `*pager.Page`.
+//
+// A pin is a scope: `pager.With(no, fn)` pins the page for exactly the
+// call of fn. The analyzer holds code outside the pager to that shape.
+//
+//   - Call ban: a call to the pager's `Acquire` or `Release` outside
+//     package pager is reported, so a pin whose end is not a scope cannot
+//     be written. One package is exempt, see exemptPkg.
+//   - Closure source: the `*pager.Page` parameter of a function literal —
+//     the closure handed to With or WithZero — is a page pinned inside the
+//     enclosing function, whose pin ends inside it too.
 //
 // The analysis is a per-function taint closure with interprocedural
-// facts. Taint sources are `Data()` results and `*pager.Page` values;
-// taint propagates through assignments, slicing/indexing, composite
-// literals, address-taking, and calls to functions whose exported fact
-// says "returns a value derived from parameter i" (the receiver is
-// parameter 0). Conversions that copy (`string(b)`, `append`, `copy`)
-// stop taint.
+// facts. Taint sources are those closure pages and their `Data()`
+// results; taint propagates through assignments (including assignments
+// from inside a closure to the enclosing function's locals),
+// slicing/indexing, composite literals, address-taking, and calls to
+// functions whose exported fact says "returns a value derived from
+// parameter i" (the receiver is parameter 0). Conversions that copy
+// (`string(b)`, `append`, `copy`) stop taint.
 //
 // Reported, for taint derived from a page pinned in this function:
 //
@@ -22,10 +31,8 @@
 //     global, or through a pointer/map the function does not own;
 //   - a send to a channel, or capture by a `go` statement's closure:
 //     the receiving goroutine's lifetime is unknowable here;
-//   - a `return` of taint when this function also Releases the source
-//     page — the pin provably ends inside the callee, so the caller
-//     receives a dangling alias (functions that return data from a
-//     page THEY keep pinned, like cursors, export a fact instead);
+//   - a `return` of taint, the page itself included: the pin provably
+//     ends inside this function, so the caller receives a dangling alias;
 //   - passing taint to a callee whose fact says it retains that
 //     parameter.
 //
@@ -36,12 +43,10 @@
 // finding — the interprocedural half of the rule.
 //
 // Known limits: closures other than `go` closures are not treated as
-// escapes (defer closures run inside the pin scope; stored closures are
-// out of reach for an intraprocedural pass), calls through interfaces
-// and function values have no facts, and struct-typed method receivers
-// lose taint when methods are invoked on a copy. Audited retentions —
-// the cursor stack, which owns its pins — carry //hfadvet:allow
-// annotations at the site.
+// escapes (a closure stored away while capturing page data is out of
+// reach for an intraprocedural pass), calls through interfaces and
+// function values have no facts, and struct-typed method receivers lose
+// taint when methods are invoked on a copy.
 package pinescape
 
 import (
@@ -92,10 +97,10 @@ func run(pass *analysis.Pass) error {
 	if analysis.LastElem(pass.Pkg.Path()) == "pager" {
 		// The pager is the trusted implementation of the pin machinery:
 		// its methods are taint primitives (Data is the source;
-		// Acquire/Release/MarkDirty neither retain nor return caller
-		// data), so analyzing its internals would only export noise
-		// facts — e.g. Release filing the page into the LRU would read
-		// as "Release retains its argument" at every call site.
+		// With/MarkDirty neither retain nor return caller data), so
+		// analyzing its internals would only export noise facts — e.g.
+		// Release filing the page into the LRU would read as "Release
+		// retains its argument" at every call site.
 		if pass.ExportFact != nil {
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(factFile{Funcs: map[string]funcFact{}}); err != nil {
@@ -104,6 +109,11 @@ func run(pass *analysis.Pass) error {
 			pass.ExportFact(buf.Bytes())
 		}
 		return nil
+	}
+	if pass.Pkg.Path() != exemptPkg {
+		for _, file := range pass.Files {
+			banPinCalls(pass, file)
+		}
 	}
 	global := make(map[string]funcFact)
 	for _, blob := range pass.DepFacts {
@@ -170,6 +180,27 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// exemptPkg may still call Acquire and Release: its probe times one bare
+// cache hit. ROADMAP item 1 removes both the exemption and the exported
+// pair.
+const exemptPkg = "repro/benchmark"
+
+// banPinCalls reports every call to the pager's Acquire or Release in
+// file: outside package pager a page is pinned only by With or WithZero.
+func banPinCalls(pass *analysis.Pass, file *ast.File) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if f := analysis.StaticCallee(pass.TypesInfo, call); f != nil && (f.Name() == "Acquire" || f.Name() == "Release") &&
+			f.Pkg() != nil && analysis.LastElem(f.Pkg().Path()) == "pager" {
+			pass.Reportf(call.Pos(), "call to pager %s outside package pager: pin the page with With, whose scope ends the pin", f.Name())
+		}
+		return true
+	})
+}
+
 func mergeFact(a, b funcFact) funcFact {
 	return funcFact{Retains: mergeInts(a.Retains, b.Retains), Returns: mergeInts(a.Returns, b.Returns)}
 }
@@ -202,7 +233,7 @@ func hasIdx(xs []int, i int) bool {
 // taint is the origin set of one value: which locally pinned pages
 // and/or which parameters it may alias.
 type taint struct {
-	pins   map[types.Object]bool // locally acquired source pages
+	pins   map[types.Object]bool // source pages pinned in this function
 	params map[int]bool          // parameter indices (receiver = 0)
 }
 
@@ -234,27 +265,25 @@ func (t *taint) addAll(o *taint) bool {
 
 // fnAnalysis carries one function's taint state.
 type fnAnalysis struct {
-	pass     *analysis.Pass
-	global   map[string]funcFact
-	report   bool
-	params   map[types.Object]int // param/receiver object -> index
-	vars     map[types.Object]*taint
-	acquired map[types.Object]bool // pages pinned by an Acquire in this body
-	released map[types.Object]bool // pages Release()d somewhere in the body
-	fact     funcFact
+	pass   *analysis.Pass
+	global map[string]funcFact
+	report bool
+	params map[types.Object]int // param/receiver object -> index
+	vars   map[types.Object]*taint
+	pinned map[types.Object]bool // closure pages, pinned and released in this body
+	fact   funcFact
 }
 
 // analyzeFn runs the taint closure over one function. With report set
 // it emits diagnostics; it always returns the function's fact.
 func analyzeFn(pass *analysis.Pass, fd *ast.FuncDecl, global map[string]funcFact, report bool) funcFact {
 	a := &fnAnalysis{
-		pass:     pass,
-		global:   global,
-		report:   report,
-		params:   map[types.Object]int{},
-		vars:     map[types.Object]*taint{},
-		acquired: map[types.Object]bool{},
-		released: map[types.Object]bool{},
+		pass:   pass,
+		global: global,
+		report: report,
+		params: map[types.Object]int{},
+		vars:   map[types.Object]*taint{},
+		pinned: map[types.Object]bool{},
 	}
 	idx := 1
 	if fd.Recv != nil {
@@ -280,25 +309,17 @@ func analyzeFn(pass *analysis.Pass, fd *ast.FuncDecl, global map[string]funcFact
 		}
 	}
 
-	// Collect acquisitions and releases first (path-insensitive: a
-	// Release anywhere means the pin ends inside this function). Only a
-	// page the function itself pinned is a violation source — a *Page
-	// parameter's data is the CALLER's pin, policed there via facts.
+	// Collect the closure pages first: a function literal's *pager.Page
+	// parameter is the page With pinned for the literal's call, and the
+	// pin ends before With returns, inside this function. Only such a
+	// page is a violation source — the function's own *Page parameter
+	// is the CALLER's pin, policed there via facts.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if v := releaseArg(pass, n); v != nil {
-				a.released[v] = true
-			}
-		case *ast.AssignStmt:
-			if len(n.Rhs) == 1 && len(n.Lhs) == 2 {
-				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && isAcquire(pass, call) {
-					if id, ok := ast.Unparen(n.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
-						if obj := pass.TypesInfo.Defs[id]; obj != nil {
-							a.acquired[obj] = true
-						} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
-							a.acquired[obj] = true
-						}
+		if lit, ok := n.(*ast.FuncLit); ok {
+			for _, f := range lit.Type.Params.List {
+				for _, id := range f.Names {
+					if obj := pass.TypesInfo.Defs[id]; obj != nil && isPagePtr(obj.Type()) {
+						a.pinned[obj] = true
 					}
 				}
 			}
@@ -390,15 +411,8 @@ func analyzeFn(pass *analysis.Pass, fd *ast.FuncDecl, global map[string]funcFact
 				if t.empty() || !a.isRefExpr(r) {
 					continue
 				}
-				// The page object itself may be returned: that is pin
-				// ownership transfer, pinbalance's territory.
-				if tv, ok := a.pass.TypesInfo.Types[r]; ok && isPagePtr(tv.Type) {
-					continue
-				}
 				for p := range t.pins {
-					if a.released[p] {
-						a.reportf(n.Pos(), "returns data derived from page %s whose pin is released in this function: the slice dangles once the frame is evicted", p.Name())
-					}
+					a.reportf(n.Pos(), "returns data derived from page %s whose pin ends in this function: the alias dangles once the frame is evicted", p.Name())
 				}
 				for idx := range t.params {
 					a.fact.Returns = mergeInts(a.fact.Returns, []int{idx})
@@ -452,7 +466,7 @@ func (a *fnAnalysis) exprTaint(e ast.Expr) *taint {
 		if obj == nil {
 			return t
 		}
-		if a.acquired[obj] {
+		if a.pinned[obj] {
 			// A locally pinned page taints by itself (storing the page
 			// is as bad as storing its data).
 			t.pins[obj] = true
@@ -611,7 +625,7 @@ func (a *fnAnalysis) checkGoCapture(g *ast.GoStmt) {
 			return true
 		}
 		t := newTaint()
-		if a.acquired[obj] {
+		if a.pinned[obj] {
 			t.pins[obj] = true
 		}
 		if vt := a.vars[obj]; vt != nil {
@@ -757,37 +771,4 @@ func isPagePtr(t types.Type) bool {
 		return false
 	}
 	return analysis.NamedIn(t, "pager", "Page")
-}
-
-// isAcquire matches any call whose results are exactly
-// (*pager.Page, error) — Acquire, AcquireZero, and future wrappers.
-func isAcquire(pass *analysis.Pass, call *ast.CallExpr) bool {
-	tv, ok := pass.TypesInfo.Types[call.Fun]
-	if !ok || tv.IsType() {
-		return false
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return false
-	}
-	res := sig.Results()
-	return res.Len() == 2 && isPagePtr(res.At(0).Type()) && analysis.IsErrorType(res.At(1).Type())
-}
-
-// releaseArg returns the released page's object for `X.Release(pg)`
-// calls into the pager package.
-func releaseArg(pass *analysis.Pass, call *ast.CallExpr) types.Object {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Release" || len(call.Args) != 1 {
-		return nil
-	}
-	f, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || f.Pkg() == nil || analysis.LastElem(f.Pkg().Path()) != "pager" {
-		return nil
-	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return pass.TypesInfo.Uses[id]
 }

@@ -2,7 +2,10 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+
+	"repro/internal/pager"
 )
 
 // CheckResult summarizes a tree integrity walk.
@@ -43,75 +46,72 @@ func (t *Tree) Check() (*CheckResult, error) {
 		res.AllPages = append(res.AllPages, pno)
 		res.Pages++
 
-		pg, err := t.pg.Acquire(pno)
-		if err != nil {
-			return err
-		}
-		defer t.pg.Release(pg)
-		p := pageRef{pg.Data()}
+		return t.pg.With(pno, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
 
-		var prevKey []byte
-		checkOrder := func(k []byte, i int) error {
-			if i > 0 && bytes.Compare(prevKey, k) >= 0 {
-				return fmt.Errorf("%w: page %d keys out of order at cell %d", ErrCorrupt, pno, i)
+			var prevKey []byte
+			checkOrder := func(k []byte, i int) error {
+				if i > 0 && bytes.Compare(prevKey, k) >= 0 {
+					return fmt.Errorf("%w: page %d keys out of order at cell %d", ErrCorrupt, pno, i)
+				}
+				if hasUpper && bytes.Compare(k, upper) > 0 {
+					return fmt.Errorf("%w: page %d key exceeds separator bound", ErrCorrupt, pno)
+				}
+				if hasLower && bytes.Compare(k, lower) <= 0 {
+					return fmt.Errorf("%w: page %d key below lower bound", ErrCorrupt, pno)
+				}
+				prevKey = append(prevKey[:0], k...)
+				return nil
 			}
-			if hasUpper && bytes.Compare(k, upper) > 0 {
-				return fmt.Errorf("%w: page %d key exceeds separator bound", ErrCorrupt, pno)
-			}
-			if hasLower && bytes.Compare(k, lower) <= 0 {
-				return fmt.Errorf("%w: page %d key below lower bound", ErrCorrupt, pno)
-			}
-			prevKey = append(prevKey[:0], k...)
-			return nil
-		}
 
-		switch p.typ() {
-		case pageLeaf:
-			if res.Depth == 0 {
-				res.Depth = depth
-			} else if depth != res.Depth {
-				return fmt.Errorf("%w: leaf %d at depth %d, others at %d", ErrCorrupt, pno, depth, res.Depth)
-			}
-			for i := 0; i < p.ncells(); i++ {
-				c, err := p.decodeCell(i)
-				if err != nil {
-					return fmt.Errorf("page %d cell %d: %w", pno, i, err)
+			switch p.typ() {
+			case pageLeaf:
+				if res.Depth == 0 {
+					res.Depth = depth
+				} else if depth != res.Depth {
+					return fmt.Errorf("%w: leaf %d at depth %d, others at %d", ErrCorrupt, pno, depth, res.Depth)
 				}
-				if err := checkOrder(c.key, i); err != nil {
-					return err
-				}
-				res.Keys++
-				if c.overflow != 0 {
-					if err := t.checkOverflowChain(c.overflow, c.totalLen, seen, res); err != nil {
+				for i := 0; i < p.ncells(); i++ {
+					c, err := p.decodeCell(i)
+					if err != nil {
+						return fmt.Errorf("page %d cell %d: %w", pno, i, err)
+					}
+					if err := checkOrder(c.key, i); err != nil {
 						return err
 					}
+					res.Keys++
+					if c.overflow != 0 {
+						if err := t.checkOverflowChain(c.overflow, c.totalLen, seen, res); err != nil {
+							return err
+						}
+					}
 				}
+				res.Leaves++
+				leafChain = append(leafChain, pno)
+				return nil
+			case pageInternal:
+				if p.ptrA() == 0 {
+					return fmt.Errorf("%w: internal page %d missing rightmost child", ErrCorrupt, pno)
+				}
+				childLower, childHasLower := lower, hasLower
+				for i := 0; i < p.ncells(); i++ {
+					c, err := p.decodeCell(i)
+					if err != nil {
+						return fmt.Errorf("page %d cell %d: %w", pno, i, err)
+					}
+					if err := checkOrder(c.key, i); err != nil {
+						return err
+					}
+					if err := walk(c.child, depth+1, c.key, true, childLower, childHasLower); err != nil {
+						return err
+					}
+					childLower, childHasLower = append([]byte(nil), c.key...), true
+				}
+				return walk(p.ptrA(), depth+1, upper, hasUpper, childLower, childHasLower)
+			default:
+				return fmt.Errorf("%w: page %d has type %d", ErrCorrupt, pno, p.typ())
 			}
-			res.Leaves++
-			leafChain = append(leafChain, pno)
-			return nil
-		case pageInternal:
-			if p.ptrA() == 0 {
-				return fmt.Errorf("%w: internal page %d missing rightmost child", ErrCorrupt, pno)
-			}
-			childLower, childHasLower := lower, hasLower
-			for i := 0; i < p.ncells(); i++ {
-				c, err := p.decodeCell(i)
-				if err != nil {
-					return fmt.Errorf("page %d cell %d: %w", pno, i, err)
-				}
-				if err := checkOrder(c.key, i); err != nil {
-					return err
-				}
-				if err := walk(c.child, depth+1, c.key, true, childLower, childHasLower); err != nil {
-					return err
-				}
-				childLower, childHasLower = append([]byte(nil), c.key...), true
-			}
-			return walk(p.ptrA(), depth+1, upper, hasUpper, childLower, childHasLower)
-		default:
-			return fmt.Errorf("%w: page %d has type %d", ErrCorrupt, pno, p.typ())
-		}
+		})
 	}
 
 	if err := walk(t.root, 1, nil, false, nil, false); err != nil {
@@ -137,20 +137,18 @@ func (t *Tree) checkOverflowChain(pno uint64, totalLen uint64, seen map[uint64]b
 		}
 		seen[pno] = true
 		res.AllPages = append(res.AllPages, pno)
-		pg, err := t.pg.Acquire(pno)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			d := pg.Data()
+			if d[offType] != pageOverflow {
+				return fmt.Errorf("%w: page %d in overflow chain has type %d", ErrCorrupt, pno, d[offType])
+			}
+			got += uint64(binary.LittleEndian.Uint16(d[2:]))
+			pno = pageRef{d}.ptrA()
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		d := pg.Data()
-		if d[offType] != pageOverflow {
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: page %d in overflow chain has type %d", ErrCorrupt, pno, d[offType])
-		}
-		used := int(uint16(d[2]) | uint16(d[3])<<8)
-		got += uint64(used)
-		next := pageRef{d}.ptrA()
-		t.pg.Release(pg)
-		pno = next
 	}
 	if got != totalLen {
 		return fmt.Errorf("%w: overflow chain has %d bytes, cell says %d", ErrCorrupt, got, totalLen)
@@ -170,17 +168,18 @@ func (t *Tree) checkLeafChain(inOrder []uint64) error {
 		if cur != want {
 			return fmt.Errorf("%w: leaf chain diverges at position %d: chain %d, walk %d", ErrCorrupt, i, cur, want)
 		}
-		pg, err := t.pg.Acquire(cur)
+		var next uint64
+		err := t.pg.With(cur, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			if p.ptrB() != prev {
+				return fmt.Errorf("%w: leaf %d prev pointer %d, want %d", ErrCorrupt, cur, p.ptrB(), prev)
+			}
+			next = p.ptrA()
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		p := pageRef{pg.Data()}
-		if p.ptrB() != prev {
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: leaf %d prev pointer %d, want %d", ErrCorrupt, cur, p.ptrB(), prev)
-		}
-		next := p.ptrA()
-		t.pg.Release(pg)
 		prev = cur
 		cur = next
 	}

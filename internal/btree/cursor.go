@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"math"
 
 	"repro/internal/pager"
 )
@@ -19,50 +20,38 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 		return err
 	}
 	levels := int64(t.height)
+	type kv struct{ k, v []byte }
 	for leaf != 0 {
-		pg, err := t.pg.Acquire(leaf)
+		var batch []kv
+		var next uint64
+		done := false
+		err := t.pg.With(leaf, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			n := p.ncells()
+			next = p.ptrA()
+			for ; idx < n; idx++ {
+				c, err := p.decodeCell(idx)
+				if err != nil {
+					return err
+				}
+				if hi != nil && bytes.Compare(c.key, hi) >= 0 {
+					done = true
+					return nil
+				}
+				// An overflow chain is read with the leaf still pinned; the
+				// chain pins one page at a time.
+				cc := c.copyOut()
+				v, err := t.value(cc)
+				if err != nil {
+					return err
+				}
+				batch = append(batch, kv{cc.key, v})
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		p := pageRef{pg.Data()}
-		n := p.ncells()
-		type kv struct{ k, v []byte }
-		var batch []kv
-		next := p.ptrA()
-		done := false
-		for ; idx < n; idx++ {
-			c, err := p.decodeCell(idx)
-			if err != nil {
-				t.pg.Release(pg)
-				return err
-			}
-			if hi != nil && bytes.Compare(c.key, hi) >= 0 {
-				done = true
-				break
-			}
-			k := append([]byte(nil), c.key...)
-			var v []byte
-			if c.overflow == 0 {
-				v = append([]byte(nil), c.val...)
-			} else {
-				// Defer chain read until after releasing this page to
-				// keep pin counts bounded; record a placeholder.
-				v = nil
-				batch = append(batch, kv{k, nil})
-				// Store overflow info alongside via closure-local slices.
-				// Simpler: read it now; chains pin one page at a time.
-				ovf, total := c.overflow, c.totalLen
-				vv, err := t.readOverflow(ovf, total)
-				if err != nil {
-					t.pg.Release(pg)
-					return err
-				}
-				batch[len(batch)-1].v = vv
-				continue
-			}
-			batch = append(batch, kv{k, v})
-		}
-		t.pg.Release(pg)
 		levels++
 		for _, e := range batch {
 			if !fn(e.k, e.v) {
@@ -103,52 +92,30 @@ func prefixEnd(prefix []byte) []byte {
 func (t *Tree) seekLeaf(lo []byte) (uint64, int, error) {
 	pno := t.root
 	for level := 0; level < t.height-1; level++ {
-		pg, err := t.pg.Acquire(pno)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			idx := 0
+			if lo != nil {
+				var err error
+				if idx, _, err = p.search(lo); err != nil {
+					return err
+				}
+			}
+			var err error
+			pno, err = p.childAt(idx)
+			return err
+		})
 		if err != nil {
 			return 0, 0, err
 		}
-		p := pageRef{pg.Data()}
-		var child uint64
-		if lo == nil {
-			if p.ncells() > 0 {
-				c, err := p.decodeCell(0)
-				if err != nil {
-					t.pg.Release(pg)
-					return 0, 0, err
-				}
-				child = c.child
-			} else {
-				child = p.ptrA()
-			}
-		} else {
-			idx, _, err := p.search(lo)
-			if err != nil {
-				t.pg.Release(pg)
-				return 0, 0, err
-			}
-			if idx < p.ncells() {
-				c, err := p.decodeCell(idx)
-				if err != nil {
-					t.pg.Release(pg)
-					return 0, 0, err
-				}
-				child = c.child
-			} else {
-				child = p.ptrA()
-			}
-		}
-		t.pg.Release(pg)
-		pno = child
 	}
 	idx := 0
 	if lo != nil {
-		pg, err := t.pg.Acquire(pno)
-		if err != nil {
-			return 0, 0, err
-		}
-		p := pageRef{pg.Data()}
-		idx, _, err = p.search(lo)
-		t.pg.Release(pg)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			var err error
+			idx, _, err = pageRef{pg.Data()}.search(lo)
+			return err
+		})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -180,44 +147,33 @@ func (t *Tree) Last() ([]byte, []byte, error) {
 	defer t.mu.RUnlock()
 	pno := t.root
 	for level := 0; level < t.height-1; level++ {
-		pg, err := t.pg.Acquire(pno)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			pno = pageRef{pg.Data()}.ptrA()
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
+	}
+	var cc cellCopy
+	err := t.pg.With(pno, func(pg *pager.Page) error {
 		p := pageRef{pg.Data()}
-		next := p.ptrA()
-		t.pg.Release(pg)
-		pno = next
-	}
-	pg, err := t.pg.Acquire(pno)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := pageRef{pg.Data()}
-	n := p.ncells()
-	if n == 0 {
-		t.pg.Release(pg)
-		return nil, nil, ErrNotFound
-	}
-	c, err := p.decodeCell(n - 1)
-	if err != nil {
-		t.pg.Release(pg)
-		return nil, nil, err
-	}
-	k := append([]byte(nil), c.key...)
-	var v []byte
-	if c.overflow == 0 {
-		v = append([]byte(nil), c.val...)
-		t.pg.Release(pg)
-	} else {
-		ovf, total := c.overflow, c.totalLen
-		t.pg.Release(pg)
-		v, err = t.readOverflow(ovf, total)
-		if err != nil {
-			return nil, nil, err
+		n := p.ncells()
+		if n == 0 {
+			return ErrNotFound
 		}
+		c, err := p.decodeCell(n - 1)
+		cc = c.copyOut()
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return k, v, nil
+	v, err := t.value(cc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cc.key, v, nil
 }
 
 // Floor returns the greatest key ≤ target and its value, or ErrNotFound
@@ -230,88 +186,45 @@ func (t *Tree) Floor(target []byte) ([]byte, []byte, error) {
 		return nil, nil, err
 	}
 	// idx is the first cell ≥ target within leaf. The floor is that cell
-	// if it equals target, else the one before it (possibly in the
-	// previous leaf).
+	// if it equals target, else the one before it — in an earlier leaf
+	// (the last cell of the first non-empty one) when idx is 0.
 	for leaf != 0 {
-		pg, err := t.pg.Acquire(leaf)
+		var cc cellCopy
+		hit := false
+		err := t.pg.With(leaf, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			idx = min(idx, p.ncells())
+			if idx < p.ncells() {
+				c, err := p.decodeCell(idx)
+				if err != nil {
+					return err
+				}
+				if hit = compareKeys(c.key, target) == 0; hit {
+					cc = c.copyOut()
+					return nil
+				}
+			}
+			if idx > 0 {
+				c, err := p.decodeCell(idx - 1)
+				hit, cc = true, c.copyOut()
+				return err
+			}
+			// Step back into the previous leaf's last cell.
+			leaf, idx = p.ptrB(), math.MaxInt
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		p := pageRef{pg.Data()}
-		if idx < p.ncells() {
-			c, err := p.decodeCell(idx)
+		if hit {
+			v, err := t.value(cc)
 			if err != nil {
-				t.pg.Release(pg)
 				return nil, nil, err
 			}
-			if compareKeys(c.key, target) == 0 {
-				k, v, err := t.materialize(p, idx, pg)
-				return k, v, err
-			}
+			return cc.key, v, nil
 		}
-		if idx > 0 {
-			k, v, err := t.materialize(p, idx-1, pg)
-			return k, v, err
-		}
-		prev := p.ptrB()
-		t.pg.Release(pg)
-		if prev == 0 {
-			return nil, nil, ErrNotFound
-		}
-		// Step into the previous leaf's last cell.
-		ppg, err := t.pg.Acquire(prev)
-		if err != nil {
-			return nil, nil, err
-		}
-		pp := pageRef{ppg.Data()}
-		n := pp.ncells()
-		if n == 0 {
-			leaf = pp.ptrB()
-			idx = 0
-			t.pg.Release(ppg)
-			// Continue walking back through (possibly empty) leaves.
-			for leaf != 0 {
-				epg, err := t.pg.Acquire(leaf)
-				if err != nil {
-					return nil, nil, err
-				}
-				ep := pageRef{epg.Data()}
-				if ep.ncells() > 0 {
-					k, v, err := t.materialize(ep, ep.ncells()-1, epg)
-					return k, v, err
-				}
-				leaf = ep.ptrB()
-				t.pg.Release(epg)
-			}
-			return nil, nil, ErrNotFound
-		}
-		k, v, err := t.materialize(pp, n-1, ppg)
-		return k, v, err
 	}
 	return nil, nil, ErrNotFound
-}
-
-// materialize copies out cell idx of the pinned page, reading overflow
-// chains as needed, and releases the pin.
-func (t *Tree) materialize(p pageRef, idx int, pg *pager.Page) ([]byte, []byte, error) {
-	c, err := p.decodeCell(idx)
-	if err != nil {
-		t.pg.Release(pg)
-		return nil, nil, err
-	}
-	k := append([]byte(nil), c.key...)
-	if c.overflow == 0 {
-		v := append([]byte(nil), c.val...)
-		t.pg.Release(pg)
-		return k, v, nil
-	}
-	ovf, total := c.overflow, c.totalLen
-	t.pg.Release(pg)
-	v, err := t.readOverflow(ovf, total)
-	if err != nil {
-		return nil, nil, err
-	}
-	return k, v, nil
 }
 
 // Cursor streams the keys of [lo, hi) in ascending order without
@@ -391,48 +304,47 @@ func (c *Cursor) Next() ([]byte, []byte, bool, error) {
 		c.leaf, c.idx, c.gen, c.primed = leaf, idx, c.t.gen, true
 	}
 	for c.leaf != 0 {
-		pg, err := c.t.pg.Acquire(c.leaf)
+		var cc cellCopy
+		hit := false
+		err := c.t.pg.With(c.leaf, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			for n := p.ncells(); c.idx < n; c.idx++ {
+				cell, err := p.decodeCell(c.idx)
+				if err != nil {
+					return err
+				}
+				if c.hi != nil && bytes.Compare(cell.key, c.hi) >= 0 {
+					c.done = true
+					return nil
+				}
+				if c.resumed {
+					if bytes.Compare(cell.key, c.last) <= 0 {
+						continue // already returned before the re-seek
+					}
+					c.resumed = false
+				}
+				cc, hit = cell.copyOut(), true
+				c.idx++
+				c.last = cc.key
+				return nil
+			}
+			c.leaf, c.idx = p.ptrA(), 0
+			return nil
+		})
 		if err != nil {
 			return nil, nil, false, err
 		}
-		p := pageRef{pg.Data()}
-		n := p.ncells()
-		for ; c.idx < n; c.idx++ {
-			cell, err := p.decodeCell(c.idx)
-			if err != nil {
-				c.t.pg.Release(pg)
-				return nil, nil, false, err
-			}
-			if c.hi != nil && bytes.Compare(cell.key, c.hi) >= 0 {
-				c.t.pg.Release(pg)
-				c.done = true
-				return nil, nil, false, nil
-			}
-			if c.resumed {
-				if bytes.Compare(cell.key, c.last) <= 0 {
-					continue // already returned before the re-seek
-				}
-				c.resumed = false
-			}
-			k := append([]byte(nil), cell.key...)
-			c.idx++
-			c.last = k
-			if cell.overflow == 0 {
-				v := append([]byte(nil), cell.val...)
-				c.t.pg.Release(pg)
-				return k, v, true, nil
-			}
-			ovf, total := cell.overflow, cell.totalLen
-			c.t.pg.Release(pg)
-			v, err := c.t.readOverflow(ovf, total)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			return k, v, true, nil
+		if c.done {
+			return nil, nil, false, nil
 		}
-		next := p.ptrA()
-		c.t.pg.Release(pg)
-		c.leaf, c.idx = next, 0
+		if hit {
+			// An overflow chain is read once the leaf's pin is gone.
+			v, err := c.t.value(cc)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			return cc.key, v, true, nil
+		}
 	}
 	c.done = true
 	return nil, nil, false, nil

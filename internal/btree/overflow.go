@@ -37,25 +37,27 @@ func (t *Tree) writeOverflow(op *pager.Op, val []byte) (uint64, error) {
 			}
 			return 0, err
 		}
-		pg, err := t.pg.AcquireZero(pno)
+		err = t.pg.WithZero(pno, func(pg *pager.Page) error {
+			d := pg.Data()
+			d[offType] = pageOverflow
+			binary.LittleEndian.PutUint16(d[2:], uint16(end-off))
+			copy(d[ovfDataOff:], val[off:end])
+			t.pg.MarkDirtyRec(pg, op, redo.KindRange,
+				redo.EncodeRange(0, append([]byte(nil), d[:ovfDataOff+(end-off)]...)))
+			return nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		d := pg.Data()
-		d[offType] = pageOverflow
-		binary.LittleEndian.PutUint16(d[2:], uint16(end-off))
-		copy(d[ovfDataOff:], val[off:end])
-		t.pg.MarkDirtyRec(pg, op, redo.KindRange,
-			redo.EncodeRange(0, append([]byte(nil), d[:ovfDataOff+(end-off)]...)))
-		t.pg.Release(pg)
 		if prev != 0 {
-			ppg, err := t.pg.Acquire(prev)
+			err := t.pg.With(prev, func(ppg *pager.Page) error {
+				binary.LittleEndian.PutUint64(ppg.Data()[offPtrA:], pno)
+				t.pg.MarkDirtyRec(ppg, op, redo.KindRange, redo.EncodeRange(offPtrA, u64b(pno)))
+				return nil
+			})
 			if err != nil {
 				return 0, err
 			}
-			binary.LittleEndian.PutUint64(ppg.Data()[offPtrA:], pno)
-			t.pg.MarkDirtyRec(ppg, op, redo.KindRange, redo.EncodeRange(offPtrA, u64b(pno)))
-			t.pg.Release(ppg)
 		} else {
 			first = pno
 		}
@@ -69,24 +71,22 @@ func (t *Tree) writeOverflow(op *pager.Op, val []byte) (uint64, error) {
 func (t *Tree) readOverflow(pno uint64, totalLen uint64) ([]byte, error) {
 	out := make([]byte, 0, totalLen)
 	for pno != 0 {
-		pg, err := t.pg.Acquire(pno)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			d := pg.Data()
+			if d[offType] != pageOverflow {
+				return fmt.Errorf("%w: page %d not overflow", ErrCorrupt, pno)
+			}
+			used := int(binary.LittleEndian.Uint16(d[2:]))
+			if used > len(d)-ovfDataOff {
+				return fmt.Errorf("%w: overflow used %d too large", ErrCorrupt, used)
+			}
+			out = append(out, d[ovfDataOff:ovfDataOff+used]...)
+			pno = binary.LittleEndian.Uint64(d[offPtrA:])
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		d := pg.Data()
-		if d[offType] != pageOverflow {
-			t.pg.Release(pg)
-			return nil, fmt.Errorf("%w: page %d not overflow", ErrCorrupt, pno)
-		}
-		used := int(binary.LittleEndian.Uint16(d[2:]))
-		if used > len(d)-ovfDataOff {
-			t.pg.Release(pg)
-			return nil, fmt.Errorf("%w: overflow used %d too large", ErrCorrupt, used)
-		}
-		out = append(out, d[ovfDataOff:ovfDataOff+used]...)
-		next := binary.LittleEndian.Uint64(d[offPtrA:])
-		t.pg.Release(pg)
-		pno = next
 	}
 	if uint64(len(out)) != totalLen {
 		return nil, fmt.Errorf("%w: overflow chain length %d, want %d", ErrCorrupt, len(out), totalLen)
@@ -97,12 +97,14 @@ func (t *Tree) readOverflow(pno uint64, totalLen uint64) ([]byte, error) {
 // freeOverflow releases the chain starting at pno.
 func (t *Tree) freeOverflow(op *pager.Op, pno uint64) error {
 	for pno != 0 {
-		pg, err := t.pg.Acquire(pno)
+		var next uint64
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			next = binary.LittleEndian.Uint64(pg.Data()[offPtrA:])
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		next := binary.LittleEndian.Uint64(pg.Data()[offPtrA:])
-		t.pg.Release(pg)
 		if err := t.freePage(op, pno); err != nil {
 			return err
 		}

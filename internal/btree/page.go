@@ -175,6 +175,32 @@ func (p pageRef) decodeCell(i int) (cell, error) {
 	return c, nil
 }
 
+// childAt returns the child an internal page routes index idx to: cell
+// idx's child, or the rightmost pointer when idx is past the last cell.
+func (p pageRef) childAt(idx int) (uint64, error) {
+	if idx >= p.ncells() {
+		return p.ptrA(), nil
+	}
+	c, err := p.decodeCell(idx)
+	return c.child, err
+}
+
+// cellCopy is a leaf cell copied out of its pinned page: the key, and the
+// value inline or as the overflow chain that holds it.
+type cellCopy struct {
+	key, val   []byte
+	ovf, total uint64
+}
+
+// copyOut copies the cell's key and inline value out of the page.
+func (c cell) copyOut() cellCopy {
+	cc := cellCopy{key: append([]byte(nil), c.key...), ovf: c.overflow, total: c.totalLen}
+	if c.overflow == 0 {
+		cc.val = append([]byte(nil), c.val...)
+	}
+	return cc
+}
+
 // encodedLeafCellSize returns the on-page size of a leaf cell for a key and
 // either an inline value of vlen bytes or an overflow pointer.
 func encodedLeafCellSize(klen, vlen int, inline bool) int {

@@ -88,13 +88,14 @@ func CreateOp(pg *pager.Pager, alloc PageAllocator, op *pager.Op) (*Tree, error)
 	}
 	t := &Tree{pg: pg, space: space, hdrPno: hdr, root: rootPno, height: 1, creator: op.ID()}
 	// Initialize root leaf.
-	rp, err := pg.AcquireZero(rootPno)
+	err = pg.WithZero(rootPno, func(rp *pager.Page) error {
+		initPage(rp.Data(), pageLeaf)
+		pg.MarkDirtyRec(rp, op, redo.KindBtreeOp, encOp(opInit, []byte{pageLeaf}))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	initPage(rp.Data(), pageLeaf)
-	pg.MarkDirtyRec(rp, op, redo.KindBtreeOp, encOp(opInit, []byte{pageLeaf}))
-	pg.Release(rp)
 	if err := t.writeHeaderOp(op); err != nil {
 		return nil, err
 	}
@@ -103,23 +104,21 @@ func CreateOp(pg *pager.Pager, alloc PageAllocator, op *pager.Op) (*Tree, error)
 
 // Open loads an existing tree from its header page.
 func Open(pg *pager.Pager, alloc PageAllocator, headerPno uint64) (*Tree, error) {
-	hp, err := pg.Acquire(headerPno)
+	t := &Tree{pg: pg, space: pager.NewSpace(pageRuns{alloc}), hdrPno: headerPno}
+	err := pg.With(headerPno, func(hp *pager.Page) error {
+		d := hp.Data()
+		if d[offType] != pageHeader || binary.LittleEndian.Uint32(d[hOffMagic:]) != treeMagic {
+			return fmt.Errorf("%w: page %d is not a tree header", ErrCorrupt, headerPno)
+		}
+		t.root = binary.LittleEndian.Uint64(d[hOffRoot:])
+		t.height = int(binary.LittleEndian.Uint64(d[hOffHeight:]))
+		t.nkeys = binary.LittleEndian.Uint64(d[hOffNKeys:])
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer pg.Release(hp)
-	d := hp.Data()
-	if d[offType] != pageHeader || binary.LittleEndian.Uint32(d[hOffMagic:]) != treeMagic {
-		return nil, fmt.Errorf("%w: page %d is not a tree header", ErrCorrupt, headerPno)
-	}
-	return &Tree{
-		pg:     pg,
-		space:  pager.NewSpace(pageRuns{alloc}),
-		hdrPno: headerPno,
-		root:   binary.LittleEndian.Uint64(d[hOffRoot:]),
-		height: int(binary.LittleEndian.Uint64(d[hOffHeight:])),
-		nkeys:  binary.LittleEndian.Uint64(d[hOffNKeys:]),
-	}, nil
+	return t, nil
 }
 
 // HeaderPage returns the page number identifying this tree on the volume.
@@ -168,20 +167,16 @@ func (t *Tree) writeHeader() error {
 // at tree creation and by root-changing structure modifications, whose
 // replay must see the new root/height.
 func (t *Tree) writeHeaderOp(op *pager.Op) error {
-	hp, err := t.pg.Acquire(t.hdrPno)
-	if err != nil {
-		return err
-	}
-	defer t.pg.Release(hp)
-	d := hp.Data()
-	hb := headerBytes(t.root, t.height, t.nkeys)
-	copy(d[:len(hb)], hb)
-	if op != nil {
-		t.pg.MarkDirtyRec(hp, op, redo.KindRange, redo.EncodeRange(0, hb))
-	} else {
-		t.pg.MarkDirty(hp)
-	}
-	return nil
+	return t.pg.With(t.hdrPno, func(hp *pager.Page) error {
+		hb := headerBytes(t.root, t.height, t.nkeys)
+		copy(hp.Data()[:len(hb)], hb)
+		if op != nil {
+			t.pg.MarkDirtyRec(hp, op, redo.KindRange, redo.EncodeRange(0, hb))
+		} else {
+			t.pg.MarkDirty(hp)
+		}
+		return nil
+	})
 }
 
 // MaxKeyLen returns the largest key this tree accepts.
@@ -201,65 +196,59 @@ func (t *Tree) getLocked(key []byte) ([]byte, error) {
 	pno := t.root
 	levels := int64(0)
 	for {
-		pg, err := t.pg.Acquire(pno)
-		if err != nil {
-			return nil, err
-		}
-		p := pageRef{pg.Data()}
-		levels++
-		switch p.typ() {
-		case pageInternal:
-			idx, _, err := p.search(key)
-			if err != nil {
-				t.pg.Release(pg)
-				return nil, err
-			}
-			if idx < p.ncells() {
+		var out []byte
+		var ovf, total uint64
+		leaf := false
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			switch p.typ() {
+			case pageInternal:
+				idx, _, err := p.search(key)
+				if err != nil {
+					return err
+				}
+				pno, err = p.childAt(idx)
+				return err
+			case pageLeaf:
+				leaf = true
+				idx, found, err := p.search(key)
+				if err != nil {
+					return err
+				}
+				if !found {
+					return ErrNotFound
+				}
 				c, err := p.decodeCell(idx)
 				if err != nil {
-					t.pg.Release(pg)
-					return nil, err
+					return err
 				}
-				pno = c.child
-			} else {
-				pno = p.ptrA()
-			}
-			t.pg.Release(pg)
-		case pageLeaf:
-			idx, found, err := p.search(key)
-			if err != nil {
-				t.pg.Release(pg)
-				return nil, err
-			}
-			if !found {
-				t.pg.Release(pg)
-				t.addStats(1, levels, 0, 0)
-				return nil, ErrNotFound
-			}
-			c, err := p.decodeCell(idx)
-			if err != nil {
-				t.pg.Release(pg)
-				return nil, err
-			}
-			var out []byte
-			if c.overflow == 0 {
-				out = make([]byte, len(c.val))
-				copy(out, c.val)
-				t.pg.Release(pg)
-			} else {
-				ovf, total := c.overflow, c.totalLen
-				t.pg.Release(pg)
-				out, err = t.readOverflow(ovf, total)
-				if err != nil {
-					return nil, err
+				if ovf, total = c.overflow, c.totalLen; ovf == 0 {
+					out = make([]byte, len(c.val))
+					copy(out, c.val)
 				}
+				return nil
+			default:
+				return fmt.Errorf("%w: page %d type %d in descent", ErrCorrupt, pno, p.typ())
 			}
+		})
+		levels++
+		switch {
+		case errors.Is(err, ErrNotFound):
 			t.addStats(1, levels, 0, 0)
-			return out, nil
-		default:
-			t.pg.Release(pg)
-			return nil, fmt.Errorf("%w: page %d type %d in descent", ErrCorrupt, pno, p.typ())
+			return nil, err
+		case err != nil:
+			return nil, err
+		case !leaf:
+			continue
 		}
+		// An overflow chain is read once the leaf's pin is gone.
+		if ovf != 0 {
+			if out, err = t.readOverflow(ovf, total); err != nil {
+				return nil, err
+			}
+		}
+		t.addStats(1, levels, 0, 0)
+		return out, nil
 	}
 }
 
@@ -271,6 +260,15 @@ func (t *Tree) cellValue(c cell) ([]byte, error) {
 		return append([]byte(nil), c.val...), nil
 	}
 	return t.readOverflow(c.overflow, c.totalLen)
+}
+
+// value returns a copied cell's value, reading its overflow chain. Called
+// once the leaf's pin is gone, it never pins a chain page beside the leaf.
+func (t *Tree) value(cc cellCopy) ([]byte, error) {
+	if cc.ovf == 0 {
+		return cc.val, nil
+	}
+	return t.readOverflow(cc.ovf, cc.total)
 }
 
 // Has reports whether key is present.
@@ -298,32 +296,23 @@ func (t *Tree) descend(key []byte) ([]pathElem, uint64, error) {
 	var path []pathElem
 	pno := t.root
 	for level := 0; level < t.height-1; level++ {
-		pg, err := t.pg.Acquire(pno)
-		if err != nil {
-			return nil, 0, err
-		}
-		p := pageRef{pg.Data()}
-		if p.typ() != pageInternal {
-			t.pg.Release(pg)
-			return nil, 0, fmt.Errorf("%w: expected internal page at %d", ErrCorrupt, pno)
-		}
-		idx, _, err := p.search(key)
-		if err != nil {
-			t.pg.Release(pg)
-			return nil, 0, err
-		}
+		var idx int
 		var child uint64
-		if idx < p.ncells() {
-			c, err := p.decodeCell(idx)
-			if err != nil {
-				t.pg.Release(pg)
-				return nil, 0, err
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			if p.typ() != pageInternal {
+				return fmt.Errorf("%w: expected internal page at %d", ErrCorrupt, pno)
 			}
-			child = c.child
-		} else {
-			child = p.ptrA()
+			var err error
+			if idx, _, err = p.search(key); err != nil {
+				return err
+			}
+			child, err = p.childAt(idx)
+			return err
+		})
+		if err != nil {
+			return nil, 0, err
 		}
-		t.pg.Release(pg)
 		path = append(path, pathElem{pno, idx})
 		pno = child
 	}
@@ -409,57 +398,58 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 		inlineVal = val
 	}
 
-	pg, err := t.pg.Acquire(leafPno)
-	if err != nil {
-		return err
-	}
-	p := pageRef{pg.Data()}
-	idx, found, err := p.search(key)
-	if err != nil {
-		t.pg.Release(pg)
-		return err
-	}
-	if found {
-		// Replace: free any old overflow chain, remove, reinsert. One put
-		// record covers both halves — replay re-executes the replacement.
-		c, err := p.decodeCell(idx)
+	var found bool
+	var sys *pager.Op
+	var sep []byte
+	var rightPno, oldNext uint64
+	err = t.pg.With(leafPno, func(pg *pager.Page) error {
+		p := pageRef{pg.Data()}
+		idx, f, err := p.search(key)
 		if err != nil {
-			t.pg.Release(pg)
 			return err
 		}
-		if op.UndoEnabled() {
-			// Inverse restores the old value; read it (overflow included)
-			// before the chain is freed.
-			old, err := t.cellValue(c)
+		if found = f; found {
+			// Replace: free any old overflow chain, remove, reinsert. One put
+			// record covers both halves — replay re-executes the replacement.
+			c, err := p.decodeCell(idx)
 			if err != nil {
-				t.pg.Release(pg)
 				return err
 			}
-			op.StageUndo(undo.KeyPut(t.hdrPno, key, old))
-		}
-		if c.overflow != 0 {
-			if err := t.freeOverflow(op, c.overflow); err != nil {
-				t.pg.Release(pg)
-				return err
+			if op.UndoEnabled() {
+				// Inverse restores the old value; read it (overflow included)
+				// before the chain is freed.
+				old, err := t.cellValue(c)
+				if err != nil {
+					return err
+				}
+				op.StageUndo(undo.KeyPut(t.hdrPno, key, old))
 			}
+			if c.overflow != 0 {
+				if err := t.freeOverflow(op, c.overflow); err != nil {
+					return err
+				}
+			}
+			p.removeCell(idx)
+		} else {
+			op.StageUndo(undo.KeyDel(t.hdrPno, key))
 		}
-		p.removeCell(idx)
-	} else {
-		op.StageUndo(undo.KeyDel(t.hdrPno, key))
-	}
-	enc := encodeLeafCell(nil, key, inlineVal, totalLen, ovfPage)
-	if p.insertRaw(idx, enc) {
-		t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opPut, enc))
-		t.pg.Release(pg)
-		if !found {
-			t.nkeys++
+		enc := encodeLeafCell(nil, key, inlineVal, totalLen, ovfPage)
+		if p.insertRaw(idx, enc) {
+			t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opPut, enc))
+			return nil
 		}
-		return t.writeHeader()
-	}
-	// Leaf is full: split. insertRaw left the page unchanged.
-	err = t.splitLeafAndInsert(op, pg, leafPno, idx, enc, path)
+		// Leaf is full: split. insertRaw left the page unchanged.
+		sys = op.NewSys()
+		sep, rightPno, oldNext, err = t.splitLeaf(op, sys, pg, idx, enc)
+		return err
+	})
 	if err != nil {
 		return err
+	}
+	if rightPno != 0 {
+		if err := t.linkLeafSplit(op, sys, path, sep, leafPno, rightPno, oldNext); err != nil {
+			return err
+		}
 	}
 	if !found {
 		t.nkeys++
@@ -467,9 +457,10 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 	return t.writeHeader()
 }
 
-// splitLeafAndInsert splits the (pinned) full leaf, inserting the encoded
-// cell at logical index idx across the split pair, then propagates the new
-// separator upward. Consumes the pin on pg.
+// splitLeaf splits the pinned full leaf pg, inserting the encoded cell at
+// logical index idx across the split pair. It returns the separator, the
+// new right page and the leaf's old right neighbour; linkLeafSplit hooks
+// the new page into the tree once pg's pin is gone.
 //
 // The structural change (cell redistribution, chain stitch, separator
 // propagation, root growth) is logged as one auto-committed *system
@@ -481,7 +472,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 // replay re-partitions the committed cells around the recorded separator
 // and then re-inserts the cell, so the always-redone split never carries
 // the (possibly uncommitted) new cell.
-func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, idx int, enc []byte, path []pathElem) error {
+func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte) (sep []byte, rightPno, oldNext uint64, err error) {
 	p := pageRef{pg.Data()}
 	n := p.ncells()
 	// Collect raw cells plus the new one at idx.
@@ -494,8 +485,7 @@ func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, 
 		copy(raw, p.data[off:off+sz])
 		c, err := p.decodeCell(i)
 		if err != nil {
-			t.pg.Release(pg)
-			return err
+			return nil, 0, 0, err
 		}
 		k := make([]byte, len(c.key))
 		copy(k, c.key)
@@ -527,68 +517,67 @@ func (t *Tree) splitLeafAndInsert(op *pager.Op, pg *pager.Page, leafPno uint64, 
 		splitAt = len(raws) - 1
 	}
 
-	sys := op.NewSys()
 	aop := t.allocOp(op, sys)
-	rightPno, err := t.space.Alloc(aop, 1)
-	if err != nil {
-		t.pg.Release(pg)
-		return err
+	if rightPno, err = t.space.Alloc(aop, 1); err != nil {
+		return nil, 0, 0, err
 	}
-	rpg, err := t.pg.AcquireZero(rightPno)
+	sep = keys[splitAt-1]
+	oldNext = p.ptrA()
+	err = t.pg.WithZero(rightPno, func(rpg *pager.Page) error {
+		rp := initPage(rpg.Data(), pageLeaf)
+		oldPrev := p.ptrB()
+		// Rewrite left in place.
+		lp := initPage(pg.Data(), pageLeaf)
+		for i := 0; i < splitAt; i++ {
+			if !lp.insertRaw(i, raws[i]) {
+				return fmt.Errorf("%w: split left overflow", ErrCorrupt)
+			}
+		}
+		for i := splitAt; i < len(raws); i++ {
+			if !rp.insertRaw(i-splitAt, raws[i]) {
+				return fmt.Errorf("%w: split right overflow", ErrCorrupt)
+			}
+		}
+		// Fix leaf chain: oldPrev <-> left <-> right <-> oldNext.
+		rp.setPtrA(oldNext)
+		rp.setPtrB(pg.No())
+		lp.setPtrA(rightPno)
+		lp.setPtrB(oldPrev)
+		t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
+			encOp(opSplitLeaf, u64b(rightPno), keyb(sep)))
+		t.pg.MarkDirty(rpg)
+		// The enclosing operation's cell, stamped after the split records so
+		// replay lands it on the rebuilt half.
+		if idx < splitAt {
+			t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opPut, enc))
+		} else {
+			t.pg.MarkDirtyRec(rpg, op, redo.KindBtreeOp, encOp(opPut, enc))
+		}
+		return nil
+	})
 	if err != nil {
-		t.pg.Release(pg)
 		_ = t.freePage(aop, rightPno) // never joined the tree
-		return err
+		return nil, 0, 0, err
 	}
-	rp := initPage(rpg.Data(), pageLeaf)
+	return sep, rightPno, oldNext, nil
+}
 
-	oldNext := p.ptrA()
-	oldPrev := p.ptrB()
-	// Rewrite left in place.
-	lp := initPage(pg.Data(), pageLeaf)
-	for i := 0; i < splitAt; i++ {
-		if !lp.insertRaw(i, raws[i]) {
-			t.pg.Release(rpg)
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: split left overflow", ErrCorrupt)
-		}
-	}
-	for i := splitAt; i < len(raws); i++ {
-		if !rp.insertRaw(i-splitAt, raws[i]) {
-			t.pg.Release(rpg)
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: split right overflow", ErrCorrupt)
-		}
-	}
-	// Fix leaf chain: oldPrev <-> left <-> right <-> oldNext.
-	rp.setPtrA(oldNext)
-	rp.setPtrB(leafPno)
-	lp.setPtrA(rightPno)
-	lp.setPtrB(oldPrev)
-	sep := keys[splitAt-1]
-	t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-		encOp(opSplitLeaf, u64b(rightPno), keyb(sep)))
-	t.pg.MarkDirty(rpg)
-	// The enclosing operation's cell, stamped after the split records so
-	// replay lands it on the rebuilt half.
-	if idx < splitAt {
-		t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opPut, enc))
-	} else {
-		t.pg.MarkDirtyRec(rpg, op, redo.KindBtreeOp, encOp(opPut, enc))
-	}
-	t.pg.Release(rpg)
-	t.pg.Release(pg)
+// linkLeafSplit finishes splitLeaf's system transaction: the old right
+// neighbour's back pointer moves to the new right half, and the separator
+// goes up into the parent.
+func (t *Tree) linkLeafSplit(op, sys *pager.Op, path []pathElem, sep []byte, leafPno, rightPno, oldNext uint64) error {
+	var err error
 	if oldNext != 0 {
-		npg, err := t.pg.Acquire(oldNext)
-		if err != nil {
-			return err
-		}
-		pageRef{npg.Data()}.setPtrB(rightPno)
-		t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, u64b(rightPno)))
-		t.pg.Release(npg)
+		err = t.pg.With(oldNext, func(npg *pager.Page) error {
+			pageRef{npg.Data()}.setPtrB(rightPno)
+			t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, u64b(rightPno)))
+			return nil
+		})
 	}
-	t.addStats(0, 0, 1, 0)
-	err = t.insertSeparator(sys, aop, path, sep, leafPno, rightPno)
+	if err == nil {
+		t.addStats(0, 0, 1, 0)
+		err = t.insertSeparator(sys, t.allocOp(op, sys), path, sep, leafPno, rightPno)
+	}
 	// Append whatever was staged even on error: each record was staged
 	// right after its mutation landed in cache, so the log stays
 	// consistent with the (possibly partially split) in-cache tree —
@@ -620,21 +609,20 @@ func (t *Tree) insertSeparator(sys, aop *pager.Op, path []pathElem, sep []byte, 
 		if err != nil {
 			return err
 		}
-		pg, err := t.pg.AcquireZero(newRoot)
+		err = t.pg.WithZero(newRoot, func(pg *pager.Page) error {
+			p := initPage(pg.Data(), pageInternal)
+			if !p.insertRaw(0, encodeInternalCell(nil, sep, leftPno)) {
+				return fmt.Errorf("%w: root separator does not fit", ErrCorrupt)
+			}
+			p.setPtrA(rightPno)
+			t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
+				encOp(opNewRoot, u64b(leftPno), u64b(rightPno), keyb(sep)))
+			return nil
+		})
 		if err != nil {
 			_ = t.freePage(aop, newRoot) // never joined the tree
 			return err
 		}
-		p := initPage(pg.Data(), pageInternal)
-		enc := encodeInternalCell(nil, sep, leftPno)
-		if !p.insertRaw(0, enc) {
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: root separator does not fit", ErrCorrupt)
-		}
-		p.setPtrA(rightPno)
-		t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-			encOp(opNewRoot, u64b(leftPno), u64b(rightPno), keyb(sep)))
-		t.pg.Release(pg)
 		t.root = newRoot
 		t.height++
 		// Replay must see the new root: the header record rides the same
@@ -643,52 +631,56 @@ func (t *Tree) insertSeparator(sys, aop *pager.Op, path []pathElem, sep []byte, 
 	}
 
 	parent := path[len(path)-1]
-	pg, err := t.pg.Acquire(parent.pno)
-	if err != nil {
+	var promoted []byte
+	var splitPno uint64
+	err := t.pg.With(parent.pno, func(pg *pager.Page) error {
+		p := pageRef{pg.Data()}
+		// The child pointer at parent.idx must be redirected to rightPno; the
+		// new cell (sep, leftPno) is inserted at parent.idx.
+		if parent.idx < p.ncells() {
+			// Existing cell keeps its key but child becomes rightPno.
+			c, err := p.decodeCell(parent.idx)
+			if err != nil {
+				return err
+			}
+			k := make([]byte, len(c.key))
+			copy(k, c.key)
+			p.removeCell(parent.idx)
+			if !p.insertRaw(parent.idx, encodeInternalCell(nil, k, rightPno)) {
+				// Removing then failing to reinsert would corrupt the page;
+				// removeCell only moved slots, so re-adding must succeed
+				// because the cell was just removed. Compaction guarantees it.
+				return fmt.Errorf("%w: reinsert of redirected cell failed", ErrCorrupt)
+			}
+			t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
+				encOp(opRedirect, keyb(k), u64b(rightPno)))
+		} else {
+			p.setPtrA(rightPno)
+			t.pg.MarkDirtyRec(pg, sys, redo.KindRange, redo.EncodeRange(offPtrA, u64b(rightPno)))
+		}
+		encNew := encodeInternalCell(nil, sep, leftPno)
+		if p.insertRaw(parent.idx, encNew) {
+			t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp, encOp(opPut, encNew))
+			return nil
+		}
+		// Parent full: split it.
+		var err error
+		promoted, splitPno, err = t.splitInternal(sys, aop, pg, parent.idx, sep, leftPno)
+		return err
+	})
+	if err != nil || splitPno == 0 {
 		return err
 	}
-	p := pageRef{pg.Data()}
-	// The child pointer at parent.idx must be redirected to rightPno; the
-	// new cell (sep, leftPno) is inserted at parent.idx.
-	if parent.idx < p.ncells() {
-		// Existing cell keeps its key but child becomes rightPno.
-		c, err := p.decodeCell(parent.idx)
-		if err != nil {
-			t.pg.Release(pg)
-			return err
-		}
-		k := make([]byte, len(c.key))
-		copy(k, c.key)
-		p.removeCell(parent.idx)
-		encOld := encodeInternalCell(nil, k, rightPno)
-		if !p.insertRaw(parent.idx, encOld) {
-			// Removing then failing to reinsert would corrupt the page;
-			// removeCell only moved slots, so re-adding must succeed
-			// because the cell was just removed. Compaction guarantees it.
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: reinsert of redirected cell failed", ErrCorrupt)
-		}
-		t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-			encOp(opRedirect, keyb(k), u64b(rightPno)))
-	} else {
-		p.setPtrA(rightPno)
-		t.pg.MarkDirtyRec(pg, sys, redo.KindRange, redo.EncodeRange(offPtrA, u64b(rightPno)))
-	}
-	encNew := encodeInternalCell(nil, sep, leftPno)
-	if p.insertRaw(parent.idx, encNew) {
-		t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp, encOp(opPut, encNew))
-		t.pg.Release(pg)
-		return nil
-	}
-	// Parent full: split it.
-	return t.splitInternalAndInsert(sys, aop, pg, parent.pno, parent.idx, sep, leftPno, path[:len(path)-1])
+	t.addStats(0, 0, 1, 0)
+	return t.insertSeparator(sys, aop, path[:len(path)-1], promoted, parent.pno, splitPno)
 }
 
-// splitInternalAndInsert splits the (pinned) full internal node while
-// inserting cell (sep, leftPno) at index idx. Consumes the pin. Internal
-// pages are mutated only by system transactions, so replay re-executes
-// the identical middle-cell split against identical cells.
-func (t *Tree) splitInternalAndInsert(sys, aop *pager.Op, pg *pager.Page, pno uint64, idx int, sep []byte, leftPno uint64, path []pathElem) error {
+// splitInternal splits the pinned full internal node pg while inserting
+// cell (sep, leftPno) at index idx, returning the key promoted to the
+// parent and the new right page. Internal pages are mutated only by
+// system transactions, so replay re-executes the identical middle-cell
+// split against identical cells.
+func (t *Tree) splitInternal(sys, aop *pager.Op, pg *pager.Page, idx int, sep []byte, leftPno uint64) ([]byte, uint64, error) {
 	p := pageRef{pg.Data()}
 	n := p.ncells()
 	type icell struct {
@@ -699,8 +691,7 @@ func (t *Tree) splitInternalAndInsert(sys, aop *pager.Op, pg *pager.Page, pno ui
 	for i := 0; i < n; i++ {
 		c, err := p.decodeCell(i)
 		if err != nil {
-			t.pg.Release(pg)
-			return err
+			return nil, 0, err
 		}
 		k := make([]byte, len(c.key))
 		copy(k, c.key)
@@ -716,44 +707,35 @@ func (t *Tree) splitInternalAndInsert(sys, aop *pager.Op, pg *pager.Page, pno ui
 
 	rightPno, err := t.space.Alloc(aop, 1)
 	if err != nil {
-		t.pg.Release(pg)
-		return err
+		return nil, 0, err
 	}
-	rpg, err := t.pg.AcquireZero(rightPno)
+	err = t.pg.WithZero(rightPno, func(rpg *pager.Page) error {
+		rp := initPage(rpg.Data(), pageInternal)
+		for i := m + 1; i < len(cells); i++ {
+			if !rp.insertRaw(i-m-1, encodeInternalCell(nil, cells[i].key, cells[i].child)) {
+				return fmt.Errorf("%w: internal split right overflow", ErrCorrupt)
+			}
+		}
+		rp.setPtrA(rightMost)
+
+		lp := initPage(pg.Data(), pageInternal)
+		for i := 0; i < m; i++ {
+			if !lp.insertRaw(i, encodeInternalCell(nil, cells[i].key, cells[i].child)) {
+				return fmt.Errorf("%w: internal split left overflow", ErrCorrupt)
+			}
+		}
+		lp.setPtrA(promoted.child)
+
+		t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
+			encOp(opSplitInternal, u64b(rightPno), u64b(leftPno), keyb(sep)))
+		t.pg.MarkDirty(rpg)
+		return nil
+	})
 	if err != nil {
-		t.pg.Release(pg)
 		_ = t.freePage(aop, rightPno) // never joined the tree
-		return err
+		return nil, 0, err
 	}
-	rp := initPage(rpg.Data(), pageInternal)
-	for i := m + 1; i < len(cells); i++ {
-		enc := encodeInternalCell(nil, cells[i].key, cells[i].child)
-		if !rp.insertRaw(i-m-1, enc) {
-			t.pg.Release(rpg)
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: internal split right overflow", ErrCorrupt)
-		}
-	}
-	rp.setPtrA(rightMost)
-
-	lp := initPage(pg.Data(), pageInternal)
-	for i := 0; i < m; i++ {
-		enc := encodeInternalCell(nil, cells[i].key, cells[i].child)
-		if !lp.insertRaw(i, enc) {
-			t.pg.Release(rpg)
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: internal split left overflow", ErrCorrupt)
-		}
-	}
-	lp.setPtrA(promoted.child)
-
-	t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-		encOp(opSplitInternal, u64b(rightPno), u64b(leftPno), keyb(sep)))
-	t.pg.MarkDirty(rpg)
-	t.pg.Release(rpg)
-	t.pg.Release(pg)
-	t.addStats(0, 0, 1, 0)
-	return t.insertSeparator(sys, aop, path, promoted.key, pno, rightPno)
+	return promoted.key, rightPno, nil
 }
 
 // Delete removes key from the tree, returning ErrNotFound if absent.
@@ -779,45 +761,42 @@ func (t *Tree) DeleteOp(op *pager.Op, key []byte) error {
 	}
 	t.addStats(1, int64(len(path)+1), 0, 0)
 
-	pg, err := t.pg.Acquire(leafPno)
-	if err != nil {
-		return err
-	}
-	p := pageRef{pg.Data()}
-	idx, found, err := p.search(key)
-	if err != nil {
-		t.pg.Release(pg)
-		return err
-	}
-	if !found {
-		t.pg.Release(pg)
-		return ErrNotFound
-	}
-	c, err := p.decodeCell(idx)
-	if err != nil {
-		t.pg.Release(pg)
-		return err
-	}
-	if op.UndoEnabled() {
-		// Inverse re-inserts the old value; read it (overflow included)
-		// before the chain is freed.
-		old, err := t.cellValue(c)
+	var underfull bool
+	err = t.pg.With(leafPno, func(pg *pager.Page) error {
+		p := pageRef{pg.Data()}
+		idx, found, err := p.search(key)
 		if err != nil {
-			t.pg.Release(pg)
 			return err
 		}
-		op.StageUndo(undo.KeyPut(t.hdrPno, key, old))
-	}
-	if c.overflow != 0 {
-		if err := t.freeOverflow(op, c.overflow); err != nil {
-			t.pg.Release(pg)
+		if !found {
+			return ErrNotFound
+		}
+		c, err := p.decodeCell(idx)
+		if err != nil {
 			return err
 		}
+		if op.UndoEnabled() {
+			// Inverse re-inserts the old value; read it (overflow included)
+			// before the chain is freed.
+			old, err := t.cellValue(c)
+			if err != nil {
+				return err
+			}
+			op.StageUndo(undo.KeyPut(t.hdrPno, key, old))
+		}
+		if c.overflow != 0 {
+			if err := t.freeOverflow(op, c.overflow); err != nil {
+				return err
+			}
+		}
+		p.removeCell(idx)
+		t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opDel, key))
+		underfull = p.usedBytes() < len(pg.Data())/4
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	p.removeCell(idx)
-	t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opDel, key))
-	underfull := p.usedBytes() < len(pg.Data())/4
-	t.pg.Release(pg)
 	t.nkeys--
 
 	if underfull && len(path) > 0 {
@@ -847,14 +826,13 @@ func (t *Tree) Rebalance(sys *pager.Op, key []byte) error {
 	if len(path) == 0 {
 		return nil
 	}
-	pg, err := t.pg.Acquire(leafPno)
-	if err != nil {
-		return err
-	}
-	underfull := pageRef{pg.Data()}.usedBytes() < len(pg.Data())/4
-	t.pg.Release(pg)
-	if !underfull {
+	var underfull bool
+	err = t.pg.With(leafPno, func(pg *pager.Page) error {
+		underfull = pageRef{pg.Data()}.usedBytes() < len(pg.Data())/4
 		return nil
+	})
+	if err != nil || !underfull {
+		return err
 	}
 	if err := t.maybeMerge(sys, path, leafPno); err != nil {
 		return err
@@ -868,190 +846,136 @@ func (t *Tree) Rebalance(sys *pager.Op, key []byte) error {
 // into sys (nil = unlogged).
 func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) error {
 	parent := path[len(path)-1]
-	ppg, err := t.pg.Acquire(parent.pno)
-	if err != nil {
-		return err
-	}
-	pp := pageRef{ppg.Data()}
-	nc := pp.ncells()
-
-	// Identify left/right siblings of the child at parent.idx.
-	childAt := func(i int) (uint64, error) {
-		if i < nc {
-			c, err := pp.decodeCell(i)
+	var merged, underfull, rootEmpty bool
+	var newRoot uint64
+	err := t.pg.With(parent.pno, func(ppg *pager.Page) error {
+		pp := pageRef{ppg.Data()}
+		if cur, err := pp.childAt(parent.idx); err != nil || cur != nodePno {
+			// A stale path shouldn't happen under the tree lock; skip it.
+			return err
+		}
+		// Try merging cur with its right sibling first, else with its left.
+		var lefts []int
+		if parent.idx < pp.ncells() {
+			lefts = append(lefts, parent.idx)
+		}
+		if parent.idx > 0 {
+			lefts = append(lefts, parent.idx-1)
+		}
+		for _, li := range lefts {
+			leftPno, err := pp.childAt(li)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return c.child, nil
+			rightPno, err := pp.childAt(li + 1)
+			if err != nil {
+				return err
+			}
+			if merged, err = t.tryMergePair(sys, pp, leftPno, rightPno, li); err != nil {
+				return err
+			}
+			if merged {
+				t.pg.MarkDirtyRec(ppg, sys, redo.KindBtreeOp,
+					encOp(opMerge, u64b(leftPno), u64b(rightPno)))
+				underfull = pp.usedBytes() < len(ppg.Data())/4
+				if rootEmpty = parent.pno == t.root && pp.ncells() == 0; rootEmpty {
+					newRoot = pp.ptrA()
+				}
+				return nil
+			}
 		}
-		return pp.ptrA(), nil
-	}
-
-	cur, err := childAt(parent.idx)
-	if err != nil {
-		t.pg.Release(ppg)
+		return nil
+	})
+	if err != nil || !merged {
 		return err
 	}
-	if cur != nodePno {
-		// Path is stale (shouldn't happen under the tree lock); skip.
-		t.pg.Release(ppg)
-		return nil
-	}
-
-	// Try merging cur with its right sibling first, else with its left.
-	tryPairs := [][2]int{}
-	if parent.idx < nc {
-		tryPairs = append(tryPairs, [2]int{parent.idx, parent.idx + 1})
-	}
-	if parent.idx > 0 {
-		tryPairs = append(tryPairs, [2]int{parent.idx - 1, parent.idx})
-	}
-
-	for _, pair := range tryPairs {
-		li, ri := pair[0], pair[1]
-		leftPno, err := childAt(li)
-		if err != nil {
-			t.pg.Release(ppg)
+	t.addStats(0, 0, 0, 1)
+	if rootEmpty {
+		// Collapse the root.
+		if err := t.freePage(sys, parent.pno); err != nil {
 			return err
 		}
-		rightPno, err := childAt(ri)
-		if err != nil {
-			t.pg.Release(ppg)
-			return err
-		}
-		merged, err := t.tryMergePair(sys, pp, leftPno, rightPno, li)
-		if err != nil {
-			t.pg.Release(ppg)
-			return err
-		}
-		if merged {
-			t.pg.MarkDirtyRec(ppg, sys, redo.KindBtreeOp,
-				encOp(opMerge, u64b(leftPno), u64b(rightPno)))
-			underfull := pp.usedBytes() < len(ppg.Data())/4
-			rootEmpty := parent.pno == t.root && pp.ncells() == 0
-			var newRoot uint64
-			if rootEmpty {
-				newRoot = pp.ptrA()
-			}
-			t.pg.Release(ppg)
-			t.addStats(0, 0, 0, 1)
-			if rootEmpty {
-				// Collapse the root.
-				if err := t.freePage(sys, parent.pno); err != nil {
-					return err
-				}
-				t.root = newRoot
-				t.height--
-				// Replay must see the shorter tree.
-				return t.writeHeaderOp(sys)
-			}
-			if underfull && len(path) > 1 {
-				return t.maybeMerge(sys, path[:len(path)-1], parent.pno)
-			}
-			return nil
-		}
+		t.root = newRoot
+		t.height--
+		// Replay must see the shorter tree.
+		return t.writeHeaderOp(sys)
 	}
-	t.pg.Release(ppg)
+	if underfull && len(path) > 1 {
+		return t.maybeMerge(sys, path[:len(path)-1], parent.pno)
+	}
 	return nil
 }
 
 // tryMergePair merges right into left if all cells fit in one page.
 // li is the parent cell index referring to left. On success the parent
 // cell for left is removed and the reference to right is redirected to
-// left; the right page is freed. Parent page pp must be pinned by caller,
-// who emits the covering opMerge record; only the next-leaf back-pointer
-// stitch is recorded here.
+// left; the right page is freed. The caller holds the parent page pp
+// pinned and emits the covering opMerge record; only the next-leaf
+// back-pointer stitch is recorded here.
 func (t *Tree) tryMergePair(sys *pager.Op, pp pageRef, leftPno, rightPno uint64, li int) (bool, error) {
-	lpg, err := t.pg.Acquire(leftPno)
-	if err != nil {
+	merged := false
+	err := t.pg.With(leftPno, func(lpg *pager.Page) error {
+		return t.pg.With(rightPno, func(rpg *pager.Page) error {
+			lp, rp := pageRef{lpg.Data()}, pageRef{rpg.Data()}
+			if lp.typ() != rp.typ() {
+				return fmt.Errorf("%w: sibling type mismatch", ErrCorrupt)
+			}
+			// Size check: combined used bytes (+ separator cell for internals).
+			need := lp.usedBytes() + rp.usedBytes()
+			var sepKey []byte
+			if lp.typ() == pageInternal {
+				c, err := pp.decodeCell(li)
+				if err != nil {
+					return err
+				}
+				sepKey = append([]byte(nil), c.key...)
+				need += encodedInternalCellSize(len(sepKey)) + 2
+			}
+			if need > len(lpg.Data())-hdrSize {
+				return nil
+			}
+			// The size check above guarantees the absorb fits; a failure
+			// here means the accounting is broken, so surface corruption.
+			if lp.typ() == pageInternal {
+				// Absorb left.ptrA under the separator key, then right's cells.
+				if !lp.insertRaw(lp.ncells(), encodeInternalCell(nil, sepKey, lp.ptrA())) {
+					return fmt.Errorf("%w: merge overflow despite size check", ErrCorrupt)
+				}
+			}
+			for i := 0; i < rp.ncells(); i++ {
+				off := rp.slot(i)
+				sz := rp.cellLenAt(off)
+				raw := make([]byte, sz)
+				copy(raw, rp.data[off:off+sz])
+				if !lp.insertRaw(lp.ncells(), raw) {
+					return fmt.Errorf("%w: merge overflow despite size check", ErrCorrupt)
+				}
+			}
+			if lp.typ() == pageInternal {
+				lp.setPtrA(rp.ptrA())
+			} else {
+				// Fix leaf chain: left <-> right.next.
+				next := rp.ptrA()
+				lp.setPtrA(next)
+				if next != 0 {
+					err := t.pg.With(next, func(npg *pager.Page) error {
+						pageRef{npg.Data()}.setPtrB(leftPno)
+						t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, u64b(leftPno)))
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+				}
+			}
+			t.pg.MarkDirty(lpg)
+			merged = true
+			return nil
+		})
+	})
+	if err != nil || !merged {
 		return false, err
 	}
-	lp := pageRef{lpg.Data()}
-	rpg, err := t.pg.Acquire(rightPno)
-	if err != nil {
-		t.pg.Release(lpg)
-		return false, err
-	}
-	rp := pageRef{rpg.Data()}
-
-	if lp.typ() != rp.typ() {
-		t.pg.Release(rpg)
-		t.pg.Release(lpg)
-		return false, fmt.Errorf("%w: sibling type mismatch", ErrCorrupt)
-	}
-
-	// Size check: combined used bytes (+ separator cell for internals).
-	need := lp.usedBytes() + rp.usedBytes()
-	sepCellSize := 0
-	var sepKey []byte
-	if lp.typ() == pageInternal {
-		c, err := pp.decodeCell(li)
-		if err != nil {
-			t.pg.Release(rpg)
-			t.pg.Release(lpg)
-			return false, err
-		}
-		sepKey = append([]byte(nil), c.key...)
-		sepCellSize = encodedInternalCellSize(len(sepKey)) + 2
-		need += sepCellSize
-	}
-	if need > len(lpg.Data())-hdrSize {
-		t.pg.Release(rpg)
-		t.pg.Release(lpg)
-		return false, nil
-	}
-
-	// The size check above guarantees the absorb loop fits; a failure here
-	// means the accounting is broken, so surface corruption.
-	absorbFail := func() (bool, error) {
-		t.pg.Release(rpg)
-		t.pg.Release(lpg)
-		return false, fmt.Errorf("%w: merge overflow despite size check", ErrCorrupt)
-	}
-	if lp.typ() == pageInternal {
-		// Absorb left.ptrA under the separator key, then right's cells.
-		enc := encodeInternalCell(nil, sepKey, lp.ptrA())
-		if !lp.insertRaw(lp.ncells(), enc) {
-			return absorbFail()
-		}
-		for i := 0; i < rp.ncells(); i++ {
-			off := rp.slot(i)
-			sz := rp.cellLenAt(off)
-			raw := make([]byte, sz)
-			copy(raw, rp.data[off:off+sz])
-			if !lp.insertRaw(lp.ncells(), raw) {
-				return absorbFail()
-			}
-		}
-		lp.setPtrA(rp.ptrA())
-	} else {
-		for i := 0; i < rp.ncells(); i++ {
-			off := rp.slot(i)
-			sz := rp.cellLenAt(off)
-			raw := make([]byte, sz)
-			copy(raw, rp.data[off:off+sz])
-			if !lp.insertRaw(lp.ncells(), raw) {
-				return absorbFail()
-			}
-		}
-		// Fix leaf chain: left <-> right.next.
-		next := rp.ptrA()
-		lp.setPtrA(next)
-		if next != 0 {
-			npg, err := t.pg.Acquire(next)
-			if err != nil {
-				t.pg.Release(rpg)
-				t.pg.Release(lpg)
-				return false, err
-			}
-			pageRef{npg.Data()}.setPtrB(leftPno)
-			t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, u64b(leftPno)))
-			t.pg.Release(npg)
-		}
-	}
-	t.pg.MarkDirty(lpg)
-	t.pg.Release(rpg)
-	t.pg.Release(lpg)
 
 	// Parent: remove the cell for left; redirect right's reference to left.
 	ri := li + 1
@@ -1062,8 +986,7 @@ func (t *Tree) tryMergePair(sys *pager.Op, pp pageRef, leftPno, rightPno uint64,
 		}
 		k := append([]byte(nil), c.key...)
 		pp.removeCell(ri)
-		enc := encodeInternalCell(nil, k, leftPno)
-		if !pp.insertRaw(ri, enc) {
+		if !pp.insertRaw(ri, encodeInternalCell(nil, k, leftPno)) {
 			return false, fmt.Errorf("%w: parent redirect failed", ErrCorrupt)
 		}
 	} else {
@@ -1112,42 +1035,33 @@ func (t *Tree) RecountKeys() error {
 	defer t.mu.Unlock()
 	pno := t.root
 	for level := 0; level < t.height-1; level++ {
-		pg, err := t.pg.Acquire(pno)
-		if err != nil {
-			return err
-		}
-		p := pageRef{pg.Data()}
-		if p.typ() != pageInternal || p.ncells() == 0 {
-			next := p.ptrA()
-			t.pg.Release(pg)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
 			if p.typ() != pageInternal {
 				return fmt.Errorf("%w: recount hit type %d at level %d", ErrCorrupt, p.typ(), level)
 			}
-			pno = next
-			continue
-		}
-		c, err := p.decodeCell(0)
+			var err error
+			pno, err = p.childAt(0)
+			return err
+		})
 		if err != nil {
-			t.pg.Release(pg)
 			return err
 		}
-		t.pg.Release(pg)
-		pno = c.child
 	}
 	var n uint64
 	for pno != 0 {
-		pg, err := t.pg.Acquire(pno)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			if p.typ() != pageLeaf {
+				return fmt.Errorf("%w: recount hit type %d in leaf chain", ErrCorrupt, p.typ())
+			}
+			n += uint64(p.ncells())
+			pno = p.ptrA()
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		p := pageRef{pg.Data()}
-		if p.typ() != pageLeaf {
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: recount hit type %d in leaf chain", ErrCorrupt, p.typ())
-		}
-		n += uint64(p.ncells())
-		pno = p.ptrA()
-		t.pg.Release(pg)
 	}
 	if n == t.nkeys {
 		return nil
@@ -1166,40 +1080,37 @@ func (t *Tree) Drop(op *pager.Op) error {
 
 	var freeWalk func(pno uint64, level int) error
 	freeWalk = func(pno uint64, level int) error {
-		pg, err := t.pg.Acquire(pno)
+		var children, overflows []uint64
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			switch p.typ() {
+			case pageInternal:
+				for i := 0; i < p.ncells(); i++ {
+					c, err := p.decodeCell(i)
+					if err != nil {
+						return err
+					}
+					children = append(children, c.child)
+				}
+				children = append(children, p.ptrA())
+			case pageLeaf:
+				for i := 0; i < p.ncells(); i++ {
+					c, err := p.decodeCell(i)
+					if err != nil {
+						return err
+					}
+					if c.overflow != 0 {
+						overflows = append(overflows, c.overflow)
+					}
+				}
+			default:
+				return fmt.Errorf("%w: drop walk hit page type %d", ErrCorrupt, p.typ())
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		p := pageRef{pg.Data()}
-		var children []uint64
-		var overflows []uint64
-		switch p.typ() {
-		case pageInternal:
-			for i := 0; i < p.ncells(); i++ {
-				c, err := p.decodeCell(i)
-				if err != nil {
-					t.pg.Release(pg)
-					return err
-				}
-				children = append(children, c.child)
-			}
-			children = append(children, p.ptrA())
-		case pageLeaf:
-			for i := 0; i < p.ncells(); i++ {
-				c, err := p.decodeCell(i)
-				if err != nil {
-					t.pg.Release(pg)
-					return err
-				}
-				if c.overflow != 0 {
-					overflows = append(overflows, c.overflow)
-				}
-			}
-		default:
-			t.pg.Release(pg)
-			return fmt.Errorf("%w: drop walk hit page type %d", ErrCorrupt, p.typ())
-		}
-		t.pg.Release(pg)
 		for _, c := range children {
 			if err := freeWalk(c, level+1); err != nil {
 				return err

@@ -154,19 +154,15 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 			return obj.TruncateRangeDeferred(op, u.Off, u.N)
 		}
 	case undo.OpRange:
-		pg, err := v.pg.Acquire(u.Page)
-		if err != nil {
-			return err
-		}
-		d := pg.Data()
-		if int(u.Off)+len(u.Data) > len(d) {
-			v.pg.Release(pg)
-			return fmt.Errorf("core: undo range [%d,%d) outside page %d", u.Off, int(u.Off)+len(u.Data), u.Page)
-		}
-		copy(d[u.Off:], u.Data)
-		v.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(int(u.Off), u.Data))
-		v.pg.Release(pg)
-		return nil
+		return v.pg.With(u.Page, func(pg *pager.Page) error {
+			d := pg.Data()
+			if int(u.Off)+len(u.Data) > len(d) {
+				return fmt.Errorf("core: undo range [%d,%d) outside page %d", u.Off, int(u.Off)+len(u.Data), u.Page)
+			}
+			copy(d[u.Off:], u.Data)
+			v.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(int(u.Off), u.Data))
+			return nil
+		})
 	case undo.OpObjDestroy:
 		err := v.OSD.DeleteObjectDeferred(op, osd.OID(u.OID))
 		if errors.Is(err, osd.ErrNotFound) {

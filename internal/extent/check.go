@@ -3,6 +3,8 @@ package extent
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/pager"
 )
 
 // CheckResult summarizes an extent-tree integrity walk.
@@ -49,60 +51,55 @@ func (t *Tree) Check() (*CheckResult, error) {
 		seen[pno] = true
 		res.AllPages = append(res.AllPages, pno)
 		res.Pages++
-		pg, err := t.pg.Acquire(pno)
-		if err != nil {
-			return 0, err
-		}
-		node := nodeRef{pg.Data()}
-		if level == t.height-1 {
-			if node.typ() != pageLeaf {
-				t.pg.Release(pg)
-				return 0, fmt.Errorf("%w: page %d should be a leaf", ErrCorrupt, pno)
-			}
-			var sum uint64
-			for i := 0; i < node.ncells(); i++ {
-				e := node.leafCell(i)
-				sum += uint64(e.Len)
-				res.Extents++
-				if e.IsHole() {
-					res.Holes++
-					if e.AllocBlocks != 0 {
-						t.pg.Release(pg)
-						return 0, fmt.Errorf("%w: hole with allocation", ErrCorrupt)
-					}
-				} else {
-					if uint64(e.Len) > uint64(e.AllocBlocks)*t.bsU64 {
-						t.pg.Release(pg)
-						return 0, fmt.Errorf("%w: extent len %d exceeds alloc %d blocks", ErrCorrupt, e.Len, e.AllocBlocks)
-					}
-					if e.Len == 0 {
-						t.pg.Release(pg)
-						return 0, fmt.Errorf("%w: zero-length real extent", ErrCorrupt)
-					}
-					res.AllocatedBytes += uint64(e.AllocBlocks) * t.bsU64
-					res.DataExtents = append(res.DataExtents, e)
-				}
-			}
-			res.Bytes += sum
-			leaves = append(leaves, pno)
-			t.pg.Release(pg)
-			return sum, nil
-		}
-		if node.typ() != pageInternal {
-			t.pg.Release(pg)
-			return 0, fmt.Errorf("%w: page %d should be internal", ErrCorrupt, pno)
-		}
 		type ent struct {
 			child uint64
 			bytes uint64
 		}
-		ents := make([]ent, node.ncells())
-		for i := range ents {
-			c := node.childCell(i)
-			ents[i] = ent{c.child, c.bytes}
-		}
-		t.pg.Release(pg)
+		var ents []ent
 		var sum uint64
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			node := nodeRef{pg.Data()}
+			if level == t.height-1 {
+				if node.typ() != pageLeaf {
+					return fmt.Errorf("%w: page %d should be a leaf", ErrCorrupt, pno)
+				}
+				for i := 0; i < node.ncells(); i++ {
+					e := node.leafCell(i)
+					sum += uint64(e.Len)
+					res.Extents++
+					if e.IsHole() {
+						res.Holes++
+						if e.AllocBlocks != 0 {
+							return fmt.Errorf("%w: hole with allocation", ErrCorrupt)
+						}
+						continue
+					}
+					if uint64(e.Len) > uint64(e.AllocBlocks)*t.bsU64 {
+						return fmt.Errorf("%w: extent len %d exceeds alloc %d blocks", ErrCorrupt, e.Len, e.AllocBlocks)
+					}
+					if e.Len == 0 {
+						return fmt.Errorf("%w: zero-length real extent", ErrCorrupt)
+					}
+					res.AllocatedBytes += uint64(e.AllocBlocks) * t.bsU64
+					res.DataExtents = append(res.DataExtents, e)
+				}
+				res.Bytes += sum
+				leaves = append(leaves, pno)
+				return nil
+			}
+			if node.typ() != pageInternal {
+				return fmt.Errorf("%w: page %d should be internal", ErrCorrupt, pno)
+			}
+			ents = make([]ent, node.ncells())
+			for i := range ents {
+				c := node.childCell(i)
+				ents[i] = ent{c.child, c.bytes}
+			}
+			return nil
+		})
+		if err != nil || level == t.height-1 {
+			return sum, err
+		}
 		for _, e := range ents {
 			got, err := walk(e.child, level+1)
 			if err != nil {
@@ -136,17 +133,18 @@ func (t *Tree) Check() (*CheckResult, error) {
 		if cur != want {
 			return nil, fmt.Errorf("%w: leaf chain diverges at %d", ErrCorrupt, i)
 		}
-		pg, err := t.pg.Acquire(cur)
+		var next uint64
+		err := t.pg.With(cur, func(pg *pager.Page) error {
+			node := nodeRef{pg.Data()}
+			if node.prev() != prev {
+				return fmt.Errorf("%w: leaf %d prev %d, want %d", ErrCorrupt, cur, node.prev(), prev)
+			}
+			next = node.next()
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		node := nodeRef{pg.Data()}
-		if node.prev() != prev {
-			t.pg.Release(pg)
-			return nil, fmt.Errorf("%w: leaf %d prev %d, want %d", ErrCorrupt, cur, node.prev(), prev)
-		}
-		next := node.next()
-		t.pg.Release(pg)
 		prev, cur = cur, next
 	}
 	if cur != 0 {
@@ -182,37 +180,40 @@ func (t *Tree) Recount() error {
 	defer t.mu.Unlock()
 	var walk func(pno uint64, level int) (uint64, uint64, error)
 	walk = func(pno uint64, level int) (uint64, uint64, error) {
-		pg, err := t.pg.Acquire(pno)
-		if err != nil {
-			return 0, 0, err
-		}
-		n := nodeRef{pg.Data()}
-		if level == t.height-1 {
-			bytes, exts := n.leafSum(), uint64(n.ncells())
-			t.pg.Release(pg)
-			return bytes, exts, nil
-		}
 		type ent struct{ child, bytes uint64 }
-		ents := make([]ent, n.ncells())
-		for i := range ents {
-			c := n.childCell(i)
-			ents[i] = ent{c.child, c.bytes}
+		var ents []ent
+		var bytes, exts uint64
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			n := nodeRef{pg.Data()}
+			if level == t.height-1 {
+				bytes, exts = n.leafSum(), uint64(n.ncells())
+				return nil
+			}
+			ents = make([]ent, n.ncells())
+			for i := range ents {
+				c := n.childCell(i)
+				ents[i] = ent{c.child, c.bytes}
+			}
+			return nil
+		})
+		if err != nil || level == t.height-1 {
+			return bytes, exts, err
 		}
-		t.pg.Release(pg)
-		var total, exts uint64
+		var total uint64
 		for i, e := range ents {
 			b, x, err := walk(e.child, level+1)
 			if err != nil {
 				return 0, 0, err
 			}
 			if b != e.bytes {
-				pg, err := t.pg.Acquire(pno)
+				err := t.pg.With(pno, func(pg *pager.Page) error {
+					nodeRef{pg.Data()}.setChildCell(i, childEntry{e.child, b})
+					t.pg.MarkDirty(pg)
+					return nil
+				})
 				if err != nil {
 					return 0, 0, err
 				}
-				nodeRef{pg.Data()}.setChildCell(i, childEntry{e.child, b})
-				t.pg.MarkDirty(pg)
-				t.pg.Release(pg)
 			}
 			total += b
 			exts += x

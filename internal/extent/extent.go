@@ -173,7 +173,7 @@ func Create(pg *pager.Pager, ba *buddy.Allocator, cfg Config) (*Tree, error) {
 
 // CreateOp is Create capturing the fresh tree's pages into op, so an
 // object created inside a transaction recovers with it. Both pages are
-// fresh (AcquireZero), so replay rebuilds them from their records alone
+// fresh (WithZero), so replay rebuilds them from their records alone
 // and no garbage home content is ever logged as a base image.
 func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
@@ -191,44 +191,48 @@ func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*
 		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
 		root: rootPno, height: 1, creator: op.ID(),
 	}
-	rp, err := pg.AcquireZero(rootPno)
+	err = pg.WithZero(rootPno, func(rp *pager.Page) error {
+		rp.Data()[offType] = pageLeaf
+		t.rec(rp, op, encXop(xopInit, []byte{pageLeaf}))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rp.Data()[offType] = pageLeaf
-	t.rec(rp, op, encXop(xopInit, []byte{pageLeaf}))
-	pg.Release(rp)
-	hp, err := pg.AcquireZero(hdr)
+	err = pg.WithZero(hdr, func(hp *pager.Page) error {
+		hb := t.headerBytes()
+		copy(hp.Data()[:len(hb)], hb)
+		t.recRange(hp, op, 0, hb)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	hb := t.headerBytes()
-	copy(hp.Data()[:len(hb)], hb)
-	t.recRange(hp, op, 0, hb)
-	pg.Release(hp)
 	return t, nil
 }
 
 // Open loads an extent tree from its header page.
 func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, cfg Config) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
-	hp, err := pg.Acquire(headerPno)
+	t := &Tree{
+		pg: pg, space: pager.NewSpace(ba), dev: pg.Device(), cfg: cfg, hdr: headerPno,
+		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
+	}
+	err := pg.With(headerPno, func(hp *pager.Page) error {
+		d := hp.Data()
+		if d[offType] != pageHeader || binary.LittleEndian.Uint32(d[hOffMagic:]) != treeMagic {
+			return fmt.Errorf("%w: page %d is not an extent tree header", ErrCorrupt, headerPno)
+		}
+		t.root = binary.LittleEndian.Uint64(d[hOffRoot:])
+		t.height = int(binary.LittleEndian.Uint64(d[hOffHeight:]))
+		t.size = binary.LittleEndian.Uint64(d[hOffSize:])
+		t.extents = binary.LittleEndian.Uint64(d[hOffExtents:])
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer pg.Release(hp)
-	d := hp.Data()
-	if d[offType] != pageHeader || binary.LittleEndian.Uint32(d[hOffMagic:]) != treeMagic {
-		return nil, fmt.Errorf("%w: page %d is not an extent tree header", ErrCorrupt, headerPno)
-	}
-	return &Tree{
-		pg: pg, space: pager.NewSpace(ba), dev: pg.Device(), cfg: cfg, hdr: headerPno,
-		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
-		root:    binary.LittleEndian.Uint64(d[hOffRoot:]),
-		height:  int(binary.LittleEndian.Uint64(d[hOffHeight:])),
-		size:    binary.LittleEndian.Uint64(d[hOffSize:]),
-		extents: binary.LittleEndian.Uint64(d[hOffExtents:]),
-	}, nil
+	return t, nil
 }
 
 // HeaderPage returns the page number identifying this tree.
@@ -276,15 +280,12 @@ func (t *Tree) headerBytes() []byte {
 // writeHeader persists the header fields as a byte-range record in the
 // current operation's redo set.
 func (t *Tree) writeHeader() error {
-	hp, err := t.pg.Acquire(t.hdr)
-	if err != nil {
-		return err
-	}
-	defer t.pg.Release(hp)
-	hb := t.headerBytes()
-	copy(hp.Data()[:len(hb)], hb)
-	t.recRange(hp, t.curOp, 0, hb)
-	return nil
+	return t.pg.With(t.hdr, func(hp *pager.Page) error {
+		hb := t.headerBytes()
+		copy(hp.Data()[:len(hb)], hb)
+		t.recRange(hp, t.curOp, 0, hb)
+		return nil
+	})
 }
 
 // writeRootSys persists the root and height fields as part of a
@@ -294,19 +295,14 @@ func (t *Tree) writeHeader() error {
 // root over a re-rooted tree. Size and extent count stay op-owned (the
 // modification is sum-preserving, so they did not change).
 func (t *Tree) writeRootSys(sys *pager.Op) error {
-	hp, err := t.pg.Acquire(t.hdr)
-	if err != nil {
-		return err
-	}
-	defer t.pg.Release(hp)
-	d := hp.Data()
-	binary.LittleEndian.PutUint64(d[hOffRoot:], t.root)
-	binary.LittleEndian.PutUint64(d[hOffHeight:], uint64(t.height))
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:], t.root)
-	binary.LittleEndian.PutUint64(b[8:], uint64(t.height))
-	t.recRange(hp, sys, hOffRoot, b[:])
-	return nil
+	return t.pg.With(t.hdr, func(hp *pager.Page) error {
+		var b [16]byte
+		binary.LittleEndian.PutUint64(b[:], t.root)
+		binary.LittleEndian.PutUint64(b[8:], uint64(t.height))
+		copy(hp.Data()[hOffRoot:], b[:])
+		t.recRange(hp, sys, hOffRoot, b[:])
+		return nil
+	})
 }
 
 // --- page cell accessors ---
@@ -429,27 +425,29 @@ func (t *Tree) descend(off uint64) ([]pathElem, uint64, uint64, error) {
 	rem := off
 	var path []pathElem
 	for level := 0; level < t.height-1; level++ {
-		pg, err := t.pg.Acquire(pno)
+		var idx int
+		var child uint64
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			n := nodeRef{pg.Data()}
+			if n.typ() != pageInternal {
+				return fmt.Errorf("%w: expected internal page at %d", ErrCorrupt, pno)
+			}
+			cnt := n.ncells()
+			idx = cnt - 1
+			for i := 0; i < cnt; i++ {
+				c := n.childCell(i)
+				if rem < c.bytes || (i == cnt-1) {
+					idx = i
+					break
+				}
+				rem -= c.bytes
+			}
+			child = n.childCell(idx).child
+			return nil
+		})
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		n := nodeRef{pg.Data()}
-		if n.typ() != pageInternal {
-			t.pg.Release(pg)
-			return nil, 0, 0, fmt.Errorf("%w: expected internal page at %d", ErrCorrupt, pno)
-		}
-		cnt := n.ncells()
-		idx := cnt - 1
-		for i := 0; i < cnt; i++ {
-			c := n.childCell(i)
-			if rem < c.bytes || (i == cnt-1) {
-				idx = i
-				break
-			}
-			rem -= c.bytes
-		}
-		child := n.childCell(idx).child
-		t.pg.Release(pg)
 		path = append(path, pathElem{pno, idx})
 		pno = child
 	}
@@ -482,16 +480,17 @@ func (t *Tree) bumpCounts(path []pathElem, delta int64) error {
 		return nil
 	}
 	for _, pe := range path {
-		pg, err := t.pg.Acquire(pe.pno)
+		err := t.pg.With(pe.pno, func(pg *pager.Page) error {
+			n := nodeRef{pg.Data()}
+			c := n.childCell(pe.idx)
+			c.bytes = uint64(int64(c.bytes) + delta)
+			n.setChildCell(pe.idx, c)
+			t.rec(pg, t.curOp, encXop(xopBump, xu16(pe.idx), xu64(uint64(delta))))
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		n := nodeRef{pg.Data()}
-		c := n.childCell(pe.idx)
-		c.bytes = uint64(int64(c.bytes) + delta)
-		n.setChildCell(pe.idx, c)
-		t.rec(pg, t.curOp, encXop(xopBump, xu16(pe.idx), xu64(uint64(delta))))
-		t.pg.Release(pg)
 	}
 	return nil
 }

@@ -41,34 +41,34 @@ func (t *Tree) readAtLocked(p []byte, off uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	type job struct {
+		e    Extent
+		eOff uint64
+		m    int
+	}
 	done := 0
 	for done < n && leafPno != 0 {
-		pg, err := t.pg.Acquire(leafPno)
+		var jobs []job
+		var next uint64
+		err := t.pg.With(leafPno, func(pg *pager.Page) error {
+			node := nodeRef{pg.Data()}
+			idx, eOff := node.findInLeaf(rem)
+			for cnt := node.ncells(); idx < cnt && done < n; idx++ {
+				e := node.leafCell(idx)
+				m := n - done
+				if avail := uint64(e.Len) - eOff; uint64(m) > avail {
+					m = int(avail)
+				}
+				jobs = append(jobs, job{e, eOff, m})
+				done += m
+				eOff = 0
+			}
+			next = node.next()
+			return nil
+		})
 		if err != nil {
 			return done, err
 		}
-		node := nodeRef{pg.Data()}
-		idx, eOff := node.findInLeaf(rem)
-		cnt := node.ncells()
-		type job struct {
-			e    Extent
-			eOff uint64
-			m    int
-		}
-		var jobs []job
-		for ; idx < cnt && done < n; idx++ {
-			e := node.leafCell(idx)
-			avail := uint64(e.Len) - eOff
-			m := n - done
-			if uint64(m) > avail {
-				m = int(avail)
-			}
-			jobs = append(jobs, job{e, eOff, m})
-			done += m
-			eOff = 0
-		}
-		next := node.next()
-		t.pg.Release(pg)
 		// Perform device I/O outside the page pin.
 		pos := done
 		for i := len(jobs) - 1; i >= 0; i-- {
@@ -176,18 +176,13 @@ func (t *Tree) writeAtLocked(p []byte, off uint64) error {
 		if err != nil {
 			return err
 		}
-		pg, err := t.pg.Acquire(leafPno)
+		idx, eOff, e, err := t.cellAt(leafPno, rem)
 		if err != nil {
 			return err
 		}
-		node := nodeRef{pg.Data()}
-		idx, eOff := node.findInLeaf(rem)
-		if idx >= node.ncells() {
-			t.pg.Release(pg)
+		if idx < 0 {
 			return fmt.Errorf("%w: write descent found no extent at %d", ErrCorrupt, cur)
 		}
-		e := node.leafCell(idx)
-		t.pg.Release(pg)
 		avail := uint64(e.Len) - eOff
 		m := len(p) - done
 		if uint64(m) > avail {
@@ -214,18 +209,13 @@ func (t *Tree) writeAtLocked(p []byte, off uint64) error {
 			if err != nil {
 				return err
 			}
-			pg, err := t.pg.Acquire(leafPno)
+			idx, eOff, he, err := t.cellAt(leafPno, rem)
 			if err != nil {
 				return err
 			}
-			node = nodeRef{pg.Data()}
-			idx, eOff = node.findInLeaf(rem)
-			if eOff != 0 || idx >= node.ncells() {
-				t.pg.Release(pg)
+			if eOff != 0 || idx < 0 {
 				return fmt.Errorf("%w: hole not aligned after split", ErrCorrupt)
 			}
-			he := node.leafCell(idx)
-			t.pg.Release(pg)
 			if !he.IsHole() || uint64(he.Len) != uint64(m) {
 				return fmt.Errorf("%w: expected %d-byte hole at %d", ErrCorrupt, m, cur)
 			}
@@ -352,18 +342,13 @@ func (t *Tree) deleteRangeLocked(off, n uint64) error {
 		if err != nil {
 			return err
 		}
-		pg, err := t.pg.Acquire(leafPno)
+		idx, eOff, e, err := t.cellAt(leafPno, rem)
 		if err != nil {
 			return err
 		}
-		node := nodeRef{pg.Data()}
-		idx, eOff := node.findInLeaf(rem)
-		if eOff != 0 || idx >= node.ncells() {
-			t.pg.Release(pg)
+		if eOff != 0 || idx < 0 {
 			return fmt.Errorf("%w: delete not on boundary at %d", ErrCorrupt, off)
 		}
-		e := node.leafCell(idx)
-		t.pg.Release(pg)
 		if uint64(e.Len) > n-removed {
 			return fmt.Errorf("%w: extent %d overruns delete range", ErrCorrupt, e.Len)
 		}
@@ -429,20 +414,14 @@ func (t *Tree) Destroy(op *pager.Op) error {
 		return err
 	}
 	for leafPno != 0 {
-		pg, err := t.pg.Acquire(leafPno)
+		cells, next, err := t.leafCells(leafPno)
 		if err != nil {
 			return err
 		}
-		node := nodeRef{pg.Data()}
-		var allocs []Extent
-		for i := 0; i < node.ncells(); i++ {
-			if e := node.leafCell(i); !e.IsHole() {
-				allocs = append(allocs, e)
+		for _, e := range cells {
+			if e.IsHole() {
+				continue
 			}
-		}
-		next := node.next()
-		t.pg.Release(pg)
-		for _, e := range allocs {
 			if err := t.space.Free(op, e.Alloc, uint64(e.AllocBlocks)); err != nil {
 				return err
 			}
@@ -453,16 +432,18 @@ func (t *Tree) Destroy(op *pager.Op) error {
 	var freeTree func(pno uint64, level int) error
 	freeTree = func(pno uint64, level int) error {
 		if level < t.height-1 {
-			pg, err := t.pg.Acquire(pno)
+			var children []uint64
+			err := t.pg.With(pno, func(pg *pager.Page) error {
+				node := nodeRef{pg.Data()}
+				children = make([]uint64, node.ncells())
+				for i := range children {
+					children[i] = node.childCell(i).child
+				}
+				return nil
+			})
 			if err != nil {
 				return err
 			}
-			node := nodeRef{pg.Data()}
-			children := make([]uint64, node.ncells())
-			for i := range children {
-				children[i] = node.childCell(i).child
-			}
-			t.pg.Release(pg)
 			for _, c := range children {
 				if err := freeTree(c, level+1); err != nil {
 					return err
@@ -487,20 +468,63 @@ func (t *Tree) Destroy(op *pager.Op) error {
 func (t *Tree) firstLeaf() (uint64, error) {
 	pno := t.root
 	for level := 0; level < t.height-1; level++ {
-		pg, err := t.pg.Acquire(pno)
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			node := nodeRef{pg.Data()}
+			if node.ncells() == 0 {
+				return fmt.Errorf("%w: empty internal node %d", ErrCorrupt, pno)
+			}
+			pno = node.childCell(0).child
+			return nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		node := nodeRef{pg.Data()}
-		if node.ncells() == 0 {
-			t.pg.Release(pg)
-			return 0, fmt.Errorf("%w: empty internal node %d", ErrCorrupt, pno)
-		}
-		child := node.childCell(0).child
-		t.pg.Release(pg)
-		pno = child
 	}
 	return pno, nil
+}
+
+// cellAt pins leaf leafPno just long enough to find the cell holding byte
+// offset rem, returning its index (-1 when rem lies past the leaf's last
+// cell), the offset within it and a copy of the cell.
+func (t *Tree) cellAt(leafPno, rem uint64) (idx int, eOff uint64, e Extent, err error) {
+	err = t.pg.With(leafPno, func(pg *pager.Page) error {
+		node := nodeRef{pg.Data()}
+		if idx, eOff = node.findInLeaf(rem); idx < node.ncells() {
+			e = node.leafCell(idx)
+		} else {
+			idx = -1
+		}
+		return nil
+	})
+	return idx, eOff, e, err
+}
+
+// leafCells pins leaf leafPno just long enough to copy out its cells and
+// its right neighbour.
+func (t *Tree) leafCells(leafPno uint64) (cells []Extent, next uint64, err error) {
+	err = t.pg.With(leafPno, func(pg *pager.Page) error {
+		node := nodeRef{pg.Data()}
+		cells = make([]Extent, node.ncells())
+		for i := range cells {
+			cells[i] = node.leafCell(i)
+		}
+		next = node.next()
+		return nil
+	})
+	return cells, next, err
+}
+
+// lastCell pins leaf leafPno just long enough to copy out its cell count
+// and its last cell (the zero Extent when the leaf is empty).
+func (t *Tree) lastCell(leafPno uint64) (cnt int, last Extent, err error) {
+	err = t.pg.With(leafPno, func(pg *pager.Page) error {
+		node := nodeRef{pg.Data()}
+		if cnt = node.ncells(); cnt > 0 {
+			last = node.leafCell(cnt - 1)
+		}
+		return nil
+	})
+	return cnt, last, err
 }
 
 // splitBoundaryLocked ensures an extent boundary exists at byte offset
@@ -514,18 +538,13 @@ func (t *Tree) splitBoundaryLocked(off uint64) error {
 	if err != nil {
 		return err
 	}
-	pg, err := t.pg.Acquire(leafPno)
-	if err != nil {
-		return err
+	idx, eOff, e, err := t.cellAt(leafPno, rem)
+	if err != nil || eOff == 0 {
+		return err // eOff 0: already on a boundary
 	}
-	node := nodeRef{pg.Data()}
-	idx, eOff := node.findInLeaf(rem)
-	if eOff == 0 {
-		t.pg.Release(pg)
-		return nil // already on a boundary
+	if idx < 0 {
+		return fmt.Errorf("%w: split target %d past the leaf's cells", ErrCorrupt, off)
 	}
-	e := node.leafCell(idx)
-	t.pg.Release(pg)
 
 	rightLen := uint64(e.Len) - eOff
 	if e.IsHole() {
@@ -581,20 +600,10 @@ func (t *Tree) appendBytes(p []byte) error {
 		if err != nil {
 			return err
 		}
-		pg, err := t.pg.Acquire(leafPno)
+		cnt, last, err := t.lastCell(leafPno)
 		if err != nil {
 			return err
 		}
-		// Decode what the slack decision needs and drop the pin at
-		// once: leafCell copies the cell into an Extent value, so
-		// nothing below aliases the page.
-		node := nodeRef{pg.Data()}
-		cnt := node.ncells()
-		var last Extent
-		if cnt > 0 {
-			last = node.leafCell(cnt - 1)
-		}
-		t.pg.Release(pg)
 		if cnt > 0 && !last.IsHole() {
 			slack := uint64(last.AllocBlocks)*t.bsU64 - uint64(last.Len)
 			if slack > 0 {
@@ -638,29 +647,22 @@ func (t *Tree) appendHole(n uint64) error {
 		if err != nil {
 			return err
 		}
-		pg, err := t.pg.Acquire(leafPno)
+		cnt, last, err := t.lastCell(leafPno)
 		if err != nil {
 			return err
 		}
-		node := nodeRef{pg.Data()}
-		cnt := node.ncells()
-		if cnt > 0 {
-			last := node.leafCell(cnt - 1)
-			if last.IsHole() && uint64(last.Len) < maxHoleLen {
-				grow := maxHoleLen - uint64(last.Len)
-				if grow > n {
-					grow = n
-				}
-				t.pg.Release(pg)
-				if err := t.setLeafCellLen(path, leafPno, cnt-1, last.Len+uint32(grow)); err != nil {
-					return err
-				}
-				t.size += grow
-				n -= grow
-				continue
+		if cnt > 0 && last.IsHole() && uint64(last.Len) < maxHoleLen {
+			grow := maxHoleLen - uint64(last.Len)
+			if grow > n {
+				grow = n
 			}
+			if err := t.setLeafCellLen(path, leafPno, cnt-1, last.Len+uint32(grow)); err != nil {
+				return err
+			}
+			t.size += grow
+			n -= grow
+			continue
 		}
-		t.pg.Release(pg)
 		chunk := n
 		if chunk > maxHoleLen {
 			chunk = maxHoleLen
@@ -723,15 +725,12 @@ func (t *Tree) readExtentData(e Extent, extOff uint64, p []byte) error {
 // changes, so without it nothing in the log would name them, and recovery
 // would hold the new bytes to the sums of the old (see DataRun).
 func (t *Tree) recWrote(e Extent, extOff, n uint64) error {
-	hp, err := t.pg.Acquire(t.hdr)
-	if err != nil {
-		return err
-	}
-	first := extOff / t.bsU64
-	last := (extOff + n - 1) / t.bsU64
-	t.rec(hp, t.curOp, encXop(xopWrote, xu64(e.Alloc+first), xu64(last-first+1)))
-	t.pg.Release(hp)
-	return nil
+	return t.pg.With(t.hdr, func(hp *pager.Page) error {
+		first := extOff / t.bsU64
+		last := (extOff + n - 1) / t.bsU64
+		t.rec(hp, t.curOp, encXop(xopWrote, xu64(e.Alloc+first), xu64(last-first+1)))
+		return nil
+	})
 }
 
 // writeExtentData writes p into extent e starting at extOff, doing
@@ -775,17 +774,10 @@ func (t *Tree) Extents(fn func(off uint64, e Extent) bool) error {
 	}
 	var off uint64
 	for leafPno != 0 {
-		pg, err := t.pg.Acquire(leafPno)
+		exts, next, err := t.leafCells(leafPno)
 		if err != nil {
 			return err
 		}
-		node := nodeRef{pg.Data()}
-		exts := make([]Extent, node.ncells())
-		for i := range exts {
-			exts[i] = node.leafCell(i)
-		}
-		next := node.next()
-		t.pg.Release(pg)
 		for _, e := range exts {
 			if !fn(off, e) {
 				return nil

@@ -36,28 +36,29 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		pg, err := t.pg.Acquire(leafPno)
+		inserted := false
+		err = t.pg.With(leafPno, func(pg *pager.Page) error {
+			n := nodeRef{pg.Data()}
+			if n.typ() != pageLeaf {
+				return fmt.Errorf("%w: insert into non-leaf %d", ErrCorrupt, leafPno)
+			}
+			idx, eOff := n.findInLeaf(rem)
+			if eOff != 0 {
+				return fmt.Errorf("%w: insert target %d not on boundary", ErrCorrupt, off)
+			}
+			if inserted = n.ncells() < t.leafCap(); inserted {
+				n.insertLeafCell(idx, e)
+				t.rec(pg, t.curOp, encXop(xopLeafIns, xu16(idx), encCell(e)))
+			}
+			return nil
+		})
 		if err != nil {
 			return false, err
 		}
-		n := nodeRef{pg.Data()}
-		if n.typ() != pageLeaf {
-			t.pg.Release(pg)
-			return false, fmt.Errorf("%w: insert into non-leaf %d", ErrCorrupt, leafPno)
-		}
-		idx, eOff := n.findInLeaf(rem)
-		if eOff != 0 {
-			t.pg.Release(pg)
-			return false, fmt.Errorf("%w: insert target %d not on boundary", ErrCorrupt, off)
-		}
-		if n.ncells() < t.leafCap() {
-			n.insertLeafCell(idx, e)
-			t.rec(pg, t.curOp, encXop(xopLeafIns, xu16(idx), encCell(e)))
-			t.pg.Release(pg)
+		if inserted {
 			t.extents++
 			return true, t.bumpCounts(path, int64(e.Len))
 		}
-		t.pg.Release(pg)
 
 		// Leaf full: split it, then re-descend and retry the insert.
 		sys := t.curOp.NewSys()
@@ -100,53 +101,46 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 	if err != nil {
 		return 0, 0, err
 	}
-	pg, err := t.pg.Acquire(pno)
+	var mid int
+	var oldNext, leftSum, rightSum uint64
+	err = t.pg.With(pno, func(pg *pager.Page) error {
+		return t.pg.WithZero(rightPno, func(rpg *pager.Page) error {
+			n, rn := nodeRef{pg.Data()}, nodeRef{rpg.Data()}
+			rn.data[offType] = n.typ()
+			cnt := n.ncells()
+			mid = cnt / 2
+			copy(cellBytes(rn, 0, cnt-mid), cellBytes(n, mid, cnt))
+			rn.setNCells(cnt - mid)
+			n.setNCells(mid)
+			if n.typ() == pageLeaf {
+				oldNext = n.next()
+				rn.setNext(oldNext)
+				rn.setPrev(pno)
+				n.setNext(rightPno)
+				leftSum, rightSum = n.leafSum(), rn.leafSum()
+			} else {
+				leftSum, rightSum = n.childSum(), rn.childSum()
+			}
+			t.rec(pg, sys, encXop(xopSplit, xu64(rightPno), xu16(mid)))
+			// The right page is fresh and fully determined by the split
+			// record; it needs no record (or base image) of its own.
+			t.pg.MarkDirty(rpg)
+			return nil
+		})
+	})
 	if err != nil {
 		_ = t.freePage(aop, rightPno) // never joined the tree
 		return 0, 0, err
 	}
-	n := nodeRef{pg.Data()}
-	rpg, err := t.pg.AcquireZero(rightPno)
-	if err != nil {
-		t.pg.Release(pg)
-		_ = t.freePage(aop, rightPno)
-		return 0, 0, err
-	}
-	rn := nodeRef{rpg.Data()}
-	rn.data[offType] = n.typ()
-	cnt := n.ncells()
-	mid := cnt / 2
-	copy(cellBytes(rn, 0, cnt-mid), cellBytes(n, mid, cnt))
-	rn.setNCells(cnt - mid)
-	n.setNCells(mid)
-	isLeaf := n.typ() == pageLeaf
-	var oldNext uint64
-	if isLeaf {
-		oldNext = n.next()
-		rn.setNext(oldNext)
-		rn.setPrev(pno)
-		n.setNext(rightPno)
-	}
-	var leftSum, rightSum uint64
-	if isLeaf {
-		leftSum, rightSum = n.leafSum(), rn.leafSum()
-	} else {
-		leftSum, rightSum = n.childSum(), rn.childSum()
-	}
-	t.rec(pg, sys, encXop(xopSplit, xu64(rightPno), xu16(mid)))
-	// The right page is fresh and fully determined by the split record;
-	// it needs no record (or base image) of its own.
-	t.pg.MarkDirty(rpg)
-	t.pg.Release(rpg)
-	t.pg.Release(pg)
 	if oldNext != 0 {
-		npg, err := t.pg.Acquire(oldNext)
+		err := t.pg.With(oldNext, func(npg *pager.Page) error {
+			nodeRef{npg.Data()}.setPrev(rightPno)
+			t.recRange(npg, sys, offPtrB, xu64(rightPno))
+			return nil
+		})
 		if err != nil {
 			return rightPno, mid, err
 		}
-		nodeRef{npg.Data()}.setPrev(rightPno)
-		t.recRange(npg, sys, offPtrB, xu64(rightPno))
-		t.pg.Release(npg)
 	}
 	t.addStat(func(s *Stats) { s.Splits++ })
 
@@ -156,18 +150,19 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 		if err != nil {
 			return rightPno, mid, err
 		}
-		npg, err := t.pg.AcquireZero(newRoot)
+		err = t.pg.WithZero(newRoot, func(npg *pager.Page) error {
+			nn := nodeRef{npg.Data()}
+			nn.data[offType] = pageInternal
+			nn.setChildCell(0, childEntry{pno, leftSum})
+			nn.setChildCell(1, childEntry{rightPno, rightSum})
+			nn.setNCells(2)
+			t.rec(npg, sys, encXop(xopNewRoot, xu64(pno), xu64(leftSum), xu64(rightPno), xu64(rightSum)))
+			return nil
+		})
 		if err != nil {
 			_ = t.freePage(aop, newRoot)
 			return rightPno, mid, err
 		}
-		nn := nodeRef{npg.Data()}
-		nn.data[offType] = pageInternal
-		nn.setChildCell(0, childEntry{pno, leftSum})
-		nn.setChildCell(1, childEntry{rightPno, rightSum})
-		nn.setNCells(2)
-		t.rec(npg, sys, encXop(xopNewRoot, xu64(pno), xu64(leftSum), xu64(rightPno), xu64(rightSum)))
-		t.pg.Release(npg)
 		t.root = newRoot
 		t.height++
 		return rightPno, mid, nil // insertCellAtOff logs the new root
@@ -176,35 +171,35 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 	// Record the new sibling in the parent, splitting it first if full.
 	pe := path[len(path)-1]
 	parentPno, pidx := pe.pno, pe.idx
-	ppg, err := t.pg.Acquire(parentPno)
-	if err != nil {
-		return rightPno, mid, err
-	}
-	if (nodeRef{ppg.Data()}).ncells() >= t.internalCap() {
-		t.pg.Release(ppg)
-		pr, pm, err := t.splitNodeSys(sys, path[:len(path)-1], parentPno)
-		if err != nil {
-			return rightPno, mid, err
+	link := func(ppg *pager.Page) error {
+		pn := nodeRef{ppg.Data()}
+		if pidx >= pn.ncells() || pn.childCell(pidx).child != pno {
+			return fmt.Errorf("%w: parent cell %d does not reach split child %d", ErrCorrupt, pidx, pno)
 		}
-		if pidx >= pm {
-			parentPno, pidx = pr, pidx-pm
+		pn.setChildCell(pidx, childEntry{pno, leftSum})
+		t.rec(ppg, sys, encXop(xopChildSet, xu16(pidx), xu64(pno), xu64(leftSum)))
+		pn.insertChildCell(pidx+1, childEntry{rightPno, rightSum})
+		t.rec(ppg, sys, encXop(xopChildIns, xu16(pidx+1), xu64(rightPno), xu64(rightSum)))
+		return nil
+	}
+	full := false
+	err = t.pg.With(parentPno, func(ppg *pager.Page) error {
+		if full = (nodeRef{ppg.Data()}).ncells() >= t.internalCap(); full {
+			return nil
 		}
-		ppg, err = t.pg.Acquire(parentPno)
-		if err != nil {
-			return rightPno, mid, err
+		return link(ppg)
+	})
+	if err == nil && full {
+		var pr uint64
+		var pm int
+		if pr, pm, err = t.splitNodeSys(sys, path[:len(path)-1], parentPno); err == nil {
+			if pidx >= pm {
+				parentPno, pidx = pr, pidx-pm
+			}
+			err = t.pg.With(parentPno, link)
 		}
 	}
-	pn := nodeRef{ppg.Data()}
-	if pidx >= pn.ncells() || pn.childCell(pidx).child != pno {
-		t.pg.Release(ppg)
-		return rightPno, mid, fmt.Errorf("%w: parent cell %d does not reach split child %d", ErrCorrupt, pidx, pno)
-	}
-	pn.setChildCell(pidx, childEntry{pno, leftSum})
-	t.rec(ppg, sys, encXop(xopChildSet, xu16(pidx), xu64(pno), xu64(leftSum)))
-	pn.insertChildCell(pidx+1, childEntry{rightPno, rightSum})
-	t.rec(ppg, sys, encXop(xopChildIns, xu16(pidx+1), xu64(rightPno), xu64(rightSum)))
-	t.pg.Release(ppg)
-	return rightPno, mid, nil
+	return rightPno, mid, err
 }
 
 // removeCellAt deletes the cell at idx of the leaf at the end of path,
@@ -218,16 +213,19 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 // the whole sibling into one page (the same hazard btree's deferred
 // rebalance closes).
 func (t *Tree) removeCellAt(path []pathElem, leafPno uint64, idx int, off uint64) error {
-	pg, err := t.pg.Acquire(leafPno)
+	var e Extent
+	var underfull bool
+	err := t.pg.With(leafPno, func(pg *pager.Page) error {
+		n := nodeRef{pg.Data()}
+		e = n.leafCell(idx)
+		n.removeLeafCell(idx)
+		t.rec(pg, t.curOp, encXop(xopLeafDel, xu16(idx)))
+		underfull = n.ncells() < t.leafCap()/4
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	n := nodeRef{pg.Data()}
-	e := n.leafCell(idx)
-	n.removeLeafCell(idx)
-	t.rec(pg, t.curOp, encXop(xopLeafDel, xu16(idx)))
-	underfull := n.ncells() < t.leafCap()/4
-	t.pg.Release(pg)
 	t.extents--
 	if err := t.bumpCounts(path, -int64(e.Len)); err != nil {
 		return err
@@ -283,14 +281,13 @@ func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) error {
 		if len(path) == 0 {
 			return nil
 		}
-		pg, err := t.pg.Acquire(leafPno)
-		if err != nil {
-			return err
-		}
-		underfull := (nodeRef{pg.Data()}).ncells() < t.leafCap()/4
-		t.pg.Release(pg)
-		if !underfull {
+		var underfull bool
+		err = t.pg.With(leafPno, func(pg *pager.Page) error {
+			underfull = (nodeRef{pg.Data()}).ncells() < t.leafCap()/4
 			return nil
+		})
+		if err != nil || !underfull {
+			return err
 		}
 		merged, err := t.maybeMerge(sys, path, leafPno)
 		if err != nil {
@@ -310,69 +307,63 @@ func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) error {
 // sys (nil = unlogged).
 func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool, error) {
 	pe := path[len(path)-1]
-	ppg, err := t.pg.Acquire(pe.pno)
-	if err != nil {
+	var merged, rootSingle, underfull bool
+	var right, newRoot uint64
+	err := t.pg.With(pe.pno, func(ppg *pager.Page) error {
+		pn := nodeRef{ppg.Data()}
+		cnt := pn.ncells()
+		if pe.idx >= cnt || pn.childCell(pe.idx).child != nodePno {
+			return fmt.Errorf("%w: stale merge path", ErrCorrupt)
+		}
+		var pairs []int // left index of each candidate sibling pair
+		if pe.idx+1 < cnt {
+			pairs = append(pairs, pe.idx)
+		}
+		if pe.idx > 0 {
+			pairs = append(pairs, pe.idx-1)
+		}
+		for _, li := range pairs {
+			left, rc := pn.childCell(li), pn.childCell(li+1)
+			var err error
+			if merged, err = t.mergeChildren(sys, left.child, rc.child); err != nil {
+				return err
+			}
+			if !merged {
+				continue
+			}
+			// Parent: left entry absorbs right's bytes; right entry removed.
+			pn.setChildCell(li, childEntry{left.child, left.bytes + rc.bytes})
+			pn.removeChildCell(li + 1)
+			t.rec(ppg, sys, encXop(xopMerge, xu16(li)))
+			right = rc.child
+			if rootSingle = pe.pno == t.root && pn.ncells() == 1; rootSingle {
+				newRoot = pn.childCell(0).child
+			}
+			underfull = pn.ncells() < t.internalCap()/4
+			return nil
+		}
+		return nil
+	})
+	if err != nil || !merged {
 		return false, err
 	}
-	pn := nodeRef{ppg.Data()}
-	cnt := pn.ncells()
-	if pe.idx >= cnt || pn.childCell(pe.idx).child != nodePno {
-		t.pg.Release(ppg)
-		return false, fmt.Errorf("%w: stale merge path", ErrCorrupt)
+	t.addStat(func(s *Stats) { s.Merges++ })
+	if err := t.freePage(sys, right); err != nil {
+		return true, err
 	}
-
-	var pairs []int // left index of each candidate sibling pair
-	if pe.idx+1 < cnt {
-		pairs = append(pairs, pe.idx)
-	}
-	if pe.idx > 0 {
-		pairs = append(pairs, pe.idx-1)
-	}
-
-	for _, li := range pairs {
-		left := pn.childCell(li)
-		right := pn.childCell(li + 1)
-		merged, err := t.mergeChildren(sys, left.child, right.child)
-		if err != nil {
-			t.pg.Release(ppg)
-			return false, err
-		}
-		if !merged {
-			continue
-		}
-		// Parent: left entry absorbs right's bytes; right entry removed.
-		pn.setChildCell(li, childEntry{left.child, left.bytes + right.bytes})
-		pn.removeChildCell(li + 1)
-		t.rec(ppg, sys, encXop(xopMerge, xu16(li)))
-		t.addStat(func(s *Stats) { s.Merges++ })
-
-		rootSingle := pe.pno == t.root && pn.ncells() == 1
-		var newRoot uint64
-		if rootSingle {
-			newRoot = pn.childCell(0).child
-		}
-		underfull := pn.ncells() < t.internalCap()/4
-		t.pg.Release(ppg)
-
-		if err := t.freePage(sys, right.child); err != nil {
+	if rootSingle {
+		if err := t.freePage(sys, pe.pno); err != nil {
 			return true, err
 		}
-		if rootSingle {
-			if err := t.freePage(sys, pe.pno); err != nil {
-				return true, err
-			}
-			t.root = newRoot
-			t.height--
-			return true, t.writeRootSys(sys)
-		}
-		if underfull && len(path) > 1 {
-			_, err := t.maybeMerge(sys, path[:len(path)-1], pe.pno)
-			return true, err
-		}
-		return true, nil
+		t.root = newRoot
+		t.height--
+		return true, t.writeRootSys(sys)
 	}
-	t.pg.Release(ppg)
-	return false, nil
+	if underfull && len(path) > 1 {
+		_, err := t.maybeMerge(sys, path[:len(path)-1], pe.pno)
+		return true, err
+	}
+	return true, nil
 }
 
 // mergeChildren absorbs rightPno's cells into leftPno if they fit. The
@@ -381,64 +372,47 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool,
 // re-derives the same absorption); only the next leaf's back pointer
 // needs its own range record.
 func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, error) {
-	lpg, err := t.pg.Acquire(leftPno)
-	if err != nil {
-		return false, err
-	}
-	ln := nodeRef{lpg.Data()}
-	rpg, err := t.pg.Acquire(rightPno)
-	if err != nil {
-		t.pg.Release(lpg)
-		return false, err
-	}
-	rn := nodeRef{rpg.Data()}
-	if ln.typ() != rn.typ() {
-		t.pg.Release(rpg)
-		t.pg.Release(lpg)
-		return false, fmt.Errorf("%w: merge type mismatch", ErrCorrupt)
-	}
-	var capacity int
-	if ln.typ() == pageLeaf {
-		capacity = t.leafCap()
-	} else {
-		capacity = t.internalCap()
-	}
-	base, rcnt := ln.ncells(), rn.ncells()
-	if base+rcnt > capacity {
-		t.pg.Release(rpg)
-		t.pg.Release(lpg)
-		return false, nil
-	}
-	// Pin the next leaf BEFORE mutating anything: every fallible step
-	// must come first, so an I/O error aborts the merge with the cache
-	// untouched — never with the left node absorbed but the parent (and
-	// the merge record) still describing two children.
-	var next uint64
-	var npg *pager.Page
-	if ln.typ() == pageLeaf {
-		if next = rn.next(); next != 0 {
-			var err error
-			if npg, err = t.pg.Acquire(next); err != nil {
-				t.pg.Release(rpg)
-				t.pg.Release(lpg)
-				return false, err
+	merged := false
+	err := t.pg.With(leftPno, func(lpg *pager.Page) error {
+		return t.pg.With(rightPno, func(rpg *pager.Page) error {
+			ln, rn := nodeRef{lpg.Data()}, nodeRef{rpg.Data()}
+			if ln.typ() != rn.typ() {
+				return fmt.Errorf("%w: merge type mismatch", ErrCorrupt)
 			}
-		}
-	}
-	copy(cellBytes(ln, base, base+rcnt), cellBytes(rn, 0, rcnt))
-	ln.setNCells(base + rcnt)
-	if ln.typ() == pageLeaf {
-		ln.setNext(next)
-	}
-	t.pg.MarkDirty(lpg)
-	t.pg.Release(rpg)
-	t.pg.Release(lpg)
-	if npg != nil {
-		nodeRef{npg.Data()}.setPrev(leftPno)
-		t.recRange(npg, sys, offPtrB, xu64(leftPno))
-		t.pg.Release(npg)
-	}
-	return true, nil
+			capacity, next := t.internalCap(), uint64(0)
+			if ln.typ() == pageLeaf {
+				capacity, next = t.leafCap(), rn.next()
+			}
+			base, rcnt := ln.ncells(), rn.ncells()
+			if base+rcnt > capacity {
+				return nil
+			}
+			absorb := func() {
+				copy(cellBytes(ln, base, base+rcnt), cellBytes(rn, 0, rcnt))
+				ln.setNCells(base + rcnt)
+				if ln.typ() == pageLeaf {
+					ln.setNext(next)
+				}
+				t.pg.MarkDirty(lpg)
+				merged = true
+			}
+			if next == 0 {
+				absorb()
+				return nil
+			}
+			// Pin the next leaf BEFORE mutating anything: every fallible step
+			// must come first, so an I/O error aborts the merge with the cache
+			// untouched — never with the left node absorbed but the parent (and
+			// the merge record) still describing two children.
+			return t.pg.With(next, func(npg *pager.Page) error {
+				absorb()
+				nodeRef{npg.Data()}.setPrev(leftPno)
+				t.recRange(npg, sys, offPtrB, xu64(leftPno))
+				return nil
+			})
+		})
+	})
+	return merged, err
 }
 
 func (t *Tree) freePage(op *pager.Op, pno uint64) error {
@@ -463,16 +437,18 @@ func (t *Tree) allocOp(sys *pager.Op) *pager.Op {
 
 // setLeafCellLen updates the Len of one cell and fixes counts along path.
 func (t *Tree) setLeafCellLen(path []pathElem, leafPno uint64, idx int, newLen uint32) error {
-	pg, err := t.pg.Acquire(leafPno)
+	var delta int64
+	err := t.pg.With(leafPno, func(pg *pager.Page) error {
+		n := nodeRef{pg.Data()}
+		e := n.leafCell(idx)
+		delta = int64(newLen) - int64(e.Len)
+		e.Len = newLen
+		n.setLeafCell(idx, e)
+		t.rec(pg, t.curOp, encXop(xopLeafSet, xu16(idx), encCell(e)))
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	n := nodeRef{pg.Data()}
-	e := n.leafCell(idx)
-	delta := int64(newLen) - int64(e.Len)
-	e.Len = newLen
-	n.setLeafCell(idx, e)
-	t.rec(pg, t.curOp, encXop(xopLeafSet, xu16(idx), encCell(e)))
-	t.pg.Release(pg)
 	return t.bumpCounts(path, delta)
 }

@@ -134,7 +134,7 @@ func xTakeCell(b []byte) (Extent, []byte, error) {
 }
 
 // zeroInit zeroes a page and sets its type byte. Split/new-root targets
-// are fresh (AcquireZero) pages whose home content is garbage; replay
+// are fresh (WithZero) pages whose home content is garbage; replay
 // rebuilds them from the record alone.
 func zeroInit(data []byte, typ byte) nodeRef {
 	for i := range data {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/pager"
 )
 
 // ptrsPerBlock is the number of block pointers an indirect block holds.
@@ -93,25 +95,24 @@ func (f *FS) bmap(ino uint64, in *inode, fb uint64, allocate bool) (phys uint64,
 
 // ptrAt reads (and with allocate, fills) slot idx of an indirect block.
 func (f *FS) ptrAt(blk, idx, group uint64, allocate bool) (uint64, error) {
-	pg, err := f.pg.Acquire(blk)
-	if err != nil {
-		return 0, err
-	}
-	defer f.pg.Release(pg)
-	v := binary.LittleEndian.Uint64(pg.Data()[idx*8:])
-	if v == 0 && allocate {
+	var v uint64
+	err := f.pg.With(blk, func(pg *pager.Page) error {
+		if v = binary.LittleEndian.Uint64(pg.Data()[idx*8:]); v != 0 || !allocate {
+			return nil
+		}
 		nb, err := f.allocBlock(group)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := f.zeroBlock(nb); err != nil {
-			return 0, err
+			return err
 		}
 		binary.LittleEndian.PutUint64(pg.Data()[idx*8:], nb)
 		f.pg.MarkDirty(pg)
-		return nb, nil
-	}
-	return v, nil
+		v = nb
+		return nil
+	})
+	return v, err
 }
 
 func (f *FS) zeroBlock(blk uint64) error {
@@ -154,12 +155,13 @@ func (f *FS) readInodeData(ino uint64, in *inode, p []byte, off uint64) (int, er
 				p[done+i] = 0
 			}
 		case cached:
-			pg, err := f.pg.Acquire(phys)
+			err := f.pg.With(phys, func(pg *pager.Page) error {
+				copy(p[done:done+m], pg.Data()[bo:])
+				return nil
+			})
 			if err != nil {
 				return done, err
 			}
-			copy(p[done:done+m], pg.Data()[bo:])
-			f.pg.Release(pg)
 		default:
 			if err := f.dev.ReadBlock(phys, buf); err != nil {
 				return done, err
@@ -196,13 +198,14 @@ func (f *FS) writeInodeData(ino uint64, in *inode, p []byte, off uint64) error {
 		}
 		switch {
 		case cached:
-			pg, err := f.pg.Acquire(phys)
+			err := f.pg.With(phys, func(pg *pager.Page) error {
+				copy(pg.Data()[bo:], p[done:done+m])
+				f.pg.MarkDirty(pg)
+				return nil
+			})
 			if err != nil {
 				return err
 			}
-			copy(pg.Data()[bo:], p[done:done+m])
-			f.pg.MarkDirty(pg)
-			f.pg.Release(pg)
 		case bo == 0 && m == int(bs):
 			if err := f.dev.WriteBlock(phys, p[done:done+int(bs)]); err != nil {
 				return err
@@ -263,17 +266,18 @@ func (f *FS) truncateInode(ino uint64, in *inode, size uint64) error {
 	}
 	if keep <= ndirect+p && in.DIndirect != 0 {
 		// Free any level-1 blocks then the double-indirect root.
-		pg, err := f.pg.Acquire(in.DIndirect)
+		var l1s []uint64
+		err := f.pg.With(in.DIndirect, func(pg *pager.Page) error {
+			for i := uint64(0); i < p; i++ {
+				if v := binary.LittleEndian.Uint64(pg.Data()[i*8:]); v != 0 {
+					l1s = append(l1s, v)
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		var l1s []uint64
-		for i := uint64(0); i < p; i++ {
-			if v := binary.LittleEndian.Uint64(pg.Data()[i*8:]); v != 0 {
-				l1s = append(l1s, v)
-			}
-		}
-		f.pg.Release(pg)
 		for _, l1 := range l1s {
 			if err := f.freeBlock(l1); err != nil {
 				return err
@@ -315,14 +319,11 @@ func (f *FS) clearPtr(in *inode, fb uint64) error {
 }
 
 func (f *FS) zeroPtrAt(blk, idx uint64) error {
-	pg, err := f.pg.Acquire(blk)
-	if err != nil {
-		return err
-	}
-	defer f.pg.Release(pg)
-	binary.LittleEndian.PutUint64(pg.Data()[idx*8:], 0)
-	f.pg.MarkDirty(pg)
-	return nil
+	return f.pg.With(blk, func(pg *pager.Page) error {
+		binary.LittleEndian.PutUint64(pg.Data()[idx*8:], 0)
+		f.pg.MarkDirty(pg)
+		return nil
+	})
 }
 
 // freeInodeData releases all blocks of an inode (for unlink).

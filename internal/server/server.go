@@ -313,9 +313,9 @@ func (s *Server) Explain(req *FindReq) (*ExplainResp, error) {
 	return resp, nil
 }
 
-// Batch runs every item as one transaction. Item errors are per-item:
-// a failed item does not abort the others, and whatever it applied
-// before failing commits with them. A commit failure fails all.
+// Batch runs every item as one transaction, all or nothing: the first
+// item that fails rolls the whole batch back, and its error, prefixed
+// with the item's index, maps to the status that item alone would get.
 func (s *Server) Batch(req *BatchReq) (*BatchResp, error) {
 	if len(req.Items) == 0 || len(req.Items) > MaxBatchItems {
 		return nil, fmt.Errorf("%w: batch wants 1..%d items, got %d", ErrBadRequest, MaxBatchItems, len(req.Items))
@@ -360,16 +360,14 @@ func (s *Server) Batch(req *BatchReq) (*BatchResp, error) {
 					res.OID, res.Size = it.Append.OID, ar.Size
 				}
 			case it.Tag != nil:
-				if err = b.Tag(hfad.OID(it.Tag.OID), it.Tag.Tag, it.Tag.Value); err == nil {
-					res.OID = it.Tag.OID
-				}
+				err = b.Tag(hfad.OID(it.Tag.OID), it.Tag.Tag, it.Tag.Value)
+				res.OID = it.Tag.OID
 			case it.Index != nil:
-				if err = b.IndexContent(hfad.OID(*it.Index)); err == nil {
-					res.OID = *it.Index
-				}
+				err = b.IndexContent(hfad.OID(*it.Index))
+				res.OID = *it.Index
 			}
 			if err != nil {
-				res.Err = err.Error()
+				return fmt.Errorf("batch item %d: %w", i, err)
 			}
 		}
 		return nil

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,11 +143,6 @@ func TestServerQueryTreeAndPagination(t *testing.T) {
 	if len(bresp.Results) != 30 {
 		t.Fatalf("results=%d", len(bresp.Results))
 	}
-	for i, r := range bresp.Results {
-		if r.Err != "" {
-			t.Fatalf("item %d: %s", i, r.Err)
-		}
-	}
 
 	// Boolean tree: kind=even AND year=2026, paginated by 4.
 	q := QueryNode{And: []QueryNode{
@@ -253,6 +249,37 @@ func TestFailedWriteLeavesNoTrace(t *testing.T) {
 	}
 	if len(found.OIDs) != 0 {
 		t.Errorf("the failed create's valid name resolves to %v", found.OIDs)
+	}
+}
+
+// TestBatchFailedItemCommitsNothing sends a two-item batch whose second
+// item names a tag with no index behind it. The batch is one transaction:
+// the request fails with that item's status and index, and the first
+// item's object and name are gone with it.
+func TestBatchFailedItemCommitsNothing(t *testing.T) {
+	srv, c := newTestServer(t, Options{})
+	before := srv.Store().Stats().Objects.Objects
+
+	_, err := c.Batch(&BatchReq{Items: []BatchItem{
+		{Create: &CreateReq{Data: []byte("item zero"), Tags: []TagPair{{Tag: hfad.TagUDef, Value: "batch0"}}}},
+		{Create: &CreateReq{Data: []byte("item one"), Tags: []TagPair{{Tag: "NOSUCHTAG", Value: "x"}}}},
+	}})
+	se, ok := err.(*StatusError)
+	if !ok || se.Code != http.StatusBadRequest {
+		t.Fatalf("batch with a bad item = %v, want StatusError 400", err)
+	}
+	if !strings.Contains(se.Error(), "batch item 1") {
+		t.Errorf("error %q does not name item 1", se.Error())
+	}
+	if got := srv.Store().Stats().Objects.Objects; got != before {
+		t.Errorf("objects %d -> %d after a failed batch", before, got)
+	}
+	found, err := c.Find(&FindReq{Pairs: []TagPair{{Tag: hfad.TagUDef, Value: "batch0"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found.OIDs) != 0 {
+		t.Errorf("item 0's name resolves to %v after the batch failed", found.OIDs)
 	}
 }
 

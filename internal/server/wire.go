@@ -227,7 +227,8 @@ type BatchItem struct {
 	Index *uint64 `json:"index,omitempty"`
 }
 
-// BatchResp carries per-item results, parallel to the request items.
+// BatchResp carries per-item results, parallel to the request items. It
+// is returned only when every item succeeded and the batch committed.
 type BatchResp struct {
 	Results []BatchItemResult `json:"results"`
 }
@@ -236,7 +237,6 @@ type BatchResp struct {
 type BatchItemResult struct {
 	OID  uint64 `json:"oid,omitempty"`
 	Size uint64 `json:"size,omitempty"`
-	Err  string `json:"err,omitempty"`
 }
 
 // ErrorResp is the JSON error envelope.
