@@ -21,8 +21,6 @@
 //	pinescape        values derived from a page pinned by a With closure
 //	                 must not outlive the closure (interprocedural taint
 //	                 facts); Acquire/Release are not called outside pager
-//	atomicfield      a field accessed via sync/atomic is accessed
-//	                 atomically everywhere
 //	syncerr          errors from durability barriers (Sync, Close,
 //	                 FlushDirty, Checkpoint) are checked (liveness);
 //	                 op-threading call errors are not dropped
@@ -44,7 +42,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/pinescape"
 	"repro/internal/analysis/replayexhaustive"
@@ -61,7 +58,6 @@ func analyzers() []*analysis.Analyzer {
 		replayexhaustive.Analyzer,
 		waldata.Analyzer,
 		pinescape.Analyzer,
-		atomicfield.Analyzer,
 		syncerr.Analyzer,
 	}
 }

@@ -260,8 +260,7 @@ func (s *Store) FindPage(p Page, pairs ...TagValue) ([]OID, error) {
 //	})
 //
 // A non-nil error from fn skips the buffered tag puts, rolls back what
-// fn already applied (object deletes excepted: they have no inverse) and
-// is returned. Run independent batches from independent goroutines; a
+// fn already applied (object deletes included) and is returned. Run independent batches from independent goroutines; a
 // single Batch is not for concurrent use.
 //
 // Inside fn, touch the volume ONLY through the Batch's own methods and

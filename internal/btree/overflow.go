@@ -96,19 +96,30 @@ func (t *Tree) readOverflow(pno uint64, totalLen uint64) ([]byte, error) {
 
 // freeOverflow releases the chain starting at pno.
 func (t *Tree) freeOverflow(op *pager.Op, pno uint64) error {
+	chain, err := t.overflowPages(pno)
+	if err != nil {
+		return err
+	}
+	for _, p := range chain {
+		if err := t.freePage(op, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// overflowPages lists the chain starting at pno.
+func (t *Tree) overflowPages(pno uint64) ([]uint64, error) {
+	var chain []uint64
 	for pno != 0 {
-		var next uint64
+		chain = append(chain, pno)
 		err := t.pg.With(pno, func(pg *pager.Page) error {
-			next = binary.LittleEndian.Uint64(pg.Data()[offPtrA:])
+			pno = binary.LittleEndian.Uint64(pg.Data()[offPtrA:])
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := t.freePage(op, pno); err != nil {
-			return err
-		}
-		pno = next
 	}
-	return nil
+	return chain, nil
 }

@@ -29,6 +29,10 @@ type pageRuns struct{ a PageAllocator }
 func (r pageRuns) Alloc(uint64) (uint64, error) { return r.a.AllocPage() }
 func (r pageRuns) Free(addr, _ uint64) error    { return r.a.FreePage(addr) }
 
+// AllocAt is never asked of a tree's Space: the runs a dropped tree gave
+// up come back through the volume allocator's (Space.Reclaim).
+func (r pageRuns) AllocAt(uint64, uint64) error { return errors.ErrUnsupported }
+
 // Header page field offsets.
 const (
 	hOffMagic  = 4
@@ -54,8 +58,9 @@ type Tree struct {
 	hdrPno uint64
 	// creator is the ID of the operation that created the tree (0 when
 	// opened, or created unlogged). Until that operation commits nothing
-	// else can reach the tree, so the pages its splits allocate belong to
-	// the operation, not to the split's system transaction (allocOp).
+	// else can reach the tree: its edits need no inverse of their own (the
+	// operation's rollback drops the whole tree), and its splits are the
+	// operation's, not system transactions (smoOp).
 	creator uint64
 
 	mu     sync.RWMutex
@@ -75,15 +80,21 @@ func Create(pg *pager.Pager, alloc PageAllocator) (*Tree, error) {
 }
 
 // CreateOp is Create with the creating operation's redo capture, so trees
-// created inside a transaction (fulltext segments) recover with it.
+// created inside a transaction (fulltext segments) recover with it. Its
+// inverse drops the tree: staged once the tree stands, in the same atomic
+// section as the allocations, while a failure before that point gives the
+// pages straight back.
 func CreateOp(pg *pager.Pager, alloc PageAllocator, op *pager.Op) (*Tree, error) {
-	space := pager.NewSpace(pageRuns{alloc})
+	op.BeginAtomic()
+	defer op.EndAtomic()
+	space := pager.NewSpace(pg, pageRuns{alloc})
 	hdr, err := space.Alloc(op, 1)
 	if err != nil {
 		return nil, err
 	}
 	rootPno, err := space.Alloc(op, 1)
 	if err != nil {
+		_ = space.Free(op, hdr, 1)
 		return nil, err
 	}
 	t := &Tree{pg: pg, space: space, hdrPno: hdr, root: rootPno, height: 1, creator: op.ID()}
@@ -93,18 +104,21 @@ func CreateOp(pg *pager.Pager, alloc PageAllocator, op *pager.Op) (*Tree, error)
 		pg.MarkDirtyRec(rp, op, redo.KindBtreeOp, encOp(opInit, []byte{pageLeaf}))
 		return nil
 	})
+	if err == nil {
+		err = t.writeHeaderOp(op)
+	}
 	if err != nil {
+		_ = space.Free(op, rootPno, 1)
+		_ = space.Free(op, hdr, 1)
 		return nil, err
 	}
-	if err := t.writeHeaderOp(op); err != nil {
-		return nil, err
-	}
+	op.StageUndo(undo.BtreeDrop(hdr))
 	return t, nil
 }
 
 // Open loads an existing tree from its header page.
 func Open(pg *pager.Pager, alloc PageAllocator, headerPno uint64) (*Tree, error) {
-	t := &Tree{pg: pg, space: pager.NewSpace(pageRuns{alloc}), hdrPno: headerPno}
+	t := &Tree{pg: pg, space: pager.NewSpace(pg, pageRuns{alloc}), hdrPno: headerPno}
 	err := pg.With(headerPno, func(hp *pager.Page) error {
 		d := hp.Data()
 		if d[offType] != pageHeader || binary.LittleEndian.Uint32(d[hOffMagic:]) != treeMagic {
@@ -375,8 +389,12 @@ func (t *Tree) PutManyOp(op *pager.Op, keys, vals [][]byte) error {
 }
 
 // putLocked is Put's body; the caller holds t.mu exclusively and has
-// validated the key length.
+// validated the key length. One put is one atomic section: the inverse,
+// an overflow chain's allocation or free, and the leaf record that links
+// or unlinks it reach the log together.
 func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
+	op.BeginAtomic()
+	defer op.EndAtomic()
 	t.gen++
 
 	path, leafPno, err := t.descend(key)
@@ -415,7 +433,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 			if err != nil {
 				return err
 			}
-			if op.UndoEnabled() {
+			if t.inverts(op) {
 				// Inverse restores the old value; read it (overflow included)
 				// before the chain is freed.
 				old, err := t.cellValue(c)
@@ -430,7 +448,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 				}
 			}
 			p.removeCell(idx)
-		} else {
+		} else if t.inverts(op) {
 			op.StageUndo(undo.KeyDel(t.hdrPno, key))
 		}
 		enc := encodeLeafCell(nil, key, inlineVal, totalLen, ovfPage)
@@ -439,7 +457,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 			return nil
 		}
 		// Leaf is full: split. insertRaw left the page unchanged.
-		sys = op.NewSys()
+		sys = t.smoOp(op)
 		sep, rightPno, oldNext, err = t.splitLeaf(op, sys, pg, idx, enc)
 		return err
 	})
@@ -517,8 +535,7 @@ func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte)
 		splitAt = len(raws) - 1
 	}
 
-	aop := t.allocOp(op, sys)
-	if rightPno, err = t.space.Alloc(aop, 1); err != nil {
+	if rightPno, err = t.space.Alloc(sys, 1); err != nil {
 		return nil, 0, 0, err
 	}
 	sep = keys[splitAt-1]
@@ -556,7 +573,7 @@ func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte)
 		return nil
 	})
 	if err != nil {
-		_ = t.freePage(aop, rightPno) // never joined the tree
+		_ = t.freePage(sys, rightPno) // never joined the tree
 		return nil, 0, 0, err
 	}
 	return sep, rightPno, oldNext, nil
@@ -576,15 +593,18 @@ func (t *Tree) linkLeafSplit(op, sys *pager.Op, path []pathElem, sep []byte, lea
 	}
 	if err == nil {
 		t.addStats(0, 0, 1, 0)
-		err = t.insertSeparator(sys, t.allocOp(op, sys), path, sep, leafPno, rightPno)
+		err = t.insertSeparator(sys, path, sep, leafPno, rightPno)
 	}
 	// Append whatever was staged even on error: each record was staged
 	// right after its mutation landed in cache, so the log stays
 	// consistent with the (possibly partially split) in-cache tree —
 	// and the enclosing op's own records, which the volume's bracket
 	// (core.withOp) commits even on failure, may already target the new
-	// right page.
-	aerr := sys.AppendSys()
+	// right page. A split the operation carries itself commits with it.
+	var aerr error
+	if sys != op {
+		aerr = sys.AppendSys()
+	}
 	if err != nil {
 		return err
 	}
@@ -599,13 +619,12 @@ func decodeKeyFromRaw(raw []byte) []byte {
 
 // insertSeparator inserts (sep → leftPno) into the parent at the end of
 // path, where the existing reference at that position currently reaches
-// leftPno and must now reach rightPno. Splits parents as needed. All
-// records go into sys — the structure modification's system transaction
-// — except the allocations, which aop carries (see allocOp).
-func (t *Tree) insertSeparator(sys, aop *pager.Op, path []pathElem, sep []byte, leftPno, rightPno uint64) error {
+// leftPno and must now reach rightPno. Splits parents as needed. Every
+// record, allocations included, goes into sys (see smoOp).
+func (t *Tree) insertSeparator(sys *pager.Op, path []pathElem, sep []byte, leftPno, rightPno uint64) error {
 	if len(path) == 0 {
 		// Split the root: create a new internal root.
-		newRoot, err := t.space.Alloc(aop, 1)
+		newRoot, err := t.space.Alloc(sys, 1)
 		if err != nil {
 			return err
 		}
@@ -620,7 +639,7 @@ func (t *Tree) insertSeparator(sys, aop *pager.Op, path []pathElem, sep []byte, 
 			return nil
 		})
 		if err != nil {
-			_ = t.freePage(aop, newRoot) // never joined the tree
+			_ = t.freePage(sys, newRoot) // never joined the tree
 			return err
 		}
 		t.root = newRoot
@@ -665,14 +684,14 @@ func (t *Tree) insertSeparator(sys, aop *pager.Op, path []pathElem, sep []byte, 
 		}
 		// Parent full: split it.
 		var err error
-		promoted, splitPno, err = t.splitInternal(sys, aop, pg, parent.idx, sep, leftPno)
+		promoted, splitPno, err = t.splitInternal(sys, pg, parent.idx, sep, leftPno)
 		return err
 	})
 	if err != nil || splitPno == 0 {
 		return err
 	}
 	t.addStats(0, 0, 1, 0)
-	return t.insertSeparator(sys, aop, path[:len(path)-1], promoted, parent.pno, splitPno)
+	return t.insertSeparator(sys, path[:len(path)-1], promoted, parent.pno, splitPno)
 }
 
 // splitInternal splits the pinned full internal node pg while inserting
@@ -680,7 +699,7 @@ func (t *Tree) insertSeparator(sys, aop *pager.Op, path []pathElem, sep []byte, 
 // parent and the new right page. Internal pages are mutated only by
 // system transactions, so replay re-executes the identical middle-cell
 // split against identical cells.
-func (t *Tree) splitInternal(sys, aop *pager.Op, pg *pager.Page, idx int, sep []byte, leftPno uint64) ([]byte, uint64, error) {
+func (t *Tree) splitInternal(sys *pager.Op, pg *pager.Page, idx int, sep []byte, leftPno uint64) ([]byte, uint64, error) {
 	p := pageRef{pg.Data()}
 	n := p.ncells()
 	type icell struct {
@@ -705,7 +724,7 @@ func (t *Tree) splitInternal(sys, aop *pager.Op, pg *pager.Page, idx int, sep []
 	m := len(cells) / 2
 	promoted := cells[m]
 
-	rightPno, err := t.space.Alloc(aop, 1)
+	rightPno, err := t.space.Alloc(sys, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -732,7 +751,7 @@ func (t *Tree) splitInternal(sys, aop *pager.Op, pg *pager.Page, idx int, sep []
 		return nil
 	})
 	if err != nil {
-		_ = t.freePage(aop, rightPno) // never joined the tree
+		_ = t.freePage(sys, rightPno) // never joined the tree
 		return nil, 0, err
 	}
 	return promoted.key, rightPno, nil
@@ -753,6 +772,8 @@ func (t *Tree) Delete(key []byte) error {
 func (t *Tree) DeleteOp(op *pager.Op, key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	op.BeginAtomic()
+	defer op.EndAtomic()
 	t.gen++
 
 	path, leafPno, err := t.descend(key)
@@ -775,7 +796,7 @@ func (t *Tree) DeleteOp(op *pager.Op, key []byte) error {
 		if err != nil {
 			return err
 		}
-		if op.UndoEnabled() {
+		if t.inverts(op) {
 			// Inverse re-inserts the old value; read it (overflow included)
 			// before the chain is freed.
 			old, err := t.cellValue(c)
@@ -1003,19 +1024,26 @@ func (t *Tree) freePage(op *pager.Op, pno uint64) error {
 	return t.space.Free(op, pno, 1)
 }
 
-// allocOp picks the operation that carries a split's page allocations.
-// Normally that is the split's own system transaction: the split is
-// redone whatever becomes of op, and its new pages are linked into a tree
-// others can see. But while the operation that created this tree is still
-// open, the tree is reachable only through that operation's uncommitted
-// records: if they are dropped at a crash, the replayed split has built
-// pages nothing points at, and an allocation logged with it would leak
-// them. Logged with the creating operation, it shares that fate.
-func (t *Tree) allocOp(op, sys *pager.Op) *pager.Op {
+// smoOp picks the capture a split is logged in. Normally that is a system
+// transaction of its own: the split is redone whatever becomes of op, and
+// its new pages are linked into a tree others can see. But while the
+// operation that created this tree is still open, the tree is reachable
+// only through that operation's records: if they are dropped at a crash,
+// an always-redone split would have allocated pages nothing points at,
+// and if they are rolled back, the drop would walk pages whose allocation
+// the log does not hold. So the split is the creating operation's own,
+// allocations and all, inside the put's atomic section.
+func (t *Tree) smoOp(op *pager.Op) *pager.Op {
 	if t.creator != 0 && op.ID() == t.creator {
 		return op
 	}
-	return sys
+	return op.NewSys()
+}
+
+// inverts reports whether an edit by op must stage its inverse: not in a
+// tree op itself created, whose rollback drops the tree whole.
+func (t *Tree) inverts(op *pager.Op) bool {
+	return op.UndoEnabled() && (t.creator == 0 || op.ID() != t.creator)
 }
 
 // Sync flushes the tree's header; page data is flushed by the volume.
@@ -1071,15 +1099,18 @@ func (t *Tree) RecountKeys() error {
 }
 
 // Drop frees every page owned by the tree — nodes, overflow chains, and
-// the header — logging the frees into op. The tree must not be used
-// afterwards.
+// the header — logging the frees into op. It edits no page and stages one
+// inverse for all of them before it frees any, so a rollback takes the
+// pages back intact; the pages leave the cache only once op commits. The
+// tree must not be used afterwards.
 func (t *Tree) Drop(op *pager.Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gen++
 
-	var freeWalk func(pno uint64, level int) error
-	freeWalk = func(pno uint64, level int) error {
+	var pages []uint64
+	var walk func(pno uint64) error
+	walk = func(pno uint64) error {
 		var children, overflows []uint64
 		err := t.pg.With(pno, func(pg *pager.Page) error {
 			p := pageRef{pg.Data()}
@@ -1112,23 +1143,23 @@ func (t *Tree) Drop(op *pager.Op) error {
 			return err
 		}
 		for _, c := range children {
-			if err := freeWalk(c, level+1); err != nil {
+			if err := walk(c); err != nil {
 				return err
 			}
 		}
 		for _, o := range overflows {
-			if err := t.freeOverflow(op, o); err != nil {
+			chain, err := t.overflowPages(o)
+			if err != nil {
 				return err
 			}
+			pages = append(pages, chain...)
 		}
-		return t.freePage(op, pno)
+		pages = append(pages, pno)
+		return nil
 	}
-	if err := freeWalk(t.root, 0); err != nil {
+	if err := walk(t.root); err != nil {
 		return err
 	}
-	if err := t.freePage(op, t.hdrPno); err != nil {
-		return err
-	}
-	t.root, t.height, t.nkeys = 0, 0, 0
-	return nil
+	pages = append(pages, t.hdrPno)
+	return t.space.Drop(op, pages, nil)
 }

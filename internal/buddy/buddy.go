@@ -56,11 +56,9 @@ type Allocator struct {
 	// gone; the checkpoint's snapshot already counts it free
 	// (SnapshotReleased).
 	deferFrees bool
-	limbo      []limboRun
+	limbo      map[uint64]uint64 // parked run address → the n it was freed with
 	limboTotal uint64
 }
-
-type limboRun struct{ addr, n uint64 }
 
 // New creates an allocator over [base, base+size). Size need not be a
 // power of two; the range is decomposed greedily into maximal aligned
@@ -140,10 +138,12 @@ func (a *Allocator) Alloc(n uint64) (uint64, error) {
 	return a.base + addr, nil
 }
 
-// AllocAt reserves the specific run [addr, addr+RoundUp(n)) — the redo of
-// a logged allocation: recovery restores a checkpoint's snapshot and
-// replays the log tail's allocations onto it, so it must take exactly the
-// blocks the original Alloc took. The run must be wholly free.
+// AllocAt reserves the specific run [addr, addr+RoundUp(n)). It is the
+// redo of a logged allocation — recovery restores a checkpoint's snapshot
+// and replays the log tail's allocations onto it, so it must take exactly
+// the blocks the original Alloc took — and the inverse of a free that is
+// rolled back. A run a deferred free parked in limbo comes back out of
+// limbo; any other run must be wholly free.
 func (a *Allocator) AllocAt(addr, n uint64) error {
 	if n == 0 {
 		return fmt.Errorf("%w: zero-length alloc", ErrBadSize)
@@ -156,6 +156,11 @@ func (a *Allocator) AllocAt(addr, n uint64) error {
 	rel := addr - a.base
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if parked, ok := a.limbo[addr]; ok && RoundUp(parked) == sz {
+		delete(a.limbo, addr)
+		a.limboTotal -= sz
+		return nil
+	}
 	// The free chunk holding the run is the one enclosing aligned chunk,
 	// at some order j >= k, that sits on a free list.
 	for j := k; j < maxOrders; j++ {
@@ -209,8 +214,8 @@ func (a *Allocator) ReleaseLimbo() error {
 	a.limbo = nil
 	a.limboTotal = 0
 	a.mu.Unlock()
-	for _, r := range runs {
-		if err := a.freeNow(r.addr, r.n); err != nil {
+	for addr, n := range runs {
+		if err := a.freeNow(addr, n); err != nil {
 			return err
 		}
 	}
@@ -223,9 +228,15 @@ func (a *Allocator) ReleaseLimbo() error {
 func (a *Allocator) Free(addr, n uint64) error {
 	a.mu.Lock()
 	if a.deferFrees {
-		a.limbo = append(a.limbo, limboRun{addr, n})
+		defer a.mu.Unlock()
+		if _, ok := a.limbo[addr]; ok {
+			return fmt.Errorf("%w: [%d,+%d) is already in limbo", ErrDoubleFree, addr, RoundUp(n))
+		}
+		if a.limbo == nil {
+			a.limbo = make(map[uint64]uint64)
+		}
+		a.limbo[addr] = n
 		a.limboTotal += RoundUp(n)
-		a.mu.Unlock()
 		return nil
 	}
 	a.mu.Unlock()
@@ -406,10 +417,13 @@ func (a *Allocator) SnapshotReleased() ([]byte, error) {
 	for k := range a.free {
 		c.free[k] = append([]uint64(nil), a.free[k]...)
 	}
-	runs := append([]limboRun(nil), a.limbo...)
+	runs := make(map[uint64]uint64, len(a.limbo))
+	for addr, n := range a.limbo {
+		runs[addr] = n
+	}
 	a.mu.Unlock()
-	for _, r := range runs {
-		if err := c.freeNow(r.addr, r.n); err != nil {
+	for addr, n := range runs {
+		if err := c.freeNow(addr, n); err != nil {
 			return nil, err
 		}
 	}

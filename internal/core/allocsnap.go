@@ -147,9 +147,8 @@ func (v *Volume) writeAllocSlot(lsn uint64) (int, error) {
 
 // wipeAllocSlots invalidates both slots. Formatting does it (the device
 // may hold a previous volume's slots); so does a checkpoint whose snapshot
-// does not fit a slot, and a recovery about to roll back losers on a
-// walked allocator (Open). The caller syncs before anything depends on
-// the wipe.
+// does not fit a slot. The caller syncs before anything depends on the
+// wipe.
 func (v *Volume) wipeAllocSlots() error {
 	zero := make([]byte, v.raw.BlockSize())
 	for idx := uint64(0); idx < 2; idx++ {
@@ -176,15 +175,16 @@ func decodeAllocRec(r redo.Record) (allocRec, error) {
 }
 
 // replayAllocator rebuilds the allocator from a slot payload plus the
-// tail's allocator records, in LSN order. Frees are applied for real, not
-// parked: recovery ends in a checkpoint, and until then nothing but
-// recovery's own undo pass allocates — the same standing the walk gives a
-// block no replayed structure reaches.
+// tail's allocator records, in LSN order. Frees are parked in limbo, as
+// they were when the tail was written: recovery ends in a checkpoint that
+// releases them, and until then no allocation — recovery's own undo pass
+// included — can take a run a loser's rollback will want back.
 func replayAllocator(payload []byte, tail []allocRec) (*buddy.Allocator, error) {
 	ba, err := buddy.Restore(payload)
 	if err != nil {
 		return nil, err
 	}
+	ba.SetDeferredFrees(true)
 	for _, r := range tail {
 		if r.free {
 			err = ba.Free(r.addr, r.n)

@@ -41,11 +41,10 @@ type Batch struct {
 // final commit just seals the chunk chain.
 //
 // A non-nil error from fn skips the buffered tag multi-puts and rolls
-// the batch back: every mutation fn applied (created objects, appended
-// bytes, inserted names) is undone via its captured logical inverse,
-// and the compensations commit so the whole batch is a no-op under
-// replay. Deletes are the exception — object destruction frees storage
-// with no inverse, so a delete inside a failed batch stays applied.
+// the batch back: every mutation fn applied (created and deleted
+// objects, appended bytes, inserted names) is undone via its captured
+// logical inverse, and the compensations commit so the whole batch is a
+// no-op under replay.
 //
 // The lifecycle lock is held shared for the whole batch — the same
 // acquisition order as every other writer (lifecycle, then checkpoint

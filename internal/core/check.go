@@ -314,8 +314,15 @@ func (v *Volume) VerifyAllocator() error {
 // rebuildAllocator reconstructs buddy state from reachability: the
 // definition Check holds the allocator to, and Open's repair when the
 // device holds no snapshot slot it can restore instead (restoreAllocator
-// lists when).
-func (v *Volume) rebuildAllocator() error {
+// lists when). It runs before the losers' rollback, on their crash state,
+// so the tail's allocator records are laid over the walk: a run the tail
+// allocated stays allocated though nothing links it yet (a loser's new
+// tree, whose inverse frees it), and a run the tail freed is parked in
+// limbo though something still links it (a loser's destroy, whose
+// inverse takes it back) — as the slot path leaves them (see
+// replayAllocator). Limbo keeps a freed run from every allocation but the
+// rollback that takes it back, so the records apply in order.
+func (v *Volume) rebuildAllocator(tail []allocRec) error {
 	u, err := v.collectUsage(nil)
 	if err != nil {
 		return err
@@ -331,5 +338,19 @@ func (v *Volume) rebuildAllocator() error {
 	// Components captured pageAlloc{v.ba} (the pointer) when they were
 	// opened, so the rebuilt state is copied into the existing allocator
 	// object rather than swapping the pointer.
-	return v.ba.ReplaceWith(ba)
+	if err := v.ba.ReplaceWith(ba); err != nil {
+		return err
+	}
+	for _, r := range tail {
+		// AllocAt fails only on a run the walk found linked.
+		if err := v.ba.AllocAt(r.addr, r.n); err != nil && v.ba.IsFree(r.addr, r.n) {
+			return err
+		}
+		if r.free {
+			if err := v.ba.Free(r.addr, r.n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

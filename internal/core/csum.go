@@ -58,7 +58,7 @@ type pageSums struct {
 	start  uint64 // first data-region block
 	blocks uint64
 	perBlk int // entries per sidecar block
-	v      []uint64
+	v      []atomic.Uint64
 	// dirty marks sidecar blocks whose entries changed since the last
 	// flush, so checkpoints rewrite only what moved.
 	dirty []atomic.Bool
@@ -76,7 +76,7 @@ func newPageSums(start, blocks uint64, blockSize int) *pageSums {
 		start:  start,
 		blocks: blocks,
 		perBlk: perBlk,
-		v:      make([]uint64, blocks),
+		v:      make([]atomic.Uint64, blocks),
 		dirty:  make([]atomic.Bool, nblk),
 	}
 	// A fresh table must overwrite whatever stale bytes the sidecar
@@ -95,7 +95,7 @@ func (s *pageSums) covers(no uint64) bool {
 // set records the sum of a freshly written block.
 func (s *pageSums) set(no uint64, sum uint32) {
 	i := no - s.start
-	atomic.StoreUint64(&s.v[i], sumKnown|uint64(sum))
+	s.v[i].Store(sumKnown | uint64(sum))
 	s.dirty[i/uint64(s.perBlk)].Store(true)
 }
 
@@ -104,13 +104,13 @@ func (s *pageSums) set(no uint64, sum uint32) {
 // the loaded sidecar describes). The next read learns the new sum.
 func (s *pageSums) forget(no uint64) {
 	i := no - s.start
-	atomic.StoreUint64(&s.v[i], 0)
+	s.v[i].Store(0)
 	s.dirty[i/uint64(s.perBlk)].Store(true)
 }
 
 // get returns the recorded sum and whether one is known.
 func (s *pageSums) get(no uint64) (uint32, bool) {
-	e := atomic.LoadUint64(&s.v[no-s.start])
+	e := s.v[no-s.start].Load()
 	return uint32(e), e&sumKnown != 0
 }
 
@@ -119,7 +119,7 @@ func (s *pageSums) get(no uint64) (uint32, bool) {
 // after formatting). Later reads then verify against first-read content.
 func (s *pageSums) learn(no uint64, sum uint32) {
 	i := no - s.start
-	if atomic.CompareAndSwapUint64(&s.v[i], 0, sumKnown|uint64(sum)) {
+	if s.v[i].CompareAndSwap(0, sumKnown|uint64(sum)) {
 		s.dirty[i/uint64(s.perBlk)].Store(true)
 	}
 }
@@ -194,7 +194,7 @@ func (v *Volume) flushPageSums() error {
 		}
 		base := uint64(blk) * uint64(s.perBlk)
 		for i := 0; i < s.perBlk && base+uint64(i) < s.blocks; i++ {
-			binary.LittleEndian.PutUint64(buf[i*sumEntrySize:], atomic.LoadUint64(&s.v[base+uint64(i)]))
+			binary.LittleEndian.PutUint64(buf[i*sumEntrySize:], s.v[base+uint64(i)].Load())
 		}
 		if err := v.raw.WriteBlock(v.csumStart+uint64(blk), buf); err != nil {
 			// Unflushed entries stay dirty for the next attempt.
@@ -223,7 +223,7 @@ func (v *Volume) loadPageSums() error {
 				// validates wrong data as right.
 				e = 0
 			}
-			atomic.StoreUint64(&s.v[base+uint64(i)], e)
+			s.v[base+uint64(i)].Store(e)
 		}
 	}
 	for i := range s.dirty {

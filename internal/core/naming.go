@@ -183,11 +183,6 @@ func (v *Volume) DeleteObject(oid OID) error {
 	}
 	defer unlock()
 	return v.withOp(func(op *pager.Op) error {
-		// The whole section (name stripping included) is non-undoable: the
-		// destroy frees extents with no inverse, so a rollback that
-		// restored only the names would resurrect references to a
-		// destroyed object.
-		defer op.SuspendUndo()()
 		if err := v.removeAllNamesDeferred(op, oid); err != nil {
 			return err
 		}

@@ -22,8 +22,9 @@ type RecoveryPhase struct {
 }
 
 // RecoveryReport says what Open did to bring the volume up, phase by
-// phase. Every phase but BtreeRecount costs what the log tail costs;
-// AllocWalk names the exception.
+// phase. Every phase but BtreeRecount costs what the log tail costs —
+// loser chains included, whatever they allocated or freed; AllocWalk
+// names the exception, a device that offered no snapshot slot to restore.
 type RecoveryReport struct {
 	// Clean: the superblock recorded a clean shutdown.
 	Clean bool
@@ -50,7 +51,7 @@ type RecoveryReport struct {
 	// BtreeRecount: btrees whose key count was recomputed from their
 	// leaves: all of them, the one phase left that grows with the volume.
 	BtreeRecount RecoveryPhase
-	// Undo: loser chains rolled back.
+	// Undo: loser chains rolled back, on the allocator Allocator restored.
 	Undo RecoveryPhase
 	// Checkpoint: the checkpoint that ends recovery.
 	Checkpoint RecoveryPhase

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/btree"
 	"repro/internal/extent"
+	"repro/internal/fulltext"
+	"repro/internal/index"
 	"repro/internal/osd"
 )
 
@@ -459,11 +462,17 @@ func loserImage(t *testing.T, v *Volume, mem *blockdev.MemDevice, step func(b *B
 
 // TestRecoveryLosers: crashes that leave loser chains. A chain that only
 // named objects carries no allocator records — the splits its inserts
-// caused are system transactions of their own — so the allocator is
-// restored from the slot and the rollback runs on top of it. A chain
-// whose operation allocated goes through the walk, before and after its
-// rollback: logical inverses restore content, not the allocator's shape.
-// Either way the result is exact and the loser is gone.
+// caused are system transactions of their own. A chain whose operation
+// created objects and appended to them does: every run it took is named
+// by an inverse in the chain (the drop of each tree it created), so its
+// rollback hands them back. Either way the allocator is restored from the
+// slot, the rollback runs on top of it, the result is exact — with no
+// walk — and the loser is gone. With both slots gone the walk restores
+// the allocator from the loser's crash state instead, and the rollback
+// on top of it must be as exact: a tree the loser created whose link
+// never reached the log is unreachable yet the loser's to free, and a
+// tree it destroyed whose unlink never did is reachable yet its runs are
+// the loser's to take back.
 func TestRecoveryLosers(t *testing.T) {
 	setup := func(t *testing.T) (*Volume, *blockdev.MemDevice, []OID) {
 		mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
@@ -532,8 +541,8 @@ func TestRecoveryLosers(t *testing.T) {
 		if rep.Undo.Count == 0 {
 			t.Fatalf("no loser chain in the image: %s", rep)
 		}
-		if rep.AllocWalk != "loser chain allocated" {
-			t.Fatalf("AllocWalk = %q for a loser that allocated", rep.AllocWalk)
+		if rep.AllocWalk != "" || rep.AllocSlotLSN == 0 {
+			t.Fatalf("a loser that allocated forced a walk: %s", rep)
 		}
 		for _, oid := range created {
 			if _, err := v2.OSD.Stat(oid); err == nil {
@@ -543,11 +552,49 @@ func TestRecoveryLosers(t *testing.T) {
 		if got := readExtObj(t, v2, oids[0], 6000); !bytes.Equal(got, fill(6000, 4)) {
 			t.Fatal("committed content diverged")
 		}
-		// The rebuilt allocator is on the device too: crash again at once.
+		// Recovery's checkpoint left a slot for the result: crash again.
 		v3 := mustOpenExact(t, crashCopy(t, v2, img))
 		defer v3.Close()
 		if why := v3.Recovery().AllocWalk; why != "" {
-			t.Fatalf("second recovery walked again (%s): the first left no usable slot", why)
+			t.Fatalf("second recovery walked (%s): the first left no usable slot", why)
+		}
+	})
+	t.Run("walking", func(t *testing.T) {
+		v, mem, oids := setup(t)
+		m, err := v.OSD.Stat(oids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := loserImage(t, v, mem, func(b *Batch, i int) error {
+			if i == 0 {
+				if _, err := extent.CreateOp(v.pg, v.ba, v.opts.ExtentConfig, b.op); err != nil {
+					return err
+				}
+				if _, err := btree.CreateOp(v.pg, pageAlloc{v.ba}, b.op); err != nil {
+					return err
+				}
+				ext, err := extent.Open(v.pg, v.ba, m.ExtentHeader, v.opts.ExtentConfig)
+				if err != nil {
+					return err
+				}
+				return ext.Destroy(b.op)
+			}
+			return v.addNameDeferred(b.op, oids[i%len(oids)], "UDEF", []byte(fmt.Sprintf("loser-%06d", i)))
+		})
+		v.stopCheckpointer()
+		zero := make([]byte, img.BlockSize())
+		for slot := uint64(0); slot < 2; slot++ {
+			if err := img.WriteBlock(v.snapStart+slot*v.slotBlocks(), zero); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v2 := mustOpenExact(t, img)
+		defer v2.Close()
+		if rep := v2.Recovery(); rep.AllocWalk == "" || rep.Undo.Count == 0 {
+			t.Fatalf("want a walk and a loser: %s", rep)
+		}
+		if got := readExtObj(t, v2, oids[0], 6000); !bytes.Equal(got, fill(6000, 4)) {
+			t.Fatal("the tree the loser destroyed did not come back whole")
 		}
 	})
 }
@@ -555,11 +602,13 @@ func TestRecoveryLosers(t *testing.T) {
 // TestRecoveryCutDuringLoserUndo cuts the power at every write of a
 // recovery that rolls losers back — replay's write-home, the undo's
 // compensation commits (which resolve the chains: the next open no longer
-// sees a loser), the closing checkpoint's flush, slot and log reset. An
-// allocating loser is the dangerous one: once its chain is resolved, a
-// slot the log's fence still vouches for plus the tail's records would
-// count the runs its rollback unlinked as allocated, and no later open
-// would ever walk the volume to find them.
+// sees a loser), the closing checkpoint's flush, slot and log reset. The
+// allocator must be exact at every cut: once a chain is resolved, the
+// next open trusts a slot plus a tail that holds the loser's allocations
+// and frees and its rollback's — the rollback must have handed back
+// exactly what the loser took (trees it created, runs it appended) and
+// taken back exactly what it gave up (objects it deleted, segments its
+// compaction dropped).
 func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 	steps := map[string]func(v *Volume, oids []OID) func(b *Batch, i int) error{
 		"names only": func(v *Volume, oids []OID) func(b *Batch, i int) error {
@@ -577,11 +626,35 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 				return b.Append(o, fill(5000, byte(i)))
 			}
 		},
+		"deleting": func(v *Volume, oids []OID) func(b *Batch, i int) error {
+			return func(b *Batch, i int) error {
+				if i >= len(oids) {
+					return v.addNameDeferred(b.op, oids[i%len(oids)], "UDEF", []byte(fmt.Sprintf("loser-%06d", i)))
+				}
+				if err := v.removeAllNamesDeferred(b.op, oids[i]); err != nil {
+					return err
+				}
+				return v.OSD.DeleteObjectDeferred(b.op, oids[i])
+			}
+		},
+		"fulltext": func(v *Volume, oids []OID) func(b *Batch, i int) error {
+			// Committed segments for the loser's compactions to drop.
+			for i, oid := range oids[:6] {
+				if err := v.AddName(oid, index.TagFulltext, []byte(fmt.Sprintf("kept%d shared", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return func(b *Batch, i int) error {
+				text := fmt.Sprintf("loser%06d shared filler%d", i, i%7)
+				return v.addNameDeferred(b.op, oids[i%len(oids)], index.TagFulltext, []byte(text))
+			}
+		},
 	}
 	for name, mk := range steps {
 		t.Run(name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
-			v, err := Create(mem, Options{CachePages: 64, WALBlocks: 512})
+			v, err := Create(mem, Options{CachePages: 64, WALBlocks: 512,
+				FulltextConfig: fulltext.Config{FlushDocs: 2, MaxSegments: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -589,12 +662,17 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 			if err := v.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			crash := loserImage(t, v, mem, mk(v, oids))
+			step := mk(v, oids)
+			ft0 := v.Fulltext().Inner().Stats()
+			crash := loserImage(t, v, mem, step)
 			v.stopCheckpointer()
-			// The names-only rollback is some 300 writes, most of them log
-			// blocks of one compensation commit: sample those.
+			if ft := v.Fulltext().Inner().Stats(); name == "fulltext" && (ft.Flushes == ft0.Flushes || ft.Compactions == ft0.Compactions) {
+				t.Fatalf("the loser did not both flush and compact the index: %+v", ft)
+			}
+			// The rollbacks that strip names are some 300 writes, most of
+			// them log blocks of one compensation commit: sample those.
 			stride := int64(1)
-			if name == "names only" {
+			if name == "names only" || name == "deleting" {
 				stride = 4
 			}
 			if raceEnabled {
@@ -626,6 +704,14 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 				if got, err := v2.Resolve(TV("UDEF", "loser-000003")); err != nil || len(got) != 0 {
 					t.Fatalf("cut at recovery write %d: the loser's names survived: %v, %v", cut, got, err)
 				}
+				if got, err := v2.Resolve(TV(index.TagFulltext, "loser000003")); err != nil || len(got) != 0 {
+					t.Fatalf("cut at recovery write %d: the loser's text is searchable: %v, %v", cut, got, err)
+				}
+				if name == "fulltext" {
+					if got, err := v2.Resolve(TV(index.TagFulltext, "kept4")); err != nil || len(got) != 1 {
+						t.Fatalf("cut at recovery write %d: committed text lost: %v, %v", cut, got, err)
+					}
+				}
 				n := 0
 				if err := v2.OSD.ForEach(func(osd.Meta) bool { n++; return true }); err != nil || n != len(oids) {
 					t.Fatalf("cut at recovery write %d: %d objects (%v), want %d", cut, n, err, len(oids))
@@ -637,8 +723,9 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 }
 
 // TestRecoveryDeleteInTail: DeleteObject frees an object's runs and pages
-// under SuspendUndo, with no inverse; the frees are records of the
-// deleting operation and replay with it.
+// in the deleting operation's records, behind the one inverse that would
+// take them all back; committed, the frees replay with the operation and
+// the inverse is never run.
 func TestRecoveryDeleteInTail(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
@@ -686,12 +773,14 @@ func TestRecoveryDeleteInTail(t *testing.T) {
 // the other, with the same log tail. Everything RecoveryReport counts is
 // the same but the sidecar (sized with the device) — the walk that made
 // reopen proportional to the volume is gone — and the btrees recounted
-// are the same trees, only taller.
+// are the same trees, only taller. The same holds when the tail ends in a
+// loser that allocated: its rollback hands its runs back on the restored
+// allocator, with no walk.
 func TestRecoveryCostIsTheTail(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("populates 22 000 objects on a 256 MiB device, single-threaded: nothing for the race detector but its memory")
 	}
-	run := func(n int) RecoveryReport {
+	run := func(n int, loser bool) RecoveryReport {
 		mem := blockdev.NewMem(1<<16, blockdev.DefaultBlockSize)
 		v, err := Create(mem, Options{WALBlocks: 4096})
 		if err != nil {
@@ -717,23 +806,53 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 			}
 			obj.Close()
 		}
+		v.stopCheckpointer()
+		if loser {
+			// L appends to a sixth object and never commits; a neighbour's
+			// append to the same object commits, and since its records build
+			// on L's leaf, its commit chunk-flushes L's into the log first.
+			obj, err := v.OSD.OpenObject(oids[5])
+			if err != nil {
+				t.Fatal(err)
+			}
+			L := v.pg.NewOp(sysAppender{v})
+			if _, err := obj.AppendDeferred(L, fill(3000, 7)); err != nil {
+				t.Fatal(err)
+			}
+			if err := obj.Append(fill(500, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		// The crash: v is abandoned, cache and all, and the device reopened
 		// in place (a copy of 256 MiB per run is the test's whole footprint).
-		v.stopCheckpointer()
 		v2 := mustOpenExact(t, mem)
 		defer v2.Close()
+		if loser {
+			if got := readExtObj(t, v2, oids[5], 500); !bytes.Equal(got, fill(500, 8)) {
+				t.Fatal("the loser's rollback took the committed append with it")
+			}
+		}
 		return v2.Recovery()
 	}
-	small, big := run(2000), run(20000)
 	counts := func(r RecoveryReport) [9]int64 {
 		return [9]int64{r.LogScan.Count, r.LogBytes, r.Replay.Count, r.PagesHome, r.Allocator.Count,
 			r.ExtentRecount.Count, r.BtreeRecount.Count, r.Undo.Count, r.Checkpoint.Count}
 	}
-	if counts(small) != counts(big) {
-		t.Fatalf("recovery counts differ with the volume's size:\n  2 000: %s\n 20 000: %s", small, big)
-	}
-	if small.AllocWalk != "" || big.AllocWalk != "" || small.Allocator.Count != 5 || small.ExtentRecount.Count != 5 {
-		t.Fatalf("unexpected recovery: %s", small)
+	for _, loser := range []bool{false, true} {
+		small, big := run(2000, loser), run(20000, loser)
+		t.Logf("loser=%v\n  2 000: %s\n 20 000: %s", loser, small, big)
+		if counts(small) != counts(big) {
+			t.Fatalf("loser=%v: recovery counts differ with the volume's size:\n  2 000: %s\n 20 000: %s", loser, small, big)
+		}
+		if small.AllocWalk != "" || big.AllocWalk != "" {
+			t.Fatalf("loser=%v: recovery walked: %s", loser, small)
+		}
+		switch {
+		case !loser && (small.Allocator.Count != 5 || small.ExtentRecount.Count != 5 || small.Undo.Count != 0):
+			t.Fatalf("unexpected recovery: %s", small)
+		case loser && (small.Allocator.Count <= 5 || small.ExtentRecount.Count != 6 || small.Undo.Count != 1):
+			t.Fatalf("unexpected recovery with a loser: %s", small)
+		}
 	}
 }
 

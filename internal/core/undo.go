@@ -27,9 +27,11 @@ import (
 // run newest-first through the live structure APIs, and the original
 // records plus the compensations commit as one transaction — a net
 // no-op under replay, with the op's chunk chain (if any) resolved by the
-// commit. When the op captured no inverse (a non-undoable section), or
-// an inverse fails mid-rollback, it degrades to committing the state as
-// it stands: self-consistent partial state, page-atomic in the log.
+// commit. What the rolled-back mutations deferred to their commit (a
+// destroyed tree's cache teardown) is dropped; what the compensations
+// defer runs after theirs. When an inverse fails mid-rollback it degrades
+// to committing the state as it stands: self-consistent partial state,
+// page-atomic in the log, with the deferrals of the mutations that stand.
 //
 // abortMu is held across the inverses *and* the commit: rollbacks
 // serialize, so a dependency flush never catches a rollback between its
@@ -37,27 +39,19 @@ import (
 // double-apply non-idempotent inverses after a crash — see
 // pager.flushOpChunk).
 func (v *Volume) abortOp(op *pager.Op) error {
-	bodies := op.UndoBodies()
-	if len(bodies) == 0 {
-		return v.commitOp(op)
-	}
 	v.abortMu.Lock()
 	defer v.abortMu.Unlock()
-	op.BeginCLR()
-	for _, b := range bodies {
+	op.Rollback(func(b []byte) error {
 		u, err := undo.Decode(b)
 		if err == nil {
 			err = v.applyUndo(op, u)
 		}
-		if err != nil {
-			// An inverse failed: stop undoing and commit what exists.
-			// Original records plus the compensations so far describe
-			// exactly the cache state — not fully rolled back, but
-			// replay-consistent.
-			return v.commitOp(op)
-		}
+		return err
+	})
+	if err := v.commitOp(op); err != nil {
+		return err
 	}
-	return v.commitOp(op)
+	return v.runDeferred(op)
 }
 
 // undoLosers is recovery's undo pass. Repeat-history replay has already
@@ -107,6 +101,9 @@ func (v *Volume) undoLosers(chains []wal.LoserChain) error {
 			// the log, which resolves every chain by emptiness.
 			continue
 		}
+		if err == nil {
+			err = v.runDeferred(ops[i])
+		}
 		if err != nil {
 			return err
 		}
@@ -118,10 +115,8 @@ func (v *Volume) undoLosers(chains []wal.LoserChain) error {
 // APIs, which stage the compensation's redo records into op. Inverses
 // address structures logically (tree header page, key, byte offset), so
 // execution is correct regardless of how rebalances or steal moved the
-// physical bytes since capture. Already-gone targets are tolerated —
-// a later (older-LSN) inverse may destroy the object or row an earlier
-// one restored into, and re-running an interrupted undo must not trip on
-// the parts that completed.
+// physical bytes since capture. A key already gone, or an object a
+// neighbour deleted since, is tolerated.
 func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 	switch u.Code {
 	case undo.OpKeyPut:
@@ -163,12 +158,18 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 			v.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(int(u.Off), u.Data))
 			return nil
 		})
-	case undo.OpObjDestroy:
-		err := v.OSD.DeleteObjectDeferred(op, osd.OID(u.OID))
-		if errors.Is(err, osd.ErrNotFound) {
-			return nil
+	case undo.OpReclaim:
+		return pager.NewSpace(v.pg, v.ba).Reclaim(op, u.Runs)
+	case undo.OpBtreeDrop:
+		tr, err := btree.Open(v.pg, pageAlloc{v.ba}, u.Hdr)
+		if err != nil {
+			return err
 		}
-		return err
+		return tr.Drop(op)
+	case undo.OpExtentDrop:
+		return v.OSD.DestroyTree(op, u.Hdr)
+	case undo.OpFulltext:
+		return v.ft.Inner().Undo(op)
 	default:
 		return fmt.Errorf("core: unknown undo opcode %d", u.Code)
 	}
@@ -187,9 +188,7 @@ func (v *Volume) treeByHeader(hdr uint64) (*btree.Tree, error) {
 }
 
 // objectByHeader opens the object whose extent tree is rooted at hdr.
-// Returns (nil, nil) when no such object exists any more — the rollback
-// order destroys created objects after undoing the writes inside them,
-// and an interrupted, re-run undo may find the destroy already done.
+// Returns (nil, nil) when no such object exists any more.
 func (v *Volume) objectByHeader(hdr uint64) (*osd.Object, error) {
 	oid, err := v.OSD.LookupByHeader(hdr)
 	if errors.Is(err, osd.ErrNotFound) {

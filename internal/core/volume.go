@@ -527,12 +527,13 @@ func readSuperblock(dev blockdev.Device) (*superblock, error) {
 //  6. checkpoint: pages home, sidecar, a fresh snapshot slot, log reset.
 //
 // Steps 2, 3, 5 and 6 cost what the tail costs; after a clean shutdown
-// the tail is empty and 4 is skipped. The reachability walk — what fsck
-// checks the allocator against — replaces step 3 only when the device
-// holds nothing to restore from (restoreAllocator lists when). It runs
-// after step 4 (it reads the structures), recounts every extent tree, and
-// when there are losers runs again after step 5, having wiped both
-// snapshot slots before it.
+// the tail is empty and 4 is skipped. A loser is rolled back like a
+// runtime abort: every mutation it logged has its inverse in its chain,
+// so the allocator restored in step 3 stays exact through step 5. The
+// reachability walk — what fsck checks the allocator against — replaces
+// step 3 only when the device holds nothing to restore from
+// (restoreAllocator lists when). It runs after step 4 (it reads the
+// structures) and recounts every extent tree.
 func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	t0 := time.Now()
 	opts.fill()
@@ -584,7 +585,7 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	v.enableBaseImages()
 	v.enableSteal()
 
-	if err := timed(&rep.Allocator, func() error { return v.restoreAllocator(sb, tail.allocs, losers) }); err != nil {
+	if err := timed(&rep.Allocator, func() error { return v.restoreAllocator(sb, tail.allocs) }); err != nil {
 		return nil, err
 	}
 	v.ba.SetDeferredFrees(true)
@@ -632,25 +633,11 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 		}
 	}
 	if rep.AllocWalk != "" {
-		if err := timed(&rep.Allocator, v.rebuildAllocator); err != nil {
+		if err := timed(&rep.Allocator, func() error { return v.rebuildAllocator(tail.allocs) }); err != nil {
 			return nil, err
 		}
 	}
 	if len(losers) > 0 {
-		if rep.AllocWalk != "" {
-			// The undo below commits compensations that resolve the chains:
-			// an open after a crash from here on sees no loser, and a slot
-			// the log's fence still vouched for, plus the tail, would count
-			// what the rollback unlinks as allocated — for good, since that
-			// open would not walk. Leave it nothing to trust until the
-			// checkpoint below writes the allocator the second walk finds.
-			if err := v.wipeAllocSlots(); err != nil {
-				return nil, err
-			}
-			if err := v.raw.Sync(); err != nil {
-				return nil, err
-			}
-		}
 		// ARIES undo of losers: repeat-history replay above brought every
 		// page to its crash state (loser edits included); now the loser
 		// chains' logical inverses run newest-first through the live
@@ -662,15 +649,6 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 			return nil, err
 		}
 		rep.Undo.Count = int64(len(losers))
-		if rep.AllocWalk != "" {
-			// Logical inverses do not hand back what the loser allocated
-			// (a tree created and never linked, a tail copy that stays):
-			// what the rolled-back structures no longer reach is free. The
-			// walk reads through the cache, so it needs no checkpoint first.
-			if err := timed(&rep.Allocator, v.rebuildAllocator); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if err := timed(&rep.Checkpoint, v.checkpointNow); err != nil {
 		return nil, err
@@ -687,16 +665,14 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 
 // restoreAllocator is Open's step 3. It sets v.ba — exact, or a
 // placeholder with recovery.AllocWalk saying why the reachability walk
-// must fill it in once the structures are open. The reasons are all read
+// must fill it in once the structures are open. The reasons are both read
 // off the device:
 //
 //   - no snapshot slot carries the fence of the log on the device: both
-//     torn, or wiped — by a checkpoint whose snapshot outgrew the slot, by
-//     a walking recovery that did not finish — or written by nobody yet;
-//   - the slot does not decode, or the tail does not apply to it;
-//   - a loser chain allocated or freed: its rollback runs logical
-//     inverses, which restore content, not the allocator's shape.
-func (v *Volume) restoreAllocator(sb *superblock, tail []allocRec, losers []wal.LoserChain) error {
+//     torn, or wiped by a checkpoint whose snapshot outgrew the slot, or
+//     written by nobody yet;
+//   - the slot does not decode, or the tail does not apply to it.
+func (v *Volume) restoreAllocator(sb *superblock, tail []allocRec) error {
 	rep := &v.recovery
 	walk := func(why string) error {
 		rep.AllocWalk = why
@@ -710,11 +686,6 @@ func (v *Volume) restoreAllocator(sb *superblock, tail []allocRec, losers []wal.
 	}
 	if payload == nil {
 		return walk("no valid snapshot slot for the log's fence")
-	}
-	for _, l := range losers {
-		if l.AllocRecs > 0 {
-			return walk("loser chain allocated")
-		}
 	}
 	ba, err := replayAllocator(payload, tail)
 	if err == nil && (ba.Base() != sb.dataStart || ba.Size() != sb.dataBlocks) {
@@ -861,24 +832,7 @@ func (v *Volume) withOp(fn func(*pager.Op) error) error {
 	}
 	err := v.commitOp(op)
 	if err == nil {
-		// Deferred structural rebalancing (see btree.DeleteOp): runs only
-		// after this operation's deletes are durable, as its own system
-		// transactions, still inside the checkpoint fence. Staged records
-		// are appended even when a rebalance fails part-way — they
-		// describe mutations already applied in cache, and dropping them
-		// would leave later commits building on an unlogged structure
-		// change.
-		for _, rebalance := range op.Deferred() {
-			sys := v.pg.NewOp(sysAppender{v})
-			rerr := rebalance(sys)
-			aerr := sys.AppendSys()
-			if err == nil && rerr != nil {
-				err = rerr
-			}
-			if err == nil && aerr != nil {
-				err = aerr
-			}
-		}
+		err = v.runDeferred(op)
 	}
 	v.ckptMu.RUnlock()
 	if errors.Is(err, wal.ErrFull) {
@@ -894,6 +848,29 @@ func (v *Volume) withOp(fn func(*pager.Op) error) error {
 		// steal bounds a transaction by the log, not the cache.
 		v.ckptFallbacks.Add(1)
 		return v.checkpointNow()
+	}
+	return err
+}
+
+// runDeferred runs what op registered with Defer once its commit is
+// durable: deferred structural rebalancing (see btree.DeleteOp) and the
+// cache teardown of destroyed structures, each as a system transaction of
+// its own, still inside the checkpoint fence. Staged records are appended
+// even when a rebalance fails part-way — they describe mutations already
+// applied in cache, and dropping them would leave later commits building
+// on an unlogged structure change.
+func (v *Volume) runDeferred(op *pager.Op) error {
+	var err error
+	for _, fn := range op.Deferred() {
+		sys := v.pg.NewOp(sysAppender{v})
+		rerr := fn(sys)
+		aerr := sys.AppendSys()
+		if err == nil && rerr != nil {
+			err = rerr
+		}
+		if err == nil && aerr != nil {
+			err = aerr
+		}
 	}
 	return err
 }

@@ -163,13 +163,15 @@ func recoverImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64) (*Tree, *
 	return tr, ba, err
 }
 
-// restoreAllocator is core.restoreAllocator at package scale.
+// restoreAllocator is core.restoreAllocator at package scale: the tail's
+// frees are parked in limbo, so a loser's rollback can take them back.
 func restoreAllocator(t *testing.T, allocSnap []byte, tail []redo.Record) *buddy.Allocator {
 	t.Helper()
 	ba, err := buddy.Restore(allocSnap)
 	if err != nil {
 		t.Fatalf("restore allocator snapshot: %v", err)
 	}
+	ba.SetDeferredFrees(true)
 	for _, r := range tail {
 		free, n, err := redo.DecodeAlloc(r.Data)
 		if err == nil && free {
@@ -542,18 +544,36 @@ func (e *crEnv) commitChain(op *pager.Op, chain uint64, runDeferred bool) {
 // op's chunk chain (if any) resolved by the commit.
 func (e *crEnv) rollback(op *pager.Op) {
 	e.t.Helper()
-	bodies := op.UndoBodies()
-	op.BeginCLR()
-	for _, b := range bodies {
+	op.Rollback(func(b []byte) error {
 		u, err := undo.Decode(b)
-		if err != nil {
-			e.t.Fatalf("decode undo: %v", err)
+		if err == nil {
+			err = applyUndo(e.tr, e.ba, op, u)
 		}
-		if err := e.tr.ApplyUndo(op, u); err != nil {
+		if err != nil {
 			e.t.Fatalf("apply undo: %v", err)
 		}
-	}
+		return nil
+	})
 	e.commitChain(op, 0, false)
+}
+
+// applyUndo executes one decoded undo record against the tree through
+// the ordinary mutation API, as core's undo executor does for a volume:
+// with op in CLR mode, the compensations replay like normal history but
+// are never themselves undone.
+func applyUndo(t *Tree, ba *buddy.Allocator, op *pager.Op, u undo.Op) error {
+	switch u.Code {
+	case undo.OpExtWrite:
+		return t.WriteAtOp(op, u.Data, u.Off)
+	case undo.OpExtIns:
+		return t.InsertAtOp(op, u.Off, u.Data)
+	case undo.OpExtDel:
+		return t.DeleteRangeOp(op, u.Off, u.N)
+	case undo.OpReclaim:
+		return pager.NewSpace(t.pg, ba).Reclaim(op, u.Runs)
+	default:
+		return fmt.Errorf("undo opcode %d is not an extent inverse", u.Code)
+	}
 }
 
 // recoverUndoImage is recoverImage plus ARIES undo: repeat history, then
@@ -581,50 +601,24 @@ func recoverUndoImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64, stopA
 	// order — the undo's compensations must sort after history.
 	pg.SeedLSN(log.MaxLSN())
 	losers := log.Losers()
-	if len(losers) == 0 {
-		// Committed history only (runtime rollbacks included: their
-		// compensations committed with them): the allocator is the
-		// snapshot plus the tail, and must equal the walk.
-		ba := restoreAllocator(t, allocSnap, tail)
-		tr, err := Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		assertAllocatorIsWalk(t, "recovered image", ba, tr)
-		return tr, dev, losers, 0
-	}
-	ba := buddy.New(crDataStart, crBlocks-crDataStart)
+	ba := restoreAllocator(t, allocSnap, tail)
 	tr, err := Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	// Unclean open with replayed loser records that allocated: recount,
-	// then rebuild the allocator from reachability before mutating through
-	// the live APIs — the undo's deletes free real blocks, and its logical
-	// inverses do not return the allocator to its old shape (core.Open's
-	// order for a loser chain that carries allocator records).
+	if len(losers) == 0 {
+		// Committed history only (runtime rollbacks included: their
+		// compensations committed with them): the allocator is the
+		// snapshot plus the tail, and must equal the walk.
+		assertAllocatorIsWalk(t, "recovered image", ba, tr)
+		return tr, dev, losers, 0
+	}
+	// Unclean open with replayed loser records: recount, then roll the
+	// losers back through the live APIs on the restored allocator — every
+	// run a loser took or gave up is named by one of its inverses, so the
+	// allocator stays exact (core.Open's order).
 	if err := tr.Recount(); err != nil {
 		t.Fatalf("recount: %v", err)
-	}
-	res, err := tr.Check()
-	if err != nil {
-		t.Fatalf("pre-undo check: %v", err)
-	}
-	var used [][2]uint64
-	for _, p := range res.AllPages {
-		used = append(used, [2]uint64{p, p + 1})
-	}
-	for _, ex := range res.DataExtents {
-		if ex.AllocBlocks > 0 {
-			used = append(used, [2]uint64{ex.Alloc, ex.Alloc + uint64(ex.AllocBlocks)})
-		}
-	}
-	nb, err := buddy.FromUsed(crDataStart, crBlocks-crDataStart, used)
-	if err != nil {
-		t.Fatalf("rebuild allocator: %v", err)
-	}
-	if err := ba.ReplaceWith(nb); err != nil {
-		t.Fatalf("replace allocator: %v", err)
 	}
 	type step struct {
 		lsn   uint64
@@ -653,7 +647,7 @@ func recoverUndoImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64, stopA
 		if err != nil {
 			t.Fatalf("decode undo: %v", err)
 		}
-		if err := tr.ApplyUndo(ops[st.chain], u); err != nil {
+		if err := applyUndo(tr, ba, ops[st.chain], u); err != nil {
 			t.Fatalf("recovery undo: %v", err)
 		}
 		applied++
@@ -672,15 +666,19 @@ func recoverUndoImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64, stopA
 		pg.FinishOp(ops[i], true)
 		ops[i].Deferred() // recovery undo drops deferred rebalances
 	}
+	assertAllocatorIsWalk(t, "rolled-back image", ba, tr)
 	return tr, dev, losers, applied
 }
 
 // TestCrashReplayAbortInjection extends the crash-replay property with
-// aborting brackets. Three events interleave with committed operations:
+// aborting brackets. Four events interleave with committed operations:
 //
 //   - runtime aborts: an operation mutates, then rolls back through its
 //     captured inverses — the live tree and every subsequent recovery
 //     must show the pre-operation oracle state;
+//   - aborted destroys: an operation frees the whole tree, then rolls
+//     back — the one inverse Destroy staged takes every run back out of
+//     limbo, and the tree, untouched in cache, is whole again;
 //   - loser crashes: an uncommitted operation's records reach the log
 //     via a committing neighbour's dependency flush, then power cuts —
 //     recovery must repeat history, undo the loser, and land exactly on
@@ -749,8 +747,9 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 			}
 
 			const rounds = 16
+			destroys := 0
 			for i := 0; i < rounds; i++ {
-				switch rng.IntN(3) {
+				switch rng.IntN(4) {
 				case 0: // committed operation: the oracle advances
 					op := e.pg.NewOp(walAppender{e.log})
 					next := append([]byte(nil), oracle...)
@@ -773,6 +772,22 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 						t.Fatalf("round %d: %d loser chains after a committed rollback", i, len(losers))
 					}
 					verifyAgainstOracle(t, fmt.Sprintf("round %d recovery after abort", i), tr2, oracle)
+
+				case 2: // runtime abort of a destroy: the tree comes back whole
+					op := e.pg.NewOp(walAppender{e.log})
+					if err := e.tr.Destroy(op); err != nil {
+						t.Fatal(err)
+					}
+					e.rollback(op)
+					destroys++
+					label := fmt.Sprintf("round %d live tree after aborted destroy", i)
+					verifyAgainstOracle(t, label, e.tr, oracle)
+					assertAllocatorIsWalk(t, label, e.ba, e.tr)
+					tr2, _, losers, _ := recoverUndoImage(t, e.dev.Snapshot(), e.allocSnap, hdr, -1)
+					if len(losers) != 0 {
+						t.Fatalf("round %d: %d loser chains after a committed rollback", i, len(losers))
+					}
+					verifyAgainstOracle(t, fmt.Sprintf("round %d recovery after aborted destroy", i), tr2, oracle)
 
 				default: // loser crash (+ mid-undo re-cut)
 					// L appends but never commits; B appends after it and
@@ -833,6 +848,9 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 				}
 			}
 			verifyAgainstOracle(t, "final live tree", e.tr, oracle)
+			if destroys == 0 {
+				t.Fatal("the sequence aborted no destroy")
+			}
 		})
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"repro/internal/buddy"
 	"repro/internal/pager"
 	"repro/internal/redo"
+	"repro/internal/undo"
 )
 
 // Page types (distinct from btree's so fsck can tell them apart).
@@ -128,7 +129,8 @@ type Tree struct {
 	bsU64 uint64
 
 	// creator is the ID of the operation that created the tree (0 when
-	// opened, or created unlogged); see allocOp.
+	// opened, or created unlogged): until it commits, the tree's edits need
+	// no inverse of their own, and its splits are its own (see smoOp).
 	creator uint64
 
 	mu      sync.RWMutex
@@ -139,9 +141,9 @@ type Tree struct {
 	// curOp is the redo capture of the mutating call in progress, set at
 	// each public entry point under mu (which serializes all mutators).
 	// Mutators stage typed extent records (redo.KindExtentOp) and header
-	// range records into it; splits and merges ride system transactions
-	// derived from it (curOp.NewSys). Nil = unlogged (formatting, or a
-	// tree used outside a volume).
+	// range records into it, one atomic section per call; splits and
+	// merges ride system transactions derived from it (smoOp). Nil =
+	// unlogged (formatting, or a tree used outside a volume).
 	curOp *pager.Op
 	// rebalOp/rebalOff dedup deferred rebalances: a multi-cell delete
 	// registers ONE post-commit RebalanceAt per operation, retargeted
@@ -174,16 +176,22 @@ func Create(pg *pager.Pager, ba *buddy.Allocator, cfg Config) (*Tree, error) {
 // CreateOp is Create capturing the fresh tree's pages into op, so an
 // object created inside a transaction recovers with it. Both pages are
 // fresh (WithZero), so replay rebuilds them from their records alone
-// and no garbage home content is ever logged as a base image.
+// and no garbage home content is ever logged as a base image. Its inverse
+// destroys the tree: staged once the tree stands, in the same atomic
+// section as the allocations, while a failure before that point gives the
+// pages straight back.
 func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
-	space := pager.NewSpace(ba)
+	op.BeginAtomic()
+	defer op.EndAtomic()
+	space := pager.NewSpace(pg, ba)
 	hdr, err := space.Alloc(op, 1)
 	if err != nil {
 		return nil, err
 	}
 	rootPno, err := space.Alloc(op, 1)
 	if err != nil {
+		_ = space.Free(op, hdr, 1)
 		return nil, err
 	}
 	t := &Tree{
@@ -196,18 +204,20 @@ func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*
 		t.rec(rp, op, encXop(xopInit, []byte{pageLeaf}))
 		return nil
 	})
+	if err == nil {
+		err = pg.WithZero(hdr, func(hp *pager.Page) error {
+			hb := t.headerBytes()
+			copy(hp.Data()[:len(hb)], hb)
+			t.recRange(hp, op, 0, hb)
+			return nil
+		})
+	}
 	if err != nil {
+		_ = space.Free(op, rootPno, 1)
+		_ = space.Free(op, hdr, 1)
 		return nil, err
 	}
-	err = pg.WithZero(hdr, func(hp *pager.Page) error {
-		hb := t.headerBytes()
-		copy(hp.Data()[:len(hb)], hb)
-		t.recRange(hp, op, 0, hb)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	op.StageUndo(undo.ExtentDrop(hdr))
 	return t, nil
 }
 
@@ -215,7 +225,7 @@ func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*
 func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, cfg Config) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
 	t := &Tree{
-		pg: pg, space: pager.NewSpace(ba), dev: pg.Device(), cfg: cfg, hdr: headerPno,
+		pg: pg, space: pager.NewSpace(pg, ba), dev: pg.Device(), cfg: cfg, hdr: headerPno,
 		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
 	}
 	err := pg.With(headerPno, func(hp *pager.Page) error {

@@ -109,10 +109,12 @@ func (t *Tree) WriteAtOp(op *pager.Op, p []byte, off uint64) error {
 	defer t.mu.Unlock()
 	t.curOp = op
 	defer func() { t.curOp = nil }()
+	op.BeginAtomic()
+	defer op.EndAtomic()
 	if len(p) == 0 {
 		return nil
 	}
-	if op.UndoEnabled() {
+	if t.inverts(op) {
 		end := off + uint64(len(p))
 		if off < t.size {
 			// Overlap: the inverse restores the overwritten bytes.
@@ -251,11 +253,15 @@ func (t *Tree) AppendOp(op *pager.Op, p []byte) (uint64, error) {
 	defer t.mu.Unlock()
 	t.curOp = op
 	defer func() { t.curOp = nil }()
+	op.BeginAtomic()
+	defer op.EndAtomic()
 	if len(p) == 0 {
 		return t.size, nil
 	}
-	// Inverse of an append: delete the appended tail.
-	op.StageUndo(undo.ExtDel(t.hdr, t.size, uint64(len(p))))
+	if t.inverts(op) {
+		// Inverse of an append: delete the appended tail.
+		op.StageUndo(undo.ExtDel(t.hdr, t.size, uint64(len(p))))
+	}
 	err := t.finishMutation(t.appendBytes(p))
 	return t.size, err
 }
@@ -273,15 +279,19 @@ func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) error {
 	defer t.mu.Unlock()
 	t.curOp = op
 	defer func() { t.curOp = nil }()
+	op.BeginAtomic()
+	defer op.EndAtomic()
 	if off > t.size {
 		return fmt.Errorf("%w: insert at %d, size %d", ErrOutOfRange, off, t.size)
 	}
 	if len(p) == 0 {
 		return nil
 	}
-	// Inverse of an insert: delete the inserted range, shifting the
-	// later bytes back down.
-	op.StageUndo(undo.ExtDel(t.hdr, off, uint64(len(p))))
+	if t.inverts(op) {
+		// Inverse of an insert: delete the inserted range, shifting the
+		// later bytes back down.
+		op.StageUndo(undo.ExtDel(t.hdr, off, uint64(len(p))))
+	}
 	return t.finishMutation(t.insertAtLocked(off, p))
 }
 
@@ -305,10 +315,12 @@ func (t *Tree) DeleteRangeOp(op *pager.Op, off, n uint64) error {
 	defer t.mu.Unlock()
 	t.curOp = op
 	defer func() { t.curOp = nil }()
+	op.BeginAtomic()
+	defer op.EndAtomic()
 	if off >= t.size || n == 0 {
 		return nil
 	}
-	if op.UndoEnabled() {
+	if t.inverts(op) {
 		// Inverse of a delete-range: re-insert the removed bytes.
 		m := n
 		if off+m > t.size {
@@ -383,9 +395,11 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 	defer t.mu.Unlock()
 	t.curOp = op
 	defer func() { t.curOp = nil }()
+	op.BeginAtomic()
+	defer op.EndAtomic()
 	switch {
 	case newSize < t.size:
-		if op.UndoEnabled() {
+		if t.inverts(op) {
 			// Inverse of a shrink: re-insert the truncated tail.
 			old, err := t.oldBytes(newSize, t.size-newSize)
 			if err != nil {
@@ -395,8 +409,10 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 		}
 		return t.finishMutation(t.deleteRangeLocked(newSize, t.size-newSize))
 	case newSize > t.size:
-		// Inverse of a grow: delete the appended hole.
-		op.StageUndo(undo.ExtDel(t.hdr, t.size, newSize-t.size))
+		if t.inverts(op) {
+			// Inverse of a grow: delete the appended hole.
+			op.StageUndo(undo.ExtDel(t.hdr, t.size, newSize-t.size))
+		}
 		return t.finishMutation(t.appendHole(newSize - t.size))
 	default:
 		return nil
@@ -404,62 +420,41 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 }
 
 // Destroy frees all extents and tree pages, including the header,
-// logging the frees into op. The tree must not be used afterwards.
+// logging the frees into op. It stages one inverse for all of them before
+// it frees any, and edits nothing, so a rollback takes the tree back
+// intact — this handle included; the pages leave the cache only once op
+// commits. The tree must not be used once op has committed.
 func (t *Tree) Destroy(op *pager.Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Free data allocations by walking the leaf chain.
-	leafPno, err := t.firstLeaf()
-	if err != nil {
-		return err
-	}
-	for leafPno != 0 {
-		cells, next, err := t.leafCells(leafPno)
-		if err != nil {
-			return err
-		}
-		for _, e := range cells {
-			if e.IsHole() {
-				continue
-			}
-			if err := t.space.Free(op, e.Alloc, uint64(e.AllocBlocks)); err != nil {
-				return err
-			}
-		}
-		leafPno = next
-	}
-	// Free node pages.
-	var freeTree func(pno uint64, level int) error
-	freeTree = func(pno uint64, level int) error {
-		if level < t.height-1 {
-			var children []uint64
-			err := t.pg.With(pno, func(pg *pager.Page) error {
-				node := nodeRef{pg.Data()}
-				children = make([]uint64, node.ncells())
-				for i := range children {
-					children[i] = node.childCell(i).child
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			for _, c := range children {
-				if err := freeTree(c, level+1); err != nil {
-					return err
+	pages := []uint64{t.hdr}
+	var data []undo.Run
+	var walk func(pno uint64, level int) error
+	walk = func(pno uint64, level int) error {
+		pages = append(pages, pno)
+		var children []uint64
+		err := t.pg.With(pno, func(pg *pager.Page) error {
+			node := nodeRef{pg.Data()}
+			for i := 0; i < node.ncells(); i++ {
+				if level < t.height-1 {
+					children = append(children, node.childCell(i).child)
+				} else if e := node.leafCell(i); !e.IsHole() {
+					data = append(data, undo.Run{Addr: e.Alloc, N: uint64(e.AllocBlocks)})
 				}
 			}
+			return nil
+		})
+		for _, c := range children {
+			if err == nil {
+				err = walk(c, level+1)
+			}
 		}
-		return t.freePage(op, pno)
-	}
-	if err := freeTree(t.root, 0); err != nil {
 		return err
 	}
-	if err := t.freePage(op, t.hdr); err != nil {
+	if err := walk(t.root, 0); err != nil {
 		return err
 	}
-	t.size, t.extents, t.root, t.height = 0, 0, 0, 0
-	return nil
+	return t.space.Drop(op, pages, data)
 }
 
 // --- internals (lock held) ---

@@ -61,7 +61,7 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 		}
 
 		// Leaf full: split it, then re-descend and retry the insert.
-		sys := t.curOp.NewSys()
+		sys := t.smoOp()
 		_, _, err = t.splitNodeSys(sys, path, leafPno)
 		// Every split touches the header, grown root or not: recovery
 		// recounts the trees whose header page replay materialized, and a
@@ -75,8 +75,11 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 		// stays consistent with the (possibly partially split) in-cache
 		// tree, and the enclosing op's own records — which the commit
 		// bracket appends even on failure — may already target the new
-		// right page.
-		aerr := sys.AppendSys()
+		// right page. A split the operation carries itself commits with it.
+		var aerr error
+		if sys != t.curOp {
+			aerr = sys.AppendSys()
+		}
 		if err != nil {
 			return false, err
 		}
@@ -96,8 +99,7 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 // without disturbing any operation's count deltas. Returns the new
 // right sibling's page and the split index.
 func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64, int, error) {
-	aop := t.allocOp(sys)
-	rightPno, err := t.space.Alloc(aop, 1)
+	rightPno, err := t.space.Alloc(sys, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -129,7 +131,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 		})
 	})
 	if err != nil {
-		_ = t.freePage(aop, rightPno) // never joined the tree
+		_ = t.freePage(sys, rightPno) // never joined the tree
 		return 0, 0, err
 	}
 	if oldNext != 0 {
@@ -146,7 +148,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 
 	if len(path) == 0 {
 		// Grow the root: new internal root with the two halves.
-		newRoot, err := t.space.Alloc(aop, 1)
+		newRoot, err := t.space.Alloc(sys, 1)
 		if err != nil {
 			return rightPno, mid, err
 		}
@@ -160,7 +162,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 			return nil
 		})
 		if err != nil {
-			_ = t.freePage(aop, newRoot)
+			_ = t.freePage(sys, newRoot)
 			return rightPno, mid, err
 		}
 		t.root = newRoot
@@ -422,17 +424,24 @@ func (t *Tree) freePage(op *pager.Op, pno uint64) error {
 	return t.space.Free(op, pno, 1)
 }
 
-// allocOp picks the operation that carries a split's page allocations:
-// the split's system transaction sys, unless the mutating operation is
-// the one that created this tree — then nothing but that operation's own
-// uncommitted records reaches the tree, and an allocation logged with an
-// always-redone split would leak its page whenever those records are
-// dropped at a crash (btree.Tree.allocOp has the long form).
-func (t *Tree) allocOp(sys *pager.Op) *pager.Op {
+// smoOp picks the capture a split is logged in: a system transaction of
+// its own, redone whatever becomes of the mutating operation — unless
+// that operation created this tree. Then nothing but the operation's own
+// records reaches the tree, and its rollback destroys the tree by walking
+// it: an always-redone split would have allocated pages nothing points at
+// once those records are dropped, or pages the walk frees with no
+// allocation in the log (btree.Tree.smoOp has the long form).
+func (t *Tree) smoOp() *pager.Op {
 	if t.creator != 0 && t.curOp.ID() == t.creator {
 		return t.curOp
 	}
-	return sys
+	return t.curOp.NewSys()
+}
+
+// inverts reports whether an edit by op must stage its inverse: not in a
+// tree op itself created, whose rollback destroys the tree whole.
+func (t *Tree) inverts(op *pager.Op) bool {
+	return op.UndoEnabled() && (t.creator == 0 || op.ID() != t.creator)
 }
 
 // setLeafCellLen updates the Len of one cell and fixes counts along path.

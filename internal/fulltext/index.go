@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/pager"
+	"repro/internal/undo"
 )
 
 // Index errors.
@@ -86,10 +87,17 @@ type Index struct {
 	manifest *btree.Tree // persists segment list, doc registry, tombstones
 	mem      map[string][]Posting
 	memDocs  map[uint64]bool
-	segDocs  map[uint64]bool // docs present in at least one segment
 	segments []*segment
 	nextSeg  uint64
 	closed   bool
+
+	// One operation at a time changes the index — tx, from its first
+	// change until the op finishes (claim) — so no other operation
+	// flushes, compacts or tombstones what tx has not committed. revert
+	// holds tx's in-memory inverses, which its rollback runs (Undo).
+	txMu   sync.Mutex
+	tx     *pager.Op
+	revert []func()
 
 	flushes     int64
 	compactions int64
@@ -143,7 +151,6 @@ func Create(pg *pager.Pager, alloc btree.PageAllocator, cfg Config) (*Index, err
 	return &Index{
 		pg: pg, alloc: alloc, cfg: cfg, manifest: man,
 		mem: make(map[string][]Posting), memDocs: make(map[uint64]bool),
-		segDocs: make(map[uint64]bool),
 	}, nil
 }
 
@@ -157,49 +164,52 @@ func Open(pg *pager.Pager, alloc btree.PageAllocator, manifestPno uint64, cfg Co
 	idx := &Index{
 		pg: pg, alloc: alloc, cfg: cfg, manifest: man,
 		mem: make(map[string][]Posting), memDocs: make(map[uint64]bool),
-		segDocs: make(map[uint64]bool),
 	}
-	// Load the doc registry.
-	if err := man.ScanPrefix([]byte("D/"), func(k, v []byte) bool {
-		idx.segDocs[binary.BigEndian.Uint64(k[2:])] = true
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	// Load segments.
-	err = man.ScanPrefix([]byte("S/"), func(k, v []byte) bool {
-		id := binary.BigEndian.Uint64(k[2:])
-		hdr := binary.LittleEndian.Uint64(v)
-		tr, terr := btree.Open(pg, alloc, hdr)
-		if terr != nil {
-			err = terr
-			return false
-		}
-		idx.segments = append(idx.segments, &segment{id: id, tree: tr, dead: map[uint64]bool{}})
-		if id >= idx.nextSeg {
-			idx.nextSeg = id + 1
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Load tombstones.
-	segByID := map[uint64]*segment{}
-	for _, s := range idx.segments {
-		segByID[s.id] = s
-	}
-	if err := man.ScanPrefix([]byte("T/"), func(k, v []byte) bool {
-		seg := binary.BigEndian.Uint64(k[2:])
-		doc := binary.BigEndian.Uint64(k[11:])
-		if s, ok := segByID[seg]; ok {
-			s.dead[doc] = true
-		}
-		return true
-	}); err != nil {
+	if err := idx.loadSegments(false); err != nil {
 		return nil, err
 	}
 	return idx, nil
+}
+
+// loadSegments builds the segment list and its tombstone flags from the
+// manifest's "S/" and "T/" keys, keeping the trees of segments already
+// listed. A tree it opens has its key count recomputed when recount is
+// set: a rollback brings back trees whose header count a crash may have
+// left stale, after recovery recounted the trees it knew of.
+func (x *Index) loadSegments(recount bool) error {
+	have := make(map[uint64]*btree.Tree, len(x.segments))
+	for _, s := range x.segments {
+		have[s.id] = s.tree
+	}
+	var segs []*segment
+	var err error
+	serr := x.manifest.ScanPrefix([]byte("S/"), func(k, v []byte) bool {
+		id := binary.BigEndian.Uint64(k[2:])
+		s := &segment{id: id, tree: have[id], dead: map[uint64]bool{}}
+		if s.id >= x.nextSeg {
+			x.nextSeg = s.id + 1
+		}
+		if s.tree == nil {
+			if s.tree, err = btree.Open(x.pg, x.alloc, binary.LittleEndian.Uint64(v)); err == nil && recount {
+				err = s.tree.RecountKeys()
+			}
+		}
+		if err == nil {
+			err = x.manifest.ScanPrefix(append(append([]byte("T/"), k[2:]...), '/'), func(k, _ []byte) bool {
+				s.dead[binary.BigEndian.Uint64(k[11:])] = true
+				return true
+			})
+		}
+		segs = append(segs, s)
+		return err == nil
+	})
+	if err == nil {
+		err = serr
+	}
+	if err == nil {
+		x.segments = segs
+	}
+	return err
 }
 
 // ManifestPage returns the page number that identifies this index.
@@ -229,6 +239,7 @@ func (x *Index) Add(op *pager.Op, docID uint64, text string) error {
 	for _, term := range terms {
 		tf[term]++
 	}
+	x.claim(op)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {
@@ -242,6 +253,7 @@ func (x *Index) Add(op *pager.Op, docID uint64, text string) error {
 		x.mem[term] = append(x.mem[term], Posting{docID, f})
 	}
 	x.memDocs[docID] = true
+	x.onUndo(op, func() { x.dropFromMem(docID) })
 	x.docsAdded++
 	if len(x.memDocs) >= x.cfg.FlushDocs {
 		if err := x.flushLocked(op); err != nil {
@@ -253,6 +265,7 @@ func (x *Index) Add(op *pager.Op, docID uint64, text string) error {
 
 // Delete removes docID from the index, logging into op.
 func (x *Index) Delete(op *pager.Op, docID uint64) error {
+	x.claim(op)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {
@@ -263,28 +276,24 @@ func (x *Index) Delete(op *pager.Op, docID uint64) error {
 }
 
 func (x *Index) deleteLocked(op *pager.Op, docID uint64) error {
-	if x.memDocs[docID] {
-		for term, ps := range x.mem {
-			kept := ps[:0]
-			for _, p := range ps {
-				if p.DocID != docID {
-					kept = append(kept, p)
-				}
+	if gone := x.dropFromMem(docID); gone != nil {
+		x.onUndo(op, func() {
+			for term, tf := range gone {
+				x.mem[term] = append(x.mem[term], Posting{docID, tf})
 			}
-			if len(kept) == 0 {
-				delete(x.mem, term)
-			} else {
-				x.mem[term] = kept
-			}
-		}
-		delete(x.memDocs, docID)
+			x.memDocs[docID] = true
+		})
 	}
-	if !x.segDocs[docID] {
-		return nil // never flushed: nothing to tombstone
+	if _, err := x.manifest.Get(docKey(docID)); err != nil {
+		if errors.Is(err, btree.ErrNotFound) {
+			err = nil // never flushed: nothing to tombstone
+		}
+		return err
 	}
 	for _, s := range x.segments {
 		if !s.dead[docID] {
 			s.dead[docID] = true
+			x.onUndo(op, func() { delete(s.dead, docID) })
 			if err := x.manifest.PutOp(op, tombKey(s.id, docID), nil); err != nil {
 				return err
 			}
@@ -293,9 +302,36 @@ func (x *Index) deleteLocked(op *pager.Op, docID uint64) error {
 	return nil
 }
 
+// dropFromMem takes docID's postings out of the buffer and returns them,
+// term → tf; nil when the doc is not buffered.
+func (x *Index) dropFromMem(docID uint64) map[string]uint32 {
+	if !x.memDocs[docID] {
+		return nil
+	}
+	gone := map[string]uint32{}
+	for term, ps := range x.mem {
+		kept := ps[:0]
+		for _, p := range ps {
+			if p.DocID != docID {
+				kept = append(kept, p)
+			} else {
+				gone[term] = p.TF
+			}
+		}
+		if len(kept) == 0 {
+			delete(x.mem, term)
+		} else {
+			x.mem[term] = kept
+		}
+	}
+	delete(x.memDocs, docID)
+	return gone
+}
+
 // Flush writes the in-memory buffer to a new immutable segment, logging
 // into op.
 func (x *Index) Flush(op *pager.Op) error {
+	x.claim(op)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.flushLocked(op)
@@ -305,50 +341,63 @@ func (x *Index) flushLocked(op *pager.Op) error {
 	if len(x.mem) == 0 {
 		return nil
 	}
-	tr, err := btree.CreateOp(x.pg, x.alloc, op)
+	tr, err := x.writeSegment(op, x.mem)
 	if err != nil {
 		return err
 	}
-	terms := make([]string, 0, len(x.mem))
-	for t := range x.mem {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, term := range terms {
-		ps := x.mem[term]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].DocID < ps[j].DocID })
-		if err := tr.PutOp(op, []byte(term), encodePostings(ps)); err != nil {
-			return err
-		}
-	}
+	// The in-memory half of the flush happens here, before the manifest
+	// half can fail; a rollback puts it back, and drops the tree by the
+	// inverse of its creation.
+	docs, segs, mem := x.memDocs, x.segments, x.mem
+	x.onUndo(op, func() { x.mem, x.memDocs, x.segments = mem, docs, segs })
 	id := x.nextSeg
 	x.nextSeg++
+	x.segments = append(x.segments, &segment{id: id, tree: tr, dead: map[uint64]bool{}})
+	x.mem = make(map[string][]Posting)
+	x.memDocs = make(map[uint64]bool)
+	x.flushes++
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], tr.HeaderPage())
 	if err := x.manifest.PutOp(op, segKey(id), hdr[:]); err != nil {
 		return err
 	}
-	x.segments = append(x.segments, &segment{id: id, tree: tr, dead: map[uint64]bool{}})
-	for doc := range x.memDocs {
-		if !x.segDocs[doc] {
-			x.segDocs[doc] = true
-			if err := x.manifest.PutOp(op, docKey(doc), nil); err != nil {
-				return err
-			}
+	for doc := range docs {
+		if err := x.manifest.PutOp(op, docKey(doc), nil); err != nil {
+			return err
 		}
 	}
-	x.mem = make(map[string][]Posting)
-	x.memDocs = make(map[uint64]bool)
-	x.flushes++
 	if len(x.segments) > x.cfg.MaxSegments {
 		return x.compactLocked(op)
 	}
 	return nil
 }
 
+// writeSegment creates a segment tree for op holding postings, term by
+// term in sorted order. Its creation's inverse drops it whole.
+func (x *Index) writeSegment(op *pager.Op, postings map[string][]Posting) (*btree.Tree, error) {
+	tr, err := btree.CreateOp(x.pg, x.alloc, op)
+	if err != nil {
+		return nil, err
+	}
+	terms := make([]string, 0, len(postings))
+	for t := range postings {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	for _, term := range terms {
+		ps := postings[term]
+		sort.Slice(ps, func(i, j int) bool { return ps[i].DocID < ps[j].DocID })
+		if err := tr.PutOp(op, []byte(term), encodePostings(ps)); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
+}
+
 // Compact merges all segments into one, dropping tombstoned postings.
 // Logs into op.
 func (x *Index) Compact(op *pager.Op) error {
+	x.claim(op)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.compactLocked(op)
@@ -379,25 +428,29 @@ func (x *Index) compactLocked(op *pager.Op) error {
 			return err
 		}
 	}
-	tr, err := btree.CreateOp(x.pg, x.alloc, op)
+	tr, err := x.writeSegment(op, merged)
 	if err != nil {
 		return err
 	}
-	terms := make([]string, 0, len(merged))
-	for t := range merged {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, term := range terms {
-		ps := merged[term]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].DocID < ps[j].DocID })
-		if err := tr.PutOp(op, []byte(term), encodePostings(ps)); err != nil {
-			return err
+	var pruned [][]byte
+	if err := x.manifest.ScanPrefix([]byte("D/"), func(k, _ []byte) bool {
+		if !live[binary.BigEndian.Uint64(k[2:])] {
+			pruned = append(pruned, append([]byte(nil), k...))
 		}
+		return true
+	}); err != nil {
+		return err
 	}
-	// Swap in the merged segment, dropping the old ones and their
-	// manifest entries and tombstones.
-	for _, s := range x.segments {
+	// Swap in the merged segment — in memory first, as the flush does —
+	// then drop the old segments with their manifest entries and
+	// tombstones, and prune the doc registry to what survived the merge.
+	old := x.segments
+	x.onUndo(op, func() { x.segments = old })
+	id := x.nextSeg
+	x.nextSeg++
+	x.segments = []*segment{{id: id, tree: tr, dead: map[uint64]bool{}}}
+	x.compactions++
+	for _, s := range old {
 		if err := x.manifest.DeleteOp(op, segKey(s.id)); err != nil {
 			return err
 		}
@@ -410,24 +463,68 @@ func (x *Index) compactLocked(op *pager.Op) error {
 			return err
 		}
 	}
-	id := x.nextSeg
-	x.nextSeg++
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], tr.HeaderPage())
 	if err := x.manifest.PutOp(op, segKey(id), hdr[:]); err != nil {
 		return err
 	}
-	x.segments = []*segment{{id: id, tree: tr, dead: map[uint64]bool{}}}
-	// Prune the doc registry to what actually survived the merge.
-	for doc := range x.segDocs {
-		if !live[doc] {
-			delete(x.segDocs, doc)
-			if err := x.manifest.DeleteOp(op, docKey(doc)); err != nil && !errors.Is(err, btree.ErrNotFound) {
-				return err
-			}
+	for _, k := range pruned {
+		if err := x.manifest.DeleteOp(op, k); err != nil {
+			return err
 		}
 	}
-	x.compactions++
+	return nil
+}
+
+// claim makes op the index's one changing operation (see tx), once the
+// previous one has finished, and stages the inverse that reverts op's
+// in-memory changes. A nil op (unlogged) claims nothing.
+func (x *Index) claim(op *pager.Op) {
+	if op == nil {
+		return
+	}
+	x.mu.RLock()
+	mine := x.tx == op
+	x.mu.RUnlock()
+	if mine {
+		return
+	}
+	x.txMu.Lock()
+	x.mu.Lock()
+	x.tx = op
+	x.mu.Unlock()
+	op.StageUndo(undo.Fulltext())
+	op.OnFinish(func() {
+		x.mu.Lock()
+		x.tx, x.revert = nil, nil
+		x.mu.Unlock()
+		x.txMu.Unlock()
+	})
+}
+
+// onUndo records how to revert an in-memory change op just made under
+// x.mu.
+func (x *Index) onUndo(op *pager.Op, fn func()) {
+	if op != nil {
+		x.revert = append(x.revert, fn)
+	}
+}
+
+// Undo executes the inverse claim staged: it reverts the in-memory changes
+// of op, which is rolling back. At recovery op is a loser's rollback and
+// the index holds what Open loaded — the loser's buffered postings died
+// with the crash — so Undo reloads the segment list the rollback has
+// restored in the manifest.
+func (x *Index) Undo(op *pager.Op) error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.tx != op {
+		return x.loadSegments(true)
+	}
+	for i := len(x.revert) - 1; i >= 0; i-- {
+		x.revert[i]()
+	}
+	x.revert = nil
 	return nil
 }
 
@@ -633,6 +730,7 @@ func (x *Index) Close() error {
 // close marks the index closed, flushing buffered postings first when
 // flush is set; a failed flush leaves it open.
 func (x *Index) close(op *pager.Op, flush bool) error {
+	x.claim(op)
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {

@@ -316,12 +316,6 @@ func (s *Store) createObject(op *pager.Op, owner string, mode uint32) (*Object, 
 	s.mu.Lock()
 	s.open[oid] = obj
 	s.mu.Unlock()
-	// Staged last so a rollback runs it *first* (undo executes
-	// newest-first): the destroy reclaims the extent tree and deletes the
-	// meta row while both still exist; the older inverses the row put and
-	// shadow write captured then find the row already gone, which the
-	// undo executor tolerates.
-	op.StageUndo(undo.ObjDestroy(uint64(oid)))
 	s.stats.creates.Add(1)
 	return obj, nil
 }
@@ -475,19 +469,12 @@ func (s *Store) DeleteObjectDeferred(op *pager.Op, oid OID) error {
 }
 
 func (s *Store) deleteObject(op *pager.Op, oid OID) error {
-	// Destruction has no inverse (the freed extents may be reallocated),
-	// so none of the section's mutations capture undo: rolling back half
-	// of it would resurrect a meta row pointing at a destroyed tree. A
-	// delete inside an aborted bracket therefore stays applied — the
-	// documented non-atomicity of destructive frees.
-	defer op.SuspendUndo()()
 	m, err := s.Stat(oid)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	obj, wasOpen := s.open[oid]
-	delete(s.open, oid)
 	s.mu.Unlock()
 
 	var ext *extent.Tree
@@ -499,14 +486,45 @@ func (s *Store) deleteObject(op *pager.Op, oid OID) error {
 			return err
 		}
 	}
+	// Both steps stage their inverses, so a rollback finds the tree, its
+	// runs and the meta row as they were — and, since the handle goes
+	// only once op commits, any open handle too.
 	if err := ext.Destroy(op); err != nil {
 		return err
 	}
 	if err := s.meta.DeleteOp(op, oidKey(oid)); err != nil {
 		return err
 	}
+	if op == nil {
+		s.forget(m.ExtentHeader)
+	} else {
+		op.Defer(func(*pager.Op) error { s.forget(m.ExtentHeader); return nil })
+	}
 	s.stats.deletes.Add(1)
 	return nil
+}
+
+// DestroyTree destroys the extent tree rooted at hdr, forgetting any open
+// handle on it: the inverse of the operation that created it.
+func (s *Store) DestroyTree(op *pager.Op, hdr uint64) error {
+	s.forget(hdr)
+	ext, err := extent.Open(s.pg, s.ba, hdr, s.opts.ExtentConfig)
+	if err != nil {
+		return err
+	}
+	return ext.Destroy(op)
+}
+
+// forget detaches the open handle, if any, on the tree rooted at hdr.
+func (s *Store) forget(hdr uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for oid, obj := range s.open {
+		if obj.ext.HeaderPage() == hdr {
+			obj.closed = true
+			delete(s.open, oid)
+		}
+	}
 }
 
 // LookupByHeader resolves the OID whose extent tree is rooted at the

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/redo"
+	"repro/internal/undo"
 )
 
 // Pager errors.
@@ -433,7 +434,11 @@ func (p *Pager) stealFlush() {
 func (p *Pager) flushOpChunk(op *Op) (int, error) {
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	if op.sys || op.clr || op.finished || op.nflushed >= len(op.recs) {
+	end := len(op.recs)
+	if op.atomic > 0 {
+		end = op.atomicAt // an open section goes out whole, later
+	}
+	if op.sys || op.clr || op.finished || op.nflushed >= end {
 		// CLR-mode ops are excluded like system transactions: a rollback's
 		// compensations reach the log only with the rollback's own commit,
 		// so a crash mid-undo drops the whole compensation and recovery
@@ -442,13 +447,13 @@ func (p *Pager) flushOpChunk(op *Op) (int, error) {
 		// non-idempotent inverses twice.
 		return 0, nil
 	}
-	pending := op.recs[op.nflushed:]
+	pending := op.recs[op.nflushed:end]
 	id, err := p.stealApp.AppendChunk(op.lastChunk, pending)
 	if err != nil {
 		return 0, err
 	}
 	op.lastChunk = id
-	op.nflushed = len(op.recs)
+	op.nflushed = end
 	p.chunkFlushes.Add(1)
 	seq := p.appendSeq.Add(1)
 	for _, r := range pending {
@@ -603,7 +608,8 @@ type Op struct {
 
 	mu       sync.Mutex
 	recs     []redo.Record // redo and undo records, staging (= LSN) order
-	deferred []func(*Op) error
+	deferred []deferral
+	onFinish []func() // run by FinishOp (OnFinish)
 
 	// ARIES bookkeeping (meaningful only with EnableSteal/EnableUndo):
 	nflushed  int              // prefix of recs already chunk-appended to the log
@@ -612,7 +618,8 @@ type Op struct {
 	deps      map[*Op]struct{} // ops whose records must be logged before this commit
 	sys       bool             // system transaction: atomic via AppendSys, never chunked
 	clr       bool             // rolling back: records are CLRs, no further undo capture
-	noUndo    int              // >0 suppresses undo capture (non-undoable sections)
+	atomic    int              // open atomic sections (BeginAtomic)
+	atomicAt  int              // len(recs) when the outermost atomic section opened
 	finished  bool             // sealed: no further chunk flush may take its records
 	closed    bool             // FinishOp ran (finishCh closed)
 	finishCh  chan struct{}    // closed by FinishOp; dependency flushes wait on it
@@ -634,7 +641,7 @@ func (p *Pager) NewOp(app Appender) *Op {
 // ID identifies the operation among those of its pager (never 0; 0 for
 // a nil op). A structure remembers the ID of the operation that created
 // it: until that operation commits, nothing else can reach the structure
-// (see allocOp in btree and extent). Nil-safe.
+// (see smoOp in btree and extent). Nil-safe.
 func (op *Op) ID() uint64 {
 	if op == nil {
 		return 0
@@ -720,31 +727,19 @@ func (p *Pager) SealOp(op *Op) ([]redo.Record, uint64) {
 	return out, op.lastChunk
 }
 
-// LastChunk returns the txid of the op's last flushed chunk (0 if its
-// records never left the op before commit). The volume passes it to the
-// commit's SetChain so recovery resolves the chunk chain. Nil-safe.
-func (op *Op) LastChunk() uint64 {
-	if op == nil {
-		return 0
-	}
-	op.mu.Lock()
-	defer op.mu.Unlock()
-	return op.lastChunk
-}
-
 // StageUndo captures the logical inverse of the mutation about to be
 // performed. body is an encoding from package undo; the record is
 // prefixed with the op's previous undo LSN (the ARIES prevLSN chain) and
 // interleaved with the redo records in LSN order. No-op when undo is
-// disabled, inside a rollback (CLRs are never undone), inside a
-// suspended section, or in a system transaction. Nil-safe.
+// disabled, inside a rollback (CLRs are never undone), or in a system
+// transaction. Nil-safe.
 func (op *Op) StageUndo(body []byte) {
 	if op == nil || !op.p.undoOn {
 		return
 	}
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	if op.sys || op.clr || op.noUndo > 0 {
+	if op.sys || op.clr {
 		return
 	}
 	lsn := op.p.lsn.Add(1)
@@ -764,25 +759,38 @@ func (op *Op) UndoEnabled() bool {
 	}
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	return !op.sys && !op.clr && op.noUndo == 0
+	return !op.sys && !op.clr
 }
 
-// SuspendUndo disables undo capture on this op until the returned resume
-// function runs. Used for sections with no inverse (object destruction):
-// capturing inverses for their *neighbouring* mutations would roll back
-// half the section and leave the structure self-contradictory. Nil-safe.
-func (op *Op) SuspendUndo() func() {
+// BeginAtomic opens an atomic section, which EndAtomic closes; sections
+// nest. A chunk flush takes only the records staged before the outermost
+// open section, so one logical mutation — its inverse, the runs it
+// allocates or frees, and the records that link or unlink them — reaches
+// the log whole or not at all, and a loser's rollback never meets half of
+// one. Until the section closes its pages stay gated against steal; an
+// eviction that finds nothing else to take grows the cache instead.
+// Structure layers open one per mutating call, under the tree lock.
+// Nil-safe.
+func (op *Op) BeginAtomic() {
 	if op == nil {
-		return func() {}
+		return
 	}
 	op.mu.Lock()
-	op.noUndo++
-	op.mu.Unlock()
-	return func() {
-		op.mu.Lock()
-		op.noUndo--
-		op.mu.Unlock()
+	if op.atomic == 0 {
+		op.atomicAt = len(op.recs)
 	}
+	op.atomic++
+	op.mu.Unlock()
+}
+
+// EndAtomic closes the section the matching BeginAtomic opened. Nil-safe.
+func (op *Op) EndAtomic() {
+	if op == nil {
+		return
+	}
+	op.mu.Lock()
+	op.atomic--
+	op.mu.Unlock()
 }
 
 // BeginCLR switches the op into rollback mode: subsequently staged
@@ -797,22 +805,41 @@ func (op *Op) BeginCLR() {
 	op.mu.Unlock()
 }
 
-// UndoBodies returns the op's captured undo bodies newest-first (the
-// order a rollback must execute them), with the prevLSN prefix stripped.
-// Nil-safe.
-func (op *Op) UndoBodies() [][]byte {
+// Rollback runs the op's captured inverses newest-first (the order a
+// rollback must execute them) through apply, in rollback mode (see
+// BeginCLR), and drops what the rolled-back mutations registered with
+// Defer; what apply's compensations register stays. When apply fails,
+// the rollback stops there: the mutations whose inverses did not run
+// stand, and so do their deferrals. Nil-safe.
+func (op *Op) Rollback(apply func(body []byte) error) {
 	if op == nil {
-		return nil
+		return
 	}
 	op.mu.Lock()
-	defer op.mu.Unlock()
-	var out [][]byte
+	op.clr = true
+	var undos []redo.Record
 	for i := len(op.recs) - 1; i >= 0; i-- {
 		if r := op.recs[i]; redo.BaseKind(r.Kind) == redo.KindUndo && len(r.Data) >= 8 {
-			out = append(out, r.Data[8:])
+			undos = append(undos, r)
 		}
 	}
-	return out
+	mutations := op.deferred
+	op.deferred = nil
+	op.mu.Unlock()
+	var stand []deferral
+	for _, r := range undos {
+		if apply(r.Data[8:]) != nil {
+			for _, d := range mutations {
+				if d.undo <= r.LSN {
+					stand = append(stand, d)
+				}
+			}
+			break
+		}
+	}
+	op.mu.Lock()
+	op.deferred = append(stand, op.deferred...)
+	op.mu.Unlock()
 }
 
 // addDep records that d's staged records must reach the log before this
@@ -895,9 +922,14 @@ func (p *Pager) FinishOp(op *Op, appended bool) {
 		op.closed = true
 		ch = op.finishCh
 	}
+	hooks := op.onFinish
+	op.onFinish = nil
 	op.mu.Unlock()
 	if ch != nil {
 		close(ch)
+	}
+	for _, fn := range hooks {
+		fn()
 	}
 	if seq != 0 {
 		for _, r := range pending {
@@ -916,14 +948,22 @@ func (p *Pager) FinishOp(op *Op, appended bool) {
 // Defer registers fn to run after the op's commit is durable, with a
 // fresh system-transaction capture (deferred structural rebalancing:
 // running it post-commit keeps uncommitted deletes out of the merge's
-// replay window). Nil-safe.
+// replay window; a destroyed structure's cache teardown). A rollback
+// drops what the rolled-back mutations registered. Nil-safe.
 func (op *Op) Defer(fn func(*Op) error) {
 	if op == nil {
 		return
 	}
 	op.mu.Lock()
-	op.deferred = append(op.deferred, fn)
+	op.deferred = append(op.deferred, deferral{fn, op.undoPrev})
 	op.mu.Unlock()
+}
+
+// deferral is one Defer: fn belongs to the mutation whose inverse was the
+// op's newest when it registered (undo, an LSN; 0 before any).
+type deferral struct {
+	fn   func(*Op) error
+	undo uint64
 }
 
 // Deferred returns and clears the registered post-commit actions.
@@ -932,7 +972,22 @@ func (op *Op) Deferred() []func(*Op) error {
 	d := op.deferred
 	op.deferred = nil
 	op.mu.Unlock()
-	return d
+	fns := make([]func(*Op) error, len(d))
+	for i := range d {
+		fns[i] = d[i].fn
+	}
+	return fns
+}
+
+// OnFinish registers fn to run when FinishOp closes the op, whatever the
+// outcome: a commit, a rollback's commit, or a failed one. Nil-safe.
+func (op *Op) OnFinish(fn func()) {
+	if op == nil {
+		return
+	}
+	op.mu.Lock()
+	op.onFinish = append(op.onFinish, fn)
+	op.mu.Unlock()
 }
 
 // stage appends a stamped record. In rollback mode the record is marked
@@ -949,6 +1004,7 @@ func (op *Op) stage(r redo.Record) {
 // BlockAllocator is the raw allocator under a Space (buddy.Allocator).
 type BlockAllocator interface {
 	Alloc(n uint64) (uint64, error)
+	AllocAt(addr, n uint64) error
 	Free(addr, n uint64) error
 }
 
@@ -959,10 +1015,13 @@ type BlockAllocator interface {
 // checkpoint's snapshot plus the records of the log tail. A nil op is
 // unlogged: formatting, or a structure used outside a volume — neither of
 // which leaves a snapshot a crashed open trusts.
-type Space struct{ a BlockAllocator }
+type Space struct {
+	pg *Pager
+	a  BlockAllocator
+}
 
-// NewSpace wraps a.
-func NewSpace(a BlockAllocator) Space { return Space{a} }
+// NewSpace wraps a, the allocator of pg's blocks.
+func NewSpace(pg *Pager, a BlockAllocator) Space { return Space{pg, a} }
 
 // Alloc reserves a run of at least n blocks for op.
 func (s Space) Alloc(op *Op, n uint64) (uint64, error) {
@@ -980,6 +1039,55 @@ func (s Space) Free(op *Op, addr, n uint64) error {
 		op.stageAlloc(true, addr, n)
 	}
 	return err
+}
+
+// Reclaim takes back, for op, the runs a Drop freed: the inverse of the
+// Drop, which is being rolled back. Inside the bracket that freed them the
+// runs are still in limbo; at recovery the replayed frees parked them
+// there too, so nothing can have reused them.
+func (s Space) Reclaim(op *Op, runs []undo.Run) error {
+	for _, r := range runs {
+		if err := s.a.AllocAt(r.Addr, r.N); err != nil {
+			return err
+		}
+		op.stageAlloc(false, r.Addr, r.N)
+	}
+	return nil
+}
+
+// Drop frees everything a destroyed structure owns — its cached node
+// pages and its data runs (a run of Alloc(n) is {addr, n}) — for op. One
+// inverse naming all of them is staged before anything is freed, in the
+// same atomic section, and no page is edited, so a rollback that takes
+// the runs back finds them intact. For the same reason the pages leave
+// the cache only once op commits.
+func (s Space) Drop(op *Op, pages []uint64, data []undo.Run) error {
+	invalidate := func(*Op) error {
+		for _, no := range pages {
+			if err := s.pg.Invalidate(no); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	runs := make([]undo.Run, 0, len(pages)+len(data))
+	for _, no := range pages {
+		runs = append(runs, undo.Run{Addr: no, N: 1})
+	}
+	runs = append(runs, data...)
+	op.BeginAtomic()
+	defer op.EndAtomic()
+	op.StageUndo(undo.Reclaim(runs))
+	for _, r := range runs {
+		if err := s.Free(op, r.Addr, r.N); err != nil {
+			return err
+		}
+	}
+	if op == nil {
+		return invalidate(nil)
+	}
+	op.Defer(invalidate)
+	return nil
 }
 
 // stageAlloc stages the allocator record of a run just taken or given

@@ -24,7 +24,13 @@
 //	ExtIns:     4 | hdr u64 | off u64 | old bytes
 //	ExtDel:     5 | hdr u64 | off u64 | n u64
 //	Range:      6 | page u64 | off u32 | old bytes
-//	ObjDestroy: 7 | oid u64
+//	Reclaim:    8 | (addr u64 | n u64)...
+//	BtreeDrop:  9 | hdr u64
+//	ExtentDrop: 10 | hdr u64
+//	Fulltext:   11
+//
+// Opcode 7 (destroy a created object) is retired: the inverses of the
+// object's extent-tree creation and meta-row insert take it back.
 package undo
 
 import (
@@ -34,14 +40,20 @@ import (
 
 // Opcodes.
 const (
-	OpKeyPut     = 1 // restore key → old value in the btree rooted at Hdr
-	OpKeyDel     = 2 // delete key from the btree rooted at Hdr (undo of a fresh insert)
-	OpExtWrite   = 3 // overwrite old bytes at Off in the extent tree rooted at Hdr
-	OpExtIns     = 4 // re-insert old bytes at Off (undo of a delete-range)
-	OpExtDel     = 5 // delete N bytes at Off (undo of an append/insert/grow)
-	OpRange      = 6 // restore a raw before-image at (Page, Off)
-	OpObjDestroy = 7 // destroy the object OID created by the loser
+	OpKeyPut     = 1  // restore key → old value in the btree rooted at Hdr
+	OpKeyDel     = 2  // delete key from the btree rooted at Hdr (undo of a fresh insert)
+	OpExtWrite   = 3  // overwrite old bytes at Off in the extent tree rooted at Hdr
+	OpExtIns     = 4  // re-insert old bytes at Off (undo of a delete-range)
+	OpExtDel     = 5  // delete N bytes at Off (undo of an append/insert/grow)
+	OpRange      = 6  // restore a raw before-image at (Page, Off)
+	OpReclaim    = 8  // take the freed Runs back (undo of a destroy or drop)
+	OpBtreeDrop  = 9  // drop the btree rooted at Hdr (undo of its creation)
+	OpExtentDrop = 10 // destroy the extent tree rooted at Hdr (undo of its creation)
+	OpFulltext   = 11 // revert a fulltext index's in-memory state (fulltext.Index.Undo)
 )
+
+// Run is one allocator run: the address and block count a free was given.
+type Run struct{ Addr, N uint64 }
 
 // Op is one decoded undo record.
 type Op struct {
@@ -50,9 +62,9 @@ type Op struct {
 	Off  uint64 // byte offset within the object (Ext*) or page (Range)
 	N    uint64 // byte count (ExtDel)
 	Page uint64 // page number (Range)
-	OID  uint64 // object id (ObjDestroy)
 	Key  []byte // btree key (KeyPut/KeyDel)
 	Data []byte // old value / old bytes (KeyPut/ExtWrite/ExtIns/Range)
+	Runs []Run  // runs to take back (Reclaim)
 }
 
 // KeyPut encodes "restore key → old value in tree hdr".
@@ -110,17 +122,38 @@ func Range(page uint64, off int, old []byte) []byte {
 	return out
 }
 
-// ObjDestroy encodes "destroy object oid".
-func ObjDestroy(oid uint64) []byte {
-	out := make([]byte, 1+8)
-	out[0] = OpObjDestroy
-	binary.LittleEndian.PutUint64(out[1:], oid)
+// Reclaim encodes "take these freed runs back". A destroy stages it
+// before it frees anything, so the rollback finds every run it names in
+// limbo (or, at recovery, wherever the replayed frees left it).
+func Reclaim(runs []Run) []byte {
+	out := make([]byte, 1, 1+16*len(runs))
+	out[0] = OpReclaim
+	for _, r := range runs {
+		out = binary.LittleEndian.AppendUint64(out, r.Addr)
+		out = binary.LittleEndian.AppendUint64(out, r.N)
+	}
 	return out
 }
 
+// BtreeDrop encodes "drop the btree rooted at hdr".
+func BtreeDrop(hdr uint64) []byte { return hdrOnly(OpBtreeDrop, hdr) }
+
+// ExtentDrop encodes "destroy the extent tree rooted at hdr".
+func ExtentDrop(hdr uint64) []byte { return hdrOnly(OpExtentDrop, hdr) }
+
+func hdrOnly(code byte, hdr uint64) []byte {
+	out := make([]byte, 1+8)
+	out[0] = code
+	binary.LittleEndian.PutUint64(out[1:], hdr)
+	return out
+}
+
+// Fulltext encodes "revert the fulltext index's in-memory state".
+func Fulltext() []byte { return []byte{OpFulltext} }
+
 // Decode parses an undo record body.
 func Decode(b []byte) (Op, error) {
-	if len(b) < 9 {
+	if len(b) < 1 || (len(b) < 9 && b[0] != OpReclaim && b[0] != OpFulltext) {
 		return Op{}, fmt.Errorf("undo: short record (%d bytes)", len(b))
 	}
 	op := Op{Code: b[0]}
@@ -160,8 +193,16 @@ func Decode(b []byte) (Op, error) {
 		op.Page = binary.LittleEndian.Uint64(b[1:])
 		op.Off = uint64(binary.LittleEndian.Uint32(b[9:]))
 		op.Data = b[13:]
-	case OpObjDestroy:
-		op.OID = binary.LittleEndian.Uint64(b[1:])
+	case OpReclaim:
+		if (len(b)-1)%16 != 0 {
+			return Op{}, fmt.Errorf("undo: Reclaim of %d bytes is not whole runs", len(b)-1)
+		}
+		for p := b[1:]; len(p) > 0; p = p[16:] {
+			op.Runs = append(op.Runs, Run{binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])})
+		}
+	case OpBtreeDrop, OpExtentDrop:
+		op.Hdr = binary.LittleEndian.Uint64(b[1:])
+	case OpFulltext:
 	default:
 		return Op{}, fmt.Errorf("undo: unknown opcode %d", op.Code)
 	}

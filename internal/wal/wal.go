@@ -130,12 +130,6 @@ type Stats struct {
 type LoserChain struct {
 	Tail  uint64        // txid of the chain's last chunk
 	Undos []redo.Record // KindUndo records, ascending LSN
-	// AllocRecs counts the chain's redo.KindAlloc records. The volume's
-	// allocator restore is exact for committed history; a loser that
-	// allocated or freed is rolled back by logical inverses that do not
-	// return the allocator to its old shape, so such a chain sends the
-	// open through the reachability walk.
-	AllocRecs int
 }
 
 // Log is a write-ahead log occupying blocks [start, start+nblocks) of dev.
@@ -906,9 +900,6 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 		}
 		if r.lsn > 0 && r.lsn <= hdrFence {
 			continue // stale-generation leftover beyond the fence
-		}
-		if idx, ok := loserOf[r.txid]; ok && redo.BaseKind(r.kind) == redo.KindAlloc {
-			l.losers[idx].AllocRecs++
 		}
 		if redo.BaseKind(r.kind) == redo.KindUndo {
 			if idx, ok := loserOf[r.txid]; ok {
