@@ -489,9 +489,9 @@ func TestCount(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		mustPut(t, tr, fmt.Sprintf("k%03d", i), "v")
 	}
-	n, err := tr.Count([]byte("k010"), []byte("k030"))
+	n, err := tr.CountRange([]byte("k010"), []byte("k030"), 0)
 	if err != nil || n != 20 {
-		t.Errorf("Count = %d, %v; want 20", n, err)
+		t.Errorf("CountRange = %d, %v; want 20", n, err)
 	}
 }
 

@@ -350,12 +350,61 @@ func (c *Cursor) Next() ([]byte, []byte, bool, error) {
 	return nil, nil, false, nil
 }
 
-// Count returns the number of keys in [lo, hi).
-func (t *Tree) Count(lo, hi []byte) (uint64, error) {
-	var n uint64
-	err := t.Scan(lo, hi, func(_, _ []byte) bool {
-		n++
-		return true
-	})
-	return n, err
+// CountRange returns the number of keys in [lo, hi), saturating at limit
+// when limit > 0. It is leaf arithmetic: one descent to lo's leaf, then
+// along the leaf chain each leaf adds the cells between the start index
+// and hi's search position (or its cell count, when hi lies past it). No
+// cell is copied, so a selectivity estimate costs a descent and a walk of
+// at most limit cells' worth of leaves.
+func (t *Tree) CountRange(lo, hi []byte, limit int) (int, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	leaf, idx, err := t.seekLeaf(lo)
+	if err != nil {
+		return 0, err
+	}
+	levels := int64(t.height)
+	n := 0
+	for leaf != 0 && (limit <= 0 || n < limit) {
+		var next uint64
+		done := false
+		err := t.pg.With(leaf, func(pg *pager.Page) error {
+			p := pageRef{pg.Data()}
+			end := p.ncells()
+			next = p.ptrA()
+			if hi != nil && end > idx {
+				last, err := p.decodeCell(end - 1)
+				if err != nil {
+					return err
+				}
+				if compareKeys(last.key, hi) >= 0 {
+					done = true
+					if end, _, err = p.search(hi); err != nil {
+						return err
+					}
+				}
+			}
+			n += max(end-idx, 0)
+			return nil
+		})
+		if err != nil {
+			return 0, err
+		}
+		levels++
+		if done {
+			break
+		}
+		leaf, idx = next, 0
+	}
+	t.addStats(1, levels, 0, 0)
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	return n, nil
+}
+
+// CountPrefix counts the keys beginning with prefix, saturating at limit
+// when limit > 0.
+func (t *Tree) CountPrefix(prefix []byte, limit int) (int, error) {
+	return t.CountRange(prefix, prefixEnd(prefix), limit)
 }

@@ -199,3 +199,79 @@ func TestLargeKeysNearLimit(t *testing.T) {
 		t.Errorf("Len = %d", tr.Len())
 	}
 }
+
+// TestCountRangeMatchesScan: leaf-arithmetic counting agrees with a
+// capped ScanPrefix count on trees of height three or more, for prefixes
+// whose keys span many leaves, prefixes with no keys, an all-0xFF prefix
+// (no prefixEnd), and caps below, at and above the true count.
+func TestCountRangeMatchesScan(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		tr, _ := newTree(t)
+		rng := rand.New(rand.NewPCG(seed, 7))
+		// Keys are a two-byte group, 200-400 filler bytes and a sequence
+		// number, so a leaf holds at most 20 of them and a group of 60
+		// spans several leaves.
+		const maxPerLeaf = 4096 / 200
+		groups := [][]byte{{0x00, 0x00}, {0x00, 0xFF}, {0x41, 0x01}, {0x41, 0x02}, {0x7F, 0x00}, {0xFF, 0x00}, {0xFF, 0xFF}}
+		var keys [][]byte
+		widest := 0
+		for _, g := range groups {
+			n := rng.IntN(61)
+			widest = max(widest, n)
+			for i := 0; i < n; i++ {
+				k := append(append([]byte(nil), g...), bytes.Repeat([]byte{byte(rng.IntN(256))}, 200+rng.IntN(201))...)
+				k = append(k, byte(i>>8), byte(i))
+				keys = append(keys, k)
+				if err := tr.Put(k, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Deletes leave sparse (and possibly empty) leaves behind.
+		for _, k := range keys {
+			if rng.IntN(5) == 0 {
+				if err := tr.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tr.Height() < 3 || widest <= maxPerLeaf {
+			t.Fatalf("seed %d: height %d, widest group %d: the tree is too small to test", seed, tr.Height(), widest)
+		}
+		prefixes := [][]byte{{}, {0x00}, {0x41}, {0x42}, {0xFF}, {0xFF, 0xFF}, {0xFF, 0xFF, 0xFF}, {0x7F, 0x00}, {0x10}}
+		prefixes = append(prefixes, groups...)
+		for _, k := range keys[:10] {
+			prefixes = append(prefixes, k[:3], k)
+		}
+		for _, pfx := range prefixes {
+			total := 0
+			if err := tr.ScanPrefix(pfx, func(_, _ []byte) bool { total++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{0, 1, 7, total, total + 1, 1024} {
+				want := total
+				if limit > 0 {
+					want = min(total, limit)
+				}
+				got, err := tr.CountRange(pfx, prefixEnd(pfx), limit)
+				if err != nil || got != want {
+					t.Fatalf("seed %d: CountRange(%x…, limit %d) = %d, %v; want %d", seed, pfx[:min(len(pfx), 4)], limit, got, err, want)
+				}
+			}
+		}
+		if prefixEnd([]byte{0xFF, 0xFF}) != nil {
+			t.Fatal("prefixEnd of an all-0xFF prefix should be nil")
+		}
+		// Bounds that are keys themselves, in either order.
+		for i := 0; i < 50; i++ {
+			lo, hi := keys[rng.IntN(len(keys))], keys[rng.IntN(len(keys))]
+			want := 0
+			if err := tr.Scan(lo, hi, func(_, _ []byte) bool { want++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := tr.CountRange(lo, hi, 0); err != nil || got != want {
+				t.Fatalf("seed %d: CountRange over keys %d..%d = %d, %v; want %d", seed, lo[len(lo)-1], hi[len(hi)-1], got, err, want)
+			}
+		}
+	}
+}

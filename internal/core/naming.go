@@ -312,8 +312,8 @@ func (v *Volume) evalIter(q Query, prof *profiler, negated bool) (index.Iterator
 
 // evalIterCost is evalIter with an optional pre-computed selectivity
 // estimate (-1 = unknown), so a leaf whose cost the And planner already
-// paid for is not re-estimated for its PlanStep — estimation is a capped
-// prefix scan, exactly the work the engine exists to avoid.
+// paid for is not re-estimated for its PlanStep — estimation walks the
+// posting list's leaves, work the engine exists to avoid.
 func (v *Volume) evalIterCost(q Query, prof *profiler, negated bool, cost int) (index.Iterator, error) {
 	switch qq := q.(type) {
 	case Term:
@@ -406,7 +406,9 @@ func (v *Volume) termIter(t Term, prof *profiler, negated bool, cost int) (index
 
 // andIter orders positive children by estimated selectivity and composes a
 // leapfrog intersection driven by the cheapest one; Not children are
-// unioned and subtracted from the stream.
+// unioned and subtracted from the stream. Estimation happens only when
+// there is an order to choose: a lone positive child keeps cost -1, and
+// its leaf estimates lazily if Profile asks.
 func (v *Volume) andIter(a And, prof *profiler) (index.Iterator, error) {
 	if len(a.Kids) == 0 {
 		return nil, fmt.Errorf("%w: empty And", ErrQuery)
@@ -422,12 +424,17 @@ func (v *Volume) andIter(a And, prof *profiler) (index.Iterator, error) {
 			neg = append(neg, n.Kid)
 			continue
 		}
-		pos = append(pos, planned{kid, v.estimate(kid)})
+		pos = append(pos, planned{kid, -1})
 	}
 	if len(pos) == 0 {
 		return nil, fmt.Errorf("%w: And with only negations is unbounded", ErrQuery)
 	}
-	sort.SliceStable(pos, func(i, j int) bool { return pos[i].cost < pos[j].cost })
+	if len(pos) > 1 {
+		for i := range pos {
+			pos[i].cost = v.estimate(pos[i].q)
+		}
+		sort.SliceStable(pos, func(i, j int) bool { return pos[i].cost < pos[j].cost })
+	}
 	its := make([]index.Iterator, len(pos))
 	for i, p := range pos {
 		it, err := v.evalIterCost(p.q, prof, false, p.cost)

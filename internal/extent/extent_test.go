@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -675,4 +676,38 @@ func TestKeyedMapMatchesCountedTree(t *testing.T) {
 		t.Error("keyed map did no renumbering — ablation not exercising the claim")
 	}
 	mustCheck(t, tr)
+}
+
+// TestConcurrentPartialReads: readers of one tree share only its read
+// lock, so each partial-block read needs a scratch block of its own.
+func TestConcurrentPartialReads(t *testing.T) {
+	tr, _ := newTree(t, Config{})
+	data := make([]byte, 64<<10)
+	for i := range data {
+		data[i] = byte(i * 7 / 5)
+	}
+	if err := tr.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 1))
+			buf := make([]byte, 700)
+			for i := 0; i < 500; i++ {
+				off := rng.IntN(len(data) - len(buf))
+				if _, err := tr.ReadAt(buf, uint64(off)); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(buf, data[off:off+len(buf)]) {
+					t.Errorf("reader %d: bytes at %d differ", g, off)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

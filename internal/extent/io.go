@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/buddy"
 	"repro/internal/pager"
@@ -691,9 +692,19 @@ func (t *Tree) allocAndWrite(p []byte) (Extent, error) {
 
 // --- raw device data I/O ---
 
+// blockBufs recycles the scratch block a partial-block read goes through.
+// A tree's readers share only its read lock, so one buffer per tree would
+// race; a pool gives each concurrent read its own without allocating.
+var blockBufs sync.Pool // of *[]byte
+
 // readExtentData reads len(p) bytes from extent e starting at extOff.
 func (t *Tree) readExtentData(e Extent, extOff uint64, p []byte) error {
-	buf := make([]byte, t.bs)
+	var bp *[]byte
+	defer func() {
+		if bp != nil {
+			blockBufs.Put(bp)
+		}
+	}()
 	for len(p) > 0 {
 		blk := e.Alloc + extOff/t.bsU64
 		bo := int(extOff % t.bsU64)
@@ -705,10 +716,17 @@ func (t *Tree) readExtentData(e Extent, extOff uint64, p []byte) error {
 			extOff += t.bsU64
 			continue
 		}
-		if err := t.dev.ReadBlock(blk, buf); err != nil {
+		if bp == nil {
+			bp, _ = blockBufs.Get().(*[]byte)
+			if bp == nil || len(*bp) != t.bs {
+				b := make([]byte, t.bs)
+				bp = &b
+			}
+		}
+		if err := t.dev.ReadBlock(blk, *bp); err != nil {
 			return err
 		}
-		n := copy(p, buf[bo:])
+		n := copy(p, (*bp)[bo:])
 		p = p[n:]
 		extOff += uint64(n)
 	}

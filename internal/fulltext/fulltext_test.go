@@ -3,7 +3,10 @@ package fulltext
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -476,5 +479,94 @@ func TestLargePostingsListOverflows(t *testing.T) {
 	}
 	if len(ids) != 3000 {
 		t.Errorf("found %d, want 3000", len(ids))
+	}
+}
+
+// TestSearchMergeMatchesRanked: the merged conjunction Search returns
+// exactly SearchRanked's documents, ascending, and the documents a model
+// of the live corpus says it should — over several flushed segments,
+// buffered documents, tombstoned documents and a document indexed twice.
+func TestSearchMergeMatchesRanked(t *testing.T) {
+	x, _ := newIndex(t, Config{FlushDocs: 6, MaxSegments: 100})
+	vocab := []string{"apple", "river", "stone", "cloud", "maple", "tiger", "lemon", "piano"}
+	rng := rand.New(rand.NewPCG(3, 4))
+	model := map[uint64]map[string]bool{}
+	add := func(doc uint64) {
+		words := map[string]bool{}
+		var text []string
+		for _, w := range vocab {
+			if rng.IntN(2) == 0 {
+				words[Tokenize(w)[0]] = true
+				text = append(text, w)
+			}
+		}
+		if err := x.Add(nil, doc, strings.Join(text, " ")); err != nil {
+			t.Fatal(err)
+		}
+		model[doc] = words
+	}
+	for doc := uint64(1); doc <= 40; doc++ {
+		add(doc)
+	}
+	add(7)  // indexed twice: its flushed postings are tombstoned
+	add(40) // indexed twice while still buffered
+	for _, doc := range []uint64{3, 12, 13, 38} {
+		if err := x.Delete(nil, doc); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, doc)
+	}
+	if s := x.Stats(); s.Segments < 3 || s.MemDocs == 0 {
+		t.Fatalf("corpus has %d segments and %d buffered docs; want several and some", s.Segments, s.MemDocs)
+	}
+	// A list that carries a docID twice counts it once, as the ranked
+	// score map does; the public API never stores one, so plant it.
+	stone := Tokenize("stone")[0]
+	x.mu.Lock()
+	if len(x.mem[stone]) == 0 {
+		t.Fatal("no buffered posting to duplicate")
+	}
+	x.mem[stone] = append(x.mem[stone], x.mem[stone][0])
+	x.mu.Unlock()
+
+	queries := [][]string{{"stone"}, {"stone", "river"}, {"apple", "cloud", "tiger"}, {"piano", "stone", "lemon", "maple"}, {"stone", "absent"}}
+	for i := 0; i < 30; i++ {
+		q := []string{vocab[rng.IntN(len(vocab))], vocab[rng.IntN(len(vocab))]}
+		if rng.IntN(2) == 0 {
+			q = append(q, vocab[rng.IntN(len(vocab))])
+		}
+		queries = append(queries, q)
+	}
+	for _, q := range queries {
+		got, err := x.Search(q...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, err := x.SearchRanked(q...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for _, s := range ranked {
+			want = append(want, s.DocID)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		var modelled []uint64
+		for doc, words := range model {
+			all := true
+			for _, w := range q {
+				all = all && words[Tokenize(w)[0]]
+			}
+			if all {
+				modelled = append(modelled, doc)
+			}
+		}
+		sort.Slice(modelled, func(i, j int) bool { return modelled[i] < modelled[j] })
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("Search%v = %v; SearchRanked's documents %v", q, got, want)
+		}
+		if len(got) != len(modelled) || (len(got) > 0 && !reflect.DeepEqual(got, modelled)) {
+			t.Errorf("Search%v = %v; the live corpus has %v", q, got, modelled)
+		}
 	}
 }

@@ -572,17 +572,37 @@ func stemQuery(term string) string {
 }
 
 // Search returns the docIDs containing every query term (conjunction),
-// ascending. Terms are analyzed with the document analyzer.
+// ascending. Terms are analyzed with the document analyzer. The posting
+// lists are already sorted by docID, so the conjunction is a merge,
+// smallest list first; a docID a list carries twice counts once.
 func (x *Index) Search(terms ...string) ([]uint64, error) {
-	scored, err := x.SearchRanked(terms...)
-	if err != nil {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	lists, err := x.termPostings(terms)
+	if err != nil || lists == nil {
 		return nil, err
 	}
-	ids := make([]uint64, len(scored))
-	for i, s := range scored {
-		ids[i] = s.DocID
+	ids := make([]uint64, 0, len(lists[0]))
+	for i, p := range lists[0] {
+		if i == 0 || p.DocID != lists[0][i-1].DocID {
+			ids = append(ids, p.DocID)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, list := range lists[1:] {
+		kept, j := ids[:0], 0
+		for _, id := range ids {
+			for j < len(list) && list[j].DocID < id {
+				j++
+			}
+			if j == len(list) {
+				break
+			}
+			if list[j].DocID == id {
+				kept = append(kept, id)
+			}
+		}
+		ids = kept
+	}
 	return ids, nil
 }
 
@@ -591,27 +611,10 @@ func (x *Index) Search(terms ...string) ([]uint64, error) {
 func (x *Index) SearchRanked(terms ...string) ([]ScoredDoc, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	if len(terms) == 0 {
-		return nil, nil
+	lists, err := x.termPostings(terms)
+	if err != nil || lists == nil {
+		return nil, err
 	}
-	// Gather posting lists; analyze query terms first.
-	lists := make([][]Posting, 0, len(terms))
-	for _, t := range terms {
-		qt := stemQuery(t)
-		if qt == "" {
-			return nil, nil
-		}
-		ps, err := x.postings(qt)
-		if err != nil {
-			return nil, err
-		}
-		if len(ps) == 0 {
-			return nil, nil
-		}
-		lists = append(lists, ps)
-	}
-	// Intersect smallest-first.
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
 	acc := map[uint64]uint64{}
 	for _, p := range lists[0] {
 		acc[p.DocID] = uint64(p.TF)
@@ -639,6 +642,32 @@ func (x *Index) SearchRanked(terms ...string) ([]ScoredDoc, error) {
 		return out[i].DocID < out[j].DocID
 	})
 	return out, nil
+}
+
+// termPostings analyzes each query term and returns its live posting
+// list, shortest first; nil when there are no terms or some term matches
+// nothing. The caller holds x.mu.
+func (x *Index) termPostings(terms []string) ([][]Posting, error) {
+	if len(terms) == 0 {
+		return nil, nil
+	}
+	lists := make([][]Posting, 0, len(terms))
+	for _, t := range terms {
+		qt := stemQuery(t)
+		if qt == "" {
+			return nil, nil
+		}
+		ps, err := x.postings(qt)
+		if err != nil {
+			return nil, err
+		}
+		if len(ps) == 0 {
+			return nil, nil
+		}
+		lists = append(lists, ps)
+	}
+	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
+	return lists, nil
 }
 
 // --- background (lazy) indexing ---

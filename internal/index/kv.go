@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/pager"
@@ -20,10 +19,6 @@ import (
 type KVIndex struct {
 	tag  string
 	tree *btree.Tree
-
-	statMu  sync.Mutex
-	inserts int64
-	lookups int64
 }
 
 // NewKVIndex creates a fresh KV index for tag.
@@ -56,8 +51,9 @@ func (x *KVIndex) Tag() string { return x.tag }
 // escapeValue encodes value so that the encoding of no value is a prefix
 // of another's: 0x00 bytes become 0x00 0xFF, and the encoding ends with
 // 0x00 0x01. Lexicographic order of encodings matches order of values.
+// The result has room for the 8-byte OID suffix of an entry key.
 func escapeValue(v []byte) []byte {
-	out := make([]byte, 0, len(v)+2)
+	out := make([]byte, 0, len(v)+2+8)
 	for _, b := range v {
 		if b == 0x00 {
 			out = append(out, 0x00, 0xFF)
@@ -119,9 +115,6 @@ func DecodeEntryKey(k []byte) ([]byte, OID, error) {
 
 // Insert implements Store.
 func (x *KVIndex) Insert(op *pager.Op, value []byte, oid OID) error {
-	x.statMu.Lock()
-	x.inserts++
-	x.statMu.Unlock()
 	return x.tree.PutOp(op, entryKey(value, oid), nil)
 }
 
@@ -131,9 +124,6 @@ func (x *KVIndex) InsertMany(op *pager.Op, puts []Put) error {
 	if len(puts) == 0 {
 		return nil
 	}
-	x.statMu.Lock()
-	x.inserts += int64(len(puts))
-	x.statMu.Unlock()
 	keys := make([][]byte, len(puts))
 	vals := make([][]byte, len(puts))
 	for i, p := range puts {
@@ -154,9 +144,6 @@ func (x *KVIndex) Remove(op *pager.Op, value []byte, oid OID) error {
 
 // Lookup implements Store.
 func (x *KVIndex) Lookup(value []byte) ([]OID, error) {
-	x.statMu.Lock()
-	x.lookups++
-	x.statMu.Unlock()
 	var out []OID
 	var inner error
 	err := x.tree.ScanPrefix(escapeValue(value), func(k, v []byte) bool {
@@ -178,17 +165,17 @@ func (x *KVIndex) Lookup(value []byte) ([]OID, error) {
 // jumps the cursor to the entry key (value, oid) so a selective
 // intersection partner skips the posting list instead of scanning it.
 type kvIter struct {
-	cur    *btree.Cursor
-	prefix []byte // escape-encoded value, the key prefix of every entry
+	cur *btree.Cursor
+	// key is the escape-encoded value, the prefix of every entry, plus
+	// eight bytes that each Seek overwrites with its target OID.
+	key []byte
 }
 
 // Iter implements Iterable: a streaming, seekable posting list for value.
 func (x *KVIndex) Iter(value []byte) (Iterator, error) {
-	x.statMu.Lock()
-	x.lookups++
-	x.statMu.Unlock()
-	pfx := escapeValue(value)
-	return &kvIter{cur: x.tree.NewPrefixCursor(pfx), prefix: pfx}, nil
+	key := append(escapeValue(value), make([]byte, 8)...)
+	pfx := key[:len(key)-8]
+	return &kvIter{cur: x.tree.NewPrefixCursor(pfx), key: key}, nil
 }
 
 func (it *kvIter) Next() (OID, bool, error) {
@@ -204,35 +191,28 @@ func (it *kvIter) Next() (OID, bool, error) {
 }
 
 func (it *kvIter) Seek(oid OID) (OID, bool, error) {
-	var ob [8]byte
-	binary.BigEndian.PutUint64(ob[:], uint64(oid))
-	it.cur.Seek(append(append([]byte(nil), it.prefix...), ob[:]...))
+	binary.BigEndian.PutUint64(it.key[len(it.key)-8:], uint64(oid))
+	it.cur.Seek(it.key)
 	return it.Next()
 }
 
 // countCap bounds the work a selectivity estimate may do. The planner
 // only needs the relative order of posting-list sizes, so every list
-// longer than the cap estimates as "at least countCap" instead of paying
-// a full prefix scan — otherwise estimating a broad term would cost the
-// very scan the streaming engine exists to avoid.
+// longer than the cap estimates as "at least countCap" instead of
+// walking every leaf of its posting list — otherwise estimating a broad
+// term would cost a walk as long as the scan the streaming engine exists
+// to avoid.
 const countCap = 1024
 
-// Count implements Store. Exact up to countCap, saturating above it.
+// Count implements Store. Exact up to countCap, saturating above it; the
+// tree counts by leaf arithmetic, copying no key.
 func (x *KVIndex) Count(value []byte) (int, error) {
-	n := 0
-	err := x.tree.ScanPrefix(escapeValue(value), func(k, v []byte) bool {
-		n++
-		return n < countCap
-	})
-	return n, err
+	return x.tree.CountPrefix(escapeValue(value), countCap)
 }
 
 // RangeLookup returns OIDs whose value lies in [lo, hi), ascending by
 // value then OID. Implements Ranged.
 func (x *KVIndex) RangeLookup(lo, hi []byte) ([]OID, error) {
-	x.statMu.Lock()
-	x.lookups++
-	x.statMu.Unlock()
 	var hiKey []byte
 	if hi != nil {
 		hiKey = escapeValue(hi)

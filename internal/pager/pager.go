@@ -21,7 +21,6 @@
 package pager
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,7 +51,9 @@ type Page struct {
 	data  []byte
 	pins  int
 	dirty bool
-	elem  *list.Element // position in LRU when unpinned
+	// prev and next link the page into its shard's LRU ring while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *Page
 	// busy is non-nil while the initial device read is filling data. The
 	// page is published in the shard table before the read so concurrent
 	// acquirers of the same block find it and wait instead of pinning a
@@ -115,10 +116,21 @@ type Stats struct {
 type shard struct {
 	mu    sync.Mutex
 	table map[uint64]*Page
-	lru   *list.List // of *Page, front = most recent
+	// lru is the sentinel of the ring of unpinned pages: lru.next is the
+	// most recently released, lru.prev the first eviction candidate.
+	lru   Page
 	dirty map[uint64]*Page
 
 	hits, misses, evictions, writebacks int64
+}
+
+// unlink takes pg out of the LRU ring; a pinned page is not in it.
+func (s *shard) unlink(pg *Page) {
+	if pg.next == nil {
+		return
+	}
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
 }
 
 // Pager is a fixed-capacity buffer cache over a block device.
@@ -197,7 +209,8 @@ func New(dev blockdev.Device, capacity int, evictDirty bool) *Pager {
 	}
 	for i := range p.shards {
 		p.shards[i].table = make(map[uint64]*Page)
-		p.shards[i].lru = list.New()
+		p.shards[i].lru.prev = &p.shards[i].lru
+		p.shards[i].lru.next = &p.shards[i].lru
 		p.shards[i].dirty = make(map[uint64]*Page)
 	}
 	p.ops = make(map[*Op]struct{})
@@ -295,10 +308,7 @@ func (p *Pager) acquire(no uint64, read bool) (*Page, error) {
 				continue
 			}
 			s.hits++
-			if pg.elem != nil {
-				s.lru.Remove(pg.elem)
-				pg.elem = nil
-			}
+			s.unlink(pg)
 			pg.pins++
 			s.mu.Unlock()
 			return pg, nil
@@ -359,8 +369,7 @@ func (p *Pager) makeRoomLocked(s *shard) (bool, error) {
 	synced := p.syncedSeq.Load()
 	for len(s.table) >= p.capPerShard {
 		var victim *Page
-		for e := s.lru.Back(); e != nil; e = e.Prev() {
-			pg := e.Value.(*Page)
+		for pg := s.lru.prev; pg != &s.lru; pg = pg.prev {
 			if pg.dirty && !p.evictDirty {
 				// Steal gate: every staged record durably logged.
 				if p.stealApp == nil || pg.unflushed > 0 || pg.appendSeq > synced {
@@ -386,8 +395,7 @@ func (p *Pager) makeRoomLocked(s *shard) (bool, error) {
 			victim.unflushed = 0
 			delete(s.dirty, victim.no)
 		}
-		s.lru.Remove(victim.elem)
-		victim.elem = nil
+		s.unlink(victim)
 		delete(s.table, victim.no)
 		s.evictions++
 	}
@@ -500,7 +508,9 @@ func (p *Pager) Release(pg *Page) {
 	}
 	pg.pins--
 	if pg.pins == 0 {
-		pg.elem = s.lru.PushFront(pg)
+		pg.prev, pg.next = &s.lru, s.lru.next
+		pg.next.prev = pg
+		s.lru.next = pg
 	}
 }
 
@@ -1188,9 +1198,7 @@ func (p *Pager) Invalidate(no uint64) error {
 	if pg.pins > 0 {
 		return fmt.Errorf("%w: page %d", ErrPinned, no)
 	}
-	if pg.elem != nil {
-		s.lru.Remove(pg.elem)
-	}
+	s.unlink(pg)
 	delete(s.table, no)
 	if pg.dirty {
 		delete(s.dirty, no)

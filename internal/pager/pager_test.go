@@ -2,6 +2,7 @@ package pager
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -304,6 +305,44 @@ func TestPinnedPagesSurviveCachePressure(t *testing.T) {
 			t.Errorf("pinned page %d content lost", i)
 		}
 		p.Release(pg)
+	}
+}
+
+// TestEvictionIsLeastRecentlyReleased: a full shard evicts the unpinned
+// page released longest ago, a hit moves a page to the front, and a pinned
+// page is passed over.
+func TestEvictionIsLeastRecentlyReleased(t *testing.T) {
+	p, _ := newPager(t, 256, 64, true) // 4 pages per shard
+	touch := func(no uint64) {
+		t.Helper()
+		if err := p.With(no, func(*Page) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, no := range []uint64{0, 16, 32, 48} { // all in shard 0
+		touch(no)
+	}
+	touch(0) // a hit: 16 is now the least recently released
+	err := p.With(32, func(*Page) error {
+		touch(64) // evicts 16
+		touch(80) // evicts 48: 32 is pinned
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	touch(96) // evicts 0: 32's release made it the most recent
+	var resident []uint64
+	for _, no := range []uint64{0, 16, 32, 48, 64, 80, 96} {
+		if _, ok := p.shards[0].table[no]; ok {
+			resident = append(resident, no)
+		}
+	}
+	if want := []uint64{32, 64, 80, 96}; !reflect.DeepEqual(resident, want) {
+		t.Errorf("resident pages %v, want %v", resident, want)
+	}
+	if s := p.Stats(); s.Evictions != 3 || s.Hits != 2 {
+		t.Errorf("evictions=%d hits=%d, want 3/2", s.Evictions, s.Hits)
 	}
 }
 
