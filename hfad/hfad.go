@@ -113,7 +113,10 @@ type Options struct {
 	// mid-object insert can trigger (default 256 KiB).
 	MaxExtentBytes uint32
 	// FulltextFlushDocs buffers this many documents before writing a
-	// segment (default 512).
+	// level-0 full-text segment (default 512). A level that reaches nine
+	// segments is merged into one segment of the next, so an index of N
+	// documents holds at most eight segments in each of about
+	// log9(N/FulltextFlushDocs) levels.
 	FulltextFlushDocs int
 	// Clock injects timestamps; nil uses time.Now.
 	Clock func() time.Time

@@ -142,18 +142,23 @@ func TestRecoverAbortedCreateObject(t *testing.T) {
 
 // TestRecoverAbortedFulltextBatch: a Batch indexes one document and
 // deletes another from the full-text index, then fails. The index's
-// in-memory state — buffer, segment list, tombstones, doc registry —
-// follows the rollback, so searches answer as before, live and after a
-// crash. With one document per segment the batch's indexing flushes a
-// segment and compacts the index, and the compaction drops the segments
-// that hold the committed documents.
+// in-memory state — buffer, segment list and levels, tombstones, doc
+// registry — follows the rollback, so the layout is the pre-batch one and
+// searches answer as before, live and after a crash. With one document
+// per segment the batch's indexing flushes a segment and merges level 0,
+// and the merge drops the segments that hold the committed documents; in
+// the "tiers" leg the flush cascades, merging level 0 into level 1 and
+// level 1 into level 2.
 func TestRecoverAbortedFulltextBatch(t *testing.T) {
 	for _, leg := range []struct {
-		name string
-		cfg  fulltext.Config
+		name   string
+		cfg    fulltext.Config
+		extra  int // documents indexed before the batch besides alpha and beta
+		levels int // levels the batch's flush leaves, when it flushes
 	}{
-		{"segments", fulltext.Config{FlushDocs: 1, MaxSegments: 2}},
-		{"buffer", fulltext.Config{FlushDocs: 64}},
+		{"segments", fulltext.Config{FlushDocs: 1, MaxSegments: 2}, 0, 2},
+		{"tiers", fulltext.Config{FlushDocs: 1, MaxSegments: 2}, 6, 3},
+		{"buffer", fulltext.Config{FlushDocs: 64}, 0, 0},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
@@ -164,7 +169,11 @@ func TestRecoverAbortedFulltextBatch(t *testing.T) {
 			a := mustCreateObject(t, v, "u", "alpha common")
 			b := mustCreateObject(t, v, "u", "beta common")
 			c := mustCreateObject(t, v, "u", "gamma common")
-			for _, oid := range []OID{a, b} {
+			indexed := []OID{a, b}
+			for i := 0; i < leg.extra; i++ {
+				indexed = append(indexed, mustCreateObject(t, v, "u", fmt.Sprintf("extra%d common", i)))
+			}
+			for _, oid := range indexed {
 				if err := v.IndexContent(oid); err != nil {
 					t.Fatal(err)
 				}
@@ -176,13 +185,24 @@ func TestRecoverAbortedFulltextBatch(t *testing.T) {
 				}
 				return fmt.Sprint(ids)
 			}
+			layout := func(v *Volume) string { return fmt.Sprint(v.Fulltext().Inner().Layout()) }
 			want := map[string]string{}
-			for _, term := range []string{"alpha", "beta", "gamma", "common"} {
+			for _, term := range []string{"alpha", "beta", "gamma", "common", "extra0", "extra5"} {
 				want[term] = search(v, term)
 			}
+			wantLayout := layout(v)
 			err = v.Batch(func(bt *Batch) error {
 				if err := bt.IndexContent(c); err != nil {
 					return err
+				}
+				if leg.levels > 0 {
+					top := 0
+					for _, s := range v.Fulltext().Inner().Layout() {
+						top = max(top, s.Level+1)
+					}
+					if top != leg.levels {
+						t.Errorf("the batch's flush left %d levels, want %d", top, leg.levels)
+					}
 				}
 				if err := v.removeNameDeferred(bt.op, a, index.TagFulltext, nil); err != nil {
 					return err
@@ -192,21 +212,21 @@ func TestRecoverAbortedFulltextBatch(t *testing.T) {
 			if !errors.Is(err, errRollback) {
 				t.Fatalf("batch returned %v", err)
 			}
-			if leg.cfg.FlushDocs == 1 {
-				assertRolledBack(t, v, mem, func(label string, v *Volume) {
-					for term, w := range want {
-						if got := search(v, term); got != w {
-							t.Fatalf("%s: %q finds %s, want %s", label, term, got, w)
-						}
+			check := func(label string, v *Volume) {
+				if got := layout(v); got != wantLayout {
+					t.Fatalf("%s: segments %s, want %s", label, got, wantLayout)
+				}
+				for term, w := range want {
+					if got := search(v, term); got != w {
+						t.Fatalf("%s: %q finds %s, want %s", label, term, got, w)
 					}
-				})
-				return
-			}
-			for term, w := range want {
-				if got := search(v, term); got != w {
-					t.Fatalf("%q finds %s, want %s", term, got, w)
 				}
 			}
+			if leg.cfg.FlushDocs == 1 {
+				assertRolledBack(t, v, mem, check)
+				return
+			}
+			check("live", v)
 			assertRecoveryExact(t, v)
 		})
 	}

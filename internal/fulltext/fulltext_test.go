@@ -449,14 +449,14 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 
 func TestPostingsCodecRoundtrip(t *testing.T) {
 	ps := []Posting{{1, 3}, {5, 1}, {1000000, 42}, {1000001, 1}}
-	got := decodePostings(encodePostings(ps))
+	got := appendPostingsLive(nil, appendPostings(nil, ps), nil)
 	if !reflect.DeepEqual(got, ps) {
 		t.Errorf("codec roundtrip = %v, want %v", got, ps)
 	}
-	if got := decodePostings(nil); got != nil {
+	if got := appendPostingsLive(nil, nil, nil); got != nil {
 		t.Errorf("decode(nil) = %v", got)
 	}
-	if got := decodePostings(encodePostings(nil)); len(got) != 0 {
+	if got := appendPostingsLive(nil, appendPostings(nil, nil), nil); len(got) != 0 {
 		t.Errorf("decode(encode(nil)) = %v", got)
 	}
 }
@@ -523,10 +523,11 @@ func TestSearchMergeMatchesRanked(t *testing.T) {
 	// score map does; the public API never stores one, so plant it.
 	stone := Tokenize("stone")[0]
 	x.mu.Lock()
-	if len(x.mem[stone]) == 0 {
+	ps := x.mem[stone]
+	if ps == nil || len(*ps) == 0 {
 		t.Fatal("no buffered posting to duplicate")
 	}
-	x.mem[stone] = append(x.mem[stone], x.mem[stone][0])
+	*ps = append(*ps, (*ps)[0])
 	x.mu.Unlock()
 
 	queries := [][]string{{"stone"}, {"stone", "river"}, {"apple", "cloud", "tiger"}, {"piano", "stone", "lemon", "maple"}, {"stone", "absent"}}

@@ -1,9 +1,12 @@
 package fulltext
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,7 +37,9 @@ type Config struct {
 	// FlushDocs is the in-memory buffer size in documents before an
 	// automatic segment flush. Default 512.
 	FlushDocs int
-	// MaxSegments triggers automatic compaction when exceeded. Default 8.
+	// MaxSegments bounds the segments of one level: a flush writes a
+	// level-0 segment, and a level holding more than MaxSegments is merged
+	// into one segment of the next level. Default 8.
 	MaxSegments int
 	// Bracket wraps each background (lazy) indexing job, and Close's
 	// final flush, in the volume's operation bracket, so their page
@@ -63,15 +68,26 @@ type Stats struct {
 	MemTerms    int
 	Segments    int
 	Flushes     int64
-	Compactions int64
-	DocsAdded   int64
-	DocsDeleted int64
+	Compactions int64 // merges, tiered and explicit
+	// MergedPostings counts the postings merges have written: the
+	// index's write amplification beyond the flushes.
+	MergedPostings int64
+	DocsAdded      int64
+	DocsDeleted    int64
+}
+
+// SegmentInfo describes one segment of the index's layout.
+type SegmentInfo struct {
+	ID    uint64
+	Level int
 }
 
 // segment is one immutable on-device inverted file.
 type segment struct {
-	id   uint64
-	tree *btree.Tree
+	id uint64
+	// level is 0 for a flushed segment and L+1 for a merge of level L.
+	level int
+	tree  *btree.Tree
 	// dead holds docIDs tombstoned against this segment.
 	dead map[uint64]bool
 }
@@ -85,8 +101,12 @@ type Index struct {
 
 	mu       sync.RWMutex
 	manifest *btree.Tree // persists segment list, doc registry, tombstones
-	mem      map[string][]Posting
+	// mem buffers postings by term, each list in the order documents
+	// were added. The lists are held by pointer so that appending to a
+	// buffered term is a lookup, which does not allocate its key.
+	mem      map[string]*[]Posting
 	memDocs  map[uint64]bool
+	scratch  []byte // the analyzer's term buffer
 	segments []*segment
 	nextSeg  uint64
 	closed   bool
@@ -99,10 +119,11 @@ type Index struct {
 	tx     *pager.Op
 	revert []func()
 
-	flushes     int64
-	compactions int64
-	docsAdded   int64
-	docsDeleted int64
+	flushes        int64
+	compactions    int64
+	mergedPostings int64
+	docsAdded      int64
+	docsDeleted    int64
 
 	// Lazy indexing machinery.
 	lazyMu   sync.Mutex
@@ -116,7 +137,7 @@ type lazyJob struct {
 	text  string
 }
 
-// Manifest key prefixes: "S/<seg-id>" → segment header page,
+// Manifest key prefixes: "S/<seg-id>" → segment header page and level,
 // "T/<seg-id>/<doc-id>" → tombstone, "D/<doc-id>" → doc-in-segments flag.
 func segKey(id uint64) []byte {
 	k := make([]byte, 2+8)
@@ -141,6 +162,24 @@ func tombKey(seg, doc uint64) []byte {
 	return k
 }
 
+// segValue is a segment's "S/" value: its tree's header page, then its
+// level.
+func segValue(hdr uint64, level int) []byte {
+	v := make([]byte, 9)
+	binary.LittleEndian.PutUint64(v, hdr)
+	v[8] = byte(level)
+	return v
+}
+
+// segLevel reads a segment's level from its "S/" value. A value of 8
+// bytes was written before segments had levels: level 0.
+func segLevel(v []byte) int {
+	if len(v) > 8 {
+		return int(v[8])
+	}
+	return 0
+}
+
 // Create makes a new empty index whose manifest btree identifies it.
 func Create(pg *pager.Pager, alloc btree.PageAllocator, cfg Config) (*Index, error) {
 	cfg.fill()
@@ -150,7 +189,7 @@ func Create(pg *pager.Pager, alloc btree.PageAllocator, cfg Config) (*Index, err
 	}
 	return &Index{
 		pg: pg, alloc: alloc, cfg: cfg, manifest: man,
-		mem: make(map[string][]Posting), memDocs: make(map[uint64]bool),
+		mem: make(map[string]*[]Posting), memDocs: make(map[uint64]bool),
 	}, nil
 }
 
@@ -163,7 +202,7 @@ func Open(pg *pager.Pager, alloc btree.PageAllocator, manifestPno uint64, cfg Co
 	}
 	idx := &Index{
 		pg: pg, alloc: alloc, cfg: cfg, manifest: man,
-		mem: make(map[string][]Posting), memDocs: make(map[uint64]bool),
+		mem: make(map[string]*[]Posting), memDocs: make(map[uint64]bool),
 	}
 	if err := idx.loadSegments(false); err != nil {
 		return nil, err
@@ -185,7 +224,7 @@ func (x *Index) loadSegments(recount bool) error {
 	var err error
 	serr := x.manifest.ScanPrefix([]byte("S/"), func(k, v []byte) bool {
 		id := binary.BigEndian.Uint64(k[2:])
-		s := &segment{id: id, tree: have[id], dead: map[uint64]bool{}}
+		s := &segment{id: id, level: segLevel(v), tree: have[id], dead: map[uint64]bool{}}
 		if s.id >= x.nextSeg {
 			x.nextSeg = s.id + 1
 		}
@@ -220,25 +259,41 @@ func (x *Index) Stats() Stats {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return Stats{
-		MemDocs:     len(x.memDocs),
-		MemTerms:    len(x.mem),
-		Segments:    len(x.segments),
-		Flushes:     x.flushes,
-		Compactions: x.compactions,
-		DocsAdded:   x.docsAdded,
-		DocsDeleted: x.docsDeleted,
+		MemDocs:        len(x.memDocs),
+		MemTerms:       len(x.mem),
+		Segments:       len(x.segments),
+		Flushes:        x.flushes,
+		Compactions:    x.compactions,
+		MergedPostings: x.mergedPostings,
+		DocsAdded:      x.docsAdded,
+		DocsDeleted:    x.docsDeleted,
 	}
+}
+
+// Layout returns the segments, oldest first, with their levels.
+func (x *Index) Layout() []SegmentInfo {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	out := make([]SegmentInfo, len(x.segments))
+	for i, s := range x.segments {
+		out[i] = SegmentInfo{ID: s.id, Level: s.level}
+	}
+	return out
 }
 
 // Add analyzes text and indexes it under docID synchronously, logging
 // its page mutations into op. Re-adding a docID replaces its previous
 // postings (via tombstones on old segments).
 func (x *Index) Add(op *pager.Op, docID uint64, text string) error {
-	terms := Tokenize(text)
-	tf := make(map[string]uint32, len(terms))
-	for _, term := range terms {
-		tf[term]++
-	}
+	return add(x, op, docID, text)
+}
+
+// AddBytes is Add for text held as bytes; it does not copy them.
+func (x *Index) AddBytes(op *pager.Op, docID uint64, text []byte) error {
+	return add(x, op, docID, text)
+}
+
+func add[T ~string | ~[]byte](x *Index, op *pager.Op, docID uint64, text T) error {
 	x.claim(op)
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -249,11 +304,20 @@ func (x *Index) Add(op *pager.Op, docID uint64, text string) error {
 	if err := x.deleteLocked(op, docID); err != nil {
 		return err
 	}
-	for term, f := range tf {
-		x.mem[term] = append(x.mem[term], Posting{docID, f})
-	}
+	x.scratch = analyze(text, x.scratch, func(term []byte) {
+		// The doc's posting, once its first occurrence of term made it,
+		// is the last in term's list: the rest of the buffer predates it.
+		ps := x.buffered(term)
+		if n := len(*ps); n > 0 && (*ps)[n-1].DocID == docID {
+			(*ps)[n-1].TF++
+		} else {
+			*ps = append(*ps, Posting{docID, 1})
+		}
+	})
 	x.memDocs[docID] = true
-	x.onUndo(op, func() { x.dropFromMem(docID) })
+	if op != nil { // the inverse is built only for a rollback to run
+		x.onUndo(op, func() { x.dropFromMem(docID) })
+	}
 	x.docsAdded++
 	if len(x.memDocs) >= x.cfg.FlushDocs {
 		if err := x.flushLocked(op); err != nil {
@@ -261,6 +325,18 @@ func (x *Index) Add(op *pager.Op, docID uint64, text string) error {
 		}
 	}
 	return nil
+}
+
+// buffered returns term's buffered posting list, making it when term is
+// new. A lookup by a []byte converted in the index expression does not
+// allocate; only a new term does.
+func (x *Index) buffered(term []byte) *[]Posting {
+	ps := x.mem[string(term)]
+	if ps == nil {
+		ps = new([]Posting)
+		x.mem[string(term)] = ps
+	}
+	return ps
 }
 
 // Delete removes docID from the index, logging into op.
@@ -279,7 +355,8 @@ func (x *Index) deleteLocked(op *pager.Op, docID uint64) error {
 	if gone := x.dropFromMem(docID); gone != nil {
 		x.onUndo(op, func() {
 			for term, tf := range gone {
-				x.mem[term] = append(x.mem[term], Posting{docID, tf})
+				ps := x.buffered([]byte(term))
+				*ps = append(*ps, Posting{docID, tf})
 			}
 			x.memDocs[docID] = true
 		})
@@ -310,8 +387,8 @@ func (x *Index) dropFromMem(docID uint64) map[string]uint32 {
 	}
 	gone := map[string]uint32{}
 	for term, ps := range x.mem {
-		kept := ps[:0]
-		for _, p := range ps {
+		kept := (*ps)[:0]
+		for _, p := range *ps {
 			if p.DocID != docID {
 				kept = append(kept, p)
 			} else {
@@ -321,7 +398,7 @@ func (x *Index) dropFromMem(docID uint64) map[string]uint32 {
 		if len(kept) == 0 {
 			delete(x.mem, term)
 		} else {
-			x.mem[term] = kept
+			*ps = kept
 		}
 	}
 	delete(x.memDocs, docID)
@@ -353,12 +430,10 @@ func (x *Index) flushLocked(op *pager.Op) error {
 	id := x.nextSeg
 	x.nextSeg++
 	x.segments = append(x.segments, &segment{id: id, tree: tr, dead: map[uint64]bool{}})
-	x.mem = make(map[string][]Posting)
+	x.mem = make(map[string]*[]Posting)
 	x.memDocs = make(map[uint64]bool)
 	x.flushes++
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], tr.HeaderPage())
-	if err := x.manifest.PutOp(op, segKey(id), hdr[:]); err != nil {
+	if err := x.manifest.PutOp(op, segKey(id), segValue(tr.HeaderPage(), 0)); err != nil {
 		return err
 	}
 	for doc := range docs {
@@ -366,15 +441,13 @@ func (x *Index) flushLocked(op *pager.Op) error {
 			return err
 		}
 	}
-	if len(x.segments) > x.cfg.MaxSegments {
-		return x.compactLocked(op)
-	}
-	return nil
+	return x.mergeTiersLocked(op)
 }
 
-// writeSegment creates a segment tree for op holding postings, term by
-// term in sorted order. Its creation's inverse drops it whole.
-func (x *Index) writeSegment(op *pager.Op, postings map[string][]Posting) (*btree.Tree, error) {
+// writeSegment creates a segment tree for op holding the buffered
+// postings, term by term in sorted order. Its creation's inverse drops it
+// whole.
+func (x *Index) writeSegment(op *pager.Op, postings map[string]*[]Posting) (*btree.Tree, error) {
 	tr, err := btree.CreateOp(x.pg, x.alloc, op)
 	if err != nil {
 		return nil, err
@@ -384,14 +457,44 @@ func (x *Index) writeSegment(op *pager.Op, postings map[string][]Posting) (*btre
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
+	var enc []byte
 	for _, term := range terms {
-		ps := postings[term]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].DocID < ps[j].DocID })
-		if err := tr.PutOp(op, []byte(term), encodePostings(ps)); err != nil {
+		ps := *postings[term]
+		sortPostings(ps)
+		enc = appendPostings(enc[:0], ps)
+		if err := tr.PutOp(op, []byte(term), enc); err != nil {
 			return nil, err
 		}
 	}
 	return tr, nil
+}
+
+// mergeTiersLocked merges each level that holds more than MaxSegments
+// segments into one segment of the next level, lowest level first, until
+// no level is over. A posting is rewritten once per level it climbs, and
+// a level fills only after MaxSegments+1 merges into it, so N documents
+// flushed F at a time are rewritten about log_{MaxSegments+1}(N/F) times
+// each.
+func (x *Index) mergeTiersLocked(op *pager.Op) error {
+	for level := 0; ; level++ {
+		var in []*segment
+		higher := false
+		for _, s := range x.segments {
+			switch {
+			case s.level == level:
+				in = append(in, s)
+			case s.level > level:
+				higher = true
+			}
+		}
+		if len(in) > x.cfg.MaxSegments {
+			if err := x.mergeLocked(op, in, level+1, false); err != nil {
+				return err
+			}
+		} else if !higher {
+			return nil
+		}
+	}
 }
 
 // Compact merges all segments into one, dropping tombstoned postings.
@@ -400,57 +503,57 @@ func (x *Index) Compact(op *pager.Op) error {
 	x.claim(op)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.compactLocked(op)
-}
-
-func (x *Index) compactLocked(op *pager.Op) error {
 	if len(x.segments) <= 1 {
 		return nil
 	}
-	merged := map[string][]Posting{}
-	live := map[uint64]bool{}
+	level := 0
 	for _, s := range x.segments {
-		err := s.tree.Scan(nil, nil, func(k, v []byte) bool {
-			ps := decodePostings(v)
-			kept := ps[:0]
-			for _, p := range ps {
-				if !s.dead[p.DocID] {
-					kept = append(kept, p)
-					live[p.DocID] = true
-				}
-			}
-			if len(kept) > 0 {
-				merged[string(k)] = append(merged[string(k)], kept...)
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
+		level = max(level, s.level+1)
 	}
-	tr, err := x.writeSegment(op, merged)
+	return x.mergeLocked(op, x.segments, level, true)
+}
+
+// mergeLocked replaces the segments in with one segment at level, holding
+// their live postings. Only a merge of every segment (all) prunes the doc
+// registry, to the documents that survived it: a document a partial merge
+// dropped may be live in a segment it did not take, and without its "D/"
+// key a later Delete would not tombstone that segment.
+func (x *Index) mergeLocked(op *pager.Op, in []*segment, level int, all bool) error {
+	var live map[uint64]bool
+	if all {
+		live = map[uint64]bool{}
+	}
+	tr, written, err := x.mergeSegments(op, in, live)
 	if err != nil {
 		return err
 	}
 	var pruned [][]byte
-	if err := x.manifest.ScanPrefix([]byte("D/"), func(k, _ []byte) bool {
-		if !live[binary.BigEndian.Uint64(k[2:])] {
-			pruned = append(pruned, append([]byte(nil), k...))
+	if all {
+		if err := x.manifest.ScanPrefix([]byte("D/"), func(k, _ []byte) bool {
+			if !live[binary.BigEndian.Uint64(k[2:])] {
+				pruned = append(pruned, append([]byte(nil), k...))
+			}
+			return true
+		}); err != nil {
+			return err
 		}
-		return true
-	}); err != nil {
-		return err
 	}
 	// Swap in the merged segment — in memory first, as the flush does —
-	// then drop the old segments with their manifest entries and
-	// tombstones, and prune the doc registry to what survived the merge.
+	// then drop the inputs with their manifest entries and tombstones.
 	old := x.segments
 	x.onUndo(op, func() { x.segments = old })
 	id := x.nextSeg
 	x.nextSeg++
-	x.segments = []*segment{{id: id, tree: tr, dead: map[uint64]bool{}}}
-	x.compactions++
+	kept := make([]*segment, 0, len(old)-len(in)+1)
 	for _, s := range old {
+		if !slices.Contains(in, s) {
+			kept = append(kept, s)
+		}
+	}
+	x.segments = append(kept, &segment{id: id, level: level, tree: tr, dead: map[uint64]bool{}})
+	x.compactions++
+	x.mergedPostings += written
+	for _, s := range in {
 		if err := x.manifest.DeleteOp(op, segKey(s.id)); err != nil {
 			return err
 		}
@@ -463,9 +566,7 @@ func (x *Index) compactLocked(op *pager.Op) error {
 			return err
 		}
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], tr.HeaderPage())
-	if err := x.manifest.PutOp(op, segKey(id), hdr[:]); err != nil {
+	if err := x.manifest.PutOp(op, segKey(id), segValue(tr.HeaderPage(), level)); err != nil {
 		return err
 	}
 	for _, k := range pruned {
@@ -474,6 +575,88 @@ func (x *Index) compactLocked(op *pager.Op) error {
 		}
 	}
 	return nil
+}
+
+// mergeSegments creates a tree for op holding the live postings of in and
+// returns it with the number of postings written. It walks the inputs'
+// cursors in term order, so each term is written once, straight from the
+// pages it was read from; a term's postings are sorted only when the
+// inputs' lists, taken oldest first, are not already ascending. Each
+// document written is added to live when live is not nil.
+func (x *Index) mergeSegments(op *pager.Op, in []*segment, live map[uint64]bool) (*btree.Tree, int64, error) {
+	tr, err := btree.CreateOp(x.pg, x.alloc, op)
+	if err != nil {
+		return nil, 0, err
+	}
+	heads := make([]mergeHead, len(in))
+	for i, s := range in {
+		heads[i].cur = s.tree.NewCursor(nil, nil)
+		if err := heads[i].next(); err != nil {
+			return nil, 0, err
+		}
+	}
+	var (
+		ps      []Posting
+		enc     []byte
+		written int64
+	)
+	for {
+		var term []byte
+		for _, h := range heads {
+			if h.ok && (term == nil || bytes.Compare(h.key, term) < 0) {
+				term = h.key
+			}
+		}
+		if term == nil {
+			return tr, written, nil
+		}
+		ps = ps[:0]
+		for i := range heads {
+			h := &heads[i]
+			if !h.ok || !bytes.Equal(h.key, term) {
+				continue
+			}
+			ps = appendPostingsLive(ps, h.val, in[i].dead)
+			if err := h.next(); err != nil {
+				return nil, 0, err
+			}
+		}
+		if len(ps) == 0 {
+			continue
+		}
+		sortPostings(ps)
+		enc = appendPostings(enc[:0], ps)
+		if err := tr.PutOp(op, term, enc); err != nil {
+			return nil, 0, err
+		}
+		written += int64(len(ps))
+		if live != nil {
+			for _, p := range ps {
+				live[p.DocID] = true
+			}
+		}
+	}
+}
+
+// mergeHead is one input of a merge: its cursor and the entry it is on.
+type mergeHead struct {
+	cur      *btree.Cursor
+	key, val []byte
+	ok       bool
+}
+
+func (h *mergeHead) next() error {
+	var err error
+	h.key, h.val, h.ok, err = h.cur.Next()
+	return err
+}
+
+// sortPostings orders ps by docID unless it is already ascending.
+func sortPostings(ps []Posting) {
+	byDoc := func(a, b Posting) int { return cmp.Compare(a.DocID, b.DocID) }
+	if !slices.IsSortedFunc(ps, byDoc) {
+		slices.SortFunc(ps, byDoc)
+	}
 }
 
 // claim makes op the index's one changing operation (see tx), once the
@@ -539,13 +722,11 @@ func (x *Index) postings(term string) ([]Posting, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range decodePostings(v) {
-			if !s.dead[p.DocID] {
-				out = append(out, p)
-			}
-		}
+		out = appendPostingsLive(out, v, s.dead)
 	}
-	out = append(out, x.mem[term]...)
+	if ps := x.mem[term]; ps != nil {
+		out = append(out, *ps...)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
 	return out, nil
 }
@@ -775,33 +956,30 @@ func (x *Index) close(op *pager.Op, flush bool) error {
 
 // --- postings codec ---
 
-// encodePostings serializes sorted postings as uvarint count followed by
-// (delta docID, tf) uvarint pairs.
-func encodePostings(ps []Posting) []byte {
-	buf := make([]byte, 0, 4+len(ps)*3)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(ps)))
-	buf = append(buf, tmp[:n]...)
+// appendPostings appends the encoding of sorted postings ps to dst: a
+// uvarint count followed by (delta docID, tf) uvarint pairs.
+func appendPostings(dst []byte, ps []Posting) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ps)))
 	var prev uint64
 	for _, p := range ps {
-		n = binary.PutUvarint(tmp[:], p.DocID-prev)
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(p.TF))
-		buf = append(buf, tmp[:n]...)
+		dst = binary.AppendUvarint(dst, p.DocID-prev)
+		dst = binary.AppendUvarint(dst, uint64(p.TF))
 		prev = p.DocID
 	}
-	return buf
+	return dst
 }
 
-// decodePostings parses encodePostings output; malformed input yields the
-// successfully decoded prefix.
-func decodePostings(b []byte) []Posting {
+// appendPostingsLive decodes appendPostings output b onto dst, skipping
+// the documents dead holds; malformed input yields the successfully
+// decoded prefix.
+func appendPostingsLive(dst []Posting, b []byte, dead map[uint64]bool) []Posting {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil
+		return dst
 	}
 	b = b[n:]
-	out := make([]Posting, 0, count)
+	// A posting takes at least two bytes, which bounds a corrupt count.
+	dst = slices.Grow(dst, int(min(count, uint64(len(b)/2))))
 	var prev uint64
 	for i := uint64(0); i < count; i++ {
 		d, n := binary.Uvarint(b)
@@ -815,9 +993,11 @@ func decodePostings(b []byte) []Posting {
 		}
 		b = b[n:]
 		prev += d
-		out = append(out, Posting{prev, uint32(tf)})
+		if !dead[prev] {
+			dst = append(dst, Posting{prev, uint32(tf)})
+		}
 	}
-	return out
+	return dst
 }
 
 // Trees returns every btree owned by the index (manifest plus segments),

@@ -25,7 +25,7 @@ func (f *Fulltext) Tag() string { return TagFulltext }
 // Insert analyzes value as document text for oid. Synchronous; use the
 // inner index's Enqueue for the paper's lazy path.
 func (f *Fulltext) Insert(op *pager.Op, value []byte, oid OID) error {
-	return f.idx.Add(op, uint64(oid), string(value))
+	return f.idx.AddBytes(op, uint64(oid), value)
 }
 
 // Remove drops the document; value is ignored (whole-document removal).
