@@ -339,8 +339,9 @@ func (s *Store) Check() (*core.CheckReport, error) { return s.vol.Check() }
 // RecoveryReport says what Open did to bring this store up, phase by
 // phase, with a count and a duration each: sidecar load, log scan, replay
 // and write-home, allocator restore (or the reason it was rebuilt by the
-// reachability walk), recounts, undo of loser transactions, checkpoint.
-// It is the zero report for a store that was just created.
+// reachability walk), the recount of the extent trees the log tail
+// touched, undo of loser transactions, checkpoint. Every phase costs what
+// the tail costs. It is the zero report for a store that was just created.
 func (s *Store) RecoveryReport() core.RecoveryReport { return s.vol.Recovery() }
 
 // Health reports the volume's degraded/wedged state and fault counters.

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -527,6 +528,80 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	if _, err := tr2.Check(); err != nil {
 		t.Fatalf("reopened Check: %v", err)
+	}
+}
+
+// TestReopenIgnoresStaleHeaderCount: images written while the header
+// still kept a key count carry one in bytes 24–31, and a crash could
+// leave it stale. Those bytes are reserved now: Len, Check and a full
+// scan agree on the leaves whatever they hold.
+func TestReopenIgnoresStaleHeaderCount(t *testing.T) {
+	env := newEnv(t, 4096, 64)
+	tr, err := Create(env.pg, env.alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		mustPut(t, tr, fmt.Sprintf("k%04d", i), fmt.Sprintf("v%d", i))
+	}
+	for i := 0; i < 600; i += 3 {
+		if err := tr.Delete([]byte(fmt.Sprintf("k%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := env.pg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, env.dev.BlockSize())
+	if err := env.dev.ReadBlock(tr.HeaderPage(), hdr); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(hdr[24:], 12345)
+	if err := env.dev.WriteBlock(tr.HeaderPage(), hdr); err != nil {
+		t.Fatal(err)
+	}
+	tr2, err := Open(pager.New(env.dev, 64, true), env.alloc, tr.HeaderPage())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	scanned := uint64(0)
+	if err := tr2.Scan(nil, nil, func(_, _ []byte) bool { scanned++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr2.Check()
+	if err != nil {
+		t.Fatalf("Check over a stale header count: %v", err)
+	}
+	if n := tr2.Len(); n != 400 || scanned != 400 || res.Keys != 400 {
+		t.Fatalf("Len %d, scan %d, Check %d keys; want 400 each", n, scanned, res.Keys)
+	}
+}
+
+// TestPutDirtiesOnlyItsLeaf: no record owns a per-tree key count, so a
+// put that does not split pins its descent path and dirties its leaf,
+// and leaves the header page alone.
+func TestPutDirtiesOnlyItsLeaf(t *testing.T) {
+	tr, env := newTree(t)
+	for i := 0; i < 1000; i++ {
+		mustPut(t, tr, fmt.Sprintf("k%04d", i*2), "v")
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: the tree never split", tr.Height())
+	}
+	if err := env.pg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before, splits := env.pg.Stats(), tr.Stats().Splits
+	mustPut(t, tr, "k0001", "v")
+	after := env.pg.Stats()
+	if tr.Stats().Splits != splits {
+		t.Fatal("the put split its leaf")
+	}
+	if d := after.Dirty - before.Dirty; d != 1 {
+		t.Errorf("a put dirtied %d pages, want 1 (its leaf)", d)
+	}
+	if pins := after.Hits + after.Misses - before.Hits - before.Misses; pins != int64(tr.Height()) {
+		t.Errorf("a put pinned %d pages, want %d (its descent path)", pins, tr.Height())
 	}
 }
 

@@ -25,7 +25,6 @@ type CheckResult struct {
 //   - all keys under the rightmost pointer are > the last cell key
 //   - all leaves are at the same depth
 //   - the leaf chain (ptrA/ptrB) is consistent with tree order
-//   - the header's key count matches the actual count
 //
 // It returns the set of owned pages so the volume checker can cross-check
 // against the allocator.
@@ -116,9 +115,6 @@ func (t *Tree) Check() (*CheckResult, error) {
 
 	if err := walk(t.root, 1, nil, false, nil, false); err != nil {
 		return nil, err
-	}
-	if res.Keys != t.nkeys {
-		return nil, fmt.Errorf("%w: header says %d keys, found %d", ErrCorrupt, t.nkeys, res.Keys)
 	}
 	if res.Depth != t.height {
 		return nil, fmt.Errorf("%w: header says height %d, measured %d", ErrCorrupt, t.height, res.Depth)

@@ -417,14 +417,13 @@ func replayMerge(pp pageRef, lp pageRef, leftPno uint64, rp pageRef) error {
 	return nil
 }
 
-// headerBytes renders the tree-header fields (type, magic, root, height,
-// nkeys) for a header range record.
-func headerBytes(root uint64, height int, nkeys uint64) []byte {
-	b := make([]byte, 32)
+// headerBytes renders the tree-header fields (type, magic, root, height)
+// for a header range record.
+func headerBytes(root uint64, height int) []byte {
+	b := make([]byte, 24)
 	b[offType] = pageHeader
 	binary.LittleEndian.PutUint32(b[hOffMagic:], treeMagic)
 	binary.LittleEndian.PutUint64(b[hOffRoot:], root)
 	binary.LittleEndian.PutUint64(b[hOffHeight:], uint64(height))
-	binary.LittleEndian.PutUint64(b[hOffNKeys:], nkeys)
 	return b
 }

@@ -38,8 +38,9 @@ const (
 	hOffMagic  = 4
 	hOffRoot   = 8
 	hOffHeight = 16
-	hOffNKeys  = 24
 	treeMagic  = 0x68464144 // "hFAD"
+	// Bytes 24–31 are reserved. Images written before the key count was
+	// derived hold a count there; nothing reads it.
 )
 
 // Stats counts tree operations for the traversal-accounting experiments.
@@ -65,8 +66,7 @@ type Tree struct {
 
 	mu     sync.RWMutex
 	root   uint64
-	height int // 1 = root is a leaf
-	nkeys  uint64
+	height int    // 1 = root is a leaf
 	gen    uint64 // bumped on every mutation; lets cursors detect staleness
 
 	statMu sync.Mutex
@@ -126,7 +126,6 @@ func Open(pg *pager.Pager, alloc PageAllocator, headerPno uint64) (*Tree, error)
 		}
 		t.root = binary.LittleEndian.Uint64(d[hOffRoot:])
 		t.height = int(binary.LittleEndian.Uint64(d[hOffHeight:]))
-		t.nkeys = binary.LittleEndian.Uint64(d[hOffNKeys:])
 		return nil
 	})
 	if err != nil {
@@ -138,11 +137,15 @@ func Open(pg *pager.Pager, alloc PageAllocator, headerPno uint64) (*Tree, error)
 // HeaderPage returns the page number identifying this tree on the volume.
 func (t *Tree) HeaderPage() uint64 { return t.hdrPno }
 
-// Len returns the number of keys in the tree.
+// Len returns the number of keys in the tree, counted by leaf arithmetic
+// (CountRange): no log record owns a per-tree count, so none is kept. It
+// is 0 when a page cannot be read.
 func (t *Tree) Len() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.nkeys
+	n, err := t.CountRange(nil, nil, 0)
+	if err != nil {
+		return 0
+	}
+	return uint64(n)
 }
 
 // Height returns the number of levels (1 = root is a leaf).
@@ -168,21 +171,13 @@ func (t *Tree) addStats(descents, levels, splits, merges int64) {
 	t.statMu.Unlock()
 }
 
-// writeHeader persists the header fields into the cached header page
-// without logging a record: nkeys is a cross-transaction counter that
-// recovery recounts from the leaves, and root/height changes are logged
-// by the structure-modification system transactions that make them
-// (writeHeaderOp).
-func (t *Tree) writeHeader() error {
-	return t.writeHeaderOp(nil)
-}
-
-// writeHeaderOp additionally emits a header range record into op — used
-// at tree creation and by root-changing structure modifications, whose
-// replay must see the new root/height.
+// writeHeaderOp persists the root and height into the header page and
+// emits a header range record into op (nil = unlogged). Only tree
+// creation and root-changing structure modifications write the header,
+// and their replay must see the new root and height.
 func (t *Tree) writeHeaderOp(op *pager.Op) error {
 	return t.pg.With(t.hdrPno, func(hp *pager.Page) error {
-		hb := headerBytes(t.root, t.height, t.nkeys)
+		hb := headerBytes(t.root, t.height)
 		copy(hp.Data()[:len(hb)], hb)
 		if op != nil {
 			t.pg.MarkDirtyRec(hp, op, redo.KindRange, redo.EncodeRange(0, hb))
@@ -416,7 +411,6 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 		inlineVal = val
 	}
 
-	var found bool
 	var sys *pager.Op
 	var sep []byte
 	var rightPno, oldNext uint64
@@ -426,7 +420,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 		if err != nil {
 			return err
 		}
-		if found = f; found {
+		if f {
 			// Replace: free any old overflow chain, remove, reinsert. One put
 			// record covers both halves — replay re-executes the replacement.
 			c, err := p.decodeCell(idx)
@@ -469,10 +463,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 			return err
 		}
 	}
-	if !found {
-		t.nkeys++
-	}
-	return t.writeHeader()
+	return nil
 }
 
 // splitLeaf splits the pinned full leaf pg, inserting the encoded cell at
@@ -815,20 +806,15 @@ func (t *Tree) DeleteOp(op *pager.Op, key []byte) error {
 		underfull = p.usedBytes() < len(pg.Data())/4
 		return nil
 	})
-	if err != nil {
+	if err != nil || !underfull || len(path) == 0 {
 		return err
 	}
-	t.nkeys--
-
-	if underfull && len(path) > 0 {
-		if op != nil {
-			k := append([]byte(nil), key...)
-			op.Defer(func(sys *pager.Op) error { return t.Rebalance(sys, k) })
-		} else if err := t.maybeMerge(nil, path, leafPno); err != nil {
-			return err
-		}
+	if op != nil {
+		k := append([]byte(nil), key...)
+		op.Defer(func(sys *pager.Op) error { return t.Rebalance(sys, k) })
+		return nil
 	}
-	return t.writeHeader()
+	return t.maybeMerge(nil, path, leafPno)
 }
 
 // Rebalance re-checks the leaf containing key and merges it with a
@@ -855,10 +841,7 @@ func (t *Tree) Rebalance(sys *pager.Op, key []byte) error {
 	if err != nil || !underfull {
 		return err
 	}
-	if err := t.maybeMerge(sys, path, leafPno); err != nil {
-		return err
-	}
-	return t.writeHeader()
+	return t.maybeMerge(sys, path, leafPno)
 }
 
 // maybeMerge attempts to merge the node at nodePno (whose parent path is
@@ -1044,58 +1027,6 @@ func (t *Tree) smoOp(op *pager.Op) *pager.Op {
 // tree op itself created, whose rollback drops the tree whole.
 func (t *Tree) inverts(op *pager.Op) bool {
 	return op.UndoEnabled() && (t.creator == 0 || op.ID() != t.creator)
-}
-
-// Sync flushes the tree's header; page data is flushed by the volume.
-func (t *Tree) Sync() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.writeHeader()
-}
-
-// RecountKeys walks the leaf chain and resets the header key count.
-// Physiological logging does not journal nkeys — it is a cross-
-// transaction counter no single transaction's redo can own — so recovery
-// recounts it after replay (the volume calls this on every unclean open,
-// where it rides the same walk that rebuilds the allocator).
-func (t *Tree) RecountKeys() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pno := t.root
-	for level := 0; level < t.height-1; level++ {
-		err := t.pg.With(pno, func(pg *pager.Page) error {
-			p := pageRef{pg.Data()}
-			if p.typ() != pageInternal {
-				return fmt.Errorf("%w: recount hit type %d at level %d", ErrCorrupt, p.typ(), level)
-			}
-			var err error
-			pno, err = p.childAt(0)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	var n uint64
-	for pno != 0 {
-		err := t.pg.With(pno, func(pg *pager.Page) error {
-			p := pageRef{pg.Data()}
-			if p.typ() != pageLeaf {
-				return fmt.Errorf("%w: recount hit type %d in leaf chain", ErrCorrupt, p.typ())
-			}
-			n += uint64(p.ncells())
-			pno = p.ptrA()
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if n == t.nkeys {
-		return nil
-	}
-	t.nkeys = n
-	return t.writeHeader()
 }
 
 // Drop frees every page owned by the tree — nodes, overflow chains, and

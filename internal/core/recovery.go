@@ -22,9 +22,9 @@ type RecoveryPhase struct {
 }
 
 // RecoveryReport says what Open did to bring the volume up, phase by
-// phase. Every phase but BtreeRecount costs what the log tail costs —
-// loser chains included, whatever they allocated or freed; AllocWalk
-// names the exception, a device that offered no snapshot slot to restore.
+// phase. Every phase costs what the log tail costs — loser chains
+// included, whatever they allocated or freed. The one fallback is named
+// by AllocWalk: a device that offered no snapshot slot to restore.
 type RecoveryReport struct {
 	// Clean: the superblock recorded a clean shutdown.
 	Clean bool
@@ -48,9 +48,6 @@ type RecoveryReport struct {
 	// ExtentRecount: extent trees whose counters were recomputed from
 	// their leaves — the trees the tail touched.
 	ExtentRecount RecoveryPhase
-	// BtreeRecount: btrees whose key count was recomputed from their
-	// leaves: all of them, the one phase left that grows with the volume.
-	BtreeRecount RecoveryPhase
 	// Undo: loser chains rolled back, on the allocator Allocator restored.
 	Undo RecoveryPhase
 	// Checkpoint: the checkpoint that ends recovery.
@@ -68,10 +65,10 @@ func (r RecoveryReport) String() string {
 	ph := func(p RecoveryPhase) string {
 		return fmt.Sprintf("%d in %s", p.Count, p.Duration.Round(time.Microsecond))
 	}
-	return fmt.Sprintf("clean=%v sidecar[%s] scan[%s, %d B] replay[%s, %d pages home] allocator[%s in %s] extent-recount[%s] btree-recount[%s] undo[%s] checkpoint[%s] total %s",
+	return fmt.Sprintf("clean=%v sidecar[%s] scan[%s, %d B] replay[%s, %d pages home] allocator[%s in %s] extent-recount[%s] undo[%s] checkpoint[%s] total %s",
 		r.Clean, ph(r.SidecarLoad), ph(r.LogScan), r.LogBytes, ph(r.Replay), r.PagesHome,
 		alloc, r.Allocator.Duration.Round(time.Microsecond),
-		ph(r.ExtentRecount), ph(r.BtreeRecount), ph(r.Undo), ph(r.Checkpoint), r.Total.Round(time.Microsecond))
+		ph(r.ExtentRecount), ph(r.Undo), ph(r.Checkpoint), r.Total.Round(time.Microsecond))
 }
 
 // Recovery returns the report of the Open that produced this volume (the
@@ -225,25 +222,9 @@ func (v *Volume) allTrees() []*btree.Tree {
 	return append(trees, v.ft.Inner().Trees()...)
 }
 
-// recountTreeKeys refreshes every btree's header key count from its
-// leaves: physiological logging does not journal per-tree key counts
-// (cross-transaction counters no single redo record can own), so an
-// unclean open recounts them. It is the one recovery phase that still
-// walks something the tail did not touch.
-func (v *Volume) recountTreeKeys() error {
-	for _, tr := range v.allTrees() {
-		if err := tr.RecountKeys(); err != nil {
-			return err
-		}
-		v.recovery.BtreeRecount.Count++
-	}
-	return nil
-}
-
 // recountExtentTree refreshes one object extent tree's subtree byte
-// totals and header counters from its leaves — the extent analogue of
-// recountTreeKeys: the counts are absolute cross-transaction counters no
-// single redo record can own.
+// totals and header counters from its leaves: the counts are absolute
+// cross-transaction counters no single redo record can own.
 func (v *Volume) recountExtentTree(hdr uint64) error {
 	oid, err := v.OSD.LookupByHeader(hdr)
 	if errors.Is(err, osd.ErrNotFound) {

@@ -96,9 +96,8 @@ func fill(n int, seed byte) []byte {
 // and Open runs it with first-touch base images on, so a crash reopen
 // logged one 4 KiB image per object — 8 MB for 2 000 objects, and past
 // 4 000 it filled the log and returned a wedged volume. Reopening a
-// crashed, consistent volume must log nothing and dirty nothing; with one
-// Tag in the tail it heals the two btree key counts that Tag moved (two
-// header pages, two base images) and nothing that grows with the volume.
+// crashed, consistent volume must log nothing and dirty nothing, and so
+// must one with a Tag in the tail: no btree keeps a count to heal.
 func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{})
@@ -133,7 +132,7 @@ func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 	if err := v.AddName(oids[7], "UDEF", []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	reopen("one Tag in the tail", 2)
+	reopen("one Tag in the tail", 0)
 }
 
 // TestAckedObjectBytesSurviveCrash pins the two sidecar defects recorded
@@ -772,15 +771,20 @@ func TestRecoveryDeleteInTail(t *testing.T) {
 // TestRecoveryCostIsTheTail reopens two crashed volumes, one ten times
 // the other, with the same log tail. Everything RecoveryReport counts is
 // the same but the sidecar (sized with the device) — the walk that made
-// reopen proportional to the volume is gone — and the btrees recounted
-// are the same trees, only taller. The same holds when the tail ends in a
-// loser that allocated: its rollback hands its runs back on the restored
-// allocator, with no walk.
+// reopen proportional to the volume is gone — and so, within
+// tallerTreeReads, is the number of blocks Open reads from the device:
+// no phase walks a tree the tail did not touch. The same holds when the
+// tail ends in a loser that allocated: its rollback hands its runs back
+// on the restored allocator, with no walk.
 func TestRecoveryCostIsTheTail(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("populates 22 000 objects on a 256 MiB device, single-threaded: nothing for the race detector but its memory")
 	}
-	run := func(n int, loser bool) RecoveryReport {
+	// tallerTreeReads covers the object table's extra level at 20 000
+	// objects: the tail's lookups descend through one more internal page,
+	// read once and then cached.
+	const tallerTreeReads = 2
+	run := func(n int, loser bool) (RecoveryReport, int64) {
 		mem := blockdev.NewMem(1<<16, blockdev.DefaultBlockSize)
 		v, err := Create(mem, Options{WALBlocks: 4096})
 		if err != nil {
@@ -825,24 +829,34 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 		}
 		// The crash: v is abandoned, cache and all, and the device reopened
 		// in place (a copy of 256 MiB per run is the test's whole footprint).
-		v2 := mustOpenExact(t, mem)
+		sim := blockdev.NewSim(mem, nil)
+		v2, err := Open(sim, Options{})
+		if err != nil {
+			t.Fatalf("recovery open: %v", err)
+		}
+		reads := sim.Stats().Reads
 		defer v2.Close()
+		assertRecoveryExact(t, v2)
 		if loser {
 			if got := readExtObj(t, v2, oids[5], 500); !bytes.Equal(got, fill(500, 8)) {
 				t.Fatal("the loser's rollback took the committed append with it")
 			}
 		}
-		return v2.Recovery()
+		return v2.Recovery(), reads
 	}
-	counts := func(r RecoveryReport) [9]int64 {
-		return [9]int64{r.LogScan.Count, r.LogBytes, r.Replay.Count, r.PagesHome, r.Allocator.Count,
-			r.ExtentRecount.Count, r.BtreeRecount.Count, r.Undo.Count, r.Checkpoint.Count}
+	counts := func(r RecoveryReport) [8]int64 {
+		return [8]int64{r.LogScan.Count, r.LogBytes, r.Replay.Count, r.PagesHome, r.Allocator.Count,
+			r.ExtentRecount.Count, r.Undo.Count, r.Checkpoint.Count}
 	}
 	for _, loser := range []bool{false, true} {
-		small, big := run(2000, loser), run(20000, loser)
-		t.Logf("loser=%v\n  2 000: %s\n 20 000: %s", loser, small, big)
+		small, smallReads := run(2000, loser)
+		big, bigReads := run(20000, loser)
+		t.Logf("loser=%v\n  2 000: %d device reads, %s\n 20 000: %d device reads, %s", loser, smallReads, small, bigReads, big)
 		if counts(small) != counts(big) {
 			t.Fatalf("loser=%v: recovery counts differ with the volume's size:\n  2 000: %s\n 20 000: %s", loser, small, big)
+		}
+		if bigReads > smallReads+tallerTreeReads {
+			t.Fatalf("loser=%v: Open read %d blocks at 20 000 objects, %d at 2 000: more than %d apart", loser, bigReads, smallReads, tallerTreeReads)
 		}
 		if small.AllocWalk != "" || big.AllocWalk != "" {
 			t.Fatalf("loser=%v: recovery walked: %s", loser, small)
@@ -852,6 +866,68 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 			t.Fatalf("unexpected recovery: %s", small)
 		case loser && (small.Allocator.Count <= 5 || small.ExtentRecount.Count != 6 || small.Undo.Count != 1):
 			t.Fatalf("unexpected recovery with a loser: %s", small)
+		}
+	}
+}
+
+// TestRecoverLoserKeepsObjectCount: the object table keeps no count of
+// its own, so the count a rolled-back loser leaves is whatever its leaves
+// hold. The loser deletes ten committed objects, creates twenty and
+// appends to a committed object; a neighbour's committed append to that
+// object builds on the loser's leaf and so brings all of the loser's
+// records into the log. After the crash the count is the committed one.
+func TestRecoverLoserKeepsObjectCount(t *testing.T) {
+	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
+	v, err := Create(mem, Options{WALBlocks: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oids := populate(t, v, 300)
+	if err := v.DeleteObject(oids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	v.stopCheckpointer()
+	L := v.pg.NewOp(sysAppender{v})
+	for _, oid := range oids[1:11] {
+		if err := v.OSD.DeleteObjectDeferred(L, oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		obj, err := v.OSD.CreateObjectDeferred(L, "loser", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj.Close()
+	}
+	if got := v.OSD.Stats().Objects; got != 309 {
+		t.Fatalf("live count with the loser open = %d, want 309", got)
+	}
+	obj, err := v.OSD.OpenObject(oids[20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obj.AppendDeferred(L, fill(3000, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Append(fill(500, 8)); err != nil {
+		t.Fatal(err)
+	}
+	obj.Close()
+	v2 := mustOpenExact(t, mem)
+	defer v2.Close()
+	if rep := v2.Recovery(); rep.Undo.Count != 1 {
+		t.Fatalf("no loser in the log: %s", rep)
+	}
+	if got := v2.OSD.Stats().Objects; got != 299 {
+		t.Fatalf("recovered %d objects, want the 299 committed", got)
+	}
+	for _, oid := range oids[1:11] {
+		if _, err := v2.OSD.Stat(oid); err != nil {
+			t.Fatalf("committed object %d lost: %v", oid, err)
 		}
 	}
 }
@@ -890,7 +966,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 		p    RecoveryPhase
 	}{
 		{"SidecarLoad", rep.SidecarLoad}, {"LogScan", rep.LogScan}, {"Replay", rep.Replay},
-		{"Allocator", rep.Allocator}, {"ExtentRecount", rep.ExtentRecount}, {"BtreeRecount", rep.BtreeRecount},
+		{"Allocator", rep.Allocator}, {"ExtentRecount", rep.ExtentRecount},
 		{"Undo", rep.Undo}, {"Checkpoint", rep.Checkpoint},
 	} {
 		if f.p.Count <= 0 || f.p.Duration <= 0 {
@@ -914,7 +990,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	}
 	defer v3.Close()
 	assertRecoveryExact(t, v3)
-	if rep := v3.Recovery(); !rep.Clean || rep.AllocWalk != "" || rep.Replay.Count != 0 || rep.BtreeRecount.Count != 0 {
+	if rep := v3.Recovery(); !rep.Clean || rep.AllocWalk != "" || rep.Replay.Count != 0 || rep.ExtentRecount.Count != 0 {
 		t.Errorf("clean open: %s", rep)
 	}
 }

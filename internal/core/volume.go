@@ -521,13 +521,13 @@ func readSuperblock(dev blockdev.Device) (*superblock, error) {
 //     transactions and loser chunks — writing the rebuilt pages home;
 //  3. restore the allocator: the snapshot slot stamped with the log's
 //     fence, plus the tail's allocator records;
-//  4. open the structures; recount btree key counts, and the counters of
-//     the extent trees the tail touched;
+//  4. open the structures; recount the counters of the extent trees the
+//     tail touched;
 //  5. roll loser chains back through their logical inverses;
 //  6. checkpoint: pages home, sidecar, a fresh snapshot slot, log reset.
 //
-// Steps 2, 3, 5 and 6 cost what the tail costs; after a clean shutdown
-// the tail is empty and 4 is skipped. A loser is rolled back like a
+// Steps 2 to 6 cost what the tail costs; after a clean shutdown the tail
+// is empty and 4's recount is skipped. A loser is rolled back like a
 // runtime abort: every mutation it logged has its inverse in its chain,
 // so the allocator restored in step 3 stays exact through step 5. The
 // reachability walk — what fsck checks the allocator against — replaces
@@ -618,9 +618,6 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 		return nil, err
 	}
 	if !sb.clean {
-		if err := timed(&rep.BtreeRecount, v.recountTreeKeys); err != nil {
-			return nil, err
-		}
 		hdrs := tail.extHeaders
 		if rep.AllocWalk != "" {
 			// Nothing on the device says which trees moved either.

@@ -170,8 +170,7 @@ func (t *Tree) Check() (*CheckResult, error) {
 // place. Crash recovery calls it on unclean opens: these are
 // cross-transaction counters — absolute values whose freshest committed
 // record may have been computed on top of a neighbour's since-dropped
-// uncommitted edit — that no single redo record can own, exactly like
-// btree key counts (btree.RecountKeys). Like RecountKeys it dirties only
+// uncommitted edit — that no single redo record can own. It dirties only
 // what was wrong: recovery runs it with first-touch base images already
 // on, so a header rewritten for nothing would log a 4 KiB image per
 // object and could fill the log recovery had just emptied.

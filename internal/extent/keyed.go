@@ -68,9 +68,6 @@ func (m *KeyedMap) RenumberedKeys() int64 {
 	return m.renumbered
 }
 
-// ExtentCount returns the number of extents in the map.
-func (m *KeyedMap) ExtentCount() uint64 { return m.tr.Len() }
-
 func encodeOffset(off uint64) []byte {
 	var k [8]byte
 	binary.BigEndian.PutUint64(k[:], off) // big-endian sorts numerically

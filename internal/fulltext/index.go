@@ -204,7 +204,7 @@ func Open(pg *pager.Pager, alloc btree.PageAllocator, manifestPno uint64, cfg Co
 		pg: pg, alloc: alloc, cfg: cfg, manifest: man,
 		mem: make(map[string]*[]Posting), memDocs: make(map[uint64]bool),
 	}
-	if err := idx.loadSegments(false); err != nil {
+	if err := idx.loadSegments(); err != nil {
 		return nil, err
 	}
 	return idx, nil
@@ -212,10 +212,8 @@ func Open(pg *pager.Pager, alloc btree.PageAllocator, manifestPno uint64, cfg Co
 
 // loadSegments builds the segment list and its tombstone flags from the
 // manifest's "S/" and "T/" keys, keeping the trees of segments already
-// listed. A tree it opens has its key count recomputed when recount is
-// set: a rollback brings back trees whose header count a crash may have
-// left stale, after recovery recounted the trees it knew of.
-func (x *Index) loadSegments(recount bool) error {
+// listed.
+func (x *Index) loadSegments() error {
 	have := make(map[uint64]*btree.Tree, len(x.segments))
 	for _, s := range x.segments {
 		have[s.id] = s.tree
@@ -229,9 +227,7 @@ func (x *Index) loadSegments(recount bool) error {
 			x.nextSeg = s.id + 1
 		}
 		if s.tree == nil {
-			if s.tree, err = btree.Open(x.pg, x.alloc, binary.LittleEndian.Uint64(v)); err == nil && recount {
-				err = s.tree.RecountKeys()
-			}
+			s.tree, err = btree.Open(x.pg, x.alloc, binary.LittleEndian.Uint64(v))
 		}
 		if err == nil {
 			err = x.manifest.ScanPrefix(append(append([]byte("T/"), k[2:]...), '/'), func(k, _ []byte) bool {
@@ -702,7 +698,7 @@ func (x *Index) Undo(op *pager.Op) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.tx != op {
-		return x.loadSegments(true)
+		return x.loadSegments()
 	}
 	for i := len(x.revert) - 1; i >= 0; i-- {
 		x.revert[i]()

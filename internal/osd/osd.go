@@ -247,7 +247,7 @@ func (s *Store) withOp(fn func(*pager.Op) error) error {
 func (s *Store) now() int64 { return s.opts.Clock().UnixNano() }
 
 // Stats returns a snapshot of store counters, safe to call concurrently
-// with any operation. Objects is computed from the table.
+// with any operation. Objects is counted from the object table's leaves.
 func (s *Store) Stats() Stats {
 	st := Stats{
 		Creates:      s.stats.creates.Load(),
@@ -576,12 +576,7 @@ func (s *Store) ForEach(fn func(Meta) bool) error {
 }
 
 // Sync flushes store metadata through the pager.
-func (s *Store) Sync() error {
-	if err := s.meta.Sync(); err != nil {
-		return err
-	}
-	return s.pg.Sync()
-}
+func (s *Store) Sync() error { return s.pg.Sync() }
 
 // MetaTree exposes the object table for volume-level checking.
 func (s *Store) MetaTree() *btree.Tree { return s.meta }
