@@ -60,13 +60,13 @@ func readExtObj(t *testing.T, v *Volume, oid OID, size int) []byte {
 // TestExtentMidChainFaultStillRecoverable sweeps a single transient
 // write failure across every position of an extent mutation chain (a
 // hole-materializing WriteAt: boundary splits, cell removal, fresh
-// allocations, count fixups, header + meta updates, base-image and
-// commit appends). Whatever step the fault lands on, the staged records
-// of the partially applied mutation must still reach the log (the
-// PR-4 btree hazard, extended to extent chains: the cache mutations are
-// applied, so dropping their records would let dependent commits land
-// unlogged and replay reconstruct a header that contradicts the
-// leaves). After a crash at that point, recovery must produce a clean
+// allocations, count fixups, meta updates, base-image and commit
+// appends). Whatever step the fault lands on, the staged records of the
+// partially applied mutation must still reach the log (the btree
+// hazard, extended to extent chains: the cache mutations are applied,
+// so dropping their records would let dependent commits land unlogged
+// and replay reconstruct an object table that contradicts the leaves).
+// After a crash at that point, recovery must produce a clean
 // fsck and all previously committed content.
 func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 	pat := func(n int, seed byte) []byte {
@@ -222,15 +222,12 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecountHealsCountersAndTableSize pins the unclean-open recount
-// path end to end: when the recovered absolute counters of an extent
-// tree the log tail touched disagree with its leaves (here induced by
-// editing a leaf cell's Len on the raw image), extent.Recount must
-// repair the subtree counts and
-// header — and the heal must reach the OSD object table and shadow
-// meta too, or the volume would fail its own table-size-vs-tree-bytes
-// fsck cross-check right after "repairing" itself.
-func TestRecountHealsCountersAndTableSize(t *testing.T) {
+// TestCheckDetectsLeafSkewAfterCrash: an extent tree keeps no counter
+// that an open could heal, so a leaf whose bytes disagree with the object
+// table (here induced by editing a leaf cell's Len on the raw image) is
+// not rewritten by recovery. The unclean open succeeds, reports what the
+// leaves hold, and fsck names the disagreement.
+func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{
 		WALBlocks:    256,
@@ -239,7 +236,7 @@ func TestRecountHealsCountersAndTableSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := v.OSD.CreateObject("heal", osd.ModeRegular)
+	obj, err := v.OSD.CreateObject("skew", osd.ModeRegular)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +246,7 @@ func TestRecountHealsCountersAndTableSize(t *testing.T) {
 	if err := v.Sync(); err != nil { // checkpoint: pages home, log reset
 		t.Fatal(err)
 	}
-	// The log tail: one in-place overwrite. It rewrites no leaf cell, but
-	// like every extent mutation it logs the tree's header — which is how
-	// recovery knows this tree's counters may have moved. (Recovery
-	// recounts the trees the tail touched, not every object's.)
+	// The log tail: one in-place overwrite, which rewrites no leaf cell.
 	if err := obj.WriteAt([]byte("tail"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +270,8 @@ func TestRecountHealsCountersAndTableSize(t *testing.T) {
 				if err := mem.WriteBlock(b, buf); err != nil {
 					t.Fatal(err)
 				}
-				// The skew models counters drifting through legitimate
-				// writes (which would have maintained the page's checksum),
-				// not media rot, so refresh the sidecar entry to match.
+				// The skew models a leaf written through the checksumming
+				// device, not media rot, so refresh the sidecar entry too.
 				refreshSidecarSum(t, mem, b, buf)
 				patched = true
 				break
@@ -288,27 +281,139 @@ func TestRecountHealsCountersAndTableSize(t *testing.T) {
 	if !patched {
 		t.Fatal("tail extent cell not found on raw image")
 	}
-	// "Crash" (the superblock is still marked dirty): the unclean open
-	// must recount, heal header + counts + table, and fsck clean.
+	// "Crash" (the superblock is still marked dirty).
 	v2, err := Open(mem, Options{})
 	if err != nil {
-		t.Fatalf("unclean open over skewed counters: %v", err)
+		t.Fatalf("unclean open over a skewed leaf: %v", err)
 	}
-	assertRecoveryExact(t, v2)
 	defer v2.Close()
-	rep, err := v2.Check()
+	o2, err := v2.OSD.OpenObject(obj.OID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Ok() {
-		t.Fatalf("fsck after recount heal: %v", rep.Problems)
+	defer o2.Close()
+	if got := o2.Size(); got != 20000+grow {
+		t.Fatalf("tree size %d, want the leaves' %d", got, 20000+grow)
 	}
 	m, err := v2.OSD.Stat(obj.OID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Size != 20000+grow {
-		t.Fatalf("object table size %d not healed to leaf truth %d", m.Size, 20000+grow)
+	if m.Size != 20000 {
+		t.Fatalf("recovery rewrote the object table size to %d", m.Size)
+	}
+	rep, err := v2.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("object %d: table size 20000, extent tree holds %d", obj.OID(), 20000+grow)
+	found := false
+	for _, p := range rep.Problems {
+		found = found || p == want
+	}
+	if !found {
+		t.Fatalf("fsck did not report %q: %v", want, rep.Problems)
+	}
+}
+
+// TestCrashOverwriteOverOpenGrowth: an in-place overwrite commits while
+// a batch that grew the same object is still open. The overwrite writes
+// the object-table row with the size the tree has then — the batch's
+// uncommitted growth included — so its commit must wait until the log
+// holds the batch's records (the tree's flush dependency): the crash then
+// finds the batch as a loser and its rollback takes the row back with the
+// bytes. Without the dependency the batch's records are simply missing
+// and the row keeps the growth the tree lost. In handle_closed the batch
+// closes its handle before the overwrite opens the object, so no handle
+// keeps the tree between the two: the dependency must outlive it.
+func TestCrashOverwriteOverOpenGrowth(t *testing.T) {
+	want := fill(20000, 1)
+	copy(want[100:], "over")
+	overwrite := func(o *osd.Object) error { return o.WriteAt([]byte("over"), 100) }
+	t.Run("handle_open", func(t *testing.T) { crashOverOpenGrowth(t, false, overwrite, want) })
+	t.Run("handle_closed", func(t *testing.T) { crashOverOpenGrowth(t, true, overwrite, want) })
+}
+
+// TestCrashAppendOverOpenGrowth is the append sibling: the neighbour's
+// committed append lands after the batch's uncommitted cells, in leaf
+// cells addressed by index and with a row size counting both. Recovery
+// must roll the batch back around it, as a runtime abort does
+// (TestConcurrentBracketsSameObjectAbort).
+func TestCrashAppendOverOpenGrowth(t *testing.T) {
+	want := append(fill(20000, 1), "tail"...)
+	app := func(o *osd.Object) error { return o.Append([]byte("tail")) }
+	t.Run("handle_open", func(t *testing.T) { crashOverOpenGrowth(t, false, app, want) })
+	t.Run("handle_closed", func(t *testing.T) { crashOverOpenGrowth(t, true, app, want) })
+}
+
+// crashOverOpenGrowth runs the shared script: a Batch appends 3 000
+// bytes to a 20 000-byte object and stays open while another goroutine
+// runs edit on the same object through its own handle and commits; the
+// crash image is taken inside the batch and must reopen exactly to want.
+// closeFirst closes the batch's handle before edit opens the object.
+func crashOverOpenGrowth(t *testing.T, closeFirst bool, edit func(*osd.Object) error, want []byte) {
+	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
+	v, err := Create(mem, Options{WALBlocks: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := v.OSD.CreateObject("grow", osd.ModeRegular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := obj.OID()
+	if err := obj.WriteAt(fill(20000, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	obj.Close()
+	if err := v.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// The open batch holds the checkpoint fence shared; a checkpoint
+	// waiting on it would block the neighbour's bracket behind it.
+	v.stopCheckpointer()
+	var img *blockdev.MemDevice
+	err = v.Batch(func(b *Batch) error {
+		o, err := v.OSD.OpenObject(oid)
+		if err != nil {
+			return err
+		}
+		defer o.Close()
+		if err := b.Append(o, fill(3000, 2)); err != nil {
+			return err
+		}
+		if closeFirst {
+			o.Close()
+		}
+		done := make(chan error)
+		go func() {
+			o2, err := v.OSD.OpenObject(oid)
+			if err == nil {
+				err = edit(o2)
+				o2.Close()
+			}
+			done <- err
+		}()
+		if err := <-done; err != nil {
+			return err
+		}
+		img = crashCopy(t, nil, mem)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := mustOpenExact(t, img)
+	defer v2.Close()
+	m, err := v2.OSD.Stat(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Size != uint64(len(want)) {
+		t.Fatalf("Stat reports %d bytes, want the committed %d (%s)", m.Size, len(want), v2.Recovery())
+	}
+	if got := readExtObj(t, v2, oid, len(want)); !bytes.Equal(got, want) {
+		t.Fatal("committed content diverged")
 	}
 }
 

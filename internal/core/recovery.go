@@ -2,15 +2,12 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"time"
 
 	"repro/internal/btree"
 	"repro/internal/extent"
-	"repro/internal/osd"
 	"repro/internal/redo"
 )
 
@@ -45,9 +42,6 @@ type RecoveryReport struct {
 	Allocator    RecoveryPhase
 	AllocSlotLSN uint64
 	AllocWalk    string
-	// ExtentRecount: extent trees whose counters were recomputed from
-	// their leaves — the trees the tail touched.
-	ExtentRecount RecoveryPhase
 	// Undo: loser chains rolled back, on the allocator Allocator restored.
 	Undo RecoveryPhase
 	// Checkpoint: the checkpoint that ends recovery.
@@ -65,10 +59,10 @@ func (r RecoveryReport) String() string {
 	ph := func(p RecoveryPhase) string {
 		return fmt.Sprintf("%d in %s", p.Count, p.Duration.Round(time.Microsecond))
 	}
-	return fmt.Sprintf("clean=%v sidecar[%s] scan[%s, %d B] replay[%s, %d pages home] allocator[%s in %s] extent-recount[%s] undo[%s] checkpoint[%s] total %s",
+	return fmt.Sprintf("clean=%v sidecar[%s] scan[%s, %d B] replay[%s, %d pages home] allocator[%s in %s] undo[%s] checkpoint[%s] total %s",
 		r.Clean, ph(r.SidecarLoad), ph(r.LogScan), r.LogBytes, ph(r.Replay), r.PagesHome,
 		alloc, r.Allocator.Duration.Round(time.Microsecond),
-		ph(r.ExtentRecount), ph(r.Undo), ph(r.Checkpoint), r.Total.Round(time.Microsecond))
+		ph(r.Undo), ph(r.Checkpoint), r.Total.Round(time.Microsecond))
 }
 
 // Recovery returns the report of the Open that produced this volume (the
@@ -83,13 +77,6 @@ func timed(p *RecoveryPhase, fn func() error) error {
 	return err
 }
 
-// replayed is what replayLog learned from the tail besides the pages it
-// rebuilt.
-type replayed struct {
-	allocs     []allocRec // allocator records, LSN order
-	extHeaders []uint64   // extent-tree header pages replay materialized
-}
-
 // replayLog applies the redo records of the log: committed transactions,
 // system transactions and loser chunks alike ("repeat history"). Records
 // arrive in LSN order; pages are materialized once from their home
@@ -98,12 +85,12 @@ type replayed struct {
 // the end. Ops that span pages (splits, merges) fetch their other pages
 // through the same map, so cross-page modifications replay against
 // exactly the state earlier records built. Allocator records touch no
-// page: they are collected for replayAllocator.
-func (v *Volume) replayLog() (replayed, error) {
+// page: they are returned, in LSN order, for replayAllocator.
+func (v *Volume) replayLog() ([]allocRec, error) {
 	bs := v.raw.BlockSize()
 	pages := make(map[uint64][]byte)
 	pristine := make(map[uint64][]byte)
-	var out replayed
+	var allocs []allocRec
 	rep := &v.recovery
 	// Materialization reads bypass checksum verification: a stolen page's
 	// home legitimately leads the checkpoint-time sidecar, and a page the
@@ -167,7 +154,7 @@ func (v *Volume) replayLog() (replayed, error) {
 			if err != nil {
 				return err
 			}
-			out.allocs = append(out.allocs, a)
+			allocs = append(allocs, a)
 			return nil
 		default:
 			return fmt.Errorf("%w: unknown redo kind %d", ErrBadSuperblock, r.Kind)
@@ -177,20 +164,17 @@ func (v *Volume) replayLog() (replayed, error) {
 	//hfadvet:replay-exempt KindUndo KindChunk — both terminate inside the WAL: undo records drive rollback through chain resolution and chunk records reassemble oversized payloads before Recover ever surfaces a logical record here
 	n, err := v.log.Recover(func(r redo.Record) error { return timed(&rep.Replay, func() error { return apply(r) }) })
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	st := v.log.Stats()
 	rep.LogScan = RecoveryPhase{Count: st.RecordsScanned, Duration: time.Since(t0) - rep.Replay.Duration}
 	rep.LogBytes = st.BytesScanned
 	rep.Replay.Count = int64(n)
 	if n == 0 {
-		return out, nil
+		return allocs, nil
 	}
 	err = timed(&rep.Replay, func() error {
 		for pno, d := range pages {
-			if extent.IsHeaderPage(d) {
-				out.extHeaders = append(out.extHeaders, pno)
-			}
 			if bytes.Equal(d, pristine[pno]) {
 				// The home already holds the WAL-prescribed content (it was
 				// flushed after the last sidecar flush), so the durable sum
@@ -211,8 +195,7 @@ func (v *Volume) replayLog() (replayed, error) {
 		}
 		return v.raw.Sync()
 	})
-	sort.Slice(out.extHeaders, func(i, j int) bool { return out.extHeaders[i] < out.extHeaders[j] })
-	return out, err
+	return allocs, err
 }
 
 // allTrees lists every btree of the volume.
@@ -220,63 +203,4 @@ func (v *Volume) allTrees() []*btree.Tree {
 	trees := []*btree.Tree{v.catalog, v.reverse, v.OSD.MetaTree(), v.img.Tree()}
 	trees = append(trees, v.kvTrees...)
 	return append(trees, v.ft.Inner().Trees()...)
-}
-
-// recountExtentTree refreshes one object extent tree's subtree byte
-// totals and header counters from its leaves: the counts are absolute
-// cross-transaction counters no single redo record can own.
-func (v *Volume) recountExtentTree(hdr uint64) error {
-	oid, err := v.OSD.LookupByHeader(hdr)
-	if errors.Is(err, osd.ErrNotFound) {
-		// The header belongs to no object: one the tail deleted, or one a
-		// dropped operation never finished creating.
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	ext, err := extent.Open(v.pg, v.ba, hdr, v.opts.ExtentConfig)
-	if err != nil {
-		return err
-	}
-	if err := ext.Recount(); err != nil {
-		return err
-	}
-	v.recovery.ExtentRecount.Count++
-	// The heal must reach the object table too, or fsck's table-size
-	// vs tree-bytes cross-check would flag the very state the
-	// recount just repaired.
-	m, err := v.OSD.Stat(oid)
-	if err != nil {
-		return err
-	}
-	if size := ext.Size(); size != m.Size {
-		return v.OSD.RepairSize(oid, size)
-	}
-	return nil
-}
-
-// recountExtentTrees recounts the given extent trees (by header page).
-// Every extent mutation writes its tree's header — and so does every
-// node split, whose replay can leave sums for the recount to heal — so
-// the headers in replay's page map are exactly the trees whose counters
-// the tail could have moved.
-func (v *Volume) recountExtentTrees(hdrs []uint64) error {
-	for _, hdr := range hdrs {
-		if err := v.recountExtentTree(hdr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// allExtentHeaders lists every object's extent-tree header, for the
-// opens that rebuild the allocator by the walk.
-func (v *Volume) allExtentHeaders() ([]uint64, error) {
-	var hdrs []uint64
-	err := v.OSD.ForEach(func(m osd.Meta) bool {
-		hdrs = append(hdrs, m.ExtentHeader)
-		return true
-	})
-	return hdrs, err
 }

@@ -92,12 +92,13 @@ func fill(n int, seed byte) []byte {
 }
 
 // TestReopenConsistentVolumeLogsNothing pins the recovery-wedges-its-own-
-// log defect: extent.Tree.Recount ended in an unconditional header write,
-// and Open runs it with first-touch base images on, so a crash reopen
-// logged one 4 KiB image per object — 8 MB for 2 000 objects, and past
-// 4 000 it filled the log and returned a wedged volume. Reopening a
-// crashed, consistent volume must log nothing and dirty nothing, and so
-// must one with a Tag in the tail: no btree keeps a count to heal.
+// log defect: an extent recount (since deleted) ended in an unconditional
+// header write, and Open ran it with first-touch base images on, so a
+// crash reopen logged one 4 KiB image per object — 8 MB for 2 000
+// objects, and past 4 000 it filled the log and returned a wedged volume.
+// Reopening a crashed, consistent volume must log nothing and dirty
+// nothing, and so must one with a Tag in the tail: no tree keeps a count
+// to heal.
 func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{})
@@ -123,9 +124,6 @@ func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 		}
 		if h := v2.Health(); h.WALWedged || h.Degraded {
 			t.Errorf("%s: recovery left the volume wedged/degraded: %+v", label, h)
-		}
-		if rep := v2.Recovery(); rep.ExtentRecount.Count != 0 {
-			t.Errorf("%s: recounted %d extent trees", label, rep.ExtentRecount.Count)
 		}
 	}
 	reopen("empty tail", 0)
@@ -373,8 +371,8 @@ func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 }
 
 // TestRecoveryCutDuringWriteHome cuts the power during recovery itself:
-// at every write Open makes (replay's write-home, the recount's heals,
-// the closing checkpoint's slot and log reset). The interrupted Open
+// at every write Open makes (replay's write-home, the closing
+// checkpoint's slot and log reset). The interrupted Open
 // fails; the next one recovers from whatever it left, exactly.
 func TestRecoveryCutDuringWriteHome(t *testing.T) {
 	mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
@@ -511,7 +509,7 @@ func TestRecoveryLosers(t *testing.T) {
 		if rep.AllocWalk != "" {
 			t.Fatalf("a loser that only named objects forced a walk (%s)", rep.AllocWalk)
 		}
-		if rep.Allocator.Count == 0 || rep.ExtentRecount.Count == 0 {
+		if rep.Allocator.Count == 0 {
 			t.Fatalf("the committed append beside the loser left no trace: %s", rep)
 		}
 		if got, err := v2.Resolve(TV("UDEF", "loser-000003")); err != nil || len(got) != 0 {
@@ -794,6 +792,23 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 		if err := v.Sync(); err != nil {
 			t.Fatal(err)
 		}
+		// A checkpoint populate's commits asked for may still be waiting
+		// behind Sync's; stopped here, it cannot cut the tail in two.
+		synced := v.WAL().Stats().Checkpoints
+		v.stopCheckpointer()
+		// ROADMAP 7(e), pinned so that a fix or a worse trigger fails
+		// here: at 20 000 objects populate's last commit crosses the
+		// log's high-water mark, and its poke checkpoints a nearly empty
+		// log right after Sync's (or, winning the fence, just before it).
+		// The log then has seen three checkpoints, the format's included;
+		// at 2 000 objects it never reaches the mark.
+		ckpts, want := v.WAL().Stats().Checkpoints, int64(2)
+		if n == 20000 {
+			want = 3
+		}
+		if ckpts != want {
+			t.Fatalf("%d objects: %d checkpoints before the tail (%d after Sync returned), want %d", n, ckpts, ckpts-synced, want)
+		}
 		// The tail: one payload each into five existing objects, then an
 		// in-place overwrite of each. No index grows, so the same records
 		// are logged whatever the volume holds.
@@ -810,7 +825,6 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 			}
 			obj.Close()
 		}
-		v.stopCheckpointer()
 		if loser {
 			// L appends to a sixth object and never commits; a neighbour's
 			// append to the same object commits, and since its records build
@@ -844,9 +858,9 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 		}
 		return v2.Recovery(), reads
 	}
-	counts := func(r RecoveryReport) [8]int64 {
-		return [8]int64{r.LogScan.Count, r.LogBytes, r.Replay.Count, r.PagesHome, r.Allocator.Count,
-			r.ExtentRecount.Count, r.Undo.Count, r.Checkpoint.Count}
+	counts := func(r RecoveryReport) [7]int64 {
+		return [7]int64{r.LogScan.Count, r.LogBytes, r.Replay.Count, r.PagesHome, r.Allocator.Count,
+			r.Undo.Count, r.Checkpoint.Count}
 	}
 	for _, loser := range []bool{false, true} {
 		small, smallReads := run(2000, loser)
@@ -862,9 +876,9 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 			t.Fatalf("loser=%v: recovery walked: %s", loser, small)
 		}
 		switch {
-		case !loser && (small.Allocator.Count != 5 || small.ExtentRecount.Count != 5 || small.Undo.Count != 0):
+		case !loser && (small.Allocator.Count != 5 || small.Undo.Count != 0):
 			t.Fatalf("unexpected recovery: %s", small)
-		case loser && (small.Allocator.Count <= 5 || small.ExtentRecount.Count != 6 || small.Undo.Count != 1):
+		case loser && (small.Allocator.Count <= 5 || small.Undo.Count != 1):
 			t.Fatalf("unexpected recovery with a loser: %s", small)
 		}
 	}
@@ -966,8 +980,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 		p    RecoveryPhase
 	}{
 		{"SidecarLoad", rep.SidecarLoad}, {"LogScan", rep.LogScan}, {"Replay", rep.Replay},
-		{"Allocator", rep.Allocator}, {"ExtentRecount", rep.ExtentRecount},
-		{"Undo", rep.Undo}, {"Checkpoint", rep.Checkpoint},
+		{"Allocator", rep.Allocator}, {"Undo", rep.Undo}, {"Checkpoint", rep.Checkpoint},
 	} {
 		if f.p.Count <= 0 || f.p.Duration <= 0 {
 			t.Errorf("%s did not move: %+v", f.name, f.p)
@@ -980,7 +993,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 		t.Errorf("scanned %d records, replayed %d", rep.LogScan.Count, rep.Replay.Count)
 	}
 	// The same volume, closed and opened: the same reader restores the
-	// slot Close wrote, and nothing is replayed or recounted.
+	// slot Close wrote, and nothing is replayed.
 	if err := v2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -990,7 +1003,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	}
 	defer v3.Close()
 	assertRecoveryExact(t, v3)
-	if rep := v3.Recovery(); !rep.Clean || rep.AllocWalk != "" || rep.Replay.Count != 0 || rep.ExtentRecount.Count != 0 {
+	if rep := v3.Recovery(); !rep.Clean || rep.AllocWalk != "" || rep.Replay.Count != 0 {
 		t.Errorf("clean open: %s", rep)
 	}
 }

@@ -521,19 +521,22 @@ func readSuperblock(dev blockdev.Device) (*superblock, error) {
 //     transactions and loser chunks — writing the rebuilt pages home;
 //  3. restore the allocator: the snapshot slot stamped with the log's
 //     fence, plus the tail's allocator records;
-//  4. open the structures; recount the counters of the extent trees the
-//     tail touched;
+//  4. open the structures;
 //  5. roll loser chains back through their logical inverses;
 //  6. checkpoint: pages home, sidecar, a fresh snapshot slot, log reset.
 //
 // Steps 2 to 6 cost what the tail costs; after a clean shutdown the tail
-// is empty and 4's recount is skipped. A loser is rolled back like a
-// runtime abort: every mutation it logged has its inverse in its chain,
-// so the allocator restored in step 3 stays exact through step 5. The
-// reachability walk — what fsck checks the allocator against — replaces
-// step 3 only when the device holds nothing to restore from
-// (restoreAllocator lists when). It runs after step 4 (it reads the
-// structures) and recounts every extent tree.
+// is empty. No counter needs healing in between: a tree keeps no count
+// that no record owns (a btree counts its leaves, an object's size is its
+// extent tree's root sum, and split records carry no sums), and an
+// operation that built on a neighbour's edits of an extent tree did not
+// commit before those edits reached the log (pager.After). A loser is
+// rolled back like a runtime abort: every mutation it logged has its
+// inverse in its chain, so the allocator restored in step 3 stays exact
+// through step 5. The reachability walk — what fsck checks the allocator
+// against — replaces step 3 only when the device holds nothing to restore
+// from (restoreAllocator lists when). It runs after step 4, because it
+// reads the structures.
 func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	t0 := time.Now()
 	opts.fill()
@@ -572,9 +575,9 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	// records replay in LSN (mutation) order against an in-memory
 	// materialization of the touched pages, which is then written home.
 	// The log is not reset yet: everything recovery itself logs below —
-	// base images of pages the recounts heal, the losers' compensations —
-	// joins the same generation, and the checkpoint that ends Open resets
-	// it, so a crash anywhere in between replays from the same bytes.
+	// the losers' compensations and the base images of the pages they
+	// touch — joins the same generation, and the checkpoint that ends Open
+	// resets it, so a crash anywhere in between replays from the same bytes.
 	v.log = wal.New(dev, sb.walStart, sb.walBlocks)
 	tail, err := v.replayLog()
 	if err != nil {
@@ -585,7 +588,7 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	v.enableBaseImages()
 	v.enableSteal()
 
-	if err := timed(&rep.Allocator, func() error { return v.restoreAllocator(sb, tail.allocs) }); err != nil {
+	if err := timed(&rep.Allocator, func() error { return v.restoreAllocator(sb, tail) }); err != nil {
 		return nil, err
 	}
 	v.ba.SetDeferredFrees(true)
@@ -617,20 +620,8 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err := v.openIndexes(); err != nil {
 		return nil, err
 	}
-	if !sb.clean {
-		hdrs := tail.extHeaders
-		if rep.AllocWalk != "" {
-			// Nothing on the device says which trees moved either.
-			if hdrs, err = v.allExtentHeaders(); err != nil {
-				return nil, err
-			}
-		}
-		if err := timed(&rep.ExtentRecount, func() error { return v.recountExtentTrees(hdrs) }); err != nil {
-			return nil, err
-		}
-	}
 	if rep.AllocWalk != "" {
-		if err := timed(&rep.Allocator, func() error { return v.rebuildAllocator(tail.allocs) }); err != nil {
+		if err := timed(&rep.Allocator, func() error { return v.rebuildAllocator(tail) }); err != nil {
 			return nil, err
 		}
 	}
@@ -640,8 +631,8 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 		// chains' logical inverses run newest-first through the live
 		// structures, and each chain commits its compensations naming the
 		// chain's tail — resolving it, so a crash before the checkpoint
-		// below re-runs the undo idempotently. Requires the allocator and
-		// counters restored first: the inverses allocate and free for real.
+		// below re-runs the undo idempotently. Requires the allocator
+		// restored first: the inverses allocate and free for real.
 		if err := timed(&rep.Undo, func() error { return v.undoLosers(losers) }); err != nil {
 			return nil, err
 		}

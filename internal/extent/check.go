@@ -32,7 +32,7 @@ func (r *CheckResult) InternalFragmentation() uint64 {
 //   - every internal child entry's byte total equals the recursive sum of
 //     its subtree
 //   - all leaves at equal depth, chained consistently left to right
-//   - the header's size and extent count match the leaves
+//   - the size the tree keeps (the root's sum at Open) matches the leaves
 //   - extent Len ≤ AllocBlocks × block size for real extents
 //   - no page is reached twice
 func (t *Tree) Check() (*CheckResult, error) {
@@ -118,10 +118,7 @@ func (t *Tree) Check() (*CheckResult, error) {
 		return nil, err
 	}
 	if total != t.size {
-		return nil, fmt.Errorf("%w: header size %d, tree holds %d", ErrCorrupt, t.size, total)
-	}
-	if res.Extents != t.extents {
-		return nil, fmt.Errorf("%w: header extents %d, found %d", ErrCorrupt, t.extents, res.Extents)
+		return nil, fmt.Errorf("%w: size %d, tree holds %d", ErrCorrupt, t.size, total)
 	}
 	// Verify the leaf chain matches the in-order walk.
 	var prev uint64
@@ -163,69 +160,4 @@ func (t *Tree) Check() (*CheckResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Recount recomputes every internal node's subtree byte totals and the
-// header's size and extent count from the leaves, repairing them in
-// place. Crash recovery calls it on unclean opens: these are
-// cross-transaction counters — absolute values whose freshest committed
-// record may have been computed on top of a neighbour's since-dropped
-// uncommitted edit — that no single redo record can own. It dirties only
-// what was wrong: recovery runs it with first-touch base images already
-// on, so a header rewritten for nothing would log a 4 KiB image per
-// object and could fill the log recovery had just emptied.
-func (t *Tree) Recount() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var walk func(pno uint64, level int) (uint64, uint64, error)
-	walk = func(pno uint64, level int) (uint64, uint64, error) {
-		type ent struct{ child, bytes uint64 }
-		var ents []ent
-		var bytes, exts uint64
-		err := t.pg.With(pno, func(pg *pager.Page) error {
-			n := nodeRef{pg.Data()}
-			if level == t.height-1 {
-				bytes, exts = n.leafSum(), uint64(n.ncells())
-				return nil
-			}
-			ents = make([]ent, n.ncells())
-			for i := range ents {
-				c := n.childCell(i)
-				ents[i] = ent{c.child, c.bytes}
-			}
-			return nil
-		})
-		if err != nil || level == t.height-1 {
-			return bytes, exts, err
-		}
-		var total uint64
-		for i, e := range ents {
-			b, x, err := walk(e.child, level+1)
-			if err != nil {
-				return 0, 0, err
-			}
-			if b != e.bytes {
-				err := t.pg.With(pno, func(pg *pager.Page) error {
-					nodeRef{pg.Data()}.setChildCell(i, childEntry{e.child, b})
-					t.pg.MarkDirty(pg)
-					return nil
-				})
-				if err != nil {
-					return 0, 0, err
-				}
-			}
-			total += b
-			exts += x
-		}
-		return total, exts, nil
-	}
-	total, exts, err := walk(t.root, 0)
-	if err != nil {
-		return err
-	}
-	if total == t.size && exts == t.extents {
-		return nil
-	}
-	t.size, t.extents = total, exts
-	return t.writeHeader()
 }

@@ -397,8 +397,8 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 						// of this op's own uncommitted cells — the mid-op
 						// cut below then replays an always-redone split
 						// against a committed leaf with fewer cells than
-						// the recorded split index (the clamp + recount
-						// path).
+						// the recorded split index (the clamp path, whose
+						// parent entries replay sums from the halves).
 						off, n = 0, 1<<20+3000
 					}
 					data := pattern(n, byte(i))
@@ -451,14 +451,9 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 				if merr != nil {
 					t.Fatalf("op %d: mid-op recovery: %v", i, merr)
 				}
-				// A mid-op cut is an unclean open with an uncommitted
-				// operation: mirror the volume and recount before
-				// checking — replayed splits may carry the dropped op's
-				// cells in their absolute sums (content is exact either
-				// way; that is what the oracle comparison proves).
-				if merr := trMid.Recount(); merr != nil {
-					t.Fatalf("op %d: mid-op recount: %v", i, merr)
-				}
+				// A mid-op cut drops the uncommitted operation's records
+				// but redoes the splits it caused: their parent entries
+				// must sum what replay rebuilt, with no recount after.
 				verifyWithOverlap(t, fmt.Sprintf("op %d mid-op cut", i), trMid, oracle, wrOff, wrEnd, wrData)
 				assertAllocatorIsWalk(t, fmt.Sprintf("op %d mid-op cut", i), baMid, trMid)
 
@@ -613,13 +608,10 @@ func recoverUndoImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64, stopA
 		assertAllocatorIsWalk(t, "recovered image", ba, tr)
 		return tr, dev, losers, 0
 	}
-	// Unclean open with replayed loser records: recount, then roll the
-	// losers back through the live APIs on the restored allocator — every
-	// run a loser took or gave up is named by one of its inverses, so the
-	// allocator stays exact (core.Open's order).
-	if err := tr.Recount(); err != nil {
-		t.Fatalf("recount: %v", err)
-	}
+	// Unclean open with replayed loser records: roll the losers back
+	// through the live APIs on the restored allocator — every run a loser
+	// took or gave up is named by one of its inverses, so the allocator
+	// stays exact (core.Open's order).
 	type step struct {
 		lsn   uint64
 		chain int

@@ -19,7 +19,9 @@
 //
 // On-page layouts (little-endian):
 //
-//	header page (type 5): magic, root, height, size, extent count
+//	header page (type 5): magic, root, height; bytes 24–39 are
+//	                reserved (older images kept a size and an extent
+//	                count there) and never read
 //	leaf (type 6):  common 24-byte header (ptrA=next leaf, ptrB=prev);
 //	                cells: 16 bytes each = alloc uint64, allocBlocks
 //	                uint32, len uint32
@@ -59,12 +61,11 @@ const (
 
 // Header page offsets.
 const (
-	hOffMagic   = 4
-	hOffRoot    = 8
-	hOffHeight  = 16
-	hOffSize    = 24
-	hOffExtents = 32
-	treeMagic   = 0x6578464D // "exFM"
+	hOffMagic  = 4
+	hOffRoot   = 8
+	hOffHeight = 16
+	headerLen  = 24
+	treeMagic  = 0x6578464D // "exFM"
 )
 
 const (
@@ -133,17 +134,18 @@ type Tree struct {
 	// no inverse of their own, and its splits are its own (see smoOp).
 	creator uint64
 
-	mu      sync.RWMutex
-	root    uint64
-	height  int
-	size    uint64
-	extents uint64
+	mu     sync.RWMutex
+	root   uint64
+	height int
+	// size is the root's sum: read from the root page at Open, then kept
+	// by the mutators. No page stores it apart from the tree's own sums.
+	size uint64
 	// curOp is the redo capture of the mutating call in progress, set at
 	// each public entry point under mu (which serializes all mutators).
-	// Mutators stage typed extent records (redo.KindExtentOp) and header
-	// range records into it, one atomic section per call; splits and
-	// merges ride system transactions derived from it (smoOp). Nil =
-	// unlogged (formatting, or a tree used outside a volume).
+	// Mutators stage typed extent records (redo.KindExtentOp) into it, one
+	// atomic section per call; splits and merges ride system transactions
+	// derived from it (smoOp). Nil = unlogged (formatting, or a tree used
+	// outside a volume).
 	curOp *pager.Op
 	// rebalOp/rebalOff dedup deferred rebalances: a multi-cell delete
 	// registers ONE post-commit RebalanceAt per operation, retargeted
@@ -166,6 +168,24 @@ func (t *Tree) rec(pg *pager.Page, op *pager.Op, payload []byte) {
 // recRange marks pg dirty and stages an absolute byte-range record.
 func (t *Tree) recRange(pg *pager.Page, op *pager.Op, off int, b []byte) {
 	t.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(off, b))
+}
+
+// begin opens a mutating call by op and returns what closes it: it takes
+// the tree lock, makes op the current capture inside one atomic section,
+// and makes op's commit wait for the records of the open operation that
+// mutated the tree before it (pager.After, keyed by the header block, so
+// the dependency outlives every handle on the tree). Use as defer
+// t.begin(op)().
+func (t *Tree) begin(op *pager.Op) func() {
+	t.mu.Lock()
+	t.curOp = op
+	t.pg.After(t.hdr, op)
+	op.BeginAtomic()
+	return func() {
+		op.EndAtomic()
+		t.curOp = nil
+		t.mu.Unlock()
+	}
 }
 
 // Create allocates a new empty extent tree.
@@ -221,7 +241,8 @@ func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*
 	return t, nil
 }
 
-// Open loads an extent tree from its header page.
+// Open loads an extent tree from its header page; its size is the sum
+// its root page holds.
 func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, cfg Config) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
 	t := &Tree{
@@ -235,8 +256,18 @@ func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, cfg Config) (*
 		}
 		t.root = binary.LittleEndian.Uint64(d[hOffRoot:])
 		t.height = int(binary.LittleEndian.Uint64(d[hOffHeight:]))
-		t.size = binary.LittleEndian.Uint64(d[hOffSize:])
-		t.extents = binary.LittleEndian.Uint64(d[hOffExtents:])
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = pg.With(t.root, func(rp *pager.Page) error {
+		n := nodeRef{rp.Data()}
+		if t.height == 1 {
+			t.size = n.leafSum()
+		} else {
+			t.size = n.childSum()
+		}
 		return nil
 	})
 	if err != nil {
@@ -255,11 +286,28 @@ func (t *Tree) Size() uint64 {
 	return t.size
 }
 
-// ExtentCount returns the number of extents (including holes).
+// ExtentCount returns the number of extents (including holes), counted
+// along the leaf chain. It is a report, not a check: a page that cannot
+// be read makes it 0. Its callers are the benchmark's extents_per_object,
+// which reads the same leaves back right after and fails there, and the
+// exhibit table; Check counts the extents and returns the error.
 func (t *Tree) ExtentCount() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.extents
+	leafPno, err := t.firstLeaf()
+	var n uint64
+	for err == nil && leafPno != 0 {
+		err = t.pg.With(leafPno, func(pg *pager.Page) error {
+			node := nodeRef{pg.Data()}
+			n += uint64(node.ncells())
+			leafPno = node.next()
+			return nil
+		})
+	}
+	if err != nil {
+		return 0
+	}
+	return n
 }
 
 // Stats returns a snapshot of operation counters.
@@ -277,33 +325,19 @@ func (t *Tree) addStat(f func(*Stats)) {
 
 // headerBytes renders the header fields for a range record.
 func (t *Tree) headerBytes() []byte {
-	b := make([]byte, hOffExtents+8)
+	b := make([]byte, headerLen)
 	b[offType] = pageHeader
 	binary.LittleEndian.PutUint32(b[hOffMagic:], treeMagic)
 	binary.LittleEndian.PutUint64(b[hOffRoot:], t.root)
 	binary.LittleEndian.PutUint64(b[hOffHeight:], uint64(t.height))
-	binary.LittleEndian.PutUint64(b[hOffSize:], t.size)
-	binary.LittleEndian.PutUint64(b[hOffExtents:], t.extents)
 	return b
-}
-
-// writeHeader persists the header fields as a byte-range record in the
-// current operation's redo set.
-func (t *Tree) writeHeader() error {
-	return t.pg.With(t.hdr, func(hp *pager.Page) error {
-		hb := t.headerBytes()
-		copy(hp.Data()[:len(hb)], hb)
-		t.recRange(hp, t.curOp, 0, hb)
-		return nil
-	})
 }
 
 // writeRootSys persists the root and height fields as part of a
 // structure modification's system transaction: a height change must be
 // redone with the split or merge that caused it, whether or not the
 // enclosing operation commits — otherwise replay would descend the old
-// root over a re-rooted tree. Size and extent count stay op-owned (the
-// modification is sum-preserving, so they did not change).
+// root over a re-rooted tree.
 func (t *Tree) writeRootSys(sys *pager.Op) error {
 	return t.pg.With(t.hdr, func(hp *pager.Page) error {
 		var b [16]byte
@@ -503,11 +537,4 @@ func (t *Tree) bumpCounts(path []pathElem, delta int64) error {
 		}
 	}
 	return nil
-}
-
-// IsHeaderPage reports whether page bytes are an extent tree's header —
-// how crash recovery finds, among the pages replay rebuilt, the trees
-// whose counters the log tail could have moved.
-func IsHeaderPage(d []byte) bool {
-	return len(d) >= hOffRoot && d[offType] == pageHeader && binary.LittleEndian.Uint32(d[hOffMagic:]) == treeMagic
 }

@@ -106,12 +106,7 @@ func (t *Tree) WriteAt(p []byte, off uint64) error {
 
 // WriteAtOp is WriteAt capturing node-page mutations into op's redo set.
 func (t *Tree) WriteAtOp(op *pager.Op, p []byte, off uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.curOp = op
-	defer func() { t.curOp = nil }()
-	op.BeginAtomic()
-	defer op.EndAtomic()
+	defer t.begin(op)()
 	if len(p) == 0 {
 		return nil
 	}
@@ -134,7 +129,7 @@ func (t *Tree) WriteAtOp(op *pager.Op, p []byte, off uint64) error {
 			op.StageUndo(undo.ExtDel(t.hdr, t.size, end-t.size))
 		}
 	}
-	return t.finishMutation(t.writeAtLocked(p, off))
+	return t.writeAtLocked(p, off)
 }
 
 // oldBytes reads [off, off+n) as an undo before-image. Holes read back
@@ -149,20 +144,6 @@ func (t *Tree) oldBytes(off, n uint64) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// finishMutation rewrites the header and returns the first error. It
-// runs even when the mutation failed part-way: the cache mutations are
-// already applied and the commit bracket appends the staged records
-// regardless — rollback, when it runs, is a *separate* pass executing
-// the op's captured inverses as CLRs — so the header record must
-// describe the partially applied state — otherwise replaying the
-// records would reconstruct a tree whose header contradicts its leaves.
-func (t *Tree) finishMutation(err error) error {
-	if herr := t.writeHeader(); err == nil {
-		err = herr
-	}
-	return err
 }
 
 func (t *Tree) writeAtLocked(p []byte, off uint64) error {
@@ -250,12 +231,7 @@ func (t *Tree) Append(p []byte) (uint64, error) {
 
 // AppendOp is Append capturing node-page mutations into op's redo set.
 func (t *Tree) AppendOp(op *pager.Op, p []byte) (uint64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.curOp = op
-	defer func() { t.curOp = nil }()
-	op.BeginAtomic()
-	defer op.EndAtomic()
+	defer t.begin(op)()
 	if len(p) == 0 {
 		return t.size, nil
 	}
@@ -263,7 +239,7 @@ func (t *Tree) AppendOp(op *pager.Op, p []byte) (uint64, error) {
 		// Inverse of an append: delete the appended tail.
 		op.StageUndo(undo.ExtDel(t.hdr, t.size, uint64(len(p))))
 	}
-	err := t.finishMutation(t.appendBytes(p))
+	err := t.appendBytes(p)
 	return t.size, err
 }
 
@@ -276,12 +252,7 @@ func (t *Tree) InsertAt(off uint64, p []byte) error {
 
 // InsertAtOp is InsertAt capturing node-page mutations into op's redo set.
 func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.curOp = op
-	defer func() { t.curOp = nil }()
-	op.BeginAtomic()
-	defer op.EndAtomic()
+	defer t.begin(op)()
 	if off > t.size {
 		return fmt.Errorf("%w: insert at %d, size %d", ErrOutOfRange, off, t.size)
 	}
@@ -293,7 +264,7 @@ func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) error {
 		// later bytes back down.
 		op.StageUndo(undo.ExtDel(t.hdr, off, uint64(len(p))))
 	}
-	return t.finishMutation(t.insertAtLocked(off, p))
+	return t.insertAtLocked(off, p)
 }
 
 func (t *Tree) insertAtLocked(off uint64, p []byte) error {
@@ -312,12 +283,7 @@ func (t *Tree) DeleteRange(off, n uint64) error {
 // DeleteRangeOp is DeleteRange capturing node-page mutations into op's
 // redo set.
 func (t *Tree) DeleteRangeOp(op *pager.Op, off, n uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.curOp = op
-	defer func() { t.curOp = nil }()
-	op.BeginAtomic()
-	defer op.EndAtomic()
+	defer t.begin(op)()
 	if off >= t.size || n == 0 {
 		return nil
 	}
@@ -333,7 +299,7 @@ func (t *Tree) DeleteRangeOp(op *pager.Op, off, n uint64) error {
 		}
 		op.StageUndo(undo.ExtIns(t.hdr, off, old))
 	}
-	return t.finishMutation(t.deleteRangeLocked(off, n))
+	return t.deleteRangeLocked(off, n)
 }
 
 func (t *Tree) deleteRangeLocked(off, n uint64) error {
@@ -392,12 +358,7 @@ func (t *Tree) Truncate(newSize uint64) error {
 
 // TruncateOp is Truncate capturing node-page mutations into op's redo set.
 func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.curOp = op
-	defer func() { t.curOp = nil }()
-	op.BeginAtomic()
-	defer op.EndAtomic()
+	defer t.begin(op)()
 	switch {
 	case newSize < t.size:
 		if t.inverts(op) {
@@ -408,13 +369,13 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 			}
 			op.StageUndo(undo.ExtIns(t.hdr, newSize, old))
 		}
-		return t.finishMutation(t.deleteRangeLocked(newSize, t.size-newSize))
+		return t.deleteRangeLocked(newSize, t.size-newSize)
 	case newSize > t.size:
 		if t.inverts(op) {
 			// Inverse of a grow: delete the appended hole.
 			op.StageUndo(undo.ExtDel(t.hdr, t.size, newSize-t.size))
 		}
-		return t.finishMutation(t.appendHole(newSize - t.size))
+		return t.appendHole(newSize - t.size)
 	default:
 		return nil
 	}

@@ -56,19 +56,17 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 			return false, err
 		}
 		if inserted {
-			t.extents++
 			return true, t.bumpCounts(path, int64(e.Len))
 		}
 
 		// Leaf full: split it, then re-descend and retry the insert.
 		sys := t.smoOp()
+		root := t.root
 		_, _, err = t.splitNodeSys(sys, path, leafPno)
-		// Every split touches the header, grown root or not: recovery
-		// recounts the trees whose header page replay materialized, and a
-		// split replayed without the cells of a dropped operation leaves
-		// the parent's sums for that recount to heal.
-		if herr := t.writeRootSys(sys); err == nil {
-			err = herr
+		if t.root != root {
+			if herr := t.writeRootSys(sys); err == nil {
+				err = herr
+			}
 		}
 		// Append whatever was staged even on error: each record was
 		// staged right after its mutation landed in cache, so the log
@@ -94,9 +92,10 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 // (splitting full parents first, recursively), and grows the root as
 // needed. The split is sum-preserving: cells only redistribute between
 // the two halves and the parent's entries are rewritten to the exact
-// partial sums, so no byte count above the split level changes — which
-// is what lets an always-redone split replay against committed state
-// without disturbing any operation's count deltas. Returns the new
+// partial sums, so no byte count above the split level changes. Its
+// records name the halves but carry no sums: replay derives each from the
+// half as replay has built it, so an always-redone split replayed without
+// a dropped operation's cells sums what the log kept. Returns the new
 // right sibling's page and the split index.
 func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64, int, error) {
 	rightPno, err := t.space.Alloc(sys, 1)
@@ -158,7 +157,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 			nn.setChildCell(0, childEntry{pno, leftSum})
 			nn.setChildCell(1, childEntry{rightPno, rightSum})
 			nn.setNCells(2)
-			t.rec(npg, sys, encXop(xopNewRoot, xu64(pno), xu64(leftSum), xu64(rightPno), xu64(rightSum)))
+			t.rec(npg, sys, encXop(xopNewRoot, xu64(pno), xu64(rightPno)))
 			return nil
 		})
 		if err != nil {
@@ -167,7 +166,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 		}
 		t.root = newRoot
 		t.height++
-		return rightPno, mid, nil // insertCellAtOff logs the new root
+		return rightPno, mid, nil // insertCell logs the new root
 	}
 
 	// Record the new sibling in the parent, splitting it first if full.
@@ -179,9 +178,9 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 			return fmt.Errorf("%w: parent cell %d does not reach split child %d", ErrCorrupt, pidx, pno)
 		}
 		pn.setChildCell(pidx, childEntry{pno, leftSum})
-		t.rec(ppg, sys, encXop(xopChildSet, xu16(pidx), xu64(pno), xu64(leftSum)))
+		t.rec(ppg, sys, encXop(xopChildSet, xu16(pidx), xu64(pno)))
 		pn.insertChildCell(pidx+1, childEntry{rightPno, rightSum})
-		t.rec(ppg, sys, encXop(xopChildIns, xu16(pidx+1), xu64(rightPno), xu64(rightSum)))
+		t.rec(ppg, sys, encXop(xopChildIns, xu16(pidx+1), xu64(rightPno)))
 		return nil
 	}
 	full := false
@@ -228,7 +227,6 @@ func (t *Tree) removeCellAt(path []pathElem, leafPno uint64, idx int, off uint64
 	if err != nil {
 		return err
 	}
-	t.extents--
 	if err := t.bumpCounts(path, -int64(e.Len)); err != nil {
 		return err
 	}

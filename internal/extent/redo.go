@@ -10,16 +10,21 @@
 //   - Per-operation records (staged into the operation's redo capture,
 //     replayed only if its transaction committed): leaf-cell inserts,
 //     removes and rewrites addressed by cell index, subtree byte-count
-//     deltas on internal nodes, and KindRange records for the tree
-//     header and the OSD's shadow metadata.
+//     deltas on internal nodes, and a KindRange record for the OSD's
+//     shadow metadata. No per-operation record writes the tree header:
+//     the object's size is the root's sum.
 //   - System-transaction records (auto-committed via wal.AppendSystem
 //     the moment they happen): node splits, merges, root growth and
-//     collapse. Splits are restructured to be *sum-preserving* — the
-//     tree splits a full node around its own midpoint first, then the
-//     enclosing operation re-descends and inserts its cell as an
+//     collapse, with a KindRange record for the header's root and height
+//     when they change. Splits are restructured to be *sum-preserving* —
+//     the tree splits a full node around its own midpoint first, then
+//     the enclosing operation re-descends and inserts its cell as an
 //     ordinary per-op record — so an always-redone split never carries
 //     the (possibly uncommitted) triggering cell and never changes any
-//     byte count above it. Merges run post-commit (pager.Op.Defer),
+//     byte count above it. Its records carry no sums either: replay
+//     derives each parent entry from the child it has rebuilt, so a split
+//     redone without the cells of an operation that never committed sums
+//     only what the log kept. Merges run post-commit (pager.Op.Defer),
 //     mirroring btree's deferred rebalance, so replay can never pack an
 //     undeleted cell plus a whole sibling into one page.
 //
@@ -34,12 +39,15 @@
 //	xopLeafIns  idx u16 | cell 16B            (shift right, store)
 //	xopLeafSet  idx u16 | cell 16B            (overwrite in place)
 //	xopLeafDel  idx u16                       (shift left)
-//	xopChildIns idx u16 | child u64 | bytes u64
-//	xopChildSet idx u16 | child u64 | bytes u64
+//	xopChildIns idx u16 | child u64           (entry's bytes: the child's sum)
+//	xopChildSet idx u16 | child u64           (likewise; older logs append a
+//	                                           bytes u64, which is ignored)
 //	xopBump     idx u16 | delta u64           (two's complement add to bytes)
 //	xopSplit    right u64 | at u16            (cells [at,n) move to right;
 //	                                           leaf pages also stitch the chain)
-//	xopNewRoot  left u64 | leftBytes u64 | right u64 | rightBytes u64
+//	xopNewRoot  left u64 | right u64          (entries sum the children;
+//	                                           older logs interleave two
+//	                                           ignored bytes u64)
 //	xopMerge    li u16                        (page = parent: children at
 //	                                           li, li+1 merge into li's child)
 //	xopWrote    block u64 | blocks u64        (page = header, unchanged: data
@@ -144,6 +152,26 @@ func zeroInit(data []byte, typ byte) nodeRef {
 	return nodeRef{data}
 }
 
+// subtreeBytes is the byte total under page pno as replay has built it.
+// Split records carry no sums: a split is redone whether or not the
+// operation that filled the node commits, so the sums it saw at run time
+// may count cells the log dropped. The halves themselves hold exactly
+// what the log kept.
+func subtreeBytes(get func(pno uint64) ([]byte, error), pno uint64) (uint64, error) {
+	d, err := get(pno)
+	if err != nil {
+		return 0, err
+	}
+	switch n := (nodeRef{d}); n.typ() {
+	case pageLeaf:
+		return n.leafSum(), nil
+	case pageInternal:
+		return n.childSum(), nil
+	default:
+		return 0, errXReplay("split child %d is page type %d", pno, n.typ())
+	}
+}
+
 // cellBytes returns the raw cell region [i, j) of a node (leaf and
 // internal cells share the 16-byte size).
 func cellBytes(n nodeRef, i, j int) []byte {
@@ -216,43 +244,33 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		n.removeLeafCell(idx)
 		return nil
 
-	case xopChildIns:
+	case xopChildIns, xopChildSet:
 		idx, rest, err := xTakeU16(b)
 		if err != nil {
 			return err
 		}
-		child, rest, err := xTakeU64(rest)
+		child, _, err := xTakeU64(rest)
 		if err != nil {
 			return err
 		}
-		bytes, _, err := xTakeU64(rest)
-		if err != nil {
-			return err
-		}
+		// Older logs carry the child's byte total after the page number;
+		// it is derived instead, like every split sum.
 		cnt := n.ncells()
-		if idx > cnt || hdrSize+(cnt+1)*internalCellSize > len(data) {
+		if code == xopChildSet && idx >= cnt {
+			return errXReplay("child set at %d of %d on page %d", idx, cnt, pageNo)
+		}
+		if code == xopChildIns && (idx > cnt || hdrSize+(cnt+1)*internalCellSize > len(data)) {
 			return errXReplay("child insert at %d of %d on page %d", idx, cnt, pageNo)
 		}
-		n.insertChildCell(idx, childEntry{child, bytes})
-		return nil
-
-	case xopChildSet:
-		idx, rest, err := xTakeU16(b)
+		bytes, err := subtreeBytes(get, child)
 		if err != nil {
 			return err
 		}
-		child, rest, err := xTakeU64(rest)
-		if err != nil {
-			return err
+		if code == xopChildSet {
+			n.setChildCell(idx, childEntry{child, bytes})
+		} else {
+			n.insertChildCell(idx, childEntry{child, bytes})
 		}
-		bytes, _, err := xTakeU64(rest)
-		if err != nil {
-			return err
-		}
-		if idx >= n.ncells() {
-			return errXReplay("child set at %d of %d on page %d", idx, n.ncells(), pageNo)
-		}
-		n.setChildCell(idx, childEntry{child, bytes})
 		return nil
 
 	case xopBump:
@@ -288,10 +306,10 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 			// operation's records were dropped, the committed leaf can
 			// hold fewer. Clamp: committed cells all stay left, the
 			// right sibling comes up empty, and chain order — hence
-			// content — is preserved. The parent's recorded sums are off
-			// by the dropped cells; the unclean-open recount heals them.
-			// (Internal-node indexes never need this: internal cell
-			// counts change only through system transactions, which
+			// content — is preserved. The parent's entries that follow
+			// sum the halves as replay built them, so they hold what the
+			// log kept. (Internal-node indexes never need this: internal
+			// cell counts change only through system transactions, which
 			// replay unconditionally.)
 			at = cnt
 		}
@@ -317,15 +335,18 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		if err != nil {
 			return err
 		}
-		leftBytes, rest, err := xTakeU64(rest)
+		if len(rest) == 24 {
+			rest = rest[8:] // an older log's leftBytes; derived below
+		}
+		right, _, err := xTakeU64(rest)
 		if err != nil {
 			return err
 		}
-		right, rest, err := xTakeU64(rest)
+		leftBytes, err := subtreeBytes(get, left)
 		if err != nil {
 			return err
 		}
-		rightBytes, _, err := xTakeU64(rest)
+		rightBytes, err := subtreeBytes(get, right)
 		if err != nil {
 			return err
 		}

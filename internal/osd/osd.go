@@ -446,15 +446,6 @@ func (s *Store) ShadowMeta(extentHeader uint64) (Meta, error) {
 	return m, nil
 }
 
-// RepairSize rewrites the object's recorded size (table row and shadow
-// copy) without a commit bracket. Crash recovery's extent recount calls
-// it when a tree's recomputed size disagrees with the absolute value
-// replay recovered, so the volume's own fsck cross-check (table size vs
-// tree bytes) holds after the repair.
-func (s *Store) RepairSize(oid OID, size uint64) error {
-	return s.updateMetaNoCommit(nil, oid, func(m *Meta) { m.Size = size })
-}
-
 // DeleteObject destroys the object and releases all its storage. Open
 // handles become invalid.
 func (s *Store) DeleteObject(oid OID) error {
@@ -532,10 +523,9 @@ func (s *Store) forget(hdr uint64) {
 // are checked first (the common case during a runtime abort); otherwise
 // the header page's shadow metadata names the object, and the object
 // table confirms that the object still exists and still lives there — one
-// page and one lookup, not a scan of the table. Recovery (the extent
-// recount and the undo executor, which both address trees by header
-// page) uses it to route through the object layer so metadata stays in
-// step.
+// page and one lookup, not a scan of the table. The undo executor, which
+// addresses trees by header page, uses it to route through the object
+// layer so metadata stays in step.
 func (s *Store) LookupByHeader(hdr uint64) (OID, error) {
 	s.mu.Lock()
 	for oid, obj := range s.open {

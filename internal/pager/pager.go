@@ -80,14 +80,6 @@ type Page struct {
 	// log append; steal additionally requires appendSeq <= syncedSeq
 	// (the appends are not just issued but durable). Shard-lock guarded.
 	appendSeq uint64
-	// lastXop is the op that last staged an extent-typed record on this
-	// page. Extent records are index-addressed within the page, so a
-	// second op staging one here picks the first up as a flush
-	// dependency: its records must reach the log (as a chunk) before the
-	// second op's commit, or replay would re-execute the committed
-	// records against cell positions missing the neighbour's.
-	// Shard-lock guarded; may point at a finished op (flush no-ops).
-	lastXop *Op
 }
 
 // No returns the page's block number.
@@ -174,6 +166,10 @@ type Pager struct {
 	opMu  sync.Mutex
 	ops   map[*Op]struct{}
 	opSeq atomic.Uint64 // source of Op.ID
+	// after maps a structure's block to the open operation that last
+	// built on it (After); an entry goes with its operation's FinishOp.
+	// opMu guarded, like each op's claims.
+	after map[uint64]*Op
 
 	// appendSeq counts completed log appends that covered page records;
 	// syncedSeq is the latest value known covered by a device sync.
@@ -214,6 +210,7 @@ func New(dev blockdev.Device, capacity int, evictDirty bool) *Pager {
 		p.shards[i].dirty = make(map[uint64]*Page)
 	}
 	p.ops = make(map[*Op]struct{})
+	p.after = make(map[uint64]*Op)
 	return p
 }
 
@@ -473,7 +470,7 @@ func (p *Pager) flushOpChunk(op *Op) (int, error) {
 }
 
 // gatesPage reports whether a staged record of this kind raised its
-// page's unflushed gate (markDirtyStamp did): undo records and allocator
+// page's unflushed gate (MarkDirtyRec did): undo records and allocator
 // records name no cached page.
 func gatesPage(kind uint8) bool {
 	k := redo.BaseKind(kind)
@@ -626,6 +623,7 @@ type Op struct {
 	lastChunk uint64           // txid of the op's last flushed chunk (0 = none)
 	undoPrev  uint64           // LSN of the last staged undo record (prevLSN chain)
 	deps      map[*Op]struct{} // ops whose records must be logged before this commit
+	claims    []uint64         // blocks whose p.after entry is this op (opMu guarded)
 	sys       bool             // system transaction: atomic via AppendSys, never chunked
 	clr       bool             // rolling back: records are CLRs, no further undo capture
 	atomic    int              // open atomic sections (BeginAtomic)
@@ -852,6 +850,32 @@ func (op *Op) Rollback(apply func(body []byte) error) {
 	op.mu.Unlock()
 }
 
+// After makes op's commit wait until the log holds the staged records
+// of the open operation that last built on the structure block no names,
+// and makes op that operation. A structure calls it when an operation
+// starts to mutate it: an extent tree, keyed by its header block, whose
+// leaf cells are addressed by index and whose size the object table
+// records, so a crash must not find op's records without the earlier
+// ones. The entry lives as long as the operation, not as long as a handle
+// on the structure, and FinishOp drops it, so no finished operation's
+// records stay reachable. Without steal nothing reaches the log before
+// its own commit, and After does nothing.
+func (p *Pager) After(no uint64, op *Op) {
+	if op == nil || p.stealApp == nil {
+		return
+	}
+	p.opMu.Lock()
+	prev := p.after[no]
+	if prev != op {
+		p.after[no] = op
+		op.claims = append(op.claims, no)
+	}
+	p.opMu.Unlock()
+	if prev != nil && prev != op {
+		op.addDep(prev)
+	}
+}
+
 // addDep records that d's staged records must reach the log before this
 // op's commit.
 func (op *Op) addDep(d *Op) {
@@ -864,11 +888,12 @@ func (op *Op) addDep(d *Op) {
 }
 
 // FlushOpDeps chunk-appends the pending records of every op this op
-// depends on (transitively), so the depending commit's group sync covers
-// them. Without this, a commit whose extent records share a page with an
-// open neighbour's would replay against cell positions missing the
-// neighbour's records — the stale-cell-position anomaly. No extra sync:
-// the log is sequential and the commit's own sync lands after.
+// depends on (After, transitively), so the depending commit's group sync
+// covers them. Without this, a commit that builds on an open neighbour's
+// edits of one extent tree would replay against cell positions missing
+// the neighbour's records, or leave an object-table size counting bytes
+// the log dropped. No extra sync: the log is sequential and the commit's
+// own sync lands after.
 func (p *Pager) FlushOpDeps(op *Op) {
 	if op == nil || p.stealApp == nil {
 		return
@@ -951,6 +976,12 @@ func (p *Pager) FinishOp(op *Op, appended bool) {
 	if p.stealApp != nil {
 		p.opMu.Lock()
 		delete(p.ops, op)
+		for _, no := range op.claims {
+			if p.after[no] == op {
+				delete(p.after, no)
+			}
+		}
+		op.claims = nil
 		p.opMu.Unlock()
 	}
 }
@@ -1113,27 +1144,15 @@ func (op *Op) stageAlloc(free bool, addr, n uint64) {
 // the short per-page latch window that scopes the record to exactly this
 // mutation: the caller still holds the structure lock that serialized the
 // edit, so no concurrent writer can slip bytes into the window between
-// the edit and its stamp, and per-page LSN order equals byte order.
-// With a nil op this is MarkDirty.
+// the edit and its stamp, and per-page LSN order equals byte order. A
+// clean→dirty transition captures a first-touch base image with an LSN
+// below the edit's; under steal the page's unflushed gate is raised for
+// the record. With a nil op this is MarkDirty.
 func (p *Pager) MarkDirtyRec(pg *Page, op *Op, kind uint8, data []byte) {
 	if op == nil {
 		p.MarkDirty(pg)
 		return
 	}
-	lsn, dep := p.markDirtyStamp(pg, op, kind)
-	if dep != nil {
-		op.addDep(dep)
-	}
-	op.stage(redo.Record{LSN: lsn, Page: pg.no, Kind: kind, Data: data})
-}
-
-// markDirtyStamp marks dirty and stamps a fresh LSN under the shard
-// latch (capturing a first-touch base image on the clean→dirty
-// transition, with an LSN below the edit's). Under steal it also raises
-// the page's unflushed gate for the record about to be staged, and
-// returns the previous extent-record op as a flush dependency when the
-// record is extent-typed.
-func (p *Pager) markDirtyStamp(pg *Page, op *Op, kind uint8) (uint64, *Op) {
 	s := p.shardOf(pg.no)
 	s.mu.Lock()
 	if pg.pins <= 0 {
@@ -1143,21 +1162,14 @@ func (p *Pager) markDirtyStamp(pg *Page, op *Op, kind uint8) (uint64, *Op) {
 	base := p.setDirtyLocked(s, pg)
 	lsn := p.lsn.Add(1)
 	pg.lsn.Store(lsn)
-	var dep *Op
 	if p.stealApp != nil {
 		pg.unflushed++
-		if redo.BaseKind(kind) == redo.KindExtentOp {
-			if prev := pg.lastXop; prev != nil && prev != op {
-				dep = prev
-			}
-			pg.lastXop = op
-		}
 	}
 	s.mu.Unlock()
 	if p.appendBase(base) && p.stealApp != nil {
 		p.noteAppended(pg.no, p.appendSeq.Add(1))
 	}
-	return lsn, dep
+	op.stage(redo.Record{LSN: lsn, Page: pg.no, Kind: kind, Data: data})
 }
 
 // FlushDirty writes every dirty page home and marks it clean. Callers
@@ -1177,7 +1189,6 @@ func (p *Pager) FlushDirty() error {
 			pg.dirty = false
 			pg.fresh = false
 			pg.unflushed = 0
-			pg.lastXop = nil
 			delete(s.dirty, no)
 		}
 		s.mu.Unlock()

@@ -602,3 +602,53 @@ func TestMarkDirtyRecOrderPreserved(t *testing.T) {
 		t.Fatalf("freshest record holds %#x, want 0xBB", recs[1].Data[4])
 	}
 }
+
+// chunkLog is a ChunkAppender that keeps what it is given.
+type chunkLog struct {
+	mu   sync.Mutex
+	recs []redo.Record
+}
+
+func (c *chunkLog) AppendChunk(prev uint64, recs []redo.Record) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, recs...)
+	return uint64(len(c.recs)), nil
+}
+
+// TestAfterFollowsOpenOpsOnly: the op that last built on a block is a
+// flush dependency of the next one, whoever holds the structure in
+// between, and FinishOp forgets it, so no finished op stays reachable
+// from the pager and a later op depends on nothing.
+func TestAfterFollowsOpenOpsOnly(t *testing.T) {
+	p, _ := newPager(t, 64, 64, true)
+	log := &chunkLog{}
+	p.EnableSteal(log)
+	pg, err := p.Acquire(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release(pg)
+
+	a, b := p.NewOp(nil), p.NewOp(nil)
+	p.After(9, a)
+	p.MarkDirtyRec(pg, a, redo.KindRange, redo.EncodeRange(0, []byte("a")))
+	lsn := pg.LSN()
+	p.After(9, b)
+	p.After(9, b)
+	p.FlushOpDeps(b)
+	if len(log.recs) != 1 || log.recs[0].LSN != lsn {
+		t.Fatalf("b's dependency flush logged %d records, want a's one", len(log.recs))
+	}
+	p.FinishOp(a, true)
+	p.FinishOp(b, true)
+	if n := len(p.after); n != 0 {
+		t.Fatalf("%d entries outlive their ops", n)
+	}
+	c := p.NewOp(nil)
+	p.After(9, c)
+	if len(c.deps) != 0 {
+		t.Fatalf("c depends on %d finished ops", len(c.deps))
+	}
+	p.FinishOp(c, false)
+}
