@@ -75,8 +75,8 @@ func report(st *hfad.Store) error {
 		return err
 	}
 	if rep.Ok() {
-		fmt.Printf("  clean: %d objects, %d extents, %d metadata pages, %d used + %d free blocks\n",
-			rep.Objects, rep.Extents, rep.MetadataPages, rep.UsedBlocks, rep.FreeBlocks)
+		fmt.Printf("  clean: %d objects, %d extents on %d extent pages, %d metadata pages, %d used + %d free blocks\n",
+			rep.Objects, rep.Extents, rep.ExtentPages, rep.MetadataPages, rep.UsedBlocks, rep.FreeBlocks)
 		return nil
 	}
 	fmt.Printf("  %d problem(s):\n", len(rep.Problems))

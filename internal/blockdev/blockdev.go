@@ -20,6 +20,7 @@ package blockdev
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"sync"
@@ -29,6 +30,12 @@ import (
 
 // DefaultBlockSize is the block size used throughout the repository.
 const DefaultBlockSize = 4096
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Sum is the checksum a volume keeps for each block of its data region:
+// the CRC32C of the block's bytes.
+func Sum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // Common device errors.
 var (

@@ -417,9 +417,9 @@ func replayMerge(pp pageRef, lp pageRef, leftPno uint64, rp pageRef) error {
 	return nil
 }
 
-// headerBytes renders the tree-header fields (type, magic, root, height)
+// encodeHeader renders the tree-header fields (type, magic, root, height)
 // for a header range record.
-func headerBytes(root uint64, height int) []byte {
+func encodeHeader(root uint64, height int) []byte {
 	b := make([]byte, 24)
 	b[offType] = pageHeader
 	binary.LittleEndian.PutUint32(b[hOffMagic:], treeMagic)

@@ -177,7 +177,7 @@ func (t *Tree) addStats(descents, levels, splits, merges int64) {
 // and their replay must see the new root and height.
 func (t *Tree) writeHeaderOp(op *pager.Op) error {
 	return t.pg.With(t.hdrPno, func(hp *pager.Page) error {
-		hb := headerBytes(t.root, t.height)
+		hb := encodeHeader(t.root, t.height)
 		copy(hp.Data()[:len(hb)], hb)
 		if op != nil {
 			t.pg.MarkDirtyRec(hp, op, redo.KindRange, redo.EncodeRange(0, hb))

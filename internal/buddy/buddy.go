@@ -205,21 +205,33 @@ func (a *Allocator) LimboBlocks() uint64 {
 	return a.limboTotal
 }
 
-// ReleaseLimbo performs every deferred free. Call only at a point where
-// the freed runs are durably unreferenced (after a checkpoint or clean
-// flush).
+// ReleaseLimbo performs every deferred free, in address order. Call only
+// at a point where the freed runs are durably unreferenced (after a
+// checkpoint or clean flush).
 func (a *Allocator) ReleaseLimbo() error {
 	a.mu.Lock()
-	runs := a.limbo
+	runs := a.limboRunsLocked()
 	a.limbo = nil
 	a.limboTotal = 0
 	a.mu.Unlock()
-	for addr, n := range runs {
-		if err := a.freeNow(addr, n); err != nil {
+	for _, r := range runs {
+		if err := a.freeNow(r[0], r[1]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// limboRunsLocked lists the parked runs as {addr, n} in address order,
+// so that releasing them — every free merging with its buddies, or a
+// release that stops at a bad run — does not depend on map order.
+func (a *Allocator) limboRunsLocked() [][2]uint64 {
+	runs := make([][2]uint64, 0, len(a.limbo))
+	for addr, n := range a.limbo {
+		runs = append(runs, [2]uint64{addr, n})
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i][0] < runs[j][0] })
+	return runs
 }
 
 // Free releases the run previously returned by Alloc(addr, n). The n must
@@ -417,13 +429,10 @@ func (a *Allocator) SnapshotReleased() ([]byte, error) {
 	for k := range a.free {
 		c.free[k] = append([]uint64(nil), a.free[k]...)
 	}
-	runs := make(map[uint64]uint64, len(a.limbo))
-	for addr, n := range a.limbo {
-		runs[addr] = n
-	}
+	runs := a.limboRunsLocked()
 	a.mu.Unlock()
-	for addr, n := range runs {
-		if err := c.freeNow(addr, n); err != nil {
+	for _, r := range runs {
+		if err := c.freeNow(r[0], r[1]); err != nil {
 			return nil, err
 		}
 	}

@@ -532,3 +532,44 @@ func TestSnapshotReleasedCountsLimboFree(t *testing.T) {
 		t.Fatal("SnapshotReleased differs from the snapshot after ReleaseLimbo")
 	}
 }
+
+// TestReleaseLimboFreesInAddressOrder: two allocators park the same runs
+// in opposite orders and end with equal free lists. Buddies merge the
+// same way whatever order their frees come in, so the order shows only
+// in what a release has freed when it stops at a bad run: here a run
+// parked though it is already free, between the others. Released in
+// address order, both allocators free exactly the runs below it.
+func TestReleaseLimboFreesInAddressOrder(t *testing.T) {
+	build := func(reverse bool) *Allocator {
+		a := New(0, 1024)
+		for i := 0; i < 64; i++ {
+			if addr, err := a.Alloc(1); err != nil || addr != uint64(i) {
+				t.Fatalf("alloc %d: %d, %v", i, addr, err)
+			}
+		}
+		if err := a.Free(40, 1); err != nil {
+			t.Fatal(err)
+		}
+		a.SetDeferredFrees(true)
+		for i := 0; i < 64; i++ {
+			addr := uint64(i)
+			if reverse {
+				addr = 63 - addr
+			}
+			if err := a.Free(addr, 1); err != nil { // 40 parks a second free
+				t.Fatal(err)
+			}
+		}
+		if err := a.ReleaseLimbo(); !errors.Is(err, ErrDoubleFree) {
+			t.Fatalf("release over a run already free: %v", err)
+		}
+		return a
+	}
+	a, b := build(false), build(true)
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		t.Fatalf("free lists differ: %d and %d blocks free", a.FreeBlocks(), b.FreeBlocks())
+	}
+	if got := a.FreeBlocks(); got != 1024-64+41 {
+		t.Fatalf("%d blocks free, want the runs below the bad one freed (%d)", got, 1024-64+41)
+	}
+}

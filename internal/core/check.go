@@ -17,7 +17,8 @@ type CheckReport struct {
 	Objects       uint64
 	Extents       uint64
 	Holes         uint64
-	MetadataPages int
+	ExtentPages   int // extent-tree node pages across all objects
+	MetadataPages int // btree pages
 	UsedBlocks    uint64
 	FreeBlocks    uint64
 	LimboBlocks   uint64 // freed but parked until the next checkpoint
@@ -118,7 +119,7 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 		return nil, err
 	}
 	for _, m := range metas {
-		ext, err := extent.Open(v.pg, v.ba, m.ExtentHeader, v.opts.ExtentConfig)
+		ext, err := extent.Open(v.pg, v.ba, m.ExtentRoot, v.opts.ExtentConfig)
 		if err != nil {
 			if report != nil {
 				report.addf("object %d: open extent tree: %v", m.OID, err)
@@ -144,14 +145,12 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 			report.Objects++
 			report.Extents += res.Extents
 			report.Holes += res.Holes
+			report.ExtentPages += res.Pages
 			if res.Bytes != m.Size {
 				report.addf("object %d: table size %d, extent tree holds %d", m.OID, m.Size, res.Bytes)
 			}
-			shadow, err := v.OSD.ShadowMeta(m.ExtentHeader)
-			if err != nil {
-				report.addf("object %d: shadow meta: %v", m.OID, err)
-			} else if shadow.OID != m.OID || shadow.Size != m.Size {
-				report.addf("object %d: shadow meta mismatch (oid %d size %d)", m.OID, shadow.OID, shadow.Size)
+			if res.Owner != uint64(m.OID) {
+				report.addf("object %d: extent tree names owner %d", m.OID, res.Owner)
 			}
 		}
 	}
@@ -165,8 +164,8 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 //   - all owned blocks lie inside the data region
 //   - the allocator agrees: owned blocks are not free, and the free count
 //     complements the owned count exactly (no leaks)
-//   - per-object metadata agrees between the object table, the shadow
-//     copy, and the extent tree
+//   - per-object metadata agrees between the object table and the extent
+//     tree: its size, and the owner its nodes point back to
 //   - every reverse-index entry has a matching forward index entry and an
 //     existing object, and every forward entry has its reverse twin
 func (v *Volume) Check() (*CheckReport, error) {

@@ -477,6 +477,67 @@ func TestOpenRefusesVolumeWithoutLog(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesV2Superblock: a version 2 volume names each object's
+// extent tree by a header page, which this format no longer has; Open
+// refuses it rather than misread its object table.
+func TestOpenRefusesV2Superblock(t *testing.T) {
+	v, dev := newVolume(t, Options{})
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, dev.BlockSize())
+	if err := dev.ReadBlock(0, b); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[4:], 2)
+	binary.LittleEndian.PutUint32(b[96:], crc32.ChecksumIEEE(b[:96]))
+	if err := dev.WriteBlock(0, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+		t.Fatalf("Open of a version 2 volume: %v, want ErrBadSuperblock", err)
+	}
+}
+
+// TestCheckCountsExtentPages: fsck reports the extent-tree node pages of
+// all objects. A small object is its root page alone, so they equal the
+// object count until a root pushes its cells down.
+func TestCheckCountsExtentPages(t *testing.T) {
+	v, _ := newVolume(t, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	defer v.Close()
+	for i := 0; i < 5; i++ {
+		mustCreateObject(t, v, "u", fmt.Sprintf("small %d", i))
+	}
+	check := func() *CheckReport {
+		t.Helper()
+		rep, err := v.Check()
+		if err != nil || !rep.Ok() {
+			t.Fatalf("fsck: %v %v", err, rep.Problems)
+		}
+		return rep
+	}
+	if rep := check(); rep.Objects != 5 || rep.ExtentPages != 5 {
+		t.Fatalf("%d objects on %d extent pages, want 5 on 5", rep.Objects, rep.ExtentPages)
+	}
+	obj, err := v.OSD.CreateObject("u", osd.ModeRegular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	for i := 0; i < 300; i++ { // past one leaf's 254 extents
+		if err := obj.Append(make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := obj.ExtentTree().Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := check(); res.Pages < 3 || rep.ExtentPages != 5+res.Pages {
+		t.Fatalf("%d extent pages with a %d-page tree, want %d", rep.ExtentPages, res.Pages, 5+res.Pages)
+	}
+}
+
 // TestCrashRecoveryDirtyOpen simulates a crash (no Close) after Sync:
 // what Sync made durable survives the dirty reopen, fsck passes, and the
 // recovered volume takes new work.

@@ -99,15 +99,6 @@ func (s *pageSums) set(no uint64, sum uint32) {
 	s.dirty[i/uint64(s.perBlk)].Store(true)
 }
 
-// forget drops the recorded sum of a block whose content changed outside
-// the wrapper's sight (recovery: object bytes written after the checkpoint
-// the loaded sidecar describes). The next read learns the new sum.
-func (s *pageSums) forget(no uint64) {
-	i := no - s.start
-	s.v[i].Store(0)
-	s.dirty[i/uint64(s.perBlk)].Store(true)
-}
-
 // get returns the recorded sum and whether one is known.
 func (s *pageSums) get(no uint64) (uint32, bool) {
 	e := s.v[no-s.start].Load()
@@ -139,7 +130,7 @@ func (d *csumDevice) ReadBlock(n uint64, p []byte) error {
 		return err
 	}
 	if d.sums.covers(n) {
-		got := crc32.Checksum(p, crcTable)
+		got := blockdev.Sum(p)
 		if want, ok := d.sums.get(n); ok {
 			if got != want {
 				d.corrupt.Add(1)
@@ -155,7 +146,7 @@ func (d *csumDevice) ReadBlock(n uint64, p []byte) error {
 func (d *csumDevice) WriteBlock(n uint64, p []byte) error {
 	var sum uint32
 	if d.sums.covers(n) {
-		sum = crc32.Checksum(p, crcTable)
+		sum = blockdev.Sum(p)
 	}
 	if err := d.inner.WriteBlock(n, p); err != nil {
 		// The block may now hold anything (torn write); the old sum

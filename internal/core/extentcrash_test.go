@@ -243,11 +243,21 @@ func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 	if err := obj.WriteAt(make([]byte, 20000), 0); err != nil {
 		t.Fatal(err)
 	}
+	other, err := v.OSD.CreateObject("other", osd.ModeRegular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := other.WriteAt(make([]byte, 100), 0); err != nil {
+		t.Fatal(err)
+	}
 	if err := v.Sync(); err != nil { // checkpoint: pages home, log reset
 		t.Fatal(err)
 	}
-	// The log tail: one in-place overwrite, which rewrites no leaf cell.
-	if err := obj.WriteAt([]byte("tail"), 0); err != nil {
+	// The log tail: one in-place overwrite of the other object. An edit
+	// of the skewed object would log its root — here its only leaf — with
+	// a first-touch base image, and replay would restore the cell.
+	if err := other.WriteAt([]byte("tail"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Find the extent leaf on the raw image and stretch the tail cell's

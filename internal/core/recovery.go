@@ -3,9 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/btree"
 	"repro/internal/extent"
 	"repro/internal/redo"
@@ -90,6 +91,7 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 	bs := v.raw.BlockSize()
 	pages := make(map[uint64][]byte)
 	pristine := make(map[uint64][]byte)
+	wrote := make(map[uint64][]uint32) // data block → the sums its logged writes left, in order
 	var allocs []allocRec
 	rep := &v.recovery
 	// Materialization reads bypass checksum verification: a stolen page's
@@ -137,17 +139,11 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 		case redo.KindBtreeOp:
 			return btree.ReplayOp(get, r.Page, r.Data)
 		case redo.KindExtentOp:
-			// The operation wrote the bytes of the run this cell names
-			// straight to the device, after the checkpoint whose sums the
-			// sidecar holds: those sums describe what the blocks held
-			// before. Forget them; the first read learns the new ones.
-			if alloc, blocks, ok := extent.DataRun(r.Data); ok {
-				for b := alloc; b < alloc+uint64(blocks); b++ {
-					if v.sums.covers(b) {
-						v.sums.forget(b)
-					}
+			extent.DataSums(r.Data, func(b uint64, sum uint32) {
+				if v.sums.covers(b) {
+					wrote[b] = append(wrote[b], sum)
 				}
-			}
+			})
 			return extent.ReplayOp(get, r.Page, r.Data)
 		case redo.KindAlloc:
 			a, err := decodeAllocRec(r)
@@ -182,7 +178,7 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 				// content, which is WAL-derived via the first-touch base
 				// image, without rewriting the block.
 				if v.sums.covers(pno) {
-					v.sums.set(pno, crc32.Checksum(d, crcTable))
+					v.sums.set(pno, blockdev.Sum(d))
 				}
 				continue
 			}
@@ -193,9 +189,43 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 			}
 			rep.PagesHome++
 		}
+		if err := v.settleDataSums(wrote); err != nil {
+			return err
+		}
 		return v.raw.Sync()
 	})
 	return allocs, err
+}
+
+// settleDataSums gives the data blocks the log tail wrote straight to the
+// device the sums of what they hold now: the sidecar's are the
+// checkpoint's, from before those writes. A block that holds what its
+// last logged write left is settled. One that still holds what it held
+// before that write — its checkpoint content (zeros if nothing had
+// written it) or what an earlier write of the tail left — never received
+// it: the device lost or misdirected it. Such a block gets a sum its
+// content fails, so reading it is an error, not stale bytes. Any other
+// content is learned as it is: a later write the log does not hold,
+// which never committed, may have rewritten the block in place.
+func (v *Volume) settleDataSums(wrote map[uint64][]uint32) error {
+	buf := make([]byte, v.raw.BlockSize())
+	zeros := blockdev.Sum(buf)
+	for b, sums := range wrote {
+		if err := v.raw.ReadBlock(b, buf); err != nil {
+			return err
+		}
+		got := blockdev.Sum(buf)
+		before, known := v.sums.get(b)
+		if !known {
+			before = zeros
+		}
+		last := len(sums) - 1
+		if got != sums[last] && (got == before || slices.Contains(sums[:last], got)) {
+			got = ^got
+		}
+		v.sums.set(b, got)
+	}
+	return nil
 }
 
 // allTrees lists every btree of the volume.

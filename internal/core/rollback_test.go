@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -114,20 +113,43 @@ func TestRecoverAbortedDeleteObject(t *testing.T) {
 	assertRecoveryExact(t, v)
 }
 
-// TestRecoverAbortedCreateObject: a create that fails after its extent
-// tree stands — the owner is too long for the shadow copy in the tree's
-// header page — gives the tree's pages back through the tree's own
-// inverse, so the allocator stays exact.
+// TestRecoverAbortedCreateObject: a bracket creates an object, grows its
+// extent tree past one leaf — so the root has pushed its cells down and
+// the tree owns data runs and several node pages — and then fails. The
+// tree's own inverse gives every page and run back, so the allocator
+// stays exact and the object is gone, live and after a crash.
 func TestRecoverAbortedCreateObject(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{})
+	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	populate(t, v, 10)
 	free := v.Allocator().FreeBlocks() + v.Allocator().LimboBlocks()
-	if _, err := v.OSD.CreateObject(strings.Repeat("o", 4000), osd.ModeRegular); !errors.Is(err, osd.ErrCorrupt) {
-		t.Fatalf("create with an oversize owner: %v", err)
+	var pages int
+	err = v.withOp(func(op *pager.Op) error {
+		obj, err := v.OSD.CreateObjectDeferred(op, "o", osd.ModeRegular)
+		if err != nil {
+			return err
+		}
+		defer obj.Close()
+		for i := 0; i < 300; i++ {
+			if _, err := obj.AppendDeferred(op, fill(4096, byte(i))); err != nil {
+				return err
+			}
+		}
+		res, err := obj.ExtentTree().Check()
+		if err != nil {
+			return err
+		}
+		pages = res.Pages
+		return errRollback
+	})
+	if !errors.Is(err, errRollback) {
+		t.Fatalf("bracket returned %v", err)
+	}
+	if pages < 3 {
+		t.Fatalf("the aborted create built %d extent pages, want a pushed-down root", pages)
 	}
 	assertRolledBack(t, v, mem, func(label string, v *Volume) {
 		n := 0

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"hash/crc32"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/btree"
 	"repro/internal/extent"
 	"repro/internal/osd"
@@ -105,7 +105,7 @@ func (v *Volume) scrubClassify(rep *ScrubReport) map[uint64]int {
 		return class
 	}
 	for _, m := range metas {
-		ext, err := extent.Open(v.pg, v.ba, m.ExtentHeader, v.opts.ExtentConfig)
+		ext, err := extent.Open(v.pg, v.ba, m.ExtentRoot, v.opts.ExtentConfig)
 		if err != nil {
 			rep.WalkProblems = append(rep.WalkProblems, fmt.Sprintf("object %d: %v", m.OID, err))
 			continue
@@ -220,7 +220,7 @@ func (v *Volume) scrubBlock(no uint64, buf []byte) (ok, known bool, err error) {
 		if err := v.raw.ReadBlock(no, buf); err != nil {
 			return false, true, err
 		}
-		if crc32.Checksum(buf, crcTable) == want {
+		if blockdev.Sum(buf) == want {
 			return true, true, nil
 		}
 		// Mismatch: if the sum moved underneath us a writer raced the

@@ -8,7 +8,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/osd"
 	"repro/internal/pager"
-	"repro/internal/redo"
 	"repro/internal/undo"
 	"repro/internal/wal"
 )
@@ -113,10 +112,10 @@ func (v *Volume) undoLosers(chains []wal.LoserChain) error {
 
 // applyUndo executes one decoded inverse through the live structure
 // APIs, which stage the compensation's redo records into op. Inverses
-// address structures logically (tree header page, key, byte offset), so
-// execution is correct regardless of how rebalances or steal moved the
-// physical bytes since capture. A key already gone, or an object a
-// neighbour deleted since, is tolerated.
+// address structures logically (btree header or extent root page, key,
+// byte offset), so execution is correct regardless of how rebalances or
+// steal moved the physical bytes since capture. A key already gone, or
+// an object a neighbour deleted since, is tolerated.
 func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 	switch u.Code {
 	case undo.OpKeyPut:
@@ -135,7 +134,7 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 		}
 		return nil
 	case undo.OpExtWrite, undo.OpExtIns, undo.OpExtDel:
-		obj, err := v.objectByHeader(u.Hdr)
+		obj, err := v.objectByRoot(u.Hdr)
 		if err != nil || obj == nil {
 			return err
 		}
@@ -148,16 +147,6 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 		default:
 			return obj.TruncateRangeDeferred(op, u.Off, u.N)
 		}
-	case undo.OpRange:
-		return v.pg.With(u.Page, func(pg *pager.Page) error {
-			d := pg.Data()
-			if int(u.Off)+len(u.Data) > len(d) {
-				return fmt.Errorf("core: undo range [%d,%d) outside page %d", u.Off, int(u.Off)+len(u.Data), u.Page)
-			}
-			copy(d[u.Off:], u.Data)
-			v.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(int(u.Off), u.Data))
-			return nil
-		})
 	case undo.OpReclaim:
 		return pager.NewSpace(v.pg, v.ba).Reclaim(op, u.Runs)
 	case undo.OpBtreeDrop:
@@ -187,10 +176,10 @@ func (v *Volume) treeByHeader(hdr uint64) (*btree.Tree, error) {
 	return nil, fmt.Errorf("%w: no btree with header page %d", ErrNotFound, hdr)
 }
 
-// objectByHeader opens the object whose extent tree is rooted at hdr.
+// objectByRoot opens the object whose extent tree is rooted at root.
 // Returns (nil, nil) when no such object exists any more.
-func (v *Volume) objectByHeader(hdr uint64) (*osd.Object, error) {
-	oid, err := v.OSD.LookupByHeader(hdr)
+func (v *Volume) objectByRoot(root uint64) (*osd.Object, error) {
+	oid, err := v.OSD.LookupByRoot(root)
 	if errors.Is(err, osd.ErrNotFound) {
 		return nil, nil
 	}

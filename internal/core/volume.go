@@ -83,7 +83,7 @@ type OID = osd.OID
 //	[96:100] crc32 of bytes [0:96]
 const (
 	sbMagic   = 0x68464144 // "hFAD"
-	sbVersion = 2          // v2: page-checksum sidecar region
+	sbVersion = 3          // v3: extent trees named by their root page, with no header page
 
 	flagLogged = 1 << 0
 	flagClean  = 1 << 1

@@ -14,8 +14,9 @@ type CheckResult struct {
 	Holes          uint64   // hole extents
 	AllocatedBytes uint64   // device bytes reserved by real extents
 	Pages          int      // node pages
-	AllPages       []uint64 // node + header pages owned by the tree
+	AllPages       []uint64 // node pages owned by the tree, root first
 	DataExtents    []Extent // real extents, for allocator cross-checks
+	Owner          uint64   // the back-pointer every node carries
 }
 
 // InternalFragmentation returns reserved-but-unused device bytes.
@@ -35,12 +36,13 @@ func (r *CheckResult) InternalFragmentation() uint64 {
 //   - the size the tree keeps (the root's sum at Open) matches the leaves
 //   - extent Len ≤ AllocBlocks × block size for real extents
 //   - no page is reached twice
+//   - every node names the root's owner
 func (t *Tree) Check() (*CheckResult, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
-	res := &CheckResult{AllPages: []uint64{t.hdr}}
-	seen := map[uint64]bool{t.hdr: true}
+	res := &CheckResult{}
+	seen := map[uint64]bool{}
 	var leaves []uint64
 
 	var walk func(pno uint64, level int) (uint64, error)
@@ -59,6 +61,11 @@ func (t *Tree) Check() (*CheckResult, error) {
 		var sum uint64
 		err := t.pg.With(pno, func(pg *pager.Page) error {
 			node := nodeRef{pg.Data()}
+			if pno == t.root {
+				res.Owner = node.owner()
+			} else if node.owner() != res.Owner {
+				return fmt.Errorf("%w: page %d names owner %d, the root %d", ErrCorrupt, pno, node.owner(), res.Owner)
+			}
 			if level == t.height-1 {
 				if node.typ() != pageLeaf {
 					return fmt.Errorf("%w: page %d should be a leaf", ErrCorrupt, pno)

@@ -35,6 +35,9 @@ const (
 	crWALStart  = 1
 	crWALBlocks = 4096
 	crDataStart = crWALStart + crWALBlocks
+	// crOwner is the back-pointer the harness's tree is created with;
+	// every recovered node must still carry it.
+	crOwner = 0x0B1EC7
 )
 
 type crEnv struct {
@@ -72,7 +75,7 @@ func newCrashEnv(t *testing.T) *crEnv {
 		ba:  buddy.New(crDataStart, crBlocks-crDataStart),
 		log: wal.New(dev, crWALStart, crWALBlocks),
 	}
-	tr, err := Create(e.pg, e.ba, Config{MaxExtentBytes: 4096})
+	tr, err := CreateOp(e.pg, e.ba, Config{MaxExtentBytes: 4096}, nil, crOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func (e *crEnv) commitOp(op *pager.Op, opErr error) error {
 // records — and opens the tree. The restored allocator must be exactly
 // what the reachability walk would have built; callers check that with
 // assertAllocatorIsWalk once the tree's counters are known good.
-func recoverImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64) (*Tree, *buddy.Allocator, error) {
+func recoverImage(t *testing.T, snap, allocSnap []byte, rootPno uint64) (*Tree, *buddy.Allocator, error) {
 	t.Helper()
 	dev := blockdev.NewMem(crBlocks, blockdev.DefaultBlockSize)
 	if err := dev.RestoreFrom(snap); err != nil {
@@ -159,7 +162,7 @@ func recoverImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64) (*Tree, *
 	}
 	pg := pager.New(dev, 512, true)
 	ba := restoreAllocator(t, allocSnap, tail)
-	tr, err := Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
+	tr, err := Open(pg, ba, rootPno, Config{MaxExtentBytes: 4096})
 	return tr, ba, err
 }
 
@@ -288,8 +291,10 @@ func verifyAgainstOracle(t *testing.T, label string, tr *Tree, oracle []byte) {
 // pre-operation state.
 func verifyWithOverlap(t *testing.T, label string, tr *Tree, oracle []byte, wrOff, wrEnd uint64, newData []byte) {
 	t.Helper()
-	if _, err := tr.Check(); err != nil {
+	if res, err := tr.Check(); err != nil {
 		t.Fatalf("%s: structural check: %v", label, err)
+	} else if res.Owner != crOwner {
+		t.Fatalf("%s: the nodes name owner %#x, want %#x", label, res.Owner, crOwner)
 	}
 	if tr.Size() != uint64(len(oracle)) {
 		t.Fatalf("%s: size %d, oracle %d", label, tr.Size(), len(oracle))
@@ -371,7 +376,7 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 0xE16))
 			e := newCrashEnv(t)
-			hdr := e.tr.HeaderPage()
+			root := e.tr.RootPage()
 			var oracle []byte
 
 			const ops = 45
@@ -447,7 +452,7 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 				// Mid-operation cut: mutations are in cache (and any splits
 				// in the log as system transactions), the commit is not.
 				midSnap := e.dev.Snapshot()
-				trMid, baMid, merr := recoverImage(t, midSnap, e.allocSnap, hdr)
+				trMid, baMid, merr := recoverImage(t, midSnap, e.allocSnap, root)
 				if merr != nil {
 					t.Fatalf("op %d: mid-op recovery: %v", i, merr)
 				}
@@ -464,7 +469,7 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 
 				// Commit-boundary cut.
 				snap := e.dev.Snapshot()
-				tr2, ba2, rerr := recoverImage(t, snap, e.allocSnap, hdr)
+				tr2, ba2, rerr := recoverImage(t, snap, e.allocSnap, root)
 				if rerr != nil {
 					t.Fatalf("op %d: boundary recovery: %v", i, rerr)
 				}
@@ -479,6 +484,100 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 			verifyAgainstOracle(t, "final live tree", e.tr, oracle)
 		})
 	}
+}
+
+// cutAppender is walAppender that cuts the power after every system
+// transaction it appends.
+type cutAppender struct {
+	walAppender
+	cut func()
+}
+
+func (a cutAppender) AppendSystem(recs []redo.Record) error {
+	err := a.walAppender.AppendSystem(recs)
+	a.cut()
+	return err
+}
+
+// TestCrashRootPushDownAndPullUp grows a tree's leaf root past one leaf,
+// so the root pushes its cells down into a fresh child and splits them
+// under itself, then drains the tree until the deferred merge leaves the
+// root one child, whose cells it pulls back up. The power is cut after
+// every log append on the way (each commit and each system transaction,
+// the push-down and the pull-up included) and between each operation's
+// edits and its commit. Every cut must recover the committed prefix, with
+// the allocator the walk finds, from the same root page.
+func TestCrashRootPushDownAndPullUp(t *testing.T) {
+	e := newCrashEnv(t)
+	root := e.tr.RootPage()
+	var oracle []byte
+	cuts := 0
+	cut := func() {
+		t.Helper()
+		cuts++
+		label := fmt.Sprintf("cut %d", cuts)
+		tr, ba, err := recoverImage(t, e.dev.Snapshot(), e.allocSnap, root)
+		if err != nil {
+			t.Fatalf("%s: recovery: %v", label, err)
+		}
+		verifyAgainstOracle(t, label, tr, oracle)
+		assertAllocatorIsWalk(t, label, ba, tr)
+	}
+	app := cutAppender{walAppender{e.log}, cut}
+	run := func(edit func(op *pager.Op) error, next []byte) {
+		t.Helper()
+		op := e.pg.NewOp(app)
+		if err := edit(op); err != nil {
+			t.Fatal(err)
+		}
+		cut() // the edit is in cache, its commit is not
+		wtx := e.log.Begin()
+		for _, r := range op.Records() {
+			wtx.LogRecord(r)
+		}
+		if err := wtx.Commit(); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		oracle = next
+		cut()
+		for _, fn := range op.Deferred() {
+			sys := e.pg.NewOp(app)
+			if err := fn(sys); err != nil {
+				t.Fatalf("deferred rebalance: %v", err)
+			}
+			if err := sys.AppendSys(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Grow: 60 one-block extents an operation, past one leaf's 254.
+	for len(oracle) < 300*4096 {
+		data := pattern(60*4096, byte(len(oracle)/4096))
+		next := append(append([]byte(nil), oracle...), data...)
+		run(func(op *pager.Op) error { _, err := e.tr.AppendOp(op, data); return err }, next)
+	}
+	if e.tr.height != 2 {
+		t.Fatalf("grown to %d extents, the tree is %d high; want the root pushed down", e.tr.ExtentCount(), e.tr.height)
+	}
+	grown := cuts
+	e.checkpoint() // the pull-up's pages come from base images
+
+	// Drain: one operation leaves one extent, and its deferred rebalance
+	// merges the leaves and pulls the last one up into the root.
+	run(func(op *pager.Op) error { return e.tr.DeleteRangeOp(op, 4096, e.tr.Size()-4096) }, oracle[:4096])
+	res, err := e.tr.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.tr.height != 1 || res.Pages != 1 || res.AllPages[0] != root {
+		t.Fatalf("drained: height %d over %d pages rooted at %d; want the root pulled up at %d",
+			e.tr.height, res.Pages, res.AllPages[0], root)
+	}
+	if cuts-grown < 3 {
+		t.Fatalf("the drain was cut %d times; want its edit, commit and rebalance cut", cuts-grown)
+	}
+	t.Logf("%d cuts", cuts)
 }
 
 // --- abort injection (PR 7: undo records, CLRs, recovery rollback) ---
@@ -579,7 +678,7 @@ func applyUndo(t *Tree, ba *buddy.Allocator, op *pager.Op, u undo.Op) error {
 // because CLR-mode operations are never chunk-flushed. Returns the
 // opened tree, its device (for re-cut snapshots), the loser chains
 // Recover found, and the number of inverses applied.
-func recoverUndoImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64, stopAfter int) (*Tree, *blockdev.MemDevice, []wal.LoserChain, int) {
+func recoverUndoImage(t *testing.T, snap, allocSnap []byte, rootPno uint64, stopAfter int) (*Tree, *blockdev.MemDevice, []wal.LoserChain, int) {
 	t.Helper()
 	dev := blockdev.NewMem(crBlocks, blockdev.DefaultBlockSize)
 	if err := dev.RestoreFrom(snap); err != nil {
@@ -597,7 +696,7 @@ func recoverUndoImage(t *testing.T, snap, allocSnap []byte, hdrPno uint64, stopA
 	pg.SeedLSN(log.MaxLSN())
 	losers := log.Losers()
 	ba := restoreAllocator(t, allocSnap, tail)
-	tr, err := Open(pg, ba, hdrPno, Config{MaxExtentBytes: 4096})
+	tr, err := Open(pg, ba, rootPno, Config{MaxExtentBytes: 4096})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -685,7 +784,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 0xAB07))
 			e := newAbortEnv(t)
-			hdr := e.tr.HeaderPage()
+			root := e.tr.RootPage()
 
 			// Committed base: a multi-extent tree with content to mutate.
 			base := pattern(1<<17+2345, 0xA5)
@@ -759,7 +858,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 					}
 					e.rollback(op)
 					verifyAgainstOracle(t, fmt.Sprintf("round %d live tree after abort", i), e.tr, oracle)
-					tr2, _, losers, _ := recoverUndoImage(t, e.dev.Snapshot(), e.allocSnap, hdr, -1)
+					tr2, _, losers, _ := recoverUndoImage(t, e.dev.Snapshot(), e.allocSnap, root, -1)
 					if len(losers) != 0 {
 						t.Fatalf("round %d: %d loser chains after a committed rollback", i, len(losers))
 					}
@@ -775,7 +874,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 					label := fmt.Sprintf("round %d live tree after aborted destroy", i)
 					verifyAgainstOracle(t, label, e.tr, oracle)
 					assertAllocatorIsWalk(t, label, e.ba, e.tr)
-					tr2, _, losers, _ := recoverUndoImage(t, e.dev.Snapshot(), e.allocSnap, hdr, -1)
+					tr2, _, losers, _ := recoverUndoImage(t, e.dev.Snapshot(), e.allocSnap, root, -1)
 					if len(losers) != 0 {
 						t.Fatalf("round %d: %d loser chains after a committed rollback", i, len(losers))
 					}
@@ -784,7 +883,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 				default: // loser crash (+ mid-undo re-cut)
 					// L appends but never commits; B appends after it and
 					// commits, which chunk-flushes L's records (B's leaf and
-					// header edits depend on L's). Power then cuts: L is a
+					// root edits depend on L's). Power then cuts: L is a
 					// loser whose records are in the log without a commit.
 					L := e.pg.NewOp(walAppender{e.log})
 					dataL := pattern(rng.IntN(4000)+200, byte(i)+31)
@@ -804,7 +903,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 					snap := e.dev.Snapshot()
 
 					// Full recovery: repeat history, undo the loser, commit.
-					tr2, dev2, losers, nsteps := recoverUndoImage(t, snap, e.allocSnap, hdr, -1)
+					tr2, dev2, losers, nsteps := recoverUndoImage(t, snap, e.allocSnap, root, -1)
 					if len(losers) == 0 {
 						t.Fatalf("round %d: expected a loser chain (dependency flush did not fire)", i)
 					}
@@ -812,7 +911,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 
 					// The chain is resolved: a second crash after the undo
 					// commit finds no losers and the same state.
-					tr3, _, losers3, _ := recoverUndoImage(t, dev2.Snapshot(), e.allocSnap, hdr, -1)
+					tr3, _, losers3, _ := recoverUndoImage(t, dev2.Snapshot(), e.allocSnap, root, -1)
 					if len(losers3) != 0 {
 						t.Fatalf("round %d: %d loser chains survived the undo commit", i, len(losers3))
 					}
@@ -821,8 +920,8 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 					// Mid-undo power cut: interrupt the rollback before its
 					// compensations commit, cut again, recover from scratch.
 					if nsteps > 0 {
-						_, devP, _, _ := recoverUndoImage(t, snap, e.allocSnap, hdr, rng.IntN(nsteps))
-						trF, _, losersF, _ := recoverUndoImage(t, devP.Snapshot(), e.allocSnap, hdr, -1)
+						_, devP, _, _ := recoverUndoImage(t, snap, e.allocSnap, root, rng.IntN(nsteps))
+						trF, _, losersF, _ := recoverUndoImage(t, devP.Snapshot(), e.allocSnap, root, -1)
 						if len(losersF) == 0 {
 							t.Fatalf("round %d: mid-undo cut resolved the chain without a commit", i)
 						}

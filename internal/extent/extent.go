@@ -17,16 +17,24 @@
 // whole allocation. An extent with Alloc == 0 is a hole: Len bytes of
 // zeros with no storage, created by sparse writes and truncate-grow.
 //
+// A tree is named by its root page, which never moves: a full root
+// pushes its cells down into a fresh child and becomes that child's
+// parent, and an internal root left with one child pulls the child's
+// cells back up. The tree's height is stored nowhere; Open finds it from
+// the page types down the leftmost spine.
+//
 // On-page layouts (little-endian):
 //
-//	header page (type 5): magic, root, height; bytes 24–39 are
-//	                reserved (older images kept a size and an extent
-//	                count there) and never read
 //	leaf (type 6):  common 24-byte header (ptrA=next leaf, ptrB=prev);
 //	                cells: 16 bytes each = alloc uint64, allocBlocks
 //	                uint32, len uint32
 //	internal (type 7): common header; cells: 16 bytes each =
 //	                child uint64, subtree byte total uint64
+//	every node:     its last 8 bytes name the owner (the OID of the
+//	                object the tree backs; 0 outside a volume), written
+//	                once, when the node is made. No cell reaches them:
+//	                (bs − 24) mod 16 = 8 for any block size that is a
+//	                multiple of 16.
 package extent
 
 import (
@@ -47,7 +55,6 @@ import (
 const (
 	pageLeaf     = 6
 	pageInternal = 7
-	pageHeader   = 5
 )
 
 // Common header offsets (shared shape with the btree package).
@@ -59,18 +66,11 @@ const (
 	hdrSize   = 24
 )
 
-// Header page offsets.
-const (
-	hOffMagic  = 4
-	hOffRoot   = 8
-	hOffHeight = 16
-	headerLen  = 24
-	treeMagic  = 0x6578464D // "exFM"
-)
-
 const (
 	leafCellSize     = 16
 	internalCellSize = 16
+	ownerLen         = 8 // the owner back-pointer closing every node
+	maxHeight        = 32
 )
 
 // Errors.
@@ -125,7 +125,8 @@ type Tree struct {
 	space pager.Space
 	dev   blockdev.Device
 	cfg   Config
-	hdr   uint64
+	// root names the tree: it is fixed for the tree's life.
+	root  uint64
 	bs    int
 	bsU64 uint64
 
@@ -134,8 +135,9 @@ type Tree struct {
 	// no inverse of their own, and its splits are its own (see smoOp).
 	creator uint64
 
-	mu     sync.RWMutex
-	root   uint64
+	mu sync.RWMutex
+	// height is derived at Open and kept by the root's pushes and pulls;
+	// no page stores it.
 	height int
 	// size is the root's sum: read from the root page at Open, then kept
 	// by the mutators. No page stores it apart from the tree's own sums.
@@ -173,13 +175,13 @@ func (t *Tree) recRange(pg *pager.Page, op *pager.Op, off int, b []byte) {
 // begin opens a mutating call by op and returns what closes it: it takes
 // the tree lock, makes op the current capture inside one atomic section,
 // and makes op's commit wait for the records of the open operation that
-// mutated the tree before it (pager.After, keyed by the header block, so
+// mutated the tree before it (pager.After, keyed by the root block, so
 // the dependency outlives every handle on the tree). Use as defer
 // t.begin(op)().
 func (t *Tree) begin(op *pager.Op) func() {
 	t.mu.Lock()
 	t.curOp = op
-	t.pg.After(t.hdr, op)
+	t.pg.After(t.root, op)
 	op.BeginAtomic()
 	return func() {
 		op.EndAtomic()
@@ -188,96 +190,102 @@ func (t *Tree) begin(op *pager.Op) func() {
 	}
 }
 
-// Create allocates a new empty extent tree.
+// Create allocates a new empty extent tree owned by no object.
 func Create(pg *pager.Pager, ba *buddy.Allocator, cfg Config) (*Tree, error) {
-	return CreateOp(pg, ba, cfg, nil)
+	return CreateOp(pg, ba, cfg, nil, 0)
 }
 
-// CreateOp is Create capturing the fresh tree's pages into op, so an
-// object created inside a transaction recovers with it. Both pages are
-// fresh (WithZero), so replay rebuilds them from their records alone
-// and no garbage home content is ever logged as a base image. Its inverse
-// destroys the tree: staged once the tree stands, in the same atomic
-// section as the allocations, while a failure before that point gives the
-// pages straight back.
-func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op) (*Tree, error) {
+// CreateOp is Create capturing the fresh tree's root page into op, so an
+// object created inside a transaction recovers with it; owner is the
+// back-pointer every node of the tree will carry. The root is fresh
+// (WithZero), so replay rebuilds it from its record alone and no garbage
+// home content is ever logged as a base image. Its inverse destroys the
+// tree: staged once the tree stands, in the same atomic section as the
+// allocation, while a failure before that point gives the page straight
+// back.
+func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op, owner uint64) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
 	op.BeginAtomic()
 	defer op.EndAtomic()
 	space := pager.NewSpace(pg, ba)
-	hdr, err := space.Alloc(op, 1)
+	root, err := space.Alloc(op, 1)
 	if err != nil {
-		return nil, err
-	}
-	rootPno, err := space.Alloc(op, 1)
-	if err != nil {
-		_ = space.Free(op, hdr, 1)
 		return nil, err
 	}
 	t := &Tree{
-		pg: pg, space: space, dev: pg.Device(), cfg: cfg, hdr: hdr,
+		pg: pg, space: space, dev: pg.Device(), cfg: cfg, root: root,
 		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
-		root: rootPno, height: 1, creator: op.ID(),
+		height: 1, creator: op.ID(),
 	}
-	err = pg.WithZero(rootPno, func(rp *pager.Page) error {
-		rp.Data()[offType] = pageLeaf
-		t.rec(rp, op, encXop(xopInit, []byte{pageLeaf}))
+	err = pg.WithZero(root, func(rp *pager.Page) error {
+		initNode(rp.Data(), pageLeaf, owner)
+		t.rec(rp, op, encXop(xopInit, []byte{pageLeaf}, xu64(owner)))
 		return nil
 	})
-	if err == nil {
-		err = pg.WithZero(hdr, func(hp *pager.Page) error {
-			hb := t.headerBytes()
-			copy(hp.Data()[:len(hb)], hb)
-			t.recRange(hp, op, 0, hb)
-			return nil
-		})
-	}
 	if err != nil {
-		_ = space.Free(op, rootPno, 1)
-		_ = space.Free(op, hdr, 1)
+		_ = space.Free(op, root, 1)
 		return nil, err
 	}
-	op.StageUndo(undo.ExtentDrop(hdr))
+	op.StageUndo(undo.ExtentDrop(root))
 	return t, nil
 }
 
-// Open loads an extent tree from its header page; its size is the sum
-// its root page holds.
-func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, cfg Config) (*Tree, error) {
+// Open loads the extent tree rooted at root. Its size is the sum the root
+// holds, and its height the number of pages down the leftmost spine to a
+// leaf: a single-leaf tree opens with one page read.
+func Open(pg *pager.Pager, ba *buddy.Allocator, root uint64, cfg Config) (*Tree, error) {
 	cfg.Fill(pg.BlockSize())
 	t := &Tree{
-		pg: pg, space: pager.NewSpace(pg, ba), dev: pg.Device(), cfg: cfg, hdr: headerPno,
+		pg: pg, space: pager.NewSpace(pg, ba), dev: pg.Device(), cfg: cfg, root: root,
 		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
 	}
-	err := pg.With(headerPno, func(hp *pager.Page) error {
-		d := hp.Data()
-		if d[offType] != pageHeader || binary.LittleEndian.Uint32(d[hOffMagic:]) != treeMagic {
-			return fmt.Errorf("%w: page %d is not an extent tree header", ErrCorrupt, headerPno)
+	for pno := root; pno != 0; t.height++ {
+		if t.height == maxHeight {
+			return nil, fmt.Errorf("%w: tree at %d deeper than %d", ErrCorrupt, root, maxHeight)
 		}
-		t.root = binary.LittleEndian.Uint64(d[hOffRoot:])
-		t.height = int(binary.LittleEndian.Uint64(d[hOffHeight:]))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = pg.With(t.root, func(rp *pager.Page) error {
-		n := nodeRef{rp.Data()}
-		if t.height == 1 {
-			t.size = n.leafSum()
-		} else {
-			t.size = n.childSum()
+		var child uint64
+		err := pg.With(pno, func(p *pager.Page) error {
+			n := nodeRef{p.Data()}
+			if pno == root {
+				t.size = n.sum()
+			}
+			switch n.typ() {
+			case pageLeaf:
+			case pageInternal:
+				if n.ncells() == 0 {
+					return fmt.Errorf("%w: empty internal node %d", ErrCorrupt, pno)
+				}
+				child = n.childCell(0).child
+			default:
+				return fmt.Errorf("%w: page %d is not an extent node", ErrCorrupt, pno)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		pno = child
 	}
 	return t, nil
 }
 
-// HeaderPage returns the page number identifying this tree.
-func (t *Tree) HeaderPage() uint64 { return t.hdr }
+// Owner reads the back-pointer of the extent tree rooted at root: the
+// owner it was created with.
+func Owner(pg *pager.Pager, root uint64) (uint64, error) {
+	var owner uint64
+	err := pg.With(root, func(p *pager.Page) error {
+		n := nodeRef{p.Data()}
+		if t := n.typ(); t != pageLeaf && t != pageInternal {
+			return fmt.Errorf("%w: page %d is not an extent node", ErrCorrupt, root)
+		}
+		owner = n.owner()
+		return nil
+	})
+	return owner, err
+}
+
+// RootPage returns the page number naming this tree.
+func (t *Tree) RootPage() uint64 { return t.root }
 
 // Size returns the object's logical byte size.
 func (t *Tree) Size() uint64 {
@@ -323,32 +331,6 @@ func (t *Tree) addStat(f func(*Stats)) {
 	t.statMu.Unlock()
 }
 
-// headerBytes renders the header fields for a range record.
-func (t *Tree) headerBytes() []byte {
-	b := make([]byte, headerLen)
-	b[offType] = pageHeader
-	binary.LittleEndian.PutUint32(b[hOffMagic:], treeMagic)
-	binary.LittleEndian.PutUint64(b[hOffRoot:], t.root)
-	binary.LittleEndian.PutUint64(b[hOffHeight:], uint64(t.height))
-	return b
-}
-
-// writeRootSys persists the root and height fields as part of a
-// structure modification's system transaction: a height change must be
-// redone with the split or merge that caused it, whether or not the
-// enclosing operation commits — otherwise replay would descend the old
-// root over a re-rooted tree.
-func (t *Tree) writeRootSys(sys *pager.Op) error {
-	return t.pg.With(t.hdr, func(hp *pager.Page) error {
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:], t.root)
-		binary.LittleEndian.PutUint64(b[8:], uint64(t.height))
-		copy(hp.Data()[hOffRoot:], b[:])
-		t.recRange(hp, sys, hOffRoot, b[:])
-		return nil
-	})
-}
-
 // --- page cell accessors ---
 
 type nodeRef struct{ data []byte }
@@ -365,8 +347,18 @@ func (n nodeRef) setPrev(v uint64) {
 	binary.LittleEndian.PutUint64(n.data[offPtrB:], v)
 }
 
-func (t *Tree) leafCap() int     { return (t.bs - hdrSize) / leafCellSize }
-func (t *Tree) internalCap() int { return (t.bs - hdrSize) / internalCellSize }
+func (n nodeRef) owner() uint64 { return binary.LittleEndian.Uint64(n.data[len(n.data)-ownerLen:]) }
+
+// initNode zeroes a fresh page and stamps its type and owner.
+func initNode(data []byte, typ byte, owner uint64) nodeRef {
+	clear(data)
+	data[offType] = typ
+	binary.LittleEndian.PutUint64(data[len(data)-ownerLen:], owner)
+	return nodeRef{data}
+}
+
+func (t *Tree) leafCap() int     { return (t.bs - hdrSize - ownerLen) / leafCellSize }
+func (t *Tree) internalCap() int { return (t.bs - hdrSize - ownerLen) / internalCellSize }
 
 func (n nodeRef) leafCell(i int) Extent {
 	b := n.data[hdrSize+i*leafCellSize:]
@@ -451,6 +443,14 @@ func (n nodeRef) childSum() uint64 {
 		s += n.childCell(i).bytes
 	}
 	return s
+}
+
+// sum returns the total bytes under a node of either type.
+func (n nodeRef) sum() uint64 {
+	if n.typ() == pageInternal {
+		return n.childSum()
+	}
+	return n.leafSum()
 }
 
 // --- descent ---

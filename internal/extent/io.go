@@ -1,11 +1,13 @@
 package extent
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 
+	"repro/internal/blockdev"
 	"repro/internal/buddy"
 	"repro/internal/pager"
 	"repro/internal/undo"
@@ -81,7 +83,7 @@ func (t *Tree) readAtLocked(p []byte, off uint64) (int, error) {
 				for i := range dst {
 					dst[i] = 0
 				}
-			} else if err := t.readExtentData(j.e, j.eOff, dst); err != nil {
+			} else if err := readRun(t.dev, j.e, j.eOff, dst); err != nil {
 				return pos, err
 			}
 			pos += j.m
@@ -122,11 +124,11 @@ func (t *Tree) WriteAtOp(op *pager.Op, p []byte, off uint64) error {
 			if err != nil {
 				return err
 			}
-			op.StageUndo(undo.ExtWrite(t.hdr, off, old))
+			op.StageUndo(undo.ExtWrite(t.root, off, old))
 		}
 		if end > t.size {
 			// Growth (hole plus tail data): the inverse truncates back.
-			op.StageUndo(undo.ExtDel(t.hdr, t.size, end-t.size))
+			op.StageUndo(undo.ExtDel(t.root, t.size, end-t.size))
 		}
 	}
 	return t.writeAtLocked(p, off)
@@ -173,10 +175,7 @@ func (t *Tree) writeAtLocked(p []byte, off uint64) error {
 			m = int(avail)
 		}
 		if !e.IsHole() {
-			if err := t.recWrote(e, eOff, uint64(m)); err != nil {
-				return err
-			}
-			if err := t.writeExtentData(e, eOff, p[done:done+m]); err != nil {
+			if err := t.writeData(e, uint64(e.Len), eOff, p[done:done+m]); err != nil {
 				return err
 			}
 		} else {
@@ -237,7 +236,7 @@ func (t *Tree) AppendOp(op *pager.Op, p []byte) (uint64, error) {
 	}
 	if t.inverts(op) {
 		// Inverse of an append: delete the appended tail.
-		op.StageUndo(undo.ExtDel(t.hdr, t.size, uint64(len(p))))
+		op.StageUndo(undo.ExtDel(t.root, t.size, uint64(len(p))))
 	}
 	err := t.appendBytes(p)
 	return t.size, err
@@ -262,7 +261,7 @@ func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) error {
 	if t.inverts(op) {
 		// Inverse of an insert: delete the inserted range, shifting the
 		// later bytes back down.
-		op.StageUndo(undo.ExtDel(t.hdr, off, uint64(len(p))))
+		op.StageUndo(undo.ExtDel(t.root, off, uint64(len(p))))
 	}
 	return t.insertAtLocked(off, p)
 }
@@ -297,7 +296,7 @@ func (t *Tree) DeleteRangeOp(op *pager.Op, off, n uint64) error {
 		if err != nil {
 			return err
 		}
-		op.StageUndo(undo.ExtIns(t.hdr, off, old))
+		op.StageUndo(undo.ExtIns(t.root, off, old))
 	}
 	return t.deleteRangeLocked(off, n)
 }
@@ -367,13 +366,13 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 			if err != nil {
 				return err
 			}
-			op.StageUndo(undo.ExtIns(t.hdr, newSize, old))
+			op.StageUndo(undo.ExtIns(t.root, newSize, old))
 		}
 		return t.deleteRangeLocked(newSize, t.size-newSize)
 	case newSize > t.size:
 		if t.inverts(op) {
 			// Inverse of a grow: delete the appended hole.
-			op.StageUndo(undo.ExtDel(t.hdr, t.size, newSize-t.size))
+			op.StageUndo(undo.ExtDel(t.root, t.size, newSize-t.size))
 		}
 		return t.appendHole(newSize - t.size)
 	default:
@@ -381,15 +380,15 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 	}
 }
 
-// Destroy frees all extents and tree pages, including the header,
-// logging the frees into op. It stages one inverse for all of them before
+// Destroy frees all extents and tree pages, the root included, logging
+// the frees into op. It stages one inverse for all of them before
 // it frees any, and edits nothing, so a rollback takes the tree back
 // intact — this handle included; the pages leave the cache only once op
 // commits. The tree must not be used once op has committed.
 func (t *Tree) Destroy(op *pager.Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pages := []uint64{t.hdr}
+	var pages []uint64
 	var data []undo.Run
 	var walk func(pno uint64, level int) error
 	walk = func(pno uint64, level int) error {
@@ -512,7 +511,7 @@ func (t *Tree) splitBoundaryLocked(off uint64) error {
 	}
 	// Copy the tail into a fresh allocation.
 	buf := make([]byte, rightLen)
-	if err := t.readExtentData(e, eOff, buf); err != nil {
+	if err := readRun(t.dev, e, eOff, buf); err != nil {
 		return err
 	}
 	right, err := t.allocAndWrite(buf)
@@ -568,7 +567,7 @@ func (t *Tree) appendBytes(p []byte) error {
 				if m > slack {
 					m = slack
 				}
-				if err := t.writeExtentData(last, uint64(last.Len), p[:m]); err != nil {
+				if err := t.writeData(last, uint64(last.Len), uint64(last.Len), p[:m]); err != nil {
 					return err
 				}
 				if err := t.setLeafCellLen(path, leafPno, cnt-1, last.Len+uint32(m)); err != nil {
@@ -641,7 +640,7 @@ func (t *Tree) allocAndWrite(p []byte) (Extent, error) {
 		return Extent{}, err
 	}
 	e := Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(len(p))}
-	if err := t.writeExtentData(e, 0, p); err != nil {
+	if err := t.writeData(e, 0, 0, p); err != nil {
 		// The run never joined the tree. Its allocation is already in the
 		// operation's records, which commit even when the operation fails,
 		// so it must be given back in the same records or it is lost.
@@ -653,13 +652,26 @@ func (t *Tree) allocAndWrite(p []byte) (Extent, error) {
 
 // --- raw device data I/O ---
 
-// blockBufs recycles the scratch block a partial-block read goes through.
-// A tree's readers share only its read lock, so one buffer per tree would
-// race; a pool gives each concurrent read its own without allocating.
+// blockBufs recycles the scratch block a partial-block read or write goes
+// through. A tree's readers share only its read lock, so one buffer per
+// tree would race; a pool gives each concurrent read its own without
+// allocating.
 var blockBufs sync.Pool // of *[]byte
 
-// readExtentData reads len(p) bytes from extent e starting at extOff.
-func (t *Tree) readExtentData(e Extent, extOff uint64, p []byte) error {
+// blockBuf takes a block-sized scratch buffer from blockBufs; give it
+// back with blockBufs.Put.
+func blockBuf(bs int) *[]byte {
+	bp, _ := blockBufs.Get().(*[]byte)
+	if bp == nil || len(*bp) != bs {
+		b := make([]byte, bs)
+		bp = &b
+	}
+	return bp
+}
+
+// readRun reads len(p) bytes of extent e from extOff on dev.
+func readRun(dev blockdev.Device, e Extent, extOff uint64, p []byte) error {
+	bs := dev.BlockSize()
 	var bp *[]byte
 	defer func() {
 		if bp != nil {
@@ -667,24 +679,20 @@ func (t *Tree) readExtentData(e Extent, extOff uint64, p []byte) error {
 		}
 	}()
 	for len(p) > 0 {
-		blk := e.Alloc + extOff/t.bsU64
-		bo := int(extOff % t.bsU64)
-		if bo == 0 && len(p) >= t.bs {
-			if err := t.dev.ReadBlock(blk, p[:t.bs]); err != nil {
+		blk := e.Alloc + extOff/uint64(bs)
+		bo := int(extOff % uint64(bs))
+		if bo == 0 && len(p) >= bs {
+			if err := dev.ReadBlock(blk, p[:bs]); err != nil {
 				return err
 			}
-			p = p[t.bs:]
-			extOff += t.bsU64
+			p = p[bs:]
+			extOff += uint64(bs)
 			continue
 		}
 		if bp == nil {
-			bp, _ = blockBufs.Get().(*[]byte)
-			if bp == nil || len(*bp) != t.bs {
-				b := make([]byte, t.bs)
-				bp = &b
-			}
+			bp = blockBuf(bs)
 		}
-		if err := t.dev.ReadBlock(blk, *bp); err != nil {
+		if err := dev.ReadBlock(blk, *bp); err != nil {
 			return err
 		}
 		n := copy(p, (*bp)[bo:])
@@ -694,47 +702,72 @@ func (t *Tree) readExtentData(e Extent, extOff uint64, p []byte) error {
 	return nil
 }
 
-// recWrote stages, against the header page, the data blocks an in-place
-// overwrite of [extOff, extOff+n) of e is about to rewrite. No leaf cell
-// changes, so without it nothing in the log would name them, and recovery
-// would hold the new bytes to the sums of the old (see DataRun).
-func (t *Tree) recWrote(e Extent, extOff, n uint64) error {
-	return t.pg.With(t.hdr, func(hp *pager.Page) error {
-		first := extOff / t.bsU64
-		last := (extOff + n - 1) / t.bsU64
-		t.rec(hp, t.curOp, encXop(xopWrote, xu64(e.Alloc+first), xu64(last-first+1)))
-		return nil
-	})
-}
-
-// writeExtentData writes p into extent e starting at extOff, doing
-// read-modify-write for partial blocks.
-func (t *Tree) writeExtentData(e Extent, extOff uint64, p []byte) error {
-	buf := make([]byte, t.bs)
+// writeRun writes p into extent e from extOff on dev and returns the sums
+// of the blocks it wrote, from the one holding extOff on. Only the first
+// live bytes of e hold content (0 for a run just allocated): a partial
+// block is read, modified and written back when it holds some of them
+// outside p, and is otherwise written zero-padded, unread.
+func writeRun(dev blockdev.Device, e Extent, live, extOff uint64, p []byte) ([]byte, error) {
+	bs := dev.BlockSize()
+	var bp *[]byte
+	defer func() {
+		if bp != nil {
+			blockBufs.Put(bp)
+		}
+	}()
+	var sums []byte
 	for len(p) > 0 {
-		blk := e.Alloc + extOff/t.bsU64
-		bo := int(extOff % t.bsU64)
-		if bo == 0 && len(p) >= t.bs {
-			//hfadvet:allow waldata — raw object data rides outside the WAL by design: old-or-new content atomicity, durability carried by the enclosing extent records
-			if err := t.dev.WriteBlock(blk, p[:t.bs]); err != nil {
-				return err
+		blk := e.Alloc + extOff/uint64(bs)
+		bo := int(extOff % uint64(bs))
+		n := min(len(p), bs-bo)
+		block := p[:n]
+		if n < bs {
+			if bp == nil {
+				bp = blockBuf(bs)
 			}
-			p = p[t.bs:]
-			extOff += t.bsU64
-			continue
+			block = *bp
+			if bo > 0 || extOff+uint64(n) < live {
+				if err := dev.ReadBlock(blk, block); err != nil {
+					return nil, err
+				}
+			} else {
+				clear(block[n:])
+			}
+			copy(block[bo:], p[:n])
 		}
-		if err := t.dev.ReadBlock(blk, buf); err != nil {
-			return err
+		//hfadvet:allow waldata — raw object data rides outside the WAL by design: old-or-new content atomicity, durability carried by the enclosing extent records
+		if err := dev.WriteBlock(blk, block); err != nil {
+			return nil, err
 		}
-		n := copy(buf[bo:], p)
-		//hfadvet:allow waldata — raw object data rides outside the WAL by design (read-modify-write tail)
-		if err := t.dev.WriteBlock(blk, buf); err != nil {
-			return err
-		}
+		sums = binary.LittleEndian.AppendUint32(sums, blockdev.Sum(block))
 		p = p[n:]
 		extOff += uint64(n)
 	}
-	return nil
+	return sums, nil
+}
+
+// writeData writes p into extent e from extOff (see writeRun) and stages
+// the sums of the blocks it wrote (see DataSums).
+func (t *Tree) writeData(e Extent, live, extOff uint64, p []byte) error {
+	sums, err := writeRun(t.dev, e, live, extOff, p)
+	if err != nil {
+		return err
+	}
+	return t.recWrote(e.Alloc+extOff/t.bsU64, sums)
+}
+
+// recWrote stages, against the root page, the sums of the data blocks
+// from first on that the operation has just written. Without it nothing
+// in the log would say what the blocks now hold, and recovery would hold
+// them to the sums of the checkpoint before.
+func (t *Tree) recWrote(first uint64, sums []byte) error {
+	if t.curOp == nil {
+		return nil
+	}
+	return t.pg.With(t.root, func(rp *pager.Page) error {
+		t.rec(rp, t.curOp, encXop(xopWrote, xu64(first), sums))
+		return nil
+	})
 }
 
 // Extents calls fn for every extent in order with its starting offset.

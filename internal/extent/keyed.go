@@ -179,7 +179,7 @@ func (m *KeyedMap) ReadAt(p []byte, off uint64) (int, error) {
 			for i := range dst {
 				dst[i] = 0
 			}
-		} else if err := m.readData(s.e, eOff, dst); err != nil {
+		} else if err := readRun(m.pg.Device(), s.e, eOff, dst); err != nil {
 			return done, err
 		}
 		done += mlen
@@ -354,11 +354,11 @@ func (m *KeyedMap) splitBoundary(op *pager.Op, off uint64) error {
 			return err
 		}
 		buf := make([]byte, rightLen)
-		if err := m.readData(e, k, buf); err != nil {
+		if err := readRun(m.pg.Device(), e, k, buf); err != nil {
 			return err
 		}
 		right = Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(rightLen)}
-		if err := m.writeData(right, 0, buf); err != nil {
+		if _, err := writeRun(m.pg.Device(), right, 0, 0, buf); err != nil {
 			return err
 		}
 	}
@@ -376,63 +376,8 @@ func (m *KeyedMap) allocAndWrite(p []byte) (Extent, error) {
 		return Extent{}, err
 	}
 	e := Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(len(p))}
-	if err := m.writeData(e, 0, p); err != nil {
+	if _, err := writeRun(m.pg.Device(), e, 0, 0, p); err != nil {
 		return Extent{}, err
 	}
 	return e, nil
-}
-
-func (m *KeyedMap) readData(e Extent, extOff uint64, p []byte) error {
-	dev := m.pg.Device()
-	bs := int(m.bs)
-	buf := make([]byte, bs)
-	for len(p) > 0 {
-		blk := e.Alloc + extOff/m.bs
-		bo := int(extOff % m.bs)
-		if bo == 0 && len(p) >= bs {
-			if err := dev.ReadBlock(blk, p[:bs]); err != nil {
-				return err
-			}
-			p = p[bs:]
-			extOff += m.bs
-			continue
-		}
-		if err := dev.ReadBlock(blk, buf); err != nil {
-			return err
-		}
-		n := copy(p, buf[bo:])
-		p = p[n:]
-		extOff += uint64(n)
-	}
-	return nil
-}
-
-func (m *KeyedMap) writeData(e Extent, extOff uint64, p []byte) error {
-	dev := m.pg.Device()
-	bs := int(m.bs)
-	buf := make([]byte, bs)
-	for len(p) > 0 {
-		blk := e.Alloc + extOff/m.bs
-		bo := int(extOff % m.bs)
-		if bo == 0 && len(p) >= bs {
-			//hfadvet:allow waldata — raw value data rides outside the WAL by design: old-or-new content atomicity, durability carried by the keyed-extent records
-			if err := dev.WriteBlock(blk, p[:bs]); err != nil {
-				return err
-			}
-			p = p[bs:]
-			extOff += m.bs
-			continue
-		}
-		if err := dev.ReadBlock(blk, buf); err != nil {
-			return err
-		}
-		n := copy(buf[bo:], p)
-		//hfadvet:allow waldata — raw value data rides outside the WAL by design (read-modify-write tail)
-		if err := dev.WriteBlock(blk, buf); err != nil {
-			return err
-		}
-		p = p[n:]
-		extOff += uint64(n)
-	}
-	return nil
 }

@@ -61,13 +61,7 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 
 		// Leaf full: split it, then re-descend and retry the insert.
 		sys := t.smoOp()
-		root := t.root
-		_, _, err = t.splitNodeSys(sys, path, leafPno)
-		if t.root != root {
-			if herr := t.writeRootSys(sys); err == nil {
-				err = herr
-			}
-		}
+		_, _, _, err = t.splitNodeSys(sys, path, leafPno)
 		// Append whatever was staged even on error: each record was
 		// staged right after its mutation landed in cache, so the log
 		// stays consistent with the (possibly partially split) in-cache
@@ -89,25 +83,33 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 
 // splitNodeSys splits the full node pno around its cell midpoint as part
 // of system transaction sys, records the new sibling in the parent
-// (splitting full parents first, recursively), and grows the root as
-// needed. The split is sum-preserving: cells only redistribute between
-// the two halves and the parent's entries are rewritten to the exact
-// partial sums, so no byte count above the split level changes. Its
-// records name the halves but carry no sums: replay derives each from the
-// half as replay has built it, so an always-redone split replayed without
-// a dropped operation's cells sums what the log kept. Returns the new
-// right sibling's page and the split index.
-func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64, int, error) {
+// (splitting full parents first, recursively), and pushes the root's
+// cells down a level when the root itself is full. The split is
+// sum-preserving: cells only redistribute between the two halves and the
+// parent's entries are rewritten to the exact partial sums, so no byte
+// count above the split level changes. Its records name the halves but
+// carry no sums: replay derives each from the half as replay has built
+// it, so an always-redone split replayed without a dropped operation's
+// cells sums what the log kept. Returns the two halves (the left one is
+// not pno when the root was pushed down) and the split index.
+func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64, uint64, int, error) {
+	if len(path) == 0 {
+		child, err := t.pushDown(sys)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		path, pno = []pathElem{{t.root, 0}}, child
+	}
 	rightPno, err := t.space.Alloc(sys, 1)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	var mid int
 	var oldNext, leftSum, rightSum uint64
 	err = t.pg.With(pno, func(pg *pager.Page) error {
 		return t.pg.WithZero(rightPno, func(rpg *pager.Page) error {
-			n, rn := nodeRef{pg.Data()}, nodeRef{rpg.Data()}
-			rn.data[offType] = n.typ()
+			n := nodeRef{pg.Data()}
+			rn := initNode(rpg.Data(), n.typ(), n.owner())
 			cnt := n.ncells()
 			mid = cnt / 2
 			copy(cellBytes(rn, 0, cnt-mid), cellBytes(n, mid, cnt))
@@ -118,10 +120,8 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 				rn.setNext(oldNext)
 				rn.setPrev(pno)
 				n.setNext(rightPno)
-				leftSum, rightSum = n.leafSum(), rn.leafSum()
-			} else {
-				leftSum, rightSum = n.childSum(), rn.childSum()
 			}
+			leftSum, rightSum = n.sum(), rn.sum()
 			t.rec(pg, sys, encXop(xopSplit, xu64(rightPno), xu16(mid)))
 			// The right page is fresh and fully determined by the split
 			// record; it needs no record (or base image) of its own.
@@ -131,7 +131,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 	})
 	if err != nil {
 		_ = t.freePage(sys, rightPno) // never joined the tree
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if oldNext != 0 {
 		err := t.pg.With(oldNext, func(npg *pager.Page) error {
@@ -140,34 +140,10 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 			return nil
 		})
 		if err != nil {
-			return rightPno, mid, err
+			return pno, rightPno, mid, err
 		}
 	}
 	t.addStat(func(s *Stats) { s.Splits++ })
-
-	if len(path) == 0 {
-		// Grow the root: new internal root with the two halves.
-		newRoot, err := t.space.Alloc(sys, 1)
-		if err != nil {
-			return rightPno, mid, err
-		}
-		err = t.pg.WithZero(newRoot, func(npg *pager.Page) error {
-			nn := nodeRef{npg.Data()}
-			nn.data[offType] = pageInternal
-			nn.setChildCell(0, childEntry{pno, leftSum})
-			nn.setChildCell(1, childEntry{rightPno, rightSum})
-			nn.setNCells(2)
-			t.rec(npg, sys, encXop(xopNewRoot, xu64(pno), xu64(rightPno)))
-			return nil
-		})
-		if err != nil {
-			_ = t.freePage(sys, newRoot)
-			return rightPno, mid, err
-		}
-		t.root = newRoot
-		t.height++
-		return rightPno, mid, nil // insertCell logs the new root
-	}
 
 	// Record the new sibling in the parent, splitting it first if full.
 	pe := path[len(path)-1]
@@ -191,16 +167,44 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 		return link(ppg)
 	})
 	if err == nil && full {
-		var pr uint64
+		var pl, pr uint64
 		var pm int
-		if pr, pm, err = t.splitNodeSys(sys, path[:len(path)-1], parentPno); err == nil {
+		if pl, pr, pm, err = t.splitNodeSys(sys, path[:len(path)-1], parentPno); err == nil {
+			parentPno = pl
 			if pidx >= pm {
 				parentPno, pidx = pr, pidx-pm
 			}
 			err = t.pg.With(parentPno, link)
 		}
 	}
-	return rightPno, mid, err
+	return pno, rightPno, mid, err
+}
+
+// pushDown moves the full root's cells into a fresh child, in sys, and
+// leaves the root an internal node whose one entry is that child: the
+// tree grows a level and the page that names it stays put. Returns the
+// child, which the caller then splits under the root.
+func (t *Tree) pushDown(sys *pager.Op) (uint64, error) {
+	child, err := t.space.Alloc(sys, 1)
+	if err != nil {
+		return 0, err
+	}
+	err = t.pg.With(t.root, func(rpg *pager.Page) error {
+		return t.pg.WithZero(child, func(cpg *pager.Page) error {
+			moveDown(nodeRef{rpg.Data()}, cpg.Data(), child)
+			t.rec(rpg, sys, encXop(xopPushDown, xu64(child)))
+			// Like a split's right page, the child is rebuilt from the
+			// root's record.
+			t.pg.MarkDirty(cpg)
+			return nil
+		})
+	})
+	if err != nil {
+		_ = t.freePage(sys, child) // never joined the tree
+		return 0, err
+	}
+	t.height++
+	return child, nil
 }
 
 // removeCellAt deletes the cell at idx of the leaf at the end of path,
@@ -301,14 +305,15 @@ func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) error {
 
 // maybeMerge merges the node at nodePno with an adjacent sibling when
 // their combined cells fit in one page (lazy, merge-only rebalancing),
-// reporting whether a merge happened at this level. The whole merge —
-// sibling absorption, parent fixup, root collapse — is logged as one
-// typed record on the parent plus chain-pointer range records, all in
-// sys (nil = unlogged).
+// reporting whether a merge happened at this level. The merge — sibling
+// absorption and parent fixup — is logged as one typed record on the
+// parent plus chain-pointer range records, and a root left with one
+// child pulls it up with one more record on the root, all in sys (nil =
+// unlogged).
 func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool, error) {
 	pe := path[len(path)-1]
 	var merged, rootSingle, underfull bool
-	var right, newRoot uint64
+	var right, only uint64
 	err := t.pg.With(pe.pno, func(ppg *pager.Page) error {
 		pn := nodeRef{ppg.Data()}
 		cnt := pn.ncells()
@@ -337,7 +342,7 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool,
 			t.rec(ppg, sys, encXop(xopMerge, xu16(li)))
 			right = rc.child
 			if rootSingle = pe.pno == t.root && pn.ncells() == 1; rootSingle {
-				newRoot = pn.childCell(0).child
+				only = pn.childCell(0).child
 			}
 			underfull = pn.ncells() < t.internalCap()/4
 			return nil
@@ -352,12 +357,7 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool,
 		return true, err
 	}
 	if rootSingle {
-		if err := t.freePage(sys, pe.pno); err != nil {
-			return true, err
-		}
-		t.root = newRoot
-		t.height--
-		return true, t.writeRootSys(sys)
+		return true, t.pullUp(sys, only)
 	}
 	if underfull && len(path) > 1 {
 		_, err := t.maybeMerge(sys, path[:len(path)-1], pe.pno)
@@ -413,6 +413,24 @@ func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, err
 		})
 	})
 	return merged, err
+}
+
+// pullUp moves the root's only child's cells into the root, in sys, and
+// frees the child: the tree loses a level and the page that names it
+// stays put.
+func (t *Tree) pullUp(sys *pager.Op, child uint64) error {
+	err := t.pg.With(t.root, func(rpg *pager.Page) error {
+		return t.pg.With(child, func(cpg *pager.Page) error {
+			moveUp(nodeRef{rpg.Data()}, nodeRef{cpg.Data()})
+			t.rec(rpg, sys, encXop(xopPullUp, xu64(child)))
+			return nil
+		})
+	})
+	if err != nil {
+		return err
+	}
+	t.height--
+	return t.freePage(sys, child)
 }
 
 func (t *Tree) freePage(op *pager.Op, pno uint64) error {

@@ -9,14 +9,13 @@
 //
 //   - Per-operation records (staged into the operation's redo capture,
 //     replayed only if its transaction committed): leaf-cell inserts,
-//     removes and rewrites addressed by cell index, subtree byte-count
-//     deltas on internal nodes, and a KindRange record for the OSD's
-//     shadow metadata. No per-operation record writes the tree header:
-//     the object's size is the root's sum.
+//     removes and rewrites addressed by cell index, and subtree
+//     byte-count deltas on internal nodes. The object's size is the
+//     root's sum.
 //   - System-transaction records (auto-committed via wal.AppendSystem
-//     the moment they happen): node splits, merges, root growth and
-//     collapse, with a KindRange record for the header's root and height
-//     when they change. Splits are restructured to be *sum-preserving* —
+//     the moment they happen): node splits, merges, and the root's
+//     push-down and pull-up, each one record on the root page that names
+//     the child. Splits are restructured to be *sum-preserving* —
 //     the tree splits a full node around its own midpoint first, then
 //     the enclosing operation re-descends and inserts its cell as an
 //     ordinary per-op record — so an always-redone split never carries
@@ -35,23 +34,27 @@
 //
 // Op payloads (first byte is the opcode; all integers little-endian):
 //
-//	xopInit     typ u8
+//	xopInit     typ u8 | owner u64            (a fresh root)
 //	xopLeafIns  idx u16 | cell 16B            (shift right, store)
 //	xopLeafSet  idx u16 | cell 16B            (overwrite in place)
 //	xopLeafDel  idx u16                       (shift left)
 //	xopChildIns idx u16 | child u64           (entry's bytes: the child's sum)
-//	xopChildSet idx u16 | child u64           (likewise; older logs append a
-//	                                           bytes u64, which is ignored)
+//	xopChildSet idx u16 | child u64           (likewise)
 //	xopBump     idx u16 | delta u64           (two's complement add to bytes)
 //	xopSplit    right u64 | at u16            (cells [at,n) move to right;
 //	                                           leaf pages also stitch the chain)
-//	xopNewRoot  left u64 | right u64          (entries sum the children;
-//	                                           older logs interleave two
-//	                                           ignored bytes u64)
 //	xopMerge    li u16                        (page = parent: children at
 //	                                           li, li+1 merge into li's child)
-//	xopWrote    block u64 | blocks u64        (page = header, unchanged: data
-//	                                           blocks overwritten in place)
+//	xopWrote    block u64 | sum u32...        (page = root, unchanged: the
+//	                                           data blocks from block on that
+//	                                           the operation wrote, one sum each)
+//	xopPushDown child u64                     (page = root: its content moves
+//	                                           to the fresh child, its one entry)
+//	xopPullUp   child u64                     (page = root: its one child's
+//	                                           content moves up)
+//
+// Opcode 9 is retired: it grew a new root above the old one, in an older
+// format whose tree was named by a header page.
 package extent
 
 import (
@@ -69,9 +72,10 @@ const (
 	xopChildSet = 6
 	xopBump     = 7
 	xopSplit    = 8
-	xopNewRoot  = 9
 	xopMerge    = 10
 	xopWrote    = 11
+	xopPushDown = 12
+	xopPullUp   = 13
 )
 
 func encCell(e Extent) []byte {
@@ -141,15 +145,31 @@ func xTakeCell(b []byte) (Extent, []byte, error) {
 	return decCell(b), b[leafCellSize:], nil
 }
 
-// zeroInit zeroes a page and sets its type byte. Split/new-root targets
-// are fresh (WithZero) pages whose home content is garbage; replay
-// rebuilds them from the record alone.
-func zeroInit(data []byte, typ byte) nodeRef {
-	for i := range data {
-		data[i] = 0
-	}
-	data[offType] = typ
-	return nodeRef{data}
+// moveDown moves root's content into the fresh page c, numbered child,
+// and leaves root an internal node whose one entry is c. The runtime
+// push-down and its replay share it, so both build the same bytes.
+func moveDown(root nodeRef, c []byte, child uint64) {
+	cn := initNode(c, root.typ(), root.owner())
+	cnt := root.ncells()
+	copy(cn.data[offPtrA:hdrSize], root.data[offPtrA:hdrSize])
+	copy(cellBytes(cn, 0, cnt), cellBytes(root, 0, cnt))
+	cn.setNCells(cnt)
+	root.data[offType] = pageInternal
+	root.setNext(0)
+	root.setPrev(0)
+	root.setChildCell(0, childEntry{child, cn.sum()})
+	root.setNCells(1)
+}
+
+// moveUp moves the content of c, the root's only child, into the root:
+// moveDown's inverse, shared by the runtime pull-up and its replay. The
+// root keeps its owner.
+func moveUp(root, c nodeRef) {
+	cnt := c.ncells()
+	root.data[offType] = c.typ()
+	copy(root.data[offPtrA:hdrSize], c.data[offPtrA:hdrSize])
+	copy(cellBytes(root, 0, cnt), cellBytes(c, 0, cnt))
+	root.setNCells(cnt)
 }
 
 // subtreeBytes is the byte total under page pno as replay has built it.
@@ -162,14 +182,11 @@ func subtreeBytes(get func(pno uint64) ([]byte, error), pno uint64) (uint64, err
 	if err != nil {
 		return 0, err
 	}
-	switch n := (nodeRef{d}); n.typ() {
-	case pageLeaf:
-		return n.leafSum(), nil
-	case pageInternal:
-		return n.childSum(), nil
-	default:
-		return 0, errXReplay("split child %d is page type %d", pno, n.typ())
+	n := nodeRef{d}
+	if t := n.typ(); t != pageLeaf && t != pageInternal {
+		return 0, errXReplay("split child %d is page type %d", pno, t)
 	}
+	return n.sum(), nil
 }
 
 // cellBytes returns the raw cell region [i, j) of a node (leaf and
@@ -196,10 +213,10 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 
 	switch code {
 	case xopInit:
-		if len(b) < 1 {
-			return errXReplay("xopInit missing type")
+		if len(b) != 9 {
+			return errXReplay("xopInit payload of %d bytes", len(b))
 		}
-		zeroInit(data, b[0])
+		initNode(data, b[0], binary.LittleEndian.Uint64(b[1:]))
 		return nil
 
 	case xopLeafIns:
@@ -212,7 +229,7 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 			return err
 		}
 		cnt := n.ncells()
-		if idx > cnt || hdrSize+(cnt+1)*leafCellSize > len(data) {
+		if idx > cnt || hdrSize+(cnt+1)*leafCellSize > len(data)-ownerLen {
 			return errXReplay("leaf insert at %d of %d on page %d", idx, cnt, pageNo)
 		}
 		n.insertLeafCell(idx, e)
@@ -253,13 +270,11 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		if err != nil {
 			return err
 		}
-		// Older logs carry the child's byte total after the page number;
-		// it is derived instead, like every split sum.
 		cnt := n.ncells()
 		if code == xopChildSet && idx >= cnt {
 			return errXReplay("child set at %d of %d on page %d", idx, cnt, pageNo)
 		}
-		if code == xopChildIns && (idx > cnt || hdrSize+(cnt+1)*internalCellSize > len(data)) {
+		if code == xopChildIns && (idx > cnt || hdrSize+(cnt+1)*internalCellSize > len(data)-ownerLen) {
 			return errXReplay("child insert at %d of %d on page %d", idx, cnt, pageNo)
 		}
 		bytes, err := subtreeBytes(get, child)
@@ -317,7 +332,7 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		if err != nil {
 			return err
 		}
-		rn := zeroInit(rdata, n.typ())
+		rn := initNode(rdata, n.typ(), n.owner())
 		copy(cellBytes(rn, 0, cnt-at), cellBytes(n, at, cnt))
 		rn.setNCells(cnt - at)
 		n.setNCells(at)
@@ -328,32 +343,6 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 			// The old next leaf's prev pointer is fixed by its own range
 			// record in the same system transaction.
 		}
-		return nil
-
-	case xopNewRoot:
-		left, rest, err := xTakeU64(b)
-		if err != nil {
-			return err
-		}
-		if len(rest) == 24 {
-			rest = rest[8:] // an older log's leftBytes; derived below
-		}
-		right, _, err := xTakeU64(rest)
-		if err != nil {
-			return err
-		}
-		leftBytes, err := subtreeBytes(get, left)
-		if err != nil {
-			return err
-		}
-		rightBytes, err := subtreeBytes(get, right)
-		if err != nil {
-			return err
-		}
-		np := zeroInit(data, pageInternal)
-		np.setChildCell(0, childEntry{left, leftBytes})
-		np.setChildCell(1, childEntry{right, rightBytes})
-		np.setNCells(2)
 		return nil
 
 	case xopMerge:
@@ -378,7 +367,7 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 			return errXReplay("merge type mismatch under page %d", pageNo)
 		}
 		base, rcnt := ln.ncells(), rn.ncells()
-		if hdrSize+(base+rcnt)*leafCellSize > len(ldata) {
+		if hdrSize+(base+rcnt)*leafCellSize > len(ldata)-ownerLen {
 			return errXReplay("merge overflow under page %d", pageNo)
 		}
 		copy(cellBytes(ln, base, base+rcnt), cellBytes(rn, 0, rcnt))
@@ -392,10 +381,37 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		return nil
 
 	case xopWrote:
-		// Changes no page: the record only names data blocks (DataRun).
-		if len(b) != 16 {
+		// Changes no page: the record only names data blocks (DataSums).
+		if len(b) < 12 || (len(b)-8)%4 != 0 {
 			return errXReplay("xopWrote payload of %d bytes", len(b))
 		}
+		return nil
+
+	case xopPushDown:
+		child, _, err := xTakeU64(b)
+		if err != nil {
+			return err
+		}
+		cdata, err := get(child)
+		if err != nil {
+			return err
+		}
+		moveDown(n, cdata, child)
+		return nil
+
+	case xopPullUp:
+		child, _, err := xTakeU64(b)
+		if err != nil {
+			return err
+		}
+		if n.typ() != pageInternal || n.ncells() != 1 || n.childCell(0).child != child {
+			return errXReplay("pull-up of %d into page %d, which does not hold it alone", child, pageNo)
+		}
+		cdata, err := get(child)
+		if err != nil {
+			return err
+		}
+		moveUp(n, nodeRef{cdata})
 		return nil
 
 	default:
@@ -403,19 +419,18 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 	}
 }
 
-// DataRun reports the device run named by a record: a leaf-cell insert or
-// rewrite of a real extent's cell names the extent's run, an in-place
-// overwrite (which changes no cell) the blocks it rewrote. They are the
-// blocks whose bytes the operation wrote, directly and outside the log.
-// Recovery uses it to stop trusting the checkpoint-time checksums of
-// exactly those blocks.
-func DataRun(payload []byte) (alloc uint64, blocks uint32, ok bool) {
-	if len(payload) == 1+16 && payload[0] == xopWrote {
-		return binary.LittleEndian.Uint64(payload[1:]), uint32(binary.LittleEndian.Uint64(payload[9:])), true
+// DataSums calls fn with each data block a record says its operation
+// wrote straight to the device, outside the log, and the sum of what the
+// block then held. Recovery holds those blocks to these sums in place of
+// the checkpoint's, so a write the device lost or misdirected reads back
+// as corrupt.
+func DataSums(payload []byte, fn func(block uint64, sum uint32)) {
+	if len(payload) < 13 || payload[0] != xopWrote || (len(payload)-9)%4 != 0 {
+		return
 	}
-	if len(payload) != 1+2+leafCellSize || (payload[0] != xopLeafIns && payload[0] != xopLeafSet) {
-		return 0, 0, false
+	block := binary.LittleEndian.Uint64(payload[1:])
+	for b := payload[9:]; len(b) > 0; b = b[4:] {
+		fn(block, binary.LittleEndian.Uint32(b))
+		block++
 	}
-	e := decCell(payload[3:])
-	return e.Alloc, e.AllocBlocks, !e.IsHole()
 }

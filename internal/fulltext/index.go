@@ -432,12 +432,24 @@ func (x *Index) flushLocked(op *pager.Op) error {
 	if err := x.manifest.PutOp(op, segKey(id), segValue(tr.HeaderPage(), 0)); err != nil {
 		return err
 	}
-	for doc := range docs {
+	for _, doc := range sortedDocs(docs) {
 		if err := x.manifest.PutOp(op, docKey(doc), nil); err != nil {
 			return err
 		}
 	}
 	return x.mergeTiersLocked(op)
+}
+
+// sortedDocs returns the documents of set in ascending order: the order
+// the manifest's keys are written in, so that the same documents split
+// and merge its pages the same way every time.
+func sortedDocs(set map[uint64]bool) []uint64 {
+	docs := make([]uint64, 0, len(set))
+	for doc := range set {
+		docs = append(docs, doc)
+	}
+	slices.Sort(docs)
+	return docs
 }
 
 // writeSegment creates a segment tree for op holding the buffered
@@ -553,7 +565,7 @@ func (x *Index) mergeLocked(op *pager.Op, in []*segment, level int, all bool) er
 		if err := x.manifest.DeleteOp(op, segKey(s.id)); err != nil {
 			return err
 		}
-		for doc := range s.dead {
+		for _, doc := range sortedDocs(s.dead) {
 			if err := x.manifest.DeleteOp(op, tombKey(s.id, doc)); err != nil && !errors.Is(err, btree.ErrNotFound) {
 				return err
 			}

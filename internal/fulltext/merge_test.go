@@ -1,6 +1,7 @@
 package fulltext
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -207,5 +208,45 @@ func TestReopenEightByteSegmentValues(t *testing.T) {
 	}
 	if got := levelCounts(z); len(got) != 1 || got[1] != 1 {
 		t.Fatalf("reopened layout is %v, want one level-1 segment", z.Layout())
+	}
+}
+
+// TestManifestWritesAreDeterministic: two identical index builds leave
+// identical device images. A flush puts its documents' D/ keys, and a
+// merge deletes its inputs' tombstone keys, in key order; in map order
+// the manifest btree would split, and merge its pages, at different keys
+// from one build to the next.
+func TestManifestWritesAreDeterministic(t *testing.T) {
+	build := func() []byte {
+		x, e := newIndex(t, Config{FlushDocs: 4096, MaxSegments: 100})
+		for i := uint64(1); i <= 1500; i++ {
+			if err := x.Add(nil, i, fmt.Sprintf("doc%d shared", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := x.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(1); i <= 1500; i += 2 {
+			if err := x.Delete(nil, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := x.Add(nil, 2000, "late shared"); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Compact(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.pg.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return e.dev.Snapshot()
+	}
+	if !bytes.Equal(build(), build()) {
+		t.Fatal("two identical builds left different device images")
 	}
 }

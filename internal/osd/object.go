@@ -201,10 +201,7 @@ func (s *Store) updateMetaNoCommit(op *pager.Op, oid OID, f func(*Meta)) error {
 		return err
 	}
 	f(&m)
-	if err := s.meta.PutOp(op, oidKey(oid), encodeMeta(&m)); err != nil {
-		return err
-	}
-	return s.writeShadowMeta(op, &m)
+	return s.meta.PutOp(op, oidKey(oid), encodeMeta(&m))
 }
 
 // Close releases the handle; the last close detaches the shared state.

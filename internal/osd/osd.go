@@ -5,13 +5,15 @@
 // bytes can be read, overwritten, inserted into the middle, and removed
 // from the middle.
 //
-// Objects are backed by counted extent trees (package extent). Object
-// metadata lives in two places, following the paper's implementation
-// sketch: authoritative copies in a global OID→metadata btree ("we use BDB
-// Btrees to map unique object IDs (OID) to the meta-data for an object"),
-// and a redundant copy under the NULL slot of the object's own tree header
-// page ("we use a NULL key value in the Btree to store the meta-data
-// associated with an object"), which fsck cross-checks.
+// Objects are backed by counted extent trees (package extent), each named
+// by its root page. Object metadata lives in a global OID→metadata btree,
+// following the paper's implementation sketch ("we use BDB Btrees to map
+// unique object IDs (OID) to the meta-data for an object"). The paper also
+// keeps a copy under a NULL key of the object's own tree ("we use a NULL
+// key value in the Btree to store the meta-data associated with an
+// object"); here every node of the extent tree carries only the owning
+// OID, written once when the node is made, which undo routing and fsck
+// read back.
 //
 // The store does not own its commits: every mutating operation runs
 // inside the bracket the volume passes as Options.Begin, which threads
@@ -32,8 +34,6 @@ import (
 	"repro/internal/buddy"
 	"repro/internal/extent"
 	"repro/internal/pager"
-	"repro/internal/redo"
-	"repro/internal/undo"
 )
 
 // OID uniquely identifies an object.
@@ -55,14 +55,14 @@ const (
 
 // Meta is an object's metadata record.
 type Meta struct {
-	OID          OID
-	Size         uint64
-	Mode         uint32
-	Owner        string // the paper's security attribute / USER tag source
-	Atime        int64  // unix nanoseconds
-	Mtime        int64
-	Ctime        int64
-	ExtentHeader uint64 // header page of the object's extent tree
+	OID        OID
+	Size       uint64
+	Mode       uint32
+	Owner      string // the paper's security attribute / USER tag source
+	Atime      int64  // unix nanoseconds
+	Mtime      int64
+	Ctime      int64
+	ExtentRoot uint64 // root page naming the object's extent tree
 }
 
 const metaFixedSize = 8 + 8 + 4 + 8 + 8 + 8 + 8 + 2 // + owner bytes
@@ -75,7 +75,7 @@ func encodeMeta(m *Meta) []byte {
 	binary.LittleEndian.PutUint64(out[20:], uint64(m.Atime))
 	binary.LittleEndian.PutUint64(out[28:], uint64(m.Mtime))
 	binary.LittleEndian.PutUint64(out[36:], uint64(m.Ctime))
-	binary.LittleEndian.PutUint64(out[44:], m.ExtentHeader)
+	binary.LittleEndian.PutUint64(out[44:], m.ExtentRoot)
 	binary.LittleEndian.PutUint16(out[52:], uint16(len(m.Owner)))
 	copy(out[54:], m.Owner)
 	return out
@@ -86,13 +86,13 @@ func decodeMeta(b []byte) (Meta, error) {
 		return Meta{}, fmt.Errorf("%w: meta record %d bytes", ErrCorrupt, len(b))
 	}
 	m := Meta{
-		OID:          OID(binary.LittleEndian.Uint64(b[0:])),
-		Size:         binary.LittleEndian.Uint64(b[8:]),
-		Mode:         binary.LittleEndian.Uint32(b[16:]),
-		Atime:        int64(binary.LittleEndian.Uint64(b[20:])),
-		Mtime:        int64(binary.LittleEndian.Uint64(b[28:])),
-		Ctime:        int64(binary.LittleEndian.Uint64(b[36:])),
-		ExtentHeader: binary.LittleEndian.Uint64(b[44:]),
+		OID:        OID(binary.LittleEndian.Uint64(b[0:])),
+		Size:       binary.LittleEndian.Uint64(b[8:]),
+		Mode:       binary.LittleEndian.Uint32(b[16:]),
+		Atime:      int64(binary.LittleEndian.Uint64(b[20:])),
+		Mtime:      int64(binary.LittleEndian.Uint64(b[28:])),
+		Ctime:      int64(binary.LittleEndian.Uint64(b[36:])),
+		ExtentRoot: binary.LittleEndian.Uint64(b[44:]),
 	}
 	olen := int(binary.LittleEndian.Uint16(b[52:]))
 	if metaFixedSize+olen > len(b) {
@@ -289,27 +289,24 @@ func (s *Store) CreateObjectDeferred(op *pager.Op, owner string, mode uint32) (*
 }
 
 func (s *Store) createObject(op *pager.Op, owner string, mode uint32) (*Object, error) {
-	ext, err := extent.CreateOp(s.pg, s.ba, s.opts.ExtentConfig, op)
-	if err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	oid := s.nextOID
 	s.nextOID++
 	s.mu.Unlock()
+	ext, err := extent.CreateOp(s.pg, s.ba, s.opts.ExtentConfig, op, uint64(oid))
+	if err != nil {
+		return nil, err
+	}
 	now := s.now()
 	m := Meta{
 		OID: oid, Mode: mode, Owner: owner,
 		Atime: now, Mtime: now, Ctime: now,
-		ExtentHeader: ext.HeaderPage(),
+		ExtentRoot: ext.RootPage(),
 	}
 	if err := s.meta.PutOp(op, oidKey(oid), encodeMeta(&m)); err != nil {
 		return nil, err
 	}
 	if err := s.persistSeq(op); err != nil {
-		return nil, err
-	}
-	if err := s.writeShadowMeta(op, &m); err != nil {
 		return nil, err
 	}
 	obj := &Object{s: s, oid: oid, ext: ext, refs: 1}
@@ -346,7 +343,7 @@ func (s *Store) OpenObject(oid OID) (*Object, error) {
 		obj.refs++
 		return obj, nil
 	}
-	ext, err := extent.Open(s.pg, s.ba, m.ExtentHeader, s.opts.ExtentConfig)
+	ext, err := extent.Open(s.pg, s.ba, m.ExtentRoot, s.opts.ExtentConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -395,57 +392,6 @@ func (s *Store) updateMeta(oid OID, f func(*Meta)) error {
 	return s.withOp(func(op *pager.Op) error { return s.updateMetaNoCommit(op, oid, f) })
 }
 
-// shadowMetaOff is where the redundant metadata copy lives in the extent
-// tree's header page (past the tree's own fields).
-const shadowMetaOff = 64
-
-// writeShadowMeta stores the paper's NULL-key metadata copy in the
-// object's own header page, staging it as an absolute byte-range record
-// — the ~60 logical bytes of the edit, where the retired image route
-// logged the whole 4 KiB header page per operation.
-func (s *Store) writeShadowMeta(op *pager.Op, m *Meta) error {
-	return s.pg.With(m.ExtentHeader, func(pg *pager.Page) error {
-		enc := encodeMeta(m)
-		d := pg.Data()
-		if shadowMetaOff+2+len(enc) > len(d) {
-			return fmt.Errorf("%w: shadow meta too large", ErrCorrupt)
-		}
-		rec := make([]byte, 2+len(enc))
-		binary.LittleEndian.PutUint16(rec, uint16(len(enc)))
-		copy(rec[2:], enc)
-		if op.UndoEnabled() {
-			// Before-image of exactly the span the redo record overwrites:
-			// restoring it restores the old length prefix, so a longer old
-			// record's untouched tail reads back intact.
-			old := append([]byte(nil), d[shadowMetaOff:shadowMetaOff+len(rec)]...)
-			op.StageUndo(undo.Range(m.ExtentHeader, shadowMetaOff, old))
-		}
-		copy(d[shadowMetaOff:], rec)
-		s.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(shadowMetaOff, rec))
-		return nil
-	})
-}
-
-// ShadowMeta reads the redundant metadata copy from the object's header
-// page; fsck compares it with the object table.
-func (s *Store) ShadowMeta(extentHeader uint64) (Meta, error) {
-	var m Meta
-	err := s.pg.With(extentHeader, func(pg *pager.Page) error {
-		d := pg.Data()
-		n := int(binary.LittleEndian.Uint16(d[shadowMetaOff:]))
-		if n == 0 || shadowMetaOff+2+n > len(d) {
-			return fmt.Errorf("%w: missing shadow meta", ErrCorrupt)
-		}
-		var err error
-		m, err = decodeMeta(d[shadowMetaOff+2 : shadowMetaOff+2+n])
-		return err
-	})
-	if err != nil {
-		return Meta{}, err
-	}
-	return m, nil
-}
-
 // DeleteObject destroys the object and releases all its storage. Open
 // handles become invalid.
 func (s *Store) DeleteObject(oid OID) error {
@@ -472,7 +418,7 @@ func (s *Store) deleteObject(op *pager.Op, oid OID) error {
 	if wasOpen {
 		ext = obj.ext
 	} else {
-		ext, err = extent.Open(s.pg, s.ba, m.ExtentHeader, s.opts.ExtentConfig)
+		ext, err = extent.Open(s.pg, s.ba, m.ExtentRoot, s.opts.ExtentConfig)
 		if err != nil {
 			return err
 		}
@@ -487,65 +433,65 @@ func (s *Store) deleteObject(op *pager.Op, oid OID) error {
 		return err
 	}
 	if op == nil {
-		s.forget(m.ExtentHeader)
+		s.forget(m.ExtentRoot)
 	} else {
-		op.Defer(func(*pager.Op) error { s.forget(m.ExtentHeader); return nil })
+		op.Defer(func(*pager.Op) error { s.forget(m.ExtentRoot); return nil })
 	}
 	s.stats.deletes.Add(1)
 	return nil
 }
 
-// DestroyTree destroys the extent tree rooted at hdr, forgetting any open
-// handle on it: the inverse of the operation that created it.
-func (s *Store) DestroyTree(op *pager.Op, hdr uint64) error {
-	s.forget(hdr)
-	ext, err := extent.Open(s.pg, s.ba, hdr, s.opts.ExtentConfig)
+// DestroyTree destroys the extent tree rooted at root, forgetting any
+// open handle on it: the inverse of the operation that created it.
+func (s *Store) DestroyTree(op *pager.Op, root uint64) error {
+	s.forget(root)
+	ext, err := extent.Open(s.pg, s.ba, root, s.opts.ExtentConfig)
 	if err != nil {
 		return err
 	}
 	return ext.Destroy(op)
 }
 
-// forget detaches the open handle, if any, on the tree rooted at hdr.
-func (s *Store) forget(hdr uint64) {
+// forget detaches the open handle, if any, on the tree rooted at root.
+func (s *Store) forget(root uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for oid, obj := range s.open {
-		if obj.ext.HeaderPage() == hdr {
+		if obj.ext.RootPage() == root {
 			obj.closed = true
 			delete(s.open, oid)
 		}
 	}
 }
 
-// LookupByHeader resolves the OID whose extent tree is rooted at the
-// given header page — the reverse of Meta.ExtentHeader. Open handles
-// are checked first (the common case during a runtime abort); otherwise
-// the header page's shadow metadata names the object, and the object
-// table confirms that the object still exists and still lives there — one
-// page and one lookup, not a scan of the table. The undo executor, which
-// addresses trees by header page, uses it to route through the object
-// layer so metadata stays in step.
-func (s *Store) LookupByHeader(hdr uint64) (OID, error) {
+// LookupByRoot resolves the OID whose extent tree is rooted at the given
+// page — the reverse of Meta.ExtentRoot. Open handles are checked first
+// (the common case during a runtime abort); otherwise the root's owner
+// back-pointer names the object, and the object table confirms that the
+// object still exists and still lives there — one page and one lookup,
+// not a scan of the table. The undo executor, which addresses trees by
+// root page, uses it to route through the object layer so metadata stays
+// in step.
+func (s *Store) LookupByRoot(root uint64) (OID, error) {
 	s.mu.Lock()
 	for oid, obj := range s.open {
-		if obj.ext.HeaderPage() == hdr {
+		if obj.ext.RootPage() == root {
 			s.mu.Unlock()
 			return oid, nil
 		}
 	}
 	s.mu.Unlock()
-	shadow, err := s.ShadowMeta(hdr)
+	owner, err := extent.Owner(s.pg, root)
 	if err == nil {
 		var m Meta
-		if m, err = s.Stat(shadow.OID); err == nil && m.ExtentHeader == hdr {
+		if m, err = s.Stat(OID(owner)); err == nil && m.ExtentRoot == root {
 			return m.OID, nil
 		}
 	}
-	if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrCorrupt) {
+	if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, extent.ErrCorrupt) {
 		return 0, err // the device, not the lookup, failed
 	}
-	return 0, fmt.Errorf("%w: no object with header page %d", ErrNotFound, hdr)
+	return 0, fmt.Errorf("%w: no object with extent root %d", ErrNotFound, root)
 }
 
 // ForEach visits every object's metadata in OID order.

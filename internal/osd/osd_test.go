@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/buddy"
+	"repro/internal/extent"
 	"repro/internal/pager"
 )
 
@@ -239,25 +240,44 @@ func TestUpdateMetaFields(t *testing.T) {
 	}
 }
 
-func TestShadowMetaMatchesTable(t *testing.T) {
-	s, _ := newStore(t, Options{})
+// TestBackPointerMatchesTable: every node of an object's extent tree
+// names the object, and LookupByRoot follows that back-pointer to the
+// object-table row that names the root — with no handle open, past a
+// root that has pushed its cells down, and not for a tree nobody owns.
+func TestBackPointerMatchesTable(t *testing.T) {
+	s, e := newStore(t, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	obj, err := s.CreateObject("carol", ModeRegular|0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obj.WriteAt([]byte("some data"), 0); err != nil {
+	for i := 0; i < 300; i++ { // past one leaf
+		if err := obj.Append(make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := obj.ExtentTree().Check()
+	if err != nil {
 		t.Fatal(err)
 	}
 	m, err := obj.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow, err := s.ShadowMeta(m.ExtentHeader)
-	if err != nil {
-		t.Fatalf("ShadowMeta: %v", err)
+	if res.Pages < 3 || res.Owner != uint64(m.OID) || res.AllPages[0] != m.ExtentRoot {
+		t.Fatalf("%d pages rooted at %d naming owner %d; table row %+v", res.Pages, res.AllPages[0], res.Owner, m)
 	}
-	if shadow.OID != m.OID || shadow.Size != m.Size || shadow.Owner != m.Owner {
-		t.Errorf("shadow %+v != table %+v", shadow, m)
+	if err := obj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if oid, err := s.LookupByRoot(m.ExtentRoot); err != nil || oid != m.OID {
+		t.Fatalf("LookupByRoot = %d, %v; want %d", oid, err, m.OID)
+	}
+	stray, err := extent.Create(e.pg, e.ba, extent.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LookupByRoot(stray.RootPage()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("LookupByRoot of an unowned tree: %v", err)
 	}
 }
 

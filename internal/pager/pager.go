@@ -853,7 +853,7 @@ func (op *Op) Rollback(apply func(body []byte) error) {
 // After makes op's commit wait until the log holds the staged records
 // of the open operation that last built on the structure block no names,
 // and makes op that operation. A structure calls it when an operation
-// starts to mutate it: an extent tree, keyed by its header block, whose
+// starts to mutate it: an extent tree, keyed by its root block, whose
 // leaf cells are addressed by index and whose size the object table
 // records, so a crash must not find op's records without the earlier
 // ones. The entry lives as long as the operation, not as long as a handle

@@ -20,7 +20,7 @@
 //     LSN 0; recovery still replays those).
 //   - KindRange: Data is a u32 page offset followed by the bytes written
 //     there. Idempotent absolute overwrite; used for pointer stitches,
-//     tree headers, shadow metadata, and overflow-page content.
+//     btree headers, and overflow-page content.
 //   - KindBtreeOp: Data is a btree-typed operation (opcode byte plus
 //     encoding, defined in package btree) that recovery re-executes via
 //     btree.ReplayOp. Because replay re-executes the operation against

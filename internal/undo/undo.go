@@ -4,8 +4,8 @@
 // Where a redo record says how to repeat a page edit, an undo record
 // says how to take the *operation* back: restore a key's old value,
 // delete the key an insert created, re-insert the byte range a delete
-// removed. Inverses are addressed by structure (a tree's header page, a
-// key, a byte offset), never by cell position, so executing them is
+// removed. Inverses are addressed by structure (a btree's header page or
+// an extent tree's root page, a key, a byte offset), never by cell position, so executing them is
 // correct regardless of how rebalances or a steal-evicted page moved the
 // physical bytes in between — the same position independence the redo
 // vocabulary already has.
@@ -20,17 +20,18 @@
 //
 //	KeyPut:     1 | hdr u64 | klen u32 | key | old value
 //	KeyDel:     2 | hdr u64 | key
-//	ExtWrite:   3 | hdr u64 | off u64 | old bytes
-//	ExtIns:     4 | hdr u64 | off u64 | old bytes
-//	ExtDel:     5 | hdr u64 | off u64 | n u64
-//	Range:      6 | page u64 | off u32 | old bytes
+//	ExtWrite:   3 | root u64 | off u64 | old bytes
+//	ExtIns:     4 | root u64 | off u64 | old bytes
+//	ExtDel:     5 | root u64 | off u64 | n u64
 //	Reclaim:    8 | (addr u64 | n u64)...
 //	BtreeDrop:  9 | hdr u64
-//	ExtentDrop: 10 | hdr u64
+//	ExtentDrop: 10 | root u64
 //	Fulltext:   11
 //
 // Opcode 7 (destroy a created object) is retired: the inverses of the
-// object's extent-tree creation and meta-row insert take it back.
+// object's extent-tree creation and meta-row insert take it back. So is
+// opcode 6 (restore a raw before-image of a page), whose one user was
+// the object metadata copy an extent tree's header page once kept.
 package undo
 
 import (
@@ -45,7 +46,6 @@ const (
 	OpExtWrite   = 3  // overwrite old bytes at Off in the extent tree rooted at Hdr
 	OpExtIns     = 4  // re-insert old bytes at Off (undo of a delete-range)
 	OpExtDel     = 5  // delete N bytes at Off (undo of an append/insert/grow)
-	OpRange      = 6  // restore a raw before-image at (Page, Off)
 	OpReclaim    = 8  // take the freed Runs back (undo of a destroy or drop)
 	OpBtreeDrop  = 9  // drop the btree rooted at Hdr (undo of its creation)
 	OpExtentDrop = 10 // destroy the extent tree rooted at Hdr (undo of its creation)
@@ -58,12 +58,11 @@ type Run struct{ Addr, N uint64 }
 // Op is one decoded undo record.
 type Op struct {
 	Code byte
-	Hdr  uint64 // structure header page (KeyPut/KeyDel/Ext*)
-	Off  uint64 // byte offset within the object (Ext*) or page (Range)
+	Hdr  uint64 // btree header page (KeyPut/KeyDel/BtreeDrop) or extent root page (Ext*/ExtentDrop)
+	Off  uint64 // byte offset within the object (Ext*)
 	N    uint64 // byte count (ExtDel)
-	Page uint64 // page number (Range)
 	Key  []byte // btree key (KeyPut/KeyDel)
-	Data []byte // old value / old bytes (KeyPut/ExtWrite/ExtIns/Range)
+	Data []byte // old value / old bytes (KeyPut/ExtWrite/ExtIns)
 	Runs []Run  // runs to take back (Reclaim)
 }
 
@@ -96,29 +95,22 @@ func extBytes(code byte, hdr, off uint64, data []byte) []byte {
 	return out
 }
 
-// ExtWrite encodes "overwrite old bytes at off in extent tree hdr".
-func ExtWrite(hdr, off uint64, old []byte) []byte { return extBytes(OpExtWrite, hdr, off, old) }
+// ExtWrite encodes "overwrite old bytes at off in the extent tree rooted
+// at root".
+func ExtWrite(root, off uint64, old []byte) []byte { return extBytes(OpExtWrite, root, off, old) }
 
-// ExtIns encodes "re-insert old bytes at off in extent tree hdr".
-func ExtIns(hdr, off uint64, old []byte) []byte { return extBytes(OpExtIns, hdr, off, old) }
+// ExtIns encodes "re-insert old bytes at off in the extent tree rooted at
+// root".
+func ExtIns(root, off uint64, old []byte) []byte { return extBytes(OpExtIns, root, off, old) }
 
-// ExtDel encodes "delete n bytes at off in extent tree hdr".
-func ExtDel(hdr, off, n uint64) []byte {
+// ExtDel encodes "delete n bytes at off in the extent tree rooted at
+// root".
+func ExtDel(root, off, n uint64) []byte {
 	out := make([]byte, 1+8+8+8)
 	out[0] = OpExtDel
-	binary.LittleEndian.PutUint64(out[1:], hdr)
+	binary.LittleEndian.PutUint64(out[1:], root)
 	binary.LittleEndian.PutUint64(out[9:], off)
 	binary.LittleEndian.PutUint64(out[17:], n)
-	return out
-}
-
-// Range encodes "restore old bytes at byte offset off of page".
-func Range(page uint64, off int, old []byte) []byte {
-	out := make([]byte, 1+8+4+len(old))
-	out[0] = OpRange
-	binary.LittleEndian.PutUint64(out[1:], page)
-	binary.LittleEndian.PutUint32(out[9:], uint32(off))
-	copy(out[13:], old)
 	return out
 }
 
@@ -138,8 +130,8 @@ func Reclaim(runs []Run) []byte {
 // BtreeDrop encodes "drop the btree rooted at hdr".
 func BtreeDrop(hdr uint64) []byte { return hdrOnly(OpBtreeDrop, hdr) }
 
-// ExtentDrop encodes "destroy the extent tree rooted at hdr".
-func ExtentDrop(hdr uint64) []byte { return hdrOnly(OpExtentDrop, hdr) }
+// ExtentDrop encodes "destroy the extent tree rooted at root".
+func ExtentDrop(root uint64) []byte { return hdrOnly(OpExtentDrop, root) }
 
 func hdrOnly(code byte, hdr uint64) []byte {
 	out := make([]byte, 1+8)
@@ -186,13 +178,6 @@ func Decode(b []byte) (Op, error) {
 		op.Hdr = binary.LittleEndian.Uint64(b[1:])
 		op.Off = binary.LittleEndian.Uint64(b[9:])
 		op.N = binary.LittleEndian.Uint64(b[17:])
-	case OpRange:
-		if len(b) < 13 {
-			return Op{}, fmt.Errorf("undo: short Range (%d bytes)", len(b))
-		}
-		op.Page = binary.LittleEndian.Uint64(b[1:])
-		op.Off = uint64(binary.LittleEndian.Uint32(b[9:]))
-		op.Data = b[13:]
 	case OpReclaim:
 		if (len(b)-1)%16 != 0 {
 			return Op{}, fmt.Errorf("undo: Reclaim of %d bytes is not whole runs", len(b)-1)
