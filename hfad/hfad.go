@@ -99,8 +99,8 @@ type Options struct {
 	// Deprecated: every volume is transactional; ignored.
 	Transactional bool
 	// WALBlocks sizes the log region (default 256 blocks = 1 MiB). Size
-	// it for the ingest burst: the background checkpointer drains the log
-	// when it passes its high-water mark, and a bigger region means fewer
+	// it for the ingest burst: the commit that takes the log past its
+	// high-water mark checkpoints, and a bigger region means fewer
 	// checkpoint pauses on sustained writes. Open uses the size the
 	// volume was created with.
 	WALBlocks uint64

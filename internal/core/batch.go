@@ -24,6 +24,10 @@ import (
 // methods: the callback runs under the batch's operation bracket, and
 // any Volume/OSD mutating method would open a nested bracket — nested
 // brackets deadlock against a pending checkpoint (see Volume.ckptMu).
+//
+// A Batch keeps a copy of the bytes it writes to objects it created, so
+// IndexContent indexes them without reading back what it was just given
+// (see IndexContent).
 type Batch struct {
 	v    *Volume
 	op   *pager.Op
@@ -32,6 +36,18 @@ type Batch struct {
 	// flush splits and allocates in the same order on every run.
 	stores []index.Store
 	revK   [][]byte
+	// texts holds the content of each object the batch created, for as
+	// long as the batch's own writes could follow it; kept sums their
+	// lengths, at most maxBatchText.
+	texts map[OID]*keptText
+	kept  int
+}
+
+// keptText is the content of an object a batch created: the bytes its
+// writes put there, and the extent root that names the object's tree.
+type keptText struct {
+	root uint64
+	b    []byte
 }
 
 // Batch runs fn, then commits everything it did as one transaction.
@@ -60,7 +76,7 @@ func (v *Volume) Batch(fn func(*Batch) error) error {
 	}
 	defer unlock()
 	return v.withOp(func(op *pager.Op) error {
-		b := &Batch{v: v, op: op, puts: make(map[index.Store][]index.Put)}
+		b := &Batch{v: v, op: op, puts: make(map[index.Store][]index.Put), texts: make(map[OID]*keptText)}
 		if err := fn(b); err != nil {
 			return err
 		}
@@ -101,7 +117,11 @@ func (b *Batch) CreateObject(owner string) (*osd.Object, error) {
 
 // CreateObjectMode is CreateObject with explicit mode bits.
 func (b *Batch) CreateObjectMode(owner string, mode uint32) (*osd.Object, error) {
-	return b.v.OSD.CreateObjectDeferred(b.op, owner, mode)
+	obj, err := b.v.OSD.CreateObjectDeferred(b.op, owner, mode)
+	if err == nil {
+		b.texts[obj.OID()] = &keptText{root: obj.ExtentTree().RootPage()}
+	}
+	return obj, err
 }
 
 // Append writes p at the current end of obj inside the batch's
@@ -115,12 +135,40 @@ func (b *Batch) Append(obj *osd.Object, p []byte) error {
 // end offset is resolved atomically with the write, so the size is
 // exact even with concurrent appenders on the same OID.
 func (b *Batch) AppendN(obj *osd.Object, p []byte) (uint64, error) {
-	return obj.AppendDeferred(b.op, p)
+	size, err := obj.AppendDeferred(b.op, p)
+	b.keep(obj.OID(), size-uint64(len(p)), p, err)
+	return size, err
 }
 
 // WriteAt writes p at offset off of obj inside the batch's transaction.
 func (b *Batch) WriteAt(obj *osd.Object, p []byte, off uint64) error {
-	return obj.WriteAtDeferred(b.op, p, off)
+	err := obj.WriteAtDeferred(b.op, p, off)
+	b.keep(obj.OID(), off, p, err)
+	return err
+}
+
+// keep copies p, which the batch wrote at off, into the kept content of
+// oid, or stops keeping it — for good — when the copy cannot follow: the
+// write failed, left a hole, or would take the object past maxIndexable
+// or the batch past maxBatchText.
+func (b *Batch) keep(oid OID, off uint64, p []byte, err error) {
+	t := b.texts[oid]
+	if t == nil {
+		return
+	}
+	end := off + uint64(len(p))
+	grow := int(max(end, uint64(len(t.b)))) - len(t.b)
+	if err != nil || off > uint64(len(t.b)) || end > maxIndexable || b.kept+grow > maxBatchText {
+		b.kept -= len(t.b)
+		delete(b.texts, oid)
+		return
+	}
+	if grow > 0 {
+		t.b = append(t.b[:off], p...)
+	} else {
+		copy(t.b[off:], p)
+	}
+	b.kept += grow
 }
 
 // AddName attaches a (tag, value) name inside the batch's transaction.
@@ -156,12 +204,23 @@ func (b *Batch) Tag(oid OID, tag, value string) error {
 	return b.AddName(oid, tag, []byte(value))
 }
 
-// IndexContent reads the object's bytes and indexes them as full text
-// inside the batch's transaction.
+// IndexContent indexes the object's bytes as full text inside the
+// batch's transaction. For an object the batch created it indexes the
+// content the batch kept, without a device read, as long as the pager
+// shows that no other operation has mutated the object since
+// (pager.Holds on its extent root: every mutation of an extent tree
+// claims the root, and the creator claims it first). Otherwise — another
+// operation wrote the object, or the kept copy was dropped — it reads
+// the object's bytes.
 func (b *Batch) IndexContent(oid OID) error {
-	text, err := b.v.readObjectText(oid)
-	if err != nil {
-		return err
+	var text []byte
+	if t := b.texts[oid]; t != nil && b.v.pg.Holds(t.root, b.op) {
+		text = t.b
+	} else {
+		var err error
+		if text, err = b.v.readObjectText(oid); err != nil {
+			return err
+		}
 	}
 	return b.AddName(oid, index.TagFulltext, text)
 }

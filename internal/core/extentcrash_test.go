@@ -107,7 +107,10 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 			fd.countdown.Store(0)
 			wrote := werr == nil
 
-			// Crash: reopen from the raw surviving image.
+			// Crash: reopen from the raw surviving image. The crashed
+			// volume's checkpointer goes with it, so it can neither write
+			// under the recovery nor keep the crashed volume alive.
+			v.stopCheckpointer()
 			v2, err := Open(mem, Options{})
 			if err != nil {
 				t.Fatalf("recovery open (fault at write %d, op err %v): %v", n, werr, err)

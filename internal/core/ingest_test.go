@@ -1,0 +1,613 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/blockdev"
+	"repro/internal/index"
+)
+
+// words is n bytes of space-separated tokens prefix0, prefix1, ...
+func words(prefix string, n int) []byte {
+	var b bytes.Buffer
+	for i := 0; b.Len() < n; i++ {
+		fmt.Fprintf(&b, "%s%d ", prefix, i)
+	}
+	return b.Bytes()[:n]
+}
+
+// indexedAs reports which of oids the full-text term resolves to.
+func indexedAs(t *testing.T, v *Volume, term string, oids ...OID) []OID {
+	t.Helper()
+	ids, err := v.Resolve(TV(index.TagFulltext, term))
+	if err != nil {
+		t.Fatalf("resolve %q: %v", term, err)
+	}
+	var out []OID
+	for _, oid := range oids {
+		if slices.Contains(ids, oid) {
+			out = append(out, oid)
+		}
+	}
+	return out
+}
+
+// TestBatchIndexContentReadsNothingBack: IndexContent in a batch indexes
+// the bytes the batch wrote to an object it created, without reading
+// them back — but only while no other operation has written the object,
+// and only up to the bound on what content indexing takes.
+func TestBatchIndexContentReadsNothingBack(t *testing.T) {
+	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
+	sim := blockdev.NewSim(mem, nil)
+	v, err := Create(sim, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	ingest := func(text []byte, between func(obj OID) error) (OID, int64) {
+		t.Helper()
+		var oid OID
+		r0 := sim.Stats().Reads
+		err := v.Batch(func(b *Batch) error {
+			obj, err := b.CreateObject("ix")
+			if err != nil {
+				return err
+			}
+			defer obj.Close()
+			oid = obj.OID()
+			for off := 0; off < len(text); off += 1 << 20 {
+				if err := b.Append(obj, text[off:min(off+1<<20, len(text))]); err != nil {
+					return err
+				}
+			}
+			if between != nil {
+				if err := between(oid); err != nil {
+					return err
+				}
+			}
+			return b.IndexContent(oid)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oid, sim.Stats().Reads - r0
+	}
+
+	t.Run("kept", func(t *testing.T) {
+		// The first batch brings the pages a batch touches into the cache
+		// and logs their base images; the second shows the batch's own cost.
+		ingest(words("warm", 2048), nil)
+		oid, reads := ingest(words("kept", 2048), nil)
+		if reads != 0 {
+			t.Errorf("the batch did %d device reads, want 0", reads)
+		}
+		for _, term := range []string{"kept0", "kept100"} {
+			if got := indexedAs(t, v, term, oid); len(got) != 1 {
+				t.Errorf("%q does not find the object", term)
+			}
+		}
+	})
+
+	// intrude overwrites the start of the batch's uncommitted object in
+	// place, from an operation of its own: what the batch kept is no longer
+	// the content, and the index must hold what ReadAt returns.
+	intrude := func(oid OID) error {
+		obj, err := v.OSD.OpenObject(oid)
+		if err != nil {
+			return err
+		}
+		defer obj.Close()
+		done := make(chan error)
+		go func() { done <- obj.WriteAt([]byte("intruder"), 0) }()
+		return <-done
+	}
+
+	t.Run("overwritten", func(t *testing.T) {
+		oid, _ := ingest(words("before", 2048), intrude)
+		content := string(readExtObj(t, v, oid, 2048))
+		if !strings.HasPrefix(content, "intruderbefore1 ") {
+			t.Fatalf("the overwrite did not land: %.20q", content)
+		}
+		fields := strings.Fields(content)
+		for _, term := range []string{fields[0], fields[1], fields[len(fields)-2]} {
+			if got := indexedAs(t, v, term, oid); len(got) != 1 {
+				t.Errorf("%q is in the object but does not find it", term)
+			}
+		}
+		if got := indexedAs(t, v, "before0", oid); len(got) != 0 {
+			t.Errorf("the overwritten %q still finds the object", "before0")
+		}
+	})
+
+	t.Run("overwritten before the batch writes", func(t *testing.T) {
+		// The batch's own write comes last, so the pager names the batch
+		// as the root's last builder again; the creator's claim is what
+		// shows that another operation built on the object in between.
+		var oid OID
+		err := v.Batch(func(b *Batch) error {
+			obj, err := b.CreateObject("ix")
+			if err != nil {
+				return err
+			}
+			defer obj.Close()
+			oid = obj.OID()
+			if err := intrude(oid); err != nil {
+				return err
+			}
+			if err := b.WriteAt(obj, []byte("ab"), 0); err != nil {
+				return err
+			}
+			return b.IndexContent(oid)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := indexedAs(t, v, "abtruder", oid); len(got) != 1 {
+			t.Errorf("%q is the object's content but does not find it", "abtruder")
+		}
+		if got := indexedAs(t, v, "ab", oid); len(got) != 0 {
+			t.Errorf("%q, the batch's write alone, finds the object", "ab")
+		}
+	})
+
+	t.Run("beyond the bound", func(t *testing.T) {
+		// Past maxIndexable the batch lets its copy go and reads, and gets
+		// the postings the read path gives an object of the same content.
+		text := append([]byte("headword "), bytes.Repeat([]byte("filler "), (maxIndexable+8192)/7)...)
+		tail := 9 + (maxIndexable/7+1)*7 // the first word that starts past the bound
+		copy(text[tail:], "tailwd ")
+		batched, reads := ingest(text, nil)
+		if reads == 0 {
+			t.Error("an object past the bound was indexed without a read")
+		}
+		obj, err := v.OSD.CreateObject("ix", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := obj.OID()
+		if err := obj.Append(text); err != nil {
+			t.Fatal(err)
+		}
+		obj.Close()
+		if err := v.IndexContent(read); err != nil {
+			t.Fatal(err)
+		}
+		for term, want := range map[string]int{"headword": 2, "filler": 2, "tailwd": 0} {
+			if got := indexedAs(t, v, term, batched, read); len(got) != want {
+				t.Errorf("%q finds %v of [%d %d], want %d of them", term, got, batched, read, want)
+			}
+		}
+	})
+}
+
+// TestCrashStealAfterBufferedBaseImage cuts a steal-heavy batch at every
+// device write. A clean page the batch dirties logs its base image, which
+// waits in the log's staging block; the batch dirties several times the
+// cache, so pages are stolen while it runs. When the stolen page is the
+// one whose base image is still waiting, the steal has to write the
+// staging block first, or a cut between the two leaves a page home that
+// the log can neither rebuild nor roll back. Every cut must recover
+// exactly and leave the batch all there or not at all.
+func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
+	const committed, batched = 200, 8
+	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
+	v, err := Create(mem, Options{CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oids := populate(t, v, committed)
+	// The steal of the page whose base image is waiting needs that page to
+	// be the least recently used of its cache shard. Pages share a shard
+	// when their numbers agree mod 16 (the pager's shard count), so the
+	// batch works on groups of objects whose extent roots fall in a shard
+	// that holds no page of the object table, which every append also
+	// dirties. Whether the waiting base image is still in the staging
+	// block when its page is stolen depends on where in the block it
+	// ended, so the batch tries several shards.
+	const shards = 16
+	meta, err := v.OSD.MetaTree().Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byShard := make([][]OID, shards)
+	for _, oid := range oids[batched:] {
+		m, err := v.OSD.Stat(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byShard[m.ExtentRoot%shards] = append(byShard[m.ExtentRoot%shards], oid)
+	}
+	for _, no := range meta.AllPages {
+		byShard[no%shards] = nil
+	}
+	var groups [][]OID
+	var fifths []uint64 // the root each group steals after its base image
+	for _, g := range byShard {
+		if len(g) >= 6 && len(groups) < 4 {
+			m, err := v.OSD.Stat(g[4])
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups = append(groups, g[:6])
+			fifths = append(fifths, m.ExtentRoot)
+		}
+	}
+	if len(groups) < 4 {
+		t.Fatalf("%d cache shards hold six extent roots and no object-table page, want 4", len(groups))
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img := mem.Snapshot()
+
+	appendTo := func(v *Volume, b *Batch, oid OID, p []byte) error {
+		obj, err := v.OSD.OpenObject(oid)
+		if err != nil {
+			return err
+		}
+		defer obj.Close()
+		return b.Append(obj, p)
+	}
+	body := func(v *Volume, b *Batch) error {
+		// In each group, four roots fill the shard; the fifth steals the
+		// first and logs its own base image, which stays in the staging
+		// block while three small appends make the other roots in the
+		// shard newer than it. The sixth root finds every page of the shard
+		// gated, flushes the batch's records as a chunk, and steals the
+		// fifth: the page whose base image has not reached the device yet.
+		for _, g := range groups {
+			for i, oid := range g[:5] {
+				if err := appendTo(v, b, oid, fill(700, byte(i))); err != nil {
+					return err
+				}
+			}
+			for i, oid := range g[1:4] {
+				if err := appendTo(v, b, oid, fill(1, byte(i))); err != nil {
+					return err
+				}
+			}
+			if err := appendTo(v, b, g[5], fill(700, 5)); err != nil {
+				return err
+			}
+		}
+		// Then steal-heavy work across the cache: roots the batch appends
+		// to, and the fresh roots of objects it creates.
+		for i, oid := range oids[:batched] {
+			if err := appendTo(v, b, oid, fill(700, byte(i))); err != nil {
+				return err
+			}
+			if err := b.Tag(oid, index.TagUDef, fmt.Sprintf("cut-%03d", i)); err != nil {
+				return err
+			}
+			for j := 0; j < 3; j++ {
+				fresh, err := b.CreateObject("cut")
+				if err != nil {
+					return err
+				}
+				fresh.Close()
+			}
+		}
+		return nil
+	}
+
+	// cut restores the image to mem, opens it, lets the batch make limit
+	// device writes (all of them when limit < 0), and leaves in mem what
+	// survives; it returns the batch's write count, the pages it stole and
+	// its outcome. Every cut reuses the one device: the crashed volume
+	// is abandoned with its checkpointer stopped, the recovered one closed.
+	cut := func(limit int64) (int64, int64, error) {
+		if err := mem.RestoreFrom(img); err != nil {
+			t.Fatal(err)
+		}
+		sim := blockdev.NewSim(mem, nil)
+		fd := blockdev.NewFault(sim)
+		v, err := Open(fd, Options{CachePages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w0, s0 := sim.Stats().Writes, v.Pager().Stats().Steals
+		if limit >= 0 {
+			fd.FailAfterWrites(limit)
+		}
+		berr := v.Batch(func(b *Batch) error { return body(v, b) })
+		v.stopCheckpointer()
+		fd.Disarm()
+		return sim.Stats().Writes - w0, v.Pager().Stats().Steals - s0, berr
+	}
+	// content reads every committed object of a recovered volume.
+	content := func(v *Volume) map[OID][]byte {
+		out := make(map[OID][]byte, len(oids))
+		for _, oid := range oids {
+			m, err := v.OSD.Stat(oid)
+			if err != nil {
+				t.Fatalf("committed object %d lost: %v", oid, err)
+			}
+			out[oid] = readExtObj(t, v, oid, int(m.Size))
+		}
+		return out
+	}
+
+	writes, steals, err := cut(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each fifth root was stolen: the batch left its home changed.
+	home := make([]byte, mem.BlockSize())
+	for _, no := range fifths {
+		if err := mem.ReadBlock(no, home); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(home, img[no*uint64(len(home)):][:len(home)]) {
+			t.Fatalf("the batch did not steal page %d after its base image; the test no longer tests that steal", no)
+		}
+	}
+	v = mustOpenExact(t, mem)
+	after := content(v)
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var touched []OID
+	for _, oid := range oids {
+		if len(after[oid]) > 0 {
+			touched = append(touched, oid)
+		}
+	}
+	t.Logf("the batch makes %d device writes and steals %d pages", writes, steals)
+	for limit := int64(0); limit <= writes; limit++ {
+		_, _, berr := cut(limit)
+		v := mustOpenExact(t, mem)
+		got := content(v)
+		landed := 0
+		for _, oid := range touched {
+			switch {
+			case bytes.Equal(got[oid], after[oid]):
+				landed++
+			case len(got[oid]) != 0:
+				t.Fatalf("cut at write %d: object %d holds %d bytes the batch did not leave", limit, oid, len(got[oid]))
+			}
+		}
+		ids, err := v.Resolve(TV(index.TagUDef, "cut-007"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if landed != 0 && landed != len(touched) || (landed == len(touched)) != (len(ids) == 1) {
+			t.Fatalf("cut at write %d: %d of %d objects and %d tags survived the batch", limit, landed, len(touched), len(ids))
+		}
+		if berr == nil && landed == 0 {
+			t.Fatalf("cut at write %d: the acknowledged batch is gone", limit)
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCrashCheckpointAfterDeferredMerge cuts, at every device write, a
+// delete whose btree merges run after its commit, and the Sync after it.
+// The merges are system transactions that log base images of the clean
+// pages they touch, and nothing commits after them, so they are still in
+// the log's staging block when the checkpoint starts writing pages home:
+// the checkpoint has to make them durable first.
+func TestCrashCheckpointAfterDeferredMerge(t *testing.T) {
+	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
+	v, err := Create(mem, Options{IndexShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One object holds a run of names in the middle of the tag tree;
+	// deleting it drains the leaves that hold them, which then merge with
+	// neighbours the delete did not touch.
+	var kept []OID
+	var doomed OID
+	for _, prefix := range []string{"a", "m", "z"} {
+		err := v.Batch(func(b *Batch) error {
+			obj, err := b.CreateObject("merge")
+			if err != nil {
+				return err
+			}
+			obj.Close()
+			for i := 0; i < 400; i++ {
+				if err := b.Tag(obj.OID(), index.TagUDef, fmt.Sprintf("%s%04d", prefix, i)); err != nil {
+					return err
+				}
+			}
+			if prefix == "m" {
+				doomed = obj.OID()
+			} else {
+				kept = append(kept, obj.OID())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img := mem.Snapshot()
+
+	// cut is TestCrashStealAfterBufferedBaseImage's, for the delete and
+	// the Sync.
+	cut := func(limit int64) (int64, error) {
+		if err := mem.RestoreFrom(img); err != nil {
+			t.Fatal(err)
+		}
+		sim := blockdev.NewSim(mem, nil)
+		fd := blockdev.NewFault(sim)
+		v, err := Open(fd, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w0 := sim.Stats().Writes
+		if limit >= 0 {
+			fd.FailAfterWrites(limit)
+		}
+		err = v.DeleteObject(doomed)
+		if err == nil {
+			err = v.Sync()
+		}
+		v.stopCheckpointer()
+		fd.Disarm()
+		return sim.Stats().Writes - w0, err
+	}
+	writes, err := cut(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("the delete and the Sync make %d device writes", writes)
+	for limit := int64(0); limit < writes; limit++ {
+		_, derr := cut(limit)
+		v := mustOpenExact(t, mem)
+		for i, oid := range kept {
+			if got, err := v.Resolve(TV(index.TagUDef, fmt.Sprintf("%s%04d", "az"[i:i+1], 123))); err != nil || len(got) != 1 || got[0] != oid {
+				t.Fatalf("cut at write %d: a name of a kept object resolves to %v (%v)", limit, got, err)
+			}
+		}
+		_, serr := v.OSD.Stat(doomed)
+		got, err := v.Resolve(TV(index.TagUDef, "m0200"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (serr == nil) != (len(got) == 1) {
+			t.Fatalf("cut at write %d: the deleted object's row (%v) and its names (%v) disagree", limit, serr, got)
+		}
+		if derr == nil && serr == nil {
+			t.Fatalf("cut at write %d: the acknowledged delete is undone", limit)
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSameSeedSameImage runs one seeded workload twice, on a log small
+// enough to checkpoint dozens of times, and requires equal device images:
+// each checkpoint runs at the commit that took the log past its
+// high-water mark, so where checkpoints fall, and everything they decide
+// (base images, the limbo they release, the snapshot they write), repeats.
+func TestSameSeedSameImage(t *testing.T) {
+	epoch := time.Unix(1_700_000_000, 0)
+	build := func() ([]byte, int64) {
+		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
+		v, err := Create(mem, Options{WALBlocks: 32, Clock: func() time.Time { return epoch }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(7, 39))
+		var oids []OID
+		for step := 0; step < 480; step++ {
+			switch {
+			case step%4 == 0 || len(oids) == 0:
+				err = v.Batch(func(b *Batch) error {
+					for i := 0; i < 8; i++ {
+						obj, err := b.CreateObject("seed")
+						if err != nil {
+							return err
+						}
+						oid := obj.OID()
+						err = b.Append(obj, words(fmt.Sprintf("w%d_", rng.IntN(50)), 500+rng.IntN(3000)))
+						obj.Close()
+						if err == nil {
+							err = b.Tag(oid, index.TagUDef, fmt.Sprintf("g%d", rng.IntN(20)))
+						}
+						if err == nil {
+							err = b.IndexContent(oid)
+						}
+						if err != nil {
+							return err
+						}
+						oids = append(oids, oid)
+					}
+					return nil
+				})
+			case step%4 == 1:
+				obj, oerr := v.OSD.OpenObject(oids[rng.IntN(len(oids))])
+				if err = oerr; err == nil {
+					err = obj.Append(fill(200+rng.IntN(2000), byte(step)))
+					obj.Close()
+				}
+			case step%4 == 2 && len(oids) > 40:
+				i := rng.IntN(len(oids))
+				err = v.DeleteObject(oids[i])
+				oids = slices.Delete(oids, i, i+1)
+			default:
+				err = v.AddName(oids[rng.IntN(len(oids))], index.TagUDef, []byte(fmt.Sprintf("t%d", step)))
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		ckpts := v.WAL().Stats().Checkpoints
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return mem.Snapshot(), ckpts
+	}
+	a, ca := build()
+	b, cb := build()
+	if ca < 24 {
+		t.Fatalf("%d checkpoints: the log is too large to test their placement", ca)
+	}
+	if ca != cb {
+		t.Fatalf("%d checkpoints, then %d", ca, cb)
+	}
+	for blk := 0; blk < len(a); blk += blockdev.DefaultBlockSize {
+		if !bytes.Equal(a[blk:blk+blockdev.DefaultBlockSize], b[blk:blk+blockdev.DefaultBlockSize]) {
+			t.Fatalf("the images differ first at block %d (%d checkpoints each)", blk/blockdev.DefaultBlockSize, ca)
+		}
+	}
+}
+
+// TestCheckpointRunsAtTheCrossingCommit: the commit that takes the log
+// past its high-water mark has checkpointed, once, by the time it
+// returns; an explicit Sync checkpoints once, and leaves nothing behind
+// that checkpoints again.
+func TestCheckpointRunsAtTheCrossingCommit(t *testing.T) {
+	v, _ := newTxnVolume(t, Options{WALBlocks: 16})
+	defer v.Close()
+	log := v.WAL()
+	high := log.Capacity() * ckptHighWaterNum / ckptHighWaterDen
+	obj, err := v.OSD.CreateObject("mark", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	crossings := 0
+	for i := 0; crossings < 3; i++ {
+		if i == 3000 {
+			t.Fatalf("%d appends crossed the mark %d times", i, crossings)
+		}
+		before := log.Stats().Checkpoints
+		if err := obj.Append(fill(3000, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		switch n := log.Stats().Checkpoints - before; {
+		case n > 1:
+			t.Fatalf("append %d: %d checkpoints", i, n)
+		case n == 1:
+			crossings++
+			if used := log.Used(); used != 0 {
+				t.Fatalf("append %d checkpointed, yet the log holds %d bytes", i, used)
+			}
+		case log.Used() >= high:
+			t.Fatalf("append %d left the log at %d bytes, past the mark at %d, unchecked", i, log.Used(), high)
+		}
+	}
+	before := log.Stats().Checkpoints
+	if err := v.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if n := log.Stats().Checkpoints - before; n != 1 {
+		t.Fatalf("Sync and a small append after it: %d checkpoints, want 1", n)
+	}
+}

@@ -793,6 +793,14 @@ func (v *Volume) StartLazyIndexing(queueDepth int) { v.ft.Inner().StartLazy(queu
 // WaitIndexIdle blocks until queued documents are searchable.
 func (v *Volume) WaitIndexIdle() { v.ft.Inner().WaitIdle() }
 
+// Content indexing takes at most the first maxIndexable bytes of an
+// object. A Batch keeps at most maxBatchText bytes of the content it
+// wrote for IndexContent; past that it reads objects back.
+const (
+	maxIndexable = 4 << 20
+	maxBatchText = 4 * maxIndexable
+)
+
 func (v *Volume) readObjectText(oid OID) ([]byte, error) {
 	obj, err := v.OSD.OpenObject(oid)
 	if err != nil {
@@ -800,7 +808,6 @@ func (v *Volume) readObjectText(oid OID) ([]byte, error) {
 	}
 	defer obj.Close()
 	size := obj.Size()
-	const maxIndexable = 4 << 20 // index at most 4 MiB of content
 	if size > maxIndexable {
 		size = maxIndexable
 	}

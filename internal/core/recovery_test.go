@@ -792,18 +792,12 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 		if err := v.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		// A checkpoint populate's commits asked for may still be waiting
-		// behind Sync's; stopped here, it cannot cut the tail in two.
-		synced := v.WAL().Stats().Checkpoints
-		v.stopCheckpointer()
-		// ROADMAP 7(e), pinned so that a fix or a worse trigger fails
-		// here: a commit that crosses the log's high-water mark pokes a
-		// checkpoint of a nearly empty log right after Sync's. Neither
-		// size reaches the mark now that a create logs no header page, so
-		// the log has seen two checkpoints, the format's included.
-		ckpts, want := v.WAL().Stats().Checkpoints, int64(2)
-		if ckpts != want {
-			t.Fatalf("%d objects: %d checkpoints before the tail (%d after Sync returned), want %d", n, ckpts, ckpts-synced, want)
+		// Neither size takes the log past its high-water mark, so the log
+		// has seen two checkpoints: the format's and Sync's. A commit that
+		// crosses the mark checkpoints before it returns, so no checkpoint
+		// asked for before Sync runs after it and cuts the tail in two.
+		if ckpts := v.WAL().Stats().Checkpoints; ckpts != 2 {
+			t.Fatalf("%d objects: %d checkpoints before the tail, want 2", n, ckpts)
 		}
 		// The tail: one payload each into five existing objects, then an
 		// in-place overwrite of each. No index grows, so the same records
@@ -837,8 +831,10 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The crash: v is abandoned, cache and all, and the device reopened
-		// in place (a copy of 256 MiB per run is the test's whole footprint).
+		// The crash: v is abandoned, cache, checkpointer and all, and the
+		// device reopened in place (a copy of 256 MiB per run is the test's
+		// whole footprint).
+		v.stopCheckpointer()
 		sim := blockdev.NewSim(mem, nil)
 		v2, err := Open(sim, Options{})
 		if err != nil {

@@ -20,13 +20,14 @@
 // Each mutating operation runs inside withOp, stages typed redo records —
 // and the logical inverses that undo them — in its own pager.Op as it
 // mutates pages, and commits them through the WAL's group committer (full
-// ARIES: physiological redo, logical undo, steal / no-force). A
-// background checkpointer writes pages home and resets the log when it
-// passes its high-water mark. Allocation is a logged mutation like any
-// other: each checkpoint leaves an allocator snapshot stamped with the
-// log's LSN fence, and crash recovery repeats history from the log tail —
-// pages, allocator and all — then rolls losers back, so Open costs what
-// the tail costs, not what the volume holds (recovery.go, allocsnap.go).
+// ARIES: physiological redo, logical undo, steal / no-force). The
+// operation whose commit takes the log past its high-water mark then
+// checkpoints — writes pages home and resets the log — before it
+// returns. Allocation is a logged mutation like any other: each
+// checkpoint leaves an allocator snapshot stamped with the log's LSN
+// fence, and crash recovery repeats history from the log tail — pages,
+// allocator and all — then rolls losers back, so Open costs what the
+// tail costs, not what the volume holds (recovery.go, allocsnap.go).
 package core
 
 import (
@@ -177,14 +178,19 @@ type Volume struct {
 
 	// ckptMu is the checkpoint fence: every mutating operation holds it
 	// shared for its whole bracket (build write set + group commit), and
-	// the checkpointer holds it exclusively, so the log is only reset at
+	// a checkpoint holds it exclusively, so the log is only reset at
 	// an operation quiescent point. Operation brackets must never nest
 	// (nested RLock deadlocks against a waiting writer); compound
 	// operations compose Deferred variants under one bracket instead.
 	ckptMu sync.RWMutex
-	// ckptCh pokes the background checkpointer when a commit observes the
-	// log past its high-water mark; ckptQuit stops it; ckptDone closes
-	// when it exits.
+	// ckptDue is set by a commit that finds the log past its high-water
+	// mark (maybeTriggerCheckpoint); the operation that claims it runs
+	// the checkpoint once it has left the fence (withOp).
+	ckptDue atomic.Bool
+	// ckptCh pokes the background checkpointer, which is left only the
+	// checkpoints no operation can run: retries while degraded, and the
+	// one a wedged log asks for (sysAppender); ckptQuit stops it;
+	// ckptDone closes when it exits.
 	ckptCh       chan struct{}
 	ckptQuit     chan struct{}
 	ckptDone     chan struct{}
@@ -217,8 +223,8 @@ const (
 )
 
 // ckptHighWater is the fraction of log capacity past which a commit
-// triggers a background checkpoint, so long ingest runs drain the log
-// before appends hit ErrFull mid-burst.
+// triggers a checkpoint, so long ingest runs drain the log before appends
+// hit ErrFull mid-burst.
 const ckptHighWaterNum, ckptHighWaterDen = 2, 3
 
 // rlock takes the shared lifecycle lock, failing once the volume is
@@ -759,10 +765,7 @@ type sysAppender struct{ v *Volume }
 func (a sysAppender) AppendSystem(recs []redo.Record) error {
 	err := a.v.log.AppendSystem(recs)
 	if errors.Is(err, wal.ErrFull) {
-		select {
-		case a.v.ckptCh <- struct{}{}:
-		default:
-		}
+		a.v.pokeCheckpointer()
 		return nil
 	}
 	return err
@@ -772,10 +775,7 @@ func (a sysAppender) AppendSystem(recs []redo.Record) error {
 // (used when a base image could not be captured).
 func (a sysAppender) Wedge() {
 	a.v.log.Wedge()
-	select {
-	case a.v.ckptCh <- struct{}{}:
-	default:
-	}
+	a.v.pokeCheckpointer()
 }
 
 // fulltextConfig is the user's fulltext tuning plus the volume's
@@ -816,6 +816,7 @@ func (v *Volume) withOp(fn func(*pager.Op) error) error {
 		if errors.Is(cerr, wal.ErrFull) {
 			_ = v.checkpointNow()
 		}
+		v.checkpointIfDue()
 		return opErr
 	}
 	err := v.commitOp(op)
@@ -837,7 +838,19 @@ func (v *Volume) withOp(fn func(*pager.Op) error) error {
 		v.ckptFallbacks.Add(1)
 		return v.checkpointNow()
 	}
+	v.checkpointIfDue()
 	return err
+}
+
+// checkpointIfDue runs the checkpoint a commit marked due, if no other
+// operation has claimed it, after the caller has left the fence — as the
+// ErrFull fallback does. The operation's outcome stands either way: a
+// failed checkpoint latches the volume degraded and leaves the retries to
+// the background checkpointer.
+func (v *Volume) checkpointIfDue() {
+	if v.ckptDue.CompareAndSwap(true, false) {
+		_ = v.checkpointNow()
+	}
 }
 
 // runDeferred runs what op registered with Defer once its commit is
@@ -873,9 +886,9 @@ func (v *Volume) CheckpointFallbacks() int64 { return v.ckptFallbacks.Load() }
 // contiguous append shared with concurrent committers, under a single
 // device sync. Replay order is governed by the records' mutation-time
 // LSNs, not commit order, so no close/enqueue atomicity dance is needed.
-// Pages are not forced home (no-force); the checkpointer writes them
-// back in bulk. Returns wal.ErrFull (for the bracket's checkpoint
-// fallback) when the records cannot fit the region.
+// Pages are not forced home (no-force); checkpoints write them back in
+// bulk. Returns wal.ErrFull (for the bracket's checkpoint fallback) when
+// the records cannot fit the region.
 func (v *Volume) commitOp(op *pager.Op) error {
 	return v.commitOpChain(op, 0)
 }
@@ -913,24 +926,24 @@ func (v *Volume) commitOpChain(op *pager.Op, chain uint64) error {
 	return nil
 }
 
-// maybeTriggerCheckpoint pokes the background checkpointer when the log
-// passes its high-water mark, or when deferred frees pile up past the
-// cache's size. Dirty pages need no trigger of their own: steal eviction
-// bounds residency. Non-blocking: if a checkpoint is already pending, the
-// poke is dropped.
+// maybeTriggerCheckpoint marks a checkpoint due when the log passes its
+// high-water mark, or when deferred frees pile up past the cache's size.
+// Dirty pages need no trigger of their own: steal eviction bounds
+// residency. The committing operation runs the checkpoint (withOp), so
+// it happens at the commit that crossed the mark, not whenever a
+// goroutine is scheduled, and the same workload checkpoints at the same
+// points on every run.
 func (v *Volume) maybeTriggerCheckpoint() {
 	logHigh := v.log.Used()*ckptHighWaterDen >= v.log.Capacity()*ckptHighWaterNum
 	limboHigh := v.ba.LimboBlocks() >= uint64(v.opts.CachePages)
-	if !logHigh && !limboHigh {
-		return
-	}
-	select {
-	case v.ckptCh <- struct{}{}:
-	default:
+	if logHigh || limboHigh {
+		v.ckptDue.Store(true)
 	}
 }
 
-// startCheckpointer launches the background checkpoint goroutine.
+// startCheckpointer launches the background checkpoint goroutine: it
+// retries a failed checkpoint while the volume is degraded, and runs the
+// one a wedged log asks for (sysAppender).
 func (v *Volume) startCheckpointer() {
 	v.ckptCh = make(chan struct{}, 1)
 	v.ckptQuit = make(chan struct{})
@@ -976,7 +989,7 @@ func (v *Volume) startCheckpointer() {
 
 // stopCheckpointer shuts the background checkpointer down and waits for
 // it to drain. Safe to call more than once; ckptCh stays valid so late
-// commit pokes remain harmless.
+// pokes remain harmless.
 func (v *Volume) stopCheckpointer() {
 	v.ckptStopOnce.Do(func() {
 		close(v.ckptQuit)
@@ -1011,6 +1024,13 @@ func (v *Volume) checkpointNow() error {
 func (v *Volume) doCheckpoint() error {
 	v.ckptMu.Lock()
 	defer v.ckptMu.Unlock()
+	v.ckptDue.Store(false)
+	// Write-ahead: what the log holds for the pages about to go home —
+	// system transactions and chunks still in its staging block included —
+	// is durable before the first of them is written.
+	if err := v.log.Sync(); err != nil {
+		return err
+	}
 	if err := v.pg.FlushDirty(); err != nil {
 		return err
 	}

@@ -227,6 +227,9 @@ func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op, ow
 		return nil, err
 	}
 	op.StageUndo(undo.ExtentDrop(root))
+	// The creator is the tree's first builder: an operation that mutates
+	// the tree before the creator commits depends on it (pager.After).
+	pg.After(root, op)
 	return t, nil
 }
 

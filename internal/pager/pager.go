@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -185,11 +186,14 @@ type Pager struct {
 	chunkFlushes atomic.Int64
 }
 
-// ChunkAppender appends the staged records of one open transaction as a
-// mid-transaction chunk chained after prev (0 = first), returning the
-// chunk's log transaction id. The volume wires it to wal.AppendChunk.
+// ChunkAppender is the log as steal sees it. AppendChunk appends the
+// staged records of one open transaction as a mid-transaction chunk
+// chained after prev (0 = first), returning the chunk's log transaction
+// id; Sync makes every append so far durable, whether or not the log has
+// written it to the device yet. The volume wires it to its wal.Log.
 type ChunkAppender interface {
 	AppendChunk(prev uint64, recs []redo.Record) (uint64, error)
+	Sync() error
 }
 
 // New creates a pager over dev caching up to capacity pages.
@@ -400,8 +404,8 @@ func (p *Pager) makeRoomLocked(s *shard) (bool, error) {
 }
 
 // stealFlush makes every open operation's staged records durable —
-// chunk-appending the pending ones, then syncing the device — so dirty
-// pages gated on them become stealable. One round serves all shards.
+// chunk-appending the pending ones, then syncing the log — so dirty pages
+// gated on them become stealable. One round serves all shards.
 func (p *Pager) stealFlush() {
 	if p.stealApp == nil {
 		return
@@ -419,7 +423,7 @@ func (p *Pager) stealFlush() {
 	}
 	seq := p.appendSeq.Load()
 	if p.syncedSeq.Load() < seq {
-		if err := p.dev.Sync(); err != nil {
+		if err := p.stealApp.Sync(); err != nil {
 			return
 		}
 		for {
@@ -624,6 +628,7 @@ type Op struct {
 	undoPrev  uint64           // LSN of the last staged undo record (prevLSN chain)
 	deps      map[*Op]struct{} // ops whose records must be logged before this commit
 	claims    []uint64         // blocks whose p.after entry is this op (opMu guarded)
+	ceded     []uint64         // claims another op took over since (opMu guarded)
 	sys       bool             // system transaction: atomic via AppendSys, never chunked
 	clr       bool             // rolling back: records are CLRs, no further undo capture
 	atomic    int              // open atomic sections (BeginAtomic)
@@ -853,13 +858,13 @@ func (op *Op) Rollback(apply func(body []byte) error) {
 // After makes op's commit wait until the log holds the staged records
 // of the open operation that last built on the structure block no names,
 // and makes op that operation. A structure calls it when an operation
-// starts to mutate it: an extent tree, keyed by its root block, whose
-// leaf cells are addressed by index and whose size the object table
-// records, so a crash must not find op's records without the earlier
-// ones. The entry lives as long as the operation, not as long as a handle
-// on the structure, and FinishOp drops it, so no finished operation's
-// records stay reachable. Without steal nothing reaches the log before
-// its own commit, and After does nothing.
+// creates it or starts to mutate it: an extent tree, keyed by its root
+// block, whose leaf cells are addressed by index and whose size the
+// object table records, so a crash must not find op's records without
+// the earlier ones. The entry lives as long as the operation, not as
+// long as a handle on the structure, and FinishOp drops it, so no
+// finished operation's records stay reachable. Without steal nothing
+// reaches the log before its own commit, and After does nothing.
 func (p *Pager) After(no uint64, op *Op) {
 	if op == nil || p.stealApp == nil {
 		return
@@ -869,11 +874,30 @@ func (p *Pager) After(no uint64, op *Op) {
 	if prev != op {
 		p.after[no] = op
 		op.claims = append(op.claims, no)
+		if prev != nil {
+			prev.ceded = append(prev.ceded, no)
+		}
 	}
 	p.opMu.Unlock()
 	if prev != nil && prev != op {
 		op.addDep(prev)
 	}
+}
+
+// Holds reports whether op is the only operation that has built on block
+// no since op first did (After): the pager still names op as the block's
+// last builder, and no other operation took the block over in between,
+// whether or not that one has finished since. A caller that mirrors its
+// own mutations of a structure keyed by no can trust the mirror while op
+// holds the block. Always false without steal, where After records
+// nothing.
+func (p *Pager) Holds(no uint64, op *Op) bool {
+	if op == nil {
+		return false
+	}
+	p.opMu.Lock()
+	defer p.opMu.Unlock()
+	return p.after[no] == op && !slices.Contains(op.ceded, no)
 }
 
 // addDep records that d's staged records must reach the log before this
@@ -981,7 +1005,7 @@ func (p *Pager) FinishOp(op *Op, appended bool) {
 				delete(p.after, no)
 			}
 		}
-		op.claims = nil
+		op.claims, op.ceded = nil, nil
 		p.opMu.Unlock()
 	}
 }

@@ -616,6 +616,8 @@ func (c *chunkLog) AppendChunk(prev uint64, recs []redo.Record) (uint64, error) 
 	return uint64(len(c.recs)), nil
 }
 
+func (c *chunkLog) Sync() error { return nil }
+
 // TestAfterFollowsOpenOpsOnly: the op that last built on a block is a
 // flush dependency of the next one, whoever holds the structure in
 // between, and FinishOp forgets it, so no finished op stays reachable

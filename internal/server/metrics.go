@@ -83,6 +83,7 @@ type WALMetrics struct {
 	Syncs       int64   `json:"syncs"`
 	PagesLogged int64   `json:"pages_logged"`
 	BytesLogged int64   `json:"bytes_logged"`
+	BlockWrites int64   `json:"block_writes"`
 	Checkpoints int64   `json:"checkpoints"`
 	AvgGroup    float64 `json:"avg_group"` // commits per group
 }
@@ -151,7 +152,7 @@ func (s *Server) Metrics() Metrics {
 		wm := &WALMetrics{
 			Commits: w.Commits, Groups: w.Groups, Syncs: w.Syncs,
 			PagesLogged: w.PagesLogged, BytesLogged: w.BytesLogged,
-			Checkpoints: w.Checkpoints,
+			BlockWrites: w.BlockWrites, Checkpoints: w.Checkpoints,
 		}
 		if w.Groups > 0 {
 			wm.AvgGroup = float64(w.Commits) / float64(w.Groups)
@@ -214,6 +215,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		c("hfadd_wal_syncs_total", w.Syncs)
 		c("hfadd_wal_pages_logged_total", w.PagesLogged)
 		c("hfadd_wal_bytes_logged_total", w.BytesLogged)
+		c("hfadd_wal_block_writes_total", w.BlockWrites)
 		c("hfadd_wal_checkpoints_total", w.Checkpoints)
 		g("hfadd_wal_avg_group", w.AvgGroup)
 	}

@@ -25,9 +25,14 @@
 //     operation's records early as a *chunk* (AppendChunk), chained to the
 //     operation's earlier chunks and resolved by its commit record.
 //     Structure modifications (splits, merges, first-touch base images)
-//     are auto-committed *system transactions* (AppendSystem).
-//  4. A checkpoint (background, past a high-water mark, or Sync/Close)
-//     flushes every dirty page and resets the log behind an LSN fence.
+//     are auto-committed *system transactions* (AppendSystem). Chunks and
+//     system transactions wait in the staging buffer: the log writes a
+//     block when it fills or when a sync needs it — a commit's group sync,
+//     or Sync before pages are written home — so each block is written
+//     once per sync, not once per append.
+//  4. A checkpoint (run by the commit that takes the log past its
+//     high-water mark, or by Sync/Close) flushes every dirty page and
+//     resets the log behind an LSN fence.
 //
 // Recover scans the region once, front to back, through one block buffer,
 // and "repeats history": records of committed transactions, system
@@ -108,6 +113,7 @@ type Stats struct {
 	Syncs           int64 // device syncs issued by commits (one per group)
 	PagesLogged     int64 // redo records appended (images, ranges, ops)
 	BytesLogged     int64
+	BlockWrites     int64 // device block writes: filled or synced staging blocks, and region headers
 	SystemTxns      int64 // auto-committed structure-modification transactions
 	Chunks          int64 // mid-transaction chunk flushes (steal / dependency)
 	ChunkRecords    int64 // records appended inside chunks
@@ -150,6 +156,8 @@ type Log struct {
 	buf    []byte // one block staging buffer
 	bufBlk uint64 // which block buf holds
 	bufOK  bool
+	// bufDirty: buf holds appended bytes the device has not been given.
+	bufDirty bool
 
 	// Group-commit queue. Committers enqueue their transaction and wait;
 	// the first non-leader in line becomes leader, drains the whole queue
@@ -219,6 +227,7 @@ func (l *Log) writeHeaderBlockLocked() error {
 	if err := l.dev.WriteBlock(l.start, blk); err != nil {
 		return err
 	}
+	l.stats.BlockWrites++
 	return l.dev.Sync()
 }
 
@@ -386,6 +395,10 @@ func (l *Log) commitGroup(group []*gcBatch) {
 		l.failGroup(group, err)
 		return
 	}
+	if err := l.flushBufLocked(); err != nil {
+		l.failGroup(group, err)
+		return
+	}
 	if err := l.dev.Sync(); err != nil {
 		l.failGroup(group, err)
 		return
@@ -400,29 +413,46 @@ func (l *Log) commitGroup(group []*gcBatch) {
 	}
 }
 
-// terminateLocked writes the end marker (zero crc + zero length) that the
-// NEXT append overwrites, rewinds head so the marker is not part of the
-// log, and flushes the staging buffer. Without the marker, records left
-// over from a previous log generation could sit immediately after the
-// tail with valid CRCs and recovery would replay their stale contents
-// over newer state.
+// terminateLocked puts the end marker (zero crc + zero length) that the
+// NEXT append overwrites into the staging buffer, and rewinds head so the
+// marker is not part of the log. Without the marker, records left over
+// from a previous log generation could sit immediately after the tail
+// with valid CRCs and recovery would replay their stale contents over
+// newer state. The marker reaches the device with the block that holds
+// it: whichever of a block filling, a commit or Sync writes it first.
 func (l *Log) terminateLocked() error {
 	if err := l.writeBytesLocked(make([]byte, 8)); err != nil {
 		return err
 	}
 	l.head.Add(^uint64(7)) // head -= 8
-	return l.flushBufLocked()
+	return nil
+}
+
+// Sync writes the staging block, if it holds bytes the device has not
+// been given, and syncs the device: afterwards every byte appended so far
+// is durable. Whoever writes pages home first calls it — the pager before
+// a steal, the checkpoint before its flush — so write-ahead holds however
+// long the appends it covers waited in the buffer.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	err := l.flushBufLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return l.dev.Sync()
 }
 
 // AppendSystem appends recs plus a commit record as one auto-committed
-// transaction, without syncing the device: a system transaction (page
-// split, merge) must be *ordered before* any commit that builds on the
-// modified structure, and the log is sequential, so the next group sync
-// or checkpoint makes it durable together with (or before) everything
-// that depends on it. Structure modifications are logged this way so
-// recovery redoes them regardless of whether the enclosing operation's
-// transaction committed — a committed neighbour's records may target
-// pages the modification created.
+// transaction, without a device write or sync: the records wait in the
+// staging buffer. A system transaction (page split, merge, base image)
+// must be *ordered before* any commit that builds on the modified
+// structure, and the log is sequential, so the next group commit, Sync or
+// filled block writes it together with (or before) everything that
+// depends on it. Structure modifications are logged this way so recovery
+// redoes them regardless of whether the enclosing operation's transaction
+// committed — a committed neighbour's records may target pages the
+// modification created.
 //
 // If the records do not fit, the log wedges: every subsequent commit
 // fails with ErrFull until a checkpoint (which flushes the unlogged
@@ -475,10 +505,11 @@ func (l *Log) AppendSystem(recs []redo.Record) error {
 // unresolved chain is a loser: recovery replays its records ("repeat
 // history") and then executes its undo records backward.
 //
-// Like AppendSystem, AppendChunk does not sync: the caller syncs before
-// acting on the durability (the steal path syncs before writing the
-// stolen page home; the dependency path rides the depending commit's
-// group sync, which covers every earlier byte of the sequential log).
+// Like AppendSystem, AppendChunk neither writes nor syncs the device: the
+// caller makes the chunk durable before acting on it (the steal path
+// calls Sync before writing the stolen page home; the dependency path
+// rides the depending commit's group write and sync, which cover every
+// earlier byte of the sequential log).
 func (l *Log) AppendChunk(prev uint64, recs []redo.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return prev, nil
@@ -632,20 +663,24 @@ func (l *Log) writeBytesLocked(p []byte) error {
 			l.bufOK = true
 		}
 		n := copy(l.buf[off:], p)
+		l.bufDirty = true
 		p = p[n:]
 		l.head.Add(uint64(n))
 	}
 	return nil
 }
 
+// flushBufLocked writes the staging block if the device has not seen
+// all of it. The buffer stays valid for continued appends to the block.
 func (l *Log) flushBufLocked() error {
-	if !l.bufOK {
+	if !l.bufOK || !l.bufDirty {
 		return nil
 	}
 	if err := l.dev.WriteBlock(l.start+l.bufBlk, l.buf); err != nil {
 		return err
 	}
-	// Keep the buffer contents valid for continued appends to this block.
+	l.stats.BlockWrites++
+	l.bufDirty = false
 	return nil
 }
 
@@ -667,7 +702,7 @@ func (l *Log) Checkpoint(lsnFence uint64) error {
 		return err
 	}
 	l.head.Store(logHdrSize)
-	l.bufOK = false
+	l.bufOK, l.bufDirty = false, false
 	l.wedged = false
 	l.stats.Checkpoints++
 	return nil
@@ -927,7 +962,7 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 	}
 	l.stats.LoserChains += int64(len(l.losers))
 	l.head.Store(pos)
-	l.bufOK = false
+	l.bufOK, l.bufDirty = false, false
 	next := maxTx + 1
 	if hdrTx > next {
 		next = hdrTx

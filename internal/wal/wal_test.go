@@ -941,3 +941,73 @@ func TestRecoverReadsEachTailBlockOnce(t *testing.T) {
 		t.Fatalf("scan stats: %d records, %d bytes; want 2400 records, %d bytes", st.RecordsScanned, st.BytesScanned, l.Used())
 	}
 }
+
+// writeCounter counts block writes.
+type writeCounter struct {
+	blockdev.Device
+	writes int
+}
+
+func (d *writeCounter) WriteBlock(n uint64, p []byte) error {
+	d.writes++
+	return d.Device.WriteBlock(n, p)
+}
+
+// TestAppendsWaitForTheSync: system transactions and chunks leave their
+// records in the staging block, and the commit after them writes the
+// block once; Sync writes the block only when it holds bytes the device
+// has not been given. Everything replays.
+func TestAppendsWaitForTheSync(t *testing.T) {
+	dev := &writeCounter{Device: blockdev.NewMem(74, bs)}
+	l := New(dev, 10, 64)
+	rec := func(lsn uint64) redo.Record {
+		return redo.Record{LSN: lsn, Page: lsn, Kind: redo.KindRange, Data: redo.EncodeRange(0, []byte("x"))}
+	}
+	const k = 3
+	for i := uint64(1); i <= k; i++ {
+		if err := l.AppendSystem([]redo.Record{rec(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain, err := l.AppendChunk(0, []redo.Record{rec(k + 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.writes != 0 {
+		t.Fatalf("%d system transactions and a chunk wrote %d blocks, want 0", k, dev.writes)
+	}
+	tx := l.Begin()
+	tx.LogRecord(rec(k + 2))
+	tx.SetChain(chain)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Used()+logHdrSize > bs {
+		t.Fatalf("%d bytes do not fit one block; the test needs them to", l.Used())
+	}
+	if dev.writes != 1 {
+		t.Fatalf("the commit after %d system transactions and a chunk wrote the tail block %d times, want 1", k, dev.writes)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if dev.writes != 1 {
+		t.Fatalf("Sync rewrote a block the device already has: %d writes", dev.writes)
+	}
+	if err := l.AppendSystem([]redo.Record{rec(k + 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if dev.writes != 2 {
+		t.Fatalf("Sync after an append: %d writes, want 2", dev.writes)
+	}
+	if got := l.Stats().BlockWrites; got != int64(dev.writes) {
+		t.Fatalf("BlockWrites = %d, the device saw %d", got, dev.writes)
+	}
+	n, err := New(dev, 10, 64).Recover(nil)
+	if err != nil || n != k+3 {
+		t.Fatalf("Recover = %d, %v; want %d records", n, err, k+3)
+	}
+}
