@@ -394,7 +394,7 @@ func execute(st *hfad.Store, cmd []string) error {
 			return err
 		}
 		if rep.Ok() {
-			fmt.Printf("clean: %d objects, %d extents (%d holes) on %d extent pages, %d metadata pages, %d used / %d free blocks\n",
+			fmt.Printf("clean: %d objects, %d extents (%d holes) on %d extent pages below their rows, %d metadata pages, %d used / %d free blocks\n",
 				rep.Objects, rep.Extents, rep.Holes, rep.ExtentPages, rep.MetadataPages, rep.UsedBlocks, rep.FreeBlocks)
 			return nil
 		}

@@ -75,7 +75,7 @@ func report(st *hfad.Store) error {
 		return err
 	}
 	if rep.Ok() {
-		fmt.Printf("  clean: %d objects, %d extents on %d extent pages, %d metadata pages, %d used + %d free blocks\n",
+		fmt.Printf("  clean: %d objects, %d extents on %d extent pages below their rows, %d metadata pages, %d used + %d free blocks\n",
 			rep.Objects, rep.Extents, rep.ExtentPages, rep.MetadataPages, rep.UsedBlocks, rep.FreeBlocks)
 		return nil
 	}

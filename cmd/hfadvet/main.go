@@ -12,8 +12,9 @@
 //
 // Analyzers (each documented in its package under internal/analysis):
 //
-//	lockorder        documented lock order Volume.mu → osd.Object.wmu →
-//	                 tree locks → pager shard latches never inverts
+//	lockorder        documented lock order Volume.mu → extent.Tree.mu →
+//	                 osd.Store.rowMu → btree.Tree.mu → pager shard
+//	                 latches never inverts
 //	sentinelerr      sentinel errors are matched with errors.Is, not ==
 //	replayexhaustive every redo record kind/opcode is handled by replay
 //	waldata          no direct device writes bypass the WAL capture in

@@ -5,8 +5,10 @@
 //
 //	rank 10  core.Volume.mu        volume open/close vs operations
 //	rank 15  core.Volume.ckptMu    checkpoint fence (brackets hold R)
-//	rank 20  osd.Object.wmu        per-object writer mutex
-//	rank 30  btree.Tree.mu / extent.Tree.mu   structure latches
+//	rank 30  extent.Tree.mu        an object's extent tree
+//	rank 33  osd.Store.rowMu       object-table row rewrites (an extent
+//	                               tree's anchor takes it under the tree)
+//	rank 36  btree.Tree.mu         btree latches
 //	rank 40  pager shard mutex     per-shard page latch
 //
 // Acquiring a lower-ranked (outer) lock while holding a higher-ranked
@@ -47,7 +49,7 @@ import (
 // Analyzer is the lockorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "static lock graph over Volume.mu → Object.wmu → tree locks → pager shard latches; reject inversions",
+	Doc:       "static lock graph over Volume.mu → extent tree → Store.rowMu → btree → pager shard latches; reject inversions",
 	Run:       run,
 	UsesFacts: true,
 }
@@ -66,9 +68,9 @@ type lockClass struct {
 var classes = []lockClass{
 	{"core", "Volume", "mu", 10, "core.Volume.mu"},
 	{"core", "Volume", "ckptMu", 15, "core.Volume.ckptMu"},
-	{"osd", "Object", "wmu", 20, "osd.Object.wmu"},
-	{"btree", "Tree", "mu", 30, "btree.Tree.mu"},
 	{"extent", "Tree", "mu", 30, "extent.Tree.mu"},
+	{"osd", "Store", "rowMu", 33, "osd.Store.rowMu"},
+	{"btree", "Tree", "mu", 36, "btree.Tree.mu"},
 	{"pager", "shard", "mu", 40, "pager shard latch"},
 }
 

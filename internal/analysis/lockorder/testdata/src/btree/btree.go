@@ -1,5 +1,5 @@
 // Package btree is a fixture stub whose Tree.mu ranks as a structure
-// latch (rank 30); it exercises the cross-package fact path.
+// latch (rank 36); it exercises the cross-package fact path.
 package btree
 
 import (
@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Tree carries a rank-30 structure latch.
+// Tree carries a rank-36 structure latch.
 type Tree struct {
 	mu sync.Mutex
 }
@@ -17,7 +17,7 @@ type Tree struct {
 // via core's exported facts, not source.
 func (t *Tree) Batch(v *core.Volume) {
 	t.mu.Lock()
-	v.Freeze() // want `call to Freeze may acquire core.Volume.mu \(rank 10\) while holding btree.Tree.mu \(rank 30\)`
+	v.Freeze() // want `call to Freeze may acquire core.Volume.mu \(rank 10\) while holding btree.Tree.mu \(rank 36\)`
 	t.mu.Unlock()
 }
 

@@ -343,7 +343,18 @@ func (t *Tree) PutOp(op *pager.Op, key, val []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.putLocked(op, key, val)
+	return t.putLocked(op, key, val, true)
+}
+
+// PutOpNoInverse is PutOp staging no inverse: for a caller whose own
+// inverses take the put back, or whose puts need none.
+func (t *Tree) PutOpNoInverse(op *pager.Op, key, val []byte) error {
+	if len(key) > t.MaxKeyLen() {
+		return fmt.Errorf("%w: %d > %d", ErrKeyTooBig, len(key), t.MaxKeyLen())
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.putLocked(op, key, val, false)
 }
 
 // PutMany inserts or replaces a batch of key/value pairs under a single
@@ -376,7 +387,7 @@ func (t *Tree) PutManyOp(op *pager.Op, keys, vals [][]byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, i := range order {
-		if err := t.putLocked(op, keys[i], vals[i]); err != nil {
+		if err := t.putLocked(op, keys[i], vals[i], true); err != nil {
 			return err
 		}
 	}
@@ -384,10 +395,10 @@ func (t *Tree) PutManyOp(op *pager.Op, keys, vals [][]byte) error {
 }
 
 // putLocked is Put's body; the caller holds t.mu exclusively and has
-// validated the key length. One put is one atomic section: the inverse,
-// an overflow chain's allocation or free, and the leaf record that links
-// or unlinks it reach the log together.
-func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
+// validated the key length. One put is one atomic section: the inverse
+// (when inverse is set), an overflow chain's allocation or free, and the
+// leaf record that links or unlinks it reach the log together.
+func (t *Tree) putLocked(op *pager.Op, key, val []byte, inverse bool) error {
 	op.BeginAtomic()
 	defer op.EndAtomic()
 	t.gen++
@@ -427,7 +438,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 			if err != nil {
 				return err
 			}
-			if t.inverts(op) {
+			if inverse && t.inverts(op) {
 				// Inverse restores the old value; read it (overflow included)
 				// before the chain is freed.
 				old, err := t.cellValue(c)
@@ -442,7 +453,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte) error {
 				}
 			}
 			p.removeCell(idx)
-		} else if t.inverts(op) {
+		} else if inverse && t.inverts(op) {
 			op.StageUndo(undo.KeyDel(t.hdrPno, key))
 		}
 		enc := encodeLeafCell(nil, key, inlineVal, totalLen, ovfPage)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/extent"
 	"repro/internal/index"
 	"repro/internal/osd"
 	"repro/internal/pager"
@@ -39,15 +40,8 @@ type Batch struct {
 	// texts holds the content of each object the batch created, for as
 	// long as the batch's own writes could follow it; kept sums their
 	// lengths, at most maxBatchText.
-	texts map[OID]*keptText
+	texts map[OID][]byte
 	kept  int
-}
-
-// keptText is the content of an object a batch created: the bytes its
-// writes put there, and the extent root that names the object's tree.
-type keptText struct {
-	root uint64
-	b    []byte
 }
 
 // Batch runs fn, then commits everything it did as one transaction.
@@ -76,7 +70,7 @@ func (v *Volume) Batch(fn func(*Batch) error) error {
 	}
 	defer unlock()
 	return v.withOp(func(op *pager.Op) error {
-		b := &Batch{v: v, op: op, puts: make(map[index.Store][]index.Put), texts: make(map[OID]*keptText)}
+		b := &Batch{v: v, op: op, puts: make(map[index.Store][]index.Put), texts: make(map[OID][]byte)}
 		if err := fn(b); err != nil {
 			return err
 		}
@@ -119,7 +113,7 @@ func (b *Batch) CreateObject(owner string) (*osd.Object, error) {
 func (b *Batch) CreateObjectMode(owner string, mode uint32) (*osd.Object, error) {
 	obj, err := b.v.OSD.CreateObjectDeferred(b.op, owner, mode)
 	if err == nil {
-		b.texts[obj.OID()] = &keptText{root: obj.ExtentTree().RootPage()}
+		b.texts[obj.OID()] = []byte{}
 	}
 	return obj, err
 }
@@ -152,21 +146,21 @@ func (b *Batch) WriteAt(obj *osd.Object, p []byte, off uint64) error {
 // write failed, left a hole, or would take the object past maxIndexable
 // or the batch past maxBatchText.
 func (b *Batch) keep(oid OID, off uint64, p []byte, err error) {
-	t := b.texts[oid]
-	if t == nil {
+	t, ok := b.texts[oid]
+	if !ok {
 		return
 	}
 	end := off + uint64(len(p))
-	grow := int(max(end, uint64(len(t.b)))) - len(t.b)
-	if err != nil || off > uint64(len(t.b)) || end > maxIndexable || b.kept+grow > maxBatchText {
-		b.kept -= len(t.b)
+	grow := int(max(end, uint64(len(t)))) - len(t)
+	if err != nil || off > uint64(len(t)) || end > maxIndexable || b.kept+grow > maxBatchText {
+		b.kept -= len(t)
 		delete(b.texts, oid)
 		return
 	}
 	if grow > 0 {
-		t.b = append(t.b[:off], p...)
+		b.texts[oid] = append(t[:off], p...)
 	} else {
-		copy(t.b[off:], p)
+		copy(t[off:], p)
 	}
 	b.kept += grow
 }
@@ -208,15 +202,13 @@ func (b *Batch) Tag(oid OID, tag, value string) error {
 // batch's transaction. For an object the batch created it indexes the
 // content the batch kept, without a device read, as long as the pager
 // shows that no other operation has mutated the object since
-// (pager.Holds on its extent root: every mutation of an extent tree
-// claims the root, and the creator claims it first). Otherwise — another
+// (pager.Holds on extent.Key(oid): every mutation of an object claims its
+// key, and the creator claims it first). Otherwise — another
 // operation wrote the object, or the kept copy was dropped — it reads
 // the object's bytes.
 func (b *Batch) IndexContent(oid OID) error {
-	var text []byte
-	if t := b.texts[oid]; t != nil && b.v.pg.Holds(t.root, b.op) {
-		text = t.b
-	} else {
+	text, ok := b.texts[oid]
+	if !ok || !b.v.pg.Holds(extent.Key(uint64(oid)), b.op) {
 		var err error
 		if text, err = b.v.readObjectText(oid); err != nil {
 			return err

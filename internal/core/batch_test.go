@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/btree"
+	"repro/internal/extent"
 	"repro/internal/index"
 	"repro/internal/osd"
 )
@@ -417,14 +418,18 @@ func TestDirtyHighWaterTriggersCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
+	// Each object takes an extent page below its row: R+1 one-block
+	// appends, each its own extent.
 	payload := make([]byte, 4096)
 	for i := 0; i < 120; i++ {
 		obj, err := v.OSD.CreateObject("hw", osd.ModeRegular)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := obj.Append(payload); err != nil {
-			t.Fatal(err)
+		for j := 0; j <= extent.R; j++ {
+			if err := obj.Append(payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 		obj.Close()
 	}
@@ -541,7 +546,10 @@ func TestBatchBeyondCacheSteals(t *testing.T) {
 				return err
 			}
 			oids = append(oids, obj.OID())
-			err = b.Append(obj, payload)
+			// R+1 inserts give the object an extent page below its row.
+			for j := 0; j <= extent.R && err == nil; j++ {
+				err = obj.InsertAtDeferred(b.op, 0, payload)
+			}
 			obj.Close()
 			if err != nil {
 				return err

@@ -17,7 +17,7 @@ type CheckReport struct {
 	Objects       uint64
 	Extents       uint64
 	Holes         uint64
-	ExtentPages   int // extent-tree node pages across all objects
+	ExtentPages   int // extent-tree pages below the rows, across all objects
 	MetadataPages int // btree pages
 	UsedBlocks    uint64
 	FreeBlocks    uint64
@@ -119,7 +119,7 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 		return nil, err
 	}
 	for _, m := range metas {
-		ext, err := extent.Open(v.pg, v.ba, m.ExtentRoot, v.opts.ExtentConfig)
+		ext, err := extent.Open(v.pg, v.ba, m.Root, uint64(m.OID), v.opts.ExtentConfig, nil)
 		if err != nil {
 			if report != nil {
 				report.addf("object %d: open extent tree: %v", m.OID, err)
@@ -148,9 +148,6 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 			report.ExtentPages += res.Pages
 			if res.Bytes != m.Size {
 				report.addf("object %d: table size %d, extent tree holds %d", m.OID, m.Size, res.Bytes)
-			}
-			if res.Owner != uint64(m.OID) {
-				report.addf("object %d: extent tree names owner %d", m.OID, res.Owner)
 			}
 		}
 	}

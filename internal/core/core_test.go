@@ -480,7 +480,16 @@ func TestOpenRefusesVolumeWithoutLog(t *testing.T) {
 // TestOpenRefusesV2Superblock: a version 2 volume names each object's
 // extent tree by a header page, which this format no longer has; Open
 // refuses it rather than misread its object table.
-func TestOpenRefusesV2Superblock(t *testing.T) {
+func TestOpenRefusesV2Superblock(t *testing.T) { refuseVersion(t, 2) }
+
+// TestOpenRefusesV3Superblock: a version 3 volume keeps each extent
+// root in a page the object's row names by number, where this format's
+// row holds the root itself; Open refuses it.
+func TestOpenRefusesV3Superblock(t *testing.T) { refuseVersion(t, 3) }
+
+// refuseVersion stamps a fresh volume's superblock with version ver and
+// requires Open to refuse it.
+func refuseVersion(t *testing.T, ver uint32) {
 	v, dev := newVolume(t, Options{})
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
@@ -489,19 +498,19 @@ func TestOpenRefusesV2Superblock(t *testing.T) {
 	if err := dev.ReadBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(b[4:], 2)
+	binary.LittleEndian.PutUint32(b[4:], ver)
 	binary.LittleEndian.PutUint32(b[96:], crc32.ChecksumIEEE(b[:96]))
 	if err := dev.WriteBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
-		t.Fatalf("Open of a version 2 volume: %v, want ErrBadSuperblock", err)
+		t.Fatalf("Open of a version %d volume: %v, want ErrBadSuperblock", ver, err)
 	}
 }
 
-// TestCheckCountsExtentPages: fsck reports the extent-tree node pages of
-// all objects. A small object is its root page alone, so they equal the
-// object count until a root pushes its cells down.
+// TestCheckCountsExtentPages: fsck reports the extent-tree node pages
+// below the rows of all objects. A small object's root lives in its row,
+// so small objects have none until a root pushes its cells down.
 func TestCheckCountsExtentPages(t *testing.T) {
 	v, _ := newVolume(t, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	defer v.Close()
@@ -516,8 +525,8 @@ func TestCheckCountsExtentPages(t *testing.T) {
 		}
 		return rep
 	}
-	if rep := check(); rep.Objects != 5 || rep.ExtentPages != 5 {
-		t.Fatalf("%d objects on %d extent pages, want 5 on 5", rep.Objects, rep.ExtentPages)
+	if rep := check(); rep.Objects != 5 || rep.ExtentPages != 0 {
+		t.Fatalf("%d objects on %d extent pages, want 5 on 0", rep.Objects, rep.ExtentPages)
 	}
 	obj, err := v.OSD.CreateObject("u", osd.ModeRegular)
 	if err != nil {
@@ -533,8 +542,8 @@ func TestCheckCountsExtentPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := check(); res.Pages < 3 || rep.ExtentPages != 5+res.Pages {
-		t.Fatalf("%d extent pages with a %d-page tree, want %d", rep.ExtentPages, res.Pages, 5+res.Pages)
+	if rep := check(); res.Pages < 2 || rep.ExtentPages != res.Pages {
+		t.Fatalf("%d extent pages with a %d-page tree, want %d", rep.ExtentPages, res.Pages, res.Pages)
 	}
 }
 

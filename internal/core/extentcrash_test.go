@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/extent"
 	"repro/internal/osd"
+	"repro/internal/pager"
 )
 
 // failNthDevice injects exactly one transient write failure (the nth
@@ -226,10 +229,10 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 }
 
 // TestCheckDetectsLeafSkewAfterCrash: an extent tree keeps no counter
-// that an open could heal, so a leaf whose bytes disagree with the object
-// table (here induced by editing a leaf cell's Len on the raw image) is
-// not rewritten by recovery. The unclean open succeeds, reports what the
-// leaves hold, and fsck names the disagreement.
+// that an open could heal, so a leaf whose bytes disagree with the root
+// in the object's row (here induced by editing a leaf cell's Len on the
+// raw image) is not rewritten by recovery. The unclean open succeeds,
+// reports the size the row holds, and fsck names the disagreement.
 func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{
@@ -305,24 +308,18 @@ func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o2.Close()
-	if got := o2.Size(); got != 20000+grow {
-		t.Fatalf("tree size %d, want the leaves' %d", got, 20000+grow)
-	}
-	m, err := v2.OSD.Stat(obj.OID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Size != 20000 {
-		t.Fatalf("recovery rewrote the object table size to %d", m.Size)
+	if got := o2.Size(); got != 20000 {
+		t.Fatalf("tree size %d, want the row's 20000", got)
 	}
 	rep, err := v2.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("object %d: table size 20000, extent tree holds %d", obj.OID(), 20000+grow)
+	prefix := fmt.Sprintf("object %d: ", obj.OID())
+	want := fmt.Sprintf("count 20000, subtree has %d", 20000+grow)
 	found := false
 	for _, p := range rep.Problems {
-		found = found || p == want
+		found = found || strings.HasPrefix(p, prefix) && strings.Contains(p, want)
 	}
 	if !found {
 		t.Fatalf("fsck did not report %q: %v", want, rep.Problems)
@@ -607,4 +604,234 @@ func refreshSidecarSum(t *testing.T, dev blockdev.Device, b uint64, content []by
 	if err := dev.WriteBlock(sb.csumStart+i/perBlk, buf); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCrashRootCrossesR takes an object's extent root across R → R+1 → R
+// cells and cuts the power at every device write on the way: the append
+// that pushes the root's cells down into a leaf page below the row, the
+// delete whose deferred rebalance pulls them back up into the row, and
+// the checkpoint after. Every cut recovers exactly, to content the
+// acknowledged edits allow, with the row naming a tree that checks.
+func TestCrashRootCrossesR(t *testing.T) {
+	opts := Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}}
+	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
+	v, err := Create(mem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := v.OSD.CreateObject("r", osd.ModeRegular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := obj.OID()
+	var base []byte
+	for i := 0; i < extent.R; i++ { // one extent each: the root fills
+		p := fill(4096, byte(i))
+		if err := obj.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, p...)
+	}
+	obj.Close()
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img := mem.Snapshot()
+	grown := append(append([]byte(nil), base...), fill(4096, extent.R)...)
+
+	// pages reports how many extent pages the object has below its row.
+	pages := func(v *Volume) int {
+		t.Helper()
+		o, err := v.OSD.OpenObject(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		res, err := o.ExtentTree().Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Pages
+	}
+	// cut replays the edits on the image with the device failing after
+	// limit writes (never, when limit < 0), and returns the writes made and
+	// how many edits were acknowledged.
+	cut := func(limit int64) (int64, int) {
+		if err := mem.RestoreFrom(img); err != nil {
+			t.Fatal(err)
+		}
+		sim := blockdev.NewSim(mem, nil)
+		fd := blockdev.NewFault(sim)
+		v, err := Open(fd, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w0 := sim.Stats().Writes
+		if limit >= 0 {
+			fd.FailAfterWrites(limit)
+		}
+		acked := 0
+		func() {
+			o, err := v.OSD.OpenObject(oid)
+			if err != nil {
+				return
+			}
+			defer o.Close()
+			if o.Append(fill(4096, extent.R)) != nil {
+				return
+			}
+			acked++
+			if limit < 0 && pages(v) != 1 {
+				t.Fatalf("%d extents on %d pages, want the root pushed down into one", extent.R+1, pages(v))
+			}
+			if o.TruncateRange(uint64(len(base)), 4096) != nil {
+				return
+			}
+			acked++
+			if limit < 0 && pages(v) != 0 {
+				t.Fatalf("back to %d extents on %d pages, want the root pulled up into the row", extent.R, pages(v))
+			}
+			_ = v.Sync()
+		}()
+		v.stopCheckpointer()
+		fd.Disarm()
+		return sim.Stats().Writes - w0, acked
+	}
+	writes, acked := cut(-1)
+	if acked != 2 {
+		t.Fatalf("%d of the 2 edits acknowledged on a healthy device", acked)
+	}
+	for limit := int64(0); limit <= writes; limit++ {
+		_, acked := cut(limit)
+		v := mustOpenExact(t, mem)
+		m, err := v.OSD.Stat(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readExtObj(t, v, oid, int(m.Size))
+		switch {
+		case bytes.Equal(got, grown):
+			if acked > 1 {
+				t.Fatalf("cut at write %d: the acknowledged delete is undone", limit)
+			}
+		case bytes.Equal(got, base):
+			if acked == 1 {
+				// The append was acknowledged: only the delete brings the
+				// base back, and its row must then hold R cells at most a
+				// page below.
+				if n := pages(v); n > 1 {
+					t.Fatalf("cut at write %d: the object has %d extent pages", limit, n)
+				}
+			}
+		default:
+			t.Fatalf("cut at write %d: the object holds %d bytes no edit left", limit, len(got))
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d cuts", writes+1)
+}
+
+// TestRecoverRollbackAcrossNeighbourSplit: an operation that grew an
+// object in place rolls back after a neighbour's committed append pushed
+// the object's root down into a page below the row. No handle stays open
+// between them, so the rollback's inverse opens the tree from the row.
+// That inverse deletes the operation's bytes, and the row is rewritten
+// from the tree: it still names the page the neighbour made. A whole-row
+// inverse would first have put back the root from before the push-down,
+// and the bytes and the page with it. So it stays, live and after a
+// crash.
+func TestRecoverRollbackAcrossNeighbourSplit(t *testing.T) {
+	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
+	v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := v.OSD.CreateObject("n", osd.ModeRegular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := obj.OID()
+	// R extents, the last one short: the root is full, and an append that
+	// fits the last extent's slack adds no cell.
+	var base []byte
+	for i := 0; i < extent.R; i++ {
+		p := fill(4096, byte(i))
+		if i == extent.R-1 {
+			p = p[:100]
+		}
+		if err := obj.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, p...)
+	}
+	obj.Close()
+	// rowTree checks the tree the object's row names, and returns its
+	// pages and the object's bytes.
+	rowTree := func(label string, v *Volume) ([]uint64, []byte) {
+		t.Helper()
+		m, err := v.OSD.Stat(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := extent.Open(v.pg, v.ba, m.Root, uint64(oid), v.opts.ExtentConfig, nil)
+		if err != nil {
+			t.Fatalf("%s: open the tree the row names: %v", label, err)
+		}
+		res, err := tr.Check()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return res.AllPages, readExtObj(t, v, oid, int(m.Size))
+	}
+	appendTo := func(op *pager.Op, p []byte) error {
+		o, err := v.OSD.OpenObject(oid)
+		if err != nil {
+			return err
+		}
+		defer o.Close()
+		if op == nil {
+			return o.Append(p)
+		}
+		_, err = o.AppendDeferred(op, p)
+		return err
+	}
+	neighbour := fill(8192, 0x4E)
+	var child uint64
+	err = v.withOp(func(op *pager.Op) error {
+		if err := appendTo(op, fill(100, 0xA0)); err != nil {
+			return err
+		}
+		done := make(chan error)
+		go func() { done <- appendTo(nil, neighbour) }()
+		if err := <-done; err != nil {
+			return err
+		}
+		pages, _ := rowTree("after the neighbour", v)
+		if len(pages) != 1 {
+			return fmt.Errorf("the neighbour left %d extent pages, want its push-down's one", len(pages))
+		}
+		child = pages[0]
+		return errRollback
+	})
+	if !errors.Is(err, errRollback) {
+		t.Fatalf("bracket returned %v", err)
+	}
+	want := append(append([]byte(nil), base...), neighbour...)
+	check := func(label string, v *Volume) {
+		t.Helper()
+		pages, got := rowTree(label, v)
+		if !slices.Contains(pages, child) {
+			t.Fatalf("%s: the row names pages %v, not the neighbour's %d", label, pages, child)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes, want the base and the neighbour's %d", label, len(got), len(want))
+		}
+	}
+	check("live", v)
+	assertRecoveryExact(t, v)
+	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	defer v2.Close()
+	check("recovered", v2)
 }

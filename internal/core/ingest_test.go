@@ -6,10 +6,12 @@ import (
 	"math/rand/v2"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/extent"
 	"repro/internal/index"
 )
 
@@ -186,6 +188,91 @@ func TestBatchIndexContentReadsNothingBack(t *testing.T) {
 	})
 }
 
+// TestBatchTextBound: a batch keeps at most maxBatchText bytes of what it
+// wrote for IndexContent. It writes more than that across objects that
+// are each under maxIndexable: those written past the bound are indexed
+// by reading them back, the rest from what the batch kept, and every
+// object's postings are those its twin gets from the read path — the
+// same text appended and indexed outside a batch.
+func TestBatchTextBound(t *testing.T) {
+	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
+	sim := blockdev.NewSim(mem, nil)
+	v, err := Create(sim, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	const size = 1 << 20
+	n := maxBatchText/size + 2 // the last two objects pass the bound
+	text := func(i int) []byte {
+		b := append([]byte(fmt.Sprintf("head%d ", i)), bytes.Repeat([]byte(fmt.Sprintf("filler%d ", i%3)), size/8)...)
+		return append(b[:size-len("tail00 ")], fmt.Sprintf("tail%02d ", i)...)
+	}
+	batched := make([]OID, n)
+	reads := make([]int64, n)
+	err = v.Batch(func(b *Batch) error {
+		for i := range batched {
+			obj, err := b.CreateObject("bound")
+			if err != nil {
+				return err
+			}
+			batched[i] = obj.OID()
+			err = b.Append(obj, text(i))
+			obj.Close()
+			if err != nil {
+				return err
+			}
+		}
+		for i, oid := range batched {
+			r0 := sim.Stats().Reads
+			if err := b.IndexContent(oid); err != nil {
+				return err
+			}
+			reads[i] = sim.Stats().Reads - r0
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reads {
+		// Reading an object back takes a read per block of it; the index's
+		// own pages may take a few.
+		readBack := r >= size/blockdev.DefaultBlockSize
+		if past := (i+1)*size > maxBatchText; past != readBack {
+			t.Errorf("object %d (past the bound: %v) was indexed with %d device reads", i, past, r)
+		}
+	}
+	twins := make([]OID, n)
+	for i := range twins {
+		obj, err := v.OSD.CreateObject("twin", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i] = obj.OID()
+		err = obj.Append(text(i))
+		obj.Close()
+		if err == nil {
+			err = v.IndexContent(twins[i])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	terms := []string{"filler0", "filler1", "filler2"}
+	for i := range batched {
+		terms = append(terms, fmt.Sprintf("head%d", i), fmt.Sprintf("tail%02d", i))
+	}
+	for _, term := range terms {
+		for i := range batched {
+			got, want := indexedAs(t, v, term, batched[i]), indexedAs(t, v, term, twins[i])
+			if len(got) != len(want) {
+				t.Errorf("%q finds batched object %d: %v, its twin: %v", term, i, len(got) == 1, len(want) == 1)
+			}
+		}
+	}
+}
+
 // TestCrashStealAfterBufferedBaseImage cuts a steal-heavy batch at every
 // device write. A clean page the batch dirties logs its base image, which
 // waits in the log's staging block; the batch dirties several times the
@@ -205,41 +292,52 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 	// The steal of the page whose base image is waiting needs that page to
 	// be the least recently used of its cache shard. Pages share a shard
 	// when their numbers agree mod 16 (the pager's shard count), so the
-	// batch works on groups of objects whose extent roots fall in a shard
-	// that holds no page of the object table, which every append also
-	// dirties. Whether the waiting base image is still in the staging
-	// block when its page is stolen depends on where in the block it
-	// ended, so the batch tries several shards.
+	// batch works on groups of objects whose extent leaf pages fall in a
+	// shard that holds no page of the object table, which every append
+	// also dirties. An object gets its leaf page from extent.R+1 inserts:
+	// its root's cells move down into it. Whether the waiting base image
+	// is still in the staging block when its page is stolen depends on
+	// where in the block it ended, so the batch tries several shards.
 	const shards = 16
+	leafOf := make(map[OID]uint64)
+	for _, oid := range oids[batched:] {
+		obj, err := v.OSD.OpenObject(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= extent.R; i++ { // whole blocks: appends take fresh runs
+			if err := obj.InsertAt(0, fill(4096, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := obj.ExtentTree().Check()
+		if err != nil || res.Pages != 1 {
+			t.Fatalf("object %d has %d extent pages (%v), want 1", oid, res.Pages, err)
+		}
+		leafOf[oid] = res.AllPages[0]
+		obj.Close()
+	}
 	meta, err := v.OSD.MetaTree().Check()
 	if err != nil {
 		t.Fatal(err)
 	}
 	byShard := make([][]OID, shards)
 	for _, oid := range oids[batched:] {
-		m, err := v.OSD.Stat(oid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byShard[m.ExtentRoot%shards] = append(byShard[m.ExtentRoot%shards], oid)
+		byShard[leafOf[oid]%shards] = append(byShard[leafOf[oid]%shards], oid)
 	}
 	for _, no := range meta.AllPages {
 		byShard[no%shards] = nil
 	}
 	var groups [][]OID
-	var fifths []uint64 // the root each group steals after its base image
+	var fifths []uint64 // the leaf each group steals after its base image
 	for _, g := range byShard {
 		if len(g) >= 6 && len(groups) < 4 {
-			m, err := v.OSD.Stat(g[4])
-			if err != nil {
-				t.Fatal(err)
-			}
 			groups = append(groups, g[:6])
-			fifths = append(fifths, m.ExtentRoot)
+			fifths = append(fifths, leafOf[g[4]])
 		}
 	}
 	if len(groups) < 4 {
-		t.Fatalf("%d cache shards hold six extent roots and no object-table page, want 4", len(groups))
+		t.Fatalf("%d cache shards hold six extent leaves and no object-table page, want 4", len(groups))
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
@@ -255,12 +353,13 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		return b.Append(obj, p)
 	}
 	body := func(v *Volume, b *Batch) error {
-		// In each group, four roots fill the shard; the fifth steals the
+		// In each group, four leaves fill the shard; the fifth steals the
 		// first and logs its own base image, which stays in the staging
-		// block while three small appends make the other roots in the
-		// shard newer than it. The sixth root finds every page of the shard
-		// gated, flushes the batch's records as a chunk, and steals the
-		// fifth: the page whose base image has not reached the device yet.
+		// block while three small appends make the other leaves in the
+		// shard newer than it. The sixth leaf finds every page of the
+		// shard gated, flushes the batch's records as a chunk, and steals
+		// the fifth: the page whose base image has not reached the device
+		// yet.
 		for _, g := range groups {
 			for i, oid := range g[:5] {
 				if err := appendTo(v, b, oid, fill(700, byte(i))); err != nil {
@@ -276,8 +375,8 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 				return err
 			}
 		}
-		// Then steal-heavy work across the cache: roots the batch appends
-		// to, and the fresh roots of objects it creates.
+		// Then steal-heavy work across the cache: objects the batch
+		// appends to, and the rows of objects it creates.
 		for i, oid := range oids[:batched] {
 			if err := appendTo(v, b, oid, fill(700, byte(i))); err != nil {
 				return err
@@ -333,11 +432,19 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		return out
 	}
 
+	if err := mem.RestoreFrom(img); err != nil {
+		t.Fatal(err)
+	}
+	v = mustOpenExact(t, mem)
+	before := content(v)
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
 	writes, steals, err := cut(-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each fifth root was stolen: the batch left its home changed.
+	// Each fifth leaf was stolen: the batch left its home changed.
 	home := make([]byte, mem.BlockSize())
 	for _, no := range fifths {
 		if err := mem.ReadBlock(no, home); err != nil {
@@ -354,7 +461,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 	}
 	var touched []OID
 	for _, oid := range oids {
-		if len(after[oid]) > 0 {
+		if !bytes.Equal(after[oid], before[oid]) {
 			touched = append(touched, oid)
 		}
 	}
@@ -368,7 +475,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 			switch {
 			case bytes.Equal(got[oid], after[oid]):
 				landed++
-			case len(got[oid]) != 0:
+			case !bytes.Equal(got[oid], before[oid]):
 				t.Fatalf("cut at write %d: object %d holds %d bytes the batch did not leave", limit, oid, len(got[oid]))
 			}
 		}
@@ -487,16 +594,33 @@ func TestCrashCheckpointAfterDeferredMerge(t *testing.T) {
 	}
 }
 
+// writeLog is a device that records the block number of every write.
+type writeLog struct {
+	blockdev.Device
+	mu     sync.Mutex
+	blocks []uint64
+}
+
+func (w *writeLog) WriteBlock(n uint64, p []byte) error {
+	w.mu.Lock()
+	w.blocks = append(w.blocks, n)
+	w.mu.Unlock()
+	return w.Device.WriteBlock(n, p)
+}
+
 // TestSameSeedSameImage runs one seeded workload twice, on a log small
-// enough to checkpoint dozens of times, and requires equal device images:
-// each checkpoint runs at the commit that took the log past its
-// high-water mark, so where checkpoints fall, and everything they decide
-// (base images, the limbo they release, the snapshot they write), repeats.
+// enough to checkpoint dozens of times, and requires equal device images
+// and the same sequence of written blocks: each checkpoint runs at the
+// commit that took the log past its high-water mark, so where checkpoints
+// fall, and everything they decide (base images, the limbo they release,
+// the snapshot they write), repeats, and each writes its pages home in
+// block order, so a crash cut at the k-th write lands on the same block.
 func TestSameSeedSameImage(t *testing.T) {
 	epoch := time.Unix(1_700_000_000, 0)
-	build := func() ([]byte, int64) {
+	build := func() ([]byte, int64, []uint64) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{WALBlocks: 32, Clock: func() time.Time { return epoch }})
+		dev := &writeLog{Device: mem}
+		v, err := Create(dev, Options{WALBlocks: 32, Clock: func() time.Time { return epoch }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -548,10 +672,10 @@ func TestSameSeedSameImage(t *testing.T) {
 		if err := v.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return mem.Snapshot(), ckpts
+		return mem.Snapshot(), ckpts, dev.blocks
 	}
-	a, ca := build()
-	b, cb := build()
+	a, ca, wa := build()
+	b, cb, wb := build()
 	if ca < 24 {
 		t.Fatalf("%d checkpoints: the log is too large to test their placement", ca)
 	}
@@ -562,6 +686,14 @@ func TestSameSeedSameImage(t *testing.T) {
 		if !bytes.Equal(a[blk:blk+blockdev.DefaultBlockSize], b[blk:blk+blockdev.DefaultBlockSize]) {
 			t.Fatalf("the images differ first at block %d (%d checkpoints each)", blk/blockdev.DefaultBlockSize, ca)
 		}
+	}
+	for i := range min(len(wa), len(wb)) {
+		if wa[i] != wb[i] {
+			t.Fatalf("write %d went to block %d, then to block %d", i, wa[i], wb[i])
+		}
+	}
+	if len(wa) != len(wb) {
+		t.Fatalf("%d device writes, then %d", len(wa), len(wb))
 	}
 }
 

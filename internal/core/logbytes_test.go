@@ -18,7 +18,13 @@ import (
 // overwrite (BENCH_pr5.json). Rewriting the tree header on every edit,
 // size and extent count included, cost another 77 B per 64-byte edit,
 // and the metadata copy the header page kept 99 B more. An append now
-// also logs the sum of the data block it wrote, about 50 B.
+// also logs the sum of the data block it wrote, about 50 B. With the
+// extent root in the object's row, an edit's root cells and its mtime
+// ride one row put: the append's leaf and root records and its row put
+// (275.6 B) became a leaf record and a row put (240.6 B), while an
+// overwrite's row carries the root's cells, 33 B for this tree's two
+// entries against 16 B of size and root page before (191.1 → 200.1 B).
+// The bounds are the measured values.
 func TestLogBytesPerSmallEdit(t *testing.T) {
 	const ops = 240
 	bytesPerOp := func(t *testing.T, v *Volume, edit func(i int) error) float64 {
@@ -43,20 +49,21 @@ func TestLogBytesPerSmallEdit(t *testing.T) {
 			return v.AddName(oids[i%len(oids)], index.TagUDef, []byte(fmt.Sprintf("v:%d", i)))
 		})
 		t.Logf("%.1f B/op", got)
-		if got > 256 {
-			t.Errorf("a tag logs %.1f B, want ≤ 256", got)
+		if got > 211 {
+			t.Errorf("a tag logs %.1f B, want ≤ 211", got)
 		}
 	})
 
 	const edit = 64
 	for _, tc := range []struct {
-		name string
-		op   func(obj *osd.Object, p []byte, i int) error
+		name  string
+		op    func(obj *osd.Object, p []byte, i int) error
+		bound float64
 	}{
-		{"append-64", func(obj *osd.Object, p []byte, _ int) error { return obj.Append(p) }},
+		{"append-64", func(obj *osd.Object, p []byte, _ int) error { return obj.Append(p) }, 241},
 		{"overwrite-64", func(obj *osd.Object, p []byte, i int) error {
 			return obj.WriteAt(p, uint64(i)*8191%(obj.Size()-edit))
-		}},
+		}, 201},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v, _ := newVolume(t, Options{WALBlocks: 4096, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
@@ -88,8 +95,8 @@ func TestLogBytesPerSmallEdit(t *testing.T) {
 				return tc.op(obj, p, i)
 			})
 			t.Logf("%.1f B/op over %d extents", got, obj.ExtentCount())
-			if got > 280 {
-				t.Errorf("a 64-byte edit logs %.1f B, want ≤ 280", got)
+			if got > tc.bound {
+				t.Errorf("a 64-byte edit logs %.1f B, want ≤ %.0f", got, tc.bound)
 			}
 		})
 	}

@@ -59,8 +59,8 @@ func mustOpenExact(t testing.TB, dev blockdev.Device) *Volume {
 	return v
 }
 
-// populate creates n small objects (a header and a root page each) in
-// batches and returns their ids.
+// populate creates n empty objects (a row each) in batches and returns
+// their ids.
 func populate(t testing.TB, v *Volume, n int) []OID {
 	t.Helper()
 	oids := make([]OID, 0, n)
@@ -433,6 +433,18 @@ func TestRecoveryCutDuringWriteHome(t *testing.T) {
 // cache, so the pager steals — chunk-flushing the open batch's records —
 // and takes the crash image from inside the batch: its records are in the
 // log without a commit, a loser chain.
+// fillPaged gives o, inside b, extent.R+1 one-block extents: so many that
+// its root's cells move into an extent page below its row, which the
+// batch dirties.
+func fillPaged(b *Batch, o *osd.Object, seed byte) error {
+	for j := 0; j <= extent.R; j++ {
+		if err := o.InsertAtDeferred(b.op, 0, fill(4096, seed+byte(j))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func loserImage(t *testing.T, v *Volume, mem *blockdev.MemDevice, step func(b *Batch, i int) error) *blockdev.MemDevice {
 	t.Helper()
 	var img *blockdev.MemDevice
@@ -529,7 +541,7 @@ func TestRecoveryLosers(t *testing.T) {
 			}
 			defer o.Close()
 			created = append(created, o.OID())
-			return b.Append(o, fill(5000, byte(i)))
+			return fillPaged(b, o, byte(i))
 		})
 		v.stopCheckpointer()
 		v2 := mustOpenExact(t, img)
@@ -564,13 +576,10 @@ func TestRecoveryLosers(t *testing.T) {
 		}
 		img := loserImage(t, v, mem, func(b *Batch, i int) error {
 			if i == 0 {
-				if _, err := extent.CreateOp(v.pg, v.ba, v.opts.ExtentConfig, b.op, 0); err != nil {
-					return err
-				}
 				if _, err := btree.CreateOp(v.pg, pageAlloc{v.ba}, b.op); err != nil {
 					return err
 				}
-				ext, err := extent.Open(v.pg, v.ba, m.ExtentRoot, v.opts.ExtentConfig)
+				ext, err := extent.Open(v.pg, v.ba, m.Root, uint64(m.OID), v.opts.ExtentConfig, nil)
 				if err != nil {
 					return err
 				}
@@ -620,7 +629,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 					return err
 				}
 				defer o.Close()
-				return b.Append(o, fill(5000, byte(i)))
+				return fillPaged(b, o, byte(i))
 			}
 		},
 		"deleting": func(v *Volume, oids []OID) func(b *Batch, i int) error {
@@ -1016,6 +1025,26 @@ func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	// which a background checkpoint would write concurrently.
 	v.stopCheckpointer()
 	oids := populate(t, v, 3000)
+	// A byte each gives every object a data run, which its delete frees.
+	for i := 0; i < len(oids); i += 500 {
+		err := v.Batch(func(b *Batch) error {
+			for _, oid := range oids[i:min(i+500, len(oids))] {
+				o, err := v.OSD.OpenObject(oid)
+				if err != nil {
+					return err
+				}
+				err = b.Append(o, []byte{1})
+				o.Close()
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := v.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -1064,7 +1093,7 @@ func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 		if v2.Recovery().AllocWalk == "" {
 			t.Fatalf("round %d: recovery trusted a slot that cannot describe the allocator: %s", round, v2.Recovery())
 		}
-		if got := readExtObj(t, v2, oids[1], 9000); !bytes.Equal(got, fill(9000, 6)) {
+		if got := readExtObj(t, v2, oids[1], 9001); !bytes.Equal(got, append([]byte{1}, fill(9000, 6)...)) {
 			t.Fatalf("round %d: acknowledged content diverged", round)
 		}
 		if err := v2.AddName(oids[1], "UDEF", []byte(fmt.Sprintf("round-%d", round))); err != nil {

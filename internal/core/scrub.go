@@ -105,7 +105,7 @@ func (v *Volume) scrubClassify(rep *ScrubReport) map[uint64]int {
 		return class
 	}
 	for _, m := range metas {
-		ext, err := extent.Open(v.pg, v.ba, m.ExtentRoot, v.opts.ExtentConfig)
+		ext, err := extent.Open(v.pg, v.ba, m.Root, uint64(m.OID), v.opts.ExtentConfig, nil)
 		if err != nil {
 			rep.WalkProblems = append(rep.WalkProblems, fmt.Sprintf("object %d: %v", m.OID, err))
 			continue

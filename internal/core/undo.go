@@ -112,8 +112,8 @@ func (v *Volume) undoLosers(chains []wal.LoserChain) error {
 
 // applyUndo executes one decoded inverse through the live structure
 // APIs, which stage the compensation's redo records into op. Inverses
-// address structures logically (btree header or extent root page, key,
-// byte offset), so execution is correct regardless of how rebalances or
+// address structures logically (btree header page or OID, key, byte
+// offset), so execution is correct regardless of how rebalances or
 // steal moved the physical bytes since capture. A key already gone, or
 // an object a neighbour deleted since, is tolerated.
 func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
@@ -134,7 +134,7 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 		}
 		return nil
 	case undo.OpExtWrite, undo.OpExtIns, undo.OpExtDel:
-		obj, err := v.objectByRoot(u.Hdr)
+		obj, err := v.openForUndo(osd.OID(u.Hdr))
 		if err != nil || obj == nil {
 			return err
 		}
@@ -156,7 +156,9 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 		}
 		return tr.Drop(op)
 	case undo.OpExtentDrop:
-		return v.OSD.DestroyTree(op, u.Hdr)
+		return v.OSD.DestroyTree(op, osd.OID(u.Hdr))
+	case undo.OpMetaPut:
+		return v.OSD.RestoreMeta(op, osd.OID(u.Hdr), u.Data)
 	case undo.OpFulltext:
 		return v.ft.Inner().Undo(op)
 	default:
@@ -176,16 +178,9 @@ func (v *Volume) treeByHeader(hdr uint64) (*btree.Tree, error) {
 	return nil, fmt.Errorf("%w: no btree with header page %d", ErrNotFound, hdr)
 }
 
-// objectByRoot opens the object whose extent tree is rooted at root.
-// Returns (nil, nil) when no such object exists any more.
-func (v *Volume) objectByRoot(root uint64) (*osd.Object, error) {
-	oid, err := v.OSD.LookupByRoot(root)
-	if errors.Is(err, osd.ErrNotFound) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
+// openForUndo opens object oid for an inverse to run through. Returns
+// (nil, nil) when the object does not exist any more.
+func (v *Volume) openForUndo(oid osd.OID) (*osd.Object, error) {
 	obj, err := v.OSD.OpenObject(oid)
 	if errors.Is(err, osd.ErrNotFound) {
 		return nil, nil

@@ -84,7 +84,7 @@ type OID = osd.OID
 //	[96:100] crc32 of bytes [0:96]
 const (
 	sbMagic   = 0x68464144 // "hFAD"
-	sbVersion = 3          // v3: extent trees named by their root page, with no header page
+	sbVersion = 4          // v4: an extent tree's root lives in its object's row
 
 	flagLogged = 1 << 0
 	flagClean  = 1 << 1
@@ -863,7 +863,7 @@ func (v *Volume) checkpointIfDue() {
 func (v *Volume) runDeferred(op *pager.Op) error {
 	var err error
 	for _, fn := range op.Deferred() {
-		sys := v.pg.NewOp(sysAppender{v})
+		sys := op.NewSys()
 		rerr := fn(sys)
 		aerr := sys.AppendSys()
 		if err == nil && rerr != nil {

@@ -13,10 +13,9 @@ type CheckResult struct {
 	Extents        uint64   // extents found
 	Holes          uint64   // hole extents
 	AllocatedBytes uint64   // device bytes reserved by real extents
-	Pages          int      // node pages
-	AllPages       []uint64 // node pages owned by the tree, root first
+	Pages          int      // node pages below the root
+	AllPages       []uint64 // those pages
 	DataExtents    []Extent // real extents, for allocator cross-checks
-	Owner          uint64   // the back-pointer every node carries
 }
 
 // InternalFragmentation returns reserved-but-unused device bytes.
@@ -36,7 +35,7 @@ func (r *CheckResult) InternalFragmentation() uint64 {
 //   - the size the tree keeps (the root's sum at Open) matches the leaves
 //   - extent Len ≤ AllocBlocks × block size for real extents
 //   - no page is reached twice
-//   - every node names the root's owner
+//   - every page names the tree's owner
 func (t *Tree) Check() (*CheckResult, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -51,20 +50,19 @@ func (t *Tree) Check() (*CheckResult, error) {
 			return 0, fmt.Errorf("%w: page %d reached twice", ErrCorrupt, pno)
 		}
 		seen[pno] = true
-		res.AllPages = append(res.AllPages, pno)
-		res.Pages++
+		if pno != rootNo {
+			res.AllPages = append(res.AllPages, pno)
+			res.Pages++
+		}
 		type ent struct {
 			child uint64
 			bytes uint64
 		}
 		var ents []ent
 		var sum uint64
-		err := t.pg.With(pno, func(pg *pager.Page) error {
-			node := nodeRef{pg.Data()}
-			if pno == t.root {
-				res.Owner = node.owner()
-			} else if node.owner() != res.Owner {
-				return fmt.Errorf("%w: page %d names owner %d, the root %d", ErrCorrupt, pno, node.owner(), res.Owner)
+		err := t.with(pno, func(node nodeRef, _ *pager.Page) error {
+			if node.owner() != t.owner {
+				return fmt.Errorf("%w: page %d names owner %d, the tree %d", ErrCorrupt, pno, node.owner(), t.owner)
 			}
 			if level == t.height-1 {
 				if node.typ() != pageLeaf {
@@ -120,7 +118,7 @@ func (t *Tree) Check() (*CheckResult, error) {
 		return sum, nil
 	}
 
-	total, err := walk(t.root, 0)
+	total, err := walk(rootNo, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +136,7 @@ func (t *Tree) Check() (*CheckResult, error) {
 			return nil, fmt.Errorf("%w: leaf chain diverges at %d", ErrCorrupt, i)
 		}
 		var next uint64
-		err := t.pg.With(cur, func(pg *pager.Page) error {
-			node := nodeRef{pg.Data()}
+		err := t.with(cur, func(node nodeRef, _ *pager.Page) error {
 			if node.prev() != prev {
 				return fmt.Errorf("%w: leaf %d prev %d, want %d", ErrCorrupt, cur, node.prev(), prev)
 			}

@@ -36,9 +36,38 @@ const (
 	crWALBlocks = 4096
 	crDataStart = crWALStart + crWALBlocks
 	// crOwner is the back-pointer the harness's tree is created with;
-	// every recovered node must still carry it.
+	// every recovered page must still carry it.
 	crOwner = 0x0B1EC7
+	// crAnchor is the block that keeps the harness tree's root, as an
+	// object's row does in a volume; it lies outside the WAL and the
+	// allocator's region.
+	crAnchor = 0
 )
+
+// anchorPage keeps a tree's root at the head of block no: one range
+// record in the operation at hand, the way osd rewrites the object's row.
+func anchorPage(pg *pager.Pager, no uint64) Anchor {
+	return func(op *pager.Op, root Root, _ bool) error {
+		return pg.With(no, func(p *pager.Page) error {
+			copy(p.Data(), root[:])
+			pg.MarkDirtyRec(p, op, redo.KindRange, redo.EncodeRange(0, root[:]))
+			return nil
+		})
+	}
+}
+
+// openAnchored opens the tree whose root block no keeps (anchorPage).
+func openAnchored(pg *pager.Pager, ba *buddy.Allocator, no uint64, cfg Config) (*Tree, error) {
+	var root Root
+	err := pg.With(no, func(p *pager.Page) error {
+		copy(root[:], p.Data())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return Open(pg, ba, root, crOwner, cfg, anchorPage(pg, no))
+}
 
 type crEnv struct {
 	t   *testing.T
@@ -75,11 +104,14 @@ func newCrashEnv(t *testing.T) *crEnv {
 		ba:  buddy.New(crDataStart, crBlocks-crDataStart),
 		log: wal.New(dev, crWALStart, crWALBlocks),
 	}
-	tr, err := CreateOp(e.pg, e.ba, Config{MaxExtentBytes: 4096}, nil, crOwner)
+	err := e.pg.WithZero(crAnchor, func(p *pager.Page) error {
+		e.pg.MarkDirty(p) // the zero Root: an empty tree
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.tr = tr
+	e.tr = CreateOp(e.pg, e.ba, Config{MaxExtentBytes: 4096}, nil, crOwner, anchorPage(e.pg, crAnchor))
 	// Formatting flush: a clean generation boundary, after which base
 	// images protect every touched page (exactly core.Create's order).
 	e.checkpoint()
@@ -131,7 +163,7 @@ func (e *crEnv) commitOp(op *pager.Op, opErr error) error {
 	}
 	if opErr == nil {
 		for _, fn := range op.Deferred() {
-			sys := e.pg.NewOp(walAppender{e.log})
+			sys := op.NewSys()
 			rerr := fn(sys)
 			if aerr := sys.AppendSys(); rerr == nil {
 				rerr = aerr
@@ -150,7 +182,7 @@ func (e *crEnv) commitOp(op *pager.Op, opErr error) error {
 // records — and opens the tree. The restored allocator must be exactly
 // what the reachability walk would have built; callers check that with
 // assertAllocatorIsWalk once the tree's counters are known good.
-func recoverImage(t *testing.T, snap, allocSnap []byte, rootPno uint64) (*Tree, *buddy.Allocator, error) {
+func recoverImage(t *testing.T, snap, allocSnap []byte, anchor uint64) (*Tree, *buddy.Allocator, error) {
 	t.Helper()
 	dev := blockdev.NewMem(crBlocks, blockdev.DefaultBlockSize)
 	if err := dev.RestoreFrom(snap); err != nil {
@@ -162,7 +194,7 @@ func recoverImage(t *testing.T, snap, allocSnap []byte, rootPno uint64) (*Tree, 
 	}
 	pg := pager.New(dev, 512, true)
 	ba := restoreAllocator(t, allocSnap, tail)
-	tr, err := Open(pg, ba, rootPno, Config{MaxExtentBytes: 4096})
+	tr, err := openAnchored(pg, ba, anchor, Config{MaxExtentBytes: 4096})
 	return tr, ba, err
 }
 
@@ -291,10 +323,8 @@ func verifyAgainstOracle(t *testing.T, label string, tr *Tree, oracle []byte) {
 // pre-operation state.
 func verifyWithOverlap(t *testing.T, label string, tr *Tree, oracle []byte, wrOff, wrEnd uint64, newData []byte) {
 	t.Helper()
-	if res, err := tr.Check(); err != nil {
+	if _, err := tr.Check(); err != nil { // every page names crOwner
 		t.Fatalf("%s: structural check: %v", label, err)
-	} else if res.Owner != crOwner {
-		t.Fatalf("%s: the nodes name owner %#x, want %#x", label, res.Owner, crOwner)
 	}
 	if tr.Size() != uint64(len(oracle)) {
 		t.Fatalf("%s: size %d, oracle %d", label, tr.Size(), len(oracle))
@@ -340,7 +370,7 @@ func TestDeferredRebalanceReclaimsDrainedLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pages < 3 {
+	if res.Pages < 2 {
 		t.Fatalf("setup built only %d node pages; want a multi-node tree", res.Pages)
 	}
 	// Drain everything but one extent; the deferred rebalance runs
@@ -356,7 +386,7 @@ func TestDeferredRebalanceReclaimsDrainedLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pages > 2 {
+	if res.Pages != 0 {
 		t.Fatalf("drained tree still holds %d node pages; deferred rebalance did not reclaim the run", res.Pages)
 	}
 	verifyAgainstOracle(t, "after bulk delete", e.tr, pattern(1<<20+3000, 1)[:4096])
@@ -367,16 +397,16 @@ func TestDeferredRebalanceReclaimsDrainedLeaves(t *testing.T) {
 // operation's cache mutations and its commit. Every boundary snapshot
 // must recover to the oracle's state after the committed prefix; every
 // mid-operation snapshot must recover to the state *before* the
-// operation (its records are still unstaged, and the system-transaction
-// splits that did reach the log are sum-preserving by design, so they
-// must not change observable content).
+// operation: its records, splits included, are still unstaged, and only
+// the deferred merges of earlier operations reach the log as system
+// transactions.
 func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 0xE16))
 			e := newCrashEnv(t)
-			root := e.tr.RootPage()
+			const root = crAnchor
 			var oracle []byte
 
 			const ops = 45
@@ -398,12 +428,10 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 					n := rng.IntN(5000) + 1
 					if i == 0 {
 						// One huge write: >254 extents land in a single
-						// operation, so leaf splits run with the leaf full
-						// of this op's own uncommitted cells — the mid-op
-						// cut below then replays an always-redone split
-						// against a committed leaf with fewer cells than
-						// the recorded split index (the clamp path, whose
-						// parent entries replay sums from the halves).
+						// operation, so the root pushes down and leaf
+						// splits run with the leaf full of this op's own
+						// uncommitted cells, all in its own records: the
+						// mid-op cut below must find none of them.
 						off, n = 0, 1<<20+3000
 					}
 					data := pattern(n, byte(i))
@@ -449,16 +477,15 @@ func TestCrashReplayPropertyAgainstOracle(t *testing.T) {
 					next = append(next, data...)
 				}
 
-				// Mid-operation cut: mutations are in cache (and any splits
-				// in the log as system transactions), the commit is not.
+				// Mid-operation cut: mutations are in cache, the commit is
+				// not.
 				midSnap := e.dev.Snapshot()
 				trMid, baMid, merr := recoverImage(t, midSnap, e.allocSnap, root)
 				if merr != nil {
 					t.Fatalf("op %d: mid-op recovery: %v", i, merr)
 				}
-				// A mid-op cut drops the uncommitted operation's records
-				// but redoes the splits it caused: their parent entries
-				// must sum what replay rebuilt, with no recount after.
+				// A mid-op cut drops the uncommitted operation's records,
+				// the splits it caused among them.
 				verifyWithOverlap(t, fmt.Sprintf("op %d mid-op cut", i), trMid, oracle, wrOff, wrEnd, wrData)
 				assertAllocatorIsWalk(t, fmt.Sprintf("op %d mid-op cut", i), baMid, trMid)
 
@@ -499,17 +526,17 @@ func (a cutAppender) AppendSystem(recs []redo.Record) error {
 	return err
 }
 
-// TestCrashRootPushDownAndPullUp grows a tree's leaf root past one leaf,
-// so the root pushes its cells down into a fresh child and splits them
-// under itself, then drains the tree until the deferred merge leaves the
-// root one child, whose cells it pulls back up. The power is cut after
-// every log append on the way (each commit and each system transaction,
-// the push-down and the pull-up included) and between each operation's
-// edits and its commit. Every cut must recover the committed prefix, with
-// the allocator the walk finds, from the same root page.
+// TestCrashRootPushDownAndPullUp takes the root across R → R+1 → R cells:
+// R one-extent appends fill it, the next pushes its cells down into a
+// fresh leaf page, and deleting that extent again leaves the leaf
+// underfull, so the deferred rebalance pulls its cells back up. It then grows the tree two levels and drains it the same way.
+// The power is cut after every log append on the way (each commit and
+// each system transaction, the pull-up included) and between each
+// operation's edits and its commit. Every cut must recover the committed
+// prefix, with the allocator the walk finds, from the anchor's root.
 func TestCrashRootPushDownAndPullUp(t *testing.T) {
 	e := newCrashEnv(t)
-	root := e.tr.RootPage()
+	const root = crAnchor
 	var oracle []byte
 	cuts := 0
 	cut := func() {
@@ -541,7 +568,7 @@ func TestCrashRootPushDownAndPullUp(t *testing.T) {
 		oracle = next
 		cut()
 		for _, fn := range op.Deferred() {
-			sys := e.pg.NewOp(app)
+			sys := op.NewSys()
 			if err := fn(sys); err != nil {
 				t.Fatalf("deferred rebalance: %v", err)
 			}
@@ -551,13 +578,33 @@ func TestCrashRootPushDownAndPullUp(t *testing.T) {
 		}
 	}
 
+	appendOne := func() {
+		data := pattern(4096, byte(len(oracle)/4096))
+		next := append(append([]byte(nil), oracle...), data...)
+		run(func(op *pager.Op) error { _, err := e.tr.AppendOp(op, data); return err }, next)
+	}
+	for i := 0; i < R; i++ {
+		appendOne()
+	}
+	if res := mustCheck(t, e.tr); e.tr.height != 1 || res.Pages != 0 {
+		t.Fatalf("%d extents: height %d over %d pages, want the root alone", R, e.tr.height, res.Pages)
+	}
+	appendOne()
+	if res := mustCheck(t, e.tr); e.tr.height != 2 || res.Pages != 1 {
+		t.Fatalf("%d extents: height %d over %d pages, want the root pushed down", R+1, e.tr.height, res.Pages)
+	}
+	run(func(op *pager.Op) error { return e.tr.DeleteRangeOp(op, R*4096, 4096) }, oracle[:R*4096])
+	if res := mustCheck(t, e.tr); e.tr.height != 1 || res.Pages != 0 {
+		t.Fatalf("back to %d extents: height %d over %d pages, want the root pulled up", R, e.tr.height, res.Pages)
+	}
+
 	// Grow: 60 one-block extents an operation, past one leaf's 254.
 	for len(oracle) < 300*4096 {
 		data := pattern(60*4096, byte(len(oracle)/4096))
 		next := append(append([]byte(nil), oracle...), data...)
 		run(func(op *pager.Op) error { _, err := e.tr.AppendOp(op, data); return err }, next)
 	}
-	if e.tr.height != 2 {
+	if e.tr.height < 2 {
 		t.Fatalf("grown to %d extents, the tree is %d high; want the root pushed down", e.tr.ExtentCount(), e.tr.height)
 	}
 	grown := cuts
@@ -570,9 +617,8 @@ func TestCrashRootPushDownAndPullUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.tr.height != 1 || res.Pages != 1 || res.AllPages[0] != root {
-		t.Fatalf("drained: height %d over %d pages rooted at %d; want the root pulled up at %d",
-			e.tr.height, res.Pages, res.AllPages[0], root)
+	if e.tr.height != 1 || res.Pages != 0 {
+		t.Fatalf("drained: height %d over %d pages; want the root pulled up", e.tr.height, res.Pages)
 	}
 	if cuts-grown < 3 {
 		t.Fatalf("the drain was cut %d times; want its edit, commit and rebalance cut", cuts-grown)
@@ -620,7 +666,7 @@ func (e *crEnv) commitChain(op *pager.Op, chain uint64, runDeferred bool) {
 	deferred := op.Deferred()
 	if runDeferred {
 		for _, fn := range deferred {
-			sys := e.pg.NewOp(walAppender{e.log})
+			sys := op.NewSys()
 			rerr := fn(sys)
 			if aerr := sys.AppendSys(); rerr == nil {
 				rerr = aerr
@@ -678,7 +724,7 @@ func applyUndo(t *Tree, ba *buddy.Allocator, op *pager.Op, u undo.Op) error {
 // because CLR-mode operations are never chunk-flushed. Returns the
 // opened tree, its device (for re-cut snapshots), the loser chains
 // Recover found, and the number of inverses applied.
-func recoverUndoImage(t *testing.T, snap, allocSnap []byte, rootPno uint64, stopAfter int) (*Tree, *blockdev.MemDevice, []wal.LoserChain, int) {
+func recoverUndoImage(t *testing.T, snap, allocSnap []byte, anchor uint64, stopAfter int) (*Tree, *blockdev.MemDevice, []wal.LoserChain, int) {
 	t.Helper()
 	dev := blockdev.NewMem(crBlocks, blockdev.DefaultBlockSize)
 	if err := dev.RestoreFrom(snap); err != nil {
@@ -696,7 +742,7 @@ func recoverUndoImage(t *testing.T, snap, allocSnap []byte, rootPno uint64, stop
 	pg.SeedLSN(log.MaxLSN())
 	losers := log.Losers()
 	ba := restoreAllocator(t, allocSnap, tail)
-	tr, err := Open(pg, ba, rootPno, Config{MaxExtentBytes: 4096})
+	tr, err := openAnchored(pg, ba, anchor, Config{MaxExtentBytes: 4096})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -784,7 +830,7 @@ func TestCrashReplayAbortInjection(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 0xAB07))
 			e := newAbortEnv(t)
-			root := e.tr.RootPage()
+			const root = crAnchor
 
 			// Committed base: a multi-extent tree with content to mutate.
 			base := pattern(1<<17+2345, 0xA5)

@@ -17,11 +17,15 @@
 // whole allocation. An extent with Alloc == 0 is a hole: Len bytes of
 // zeros with no storage, created by sparse writes and truncate-grow.
 //
-// A tree is named by its root page, which never moves: a full root
-// pushes its cells down into a fresh child and becomes that child's
-// parent, and an internal root left with one child pulls the child's
-// cells back up. The tree's height is stored nowhere; Open finds it from
-// the page types down the leftmost spine.
+// The root node does not have a page of its own: it lives in the tree's
+// anchor — the object's row in the object table — as a header byte and up
+// to R cells, the way ext4 keeps the root of an inode's extent tree in the
+// inode. A tree of R extents or fewer has no pages at all. A root that
+// needs one more cell pushes its cells down into a fresh child page and
+// becomes that child's parent, and an internal root left with one child
+// that fits pulls the child's cells back up. The tree holds its root in
+// memory and hands it to the anchor at the end of every mutating call;
+// a tree with no anchor keeps its root only in memory.
 //
 // On-page layouts (little-endian):
 //
@@ -30,7 +34,7 @@
 //	                uint32, len uint32
 //	internal (type 7): common header; cells: 16 bytes each =
 //	                child uint64, subtree byte total uint64
-//	every node:     its last 8 bytes name the owner (the OID of the
+//	every page:     its last 8 bytes name the owner (the OID of the
 //	                object the tree backs; 0 outside a volume), written
 //	                once, when the node is made. No cell reaches them:
 //	                (bs − 24) mod 16 = 8 for any block size that is a
@@ -51,7 +55,8 @@ import (
 	"repro/internal/undo"
 )
 
-// Page types (distinct from btree's so fsck can tell them apart).
+// Node types (distinct from btree's page types so fsck can tell them
+// apart).
 const (
 	pageLeaf     = 6
 	pageInternal = 7
@@ -69,9 +74,52 @@ const (
 const (
 	leafCellSize     = 16
 	internalCellSize = 16
-	ownerLen         = 8 // the owner back-pointer closing every node
-	maxHeight        = 32
+	ownerLen         = 8 // the owner back-pointer closing every page
 )
+
+// R is the number of cells the root node holds.
+const R = 4
+
+// rootNo stands for the root node where a page number would name a node:
+// in descent paths and as a leaf "page". No block has this number.
+const rootNo = ^uint64(0)
+
+// Root is a tree's root node as its anchor keeps it: a header byte, then R
+// cells of 16 bytes, those past the count zero. The header byte holds the
+// tree's height less one in its high five bits and the root's cell count
+// in its low three; a root of height 1 is a leaf. The zero Root is an empty
+// leaf: a new tree.
+type Root [1 + R*leafCellSize]byte
+
+func (r Root) height() int { return int(r[0]>>3) + 1 }
+func (r Root) count() int  { return int(r[0] & 7) }
+
+// Len is the length of the root's encoding without its unused cells.
+func (r Root) Len() int { return 1 + min(r.count(), R)*leafCellSize }
+
+// Size is the byte total the root's cells hold: the object's size.
+func (r Root) Size() uint64 {
+	var s uint64
+	for i := 0; i < min(r.count(), R); i++ {
+		c := r[1+i*leafCellSize:]
+		if r.height() == 1 {
+			s += uint64(binary.LittleEndian.Uint32(c[12:]))
+		} else {
+			s += binary.LittleEndian.Uint64(c[8:])
+		}
+	}
+	return s
+}
+
+// An Anchor keeps a tree's root node. The tree hands it the root, in the
+// operation at hand, at the end of every mutating call (edit true) and
+// after a deferred merge that changed the root (edit false). osd's anchor
+// writes it into the object's row in the object table.
+type Anchor func(op *pager.Op, root Root, edit bool) error
+
+// Key names the tree owned by owner to pager.After and pager.Holds: the
+// object, in a namespace no block number reaches.
+func Key(owner uint64) uint64 { return 1<<63 | owner }
 
 // Errors.
 var (
@@ -125,10 +173,12 @@ type Tree struct {
 	space pager.Space
 	dev   blockdev.Device
 	cfg   Config
-	// root names the tree: it is fixed for the tree's life.
-	root  uint64
-	bs    int
-	bsU64 uint64
+	// owner is the OID every page of the tree names (0 outside a volume),
+	// and anchor keeps the root (nil: only rootBuf does).
+	owner  uint64
+	anchor Anchor
+	bs     int
+	bsU64  uint64
 
 	// creator is the ID of the operation that created the tree (0 when
 	// opened, or created unlogged): until it commits, the tree's edits need
@@ -136,11 +186,15 @@ type Tree struct {
 	creator uint64
 
 	mu sync.RWMutex
-	// height is derived at Open and kept by the root's pushes and pulls;
-	// no page stores it.
+	// rootBuf is the root node, laid out like a page of R cells so the
+	// page accessors serve it; rootDirty says it changed since the anchor
+	// last took it (RebalanceAt hands it over only then).
+	rootBuf   []byte
+	rootDirty bool
+	// height is the root's header's, kept by the root's pushes and pulls.
 	height int
-	// size is the root's sum: read from the root page at Open, then kept
-	// by the mutators. No page stores it apart from the tree's own sums.
+	// size is the root's sum: read from the root at Open, then kept by the
+	// mutators.
 	size uint64
 	// curOp is the redo capture of the mutating call in progress, set at
 	// each public entry point under mu (which serializes all mutators).
@@ -161,10 +215,19 @@ type Tree struct {
 	stats  Stats
 }
 
-// rec marks pg dirty and stages a typed extent redo record into op.
-// With a nil op this is a plain MarkDirty (unlogged / image baseline).
-func (t *Tree) rec(pg *pager.Page, op *pager.Op, payload []byte) {
-	t.pg.MarkDirtyRec(pg, op, redo.KindExtentOp, payload)
+// rec marks the edit just made to pg and stages a typed extent redo
+// record for it, whose payload is built only when one is staged. A nil pg
+// is the root, which has no records: its anchor takes it whole at the end
+// of the call. With a nil op this is a plain MarkDirty (unlogged).
+func (t *Tree) rec(pg *pager.Page, op *pager.Op, payload func() []byte) {
+	switch {
+	case pg == nil:
+		t.rootDirty = true
+	case op == nil:
+		t.pg.MarkDirty(pg)
+	default:
+		t.pg.MarkDirtyRec(pg, op, redo.KindExtentOp, payload())
+	}
 }
 
 // recRange marks pg dirty and stages an absolute byte-range record.
@@ -175,120 +238,89 @@ func (t *Tree) recRange(pg *pager.Page, op *pager.Op, off int, b []byte) {
 // begin opens a mutating call by op and returns what closes it: it takes
 // the tree lock, makes op the current capture inside one atomic section,
 // and makes op's commit wait for the records of the open operation that
-// mutated the tree before it (pager.After, keyed by the root block, so
-// the dependency outlives every handle on the tree). Use as defer
-// t.begin(op)().
-func (t *Tree) begin(op *pager.Op) func() {
+// mutated the tree before it (pager.After, keyed by the owner, so the
+// dependency outlives every handle on the tree). The closer hands the
+// root to the anchor inside the section, so the call's records and the
+// root they lead to reach the log together, and reports the anchor's
+// error through err when the call had none. Use as defer
+// t.begin(op)(&err).
+func (t *Tree) begin(op *pager.Op) func(err *error) {
 	t.mu.Lock()
 	t.curOp = op
-	t.pg.After(t.root, op)
+	t.pg.After(Key(t.owner), op)
 	op.BeginAtomic()
-	return func() {
+	return func(err *error) {
+		if t.anchor != nil {
+			if aerr := t.anchor(op, t.Root(), true); *err == nil {
+				*err = aerr
+			}
+		}
+		t.rootDirty = false
 		op.EndAtomic()
 		t.curOp = nil
 		t.mu.Unlock()
 	}
 }
 
-// Create allocates a new empty extent tree owned by no object.
+// Create makes a new empty extent tree owned by no object, with its root
+// only in memory.
 func Create(pg *pager.Pager, ba *buddy.Allocator, cfg Config) (*Tree, error) {
-	return CreateOp(pg, ba, cfg, nil, 0)
+	return CreateOp(pg, ba, cfg, nil, 0, nil), nil
 }
 
-// CreateOp is Create capturing the fresh tree's root page into op, so an
-// object created inside a transaction recovers with it; owner is the
-// back-pointer every node of the tree will carry. The root is fresh
-// (WithZero), so replay rebuilds it from its record alone and no garbage
-// home content is ever logged as a base image. Its inverse destroys the
-// tree: staged once the tree stands, in the same atomic section as the
-// allocation, while a failure before that point gives the page straight
-// back.
-func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op, owner uint64) (*Tree, error) {
-	cfg.Fill(pg.BlockSize())
-	op.BeginAtomic()
-	defer op.EndAtomic()
-	space := pager.NewSpace(pg, ba)
-	root, err := space.Alloc(op, 1)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{
-		pg: pg, space: space, dev: pg.Device(), cfg: cfg, root: root,
-		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
-		height: 1, creator: op.ID(),
-	}
-	err = pg.WithZero(root, func(rp *pager.Page) error {
-		initNode(rp.Data(), pageLeaf, owner)
-		t.rec(rp, op, encXop(xopInit, []byte{pageLeaf}, xu64(owner)))
-		return nil
-	})
-	if err != nil {
-		_ = space.Free(op, root, 1)
-		return nil, err
-	}
-	op.StageUndo(undo.ExtentDrop(root))
+// CreateOp is Create for a tree made by op, owned by owner and anchored
+// by anchor. The tree takes no page and no record: it starts as the zero
+// Root, which the caller has already put where anchor keeps it. Its
+// inverse destroys the tree, so a caller staging the anchor's own inverse
+// stages it first.
+func CreateOp(pg *pager.Pager, ba *buddy.Allocator, cfg Config, op *pager.Op, owner uint64, anchor Anchor) *Tree {
+	t := makeTree(pg, ba, cfg, owner, anchor)
+	t.height, t.creator = 1, op.ID()
+	op.StageUndo(undo.ExtentDrop(owner))
 	// The creator is the tree's first builder: an operation that mutates
 	// the tree before the creator commits depends on it (pager.After).
-	pg.After(root, op)
+	pg.After(Key(owner), op)
+	return t
+}
+
+// Open loads the tree whose root its anchor keeps as root. It reads no
+// page: the root holds the tree's height and its size.
+func Open(pg *pager.Pager, ba *buddy.Allocator, root Root, owner uint64, cfg Config, anchor Anchor) (*Tree, error) {
+	t := makeTree(pg, ba, cfg, owner, anchor)
+	n := root.count()
+	if n > R || (root.height() > 1 && n == 0) {
+		return nil, fmt.Errorf("%w: root of %d cells at height %d", ErrCorrupt, n, root.height())
+	}
+	t.height, t.size = root.height(), root.Size()
+	node := nodeRef{t.rootBuf}
+	node.data[offType] = pageLeaf
+	if t.height > 1 {
+		node.data[offType] = pageInternal
+	}
+	copy(cellBytes(node, 0, n), root[1:])
+	node.setNCells(n)
 	return t, nil
 }
 
-// Open loads the extent tree rooted at root. Its size is the sum the root
-// holds, and its height the number of pages down the leftmost spine to a
-// leaf: a single-leaf tree opens with one page read.
-func Open(pg *pager.Pager, ba *buddy.Allocator, root uint64, cfg Config) (*Tree, error) {
+func makeTree(pg *pager.Pager, ba *buddy.Allocator, cfg Config, owner uint64, anchor Anchor) *Tree {
 	cfg.Fill(pg.BlockSize())
 	t := &Tree{
-		pg: pg, space: pager.NewSpace(pg, ba), dev: pg.Device(), cfg: cfg, root: root,
-		bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
+		pg: pg, space: pager.NewSpace(pg, ba), dev: pg.Device(), cfg: cfg,
+		owner: owner, anchor: anchor, bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
+		rootBuf: make([]byte, hdrSize+R*leafCellSize+ownerLen),
 	}
-	for pno := root; pno != 0; t.height++ {
-		if t.height == maxHeight {
-			return nil, fmt.Errorf("%w: tree at %d deeper than %d", ErrCorrupt, root, maxHeight)
-		}
-		var child uint64
-		err := pg.With(pno, func(p *pager.Page) error {
-			n := nodeRef{p.Data()}
-			if pno == root {
-				t.size = n.sum()
-			}
-			switch n.typ() {
-			case pageLeaf:
-			case pageInternal:
-				if n.ncells() == 0 {
-					return fmt.Errorf("%w: empty internal node %d", ErrCorrupt, pno)
-				}
-				child = n.childCell(0).child
-			default:
-				return fmt.Errorf("%w: page %d is not an extent node", ErrCorrupt, pno)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		pno = child
-	}
-	return t, nil
+	initNode(t.rootBuf, pageLeaf, owner)
+	return t
 }
 
-// Owner reads the back-pointer of the extent tree rooted at root: the
-// owner it was created with.
-func Owner(pg *pager.Pager, root uint64) (uint64, error) {
-	var owner uint64
-	err := pg.With(root, func(p *pager.Page) error {
-		n := nodeRef{p.Data()}
-		if t := n.typ(); t != pageLeaf && t != pageInternal {
-			return fmt.Errorf("%w: page %d is not an extent node", ErrCorrupt, root)
-		}
-		owner = n.owner()
-		return nil
-	})
-	return owner, err
+// Root returns the root node as the anchor keeps it.
+func (t *Tree) Root() Root {
+	var r Root
+	n := nodeRef{t.rootBuf}
+	r[0] = byte(t.height-1)<<3 | byte(n.ncells())
+	copy(r[1:], cellBytes(n, 0, n.ncells()))
+	return r
 }
-
-// RootPage returns the page number naming this tree.
-func (t *Tree) RootPage() uint64 { return t.root }
 
 // Size returns the object's logical byte size.
 func (t *Tree) Size() uint64 {
@@ -308,8 +340,7 @@ func (t *Tree) ExtentCount() uint64 {
 	leafPno, err := t.firstLeaf()
 	var n uint64
 	for err == nil && leafPno != 0 {
-		err = t.pg.With(leafPno, func(pg *pager.Page) error {
-			node := nodeRef{pg.Data()}
+		err = t.with(leafPno, func(node nodeRef, _ *pager.Page) error {
 			n += uint64(node.ncells())
 			leafPno = node.next()
 			return nil
@@ -362,6 +393,26 @@ func initNode(data []byte, typ byte, owner uint64) nodeRef {
 
 func (t *Tree) leafCap() int     { return (t.bs - hdrSize - ownerLen) / leafCellSize }
 func (t *Tree) internalCap() int { return (t.bs - hdrSize - ownerLen) / internalCellSize }
+
+// capOf returns how many cells node no, of type typ, holds.
+func (t *Tree) capOf(no uint64, typ byte) int {
+	switch {
+	case no == rootNo:
+		return R
+	case typ == pageLeaf:
+		return t.leafCap()
+	default:
+		return t.internalCap()
+	}
+}
+
+// with runs fn on node no: the root, in memory (pg nil), or a pinned page.
+func (t *Tree) with(no uint64, fn func(n nodeRef, pg *pager.Page) error) error {
+	if no == rootNo {
+		return fn(nodeRef{t.rootBuf}, nil)
+	}
+	return t.pg.With(no, func(pg *pager.Page) error { return fn(nodeRef{pg.Data()}, pg) })
+}
 
 func (n nodeRef) leafCell(i int) Extent {
 	b := n.data[hdrSize+i*leafCellSize:]
@@ -468,14 +519,26 @@ type pathElem struct {
 // off == size descends to the rightmost leaf). Returns the internal path,
 // the leaf page number, and the byte offset remaining within the leaf.
 func (t *Tree) descend(off uint64) ([]pathElem, uint64, uint64, error) {
-	pno := t.root
-	rem := off
 	var path []pathElem
+	if t.height > 1 {
+		path = make([]pathElem, 0, t.height-1)
+	}
+	leaf, rem, err := t.walk(off, &path)
+	return path, leaf, rem, err
+}
+
+// leafAt is descend for a reader, which needs no path.
+func (t *Tree) leafAt(off uint64) (uint64, uint64, error) { return t.walk(off, nil) }
+
+// walk is descend's body, appending each internal step to *path unless
+// path is nil.
+func (t *Tree) walk(off uint64, path *[]pathElem) (uint64, uint64, error) {
+	pno := rootNo
+	rem := off
 	for level := 0; level < t.height-1; level++ {
 		var idx int
 		var child uint64
-		err := t.pg.With(pno, func(pg *pager.Page) error {
-			n := nodeRef{pg.Data()}
+		err := t.with(pno, func(n nodeRef, _ *pager.Page) error {
 			if n.typ() != pageInternal {
 				return fmt.Errorf("%w: expected internal page at %d", ErrCorrupt, pno)
 			}
@@ -493,13 +556,15 @@ func (t *Tree) descend(off uint64) ([]pathElem, uint64, uint64, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, 0, 0, err
+			return 0, 0, err
 		}
-		path = append(path, pathElem{pno, idx})
+		if path != nil {
+			*path = append(*path, pathElem{pno, idx})
+		}
 		pno = child
 	}
 	t.addStat(func(s *Stats) { s.Descents++; s.LevelsTouched += int64(t.height) })
-	return path, pno, rem, nil
+	return pno, rem, nil
 }
 
 // findInLeaf locates the cell index containing byte offset rem within the
@@ -527,12 +592,11 @@ func (t *Tree) bumpCounts(path []pathElem, delta int64) error {
 		return nil
 	}
 	for _, pe := range path {
-		err := t.pg.With(pe.pno, func(pg *pager.Page) error {
-			n := nodeRef{pg.Data()}
+		err := t.with(pe.pno, func(n nodeRef, pg *pager.Page) error {
 			c := n.childCell(pe.idx)
 			c.bytes = uint64(int64(c.bytes) + delta)
 			n.setChildCell(pe.idx, c)
-			t.rec(pg, t.curOp, encXop(xopBump, xu16(pe.idx), xu64(uint64(delta))))
+			t.rec(pg, t.curOp, func() []byte { return encXop(xopBump, xu16(pe.idx), xu64(uint64(delta))) })
 			return nil
 		})
 		if err != nil {

@@ -423,7 +423,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg2 := pager.New(e.dev, 128, true)
-	tr2, err := Open(pg2, e.ba, tr.RootPage(), Config{})
+	tr2, err := Open(pg2, e.ba, tr.Root(), 0, Config{}, nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

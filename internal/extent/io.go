@@ -10,6 +10,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/buddy"
 	"repro/internal/pager"
+	"repro/internal/redo"
 	"repro/internal/undo"
 )
 
@@ -40,7 +41,7 @@ func (t *Tree) readAtLocked(p []byte, off uint64) (int, error) {
 	}
 	p = p[:n]
 
-	_, leafPno, rem, err := t.descend(off)
+	leafPno, rem, err := t.leafAt(off)
 	if err != nil {
 		return 0, err
 	}
@@ -53,8 +54,7 @@ func (t *Tree) readAtLocked(p []byte, off uint64) (int, error) {
 	for done < n && leafPno != 0 {
 		var jobs []job
 		var next uint64
-		err := t.pg.With(leafPno, func(pg *pager.Page) error {
-			node := nodeRef{pg.Data()}
+		err := t.with(leafPno, func(node nodeRef, _ *pager.Page) error {
 			idx, eOff := node.findInLeaf(rem)
 			for cnt := node.ncells(); idx < cnt && done < n; idx++ {
 				e := node.leafCell(idx)
@@ -107,8 +107,8 @@ func (t *Tree) WriteAt(p []byte, off uint64) error {
 }
 
 // WriteAtOp is WriteAt capturing node-page mutations into op's redo set.
-func (t *Tree) WriteAtOp(op *pager.Op, p []byte, off uint64) error {
-	defer t.begin(op)()
+func (t *Tree) WriteAtOp(op *pager.Op, p []byte, off uint64) (err error) {
+	defer t.begin(op)(&err)
 	if len(p) == 0 {
 		return nil
 	}
@@ -124,11 +124,11 @@ func (t *Tree) WriteAtOp(op *pager.Op, p []byte, off uint64) error {
 			if err != nil {
 				return err
 			}
-			op.StageUndo(undo.ExtWrite(t.root, off, old))
+			op.StageUndo(undo.ExtWrite(t.owner, off, old))
 		}
 		if end > t.size {
 			// Growth (hole plus tail data): the inverse truncates back.
-			op.StageUndo(undo.ExtDel(t.root, t.size, end-t.size))
+			op.StageUndo(undo.ExtDel(t.owner, t.size, end-t.size))
 		}
 	}
 	return t.writeAtLocked(p, off)
@@ -229,16 +229,16 @@ func (t *Tree) Append(p []byte) (uint64, error) {
 }
 
 // AppendOp is Append capturing node-page mutations into op's redo set.
-func (t *Tree) AppendOp(op *pager.Op, p []byte) (uint64, error) {
-	defer t.begin(op)()
+func (t *Tree) AppendOp(op *pager.Op, p []byte) (size uint64, err error) {
+	defer t.begin(op)(&err)
 	if len(p) == 0 {
 		return t.size, nil
 	}
 	if t.inverts(op) {
 		// Inverse of an append: delete the appended tail.
-		op.StageUndo(undo.ExtDel(t.root, t.size, uint64(len(p))))
+		op.StageUndo(undo.ExtDel(t.owner, t.size, uint64(len(p))))
 	}
-	err := t.appendBytes(p)
+	err = t.appendBytes(p)
 	return t.size, err
 }
 
@@ -250,8 +250,8 @@ func (t *Tree) InsertAt(off uint64, p []byte) error {
 }
 
 // InsertAtOp is InsertAt capturing node-page mutations into op's redo set.
-func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) error {
-	defer t.begin(op)()
+func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) (err error) {
+	defer t.begin(op)(&err)
 	if off > t.size {
 		return fmt.Errorf("%w: insert at %d, size %d", ErrOutOfRange, off, t.size)
 	}
@@ -261,7 +261,7 @@ func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) error {
 	if t.inverts(op) {
 		// Inverse of an insert: delete the inserted range, shifting the
 		// later bytes back down.
-		op.StageUndo(undo.ExtDel(t.root, off, uint64(len(p))))
+		op.StageUndo(undo.ExtDel(t.owner, off, uint64(len(p))))
 	}
 	return t.insertAtLocked(off, p)
 }
@@ -281,8 +281,8 @@ func (t *Tree) DeleteRange(off, n uint64) error {
 
 // DeleteRangeOp is DeleteRange capturing node-page mutations into op's
 // redo set.
-func (t *Tree) DeleteRangeOp(op *pager.Op, off, n uint64) error {
-	defer t.begin(op)()
+func (t *Tree) DeleteRangeOp(op *pager.Op, off, n uint64) (err error) {
+	defer t.begin(op)(&err)
 	if off >= t.size || n == 0 {
 		return nil
 	}
@@ -296,7 +296,7 @@ func (t *Tree) DeleteRangeOp(op *pager.Op, off, n uint64) error {
 		if err != nil {
 			return err
 		}
-		op.StageUndo(undo.ExtIns(t.root, off, old))
+		op.StageUndo(undo.ExtIns(t.owner, off, old))
 	}
 	return t.deleteRangeLocked(off, n)
 }
@@ -356,8 +356,8 @@ func (t *Tree) Truncate(newSize uint64) error {
 }
 
 // TruncateOp is Truncate capturing node-page mutations into op's redo set.
-func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
-	defer t.begin(op)()
+func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) (err error) {
+	defer t.begin(op)(&err)
 	switch {
 	case newSize < t.size:
 		if t.inverts(op) {
@@ -366,13 +366,13 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 			if err != nil {
 				return err
 			}
-			op.StageUndo(undo.ExtIns(t.root, newSize, old))
+			op.StageUndo(undo.ExtIns(t.owner, newSize, old))
 		}
 		return t.deleteRangeLocked(newSize, t.size-newSize)
 	case newSize > t.size:
 		if t.inverts(op) {
 			// Inverse of a grow: delete the appended hole.
-			op.StageUndo(undo.ExtDel(t.root, t.size, newSize-t.size))
+			op.StageUndo(undo.ExtDel(t.owner, t.size, newSize-t.size))
 		}
 		return t.appendHole(newSize - t.size)
 	default:
@@ -380,11 +380,11 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) error {
 	}
 }
 
-// Destroy frees all extents and tree pages, the root included, logging
-// the frees into op. It stages one inverse for all of them before
-// it frees any, and edits nothing, so a rollback takes the tree back
-// intact — this handle included; the pages leave the cache only once op
-// commits. The tree must not be used once op has committed.
+// Destroy frees all extents and the tree's pages, logging the frees into
+// op; the root goes with its anchor. It stages one inverse for all of
+// them before it frees any, and edits nothing, so a rollback takes the
+// tree back intact — this handle included; the pages leave the cache only
+// once op commits. The tree must not be used once op has committed.
 func (t *Tree) Destroy(op *pager.Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -392,10 +392,11 @@ func (t *Tree) Destroy(op *pager.Op) error {
 	var data []undo.Run
 	var walk func(pno uint64, level int) error
 	walk = func(pno uint64, level int) error {
-		pages = append(pages, pno)
+		if pno != rootNo {
+			pages = append(pages, pno)
+		}
 		var children []uint64
-		err := t.pg.With(pno, func(pg *pager.Page) error {
-			node := nodeRef{pg.Data()}
+		err := t.with(pno, func(node nodeRef, _ *pager.Page) error {
 			for i := 0; i < node.ncells(); i++ {
 				if level < t.height-1 {
 					children = append(children, node.childCell(i).child)
@@ -412,7 +413,7 @@ func (t *Tree) Destroy(op *pager.Op) error {
 		}
 		return err
 	}
-	if err := walk(t.root, 0); err != nil {
+	if err := walk(rootNo, 0); err != nil {
 		return err
 	}
 	return t.space.Drop(op, pages, data)
@@ -422,10 +423,9 @@ func (t *Tree) Destroy(op *pager.Op) error {
 
 // firstLeaf returns the leftmost leaf page.
 func (t *Tree) firstLeaf() (uint64, error) {
-	pno := t.root
+	pno := rootNo
 	for level := 0; level < t.height-1; level++ {
-		err := t.pg.With(pno, func(pg *pager.Page) error {
-			node := nodeRef{pg.Data()}
+		err := t.with(pno, func(node nodeRef, _ *pager.Page) error {
 			if node.ncells() == 0 {
 				return fmt.Errorf("%w: empty internal node %d", ErrCorrupt, pno)
 			}
@@ -443,8 +443,7 @@ func (t *Tree) firstLeaf() (uint64, error) {
 // offset rem, returning its index (-1 when rem lies past the leaf's last
 // cell), the offset within it and a copy of the cell.
 func (t *Tree) cellAt(leafPno, rem uint64) (idx int, eOff uint64, e Extent, err error) {
-	err = t.pg.With(leafPno, func(pg *pager.Page) error {
-		node := nodeRef{pg.Data()}
+	err = t.with(leafPno, func(node nodeRef, _ *pager.Page) error {
 		if idx, eOff = node.findInLeaf(rem); idx < node.ncells() {
 			e = node.leafCell(idx)
 		} else {
@@ -458,8 +457,7 @@ func (t *Tree) cellAt(leafPno, rem uint64) (idx int, eOff uint64, e Extent, err 
 // leafCells pins leaf leafPno just long enough to copy out its cells and
 // its right neighbour.
 func (t *Tree) leafCells(leafPno uint64) (cells []Extent, next uint64, err error) {
-	err = t.pg.With(leafPno, func(pg *pager.Page) error {
-		node := nodeRef{pg.Data()}
+	err = t.with(leafPno, func(node nodeRef, _ *pager.Page) error {
 		cells = make([]Extent, node.ncells())
 		for i := range cells {
 			cells[i] = node.leafCell(i)
@@ -473,8 +471,7 @@ func (t *Tree) leafCells(leafPno uint64) (cells []Extent, next uint64, err error
 // lastCell pins leaf leafPno just long enough to copy out its cell count
 // and its last cell (the zero Extent when the leaf is empty).
 func (t *Tree) lastCell(leafPno uint64) (cnt int, last Extent, err error) {
-	err = t.pg.With(leafPno, func(pg *pager.Page) error {
-		node := nodeRef{pg.Data()}
+	err = t.with(leafPno, func(node nodeRef, _ *pager.Page) error {
 		if cnt = node.ncells(); cnt > 0 {
 			last = node.leafCell(cnt - 1)
 		}
@@ -750,24 +747,20 @@ func writeRun(dev blockdev.Device, e Extent, live, extOff uint64, p []byte) ([]b
 // the sums of the blocks it wrote (see DataSums).
 func (t *Tree) writeData(e Extent, live, extOff uint64, p []byte) error {
 	sums, err := writeRun(t.dev, e, live, extOff, p)
-	if err != nil {
-		return err
+	if err == nil {
+		t.recWrote(e.Alloc+extOff/t.bsU64, sums)
 	}
-	return t.recWrote(e.Alloc+extOff/t.bsU64, sums)
+	return err
 }
 
-// recWrote stages, against the root page, the sums of the data blocks
-// from first on that the operation has just written. Without it nothing
-// in the log would say what the blocks now hold, and recovery would hold
-// them to the sums of the checkpoint before.
-func (t *Tree) recWrote(first uint64, sums []byte) error {
-	if t.curOp == nil {
-		return nil
+// recWrote stages the sums of the data blocks from first on that the
+// operation has just written, in a record that edits no page. Without it
+// nothing in the log would say what the blocks now hold, and recovery
+// would hold them to the sums of the checkpoint before.
+func (t *Tree) recWrote(first uint64, sums []byte) {
+	if t.curOp != nil {
+		t.curOp.Note(redo.KindExtentOp, encXop(xopWrote, xu64(first), sums))
 	}
-	return t.pg.With(t.root, func(rp *pager.Page) error {
-		t.rec(rp, t.curOp, encXop(xopWrote, xu64(first), sums))
-		return nil
-	})
 }
 
 // Extents calls fn for every extent in order with its starting offset.

@@ -10,11 +10,9 @@ import (
 // insertCellAtOff inserts extent e at the extent boundary at byte offset
 // off (off must lie on a boundary, or equal the current content total
 // for appends), maintaining all subtree byte counts. Full nodes on the
-// way are split first — each split an auto-committed, sum-preserving
-// system transaction — and the descent retried, so the insert itself is
-// always a plain per-operation record into a leaf with room and the
-// split records never carry the (possibly uncommitted) triggering cell.
-// Callers hold the tree lock.
+// way are split first — sum-preserving, in the operation's own records —
+// and the descent retried, so the insert itself is always a plain record
+// into a leaf with room. Callers hold the tree lock.
 //
 // The call takes over e's allocation: if the cell cannot be inserted the
 // run goes back to the allocator, in the operation's own records — they
@@ -37,8 +35,7 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 			return false, err
 		}
 		inserted := false
-		err = t.pg.With(leafPno, func(pg *pager.Page) error {
-			n := nodeRef{pg.Data()}
+		err = t.with(leafPno, func(n nodeRef, pg *pager.Page) error {
 			if n.typ() != pageLeaf {
 				return fmt.Errorf("%w: insert into non-leaf %d", ErrCorrupt, leafPno)
 			}
@@ -46,9 +43,9 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 			if eOff != 0 {
 				return fmt.Errorf("%w: insert target %d not on boundary", ErrCorrupt, off)
 			}
-			if inserted = n.ncells() < t.leafCap(); inserted {
+			if inserted = n.ncells() < t.capOf(leafPno, pageLeaf); inserted {
 				n.insertLeafCell(idx, e)
-				t.rec(pg, t.curOp, encXop(xopLeafIns, xu16(idx), encCell(e)))
+				t.rec(pg, t.curOp, func() []byte { return encXop(xopLeafIns, xu16(idx), encCell(e)) })
 			}
 			return nil
 		})
@@ -60,47 +57,37 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 		}
 
 		// Leaf full: split it, then re-descend and retry the insert.
-		sys := t.smoOp()
-		_, _, _, err = t.splitNodeSys(sys, path, leafPno)
-		// Append whatever was staged even on error: each record was
-		// staged right after its mutation landed in cache, so the log
-		// stays consistent with the (possibly partially split) in-cache
-		// tree, and the enclosing op's own records — which the commit
-		// bracket appends even on failure — may already target the new
-		// right page. A split the operation carries itself commits with it.
-		var aerr error
-		if sys != t.curOp {
-			aerr = sys.AppendSys()
-		}
-		if err != nil {
+		if _, _, _, err = t.splitNode(path, leafPno); err != nil {
 			return false, err
-		}
-		if aerr != nil {
-			return false, aerr
 		}
 	}
 }
 
-// splitNodeSys splits the full node pno around its cell midpoint as part
-// of system transaction sys, records the new sibling in the parent
-// (splitting full parents first, recursively), and pushes the root's
-// cells down a level when the root itself is full. The split is
-// sum-preserving: cells only redistribute between the two halves and the
-// parent's entries are rewritten to the exact partial sums, so no byte
-// count above the split level changes. Its records name the halves but
-// carry no sums: replay derives each from the half as replay has built
-// it, so an always-redone split replayed without a dropped operation's
-// cells sums what the log kept. Returns the two halves (the left one is
-// not pno when the root was pushed down) and the split index.
-func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64, uint64, int, error) {
-	if len(path) == 0 {
-		child, err := t.pushDown(sys)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		path, pno = []pathElem{{t.root, 0}}, child
+// splitNode splits the full node pno around its cell midpoint and
+// records the new sibling in the parent, splitting full parents first,
+// recursively; a full root instead pushes its cells down a level. The
+// split is sum-preserving: cells only redistribute between the two
+// halves and the parent's entries are rewritten to the exact partial
+// sums, so no byte count above the split level changes. Its page records
+// name the halves but carry no sums: replay derives each from the half as
+// replay has built it. Returns the two halves and the split index (for
+// the root: the child, no right half, and R).
+//
+// A split rides in the operation's own records, never in a system
+// transaction: when it reaches the root, the anchor takes the root's new
+// cells — absolute sums and, for a push-down, the cells the child page
+// is written with — which may count records of this operation and of the
+// open ones it built on. Those are in the log before this operation's
+// are (pager.After), so the split can never replay without them.
+func (t *Tree) splitNode(path []pathElem, pno uint64) (uint64, uint64, int, error) {
+	op := t.curOp
+	if pno == rootNo {
+		// The root's cells move into a fresh page with room to spare,
+		// which needs no split: every index stays left of "mid" R.
+		child, err := t.pushDown()
+		return child, 0, R, err
 	}
-	rightPno, err := t.space.Alloc(sys, 1)
+	rightPno, err := t.space.Alloc(op, 1)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -122,7 +109,7 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 				n.setNext(rightPno)
 			}
 			leftSum, rightSum = n.sum(), rn.sum()
-			t.rec(pg, sys, encXop(xopSplit, xu64(rightPno), xu16(mid)))
+			t.rec(pg, op, func() []byte { return encXop(xopSplit, xu64(rightPno), xu16(mid)) })
 			// The right page is fresh and fully determined by the split
 			// record; it needs no record (or base image) of its own.
 			t.pg.MarkDirty(rpg)
@@ -130,13 +117,13 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 		})
 	})
 	if err != nil {
-		_ = t.freePage(sys, rightPno) // never joined the tree
+		_ = t.freePage(op, rightPno) // never joined the tree
 		return 0, 0, 0, err
 	}
 	if oldNext != 0 {
 		err := t.pg.With(oldNext, func(npg *pager.Page) error {
 			nodeRef{npg.Data()}.setPrev(rightPno)
-			t.recRange(npg, sys, offPtrB, xu64(rightPno))
+			t.recRange(npg, op, offPtrB, xu64(rightPno))
 			return nil
 		})
 		if err != nil {
@@ -148,59 +135,62 @@ func (t *Tree) splitNodeSys(sys *pager.Op, path []pathElem, pno uint64) (uint64,
 	// Record the new sibling in the parent, splitting it first if full.
 	pe := path[len(path)-1]
 	parentPno, pidx := pe.pno, pe.idx
-	link := func(ppg *pager.Page) error {
-		pn := nodeRef{ppg.Data()}
+	link := func(pn nodeRef, ppg *pager.Page) error {
 		if pidx >= pn.ncells() || pn.childCell(pidx).child != pno {
 			return fmt.Errorf("%w: parent cell %d does not reach split child %d", ErrCorrupt, pidx, pno)
 		}
 		pn.setChildCell(pidx, childEntry{pno, leftSum})
-		t.rec(ppg, sys, encXop(xopChildSet, xu16(pidx), xu64(pno)))
+		t.rec(ppg, op, func() []byte { return encXop(xopChildSet, xu16(pidx), xu64(pno)) })
 		pn.insertChildCell(pidx+1, childEntry{rightPno, rightSum})
-		t.rec(ppg, sys, encXop(xopChildIns, xu16(pidx+1), xu64(rightPno)))
+		t.rec(ppg, op, func() []byte { return encXop(xopChildIns, xu16(pidx+1), xu64(rightPno)) })
 		return nil
 	}
 	full := false
-	err = t.pg.With(parentPno, func(ppg *pager.Page) error {
-		if full = (nodeRef{ppg.Data()}).ncells() >= t.internalCap(); full {
+	err = t.with(parentPno, func(pn nodeRef, ppg *pager.Page) error {
+		if full = pn.ncells() >= t.capOf(parentPno, pageInternal); full {
 			return nil
 		}
-		return link(ppg)
+		return link(pn, ppg)
 	})
 	if err == nil && full {
 		var pl, pr uint64
 		var pm int
-		if pl, pr, pm, err = t.splitNodeSys(sys, path[:len(path)-1], parentPno); err == nil {
+		if pl, pr, pm, err = t.splitNode(path[:len(path)-1], parentPno); err == nil {
 			parentPno = pl
 			if pidx >= pm {
 				parentPno, pidx = pr, pidx-pm
 			}
-			err = t.pg.With(parentPno, link)
+			err = t.with(parentPno, link)
 		}
 	}
 	return pno, rightPno, mid, err
 }
 
-// pushDown moves the full root's cells into a fresh child, in sys, and
-// leaves the root an internal node whose one entry is that child: the
-// tree grows a level and the page that names it stays put. Returns the
-// child, which the caller then splits under the root.
-func (t *Tree) pushDown(sys *pager.Op) (uint64, error) {
-	child, err := t.space.Alloc(sys, 1)
+// pushDown moves the full root's cells into a fresh child page and leaves
+// the root an internal node whose one entry is that child: the tree grows
+// a level. The child is written by one record holding its cells, as they
+// stand.
+func (t *Tree) pushDown() (uint64, error) {
+	op := t.curOp
+	child, err := t.space.Alloc(op, 1)
 	if err != nil {
 		return 0, err
 	}
-	err = t.pg.With(t.root, func(rpg *pager.Page) error {
-		return t.pg.WithZero(child, func(cpg *pager.Page) error {
-			moveDown(nodeRef{rpg.Data()}, cpg.Data(), child)
-			t.rec(rpg, sys, encXop(xopPushDown, xu64(child)))
-			// Like a split's right page, the child is rebuilt from the
-			// root's record.
-			t.pg.MarkDirty(cpg)
-			return nil
-		})
+	root := nodeRef{t.rootBuf}
+	err = t.pg.WithZero(child, func(cpg *pager.Page) error {
+		cn := initNode(cpg.Data(), root.typ(), t.owner)
+		cnt := root.ncells()
+		copy(cellBytes(cn, 0, cnt), cellBytes(root, 0, cnt))
+		cn.setNCells(cnt)
+		t.rec(cpg, op, func() []byte { return encXop(xopInit, []byte{cn.typ()}, xu64(t.owner), cellBytes(cn, 0, cnt)) })
+		root.data[offType] = pageInternal
+		root.setChildCell(0, childEntry{child, cn.sum()})
+		root.setNCells(1)
+		t.rootDirty = true
+		return nil
 	})
 	if err != nil {
-		_ = t.freePage(sys, child) // never joined the tree
+		_ = t.freePage(op, child) // never joined the tree
 		return 0, err
 	}
 	t.height++
@@ -220,11 +210,10 @@ func (t *Tree) pushDown(sys *pager.Op) (uint64, error) {
 func (t *Tree) removeCellAt(path []pathElem, leafPno uint64, idx int, off uint64) error {
 	var e Extent
 	var underfull bool
-	err := t.pg.With(leafPno, func(pg *pager.Page) error {
-		n := nodeRef{pg.Data()}
+	err := t.with(leafPno, func(n nodeRef, pg *pager.Page) error {
 		e = n.leafCell(idx)
 		n.removeLeafCell(idx)
-		t.rec(pg, t.curOp, encXop(xopLeafDel, xu16(idx)))
+		t.rec(pg, t.curOp, func() []byte { return encXop(xopLeafDel, xu16(idx)) })
 		underfull = n.ncells() < t.leafCap()/4
 		return nil
 	})
@@ -264,9 +253,23 @@ func (t *Tree) removeCellAt(path []pathElem, leafPno uint64, idx int, off uint64
 // reclaims the run the way the per-removal merges of the unlogged path
 // do. The tree may have changed since the delete; a leaf that is no
 // longer underfull (or a tree that shrank past off) just means no work.
-func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) error {
+//
+// A merge under the root hands the anchor absolute cells in sys, which
+// is redone whatever else the log keeps; so the rebalance yields, and
+// does nothing, while an open operation has mutated the tree (pager
+// Claimed): the tree in cache may then hold records the log does not.
+func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) (err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	defer func() {
+		if t.rootDirty && t.anchor != nil && err == nil {
+			err = t.anchor(sys, t.Root(), false)
+		}
+		t.rootDirty = false
+	}()
+	if t.pg.Claimed(Key(t.owner)) {
+		return nil
+	}
 	for {
 		if t.height <= 1 {
 			return nil
@@ -286,8 +289,8 @@ func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) error {
 			return nil
 		}
 		var underfull bool
-		err = t.pg.With(leafPno, func(pg *pager.Page) error {
-			underfull = (nodeRef{pg.Data()}).ncells() < t.leafCap()/4
+		err = t.with(leafPno, func(n nodeRef, _ *pager.Page) error {
+			underfull = n.ncells() < t.leafCap()/4
 			return nil
 		})
 		if err != nil || !underfull {
@@ -305,17 +308,15 @@ func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) error {
 
 // maybeMerge merges the node at nodePno with an adjacent sibling when
 // their combined cells fit in one page (lazy, merge-only rebalancing),
-// reporting whether a merge happened at this level. The merge — sibling
-// absorption and parent fixup — is logged as one typed record on the
-// parent plus chain-pointer range records, and a root left with one
-// child pulls it up with one more record on the root, all in sys (nil =
-// unlogged).
+// reporting whether a merge happened at this level. The merge is logged
+// as an absorb record on the left node, the parent's entry fixups and
+// chain-pointer range records, and a root left with one child that fits
+// pulls it up, all in sys (nil = unlogged).
 func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool, error) {
 	pe := path[len(path)-1]
-	var merged, rootSingle, underfull bool
-	var right, only uint64
-	err := t.pg.With(pe.pno, func(ppg *pager.Page) error {
-		pn := nodeRef{ppg.Data()}
+	var merged, underfull bool
+	var right uint64
+	err := t.with(pe.pno, func(pn nodeRef, ppg *pager.Page) error {
 		cnt := pn.ncells()
 		if pe.idx >= cnt || pn.childCell(pe.idx).child != nodePno {
 			return fmt.Errorf("%w: stale merge path", ErrCorrupt)
@@ -338,39 +339,38 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool,
 			}
 			// Parent: left entry absorbs right's bytes; right entry removed.
 			pn.setChildCell(li, childEntry{left.child, left.bytes + rc.bytes})
+			t.rec(ppg, sys, func() []byte { return encXop(xopChildSet, xu16(li), xu64(left.child)) })
 			pn.removeChildCell(li + 1)
-			t.rec(ppg, sys, encXop(xopMerge, xu16(li)))
+			t.rec(ppg, sys, func() []byte { return encXop(xopChildDel, xu16(li+1)) })
 			right = rc.child
-			if rootSingle = pe.pno == t.root && pn.ncells() == 1; rootSingle {
-				only = pn.childCell(0).child
-			}
 			underfull = pn.ncells() < t.internalCap()/4
 			return nil
 		}
 		return nil
 	})
-	if err != nil || !merged {
+	if err != nil {
 		return false, err
 	}
-	t.addStat(func(s *Stats) { s.Merges++ })
-	if err := t.freePage(sys, right); err != nil {
-		return true, err
+	if merged {
+		t.addStat(func(s *Stats) { s.Merges++ })
+		if err := t.freePage(sys, right); err != nil {
+			return true, err
+		}
 	}
-	if rootSingle {
-		return true, t.pullUp(sys, only)
+	if pe.pno == rootNo {
+		return merged, t.maybePullUp(sys)
 	}
-	if underfull && len(path) > 1 {
+	if merged && underfull && len(path) > 1 {
 		_, err := t.maybeMerge(sys, path[:len(path)-1], pe.pno)
 		return true, err
 	}
-	return true, nil
+	return merged, nil
 }
 
-// mergeChildren absorbs rightPno's cells into leftPno if they fit. The
-// left page's new content is covered by the parent's merge record (the
-// parent still holds both entries when the record is stamped, so replay
-// re-derives the same absorption); only the next leaf's back pointer
-// needs its own range record.
+// mergeChildren absorbs rightPno's cells into leftPno if they fit, with
+// one record on the left page naming the right; replay re-derives the
+// absorption from the right page as replay has built it. The next leaf's
+// back pointer gets its own range record.
 func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, error) {
 	merged := false
 	err := t.pg.With(leftPno, func(lpg *pager.Page) error {
@@ -393,7 +393,7 @@ func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, err
 				if ln.typ() == pageLeaf {
 					ln.setNext(next)
 				}
-				t.pg.MarkDirty(lpg)
+				t.rec(lpg, sys, func() []byte { return encXop(xopAbsorb, xu64(rightPno)) })
 				merged = true
 			}
 			if next == 0 {
@@ -402,8 +402,8 @@ func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, err
 			}
 			// Pin the next leaf BEFORE mutating anything: every fallible step
 			// must come first, so an I/O error aborts the merge with the cache
-			// untouched — never with the left node absorbed but the parent (and
-			// the merge record) still describing two children.
+			// untouched — never with the left node absorbed but the parent
+			// still describing two children.
 			return t.pg.With(next, func(npg *pager.Page) error {
 				absorb()
 				nodeRef{npg.Data()}.setPrev(leftPno)
@@ -415,18 +415,27 @@ func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, err
 	return merged, err
 }
 
-// pullUp moves the root's only child's cells into the root, in sys, and
-// frees the child: the tree loses a level and the page that names it
-// stays put.
-func (t *Tree) pullUp(sys *pager.Op, child uint64) error {
-	err := t.pg.With(t.root, func(rpg *pager.Page) error {
-		return t.pg.With(child, func(cpg *pager.Page) error {
-			moveUp(nodeRef{rpg.Data()}, nodeRef{cpg.Data()})
-			t.rec(rpg, sys, encXop(xopPullUp, xu64(child)))
-			return nil
-		})
+// maybePullUp moves the cells of an internal root's only child into the
+// root when they fit, and frees the child: the tree loses a level.
+func (t *Tree) maybePullUp(sys *pager.Op) error {
+	root := nodeRef{t.rootBuf}
+	if root.typ() != pageInternal || root.ncells() != 1 {
+		return nil
+	}
+	child := root.childCell(0).child
+	pulled := false
+	err := t.pg.With(child, func(cpg *pager.Page) error {
+		c := nodeRef{cpg.Data()}
+		cnt := c.ncells()
+		if pulled = cnt <= R; pulled {
+			root.data[offType] = c.typ()
+			copy(cellBytes(root, 0, cnt), cellBytes(c, 0, cnt))
+			root.setNCells(cnt)
+			t.rootDirty = true
+		}
+		return nil
 	})
-	if err != nil {
+	if err != nil || !pulled {
 		return err
 	}
 	t.height--
@@ -440,20 +449,6 @@ func (t *Tree) freePage(op *pager.Op, pno uint64) error {
 	return t.space.Free(op, pno, 1)
 }
 
-// smoOp picks the capture a split is logged in: a system transaction of
-// its own, redone whatever becomes of the mutating operation — unless
-// that operation created this tree. Then nothing but the operation's own
-// records reaches the tree, and its rollback destroys the tree by walking
-// it: an always-redone split would have allocated pages nothing points at
-// once those records are dropped, or pages the walk frees with no
-// allocation in the log (btree.Tree.smoOp has the long form).
-func (t *Tree) smoOp() *pager.Op {
-	if t.creator != 0 && t.curOp.ID() == t.creator {
-		return t.curOp
-	}
-	return t.curOp.NewSys()
-}
-
 // inverts reports whether an edit by op must stage its inverse: not in a
 // tree op itself created, whose rollback destroys the tree whole.
 func (t *Tree) inverts(op *pager.Op) bool {
@@ -463,13 +458,12 @@ func (t *Tree) inverts(op *pager.Op) bool {
 // setLeafCellLen updates the Len of one cell and fixes counts along path.
 func (t *Tree) setLeafCellLen(path []pathElem, leafPno uint64, idx int, newLen uint32) error {
 	var delta int64
-	err := t.pg.With(leafPno, func(pg *pager.Page) error {
-		n := nodeRef{pg.Data()}
+	err := t.with(leafPno, func(n nodeRef, pg *pager.Page) error {
 		e := n.leafCell(idx)
 		delta = int64(newLen) - int64(e.Len)
 		e.Len = newLen
 		n.setLeafCell(idx, e)
-		t.rec(pg, t.curOp, encXop(xopLeafSet, xu16(idx), encCell(e)))
+		t.rec(pg, t.curOp, func() []byte { return encXop(xopLeafSet, xu16(idx), encCell(e)) })
 		return nil
 	})
 	if err != nil {

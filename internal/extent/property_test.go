@@ -184,13 +184,12 @@ func TestCountedTreeReopenUnderChurn(t *testing.T) {
 	if err := tr.WriteAt(ref, 0); err != nil {
 		t.Fatal(err)
 	}
-	root := tr.RootPage()
 	for round := 0; round < 3; round++ {
 		if err := e.pg.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		pg := pager.New(e.dev, 256, true)
-		tr, err = Open(pg, e.ba, root, Config{MaxExtentBytes: 4096})
+		tr, err = Open(pg, e.ba, tr.Root(), 0, Config{MaxExtentBytes: 4096}, nil)
 		if err != nil {
 			t.Fatalf("round %d open: %v", round, err)
 		}

@@ -3,29 +3,22 @@
 //
 // Extent trees are object-private (one mutator lock serializes every
 // writer of a tree), so unlike btree pages they are never interleaved by
-// concurrent transactions — but they were still image-logged per
-// operation, which made a 30-byte append pay a 4 KiB record per touched
-// tree level. The records here log the logical mutation instead:
+// concurrent transactions. The records here log the logical mutation of
+// the pages below the root; the root itself has no page and no records —
+// its anchor (the object's row) takes it whole at the end of each call:
 //
-//   - Per-operation records (staged into the operation's redo capture,
-//     replayed only if its transaction committed): leaf-cell inserts,
-//     removes and rewrites addressed by cell index, and subtree
-//     byte-count deltas on internal nodes. The object's size is the
-//     root's sum.
-//   - System-transaction records (auto-committed via wal.AppendSystem
-//     the moment they happen): node splits, merges, and the root's
-//     push-down and pull-up, each one record on the root page that names
-//     the child. Splits are restructured to be *sum-preserving* —
-//     the tree splits a full node around its own midpoint first, then
-//     the enclosing operation re-descends and inserts its cell as an
-//     ordinary per-op record — so an always-redone split never carries
-//     the (possibly uncommitted) triggering cell and never changes any
-//     byte count above it. Its records carry no sums either: replay
-//     derives each parent entry from the child it has rebuilt, so a split
-//     redone without the cells of an operation that never committed sums
-//     only what the log kept. Merges run post-commit (pager.Op.Defer),
-//     mirroring btree's deferred rebalance, so replay can never pack an
-//     undeleted cell plus a whole sibling into one page.
+//   - Per-operation records (replayed only if the operation's records
+//     reached the log): leaf-cell inserts, removes and rewrites addressed
+//     by cell index, subtree byte-count deltas on internal nodes, and node
+//     splits and the root's push-down. Splits are *sum-preserving* — the
+//     tree splits a full node around its own midpoint first, then
+//     re-descends and inserts its cell as an ordinary record — and their
+//     records carry no sums: replay derives each parent entry from the
+//     child it has rebuilt.
+//   - System-transaction records (auto-committed via wal.AppendSystem the
+//     moment they happen): merges and the root's pull-up, which run after
+//     the deleting operation committed (pager.Op.Defer), so replay can
+//     never pack an undeleted cell plus a whole sibling into one page.
 //
 // Replay applies records in global LSN order onto pages materialized
 // from their first-touch base images (or zeroes, for fresh pages a
@@ -34,27 +27,26 @@
 //
 // Op payloads (first byte is the opcode; all integers little-endian):
 //
-//	xopInit     typ u8 | owner u64            (a fresh root)
+//	xopInit     typ u8 | owner u64 | cell 16B... (a fresh page holding
+//	                                          these cells: a pushed-down root)
 //	xopLeafIns  idx u16 | cell 16B            (shift right, store)
 //	xopLeafSet  idx u16 | cell 16B            (overwrite in place)
 //	xopLeafDel  idx u16                       (shift left)
 //	xopChildIns idx u16 | child u64           (entry's bytes: the child's sum)
 //	xopChildSet idx u16 | child u64           (likewise)
+//	xopChildDel idx u16                       (shift left)
 //	xopBump     idx u16 | delta u64           (two's complement add to bytes)
 //	xopSplit    right u64 | at u16            (cells [at,n) move to right;
 //	                                           leaf pages also stitch the chain)
-//	xopMerge    li u16                        (page = parent: children at
-//	                                           li, li+1 merge into li's child)
-//	xopWrote    block u64 | sum u32...        (page = root, unchanged: the
-//	                                           data blocks from block on that
-//	                                           the operation wrote, one sum each)
-//	xopPushDown child u64                     (page = root: its content moves
-//	                                           to the fresh child, its one entry)
-//	xopPullUp   child u64                     (page = root: its one child's
-//	                                           content moves up)
+//	xopAbsorb   right u64                     (right's cells append to the
+//	                                           page; a leaf takes right's next)
+//	xopWrote    block u64 | sum u32...        (no page: the data blocks from
+//	                                           block on that the operation
+//	                                           wrote, one sum each)
 //
-// Opcode 9 is retired: it grew a new root above the old one, in an older
-// format whose tree was named by a header page.
+// Opcodes 9, 10, 12 and 13 are retired: they grew a root above the old
+// one, merged two children through their parent, and pushed a root page
+// down and pulled it up, in older formats whose roots had pages.
 package extent
 
 import (
@@ -72,10 +64,9 @@ const (
 	xopChildSet = 6
 	xopBump     = 7
 	xopSplit    = 8
-	xopMerge    = 10
 	xopWrote    = 11
-	xopPushDown = 12
-	xopPullUp   = 13
+	xopAbsorb   = 14
+	xopChildDel = 15
 )
 
 func encCell(e Extent) []byte {
@@ -145,33 +136,6 @@ func xTakeCell(b []byte) (Extent, []byte, error) {
 	return decCell(b), b[leafCellSize:], nil
 }
 
-// moveDown moves root's content into the fresh page c, numbered child,
-// and leaves root an internal node whose one entry is c. The runtime
-// push-down and its replay share it, so both build the same bytes.
-func moveDown(root nodeRef, c []byte, child uint64) {
-	cn := initNode(c, root.typ(), root.owner())
-	cnt := root.ncells()
-	copy(cn.data[offPtrA:hdrSize], root.data[offPtrA:hdrSize])
-	copy(cellBytes(cn, 0, cnt), cellBytes(root, 0, cnt))
-	cn.setNCells(cnt)
-	root.data[offType] = pageInternal
-	root.setNext(0)
-	root.setPrev(0)
-	root.setChildCell(0, childEntry{child, cn.sum()})
-	root.setNCells(1)
-}
-
-// moveUp moves the content of c, the root's only child, into the root:
-// moveDown's inverse, shared by the runtime pull-up and its replay. The
-// root keeps its owner.
-func moveUp(root, c nodeRef) {
-	cnt := c.ncells()
-	root.data[offType] = c.typ()
-	copy(root.data[offPtrA:hdrSize], c.data[offPtrA:hdrSize])
-	copy(cellBytes(root, 0, cnt), cellBytes(c, 0, cnt))
-	root.setNCells(cnt)
-}
-
 // subtreeBytes is the byte total under page pno as replay has built it.
 // Split records carry no sums: a split is redone whether or not the
 // operation that filled the node commits, so the sums it saw at run time
@@ -205,18 +169,31 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		return errXReplay("empty op payload")
 	}
 	code, b := payload[0], payload[1:]
-	data, err := get(pageNo)
-	if err != nil {
-		return err
+	var data []byte
+	if code != xopWrote { // the one record with no page
+		var err error
+		if data, err = get(pageNo); err != nil {
+			return err
+		}
 	}
 	n := nodeRef{data}
 
 	switch code {
+	case xopWrote:
+		// Changes no page: the record only names data blocks (DataSums).
+		if len(b) < 12 || (len(b)-8)%4 != 0 {
+			return errXReplay("xopWrote payload of %d bytes", len(b))
+		}
+		return nil
+
 	case xopInit:
-		if len(b) != 9 {
+		if len(b) < 9 || (len(b)-9)%leafCellSize != 0 || hdrSize+len(b)-9 > len(data)-ownerLen {
 			return errXReplay("xopInit payload of %d bytes", len(b))
 		}
-		initNode(data, b[0], binary.LittleEndian.Uint64(b[1:]))
+		n = initNode(data, b[0], binary.LittleEndian.Uint64(b[1:]))
+		cnt := (len(b) - 9) / leafCellSize
+		copy(cellBytes(n, 0, cnt), b[9:])
+		n.setNCells(cnt)
 		return nil
 
 	case xopLeafIns:
@@ -259,6 +236,17 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 			return errXReplay("leaf delete at %d of %d on page %d", idx, n.ncells(), pageNo)
 		}
 		n.removeLeafCell(idx)
+		return nil
+
+	case xopChildDel:
+		idx, _, err := xTakeU16(b)
+		if err != nil {
+			return err
+		}
+		if idx >= n.ncells() {
+			return errXReplay("child delete at %d of %d on page %d", idx, n.ncells(), pageNo)
+		}
+		n.removeChildCell(idx)
 		return nil
 
 	case xopChildIns, xopChildSet:
@@ -316,17 +304,7 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		}
 		cnt := n.ncells()
 		if at > cnt {
-			// A leaf split's index was computed over the splitting
-			// operation's own (then-uncommitted) cells; if that
-			// operation's records were dropped, the committed leaf can
-			// hold fewer. Clamp: committed cells all stay left, the
-			// right sibling comes up empty, and chain order — hence
-			// content — is preserved. The parent's entries that follow
-			// sum the halves as replay built them, so they hold what the
-			// log kept. (Internal-node indexes never need this: internal
-			// cell counts change only through system transactions, which
-			// replay unconditionally.)
-			at = cnt
+			return errXReplay("split at %d of %d on page %d", at, cnt, pageNo)
 		}
 		rdata, err := get(right)
 		if err != nil {
@@ -341,77 +319,33 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 			rn.setPrev(pageNo)
 			n.setNext(right)
 			// The old next leaf's prev pointer is fixed by its own range
-			// record in the same system transaction.
+			// record in the same operation.
 		}
 		return nil
 
-	case xopMerge:
-		li, _, err := xTakeU16(b)
+	case xopAbsorb:
+		right, _, err := xTakeU64(b)
 		if err != nil {
 			return err
 		}
-		if li+1 >= n.ncells() {
-			return errXReplay("merge at %d of %d on page %d", li, n.ncells(), pageNo)
-		}
-		lc, rc := n.childCell(li), n.childCell(li+1)
-		ldata, err := get(lc.child)
+		rdata, err := get(right)
 		if err != nil {
 			return err
 		}
-		rdata, err := get(rc.child)
-		if err != nil {
-			return err
+		rn := nodeRef{rdata}
+		if n.typ() != rn.typ() {
+			return errXReplay("absorb of page %d into page %d of another type", right, pageNo)
 		}
-		ln, rn := nodeRef{ldata}, nodeRef{rdata}
-		if ln.typ() != rn.typ() {
-			return errXReplay("merge type mismatch under page %d", pageNo)
+		base, rcnt := n.ncells(), rn.ncells()
+		if hdrSize+(base+rcnt)*leafCellSize > len(data)-ownerLen {
+			return errXReplay("absorb overflows page %d", pageNo)
 		}
-		base, rcnt := ln.ncells(), rn.ncells()
-		if hdrSize+(base+rcnt)*leafCellSize > len(ldata)-ownerLen {
-			return errXReplay("merge overflow under page %d", pageNo)
-		}
-		copy(cellBytes(ln, base, base+rcnt), cellBytes(rn, 0, rcnt))
-		ln.setNCells(base + rcnt)
-		if ln.typ() == pageLeaf {
-			ln.setNext(rn.next())
+		copy(cellBytes(n, base, base+rcnt), cellBytes(rn, 0, rcnt))
+		n.setNCells(base + rcnt)
+		if n.typ() == pageLeaf {
+			n.setNext(rn.next())
 			// The next leaf's prev pointer rides its own range record.
 		}
-		n.setChildCell(li, childEntry{lc.child, lc.bytes + rc.bytes})
-		n.removeChildCell(li + 1)
-		return nil
-
-	case xopWrote:
-		// Changes no page: the record only names data blocks (DataSums).
-		if len(b) < 12 || (len(b)-8)%4 != 0 {
-			return errXReplay("xopWrote payload of %d bytes", len(b))
-		}
-		return nil
-
-	case xopPushDown:
-		child, _, err := xTakeU64(b)
-		if err != nil {
-			return err
-		}
-		cdata, err := get(child)
-		if err != nil {
-			return err
-		}
-		moveDown(n, cdata, child)
-		return nil
-
-	case xopPullUp:
-		child, _, err := xTakeU64(b)
-		if err != nil {
-			return err
-		}
-		if n.typ() != pageInternal || n.ncells() != 1 || n.childCell(0).child != child {
-			return errXReplay("pull-up of %d into page %d, which does not hold it alone", child, pageNo)
-		}
-		cdata, err := get(child)
-		if err != nil {
-			return err
-		}
-		moveUp(n, nodeRef{cdata})
 		return nil
 
 	default:

@@ -1,13 +1,11 @@
 package osd
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
-	"repro/internal/btree"
 	"repro/internal/extent"
 	"repro/internal/pager"
+	"repro/internal/undo"
 )
 
 // Object is an open handle to a byte-addressable storage object. The
@@ -24,14 +22,24 @@ type Object struct {
 	mu     sync.Mutex
 	refs   int
 	closed bool
+}
 
-	// wmu serializes mutators on this object (handles to one OID share
-	// state, so this is per-OID). The extent tree's own lock already
-	// serializes tree mutations; wmu additionally orders each mutation
-	// with its object-table metadata refresh — without it, two writers
-	// could land their meta puts in the opposite order of their tree
-	// edits and persist a stale size against the newer tree.
-	wmu sync.Mutex
+// anchor keeps the object's extent root in its row (extent.Anchor). The
+// tree calls it under its own lock at the end of each mutating call, so
+// rows land in the order of the edits they follow; an edit also stamps
+// the mtime, so a mutation costs one put. The put stages no inverse: the
+// tree's own inverses take the edit back and rewrite the row from it.
+func (o *Object) anchor(op *pager.Op, root extent.Root, edit bool) error {
+	var now int64
+	if edit {
+		now = o.s.now()
+	}
+	return o.s.putRow(op, o.oid, func(m *Meta) {
+		m.Root = root
+		if edit {
+			m.Mtime = now
+		}
+	})
 }
 
 // OID returns the object's identifier.
@@ -69,26 +77,15 @@ func (o *Object) WriteAtDeferred(op *pager.Op, p []byte, off uint64) error {
 	return o.writeAt(op, p, off)
 }
 
+// writeAt and the other mutators leave the row to the tree's anchor,
+// which rewrites it even when the mutation failed part-way: the commit
+// bracket appends the staged records regardless (rollback, when it runs,
+// is a separate CLR pass over the op's captured inverses), so the row
+// must name the partially applied tree.
 func (o *Object) writeAt(op *pager.Op, p []byte, off uint64) error {
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
 	err := o.ext.WriteAtOp(op, p, off)
 	if err == nil {
 		o.s.stats.writes.Add(1)
-	}
-	return o.finishMutation(op, err)
-}
-
-// finishMutation refreshes the object-table metadata even when the
-// extent mutation failed part-way: the commit bracket appends the
-// staged records regardless (rollback, when it runs, is a separate
-// CLR pass over the op's captured inverses), so the partially applied
-// tree must be matched by the size the object table records —
-// otherwise a crash right after would recover a volume where fsck
-// finds the table and the tree disagreeing.
-func (o *Object) finishMutation(op *pager.Op, err error) error {
-	if merr := o.refreshMeta(op); err == nil {
-		err = merr
 	}
 	return err
 }
@@ -113,13 +110,11 @@ func (o *Object) AppendDeferred(op *pager.Op, p []byte) (uint64, error) {
 // serialize instead of computing the same end offset and losing one
 // acked write.
 func (o *Object) append(op *pager.Op, p []byte) (uint64, error) {
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
 	size, err := o.ext.AppendOp(op, p)
 	if err == nil {
 		o.s.stats.writes.Add(1)
 	}
-	return size, o.finishMutation(op, err)
+	return size, err
 }
 
 // InsertAt inserts p at offset off, shifting later bytes up — the paper's
@@ -135,13 +130,11 @@ func (o *Object) InsertAtDeferred(op *pager.Op, off uint64, p []byte) error {
 }
 
 func (o *Object) insertAt(op *pager.Op, off uint64, p []byte) error {
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
 	err := o.ext.InsertAtOp(op, off, p)
 	if err == nil {
 		o.s.stats.inserts.Add(1)
 	}
-	return o.finishMutation(op, err)
+	return err
 }
 
 // TruncateRange removes length bytes at offset off, shifting later bytes
@@ -157,51 +150,49 @@ func (o *Object) TruncateRangeDeferred(op *pager.Op, off, length uint64) error {
 }
 
 func (o *Object) truncateRange(op *pager.Op, off, length uint64) error {
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
 	err := o.ext.DeleteRangeOp(op, off, length)
 	if err == nil {
 		o.s.stats.deleteRanges.Add(1)
 	}
-	return o.finishMutation(op, err)
+	return err
 }
 
 // Truncate sets the object's size (POSIX-style single-argument form).
 func (o *Object) Truncate(size uint64) error {
-	return o.s.withOp(func(op *pager.Op) error {
-		o.wmu.Lock()
-		defer o.wmu.Unlock()
-		return o.finishMutation(op, o.ext.TruncateOp(op, size))
-	})
-}
-
-// refreshMeta updates size/mtime in the object table (no commit; the
-// enclosing operation bracket owns that).
-func (o *Object) refreshMeta(op *pager.Op) error {
-	size := o.ext.Size()
-	now := o.s.now()
-	return o.s.updateMetaNoCommit(op, o.oid, func(m *Meta) {
-		m.Size = size
-		m.Mtime = now
-	})
+	return o.s.withOp(func(op *pager.Op) error { return o.ext.TruncateOp(op, size) })
 }
 
 // updateMetaNoCommit is updateMeta without the commit bracket, for
-// callers that batch the commit themselves.
+// callers that batch the commit themselves. Its inverse restores the
+// fields f changed, never the root (undo.MetaPut).
 func (s *Store) updateMetaNoCommit(op *pager.Op, oid OID, f func(*Meta)) error {
-	v, err := s.meta.Get(oidKey(oid))
-	if errors.Is(err, btree.ErrNotFound) {
-		return fmt.Errorf("%w: oid %d", ErrNotFound, oid)
-	}
-	if err != nil {
-		return err
-	}
-	m, err := decodeMeta(v)
+	return s.putRow(op, oid, func(m *Meta) {
+		if op.UndoEnabled() {
+			old := *m
+			old.Root = extent.Root{}
+			op.StageUndo(undo.MetaPut(uint64(oid), encodeMeta(&old)))
+		}
+		f(m)
+	})
+}
+
+// putRow rewrites object oid's row through f in op, in one atomic
+// section, staging no inverse of the put itself. op becomes the object's
+// last builder (pager.After) under rowMu, right before the row is read,
+// so op's commit waits for the records of whichever open operation wrote
+// the row op builds on.
+func (s *Store) putRow(op *pager.Op, oid OID, f func(*Meta)) error {
+	s.rowMu.Lock()
+	defer s.rowMu.Unlock()
+	op.BeginAtomic()
+	defer op.EndAtomic()
+	s.pg.After(extent.Key(uint64(oid)), op)
+	m, err := s.Stat(oid)
 	if err != nil {
 		return err
 	}
 	f(&m)
-	return s.meta.PutOp(op, oidKey(oid), encodeMeta(&m))
+	return s.meta.PutOpNoInverse(op, oidKey(oid), encodeMeta(&m))
 }
 
 // Close releases the handle; the last close detaches the shared state.

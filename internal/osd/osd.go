@@ -5,15 +5,19 @@
 // bytes can be read, overwritten, inserted into the middle, and removed
 // from the middle.
 //
-// Objects are backed by counted extent trees (package extent), each named
-// by its root page. Object metadata lives in a global OID→metadata btree,
-// following the paper's implementation sketch ("we use BDB Btrees to map
-// unique object IDs (OID) to the meta-data for an object"). The paper also
-// keeps a copy under a NULL key of the object's own tree ("we use a NULL
-// key value in the Btree to store the meta-data associated with an
-// object"); here every node of the extent tree carries only the owning
-// OID, written once when the node is made, which undo routing and fsck
-// read back.
+// Objects are backed by counted extent trees (package extent). Object
+// metadata lives in a global OID→metadata btree, following the paper's
+// implementation sketch ("we use BDB Btrees to map unique object IDs (OID)
+// to the meta-data for an object"), and the object's row there also holds
+// the root node of its extent tree, as ext4 keeps an extent root in the
+// inode: an object of extent.R extents or fewer has no extent page at
+// all, and opening it reads none. The root's byte total is the object's
+// size. Each mutation rewrites the row once, at its end, with the new root
+// and mtime (Object.anchor). The paper also keeps a copy of the metadata
+// under a NULL key of the object's own tree ("we use a NULL key value in
+// the Btree to store the meta-data associated with an object"); here every
+// page below the root carries only the owning OID, written once when the
+// page is made, which fsck reads back.
 //
 // The store does not own its commits: every mutating operation runs
 // inside the bracket the volume passes as Options.Begin, which threads
@@ -55,50 +59,54 @@ const (
 
 // Meta is an object's metadata record.
 type Meta struct {
-	OID        OID
-	Size       uint64
-	Mode       uint32
-	Owner      string // the paper's security attribute / USER tag source
-	Atime      int64  // unix nanoseconds
-	Mtime      int64
-	Ctime      int64
-	ExtentRoot uint64 // root page naming the object's extent tree
+	OID   OID
+	Size  uint64 // the root's byte total; the row stores no size of its own
+	Mode  uint32
+	Owner string // the paper's security attribute / USER tag source
+	Atime int64  // unix nanoseconds
+	Mtime int64
+	Ctime int64
+	Root  extent.Root // the root node of the object's extent tree
 }
 
-const metaFixedSize = 8 + 8 + 4 + 8 + 8 + 8 + 8 + 2 // + owner bytes
+const metaFixedSize = 4 + 8 + 8 + 8 + 2 // + owner bytes + root
 
+// encodeMeta lays a row out as mode, the three times, the owner
+// (length-prefixed) and the extent root without its unused cells; the
+// OID is the row's key.
 func encodeMeta(m *Meta) []byte {
-	out := make([]byte, metaFixedSize+len(m.Owner))
-	binary.LittleEndian.PutUint64(out[0:], uint64(m.OID))
-	binary.LittleEndian.PutUint64(out[8:], m.Size)
-	binary.LittleEndian.PutUint32(out[16:], m.Mode)
-	binary.LittleEndian.PutUint64(out[20:], uint64(m.Atime))
-	binary.LittleEndian.PutUint64(out[28:], uint64(m.Mtime))
-	binary.LittleEndian.PutUint64(out[36:], uint64(m.Ctime))
-	binary.LittleEndian.PutUint64(out[44:], m.ExtentRoot)
-	binary.LittleEndian.PutUint16(out[52:], uint16(len(m.Owner)))
-	copy(out[54:], m.Owner)
-	return out
+	out := make([]byte, metaFixedSize+len(m.Owner), metaFixedSize+len(m.Owner)+m.Root.Len())
+	binary.LittleEndian.PutUint32(out[0:], m.Mode)
+	binary.LittleEndian.PutUint64(out[4:], uint64(m.Atime))
+	binary.LittleEndian.PutUint64(out[12:], uint64(m.Mtime))
+	binary.LittleEndian.PutUint64(out[20:], uint64(m.Ctime))
+	binary.LittleEndian.PutUint16(out[28:], uint16(len(m.Owner)))
+	copy(out[30:], m.Owner)
+	return append(out, m.Root[:m.Root.Len()]...)
 }
 
-func decodeMeta(b []byte) (Meta, error) {
+// decodeMeta reads object oid's row b.
+func decodeMeta(oid OID, b []byte) (Meta, error) {
 	if len(b) < metaFixedSize {
 		return Meta{}, fmt.Errorf("%w: meta record %d bytes", ErrCorrupt, len(b))
 	}
 	m := Meta{
-		OID:        OID(binary.LittleEndian.Uint64(b[0:])),
-		Size:       binary.LittleEndian.Uint64(b[8:]),
-		Mode:       binary.LittleEndian.Uint32(b[16:]),
-		Atime:      int64(binary.LittleEndian.Uint64(b[20:])),
-		Mtime:      int64(binary.LittleEndian.Uint64(b[28:])),
-		Ctime:      int64(binary.LittleEndian.Uint64(b[36:])),
-		ExtentRoot: binary.LittleEndian.Uint64(b[44:]),
+		OID:   oid,
+		Mode:  binary.LittleEndian.Uint32(b[0:]),
+		Atime: int64(binary.LittleEndian.Uint64(b[4:])),
+		Mtime: int64(binary.LittleEndian.Uint64(b[12:])),
+		Ctime: int64(binary.LittleEndian.Uint64(b[20:])),
 	}
-	olen := int(binary.LittleEndian.Uint16(b[52:]))
-	if metaFixedSize+olen > len(b) {
-		return Meta{}, fmt.Errorf("%w: owner overruns record", ErrCorrupt)
+	end := metaFixedSize + int(binary.LittleEndian.Uint16(b[28:]))
+	if end >= len(b) || len(b)-end > len(m.Root) {
+		return Meta{}, fmt.Errorf("%w: owner and root do not fill the %d-byte record", ErrCorrupt, len(b))
 	}
-	m.Owner = string(b[54 : 54+olen])
+	m.Owner = string(b[30:end])
+	copy(m.Root[:], b[end:])
+	if m.Root.Len() != len(b)-end {
+		return Meta{}, fmt.Errorf("%w: extent root of %d bytes", ErrCorrupt, len(b)-end)
+	}
+	m.Size = m.Root.Size()
 	return m, nil
 }
 
@@ -165,6 +173,9 @@ type Store struct {
 	mu      sync.Mutex
 	nextOID OID
 	open    map[OID]*Object
+	// rowMu serializes every read-modify-write of a row: a mutation's
+	// root and mtime, a metadata update, a rollback's restore.
+	rowMu sync.Mutex
 	// seqMu orders persistSeq's snapshot-and-put: without it, two
 	// concurrent creators could persist their snapshots out of order and
 	// a stale (smaller) sequence would win, re-issuing OIDs after reopen.
@@ -293,23 +304,19 @@ func (s *Store) createObject(op *pager.Op, owner string, mode uint32) (*Object, 
 	oid := s.nextOID
 	s.nextOID++
 	s.mu.Unlock()
-	ext, err := extent.CreateOp(s.pg, s.ba, s.opts.ExtentConfig, op, uint64(oid))
-	if err != nil {
-		return nil, err
-	}
 	now := s.now()
-	m := Meta{
-		OID: oid, Mode: mode, Owner: owner,
-		Atime: now, Mtime: now, Ctime: now,
-		ExtentRoot: ext.RootPage(),
-	}
+	m := Meta{OID: oid, Mode: mode, Owner: owner, Atime: now, Mtime: now, Ctime: now}
+	// The row, with the empty root of a new tree, goes in first: the
+	// tree's inverse, staged next, runs before the row's in a rollback
+	// and finds the row still there.
 	if err := s.meta.PutOp(op, oidKey(oid), encodeMeta(&m)); err != nil {
 		return nil, err
 	}
 	if err := s.persistSeq(op); err != nil {
 		return nil, err
 	}
-	obj := &Object{s: s, oid: oid, ext: ext, refs: 1}
+	obj := &Object{s: s, oid: oid, refs: 1}
+	obj.ext = extent.CreateOp(s.pg, s.ba, s.opts.ExtentConfig, op, uint64(oid), obj.anchor)
 	s.mu.Lock()
 	s.open[oid] = obj
 	s.mu.Unlock()
@@ -329,25 +336,24 @@ func (s *Store) OpenObject(oid OID) (*Object, error) {
 	}
 	s.mu.Unlock()
 
-	m, err := s.Stat(oid)
-	if err != nil {
-		return nil, err
-	}
-	// Load the tree and publish its handle under one hold of the lock. A
-	// tree loaded outside it could predate the mutations of a handle
-	// opened, written through and closed in the meantime, and would then
-	// carry a stale size and root.
+	// Read the row and publish the handle under one hold of the lock. A
+	// row read outside it could predate the mutations of a handle opened,
+	// written through and closed in the meantime, and would then carry a
+	// stale root.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if obj, ok := s.open[oid]; ok { // lost a race; use the winner
 		obj.refs++
 		return obj, nil
 	}
-	ext, err := extent.Open(s.pg, s.ba, m.ExtentRoot, s.opts.ExtentConfig)
+	m, err := s.Stat(oid)
 	if err != nil {
 		return nil, err
 	}
-	obj := &Object{s: s, oid: oid, ext: ext, refs: 1}
+	obj := &Object{s: s, oid: oid, refs: 1}
+	if obj.ext, err = extent.Open(s.pg, s.ba, m.Root, uint64(oid), s.opts.ExtentConfig, obj.anchor); err != nil {
+		return nil, err
+	}
 	s.open[oid] = obj
 	return obj, nil
 }
@@ -361,7 +367,7 @@ func (s *Store) Stat(oid OID) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
-	return decodeMeta(v)
+	return decodeMeta(oid, v)
 }
 
 // SetMode updates the object's mode bits.
@@ -417,15 +423,12 @@ func (s *Store) deleteObject(op *pager.Op, oid OID) error {
 	var ext *extent.Tree
 	if wasOpen {
 		ext = obj.ext
-	} else {
-		ext, err = extent.Open(s.pg, s.ba, m.ExtentRoot, s.opts.ExtentConfig)
-		if err != nil {
-			return err
-		}
+	} else if ext, err = extent.Open(s.pg, s.ba, m.Root, uint64(oid), s.opts.ExtentConfig, nil); err != nil {
+		return err
 	}
 	// Both steps stage their inverses, so a rollback finds the tree, its
-	// runs and the meta row as they were — and, since the handle goes
-	// only once op commits, any open handle too.
+	// runs and the row, root included, as they were — and, since the
+	// handle goes only once op commits, any open handle too.
 	if err := ext.Destroy(op); err != nil {
 		return err
 	}
@@ -433,72 +436,67 @@ func (s *Store) deleteObject(op *pager.Op, oid OID) error {
 		return err
 	}
 	if op == nil {
-		s.forget(m.ExtentRoot)
+		s.forget(oid)
 	} else {
-		op.Defer(func(*pager.Op) error { s.forget(m.ExtentRoot); return nil })
+		op.Defer(func(*pager.Op) error { s.forget(oid); return nil })
 	}
 	s.stats.deletes.Add(1)
 	return nil
 }
 
-// DestroyTree destroys the extent tree rooted at root, forgetting any
-// open handle on it: the inverse of the operation that created it.
-func (s *Store) DestroyTree(op *pager.Op, root uint64) error {
-	s.forget(root)
-	ext, err := extent.Open(s.pg, s.ba, root, s.opts.ExtentConfig)
+// DestroyTree destroys object oid's extent tree, the pages below its row
+// and its data runs, forgetting any open handle: the inverse of the
+// operation that created it, which runs before the row's own inverse
+// deletes the row. An object whose row is gone has nothing left to free.
+func (s *Store) DestroyTree(op *pager.Op, oid OID) error {
+	s.forget(oid)
+	m, err := s.Stat(oid)
+	if errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	ext, err := extent.Open(s.pg, s.ba, m.Root, uint64(oid), s.opts.ExtentConfig, nil)
 	if err != nil {
 		return err
 	}
 	return ext.Destroy(op)
 }
 
-// forget detaches the open handle, if any, on the tree rooted at root.
-func (s *Store) forget(root uint64) {
+// forget detaches the open handle, if any, on object oid.
+func (s *Store) forget(oid OID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for oid, obj := range s.open {
-		if obj.ext.RootPage() == root {
-			obj.closed = true
-			delete(s.open, oid)
-		}
+	if obj, ok := s.open[oid]; ok {
+		obj.closed = true
+		delete(s.open, oid)
 	}
 }
 
-// LookupByRoot resolves the OID whose extent tree is rooted at the given
-// page — the reverse of Meta.ExtentRoot. Open handles are checked first
-// (the common case during a runtime abort); otherwise the root's owner
-// back-pointer names the object, and the object table confirms that the
-// object still exists and still lives there — one page and one lookup,
-// not a scan of the table. The undo executor, which addresses trees by
-// root page, uses it to route through the object layer so metadata stays
-// in step.
-func (s *Store) LookupByRoot(root uint64) (OID, error) {
-	s.mu.Lock()
-	for oid, obj := range s.open {
-		if obj.ext.RootPage() == root {
-			s.mu.Unlock()
-			return oid, nil
-		}
+// RestoreMeta puts back the fields of object oid's row that row, an
+// inverse's old row (undo.MetaPut), holds, keeping the root the row holds
+// now. An object deleted since has nothing to restore.
+func (s *Store) RestoreMeta(op *pager.Op, oid OID, row []byte) error {
+	old, err := decodeMeta(oid, row)
+	if err != nil {
+		return err
 	}
-	s.mu.Unlock()
-	owner, err := extent.Owner(s.pg, root)
-	if err == nil {
-		var m Meta
-		if m, err = s.Stat(OID(owner)); err == nil && m.ExtentRoot == root {
-			return m.OID, nil
-		}
+	err = s.putRow(op, oid, func(m *Meta) {
+		old.Root = m.Root
+		*m = old
+	})
+	if errors.Is(err, ErrNotFound) {
+		return nil
 	}
-	if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, extent.ErrCorrupt) {
-		return 0, err // the device, not the lookup, failed
-	}
-	return 0, fmt.Errorf("%w: no object with extent root %d", ErrNotFound, root)
+	return err
 }
 
 // ForEach visits every object's metadata in OID order.
 func (s *Store) ForEach(fn func(Meta) bool) error {
 	var inner error
 	err := s.meta.Scan([]byte{0}, nil, func(k, v []byte) bool {
-		m, err := decodeMeta(v)
+		m, err := decodeMeta(OID(binary.BigEndian.Uint64(k)), v)
 		if err != nil {
 			inner = err
 			return false

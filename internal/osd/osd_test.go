@@ -240,22 +240,25 @@ func TestUpdateMetaFields(t *testing.T) {
 	}
 }
 
-// TestBackPointerMatchesTable: every node of an object's extent tree
-// names the object, and LookupByRoot follows that back-pointer to the
-// object-table row that names the root — with no handle open, past a
-// root that has pushed its cells down, and not for a tree nobody owns.
-func TestBackPointerMatchesTable(t *testing.T) {
-	s, e := newStore(t, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+// TestRowHoldsTheRoot: an object's row holds its extent root and so its
+// size. Past extent.R extents the root's cells move into pages below the
+// row, every one naming the object; a handle opened from the row alone
+// reads the same bytes.
+func TestRowHoldsTheRoot(t *testing.T) {
+	s, _ := newStore(t, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	obj, err := s.CreateObject("carol", ModeRegular|0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 300; i++ { // past one leaf
-		if err := obj.Append(make([]byte, 4096)); err != nil {
+	var want []byte
+	for i := 0; i < 300; i++ { // past one leaf page
+		p := bytes.Repeat([]byte{byte(i)}, 4096)
+		if err := obj.Append(p); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, p...)
 	}
-	res, err := obj.ExtentTree().Check()
+	res, err := obj.ExtentTree().Check() // every page names the object
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,21 +266,55 @@ func TestBackPointerMatchesTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pages < 3 || res.Owner != uint64(m.OID) || res.AllPages[0] != m.ExtentRoot {
-		t.Fatalf("%d pages rooted at %d naming owner %d; table row %+v", res.Pages, res.AllPages[0], res.Owner, m)
+	if res.Pages < 2 || m.Root != obj.ExtentTree().Root() || m.Size != uint64(len(want)) {
+		t.Fatalf("%d pages below a row of %d bytes; the row's root matches the tree's: %v",
+			res.Pages, m.Size, m.Root == obj.ExtentTree().Root())
 	}
 	if err := obj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if oid, err := s.LookupByRoot(m.ExtentRoot); err != nil || oid != m.OID {
-		t.Fatalf("LookupByRoot = %d, %v; want %d", oid, err, m.OID)
-	}
-	stray, err := extent.Create(e.pg, e.ba, extent.Config{})
+	obj, err = s.OpenObject(m.OID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LookupByRoot(stray.RootPage()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("LookupByRoot of an unowned tree: %v", err)
+	defer obj.Close()
+	got := make([]byte, len(want))
+	if _, err := obj.ReadAt(got, 0); err != nil && !errors.Is(err, io.EOF) {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("reopened from its row, the object reads other bytes")
+	}
+}
+
+// TestSmallObjectTakesNoPage: creating an object and appending 2 KB
+// allocates only the data run, no extent page, and reads nothing.
+func TestSmallObjectTakesNoPage(t *testing.T) {
+	mem := blockdev.NewMem(16384, blockdev.DefaultBlockSize)
+	dev := blockdev.NewSim(mem, blockdev.NullModel{})
+	pg := pager.New(dev, 512, true)
+	ba := buddy.New(1, 16383)
+	s, err := Create(pg, ba, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, reads := ba.FreeBlocks(), dev.Stats().Reads
+	obj, err := s.CreateObject("dora", ModeRegular|0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	if err := obj.Append(bytes.Repeat([]byte("x"), 2048)); err != nil {
+		t.Fatal(err)
+	}
+	if used := free - ba.FreeBlocks(); used != 1 {
+		t.Errorf("a new 2 KB object took %d blocks, want 1: its data run", used)
+	}
+	if n := dev.Stats().Reads - reads; n != 0 {
+		t.Errorf("creating and filling a 2 KB object read %d blocks, want 0", n)
+	}
+	if res, err := obj.ExtentTree().Check(); err != nil || res.Pages != 0 {
+		t.Errorf("the object has %d extent pages (%v), want 0", res.Pages, err)
 	}
 }
 

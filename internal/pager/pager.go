@@ -167,8 +167,8 @@ type Pager struct {
 	opMu  sync.Mutex
 	ops   map[*Op]struct{}
 	opSeq atomic.Uint64 // source of Op.ID
-	// after maps a structure's block to the open operation that last
-	// built on it (After); an entry goes with its operation's FinishOp.
+	// after maps a structure's key to the open operation that last built
+	// on it (After); an entry goes with its operation's FinishOp.
 	// opMu guarded, like each op's claims.
 	after map[uint64]*Op
 
@@ -627,7 +627,7 @@ type Op struct {
 	lastChunk uint64           // txid of the op's last flushed chunk (0 = none)
 	undoPrev  uint64           // LSN of the last staged undo record (prevLSN chain)
 	deps      map[*Op]struct{} // ops whose records must be logged before this commit
-	claims    []uint64         // blocks whose p.after entry is this op (opMu guarded)
+	claims    []uint64         // keys whose p.after entry is this op (opMu guarded)
 	ceded     []uint64         // claims another op took over since (opMu guarded)
 	sys       bool             // system transaction: atomic via AppendSys, never chunked
 	clr       bool             // rolling back: records are CLRs, no further undo capture
@@ -856,26 +856,28 @@ func (op *Op) Rollback(apply func(body []byte) error) {
 }
 
 // After makes op's commit wait until the log holds the staged records
-// of the open operation that last built on the structure block no names,
-// and makes op that operation. A structure calls it when an operation
-// creates it or starts to mutate it: an extent tree, keyed by its root
-// block, whose leaf cells are addressed by index and whose size the
-// object table records, so a crash must not find op's records without
-// the earlier ones. The entry lives as long as the operation, not as
-// long as a handle on the structure, and FinishOp drops it, so no
-// finished operation's records stay reachable. Without steal nothing
-// reaches the log before its own commit, and After does nothing.
-func (p *Pager) After(no uint64, op *Op) {
-	if op == nil || p.stealApp == nil {
+// of the open operation that last built on the structure named key, and
+// makes op that operation. A structure calls it when an operation
+// creates it or starts to mutate it: an extent tree, keyed by its owner
+// (extent.Key — a namespace no block number reaches), whose leaf cells
+// are addressed by index and whose root the object's row holds, so a
+// crash must not find op's records without the earlier ones. The entry
+// lives as long as the operation, not as long as a handle on the
+// structure, and FinishOp drops it, so no finished operation's records
+// stay reachable. Without steal nothing reaches the log before its own
+// commit, and After does nothing; nor does it for a system transaction,
+// which is appended at once.
+func (p *Pager) After(key uint64, op *Op) {
+	if op == nil || op.sys || p.stealApp == nil {
 		return
 	}
 	p.opMu.Lock()
-	prev := p.after[no]
+	prev := p.after[key]
 	if prev != op {
-		p.after[no] = op
-		op.claims = append(op.claims, no)
+		p.after[key] = op
+		op.claims = append(op.claims, key)
 		if prev != nil {
-			prev.ceded = append(prev.ceded, no)
+			prev.ceded = append(prev.ceded, key)
 		}
 	}
 	p.opMu.Unlock()
@@ -884,20 +886,28 @@ func (p *Pager) After(no uint64, op *Op) {
 	}
 }
 
-// Holds reports whether op is the only operation that has built on block
-// no since op first did (After): the pager still names op as the block's
-// last builder, and no other operation took the block over in between,
-// whether or not that one has finished since. A caller that mirrors its
-// own mutations of a structure keyed by no can trust the mirror while op
-// holds the block. Always false without steal, where After records
-// nothing.
-func (p *Pager) Holds(no uint64, op *Op) bool {
+// Holds reports whether op is the only operation that has built on the
+// structure named key since op first did (After): the pager still names
+// op as its last builder, and no other operation took it over in
+// between, whether or not that one has finished since. A caller that
+// mirrors its own mutations of the structure can trust the mirror while
+// op holds it. Always false without steal, where After records nothing.
+func (p *Pager) Holds(key uint64, op *Op) bool {
 	if op == nil {
 		return false
 	}
 	p.opMu.Lock()
 	defer p.opMu.Unlock()
-	return p.after[no] == op && !slices.Contains(op.ceded, no)
+	return p.after[key] == op && !slices.Contains(op.ceded, key)
+}
+
+// Claimed reports whether an open operation has built on the structure
+// named key (After): then the cache may hold edits of it that the log
+// does not yet. Always false without steal.
+func (p *Pager) Claimed(key uint64) bool {
+	p.opMu.Lock()
+	defer p.opMu.Unlock()
+	return p.after[key] != nil
 }
 
 // addDep records that d's staged records must reach the log before this
@@ -1066,6 +1076,15 @@ func (op *Op) stage(r redo.Record) {
 	op.mu.Unlock()
 }
 
+// Note stages a record that edits no cached page — one replay only
+// reads, such as the sums of the data blocks an operation wrote outside
+// the log. Its Page is 0, which no cached page has. Nil-safe.
+func (op *Op) Note(kind uint8, data []byte) {
+	if op != nil {
+		op.stage(redo.Record{LSN: op.p.lsn.Add(1), Kind: kind, Data: data})
+	}
+}
+
 // BlockAllocator is the raw allocator under a Space (buddy.Allocator).
 type BlockAllocator interface {
 	Alloc(n uint64) (uint64, error)
@@ -1196,15 +1215,27 @@ func (p *Pager) MarkDirtyRec(pg *Page, op *Op, kind uint8, data []byte) {
 	op.stage(redo.Record{LSN: lsn, Page: pg.no, Kind: kind, Data: data})
 }
 
-// FlushDirty writes every dirty page home and marks it clean. Callers
-// quiesce open operations first (the checkpoint fence); the flush also
-// clears steal gates left raised by failed appends — everything is home
-// now, so the log no longer needs to cover it.
+// FlushDirty writes every dirty page home, in ascending block order, and
+// marks it clean. The order makes a checkpoint's writes the same sequence
+// on every run, so a crash cut at its k-th write lands on the same page.
+// Callers quiesce open operations first (the checkpoint fence); the
+// flush also clears steal gates left raised by failed appends —
+// everything is home now, so the log no longer needs to cover it.
 func (p *Pager) FlushDirty() error {
+	var nos []uint64
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		for no, pg := range s.dirty {
+		for no := range s.dirty {
+			nos = append(nos, no)
+		}
+		s.mu.Unlock()
+	}
+	slices.Sort(nos)
+	for _, no := range nos {
+		s := p.shardOf(no)
+		s.mu.Lock()
+		if pg, ok := s.dirty[no]; ok {
 			if err := p.dev.WriteBlock(no, pg.data); err != nil {
 				s.mu.Unlock()
 				return err

@@ -5,10 +5,17 @@
 // says how to take the *operation* back: restore a key's old value,
 // delete the key an insert created, re-insert the byte range a delete
 // removed. Inverses are addressed by structure (a btree's header page or
-// an extent tree's root page, a key, a byte offset), never by cell position, so executing them is
-// correct regardless of how rebalances or a steal-evicted page moved the
-// physical bytes in between — the same position independence the redo
-// vocabulary already has.
+// the OID of the object an extent tree backs, a key, a byte offset),
+// never by cell position, so executing them is correct regardless of how
+// rebalances or a steal-evicted page moved the physical bytes in between
+// — the same position independence the redo vocabulary already has.
+//
+// An object's row in the object table holds the root of its extent tree,
+// which a neighbour's split may rewrite before an operation rolls back.
+// So no inverse of a row edit carries the root: the Ext* inverses take
+// the tree back through the live object, which rewrites the row from the
+// tree, and MetaPut restores the row's other fields around whatever root
+// the row holds by then.
 //
 // Undo records stay in memory with their operation and reach the log
 // only when an uncommitted transaction's records are flushed early
@@ -20,13 +27,14 @@
 //
 //	KeyPut:     1 | hdr u64 | klen u32 | key | old value
 //	KeyDel:     2 | hdr u64 | key
-//	ExtWrite:   3 | root u64 | off u64 | old bytes
-//	ExtIns:     4 | root u64 | off u64 | old bytes
-//	ExtDel:     5 | root u64 | off u64 | n u64
+//	ExtWrite:   3 | oid u64 | off u64 | old bytes
+//	ExtIns:     4 | oid u64 | off u64 | old bytes
+//	ExtDel:     5 | oid u64 | off u64 | n u64
 //	Reclaim:    8 | (addr u64 | n u64)...
 //	BtreeDrop:  9 | hdr u64
-//	ExtentDrop: 10 | root u64
+//	ExtentDrop: 10 | oid u64
 //	Fulltext:   11
+//	MetaPut:    12 | oid u64 | old row, its root empty
 //
 // Opcode 7 (destroy a created object) is retired: the inverses of the
 // object's extent-tree creation and meta-row insert take it back. So is
@@ -43,13 +51,14 @@ import (
 const (
 	OpKeyPut     = 1  // restore key → old value in the btree rooted at Hdr
 	OpKeyDel     = 2  // delete key from the btree rooted at Hdr (undo of a fresh insert)
-	OpExtWrite   = 3  // overwrite old bytes at Off in the extent tree rooted at Hdr
+	OpExtWrite   = 3  // overwrite old bytes at Off in object Hdr
 	OpExtIns     = 4  // re-insert old bytes at Off (undo of a delete-range)
 	OpExtDel     = 5  // delete N bytes at Off (undo of an append/insert/grow)
 	OpReclaim    = 8  // take the freed Runs back (undo of a destroy or drop)
 	OpBtreeDrop  = 9  // drop the btree rooted at Hdr (undo of its creation)
-	OpExtentDrop = 10 // destroy the extent tree rooted at Hdr (undo of its creation)
+	OpExtentDrop = 10 // destroy object Hdr's extent tree (undo of its creation)
 	OpFulltext   = 11 // revert a fulltext index's in-memory state (fulltext.Index.Undo)
+	OpMetaPut    = 12 // restore object Hdr's row fields from Data, keeping its root
 )
 
 // Run is one allocator run: the address and block count a free was given.
@@ -58,11 +67,11 @@ type Run struct{ Addr, N uint64 }
 // Op is one decoded undo record.
 type Op struct {
 	Code byte
-	Hdr  uint64 // btree header page (KeyPut/KeyDel/BtreeDrop) or extent root page (Ext*/ExtentDrop)
+	Hdr  uint64 // btree header page (KeyPut/KeyDel/BtreeDrop) or object ID (Ext*/ExtentDrop/MetaPut)
 	Off  uint64 // byte offset within the object (Ext*)
 	N    uint64 // byte count (ExtDel)
 	Key  []byte // btree key (KeyPut/KeyDel)
-	Data []byte // old value / old bytes (KeyPut/ExtWrite/ExtIns)
+	Data []byte // old value / old bytes / old row (KeyPut/ExtWrite/ExtIns/MetaPut)
 	Runs []Run  // runs to take back (Reclaim)
 }
 
@@ -95,20 +104,17 @@ func extBytes(code byte, hdr, off uint64, data []byte) []byte {
 	return out
 }
 
-// ExtWrite encodes "overwrite old bytes at off in the extent tree rooted
-// at root".
-func ExtWrite(root, off uint64, old []byte) []byte { return extBytes(OpExtWrite, root, off, old) }
+// ExtWrite encodes "overwrite old bytes at off in object oid".
+func ExtWrite(oid, off uint64, old []byte) []byte { return extBytes(OpExtWrite, oid, off, old) }
 
-// ExtIns encodes "re-insert old bytes at off in the extent tree rooted at
-// root".
-func ExtIns(root, off uint64, old []byte) []byte { return extBytes(OpExtIns, root, off, old) }
+// ExtIns encodes "re-insert old bytes at off in object oid".
+func ExtIns(oid, off uint64, old []byte) []byte { return extBytes(OpExtIns, oid, off, old) }
 
-// ExtDel encodes "delete n bytes at off in the extent tree rooted at
-// root".
-func ExtDel(root, off, n uint64) []byte {
+// ExtDel encodes "delete n bytes at off in object oid".
+func ExtDel(oid, off, n uint64) []byte {
 	out := make([]byte, 1+8+8+8)
 	out[0] = OpExtDel
-	binary.LittleEndian.PutUint64(out[1:], root)
+	binary.LittleEndian.PutUint64(out[1:], oid)
 	binary.LittleEndian.PutUint64(out[9:], off)
 	binary.LittleEndian.PutUint64(out[17:], n)
 	return out
@@ -130,8 +136,15 @@ func Reclaim(runs []Run) []byte {
 // BtreeDrop encodes "drop the btree rooted at hdr".
 func BtreeDrop(hdr uint64) []byte { return hdrOnly(OpBtreeDrop, hdr) }
 
-// ExtentDrop encodes "destroy the extent tree rooted at root".
-func ExtentDrop(root uint64) []byte { return hdrOnly(OpExtentDrop, root) }
+// ExtentDrop encodes "destroy object oid's extent tree".
+func ExtentDrop(oid uint64) []byte { return hdrOnly(OpExtentDrop, oid) }
+
+// MetaPut encodes "restore object oid's row fields from row, keeping the
+// root the row holds": row is the old row with an empty root.
+func MetaPut(oid uint64, row []byte) []byte {
+	out := hdrOnly(OpMetaPut, oid)
+	return append(out, row...)
+}
 
 func hdrOnly(code byte, hdr uint64) []byte {
 	out := make([]byte, 1+8)
@@ -164,6 +177,9 @@ func Decode(b []byte) (Op, error) {
 	case OpKeyDel:
 		op.Hdr = binary.LittleEndian.Uint64(b[1:])
 		op.Key = b[9:]
+	case OpMetaPut:
+		op.Hdr = binary.LittleEndian.Uint64(b[1:])
+		op.Data = b[9:]
 	case OpExtWrite, OpExtIns:
 		if len(b) < 17 {
 			return Op{}, fmt.Errorf("undo: short extent record (%d bytes)", len(b))
