@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/extent"
@@ -834,4 +835,213 @@ func TestRecoverRollbackAcrossNeighbourSplit(t *testing.T) {
 	v2 := mustOpenExact(t, crashCopy(t, v, mem))
 	defer v2.Close()
 	check("recovered", v2)
+}
+
+// twoLeafObject creates an object of 300 one-block extents, two leaf
+// pages below its row, and returns it with its bytes: deleting the first
+// 70 extents leaves the first leaf underfull (57 of 254 cells) and small
+// enough to merge with the second.
+func twoLeafObject(t *testing.T, v *Volume) (OID, []byte) {
+	t.Helper()
+	obj, err := v.OSD.CreateObject("m", osd.ModeRegular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Close()
+	base := fill(300*4096, 1)
+	if err := obj.Append(base); err != nil {
+		t.Fatal(err)
+	}
+	if n := extentPages(t, v, obj.OID()); n != 2 {
+		t.Fatalf("300 extents on %d extent pages, want 2 leaves", n)
+	}
+	return obj.OID(), base
+}
+
+// extentPages counts the extent pages below object oid's row.
+func extentPages(t *testing.T, v *Volume, oid OID) int {
+	t.Helper()
+	m, err := v.OSD.Stat(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := extent.Open(v.pg, v.ba, m.Root, uint64(oid), v.opts.ExtentConfig, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Pages
+}
+
+// deleteHead runs the volume's bracket by hand for an operation that
+// deletes the first n bytes of object oid through a handle it closes
+// before its commit, as a Batch closes its handles: it commits the
+// operation and returns it with its deferred merge still to run.
+func deleteHead(t *testing.T, v *Volume, oid OID, n uint64) *pager.Op {
+	t.Helper()
+	op := v.pg.NewOp(sysAppender{v})
+	o, err := v.OSD.OpenObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.TruncateRangeDeferred(op, 0, n); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	if err := v.commitOp(op); err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+// TestRecoverDeferredMergeAfterNeighbourAppend: a delete leaves a leaf
+// underfull, its handle closes, and it commits. Before its deferred merge
+// runs, a neighbour opens the object afresh from its row, appends and
+// commits. The merge must run on the tree open on the object now: the
+// closed handle's root does not count the neighbour's bytes, and a merge
+// under the root hands its root to the row in a system transaction that
+// is always redone.
+func TestRecoverDeferredMergeAfterNeighbourAppend(t *testing.T) {
+	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
+	v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.stopCheckpointer()
+	oid, base := twoLeafObject(t, v)
+	op := deleteHead(t, v, oid, 70*4096)
+	neighbour := fill(8192, 0x4E)
+	o, err := v.OSD.OpenObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Append(neighbour); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	if err := v.runDeferred(op); err != nil {
+		t.Fatal(err)
+	}
+	if n := extentPages(t, v, oid); n != 1 {
+		t.Fatalf("%d extent pages after the deferred merge, want the two leaves merged into one", n)
+	}
+	if err := v.log.Sync(); err != nil { // the merge's system transaction
+		t.Fatal(err)
+	}
+	want := append(append([]byte(nil), base[70*4096:]...), neighbour...)
+	check := func(label string, v *Volume) {
+		t.Helper()
+		m, err := v.OSD.Stat(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Size != uint64(len(want)) {
+			t.Fatalf("%s: the row holds %d bytes, want %d", label, m.Size, len(want))
+		}
+		if got := readExtObj(t, v, oid, len(want)); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the object's bytes differ from the delete and the neighbour's append", label)
+		}
+	}
+	check("live", v)
+	assertRecoveryExact(t, v)
+	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	defer v2.Close()
+	check("recovered", v2)
+}
+
+// pauseReadDevice parks the next read of one block until resumed.
+type pauseReadDevice struct {
+	blockdev.Device
+	block  atomic.Uint64 // the block whose next read parks; 0: none
+	paused chan struct{}
+	resume chan struct{}
+}
+
+func (d *pauseReadDevice) ReadBlock(n uint64, p []byte) error {
+	if n != 0 && d.block.CompareAndSwap(n, 0) {
+		close(d.paused)
+		<-d.resume
+	}
+	return d.Device.ReadBlock(n, p)
+}
+
+// TestRecoverDeferredMergeBesideMetaUpdate: a deferred merge finds the
+// object's tree unclaimed and starts; while it reads the leaf it absorbs,
+// an open operation writes the object's row alone (a metadata update's
+// inverse, or SetMode), and never commits. The merge hands the row its
+// root in a system transaction that is always redone, so the row it puts
+// must not carry that operation's mode: the row writer claims the tree
+// under the tree lock and waits for the merge.
+func TestRecoverDeferredMergeBesideMetaUpdate(t *testing.T) {
+	opts := Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}}
+	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
+	v, err := Create(mem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, base := twoLeafObject(t, v)
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dev := &pauseReadDevice{Device: mem, paused: make(chan struct{}), resume: make(chan struct{})}
+	v, err = Open(dev, opts) // a cold cache: the merge reads the second leaf
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.stopCheckpointer()
+	m, err := v.OSD.Stat(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The root's second cell names the second leaf: a child block number
+	// and its byte total, 16 bytes after the header byte and the first.
+	secondLeaf := binary.LittleEndian.Uint64(m.Root[1+16:])
+	op := deleteHead(t, v, oid, 70*4096)
+
+	dev.block.Store(secondLeaf)
+	merged := make(chan error, 1)
+	go func() { merged <- v.runDeferred(op) }()
+	<-dev.paused
+	row, err := v.OSD.MetaTree().Get(binary.BigEndian.AppendUint64(nil, uint64(oid)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row = slices.Clone(row)
+	binary.LittleEndian.PutUint32(row, osd.ModeRegular|0o600) // a row starts with the mode
+	other := v.pg.NewOp(sysAppender{v})
+	wrote := make(chan error, 1)
+	go func() { wrote <- v.OSD.RestoreMeta(other, oid, row) }()
+	select { // the writer must wait for the merge; give it time to slip in
+	case err := <-wrote:
+		wrote <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(dev.resume)
+	if err := <-merged; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if n := extentPages(t, v, oid); n != 1 {
+		t.Fatalf("%d extent pages after the deferred merge, want the two leaves merged into one", n)
+	}
+	if err := v.log.Sync(); err != nil { // the merge's system transaction, not the open operation
+		t.Fatal(err)
+	}
+	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	defer v2.Close()
+	got, err := v2.OSD.Stat(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode != m.Mode {
+		t.Fatalf("recovered mode %o, want %o: the merge's row carried an uncommitted write", got.Mode, m.Mode)
+	}
+	if data := readExtObj(t, v2, oid, len(base)-70*4096); !bytes.Equal(data, base[70*4096:]) {
+		t.Fatal("recovered bytes differ from the committed delete's")
+	}
 }

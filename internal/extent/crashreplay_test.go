@@ -44,19 +44,26 @@ const (
 	crAnchor = 0
 )
 
-// anchorPage keeps a tree's root at the head of block no: one range
-// record in the operation at hand, the way osd rewrites the object's row.
-func anchorPage(pg *pager.Pager, no uint64) Anchor {
-	return func(op *pager.Op, root Root, _ bool) error {
-		return pg.With(no, func(p *pager.Page) error {
-			copy(p.Data(), root[:])
-			pg.MarkDirtyRec(p, op, redo.KindRange, redo.EncodeRange(0, root[:]))
-			return nil
-		})
-	}
+// pageAnchor keeps a tree's root at the head of block no: one range
+// record per hand-over, like the row put osd's anchor makes. The harness
+// opens one tree on it at a time, tr, which runs its deferred rebalances.
+type pageAnchor struct {
+	pg *pager.Pager
+	no uint64
+	tr *Tree
 }
 
-// openAnchored opens the tree whose root block no keeps (anchorPage).
+func (a *pageAnchor) Keep(op *pager.Op, root Root, _ bool) error {
+	return a.pg.With(a.no, func(p *pager.Page) error {
+		copy(p.Data(), root[:])
+		a.pg.MarkDirtyRec(p, op, redo.KindRange, redo.EncodeRange(0, root[:]))
+		return nil
+	})
+}
+
+func (a *pageAnchor) Rebalance(sys *pager.Op, off uint64) error { return a.tr.RebalanceAt(sys, off) }
+
+// openAnchored opens the tree whose root block no keeps (pageAnchor).
 func openAnchored(pg *pager.Pager, ba *buddy.Allocator, no uint64, cfg Config) (*Tree, error) {
 	var root Root
 	err := pg.With(no, func(p *pager.Page) error {
@@ -66,7 +73,9 @@ func openAnchored(pg *pager.Pager, ba *buddy.Allocator, no uint64, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	return Open(pg, ba, root, crOwner, cfg, anchorPage(pg, no))
+	a := &pageAnchor{pg: pg, no: no}
+	a.tr, err = Open(pg, ba, root, crOwner, cfg, a)
+	return a.tr, err
 }
 
 type crEnv struct {
@@ -111,7 +120,9 @@ func newCrashEnv(t *testing.T) *crEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.tr = CreateOp(e.pg, e.ba, Config{MaxExtentBytes: 4096}, nil, crOwner, anchorPage(e.pg, crAnchor))
+	a := &pageAnchor{pg: e.pg, no: crAnchor}
+	e.tr = CreateOp(e.pg, e.ba, Config{MaxExtentBytes: 4096}, nil, crOwner, a)
+	a.tr = e.tr
 	// Formatting flush: a clean generation boundary, after which base
 	// images protect every touched page (exactly core.Create's order).
 	e.checkpoint()

@@ -111,11 +111,19 @@ func (r Root) Size() uint64 {
 	return s
 }
 
-// An Anchor keeps a tree's root node. The tree hands it the root, in the
-// operation at hand, at the end of every mutating call (edit true) and
-// after a deferred merge that changed the root (edit false). osd's anchor
-// writes it into the object's row in the object table.
-type Anchor func(op *pager.Op, root Root, edit bool) error
+// An Anchor keeps a tree's root node: osd's writes it into the object's
+// row in the object table.
+type Anchor interface {
+	// Keep takes the root, in the operation at hand, at the end of every
+	// mutating call (edit true) and after a deferred merge that changed
+	// the root (edit false).
+	Keep(op *pager.Op, root Root, edit bool) error
+	// Rebalance runs a deferred rebalance (RebalanceAt) on the tree open on
+	// the anchor's owner now. The tree that deferred it may have been
+	// closed since, and its owner reopened from the anchor into a new
+	// tree; only that tree's root is current.
+	Rebalance(sys *pager.Op, off uint64) error
+}
 
 // Key names the tree owned by owner to pager.After and pager.Holds: the
 // object, in a namespace no block number reaches.
@@ -251,7 +259,7 @@ func (t *Tree) begin(op *pager.Op) func(err *error) {
 	op.BeginAtomic()
 	return func(err *error) {
 		if t.anchor != nil {
-			if aerr := t.anchor(op, t.Root(), true); *err == nil {
+			if aerr := t.anchor.Keep(op, t.Root(), true); *err == nil {
 				*err = aerr
 			}
 		}
@@ -260,6 +268,17 @@ func (t *Tree) begin(op *pager.Op) func(err *error) {
 		t.curOp = nil
 		t.mu.Unlock()
 	}
+}
+
+// Claim makes op the last operation to build on the tree (pager.After),
+// under the tree lock, for an operation that writes the tree's anchor and
+// not the tree: a deferred rebalance then yields to op (RebalanceAt)
+// rather than hand the anchor a root in a system transaction that would
+// carry op's uncommitted writes with it.
+func (t *Tree) Claim(op *pager.Op) {
+	t.mu.Lock()
+	t.pg.After(Key(t.owner), op)
+	t.mu.Unlock()
 }
 
 // Create makes a new empty extent tree owned by no object, with its root
@@ -520,18 +539,13 @@ type pathElem struct {
 // the leaf page number, and the byte offset remaining within the leaf.
 func (t *Tree) descend(off uint64) ([]pathElem, uint64, uint64, error) {
 	var path []pathElem
-	if t.height > 1 {
-		path = make([]pathElem, 0, t.height-1)
-	}
 	leaf, rem, err := t.walk(off, &path)
 	return path, leaf, rem, err
 }
 
-// leafAt is descend for a reader, which needs no path.
-func (t *Tree) leafAt(off uint64) (uint64, uint64, error) { return t.walk(off, nil) }
-
 // walk is descend's body, appending each internal step to *path unless
-// path is nil.
+// path is nil: a reader needs no path, and a tree of more than R extents
+// has internal steps, whose path would cost a read an allocation.
 func (t *Tree) walk(off uint64, path *[]pathElem) (uint64, uint64, error) {
 	pno := rootNo
 	rem := off

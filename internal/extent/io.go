@@ -41,7 +41,7 @@ func (t *Tree) readAtLocked(p []byte, off uint64) (int, error) {
 	}
 	p = p[:n]
 
-	leafPno, rem, err := t.leafAt(off)
+	leafPno, rem, err := t.walk(off, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -384,10 +384,12 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) (err error) {
 // op; the root goes with its anchor. It stages one inverse for all of
 // them before it frees any, and edits nothing, so a rollback takes the
 // tree back intact — this handle included; the pages leave the cache only
-// once op commits. The tree must not be used once op has committed.
+// once op commits. The tree must not be used once op has committed. op
+// claims the tree (pager.After), so a deferred rebalance yields to it.
 func (t *Tree) Destroy(op *pager.Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.pg.After(Key(t.owner), op)
 	var pages []uint64
 	var data []undo.Run
 	var walk func(pno uint64, level int) error

@@ -234,7 +234,12 @@ func (t *Tree) removeCellAt(path []pathElem, leafPno uint64, idx int, off uint64
 				cell := new(atomic.Uint64)
 				cell.Store(off)
 				t.rebalOp, t.rebalOff = t.curOp, cell
-				t.curOp.Defer(func(sys *pager.Op) error { return t.RebalanceAt(sys, cell.Load()) })
+				t.curOp.Defer(func(sys *pager.Op) error {
+					if t.anchor == nil {
+						return t.RebalanceAt(sys, cell.Load())
+					}
+					return t.anchor.Rebalance(sys, cell.Load())
+				})
 			}
 		} else if _, err := t.maybeMerge(nil, path, leafPno); err != nil {
 			return err
@@ -256,14 +261,19 @@ func (t *Tree) removeCellAt(path []pathElem, leafPno uint64, idx int, off uint64
 //
 // A merge under the root hands the anchor absolute cells in sys, which
 // is redone whatever else the log keeps; so the rebalance yields, and
-// does nothing, while an open operation has mutated the tree (pager
-// Claimed): the tree in cache may then hold records the log does not.
+// does nothing, while an open operation has built on the tree or its
+// anchor (pager Claimed): the tree in cache, or the anchor, may then hold
+// edits the log does not. Every such operation claims the tree under the
+// tree lock (begin, Claim, Destroy), and the lock is held from the check
+// to the anchor's put, so none can slip in between. The tree must be the
+// one open on its owner (Anchor.Rebalance): another tree on the same
+// owner would hold a stale root and a lock of its own.
 func (t *Tree) RebalanceAt(sys *pager.Op, off uint64) (err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer func() {
 		if t.rootDirty && t.anchor != nil && err == nil {
-			err = t.anchor(sys, t.Root(), false)
+			err = t.anchor.Keep(sys, t.Root(), false)
 		}
 		t.rootDirty = false
 	}()

@@ -1,6 +1,7 @@
 package osd
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/extent"
@@ -24,22 +25,43 @@ type Object struct {
 	closed bool
 }
 
-// anchor keeps the object's extent root in its row (extent.Anchor). The
-// tree calls it under its own lock at the end of each mutating call, so
-// rows land in the order of the edits they follow; an edit also stamps
-// the mtime, so a mutation costs one put. The put stages no inverse: the
-// tree's own inverses take the edit back and rewrite the row from it.
-func (o *Object) anchor(op *pager.Op, root extent.Root, edit bool) error {
+// rowAnchor keeps object oid's extent root in its row (extent.Anchor).
+// The tree hands it the root under its own lock at the end of each
+// mutating call, so rows land in the order of the edits they follow; an
+// edit also stamps the mtime, so a mutation costs one put. The put stages
+// no inverse: the tree's own inverses take the edit back and rewrite the
+// row from it.
+type rowAnchor struct {
+	s   *Store
+	oid OID
+}
+
+func (a rowAnchor) Keep(op *pager.Op, root extent.Root, edit bool) error {
 	var now int64
 	if edit {
-		now = o.s.now()
+		now = a.s.now()
 	}
-	return o.s.putRow(op, o.oid, func(m *Meta) {
+	return a.s.putRow(op, a.oid, func(m *Meta) {
 		m.Root = root
 		if edit {
 			m.Mtime = now
 		}
 	})
+}
+
+// Rebalance runs a deferred rebalance on the tree open on the object now,
+// opening it if no handle is: the handle whose mutation deferred it may
+// be closed by now. An object deleted since has nothing to rebalance.
+func (a rowAnchor) Rebalance(sys *pager.Op, off uint64) error {
+	obj, err := a.s.OpenObject(a.oid)
+	if errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer obj.Close()
+	return obj.ext.RebalanceAt(sys, off)
 }
 
 // OID returns the object's identifier.
@@ -166,6 +188,9 @@ func (o *Object) Truncate(size uint64) error {
 // callers that batch the commit themselves. Its inverse restores the
 // fields f changed, never the root (undo.MetaPut).
 func (s *Store) updateMetaNoCommit(op *pager.Op, oid OID, f func(*Meta)) error {
+	if err := s.claimRow(op, oid); err != nil {
+		return err
+	}
 	return s.putRow(op, oid, func(m *Meta) {
 		if op.UndoEnabled() {
 			old := *m
@@ -174,6 +199,19 @@ func (s *Store) updateMetaNoCommit(op *pager.Op, oid OID, f func(*Meta)) error {
 		}
 		f(m)
 	})
+}
+
+// claimRow claims object oid's tree for op, which is about to write the
+// object's row and not its tree, under the lock of the tree open on the
+// object (extent.Tree.Claim): a deferred rebalance, which puts the row in
+// a system transaction, then never reads op's uncommitted fields.
+func (s *Store) claimRow(op *pager.Op, oid OID) error {
+	obj, err := s.OpenObject(oid)
+	if err != nil {
+		return err
+	}
+	obj.ext.Claim(op)
+	return obj.Close()
 }
 
 // putRow rewrites object oid's row through f in op, in one atomic

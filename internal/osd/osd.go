@@ -13,7 +13,7 @@
 // inode: an object of extent.R extents or fewer has no extent page at
 // all, and opening it reads none. The root's byte total is the object's
 // size. Each mutation rewrites the row once, at its end, with the new root
-// and mtime (Object.anchor). The paper also keeps a copy of the metadata
+// and mtime (rowAnchor). The paper also keeps a copy of the metadata
 // under a NULL key of the object's own tree ("we use a NULL key value in
 // the Btree to store the meta-data associated with an object"); here every
 // page below the root carries only the owning OID, written once when the
@@ -316,7 +316,7 @@ func (s *Store) createObject(op *pager.Op, owner string, mode uint32) (*Object, 
 		return nil, err
 	}
 	obj := &Object{s: s, oid: oid, refs: 1}
-	obj.ext = extent.CreateOp(s.pg, s.ba, s.opts.ExtentConfig, op, uint64(oid), obj.anchor)
+	obj.ext = extent.CreateOp(s.pg, s.ba, s.opts.ExtentConfig, op, uint64(oid), rowAnchor{s, oid})
 	s.mu.Lock()
 	s.open[oid] = obj
 	s.mu.Unlock()
@@ -351,7 +351,7 @@ func (s *Store) OpenObject(oid OID) (*Object, error) {
 		return nil, err
 	}
 	obj := &Object{s: s, oid: oid, refs: 1}
-	if obj.ext, err = extent.Open(s.pg, s.ba, m.Root, uint64(oid), s.opts.ExtentConfig, obj.anchor); err != nil {
+	if obj.ext, err = extent.Open(s.pg, s.ba, m.Root, uint64(oid), s.opts.ExtentConfig, rowAnchor{s, oid}); err != nil {
 		return nil, err
 	}
 	s.open[oid] = obj
@@ -412,24 +412,17 @@ func (s *Store) DeleteObjectDeferred(op *pager.Op, oid OID) error {
 }
 
 func (s *Store) deleteObject(op *pager.Op, oid OID) error {
-	m, err := s.Stat(oid)
+	// The tree open on the object, so that no deferred rebalance merges
+	// its pages while Destroy collects them.
+	obj, err := s.OpenObject(oid)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	obj, wasOpen := s.open[oid]
-	s.mu.Unlock()
-
-	var ext *extent.Tree
-	if wasOpen {
-		ext = obj.ext
-	} else if ext, err = extent.Open(s.pg, s.ba, m.Root, uint64(oid), s.opts.ExtentConfig, nil); err != nil {
-		return err
-	}
+	defer obj.Close()
 	// Both steps stage their inverses, so a rollback finds the tree, its
 	// runs and the row, root included, as they were — and, since the
 	// handle goes only once op commits, any open handle too.
-	if err := ext.Destroy(op); err != nil {
+	if err := obj.ext.Destroy(op); err != nil {
 		return err
 	}
 	if err := s.meta.DeleteOp(op, oidKey(oid)); err != nil {
@@ -482,10 +475,13 @@ func (s *Store) RestoreMeta(op *pager.Op, oid OID, row []byte) error {
 	if err != nil {
 		return err
 	}
-	err = s.putRow(op, oid, func(m *Meta) {
-		old.Root = m.Root
-		*m = old
-	})
+	err = s.claimRow(op, oid)
+	if err == nil {
+		err = s.putRow(op, oid, func(m *Meta) {
+			old.Root = m.Root
+			*m = old
+		})
+	}
 	if errors.Is(err, ErrNotFound) {
 		return nil
 	}
