@@ -15,6 +15,16 @@ const ovfDataOff = 16
 
 func ovfCapacity(blockSize int) int { return blockSize - ovfDataOff }
 
+// fillOverflow formats the zeroed page d as an overflow page holding
+// chunk and chained to next (0 = the end), and returns the bytes it set.
+func fillOverflow(d, chunk []byte, next uint64) []byte {
+	d[offType] = pageOverflow
+	binary.LittleEndian.PutUint16(d[2:], uint16(len(chunk)))
+	binary.LittleEndian.PutUint64(d[offPtrA:], next)
+	copy(d[ovfDataOff:], chunk)
+	return d[:ovfDataOff+len(chunk)]
+}
+
 // writeOverflow spills val into a chain of overflow pages, returning the
 // first page number. Overflow pages are fresh and single-writer, so
 // their redo records are plain byte ranges covering exactly the header
@@ -38,12 +48,8 @@ func (t *Tree) writeOverflow(op *pager.Op, val []byte) (uint64, error) {
 			return 0, err
 		}
 		err = t.pg.WithZero(pno, func(pg *pager.Page) error {
-			d := pg.Data()
-			d[offType] = pageOverflow
-			binary.LittleEndian.PutUint16(d[2:], uint16(end-off))
-			copy(d[ovfDataOff:], val[off:end])
-			t.pg.MarkDirtyRec(pg, op, redo.KindRange,
-				redo.EncodeRange(0, append([]byte(nil), d[:ovfDataOff+(end-off)]...)))
+			set := fillOverflow(pg.Data(), val[off:end], 0)
+			t.pg.MarkDirtyRec(pg, op, redo.KindRange, redo.EncodeRange(0, append([]byte(nil), set...)))
 			return nil
 		})
 		if err != nil {

@@ -22,7 +22,6 @@
 //
 // Op payloads (first byte is the opcode):
 //
-//	opInit          typ u8
 //	opPut           cell-encoding (leaf or internal; replace semantics)
 //	opDel           key
 //	opRedirect      klen uvarint | key | newChild u64   (internal cell)
@@ -30,6 +29,10 @@
 //	opSplitInternal right u64 | newChild u64 | klen uvarint | newKey
 //	opNewRoot       left u64 | right u64 | klen uvarint | sep
 //	opMerge         left u64 | right u64                (page = parent)
+//
+// Opcode 1 is retired: it formatted the root leaf of a tree an operation
+// created. Such a tree is built whole now (Build), and no record carries
+// its pages; the volume format that retired it refuses older logs.
 package btree
 
 import (
@@ -40,7 +43,6 @@ import (
 
 // Btree redo opcodes (payload byte 0 of a redo.KindBtreeOp record).
 const (
-	opInit          = 1
 	opPut           = 2
 	opDel           = 3
 	opRedirect      = 4
@@ -115,13 +117,6 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 	p := pageRef{data}
 
 	switch code {
-	case opInit:
-		if len(b) < 1 {
-			return errReplay("opInit missing type")
-		}
-		initPage(data, b[0])
-		return nil
-
 	case opPut:
 		return replayPut(p, b)
 

@@ -57,12 +57,6 @@ type Tree struct {
 	pg     *pager.Pager
 	space  pager.Space
 	hdrPno uint64
-	// creator is the ID of the operation that created the tree (0 when
-	// opened, or created unlogged). Until that operation commits nothing
-	// else can reach the tree: its edits need no inverse of their own (the
-	// operation's rollback drops the whole tree), and its splits are the
-	// operation's, not system transactions (smoOp).
-	creator uint64
 
 	mu     sync.RWMutex
 	root   uint64
@@ -73,47 +67,12 @@ type Tree struct {
 	stats  Stats
 }
 
-// Create allocates and initializes a new empty tree, returning it and the
-// header page number by which it can be reopened.
+// Create makes a new empty tree, unlogged, returning it and the header
+// page number by which it can be reopened: the volume's trees are made
+// when it is formatted. It is Build of nothing without an operation; a
+// tree made inside an operation is built whole by Build.
 func Create(pg *pager.Pager, alloc PageAllocator) (*Tree, error) {
-	return CreateOp(pg, alloc, nil)
-}
-
-// CreateOp is Create with the creating operation's redo capture, so trees
-// created inside a transaction (fulltext segments) recover with it. Its
-// inverse drops the tree: staged once the tree stands, in the same atomic
-// section as the allocations, while a failure before that point gives the
-// pages straight back.
-func CreateOp(pg *pager.Pager, alloc PageAllocator, op *pager.Op) (*Tree, error) {
-	op.BeginAtomic()
-	defer op.EndAtomic()
-	space := pager.NewSpace(pg, pageRuns{alloc})
-	hdr, err := space.Alloc(op, 1)
-	if err != nil {
-		return nil, err
-	}
-	rootPno, err := space.Alloc(op, 1)
-	if err != nil {
-		_ = space.Free(op, hdr, 1)
-		return nil, err
-	}
-	t := &Tree{pg: pg, space: space, hdrPno: hdr, root: rootPno, height: 1, creator: op.ID()}
-	// Initialize root leaf.
-	err = pg.WithZero(rootPno, func(rp *pager.Page) error {
-		initPage(rp.Data(), pageLeaf)
-		pg.MarkDirtyRec(rp, op, redo.KindBtreeOp, encOp(opInit, []byte{pageLeaf}))
-		return nil
-	})
-	if err == nil {
-		err = t.writeHeaderOp(op)
-	}
-	if err != nil {
-		_ = space.Free(op, rootPno, 1)
-		_ = space.Free(op, hdr, 1)
-		return nil, err
-	}
-	op.StageUndo(undo.BtreeDrop(hdr))
-	return t, nil
+	return Build(pg, alloc, nil, func() ([]byte, []byte, bool, error) { return nil, nil, false, nil })
 }
 
 // Open loads an existing tree from its header page.
@@ -438,7 +397,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte, inverse bool) error {
 			if err != nil {
 				return err
 			}
-			if inverse && t.inverts(op) {
+			if inverse && op.UndoEnabled() {
 				// Inverse restores the old value; read it (overflow included)
 				// before the chain is freed.
 				old, err := t.cellValue(c)
@@ -453,7 +412,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte, inverse bool) error {
 				}
 			}
 			p.removeCell(idx)
-		} else if inverse && t.inverts(op) {
+		} else if inverse && op.UndoEnabled() {
 			op.StageUndo(undo.KeyDel(t.hdrPno, key))
 		}
 		enc := encodeLeafCell(nil, key, inlineVal, totalLen, ovfPage)
@@ -462,7 +421,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte, inverse bool) error {
 			return nil
 		}
 		// Leaf is full: split. insertRaw left the page unchanged.
-		sys = t.smoOp(op)
+		sys = op.NewSys()
 		sep, rightPno, oldNext, err = t.splitLeaf(op, sys, pg, idx, enc)
 		return err
 	})
@@ -470,7 +429,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte, inverse bool) error {
 		return err
 	}
 	if rightPno != 0 {
-		if err := t.linkLeafSplit(op, sys, path, sep, leafPno, rightPno, oldNext); err != nil {
+		if err := t.linkLeafSplit(sys, path, sep, leafPno, rightPno, oldNext); err != nil {
 			return err
 		}
 	}
@@ -584,7 +543,7 @@ func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte)
 // linkLeafSplit finishes splitLeaf's system transaction: the old right
 // neighbour's back pointer moves to the new right half, and the separator
 // goes up into the parent.
-func (t *Tree) linkLeafSplit(op, sys *pager.Op, path []pathElem, sep []byte, leafPno, rightPno, oldNext uint64) error {
+func (t *Tree) linkLeafSplit(sys *pager.Op, path []pathElem, sep []byte, leafPno, rightPno, oldNext uint64) error {
 	var err error
 	if oldNext != 0 {
 		err = t.pg.With(oldNext, func(npg *pager.Page) error {
@@ -602,11 +561,8 @@ func (t *Tree) linkLeafSplit(op, sys *pager.Op, path []pathElem, sep []byte, lea
 	// consistent with the (possibly partially split) in-cache tree —
 	// and the enclosing op's own records, which the volume's bracket
 	// (core.withOp) commits even on failure, may already target the new
-	// right page. A split the operation carries itself commits with it.
-	var aerr error
-	if sys != op {
-		aerr = sys.AppendSys()
-	}
+	// right page.
+	aerr := sys.AppendSys()
 	if err != nil {
 		return err
 	}
@@ -622,7 +578,7 @@ func decodeKeyFromRaw(raw []byte) []byte {
 // insertSeparator inserts (sep → leftPno) into the parent at the end of
 // path, where the existing reference at that position currently reaches
 // leftPno and must now reach rightPno. Splits parents as needed. Every
-// record, allocations included, goes into sys (see smoOp).
+// record, allocations included, goes into sys.
 func (t *Tree) insertSeparator(sys *pager.Op, path []pathElem, sep []byte, leftPno, rightPno uint64) error {
 	if len(path) == 0 {
 		// Split the root: create a new internal root.
@@ -798,7 +754,7 @@ func (t *Tree) DeleteOp(op *pager.Op, key []byte) error {
 		if err != nil {
 			return err
 		}
-		if t.inverts(op) {
+		if op.UndoEnabled() {
 			// Inverse re-inserts the old value; read it (overflow included)
 			// before the chain is freed.
 			old, err := t.cellValue(c)
@@ -1016,28 +972,6 @@ func (t *Tree) freePage(op *pager.Op, pno uint64) error {
 		return err
 	}
 	return t.space.Free(op, pno, 1)
-}
-
-// smoOp picks the capture a split is logged in. Normally that is a system
-// transaction of its own: the split is redone whatever becomes of op, and
-// its new pages are linked into a tree others can see. But while the
-// operation that created this tree is still open, the tree is reachable
-// only through that operation's records: if they are dropped at a crash,
-// an always-redone split would have allocated pages nothing points at,
-// and if they are rolled back, the drop would walk pages whose allocation
-// the log does not hold. So the split is the creating operation's own,
-// allocations and all, inside the put's atomic section.
-func (t *Tree) smoOp(op *pager.Op) *pager.Op {
-	if t.creator != 0 && op.ID() == t.creator {
-		return op
-	}
-	return op.NewSys()
-}
-
-// inverts reports whether an edit by op must stage its inverse: not in a
-// tree op itself created, whose rollback drops the tree whole.
-func (t *Tree) inverts(op *pager.Op) bool {
-	return op.UndoEnabled() && (t.creator == 0 || op.ID() != t.creator)
 }
 
 // Drop frees every page owned by the tree — nodes, overflow chains, and

@@ -487,6 +487,11 @@ func TestOpenRefusesV2Superblock(t *testing.T) { refuseVersion(t, 2) }
 // row holds the root itself; Open refuses it.
 func TestOpenRefusesV3Superblock(t *testing.T) { refuseVersion(t, 3) }
 
+// TestOpenRefusesV4Superblock: a version 4 volume's log may hold extent
+// opcode 11 and btree opcode 1 records, which this format's replay no
+// longer reads; Open refuses it rather than fail mid-replay.
+func TestOpenRefusesV4Superblock(t *testing.T) { refuseVersion(t, 4) }
+
 // refuseVersion stamps a fresh volume's superblock with version ver and
 // requires Open to refuse it.
 func refuseVersion(t *testing.T, ver uint32) {

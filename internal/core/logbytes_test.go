@@ -2,11 +2,16 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/extent"
+	"repro/internal/fulltext"
 	"repro/internal/index"
 	"repro/internal/osd"
+	"repro/internal/redo"
+	"repro/internal/wal"
 )
 
 // TestLogBytesPerSmallEdit holds physiological logging to its byte
@@ -99,5 +104,95 @@ func TestLogBytesPerSmallEdit(t *testing.T) {
 				t.Errorf("a 64-byte edit logs %.1f B, want ≤ %.0f", got, tc.bound)
 			}
 		})
+	}
+}
+
+// TestSegmentFlushLogsNoPostings: a full-text flush builds its segment
+// whole (btree.Build), and so does the tiered merge a later flush sets
+// off. Neither logs a page record (btree op or byte range) for a page of
+// a segment it built: the log holds the pages' allocations and sums, and
+// no posting. Each commit logs a bounded number of bytes per page of the
+// segments it built — the operation's own records included; a segment
+// grown by logged puts put every posting in the log, several KiB per
+// page.
+func TestSegmentFlushLogsNoPostings(t *testing.T) {
+	const flushDocs, maxSegs, walBlocks = 64, 2, 4096
+	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
+	v, err := Create(mem, Options{WALBlocks: walBlocks,
+		FulltextConfig: fulltext.Config{FlushDocs: flushDocs, MaxSegments: maxSegs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.stopCheckpointer)
+	oids := populate(t, v, flushDocs*(maxSegs+1))
+	if err := v.Sync(); err != nil { // the log starts empty
+		t.Fatal(err)
+	}
+	v.stopCheckpointer()
+	segPages := func() map[uint64]bool {
+		pages := map[uint64]bool{}
+		for _, tr := range v.Fulltext().Inner().Trees()[1:] { // [0] is the manifest
+			res, err := tr.Check()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range res.AllPages {
+				pages[p] = true
+			}
+		}
+		return pages
+	}
+	built := map[uint64]bool{}
+	flushes, merges := 0, 0
+	for i, oid := range oids {
+		var text strings.Builder
+		fmt.Fprintf(&text, "doc%d shared", i)
+		for j := 0; j < 200; j++ {
+			fmt.Fprintf(&text, " t%dx%d", i, j)
+		}
+		had, ft0 := segPages(), v.Fulltext().Inner().Stats()
+		b0 := v.WAL().Stats().BytesLogged
+		if err := v.AddName(oid, index.TagFulltext, []byte(text.String())); err != nil {
+			t.Fatal(err)
+		}
+		logged := v.WAL().Stats().BytesLogged - b0
+		ft := v.Fulltext().Inner().Stats()
+		if ft.Flushes == ft0.Flushes {
+			continue
+		}
+		kind := "flush"
+		if flushes++; ft.Compactions > ft0.Compactions {
+			kind = "merge"
+			merges++
+		}
+		pages := 0
+		for p := range segPages() {
+			if !had[p] {
+				built[p] = true
+				pages++
+			}
+		}
+		perPage := float64(logged) / float64(pages)
+		t.Logf("%s: %d B logged for %d new segment pages, %.0f B/page", kind, logged, pages, perPage)
+		if perPage > 256 {
+			t.Errorf("a %s logs %.0f B per segment page, want ≤ 256", kind, perPage)
+		}
+	}
+	if flushes != maxSegs+1 || merges != 1 {
+		t.Fatalf("%d flushes and %d merges, want %d and 1", flushes, merges, maxSegs+1)
+	}
+	// Read the log back, as recovery does, from a copy of the device.
+	img := crashCopy(t, v, mem)
+	var pageRecs int
+	if _, err := wal.New(img, 1, walBlocks).Recover(func(r redo.Record) error {
+		if k := redo.BaseKind(r.Kind); (k == redo.KindBtreeOp || k == redo.KindRange) && built[r.Page] {
+			pageRecs++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if pageRecs > 0 {
+		t.Errorf("the log holds %d page records for pages of the built segments", pageRecs)
 	}
 }

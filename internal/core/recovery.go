@@ -91,7 +91,8 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 	bs := v.raw.BlockSize()
 	pages := make(map[uint64][]byte)
 	pristine := make(map[uint64][]byte)
-	wrote := make(map[uint64][]uint32) // data block → the sums its logged writes left, in order
+	wrote := make(map[uint64][]uint32) // block → the sums its logged writes left, in order
+	built := make(map[uint64]bool)     // block → its last logged write was a built page's
 	var allocs []allocRec
 	rep := &v.recovery
 	// Materialization reads bypass checksum verification: a stolen page's
@@ -139,12 +140,14 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 		case redo.KindBtreeOp:
 			return btree.ReplayOp(get, r.Page, r.Data)
 		case redo.KindExtentOp:
-			extent.DataSums(r.Data, func(b uint64, sum uint32) {
+			return extent.ReplayOp(get, r.Page, r.Data)
+		case redo.KindWrote, redo.KindBuilt:
+			return redo.WroteSums(r.Page, r.Data, func(b uint64, sum uint32) {
 				if v.sums.covers(b) {
 					wrote[b] = append(wrote[b], sum)
+					built[b] = r.Kind == redo.KindBuilt
 				}
 			})
-			return extent.ReplayOp(get, r.Page, r.Data)
 		case redo.KindAlloc:
 			a, err := decodeAllocRec(r)
 			if err != nil {
@@ -189,7 +192,7 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 			}
 			rep.PagesHome++
 		}
-		if err := v.settleDataSums(wrote); err != nil {
+		if err := v.settleDataSums(wrote, built); err != nil {
 			return err
 		}
 		return v.raw.Sync()
@@ -197,17 +200,20 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 	return allocs, err
 }
 
-// settleDataSums gives the data blocks the log tail wrote straight to the
-// device the sums of what they hold now: the sidecar's are the
+// settleDataSums gives the blocks the log tail wrote straight to the
+// device (redo.KindWrote: object data; redo.KindBuilt: the pages of built
+// trees) the sums of what they hold now: the sidecar's are the
 // checkpoint's, from before those writes. A block that holds what its
 // last logged write left is settled. One that still holds what it held
 // before that write — its checkpoint content (zeros if nothing had
 // written it) or what an earlier write of the tail left — never received
 // it: the device lost or misdirected it. Such a block gets a sum its
-// content fails, so reading it is an error, not stale bytes. Any other
-// content is learned as it is: a later write the log does not hold,
-// which never committed, may have rewritten the block in place.
-func (v *Volume) settleDataSums(wrote map[uint64][]uint32) error {
+// content fails, so reading it is an error, not stale bytes. Other
+// content of a data block is learned as it is: a later write the log
+// does not hold, which never committed, may have rewritten the block in
+// place. A built page is never rewritten, so other content of one is a
+// write corrupted on its way to the device, and fails too.
+func (v *Volume) settleDataSums(wrote map[uint64][]uint32, built map[uint64]bool) error {
 	buf := make([]byte, v.raw.BlockSize())
 	zeros := blockdev.Sum(buf)
 	for b, sums := range wrote {
@@ -220,7 +226,7 @@ func (v *Volume) settleDataSums(wrote map[uint64][]uint32) error {
 			before = zeros
 		}
 		last := len(sums) - 1
-		if got != sums[last] && (got == before || slices.Contains(sums[:last], got)) {
+		if got != sums[last] && (built[b] || got == before || slices.Contains(sums[:last], got)) {
 			got = ^got
 		}
 		v.sums.set(b, got)

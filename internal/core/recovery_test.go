@@ -576,7 +576,8 @@ func TestRecoveryLosers(t *testing.T) {
 		}
 		img := loserImage(t, v, mem, func(b *Batch, i int) error {
 			if i == 0 {
-				if _, err := btree.CreateOp(v.pg, pageAlloc{v.ba}, b.op); err != nil {
+				none := func() ([]byte, []byte, bool, error) { return nil, nil, false, nil }
+				if _, err := btree.Build(v.pg, pageAlloc{v.ba}, b.op, none); err != nil {
 					return err
 				}
 				ext, err := extent.Open(v.pg, v.ba, m.Root, uint64(m.OID), v.opts.ExtentConfig, nil)
@@ -644,7 +645,10 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 			}
 		},
 		"fulltext": func(v *Volume, oids []OID) func(b *Batch, i int) error {
-			// Committed segments for the loser's compactions to drop.
+			// Committed segments for the loser's compactions to drop. A
+			// segment is built clean, so the loser also fills an object
+			// every eighth step: its extent pages are the dirty set that
+			// forces the steal putting the loser in the log.
 			for i, oid := range oids[:6] {
 				if err := v.AddName(oid, index.TagFulltext, []byte(fmt.Sprintf("kept%d shared", i))); err != nil {
 					t.Fatal(err)
@@ -652,7 +656,18 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 			}
 			return func(b *Batch, i int) error {
 				text := fmt.Sprintf("loser%06d shared filler%d", i, i%7)
-				return v.addNameDeferred(b.op, oids[i%len(oids)], index.TagFulltext, []byte(text))
+				if err := v.addNameDeferred(b.op, oids[i%len(oids)], index.TagFulltext, []byte(text)); err != nil {
+					return err
+				}
+				if i%8 != 7 {
+					return nil
+				}
+				o, err := b.CreateObject("loser")
+				if err != nil {
+					return err
+				}
+				defer o.Close()
+				return fillPaged(b, o, byte(i))
 			}
 		},
 	}

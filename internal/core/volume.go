@@ -84,7 +84,7 @@ type OID = osd.OID
 //	[96:100] crc32 of bytes [0:96]
 const (
 	sbMagic   = 0x68464144 // "hFAD"
-	sbVersion = 4          // v4: an extent tree's root lives in its object's row
+	sbVersion = 5          // v5: data and built-page sums ride redo.KindWrote
 
 	flagLogged = 1 << 0
 	flagClean  = 1 << 1

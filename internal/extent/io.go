@@ -10,7 +10,6 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/buddy"
 	"repro/internal/pager"
-	"repro/internal/redo"
 	"repro/internal/undo"
 )
 
@@ -746,23 +745,15 @@ func writeRun(dev blockdev.Device, e Extent, live, extOff uint64, p []byte) ([]b
 }
 
 // writeData writes p into extent e from extOff (see writeRun) and stages
-// the sums of the blocks it wrote (see DataSums).
+// the sums of the blocks it wrote (see redo.KindWrote): without them
+// nothing in the log would say what the blocks now hold, and recovery
+// would hold them to the sums of the checkpoint before.
 func (t *Tree) writeData(e Extent, live, extOff uint64, p []byte) error {
 	sums, err := writeRun(t.dev, e, live, extOff, p)
 	if err == nil {
-		t.recWrote(e.Alloc+extOff/t.bsU64, sums)
+		t.curOp.Wrote(e.Alloc+extOff/t.bsU64, sums)
 	}
 	return err
-}
-
-// recWrote stages the sums of the data blocks from first on that the
-// operation has just written, in a record that edits no page. Without it
-// nothing in the log would say what the blocks now hold, and recovery
-// would hold them to the sums of the checkpoint before.
-func (t *Tree) recWrote(first uint64, sums []byte) {
-	if t.curOp != nil {
-		t.curOp.Note(redo.KindExtentOp, encXop(xopWrote, xu64(first), sums))
-	}
 }
 
 // Extents calls fn for every extent in order with its starting offset.

@@ -40,13 +40,13 @@
 //	                                           leaf pages also stitch the chain)
 //	xopAbsorb   right u64                     (right's cells append to the
 //	                                           page; a leaf takes right's next)
-//	xopWrote    block u64 | sum u32...        (no page: the data blocks from
-//	                                           block on that the operation
-//	                                           wrote, one sum each)
 //
 // Opcodes 9, 10, 12 and 13 are retired: they grew a root above the old
 // one, merged two children through their parent, and pushed a root page
-// down and pulled it up, in older formats whose roots had pages.
+// down and pulled it up, in older formats whose roots had pages. So is
+// opcode 11, which named the data blocks an operation wrote: that is a
+// redo.KindWrote record now, which built btree pages share; the volume
+// format that retired it refuses older logs.
 package extent
 
 import (
@@ -64,7 +64,6 @@ const (
 	xopChildSet = 6
 	xopBump     = 7
 	xopSplit    = 8
-	xopWrote    = 11
 	xopAbsorb   = 14
 	xopChildDel = 15
 )
@@ -169,23 +168,13 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 		return errXReplay("empty op payload")
 	}
 	code, b := payload[0], payload[1:]
-	var data []byte
-	if code != xopWrote { // the one record with no page
-		var err error
-		if data, err = get(pageNo); err != nil {
-			return err
-		}
+	data, err := get(pageNo)
+	if err != nil {
+		return err
 	}
 	n := nodeRef{data}
 
 	switch code {
-	case xopWrote:
-		// Changes no page: the record only names data blocks (DataSums).
-		if len(b) < 12 || (len(b)-8)%4 != 0 {
-			return errXReplay("xopWrote payload of %d bytes", len(b))
-		}
-		return nil
-
 	case xopInit:
 		if len(b) < 9 || (len(b)-9)%leafCellSize != 0 || hdrSize+len(b)-9 > len(data)-ownerLen {
 			return errXReplay("xopInit payload of %d bytes", len(b))
@@ -350,21 +339,5 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 
 	default:
 		return errXReplay("unknown opcode %d", code)
-	}
-}
-
-// DataSums calls fn with each data block a record says its operation
-// wrote straight to the device, outside the log, and the sum of what the
-// block then held. Recovery holds those blocks to these sums in place of
-// the checkpoint's, so a write the device lost or misdirected reads back
-// as corrupt.
-func DataSums(payload []byte, fn func(block uint64, sum uint32)) {
-	if len(payload) < 13 || payload[0] != xopWrote || (len(payload)-9)%4 != 0 {
-		return
-	}
-	block := binary.LittleEndian.Uint64(payload[1:])
-	for b := payload[9:]; len(b) > 0; b = b[4:] {
-		fn(block, binary.LittleEndian.Uint32(b))
-		block++
 	}
 }

@@ -35,7 +35,10 @@ type ScoredDoc struct {
 // Config tunes the index.
 type Config struct {
 	// FlushDocs is the in-memory buffer size in documents before an
-	// automatic segment flush. Default 512.
+	// automatic segment flush. Default 512. A flush writes each page of
+	// its segment once, packed full (btree.Build), and logs no posting:
+	// a larger buffer makes fewer, larger segments and fewer merges, not
+	// a longer log.
 	FlushDocs int
 	// MaxSegments bounds the segments of one level: a flush writes a
 	// level-0 segment, and a level holding more than MaxSegments is merged
@@ -171,15 +174,6 @@ func segValue(hdr uint64, level int) []byte {
 	return v
 }
 
-// segLevel reads a segment's level from its "S/" value. A value of 8
-// bytes was written before segments had levels: level 0.
-func segLevel(v []byte) int {
-	if len(v) > 8 {
-		return int(v[8])
-	}
-	return 0
-}
-
 // Create makes a new empty index whose manifest btree identifies it.
 func Create(pg *pager.Pager, alloc btree.PageAllocator, cfg Config) (*Index, error) {
 	cfg.fill()
@@ -222,7 +216,11 @@ func (x *Index) loadSegments() error {
 	var err error
 	serr := x.manifest.ScanPrefix([]byte("S/"), func(k, v []byte) bool {
 		id := binary.BigEndian.Uint64(k[2:])
-		s := &segment{id: id, level: segLevel(v), tree: have[id], dead: map[uint64]bool{}}
+		if len(v) != 9 {
+			err = fmt.Errorf("fulltext: segment %d has a %d-byte manifest value, want 9", id, len(v))
+			return false
+		}
+		s := &segment{id: id, level: int(v[8]), tree: have[id], dead: map[uint64]bool{}}
 		if s.id >= x.nextSeg {
 			x.nextSeg = s.id + 1
 		}
@@ -452,29 +450,28 @@ func sortedDocs(set map[uint64]bool) []uint64 {
 	return docs
 }
 
-// writeSegment creates a segment tree for op holding the buffered
-// postings, term by term in sorted order. Its creation's inverse drops it
-// whole.
+// writeSegment builds a segment tree for op holding the buffered
+// postings, term by term in sorted order. The build (btree.Build) writes
+// each page once, packed full, and logs only the pages' allocations and
+// sums, never a posting; its inverse drops the tree whole.
 func (x *Index) writeSegment(op *pager.Op, postings map[string]*[]Posting) (*btree.Tree, error) {
-	tr, err := btree.CreateOp(x.pg, x.alloc, op)
-	if err != nil {
-		return nil, err
-	}
 	terms := make([]string, 0, len(postings))
 	for t := range postings {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
 	var enc []byte
-	for _, term := range terms {
+	return btree.Build(x.pg, x.alloc, op, func() ([]byte, []byte, bool, error) {
+		if len(terms) == 0 {
+			return nil, nil, false, nil
+		}
+		term := terms[0]
+		terms = terms[1:]
 		ps := *postings[term]
 		sortPostings(ps)
 		enc = appendPostings(enc[:0], ps)
-		if err := tr.PutOp(op, []byte(term), enc); err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
+		return []byte(term), enc, true, nil
+	})
 }
 
 // mergeTiersLocked merges each level that holds more than MaxSegments
@@ -585,17 +582,14 @@ func (x *Index) mergeLocked(op *pager.Op, in []*segment, level int, all bool) er
 	return nil
 }
 
-// mergeSegments creates a tree for op holding the live postings of in and
-// returns it with the number of postings written. It walks the inputs'
-// cursors in term order, so each term is written once, straight from the
-// pages it was read from; a term's postings are sorted only when the
-// inputs' lists, taken oldest first, are not already ascending. Each
-// document written is added to live when live is not nil.
+// mergeSegments builds a tree for op holding the live postings of in and
+// returns it with the number of postings written. It streams the inputs'
+// cursors in term order into the build (btree.Build, as writeSegment
+// does), so each term is written once, straight from the pages it was
+// read from, and no posting is logged; a term's postings are sorted only
+// when the inputs' lists, taken oldest first, are not already ascending.
+// Each document written is added to live when live is not nil.
 func (x *Index) mergeSegments(op *pager.Op, in []*segment, live map[uint64]bool) (*btree.Tree, int64, error) {
-	tr, err := btree.CreateOp(x.pg, x.alloc, op)
-	if err != nil {
-		return nil, 0, err
-	}
 	heads := make([]mergeHead, len(in))
 	for i, s := range in {
 		heads[i].cur = s.tree.NewCursor(nil, nil)
@@ -608,42 +602,43 @@ func (x *Index) mergeSegments(op *pager.Op, in []*segment, live map[uint64]bool)
 		enc     []byte
 		written int64
 	)
-	for {
-		var term []byte
-		for _, h := range heads {
-			if h.ok && (term == nil || bytes.Compare(h.key, term) < 0) {
-				term = h.key
+	tr, err := btree.Build(x.pg, x.alloc, op, func() ([]byte, []byte, bool, error) {
+		for {
+			var term []byte
+			for _, h := range heads {
+				if h.ok && (term == nil || bytes.Compare(h.key, term) < 0) {
+					term = h.key
+				}
 			}
-		}
-		if term == nil {
-			return tr, written, nil
-		}
-		ps = ps[:0]
-		for i := range heads {
-			h := &heads[i]
-			if !h.ok || !bytes.Equal(h.key, term) {
+			if term == nil {
+				return nil, nil, false, nil
+			}
+			ps = ps[:0]
+			for i := range heads {
+				h := &heads[i]
+				if !h.ok || !bytes.Equal(h.key, term) {
+					continue
+				}
+				ps = appendPostingsLive(ps, h.val, in[i].dead)
+				if err := h.next(); err != nil {
+					return nil, nil, false, err
+				}
+			}
+			if len(ps) == 0 {
 				continue
 			}
-			ps = appendPostingsLive(ps, h.val, in[i].dead)
-			if err := h.next(); err != nil {
-				return nil, 0, err
+			sortPostings(ps)
+			enc = appendPostings(enc[:0], ps)
+			written += int64(len(ps))
+			if live != nil {
+				for _, p := range ps {
+					live[p.DocID] = true
+				}
 			}
+			return term, enc, true, nil
 		}
-		if len(ps) == 0 {
-			continue
-		}
-		sortPostings(ps)
-		enc = appendPostings(enc[:0], ps)
-		if err := tr.PutOp(op, term, enc); err != nil {
-			return nil, 0, err
-		}
-		written += int64(len(ps))
-		if live != nil {
-			for _, p := range ps {
-				live[p.DocID] = true
-			}
-		}
-	}
+	})
+	return tr, written, err
 }
 
 // mergeHead is one input of a merge: its cursor and the entry it is on.

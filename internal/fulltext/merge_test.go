@@ -133,84 +133,6 @@ func TestReopenAfterPartialMergeDeleteHides(t *testing.T) {
 	check("after reopen", y)
 }
 
-// TestReopenEightByteSegmentValues: an index written before segments had
-// levels — every "S/" value the 8-byte header page alone — opens with
-// each segment at level 0, and the first flush merges them into level 1
-// with a 9-byte value, dropping what was deleted.
-func TestReopenEightByteSegmentValues(t *testing.T) {
-	e := newEnv(t)
-	x, err := Create(e.pg, pageAlloc{e.ba}, Config{FlushDocs: 1, MaxSegments: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for doc := uint64(1); doc <= 5; doc++ {
-		if err := x.Add(nil, doc, fmt.Sprintf("word%d common", doc)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := x.Delete(nil, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the segment list in the old format.
-	var keys, vals [][]byte
-	if err := x.manifest.ScanPrefix([]byte("S/"), func(k, v []byte) bool {
-		keys = append(keys, append([]byte(nil), k...))
-		vals = append(vals, append([]byte(nil), v[:8]...))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.manifest.PutMany(keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.pg.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{FlushDocs: 1, MaxSegments: 2}
-	pg := pager.New(e.dev, 256, true)
-	y, err := Open(pg, pageAlloc{e.ba}, x.ManifestPage(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := levelCounts(y); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("old-format index opens as %v, want 5 segments at level 0", y.Layout())
-	}
-	if err := y.Add(nil, 6, "word6 common"); err != nil {
-		t.Fatal(err)
-	}
-	if got := levelCounts(y); len(got) != 1 || got[1] != 1 {
-		t.Fatalf("after a flush the layout is %v, want one level-1 segment", y.Layout())
-	}
-	if err := y.manifest.ScanPrefix([]byte("S/"), func(k, v []byte) bool {
-		if len(v) != 9 {
-			t.Errorf("merged segment's value has %d bytes, want 9", len(v))
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := y.Search("common")
-	if err != nil || fmt.Sprint(ids) != "[1 2 4 5 6]" {
-		t.Fatalf("common finds %v, %v; want [1 2 4 5 6]", ids, err)
-	}
-	if err := y.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	z, err := Open(pager.New(e.dev, 256, true), pageAlloc{e.ba}, x.ManifestPage(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := levelCounts(z); len(got) != 1 || got[1] != 1 {
-		t.Fatalf("reopened layout is %v, want one level-1 segment", z.Layout())
-	}
-}
-
 // TestManifestWritesAreDeterministic: two identical index builds leave
 // identical device images. A flush puts its documents' D/ keys, and a
 // merge deletes its inputs' tombstone keys, in key order; in map order

@@ -4,7 +4,13 @@
 // Pages are pinned while in use, and a pin is a scope: With pins a page,
 // runs a function on it and unpins it when the function returns, so a pin
 // cannot leak. Unpinned pages live on an LRU list and are evicted under
-// memory pressure, with dirty pages written back first. When a
+// memory pressure, with dirty pages written back first.
+//
+// A page reaches the device three ways: eviction writes a dirty page
+// home, FlushDirty writes every dirty page home at a checkpoint, and
+// WriteFresh writes a page that will never change — a freshly allocated
+// page of a tree built whole (btree.Build) — once, at once, leaving it
+// clean in the cache and logging only its sum. When a
 // write-ahead log governs the volume, the pager runs a *steal* policy with
 // WAL-before-data: a dirty page — even one carrying uncommitted edits — may
 // be written home by eviction once every record staged against it (redo and
@@ -99,7 +105,7 @@ type Stats struct {
 	Hits         int64
 	Misses       int64
 	Evictions    int64
-	Writebacks   int64
+	Writebacks   int64 // pages written home: evicted, flushed, or WriteFresh
 	Steals       int64 // dirty pages evicted under WAL-before-data gating
 	ChunkFlushes int64 // mid-transaction chunk appends issued for steal/deps
 	Cached       int
@@ -474,11 +480,14 @@ func (p *Pager) flushOpChunk(op *Op) (int, error) {
 }
 
 // gatesPage reports whether a staged record of this kind raised its
-// page's unflushed gate (MarkDirtyRec did): undo records and allocator
-// records name no cached page.
+// page's unflushed gate (MarkDirtyRec did): undo, allocator, wrote and
+// built records name no cached page.
 func gatesPage(kind uint8) bool {
-	k := redo.BaseKind(kind)
-	return k != redo.KindUndo && k != redo.KindAlloc
+	switch redo.BaseKind(kind) {
+	case redo.KindUndo, redo.KindAlloc, redo.KindWrote, redo.KindBuilt:
+		return false
+	}
+	return true
 }
 
 // noteAppended records that one staged record of page no reached the log
@@ -654,7 +663,7 @@ func (p *Pager) NewOp(app Appender) *Op {
 // ID identifies the operation among those of its pager (never 0; 0 for
 // a nil op). A structure remembers the ID of the operation that created
 // it: until that operation commits, nothing else can reach the structure
-// (see smoOp in btree and extent). Nil-safe.
+// (see smoOp in extent). Nil-safe.
 func (op *Op) ID() uint64 {
 	if op == nil {
 		return 0
@@ -1076,12 +1085,16 @@ func (op *Op) stage(r redo.Record) {
 	op.mu.Unlock()
 }
 
-// Note stages a record that edits no cached page — one replay only
-// reads, such as the sums of the data blocks an operation wrote outside
-// the log. Its Page is 0, which no cached page has. Nil-safe.
-func (op *Op) Note(kind uint8, data []byte) {
+// Wrote stages a redo.KindWrote record: the operation wrote the blocks
+// from first on straight to the device, outside the log, and sums holds
+// the u32 sum of each. The record edits no cached page; replay only reads
+// it. Nil-safe.
+func (op *Op) Wrote(first uint64, sums []byte) { op.wrote(redo.KindWrote, first, sums) }
+
+// wrote stages a KindWrote or KindBuilt record. Nil-safe.
+func (op *Op) wrote(kind uint8, first uint64, sums []byte) {
 	if op != nil {
-		op.stage(redo.Record{LSN: op.p.lsn.Add(1), Kind: kind, Data: data})
+		op.stage(redo.Record{LSN: op.p.lsn.Add(1), Page: first, Kind: kind, Data: sums})
 	}
 }
 
@@ -1248,6 +1261,45 @@ func (p *Pager) FlushDirty() error {
 		}
 		s.mu.Unlock()
 	}
+	return nil
+}
+
+// WriteFresh is how a page that will never change reaches the device:
+// op has just allocated page no, and data is all of its content. The
+// page goes home at once, through the pager's device, and stays in the
+// cache clean, so readers hit it and eviction drops it without writing
+// it again. Nothing is logged for its bytes. The block was free, so if
+// op's records never reach the log no one owns what it holds; if they
+// do, the redo.KindBuilt record staged here holds the block strictly to
+// the sum of data at recovery. Nil-safe in op (unlogged).
+func (p *Pager) WriteFresh(op *Op, no uint64, data []byte) error {
+	if len(data) != p.dev.BlockSize() {
+		return fmt.Errorf("%w: %d bytes for page %d", ErrBadPage, len(data), no)
+	}
+	pg, err := p.acquire(no, false)
+	if err != nil {
+		return err
+	}
+	copy(pg.data, data)
+	err = p.dev.WriteBlock(no, pg.data)
+	s := p.shardOf(no)
+	s.mu.Lock()
+	if pg.dirty {
+		pg.dirty = false
+		delete(s.dirty, no)
+	}
+	pg.fresh, pg.unflushed = false, 0
+	if err == nil {
+		s.writebacks++
+	}
+	s.mu.Unlock()
+	p.Release(pg)
+	if err != nil {
+		// The frame holds bytes the device does not.
+		_ = p.Invalidate(no)
+		return err
+	}
+	op.wrote(redo.KindBuilt, no, binary.LittleEndian.AppendUint32(nil, blockdev.Sum(data)))
 	return nil
 }
 

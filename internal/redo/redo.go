@@ -38,6 +38,18 @@
 //     and replayed with it — so recovery rebuilds the allocator from the
 //     last checkpoint's snapshot plus the log tail instead of walking the
 //     volume.
+//   - KindWrote: Page is the first of a run of blocks the operation wrote
+//     straight to the device, outside the log, and Data holds one u32
+//     sum per block of the run, little-endian. It changes no page: object
+//     data and the pages of a built tree (btree.Build) reach the device
+//     this way, and recovery holds each block to its logged sum in place
+//     of the checkpoint's.
+//   - KindBuilt: a KindWrote for the one write of a freshly allocated
+//     page of a built tree. Such a block is never rewritten in place, and
+//     a freed block waits for the next checkpoint before it is reused, so
+//     no later write in the same log tail can touch it: recovery holds it
+//     to its logged sum strictly, and content that differs — a lost,
+//     misdirected or corrupted write — reads as an error.
 package redo
 
 import (
@@ -68,6 +80,11 @@ const (
 	KindChunk = 8
 	// KindAlloc logs one allocator mutation (see EncodeAlloc).
 	KindAlloc = 9
+	// KindWrote names blocks written outside the log (see WroteSums).
+	KindWrote = 10
+	// KindBuilt names the pages of a built tree, written once outside
+	// the log; its payload is KindWrote's.
+	KindBuilt = 11
 )
 
 // FlagCLR marks a record as a Compensation Log Record: a redo record
@@ -135,4 +152,18 @@ func DecodeAlloc(payload []byte) (free bool, n uint64, err error) {
 		return false, 0, fmt.Errorf("redo: malformed alloc payload (%d bytes)", len(payload))
 	}
 	return payload[0] == allocGive, uint64(binary.LittleEndian.Uint32(payload[1:])), nil
+}
+
+// WroteSums calls fn with each block a KindWrote or KindBuilt record names, from
+// first on, and the sum the block was written with. A payload that is not
+// a whole number of sums, or none, is malformed.
+func WroteSums(first uint64, payload []byte, fn func(block uint64, sum uint32)) error {
+	if len(payload) == 0 || len(payload)%4 != 0 {
+		return fmt.Errorf("redo: malformed wrote payload (%d bytes)", len(payload))
+	}
+	for b := payload; len(b) > 0; b = b[4:] {
+		fn(first, binary.LittleEndian.Uint32(b))
+		first++
+	}
+	return nil
 }

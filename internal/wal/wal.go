@@ -80,7 +80,7 @@ import (
 	"repro/internal/redo"
 )
 
-// Record kinds. Redo, undo and chunk kinds (1, 4–9) are shared with
+// Record kinds. Redo, undo and chunk kinds (1, 4–11) are shared with
 // package redo; commit and checkpoint are log-internal.
 const (
 	kindPage       = redo.KindImage
