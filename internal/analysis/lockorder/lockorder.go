@@ -9,6 +9,8 @@
 //	rank 33  osd.Store.rowMu       object-table row rewrites (an extent
 //	                               tree's anchor takes it under the tree)
 //	rank 36  btree.Tree.mu         btree latches
+//	rank 38  pager queue mutex     the replacement queue (misses,
+//	                               eviction, Invalidate)
 //	rank 40  pager shard mutex     per-shard page latch
 //
 // Acquiring a lower-ranked (outer) lock while holding a higher-ranked
@@ -49,7 +51,7 @@ import (
 // Analyzer is the lockorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "static lock graph over Volume.mu → extent tree → Store.rowMu → btree → pager shard latches; reject inversions",
+	Doc:       "static lock graph over Volume.mu → extent tree → Store.rowMu → btree → pager queue → pager shard latches; reject inversions",
 	Run:       run,
 	UsesFacts: true,
 }
@@ -71,6 +73,7 @@ var classes = []lockClass{
 	{"extent", "Tree", "mu", 30, "extent.Tree.mu"},
 	{"osd", "Store", "rowMu", 33, "osd.Store.rowMu"},
 	{"btree", "Tree", "mu", 36, "btree.Tree.mu"},
+	{"pager", "sieve", "mu", 38, "pager queue mutex"},
 	{"pager", "shard", "mu", 40, "pager shard latch"},
 }
 

@@ -12,3 +12,9 @@ func TestLockOrder(t *testing.T) {
 	// exported function summaries (the facts path).
 	anatest.Run(t, lockorder.Analyzer, "core", "btree")
 }
+
+// TestLockOrderPagerQueue: the pager's replacement queue ranks below its
+// shard latches, so a shard → queue edge is an inversion.
+func TestLockOrderPagerQueue(t *testing.T) {
+	anatest.Run(t, lockorder.Analyzer, "pager")
+}

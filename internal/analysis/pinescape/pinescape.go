@@ -99,8 +99,8 @@ func run(pass *analysis.Pass) error {
 		// its methods are taint primitives (Data is the source;
 		// With/MarkDirty neither retain nor return caller data), so
 		// analyzing its internals would only export noise facts — e.g.
-		// Release filing the page into the LRU would read as "Release
-		// retains its argument" at every call site.
+		// a miss filing the page into the replacement queue would read
+		// as "With retains its page" at every call site.
 		if pass.ExportFact != nil {
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(factFile{Funcs: map[string]funcFact{}}); err != nil {

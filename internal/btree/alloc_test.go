@@ -7,8 +7,9 @@ import (
 
 // TestHitPathAllocs pins the heap allocations of the resident read path
 // at their measured values: a Get down a two-level tree makes one (the
-// value copy), a cursor step two (key and value); unpinning a page files
-// it in the pager's intrusive LRU and allocates nothing. A pin scope whose
+// value copy), a cursor step two (key and value); a hit only sets the
+// page's visited bit in the pager's replacement queue, and unpinning only
+// drops the pin, so neither allocates. A pin scope whose
 // closure starts escaping to the heap shows up here as one more
 // allocation per page touched.
 func TestHitPathAllocs(t *testing.T) {

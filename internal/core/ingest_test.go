@@ -13,6 +13,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/extent"
 	"repro/internal/index"
+	"repro/internal/redo"
 )
 
 // words is n bytes of space-separated tokens prefix0, prefix1, ...
@@ -274,33 +275,26 @@ func TestBatchTextBound(t *testing.T) {
 }
 
 // TestCrashStealAfterBufferedBaseImage cuts a steal-heavy batch at every
-// device write. A clean page the batch dirties logs its base image, which
-// waits in the log's staging block; the batch dirties several times the
-// cache, so pages are stolen while it runs. When the stolen page is the
-// one whose base image is still waiting, the steal has to write the
-// staging block first, or a cut between the two leaves a page home that
-// the log can neither rebuild nor roll back. Every cut must recover
+// device write. A clean page the batch dirties logs its base image, whose
+// tail waits in the log's staging block; the batch dirties many times the
+// pages the cache holds, so pages are stolen while it runs. When the
+// stolen page is the one whose base image is still waiting, the steal has
+// to write the staging block first, or a cut between the two leaves a
+// page home that the log can neither rebuild nor roll back. Every cut must recover
 // exactly and leave the batch all there or not at all.
 func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
-	const committed, batched = 200, 8
+	const committed, batched, scanned, cache = 200, 8, 8, 3
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{CachePages: 64})
+	v, err := Create(mem, Options{CachePages: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	walBlocks := uint64(v.opts.WALBlocks) // the log is blocks 1 to walBlocks
 	oids := populate(t, v, committed)
-	// The steal of the page whose base image is waiting needs that page to
-	// be the least recently used of its cache shard. Pages share a shard
-	// when their numbers agree mod 16 (the pager's shard count), so the
-	// batch works on groups of objects whose extent leaf pages fall in a
-	// shard that holds no page of the object table, which every append
-	// also dirties. An object gets its leaf page from extent.R+1 inserts:
-	// its root's cells move down into it. Whether the waiting base image
-	// is still in the staging block when its page is stolen depends on
-	// where in the block it ended, so the batch tries several shards.
-	const shards = 16
+	// Each object the batch scans gets an extent leaf page of its own: its
+	// root's cells move down into it after extent.R+1 inserts.
 	leafOf := make(map[OID]uint64)
-	for _, oid := range oids[batched:] {
+	for _, oid := range oids[batched : batched+scanned] {
 		obj, err := v.OSD.OpenObject(oid)
 		if err != nil {
 			t.Fatal(err)
@@ -317,28 +311,6 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		leafOf[oid] = res.AllPages[0]
 		obj.Close()
 	}
-	meta, err := v.OSD.MetaTree().Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byShard := make([][]OID, shards)
-	for _, oid := range oids[batched:] {
-		byShard[leafOf[oid]%shards] = append(byShard[leafOf[oid]%shards], oid)
-	}
-	for _, no := range meta.AllPages {
-		byShard[no%shards] = nil
-	}
-	var groups [][]OID
-	var fifths []uint64 // the leaf each group steals after its base image
-	for _, g := range byShard {
-		if len(g) >= 6 && len(groups) < 4 {
-			groups = append(groups, g[:6])
-			fifths = append(fifths, leafOf[g[4]])
-		}
-	}
-	if len(groups) < 4 {
-		t.Fatalf("%d cache shards hold six extent leaves and no object-table page, want 4", len(groups))
-	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -352,26 +324,19 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		defer obj.Close()
 		return b.Append(obj, p)
 	}
+	// ops records the device writes, syncs and base images of the run
+	// under way.
+	var ops *opLog
 	body := func(v *Volume, b *Batch) error {
-		// In each group, four leaves fill the shard; the fifth steals the
-		// first and logs its own base image, which stays in the staging
-		// block while three small appends make the other leaves in the
-		// shard newer than it. The sixth leaf finds every page of the
-		// shard gated, flushes the batch's records as a chunk, and steals
-		// the fifth: the page whose base image has not reached the device
-		// yet.
-		for _, g := range groups {
-			for i, oid := range g[:5] {
-				if err := appendTo(v, b, oid, fill(700, byte(i))); err != nil {
-					return err
-				}
-			}
-			for i, oid := range g[1:4] {
-				if err := appendTo(v, b, oid, fill(1, byte(i))); err != nil {
-					return err
-				}
-			}
-			if err := appendTo(v, b, g[5], fill(700, 5)); err != nil {
+		// The batch scans the leaves: each append misses its leaf, dirties
+		// it and logs its base image. In a three-page cache the hand soon
+		// finds every unpinned page gated behind records not yet durable;
+		// the pager flushes the batch's records as a chunk, syncs, and
+		// steals the page the hand stands on. Which stolen page had its
+		// base image's tail still in the staging block is the hand's
+		// choice: the test reads it off the device afterwards.
+		for i, oid := range oids[batched : batched+scanned] {
+			if err := appendTo(v, b, oid, fill(700, byte(i))); err != nil {
 				return err
 			}
 		}
@@ -406,10 +371,12 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		}
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
-		v, err := Open(fd, Options{CachePages: 64})
+		ops = &opLog{writeLog: writeLog{Device: fd}}
+		v, err := Open(ops, Options{CachePages: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
+		v.pg.EnableBaseImages(baseTap{sysAppender{v}, ops})
 		w0, s0 := sim.Stats().Writes, v.Pager().Stats().Steals
 		if limit >= 0 {
 			fd.FailAfterWrites(limit)
@@ -444,14 +411,36 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each fifth leaf was stolen: the batch left its home changed.
+	// Some page was written home while its base image's tail was still in
+	// the log's staging block: between the base image and the page's write
+	// the log wrote no block but the staging one, at the sync before it.
+	var waited []uint64
+	for _, base := range ops.bases {
+		rest := ops.blocks[base.at:]
+		k := slices.Index(rest, base.page)
+		if k < 0 || !slices.Contains(rest[:k], syncMark) {
+			continue
+		}
+		logWrites := 0
+		for _, no := range rest[:k] {
+			if no >= 1 && no < 1+walBlocks {
+				logWrites++
+			}
+		}
+		if logWrites <= 1 {
+			waited = append(waited, base.page)
+		}
+	}
+	if len(waited) == 0 {
+		t.Fatal("the batch stole no page whose base image was still waiting; the test no longer tests that steal")
+	}
 	home := make([]byte, mem.BlockSize())
-	for _, no := range fifths {
+	for _, no := range waited {
 		if err := mem.ReadBlock(no, home); err != nil {
 			t.Fatal(err)
 		}
 		if bytes.Equal(home, img[no*uint64(len(home)):][:len(home)]) {
-			t.Fatalf("the batch did not steal page %d after its base image; the test no longer tests that steal", no)
+			t.Fatalf("page %d was written home unchanged", no)
 		}
 	}
 	v = mustOpenExact(t, mem)
@@ -465,7 +454,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 			touched = append(touched, oid)
 		}
 	}
-	t.Logf("the batch makes %d device writes and steals %d pages", writes, steals)
+	t.Logf("the batch makes %d device writes and steals %d pages, %d right after their base image", writes, steals, len(waited))
 	for limit := int64(0); limit <= writes; limit++ {
 		_, _, berr := cut(limit)
 		v := mustOpenExact(t, mem)
@@ -606,6 +595,48 @@ func (w *writeLog) WriteBlock(n uint64, p []byte) error {
 	w.blocks = append(w.blocks, n)
 	w.mu.Unlock()
 	return w.Device.WriteBlock(n, p)
+}
+
+// opLog is a writeLog that also records each device sync, as syncMark,
+// and, through a baseTap, where among them each base image was logged.
+type opLog struct {
+	writeLog
+	bases []baseAt
+}
+
+// baseAt is one base image: its page, and len(blocks) once it was in the
+// log.
+type baseAt struct {
+	page uint64
+	at   int
+}
+
+// baseTap is the volume's base-image appender, noting each base image in
+// an opLog.
+type baseTap struct {
+	sysAppender
+	ops *opLog
+}
+
+func (b baseTap) AppendSystem(recs []redo.Record) error {
+	err := b.sysAppender.AppendSystem(recs)
+	b.ops.mu.Lock()
+	for _, r := range recs {
+		if r.Kind == redo.KindImage {
+			b.ops.bases = append(b.ops.bases, baseAt{r.Page, len(b.ops.blocks)})
+		}
+	}
+	b.ops.mu.Unlock()
+	return err
+}
+
+const syncMark = ^uint64(0)
+
+func (o *opLog) Sync() error {
+	o.mu.Lock()
+	o.blocks = append(o.blocks, syncMark)
+	o.mu.Unlock()
+	return o.Device.Sync()
 }
 
 // TestSameSeedSameImage runs one seeded workload twice, on a log small

@@ -3,14 +3,16 @@
 //
 // Pages are pinned while in use, and a pin is a scope: With pins a page,
 // runs a function on it and unpins it when the function returns, so a pin
-// cannot leak. Unpinned pages live on an LRU list and are evicted under
-// memory pressure, with dirty pages written back first.
+// cannot leak. Every cached page sits in one replacement queue for the
+// whole pager (SIEVE, see sieve); a miss at capacity evicts the page the
+// queue's hand picks, writing it home first if it is dirty, and reuses
+// its frame.
 //
 // A page reaches the device three ways: eviction writes a dirty page
 // home, FlushDirty writes every dirty page home at a checkpoint, and
 // WriteFresh writes a page that will never change — a freshly allocated
 // page of a tree built whole (btree.Build) — once, at once, leaving it
-// clean in the cache and logging only its sum. When a
+// clean in the cache, admitted as visited, and logging only its sum. When a
 // write-ahead log governs the volume, the pager runs a *steal* policy with
 // WAL-before-data: a dirty page — even one carrying uncommitted edits — may
 // be written home by eviction once every record staged against it (redo and
@@ -20,10 +22,13 @@
 // undo records. Without a chunk appender the pager degrades to no-steal:
 // dirty pages are only written home by FlushDirty at checkpoint.
 //
-// The cache is internally sharded by page number: a single global mutex
-// would serialize every component that touches a page, re-creating exactly
-// the shared hotspot the paper's §2.3 complains about one layer down.
-// Experiment E8 measures the index-store sharding that this makes visible.
+// The page table is internally sharded by page number: a single global
+// mutex would serialize every component that touches a page, re-creating
+// exactly the shared hotspot the paper's §2.3 complains about one layer
+// down. Hits and releases take only their shard's latch; the queue's own
+// mutex is taken by misses, evictions and Invalidate, before any shard
+// latch. Experiment E8 measures the index-store sharding that this makes
+// visible.
 package pager
 
 import (
@@ -58,9 +63,12 @@ type Page struct {
 	data  []byte
 	pins  int
 	dirty bool
-	// prev and next link the page into its shard's LRU ring while it is
-	// unpinned; both are nil while it is pinned.
+	// prev and next link the page into the replacement queue, oldest to
+	// newest; guarded by the queue's mutex.
 	prev, next *Page
+	// visited is SIEVE's reference bit: a hit sets it, the hand clears it
+	// as it passes. Shard-lock guarded.
+	visited bool
 	// busy is non-nil while the initial device read is filling data. The
 	// page is published in the shard table before the read so concurrent
 	// acquirers of the same block find it and wait instead of pinning a
@@ -115,29 +123,70 @@ type Stats struct {
 type shard struct {
 	mu    sync.Mutex
 	table map[uint64]*Page
-	// lru is the sentinel of the ring of unpinned pages: lru.next is the
-	// most recently released, lru.prev the first eviction candidate.
-	lru   Page
 	dirty map[uint64]*Page
 
 	hits, misses, evictions, writebacks int64
 }
 
-// unlink takes pg out of the LRU ring; a pinned page is not in it.
-func (s *shard) unlink(pg *Page) {
-	if pg.next == nil {
-		return
+// sieve is the pager's one replacement queue (SIEVE, Zhang et al., NSDI
+// '24). Every cached page sits in it once, in the order it entered the
+// cache. A hit only sets the page's visited bit and a release only drops
+// the pin, so neither touches the queue. A miss at capacity moves the
+// hand from where it last stopped toward the newest page, wrapping to the
+// oldest: it clears the visited bits it passes and evicts the first page
+// that is unvisited, unpinned and not steal-gated. A page hit since the
+// hand last passed it survives a scan of any length, which a
+// least-recently-used order cannot give the object-table and index pages
+// that every read shares.
+//
+// mu is taken on the miss, evict and Invalidate paths, always before a
+// shard latch; it also orders every insertion into the page tables, so a
+// page found absent while it is held stays absent until it is unlocked.
+type sieve struct {
+	mu sync.Mutex
+	// ring is the sentinel: ring.next is the oldest page, ring.prev the
+	// newest.
+	ring Page
+	// hand is the next page the sweep looks at; the sentinel means the
+	// oldest.
+	hand  *Page
+	n     int   // pages in the queue
+	steps int64 // pages the hand has looked at
+}
+
+// push files pg as the newest page.
+func (q *sieve) push(pg *Page) {
+	pg.prev, pg.next = q.ring.prev, &q.ring
+	pg.prev.next = pg
+	q.ring.prev = pg
+	q.n++
+}
+
+// unlink takes pg out of the queue; a hand on pg moves to the next page.
+func (q *sieve) unlink(pg *Page) {
+	if q.hand == pg {
+		q.hand = pg.next
 	}
 	pg.prev.next, pg.next.prev = pg.next, pg.prev
 	pg.prev, pg.next = nil, nil
+	q.n--
+}
+
+// after returns the page the hand visits after pg.
+func (q *sieve) after(pg *Page) *Page {
+	if pg.next == &q.ring {
+		return q.ring.next
+	}
+	return pg.next
 }
 
 // Pager is a fixed-capacity buffer cache over a block device.
 type Pager struct {
-	dev         blockdev.Device
-	capPerShard int
-	evictDirty  bool
-	shards      [numShards]shard
+	dev        blockdev.Device
+	capacity   int
+	evictDirty bool
+	q          sieve
+	shards     [numShards]shard
 
 	// lsn is the volume-wide LSN counter for physiological logging.
 	// Records are stamped from it at mutation time, inside the page's
@@ -205,18 +254,14 @@ type ChunkAppender interface {
 // New creates a pager over dev caching up to capacity pages.
 // evictDirty selects steal (true) or no-steal (false) eviction policy.
 func New(dev blockdev.Device, capacity int, evictDirty bool) *Pager {
-	if capacity < numShards*4 {
-		capacity = numShards * 4
-	}
 	p := &Pager{
-		dev:         dev,
-		capPerShard: capacity / numShards,
-		evictDirty:  evictDirty,
+		dev:        dev,
+		capacity:   capacity,
+		evictDirty: evictDirty,
 	}
+	p.q.ring.prev, p.q.ring.next, p.q.hand = &p.q.ring, &p.q.ring, &p.q.ring
 	for i := range p.shards {
 		p.shards[i].table = make(map[uint64]*Page)
-		p.shards[i].lru.prev = &p.shards[i].lru
-		p.shards[i].lru.next = &p.shards[i].lru
 		p.shards[i].dirty = make(map[uint64]*Page)
 	}
 	p.ops = make(map[*Op]struct{})
@@ -315,46 +360,67 @@ func (p *Pager) acquire(no uint64, read bool) (*Page, error) {
 				continue
 			}
 			s.hits++
-			s.unlink(pg)
+			pg.visited = true
 			pg.pins++
 			s.mu.Unlock()
 			return pg, nil
 		}
-		s.misses++
-		needSteal, err := p.makeRoomLocked(s)
+		s.mu.Unlock()
+
+		p.q.mu.Lock()
+		s.mu.Lock()
+		_, raced := s.table[no]
+		s.mu.Unlock()
+		if raced {
+			// Another acquirer admitted the page between the two locks.
+			p.q.mu.Unlock()
+			continue
+		}
+		frame, needSteal, err := p.makeRoomLocked()
 		if err != nil {
-			s.mu.Unlock()
+			p.q.mu.Unlock()
 			return nil, err
 		}
 		if needSteal && !stealTried {
 			// Every unpinned page is dirty with records not yet durably
 			// logged. Flush the open operations' staged records as chunks
 			// and sync, then retry — the pages become stealable.
-			s.misses-- // the retry re-counts
-			s.mu.Unlock()
+			p.q.mu.Unlock()
 			stealTried = true
 			p.stealFlush()
 			continue
 		}
-		pg := &Page{no: no, data: make([]byte, p.dev.BlockSize()), pins: 1}
+		if frame == nil {
+			frame = make([]byte, p.dev.BlockSize())
+		}
+		pg := &Page{no: no, data: frame, pins: 1}
 		if read {
 			pg.busy = make(chan struct{})
 		}
+		s.mu.Lock()
+		s.misses++
 		s.table[no] = pg
 		s.mu.Unlock()
+		p.q.push(pg)
+		p.q.mu.Unlock()
 
 		if !read {
 			return pg, nil
 		}
 		err = p.dev.ReadBlock(no, pg.data)
-		s.mu.Lock()
 		if err != nil {
 			// The page never became valid: withdraw it. It was pinned
 			// for the whole window (so eviction and Invalidate ignored
 			// it) and waiters were parked on busy (so no one else holds
-			// a pin), which keeps the shard's capacity accounting exact.
+			// a pin), which keeps the capacity accounting exact.
+			p.q.mu.Lock()
+			s.mu.Lock()
 			delete(s.table, no)
+			s.mu.Unlock()
+			p.q.unlink(pg)
+			p.q.mu.Unlock()
 		}
+		s.mu.Lock()
 		busy := pg.busy
 		pg.busy = nil
 		s.mu.Unlock()
@@ -366,47 +432,84 @@ func (p *Pager) acquire(no uint64, read bool) (*Page, error) {
 	}
 }
 
-// makeRoomLocked evicts unpinned pages while the shard is at capacity.
-// It returns needSteal=true when the shard stays over capacity only
-// because dirty pages are gated on un-durable log records — the caller
-// should run a steal flush (outside the shard lock) and retry. With no
-// eligible victim and no steal appender it returns (false, nil): grow
-// rather than fail — capacity is advisory, correctness is not.
-func (p *Pager) makeRoomLocked(s *shard) (bool, error) {
+// makeRoomLocked evicts while the cache is at capacity, under the queue
+// mutex, and returns the last victim's frame for the page being admitted.
+// It returns needSteal=true when the hand finds no victim under steal:
+// the unpinned pages are dirty and gated on un-durable log records — the
+// caller should run a steal flush (outside the queue mutex) and retry.
+// With no eligible victim and no steal appender it returns
+// needSteal=false: grow rather than fail — capacity is advisory,
+// correctness is not.
+func (p *Pager) makeRoomLocked() ([]byte, bool, error) {
+	var frame []byte
 	synced := p.syncedSeq.Load()
-	for len(s.table) >= p.capPerShard {
-		var victim *Page
-		for pg := s.lru.prev; pg != &s.lru; pg = pg.prev {
-			if pg.dirty && !p.evictDirty {
-				// Steal gate: every staged record durably logged.
-				if p.stealApp == nil || pg.unflushed > 0 || pg.appendSeq > synced {
-					continue
-				}
-			}
-			victim = pg
-			break
+	for p.q.n >= p.capacity {
+		victim, err := p.evictLocked(synced)
+		if err != nil {
+			return nil, false, err
 		}
 		if victim == nil {
-			return p.stealApp != nil, nil
+			return frame, p.stealApp != nil, nil
 		}
-		if victim.dirty {
-			if err := p.dev.WriteBlock(victim.no, victim.data); err != nil {
-				return false, err
-			}
-			s.writebacks++
-			if !p.evictDirty {
-				p.steals.Add(1)
-			}
-			victim.dirty = false
-			victim.fresh = false
-			victim.unflushed = 0
-			delete(s.dirty, victim.no)
-		}
-		s.unlink(victim)
-		delete(s.table, victim.no)
-		s.evictions++
+		frame = victim.data
 	}
-	return false, nil
+	return frame, false, nil
+}
+
+// evictLocked moves the hand until it finds a page that is unvisited,
+// unpinned and not steal-gated, clearing the visited bits it passes;
+// writes that page home if it is dirty; and takes it out of the cache.
+// The hand looks at each page at most once plus the one it started at —
+// one revolution — and returns nil, back where it started, when every
+// page is pinned or gated. The queue mutex is held.
+func (p *Pager) evictLocked(synced uint64) (*Page, error) {
+	q := &p.q
+	if q.n == 0 {
+		return nil, nil
+	}
+	pg := q.hand
+	if pg == &q.ring {
+		pg = q.ring.next
+	}
+	start := pg
+	for range q.n + 1 {
+		q.steps++
+		s := p.shardOf(pg.no)
+		s.mu.Lock()
+		switch {
+		case pg.visited:
+			pg.visited = false
+		case pg.pins > 0:
+		case pg.dirty && !p.evictDirty && (p.stealApp == nil || pg.unflushed > 0 || pg.appendSeq > synced):
+			// Steal gate: every staged record durably logged.
+		default:
+			if pg.dirty {
+				if err := p.dev.WriteBlock(pg.no, pg.data); err != nil {
+					s.mu.Unlock()
+					q.hand = pg
+					return nil, err
+				}
+				s.writebacks++
+				if !p.evictDirty {
+					p.steals.Add(1)
+				}
+				pg.dirty = false
+				pg.fresh = false
+				pg.unflushed = 0
+				delete(s.dirty, pg.no)
+			}
+			delete(s.table, pg.no)
+			s.evictions++
+			s.mu.Unlock()
+			q.hand = pg
+			q.unlink(pg)
+			return pg, nil
+		}
+		s.mu.Unlock()
+		pg = q.after(pg)
+	}
+	q.hand = start
+	return nil, nil
 }
 
 // stealFlush makes every open operation's staged records durable —
@@ -517,11 +620,6 @@ func (p *Pager) Release(pg *Page) {
 		panic("pager: release of unpinned page")
 	}
 	pg.pins--
-	if pg.pins == 0 {
-		pg.prev, pg.next = &s.lru, s.lru.next
-		pg.next.prev = pg
-		s.lru.next = pg
-	}
 }
 
 // MarkDirty records that the page's contents have been modified.
@@ -1289,6 +1387,10 @@ func (p *Pager) WriteFresh(op *Op, no uint64, data []byte) error {
 		delete(s.dirty, no)
 	}
 	pg.fresh, pg.unflushed = false, 0
+	// The page is written to be read: a built segment is the input of the
+	// next merge, and a page admitted unvisited would be the hand's first
+	// victim before that merge comes.
+	pg.visited = true
 	if err == nil {
 		s.writebacks++
 	}
@@ -1307,20 +1409,24 @@ func (p *Pager) WriteFresh(op *Op, no uint64, data []byte) error {
 // Used when a page is freed. The page must be unpinned.
 func (p *Pager) Invalidate(no uint64) error {
 	s := p.shardOf(no)
+	p.q.mu.Lock()
+	defer p.q.mu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	pg, ok := s.table[no]
 	if !ok {
+		s.mu.Unlock()
 		return nil
 	}
 	if pg.pins > 0 {
+		s.mu.Unlock()
 		return fmt.Errorf("%w: page %d", ErrPinned, no)
 	}
-	s.unlink(pg)
 	delete(s.table, no)
 	if pg.dirty {
 		delete(s.dirty, no)
 	}
+	s.mu.Unlock()
+	p.q.unlink(pg)
 	return nil
 }
 

@@ -1,8 +1,11 @@
 package pager
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -76,19 +79,22 @@ func TestDirtyWritebackOnFlush(t *testing.T) {
 }
 
 func TestEvictionWritesDirtyWhenStealAllowed(t *testing.T) {
-	p, dev := newPager(t, 256, 64, true) // 4 pages per shard
-	// Dirty one page, then fill its shard (same page number mod 16) to
-	// force eviction.
+	p, dev := newPager(t, 256, 64, true)
+	// Dirty one page, then fill the cache past its capacity to force the
+	// page, the oldest and never hit, out.
 	pg, _ := p.Acquire(0)
 	pg.Data()[0] = 7
 	p.MarkDirty(pg)
 	p.Release(pg)
-	for i := uint64(1); i <= 8; i++ {
-		q, err := p.Acquire(i * 16)
+	for i := uint64(1); i <= 64; i++ {
+		q, err := p.Acquire(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Release(q)
+	}
+	if _, cached := p.shardOf(0).table[0]; cached {
+		t.Fatal("the dirty page is still cached: nothing forced it out")
 	}
 	got := make([]byte, 512)
 	if err := dev.ReadBlock(0, got); err != nil {
@@ -111,8 +117,8 @@ func TestStealOffKeepsDirtyPageOffDevice(t *testing.T) {
 	pg.Data()[0] = 7
 	p.MarkDirty(pg)
 	p.Release(pg)
-	for i := uint64(1); i <= 12; i++ {
-		q, err := p.Acquire(i * 16) // same shard as page 0
+	for i := uint64(1); i <= 128; i++ { // twice the capacity
+		q, err := p.Acquire(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,18 +290,19 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestPinnedPagesSurviveCachePressure(t *testing.T) {
-	p, _ := newPager(t, 256, 64, true) // 4 pages per shard
+	p, _ := newPager(t, 256, 64, true)
 	var pinned []*Page
-	for i := uint64(0); i < 4; i++ {
-		pg, err := p.Acquire(i * 16) // all in shard 0
+	for i := uint64(0); i < 64; i++ {
+		pg, err := p.Acquire(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pg.Data()[0] = byte(i + 1)
 		pinned = append(pinned, pg)
 	}
-	// Shard is full of pins; further acquires grow past capacity but work.
-	extra, err := p.Acquire(128) // shard 0 again
+	// The cache is full of pins; further acquires grow past capacity but
+	// work.
+	extra, err := p.Acquire(128)
 	if err != nil {
 		t.Fatalf("Acquire past pinned capacity: %v", err)
 	}
@@ -308,41 +315,381 @@ func TestPinnedPagesSurviveCachePressure(t *testing.T) {
 	}
 }
 
-// TestEvictionIsLeastRecentlyReleased: a full shard evicts the unpinned
-// page released longest ago, a hit moves a page to the front, and a pinned
-// page is passed over.
-func TestEvictionIsLeastRecentlyReleased(t *testing.T) {
-	p, _ := newPager(t, 256, 64, true) // 4 pages per shard
+// queue returns the cached pages in queue order, oldest first, and the
+// page the hand looks at next.
+func queue(p *Pager) (pages []uint64, hand uint64) {
+	p.q.mu.Lock()
+	defer p.q.mu.Unlock()
+	for pg := p.q.ring.next; pg != &p.q.ring; pg = pg.next {
+		pages = append(pages, pg.no)
+	}
+	h := p.q.hand
+	if h == &p.q.ring {
+		h = p.q.ring.next
+	}
+	return pages, h.no
+}
+
+// visited reads page no's reference bit.
+func visited(p *Pager, no uint64) bool {
+	s := p.shardOf(no)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.table[no].visited
+}
+
+// TestEvictionFollowsSieveHand: a full cache evicts the oldest page that
+// has not been hit; a page hit since the hand last passed survives the
+// pass with its bit cleared; a pinned page is passed over; and the hand
+// goes on from where it stopped, not from the oldest page.
+func TestEvictionFollowsSieveHand(t *testing.T) {
+	p, _ := newPager(t, 256, 4, true)
 	touch := func(no uint64) {
 		t.Helper()
 		if err := p.With(no, func(*Page) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, no := range []uint64{0, 16, 32, 48} { // all in shard 0
+	expect := func(step string, want []uint64, hand uint64) {
+		t.Helper()
+		got, h := queue(p)
+		if !reflect.DeepEqual(got, want) || h != hand {
+			t.Fatalf("%s: queue %v hand at %d, want %v hand at %d", step, got, h, want, hand)
+		}
+	}
+	for _, no := range []uint64{0, 1, 2, 3} {
 		touch(no)
 	}
-	touch(0) // a hit: 16 is now the least recently released
-	err := p.With(32, func(*Page) error {
-		touch(64) // evicts 16
-		touch(80) // evicts 48: 32 is pinned
-		return nil
-	})
+	touch(1) // a hit: only 1's bit changes
+	expect("hit", []uint64{0, 1, 2, 3}, 0)
+
+	touch(4) // 0 is the oldest unvisited page
+	expect("first miss", []uint64{1, 2, 3, 4}, 1)
+	touch(5) // the hand clears 1's bit and takes 2
+	expect("pass over a hit page", []uint64{1, 3, 4, 5}, 3)
+	if visited(p, 1) {
+		t.Fatal("the hand passed page 1 without clearing its bit")
+	}
+
+	// 1 is now the oldest page and unvisited, but the hand is past it.
+	pinned, err := p.Acquire(6) // a miss: takes 3, and 6 stays pinned
 	if err != nil {
 		t.Fatal(err)
 	}
-	touch(96) // evicts 0: 32's release made it the most recent
-	var resident []uint64
-	for _, no := range []uint64{0, 16, 32, 48, 64, 80, 96} {
-		if _, ok := p.shards[0].table[no]; ok {
-			resident = append(resident, no)
+	expect("pinned miss", []uint64{1, 4, 5, 6}, 4)
+	touch(7) // takes 4
+	touch(8) // takes 5
+	expect("hand keeps its place", []uint64{1, 6, 7, 8}, 6)
+	touch(9) // 6 is pinned: the hand passes it and takes 7
+	expect("pass over a pinned page", []uint64{1, 6, 8, 9}, 8)
+	p.Release(pinned)
+	touch(9)  // a hit
+	touch(10) // takes 8
+	touch(10) // a hit
+	// The hand clears 9's and 10's bits, wraps to the oldest page and takes
+	// 1, whose bit it cleared a revolution ago.
+	touch(11)
+	expect("wrap", []uint64{6, 9, 10, 11}, 6)
+	touch(12) // 6 is unpinned now
+	expect("released", []uint64{9, 10, 11, 12}, 9)
+	if s := p.Stats(); s.Evictions != 9 || s.Hits != 3 {
+		t.Errorf("evictions=%d hits=%d, want 9/3", s.Evictions, s.Hits)
+	}
+}
+
+// TestHotSetSurvivesScan: pages hit since the hand's last pass survive a
+// one-time scan of four times the capacity, and the scan leaves the rest
+// of the cache to itself: every hot page still hits afterwards. An LRU
+// order would have pushed every hot page out before the scan was a
+// quarter done.
+func TestHotSetSurvivesScan(t *testing.T) {
+	const capacity, hot = 64, 16
+	p, _ := newPager(t, 1024, capacity, true)
+	touch := func(no uint64) {
+		t.Helper()
+		pg, err := p.Acquire(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(pg)
+	}
+	for no := uint64(0); no < capacity; no++ {
+		touch(no)
+	}
+	for no := uint64(0); no < hot; no++ {
+		touch(no) // hits
+	}
+	for no := uint64(capacity); no < 5*capacity; no++ {
+		touch(no) // the scan: each page once
+	}
+	before := p.Stats()
+	for no := uint64(0); no < hot; no++ {
+		touch(no)
+	}
+	if misses := p.Stats().Misses - before.Misses; misses != 0 {
+		t.Fatalf("%d of %d hot pages were lost to a one-time scan", misses, hot)
+	}
+}
+
+// TestWriteFreshSurvivesSweep: a page written whole by WriteFresh enters
+// as visited, so the hand's first pass over it only clears its bit. A
+// page that entered by a miss, and was not hit since, goes at that pass.
+func TestWriteFreshSurvivesSweep(t *testing.T) {
+	const capacity = 8
+	p, _ := newPager(t, 256, capacity, true)
+	if err := p.WriteFresh(nil, 0, make([]byte, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.With(16, func(*Page) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// Eight more pages fill the cache and make the hand pass page 0, the
+	// oldest, and take page 16.
+	for i := uint64(2); i < 2+capacity; i++ {
+		if err := p.With(16*i, func(*Page) error { return nil }); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if want := []uint64{32, 64, 80, 96}; !reflect.DeepEqual(resident, want) {
-		t.Errorf("resident pages %v, want %v", resident, want)
+	s := p.shardOf(0)
+	s.mu.Lock()
+	_, fresh := s.table[0]
+	_, read := s.table[16]
+	s.mu.Unlock()
+	if !fresh || read {
+		t.Fatalf("after one sweep: written page cached %v, read page cached %v; want true, false", fresh, read)
 	}
-	if s := p.Stats(); s.Evictions != 3 || s.Hits != 2 {
-		t.Errorf("evictions=%d hits=%d, want 3/2", s.Evictions, s.Hits)
+}
+
+// TestMissRecyclesFrame: at capacity, a miss takes the victim's frame for
+// the page it admits, so a steady stream of misses allocates far less
+// than a block each.
+func TestMissRecyclesFrame(t *testing.T) {
+	const capacity, misses = 64, 2000
+	dev := blockdev.NewMem(4*capacity, blockdev.DefaultBlockSize)
+	p := New(dev, capacity, true)
+	touch := func(no uint64) {
+		pg, err := p.Acquire(no % (4 * capacity)) // a cyclic sweep: every touch misses
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(pg)
+	}
+	for i := uint64(0); i < 8*capacity; i++ {
+		touch(i)
+	}
+	m0 := p.Stats().Misses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < misses; i++ {
+		touch(i)
+	}
+	runtime.ReadMemStats(&after)
+	if n := p.Stats().Misses - m0; n != misses {
+		t.Fatalf("%d misses, want %d", n, misses)
+	}
+	perMiss := (after.TotalAlloc - before.TotalAlloc) / misses
+	if perMiss >= blockdev.DefaultBlockSize {
+		t.Fatalf("a miss allocates %d bytes, want less than one %d-byte block", perMiss, blockdev.DefaultBlockSize)
+	}
+	t.Logf("%d bytes allocated per miss", perMiss)
+}
+
+// TestUnevictableCacheGrows: when every cached page is pinned or dirty
+// without a log to steal behind, a miss finds no victim and the cache
+// grows past its capacity, as it must: capacity is advisory. Each such
+// miss moves the hand at most one revolution and leaves it where it was.
+func TestUnevictableCacheGrows(t *testing.T) {
+	const capacity = 8
+	p, _ := newPager(t, 256, capacity, false) // no steal appender: dirty pages stay
+	var pinned []*Page
+	for no := uint64(0); no < capacity; no++ {
+		pg, err := p.Acquire(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if no%2 == 0 {
+			pinned = append(pinned, pg)
+			continue
+		}
+		p.MarkDirty(pg)
+		p.Release(pg)
+	}
+	for no := uint64(capacity); no < 4*capacity; no++ {
+		p.q.mu.Lock()
+		n, steps := p.q.n, p.q.steps
+		p.q.mu.Unlock()
+		_, hand := queue(p)
+		pg, err := p.Acquire(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, pg)
+		p.q.mu.Lock()
+		moved := p.q.steps - steps
+		p.q.mu.Unlock()
+		if moved > int64(n)+1 {
+			t.Fatalf("a miss over %d unevictable pages moved the hand %d times, want at most %d", n, moved, n+1)
+		}
+		if _, h := queue(p); h != hand {
+			t.Fatalf("a miss that evicted nothing moved the hand from page %d to %d", hand, h)
+		}
+	}
+	if s := p.Stats(); s.Cached != 4*capacity || s.Evictions != 0 {
+		t.Fatalf("cached=%d evictions=%d, want %d/0", s.Cached, s.Evictions, 4*capacity)
+	}
+	for _, pg := range pinned {
+		p.Release(pg)
+	}
+	// With the pins gone the next miss evicts until the cache is below
+	// capacity again; the dirty pages stay.
+	if err := p.With(255, func(*Page) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Cached != capacity || s.Dirty != capacity/2 {
+		t.Fatalf("after release: cached=%d dirty=%d, want %d/%d", s.Cached, s.Dirty, capacity, capacity/2)
+	}
+}
+
+// checkQueue holds the queue mutex and every shard latch and checks that
+// each cached page is in the queue exactly once, that the queue holds
+// nothing else, and that the cache holds at most maxPages.
+func checkQueue(t *testing.T, p *Pager, maxPages int) {
+	t.Helper()
+	p.q.mu.Lock()
+	defer p.q.mu.Unlock()
+	for i := range p.shards {
+		p.shards[i].mu.Lock()
+		defer p.shards[i].mu.Unlock()
+	}
+	inQueue := make(map[*Page]int)
+	for pg := p.q.ring.next; pg != &p.q.ring; pg = pg.next {
+		if pg.next.prev != pg {
+			t.Errorf("queue links broken at page %d", pg.no)
+			return
+		}
+		inQueue[pg]++
+	}
+	cached := 0
+	for i := range p.shards {
+		for no, pg := range p.shards[i].table {
+			cached++
+			if pg.no != no || inQueue[pg] != 1 {
+				t.Errorf("page %d is in the queue %d times", no, inQueue[pg])
+			}
+		}
+	}
+	if len(inQueue) != cached || p.q.n != cached {
+		t.Errorf("queue holds %d pages and counts %d; the page tables hold %d", len(inQueue), p.q.n, cached)
+	}
+	if cached > maxPages {
+		t.Errorf("%d pages cached, want at most %d", cached, maxPages)
+	}
+}
+
+// TestSieveConcurrentMisses: workers miss, hit and invalidate pages
+// across all shards of a small cache at once, holding up to two pins
+// each, and rewrite pages of their own whole (WriteFresh is for a page
+// no one else can reach). Every page they see holds its block's bytes, so
+// no recycled frame is reused under a pin; the queue holds every cached
+// page exactly once; and the cache grows past its capacity by no more
+// than the pages pinned at once.
+func TestSieveConcurrentMisses(t *testing.T) {
+	const capacity, shared, own, workers, ops, maxPins = 64, 448, 8, 8, 3000, 2
+	const blocks = shared + workers*own
+	dev := blockdev.NewMem(blocks, 512)
+	content := func(no uint64) []byte {
+		b := make([]byte, 512)
+		for i := range b {
+			b[i] = byte(no*7 + uint64(i)/64)
+		}
+		return b
+	}
+	for no := uint64(0); no < blocks; no++ {
+		if err := dev.WriteBlock(no, content(no)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := New(dev, capacity, true)
+	check := func(pg *Page) error {
+		if !bytes.Equal(pg.Data(), content(pg.No())) {
+			return fmt.Errorf("page %d does not hold its block's bytes", pg.No())
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				checkQueue(t, p, capacity+workers*maxPins)
+				runtime.Gosched()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := uint64(w)*0x9e3779b97f4a7c15 + 1
+			next := func() uint64 {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return rng
+			}
+			for i := 0; i < ops; i++ {
+				r := next()
+				no := r % shared
+				var err error
+				switch r >> 60 {
+				case 0:
+					mine := shared + uint64(w)*own + r%own
+					err = p.WriteFresh(nil, mine, content(mine))
+					if err == nil {
+						err = p.With(mine, check)
+					}
+				case 1:
+					if err = p.Invalidate(no); errors.Is(err, ErrPinned) {
+						err = nil
+					}
+				case 2, 3:
+					err = p.With(no, func(pg *Page) error {
+						if err := check(pg); err != nil {
+							return err
+						}
+						return p.With(next()%shared, check)
+					})
+				default:
+					err = p.With(no%(capacity/2), check) // a hot set that mostly hits
+					if err == nil {
+						err = p.With(no, check)
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-checked
+	if err := p.With(blocks-1, check); err != nil {
+		t.Fatal(err)
+	}
+	checkQueue(t, p, capacity)
+	for i := range p.shards {
+		for _, pg := range p.shards[i].table {
+			if err := check(pg); err != nil {
+				t.Error(err)
+			}
+		}
 	}
 }
 
@@ -445,7 +792,7 @@ func TestAcquireMissRaceWaitsForFill(t *testing.T) {
 func TestAcquireFailedReadLeavesCleanState(t *testing.T) {
 	mem := blockdev.NewMem(256, 512)
 	fd := blockdev.NewFault(mem)
-	p := New(fd, 64, true) // 4 pages per shard
+	p := New(fd, 64, true)
 
 	// Trip the device so reads fail (FaultDevice fails reads only once a
 	// write fault has fired).
@@ -456,8 +803,8 @@ func TestAcquireFailedReadLeavesCleanState(t *testing.T) {
 		t.Fatal("fault did not arm")
 	}
 	for i := uint64(0); i < 8; i++ {
-		if _, err := p.Acquire(i * 16); err == nil { // all shard 0
-			t.Fatalf("Acquire(%d) succeeded on dead device", i*16)
+		if _, err := p.Acquire(i); err == nil {
+			t.Fatalf("Acquire(%d) succeeded on dead device", i)
 		}
 	}
 	if got := p.Stats().Cached; got != 0 {
@@ -465,12 +812,12 @@ func TestAcquireFailedReadLeavesCleanState(t *testing.T) {
 	}
 
 	fd.Disarm()
-	// The shard must still hold its full capacity: fill it to the brim and
+	// The cache must still hold its full capacity: fill it to the brim and
 	// verify every page round-trips (a capacity leak would evict early or
 	// grow the table with ghosts).
 	var pages []*Page
-	for i := uint64(0); i < 4; i++ {
-		pg, err := p.Acquire(i * 16)
+	for i := uint64(0); i < 64; i++ {
+		pg, err := p.Acquire(i)
 		if err != nil {
 			t.Fatalf("Acquire after recovery: %v", err)
 		}
@@ -479,8 +826,8 @@ func TestAcquireFailedReadLeavesCleanState(t *testing.T) {
 	for _, pg := range pages {
 		p.Release(pg)
 	}
-	if got := p.Stats().Cached; got != 4 {
-		t.Errorf("cached = %d, want 4", got)
+	if s := p.Stats(); s.Cached != 64 || s.Evictions != 0 {
+		t.Errorf("cached=%d evictions=%d, want 64/0", s.Cached, s.Evictions)
 	}
 }
 
