@@ -58,7 +58,7 @@ func (t *Tree) writeOverflow(op *pager.Op, val []byte) (uint64, error) {
 		if prev != 0 {
 			err := t.pg.With(prev, func(ppg *pager.Page) error {
 				binary.LittleEndian.PutUint64(ppg.Data()[offPtrA:], pno)
-				t.pg.MarkDirtyRec(ppg, op, redo.KindRange, redo.EncodeRange(offPtrA, u64b(pno)))
+				t.pg.MarkDirtyRec(ppg, op, redo.KindRange, redo.EncodeRange(offPtrA, redo.U64(pno)))
 				return nil
 			})
 			if err != nil {

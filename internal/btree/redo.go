@@ -30,75 +30,61 @@
 //	opNewRoot       left u64 | right u64 | klen uvarint | sep
 //	opMerge         left u64 | right u64                (page = parent)
 //
-// Opcode 1 is retired: it formatted the root leaf of a tree an operation
-// created. Such a tree is built whole now (Build), and no record carries
-// its pages; the volume format that retired it refuses older logs.
+// Each opcode's replay is its entry in replayOps. Opcode 1 is retired:
+// it formatted the root leaf of a tree an operation created. Such a tree
+// is built whole now (Build), and no record carries its pages; the volume
+// format that retired it refuses older logs.
 package btree
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+
+	"repro/internal/redo"
 )
 
-// Btree redo opcodes (payload byte 0 of a redo.KindBtreeOp record).
+// Btree redo opcodes (payload byte 0 of a redo.KindBtreeOp record), in
+// one block that ends in opCount; a retired value holds a blank, so no
+// wire value moves.
 const (
-	opPut           = 2
-	opDel           = 3
-	opRedirect      = 4
-	opSplitLeaf     = 5
-	opSplitInternal = 6
-	opNewRoot       = 7
-	opMerge         = 8
+	_               = iota // 0: never written
+	_                      // 1: retired (formatted a created tree's root leaf)
+	opPut                  // 2
+	opDel                  // 3
+	opRedirect             // 4
+	opSplitLeaf            // 5
+	opSplitInternal        // 6
+	opNewRoot              // 7
+	opMerge                // 8
+	opCount
 )
 
-func encOp(code byte, parts ...[]byte) []byte {
-	n := 1
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]byte, 1, n)
-	out[0] = code
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+// opReplay is one op being re-executed: the page it names, the accessor
+// for the other pages it spans, and a reader over its fields.
+type opReplay struct {
+	get func(pno uint64) ([]byte, error)
+	pno uint64
+	p   pageRef
+	r   redo.Reader
 }
 
-func u64b(v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-func uvb(v uint64) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	return b[:n]
-}
-
-func keyb(k []byte) []byte {
-	return append(uvb(uint64(len(k))), k...)
+// replayOps is the btree redo vocabulary, indexed by opcode: the one
+// place an opcode's replay is defined. A retired opcode has no entry.
+var replayOps = [opCount]func(x opReplay) error{
+	opPut:           replayPut,
+	opDel:           replayDel,
+	opRedirect:      replayRedirect,
+	opSplitLeaf:     replaySplitLeaf,
+	opSplitInternal: replaySplitInternal,
+	opNewRoot:       replayNewRoot,
+	opMerge:         replayMerge,
 }
 
 // errReplay wraps replay decoding/execution failures.
 func errReplay(format string, args ...any) error {
 	return fmt.Errorf("%w: replay: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-func takeU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errReplay("short u64")
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-func takeKey(b []byte) ([]byte, []byte, error) {
-	klen, n := binary.Uvarint(b)
-	if n <= 0 || int(klen) > len(b)-n {
-		return nil, nil, errReplay("bad key length")
-	}
-	return b[n : n+int(klen)], b[n+int(klen):], nil
 }
 
 // ReplayOp re-executes one btree redo op against raw page bytes obtained
@@ -109,139 +95,50 @@ func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byt
 	if len(payload) == 0 {
 		return errReplay("empty op payload")
 	}
-	code, b := payload[0], payload[1:]
+	code := payload[0]
+	if int(code) >= len(replayOps) || replayOps[code] == nil {
+		return errReplay("unknown opcode %d", code)
+	}
 	data, err := get(pageNo)
 	if err != nil {
 		return err
 	}
-	p := pageRef{data}
-
-	switch code {
-	case opPut:
-		return replayPut(p, b)
-
-	case opDel:
-		idx, found, err := p.search(b)
-		if err != nil {
-			return err
-		}
-		if found {
-			p.removeCell(idx)
-		}
-		return nil
-
-	case opRedirect:
-		key, rest, err := takeKey(b)
-		if err != nil {
-			return err
-		}
-		child, _, err := takeU64(rest)
-		if err != nil {
-			return err
-		}
-		idx, found, err := p.search(key)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return errReplay("redirect target key missing on page %d", pageNo)
-		}
-		p.removeCell(idx)
-		if !p.insertRaw(idx, encodeInternalCell(nil, key, child)) {
-			return errReplay("redirect reinsert failed on page %d", pageNo)
-		}
-		return nil
-
-	case opSplitLeaf:
-		right, rest, err := takeU64(b)
-		if err != nil {
-			return err
-		}
-		sep, _, err := takeKey(rest)
-		if err != nil {
-			return err
-		}
-		rdata, err := get(right)
-		if err != nil {
-			return err
-		}
-		return replaySplitLeaf(p, pageNo, pageRef{rdata}, right, sep)
-
-	case opSplitInternal:
-		right, rest, err := takeU64(b)
-		if err != nil {
-			return err
-		}
-		newChild, rest, err := takeU64(rest)
-		if err != nil {
-			return err
-		}
-		newKey, _, err := takeKey(rest)
-		if err != nil {
-			return err
-		}
-		rdata, err := get(right)
-		if err != nil {
-			return err
-		}
-		return replaySplitInternal(p, pageRef{rdata}, newKey, newChild)
-
-	case opNewRoot:
-		left, rest, err := takeU64(b)
-		if err != nil {
-			return err
-		}
-		right, rest, err := takeU64(rest)
-		if err != nil {
-			return err
-		}
-		sep, _, err := takeKey(rest)
-		if err != nil {
-			return err
-		}
-		np := initPage(data, pageInternal)
-		if !np.insertRaw(0, encodeInternalCell(nil, sep, left)) {
-			return errReplay("new-root separator does not fit")
-		}
-		np.setPtrA(right)
-		return nil
-
-	case opMerge:
-		left, rest, err := takeU64(b)
-		if err != nil {
-			return err
-		}
-		right, _, err := takeU64(rest)
-		if err != nil {
-			return err
-		}
-		ldata, err := get(left)
-		if err != nil {
-			return err
-		}
-		rdata, err := get(right)
-		if err != nil {
-			return err
-		}
-		return replayMerge(p, pageRef{ldata}, left, pageRef{rdata})
-
-	default:
-		return errReplay("unknown opcode %d", code)
+	// An entry reads all its fields, then checks the reader's error
+	// before it touches a page: a payload cut short is corrupt.
+	err = replayOps[code](opReplay{get: get, pno: pageNo, p: pageRef{data}, r: redo.NewReader(payload[1:])})
+	if errors.Is(err, redo.ErrShort) {
+		return errReplay("opcode %d: %v", code, err)
 	}
+	return err
 }
 
 // replayPut re-executes a cell put (replace semantics) on a leaf or
-// internal page.
-func replayPut(p pageRef, enc []byte) error {
-	key := decodeKeyFromRaw(enc)
-	idx, found, err := p.search(key)
+// internal page. The payload is the cell, read whole to prove it is one.
+func replayPut(x opReplay) error {
+	enc := x.r.Rest()
+	c := redo.NewReader(enc)
+	key := c.Key()
+	if x.p.typ() == pageLeaf {
+		if inline := c.U8() == 0; inline {
+			c.Bytes(c.Uvarint())
+		} else {
+			c.Uvarint()
+			c.U64()
+		}
+	} else {
+		c.U64()
+	}
+	if c.Err() != nil || c.Len() != 0 {
+		return errReplay("put of a malformed %d-byte cell on page %d", len(enc), x.pno)
+	}
+	idx, found, err := x.p.search(key)
 	if err != nil {
 		return err
 	}
 	if found {
-		p.removeCell(idx)
+		x.p.removeCell(idx)
 	}
-	if !p.insertRaw(idx, enc) {
+	if !x.p.insertRaw(idx, enc) {
 		// The committed cell set can exceed the runtime page only when an
 		// uncommitted delete freed the space the runtime insert used — a
 		// crash window the deferred-merge policy narrows but replay must
@@ -251,12 +148,53 @@ func replayPut(p pageRef, enc []byte) error {
 	return nil
 }
 
+// replayDel removes a key, if the page holds it.
+func replayDel(x opReplay) error {
+	idx, found, err := x.p.search(x.r.Rest())
+	if err != nil {
+		return err
+	}
+	if found {
+		x.p.removeCell(idx)
+	}
+	return nil
+}
+
+// replayRedirect points an internal cell's key at a new child.
+func replayRedirect(x opReplay) error {
+	key, child := x.r.Key(), x.r.U64()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	idx, found, err := x.p.search(key)
+	if err != nil {
+		return err
+	}
+	if !found {
+		return errReplay("redirect target key missing on page %d", x.pno)
+	}
+	x.p.removeCell(idx)
+	if !x.p.insertRaw(idx, encodeInternalCell(nil, key, child)) {
+		return errReplay("redirect reinsert failed on page %d", x.pno)
+	}
+	return nil
+}
+
 // replaySplitLeaf re-partitions the committed cells of the left leaf
 // around sep: cells with key > sep move to the (rebuilt) right page.
 // Mirrors the runtime split, which chose sep as the largest left-hand
 // key; sep itself may name a cell replay has never seen — separators
 // need not exist in the tree.
-func replaySplitLeaf(lp pageRef, leftPno uint64, rp pageRef, rightPno uint64, sep []byte) error {
+func replaySplitLeaf(x opReplay) error {
+	rightPno, sep := x.r.U64(), x.r.Key()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	rdata, err := x.get(rightPno)
+	if err != nil {
+		return err
+	}
+	lp := x.p
 	n := lp.ncells()
 	var keep, move [][]byte
 	for i := 0; i < n; i++ {
@@ -278,14 +216,14 @@ func replaySplitLeaf(lp pageRef, leftPno uint64, rp pageRef, rightPno uint64, se
 			return errReplay("split-leaf left overflow")
 		}
 	}
-	rp = initPage(rp.data, pageLeaf)
+	rp := initPage(rdata, pageLeaf)
 	for i, raw := range move {
 		if !rp.insertRaw(i, raw) {
 			return errReplay("split-leaf right overflow")
 		}
 	}
 	rp.setPtrA(oldNext)
-	rp.setPtrB(leftPno)
+	rp.setPtrB(x.pno)
 	lp.setPtrA(rightPno)
 	lp.setPtrB(oldPrev)
 	return nil
@@ -295,7 +233,16 @@ func replaySplitLeaf(lp pageRef, leftPno uint64, rp pageRef, rightPno uint64, se
 // separator cell included — internal pages are written only by system
 // transactions, so their replay state matches the runtime state and the
 // runtime's middle-cell choice is reproduced exactly.
-func replaySplitInternal(p pageRef, rp pageRef, newKey []byte, newChild uint64) error {
+func replaySplitInternal(x opReplay) error {
+	right, newChild, newKey := x.r.U64(), x.r.U64(), x.r.Key()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	rdata, err := x.get(right)
+	if err != nil {
+		return err
+	}
+	p := x.p
 	type icell struct {
 		key   []byte
 		child uint64
@@ -323,7 +270,7 @@ func replaySplitInternal(p pageRef, rp pageRef, newKey []byte, newChild uint64) 
 	m := len(cells) / 2
 	promoted := cells[m]
 
-	rp = initPage(rp.data, pageInternal)
+	rp := initPage(rdata, pageInternal)
 	for i := m + 1; i < len(cells); i++ {
 		if !rp.insertRaw(i-m-1, encodeInternalCell(nil, cells[i].key, cells[i].child)) {
 			return errReplay("split-internal right overflow")
@@ -341,8 +288,37 @@ func replaySplitInternal(p pageRef, rp pageRef, newKey []byte, newChild uint64) 
 	return nil
 }
 
-// replayMerge re-executes a sibling merge plus its parent fixup.
-func replayMerge(pp pageRef, lp pageRef, leftPno uint64, rp pageRef) error {
+// replayNewRoot formats the record's page as a new internal root over
+// two children.
+func replayNewRoot(x opReplay) error {
+	left, right, sep := x.r.U64(), x.r.U64(), x.r.Key()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	np := initPage(x.p.data, pageInternal)
+	if !np.insertRaw(0, encodeInternalCell(nil, sep, left)) {
+		return errReplay("new-root separator does not fit")
+	}
+	np.setPtrA(right)
+	return nil
+}
+
+// replayMerge re-executes a sibling merge plus its parent fixup; the
+// record's page is the parent.
+func replayMerge(x opReplay) error {
+	leftPno, right := x.r.U64(), x.r.U64()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	ldata, err := x.get(leftPno)
+	if err != nil {
+		return err
+	}
+	rdata, err := x.get(right)
+	if err != nil {
+		return err
+	}
+	pp, lp, rp := x.p, pageRef{ldata}, pageRef{rdata}
 	// Locate the parent cell referring to left.
 	li := -1
 	for i := 0; i < pp.ncells(); i++ {

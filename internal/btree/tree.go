@@ -417,7 +417,7 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte, inverse bool) error {
 		}
 		enc := encodeLeafCell(nil, key, inlineVal, totalLen, ovfPage)
 		if p.insertRaw(idx, enc) {
-			t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opPut, enc))
+			t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, redo.EncodeOp(opPut, enc))
 			return nil
 		}
 		// Leaf is full: split. insertRaw left the page unchanged.
@@ -522,14 +522,14 @@ func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte)
 		lp.setPtrA(rightPno)
 		lp.setPtrB(oldPrev)
 		t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-			encOp(opSplitLeaf, u64b(rightPno), keyb(sep)))
+			redo.EncodeOp(opSplitLeaf, redo.U64(rightPno), redo.Key(sep)))
 		t.pg.MarkDirty(rpg)
 		// The enclosing operation's cell, stamped after the split records so
 		// replay lands it on the rebuilt half.
 		if idx < splitAt {
-			t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opPut, enc))
+			t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, redo.EncodeOp(opPut, enc))
 		} else {
-			t.pg.MarkDirtyRec(rpg, op, redo.KindBtreeOp, encOp(opPut, enc))
+			t.pg.MarkDirtyRec(rpg, op, redo.KindBtreeOp, redo.EncodeOp(opPut, enc))
 		}
 		return nil
 	})
@@ -548,7 +548,7 @@ func (t *Tree) linkLeafSplit(sys *pager.Op, path []pathElem, sep []byte, leafPno
 	if oldNext != 0 {
 		err = t.pg.With(oldNext, func(npg *pager.Page) error {
 			pageRef{npg.Data()}.setPtrB(rightPno)
-			t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, u64b(rightPno)))
+			t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, redo.U64(rightPno)))
 			return nil
 		})
 	}
@@ -593,7 +593,7 @@ func (t *Tree) insertSeparator(sys *pager.Op, path []pathElem, sep []byte, leftP
 			}
 			p.setPtrA(rightPno)
 			t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-				encOp(opNewRoot, u64b(leftPno), u64b(rightPno), keyb(sep)))
+				redo.EncodeOp(opNewRoot, redo.U64(leftPno), redo.U64(rightPno), redo.Key(sep)))
 			return nil
 		})
 		if err != nil {
@@ -630,14 +630,14 @@ func (t *Tree) insertSeparator(sys *pager.Op, path []pathElem, sep []byte, leftP
 				return fmt.Errorf("%w: reinsert of redirected cell failed", ErrCorrupt)
 			}
 			t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-				encOp(opRedirect, keyb(k), u64b(rightPno)))
+				redo.EncodeOp(opRedirect, redo.Key(k), redo.U64(rightPno)))
 		} else {
 			p.setPtrA(rightPno)
-			t.pg.MarkDirtyRec(pg, sys, redo.KindRange, redo.EncodeRange(offPtrA, u64b(rightPno)))
+			t.pg.MarkDirtyRec(pg, sys, redo.KindRange, redo.EncodeRange(offPtrA, redo.U64(rightPno)))
 		}
 		encNew := encodeInternalCell(nil, sep, leftPno)
 		if p.insertRaw(parent.idx, encNew) {
-			t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp, encOp(opPut, encNew))
+			t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp, redo.EncodeOp(opPut, encNew))
 			return nil
 		}
 		// Parent full: split it.
@@ -704,7 +704,7 @@ func (t *Tree) splitInternal(sys *pager.Op, pg *pager.Page, idx int, sep []byte,
 		lp.setPtrA(promoted.child)
 
 		t.pg.MarkDirtyRec(pg, sys, redo.KindBtreeOp,
-			encOp(opSplitInternal, u64b(rightPno), u64b(leftPno), keyb(sep)))
+			redo.EncodeOp(opSplitInternal, redo.U64(rightPno), redo.U64(leftPno), redo.Key(sep)))
 		t.pg.MarkDirty(rpg)
 		return nil
 	})
@@ -769,7 +769,7 @@ func (t *Tree) DeleteOp(op *pager.Op, key []byte) error {
 			}
 		}
 		p.removeCell(idx)
-		t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, encOp(opDel, key))
+		t.pg.MarkDirtyRec(pg, op, redo.KindBtreeOp, redo.EncodeOp(opDel, key))
 		underfull = p.usedBytes() < len(pg.Data())/4
 		return nil
 	})
@@ -847,7 +847,7 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) error 
 			}
 			if merged {
 				t.pg.MarkDirtyRec(ppg, sys, redo.KindBtreeOp,
-					encOp(opMerge, u64b(leftPno), u64b(rightPno)))
+					redo.EncodeOp(opMerge, redo.U64(leftPno), redo.U64(rightPno)))
 				underfull = pp.usedBytes() < len(ppg.Data())/4
 				if rootEmpty = parent.pno == t.root && pp.ncells() == 0; rootEmpty {
 					newRoot = pp.ptrA()
@@ -931,7 +931,7 @@ func (t *Tree) tryMergePair(sys *pager.Op, pp pageRef, leftPno, rightPno uint64,
 				if next != 0 {
 					err := t.pg.With(next, func(npg *pager.Page) error {
 						pageRef{npg.Data()}.setPtrB(leftPno)
-						t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, u64b(leftPno)))
+						t.pg.MarkDirtyRec(npg, sys, redo.KindRange, redo.EncodeRange(offPtrB, redo.U64(leftPno)))
 						return nil
 					})
 					if err != nil {

@@ -104,6 +104,12 @@ func RoundUp(n uint64) uint64 {
 	return uint64(1) << orderFor(n)
 }
 
+// AllocPage reserves one block: a btree's page.
+func (a *Allocator) AllocPage() (uint64, error) { return a.Alloc(1) }
+
+// FreePage frees one block AllocPage reserved.
+func (a *Allocator) FreePage(no uint64) error { return a.Free(no, 1) }
+
 // Alloc reserves a run of at least n blocks and returns its absolute
 // starting block address. The reservation is RoundUp(n) blocks; Free must
 // be called with the same n (or its round-up).

@@ -331,7 +331,7 @@ func (v *Volume) rebuildAllocator(tail []allocRec) error {
 	if err != nil {
 		return err
 	}
-	// Components captured pageAlloc{v.ba} (the pointer) when they were
+	// Components captured v.ba (the pointer) when they were
 	// opened, so the rebuilt state is copied into the existing allocator
 	// object rather than swapping the pointer.
 	if err := v.ba.ReplaceWith(ba); err != nil {

@@ -24,6 +24,10 @@ func newVolume(t *testing.T, opts Options) (*Volume, *blockdev.MemDevice) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	// A test that abandons the volume (a crash) would leave its
+	// checkpointer running, and the goroutine would keep the volume and
+	// its 128 MiB device alive for the rest of the package's tests.
+	t.Cleanup(v.stopCheckpointer)
 	return v, dev
 }
 

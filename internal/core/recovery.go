@@ -78,6 +78,105 @@ func timed(p *RecoveryPhase, fn func() error) error {
 	return err
 }
 
+// replayer is the state of one replay of the log: the pages it has
+// materialized and what it learned for the steps after replay.
+type replayer struct {
+	v        *Volume
+	pages    map[uint64][]byte
+	pristine map[uint64][]byte
+	wrote    map[uint64][]uint32 // block → the sums its logged writes left, in order
+	built    map[uint64]bool     // block → its last logged write was a built page's
+	allocs   []allocRec
+}
+
+// replayKinds is the redo vocabulary's replay, indexed by record kind:
+// the one place a kind's replay is defined. A kind no record carries any
+// more, or one the WAL keeps for itself, has no entry.
+var replayKinds = [redo.KindCount]func(x *replayer, r redo.Record) error{
+	redo.KindImage: func(x *replayer, r redo.Record) error {
+		if len(r.Data) != x.v.raw.BlockSize() {
+			return fmt.Errorf("%w: logged page image has %d bytes", ErrBadSuperblock, len(r.Data))
+		}
+		d, err := x.page(r.Page)
+		if err == nil {
+			copy(d, r.Data)
+		}
+		return err
+	},
+	redo.KindRange: func(x *replayer, r redo.Record) error {
+		d, err := x.page(r.Page)
+		if err != nil {
+			return err
+		}
+		return redo.ApplyRange(d, r.Data)
+	},
+	redo.KindBtreeOp:  func(x *replayer, r redo.Record) error { return btree.ReplayOp(x.page, r.Page, r.Data) },
+	redo.KindExtentOp: func(x *replayer, r redo.Record) error { return extent.ReplayOp(x.page, r.Page, r.Data) },
+	redo.KindUndo:     endsInWAL("undo records drive the rollback of loser chains, which the WAL hands over as Losers"),
+	redo.KindChunk:    endsInWAL("chunk records resolve chunk chains inside the WAL's Recover"),
+	redo.KindAlloc: func(x *replayer, r redo.Record) error {
+		a, err := decodeAllocRec(r)
+		if err == nil {
+			x.allocs = append(x.allocs, a)
+		}
+		return err
+	},
+	redo.KindWrote: (*replayer).wroteSums,
+	redo.KindBuilt: (*replayer).wroteSums,
+}
+
+// endsInWAL is the entry of a kind that the WAL consumes itself and
+// Recover never hands to replay; why says where it ends. One that arrives
+// all the same is a log this volume did not write.
+func endsInWAL(why string) func(*replayer, redo.Record) error {
+	return func(_ *replayer, r redo.Record) error {
+		return fmt.Errorf("%w: redo kind %d reached replay (%s)", ErrBadSuperblock, r.Kind, why)
+	}
+}
+
+// replay dispatches one record through replayKinds.
+func (x *replayer) replay(r redo.Record) error {
+	if int(r.Kind) >= len(replayKinds) || replayKinds[r.Kind] == nil {
+		return fmt.Errorf("%w: unknown redo kind %d", ErrBadSuperblock, r.Kind)
+	}
+	return replayKinds[r.Kind](x, r)
+}
+
+// page materializes page pno. Materialization reads bypass checksum
+// verification: a stolen page's home legitimately leads the
+// checkpoint-time sidecar, and a page the log modifies is rebuilt from
+// its logged first-touch base image before any delta applies, so disk
+// content is only a placeholder. The pristine copy lets the write-home
+// loop skip pages replay merely fetched — rewriting those through the
+// checksumming device would launder any rot in them into a fresh valid
+// sum.
+func (x *replayer) page(pno uint64) ([]byte, error) {
+	if d, ok := x.pages[pno]; ok {
+		return d, nil
+	}
+	v := x.v
+	if pno >= v.raw.NumBlocks() {
+		return nil, fmt.Errorf("%w: replayed page %d beyond device", ErrBadSuperblock, pno)
+	}
+	d := make([]byte, v.raw.BlockSize())
+	if err := v.raw.ReadBlock(pno, d); err != nil {
+		return nil, err
+	}
+	x.pages[pno] = d
+	x.pristine[pno] = slices.Clone(d)
+	return d, nil
+}
+
+// wroteSums notes the sums a KindWrote or KindBuilt record names.
+func (x *replayer) wroteSums(r redo.Record) error {
+	return redo.WroteSums(r.Page, r.Data, func(b uint64, sum uint32) {
+		if x.v.sums.covers(b) {
+			x.wrote[b] = append(x.wrote[b], sum)
+			x.built[b] = r.Kind == redo.KindBuilt
+		}
+	})
+}
+
 // replayLog applies the redo records of the log: committed transactions,
 // system transactions and loser chunks alike ("repeat history"). Records
 // arrive in LSN order; pages are materialized once from their home
@@ -88,80 +187,16 @@ func timed(p *RecoveryPhase, fn func() error) error {
 // exactly the state earlier records built. Allocator records touch no
 // page: they are returned, in LSN order, for replayAllocator.
 func (v *Volume) replayLog() ([]allocRec, error) {
-	bs := v.raw.BlockSize()
-	pages := make(map[uint64][]byte)
-	pristine := make(map[uint64][]byte)
-	wrote := make(map[uint64][]uint32) // block → the sums its logged writes left, in order
-	built := make(map[uint64]bool)     // block → its last logged write was a built page's
-	var allocs []allocRec
+	x := &replayer{
+		v:        v,
+		pages:    make(map[uint64][]byte),
+		pristine: make(map[uint64][]byte),
+		wrote:    make(map[uint64][]uint32),
+		built:    make(map[uint64]bool),
+	}
 	rep := &v.recovery
-	// Materialization reads bypass checksum verification: a stolen page's
-	// home legitimately leads the checkpoint-time sidecar, and a page the
-	// log modifies is rebuilt from its logged first-touch base image
-	// before any delta applies, so disk content is only a placeholder.
-	// The pristine copy lets the write-home loop skip pages replay merely
-	// fetched — rewriting those through the checksumming device would
-	// launder any rot in them into a fresh valid sum.
-	get := func(pno uint64) ([]byte, error) {
-		if d, ok := pages[pno]; ok {
-			return d, nil
-		}
-		if pno >= v.raw.NumBlocks() {
-			return nil, fmt.Errorf("%w: replayed page %d beyond device", ErrBadSuperblock, pno)
-		}
-		d := make([]byte, bs)
-		if err := v.raw.ReadBlock(pno, d); err != nil {
-			return nil, err
-		}
-		pages[pno] = d
-		p := make([]byte, bs)
-		copy(p, d)
-		pristine[pno] = p
-		return d, nil
-	}
-	apply := func(r redo.Record) error {
-		switch r.Kind {
-		case redo.KindImage:
-			if len(r.Data) != bs {
-				return fmt.Errorf("%w: logged page image has %d bytes", ErrBadSuperblock, len(r.Data))
-			}
-			d, err := get(r.Page)
-			if err != nil {
-				return err
-			}
-			copy(d, r.Data)
-			return nil
-		case redo.KindRange:
-			d, err := get(r.Page)
-			if err != nil {
-				return err
-			}
-			return redo.ApplyRange(d, r.Data)
-		case redo.KindBtreeOp:
-			return btree.ReplayOp(get, r.Page, r.Data)
-		case redo.KindExtentOp:
-			return extent.ReplayOp(get, r.Page, r.Data)
-		case redo.KindWrote, redo.KindBuilt:
-			return redo.WroteSums(r.Page, r.Data, func(b uint64, sum uint32) {
-				if v.sums.covers(b) {
-					wrote[b] = append(wrote[b], sum)
-					built[b] = r.Kind == redo.KindBuilt
-				}
-			})
-		case redo.KindAlloc:
-			a, err := decodeAllocRec(r)
-			if err != nil {
-				return err
-			}
-			allocs = append(allocs, a)
-			return nil
-		default:
-			return fmt.Errorf("%w: unknown redo kind %d", ErrBadSuperblock, r.Kind)
-		}
-	}
 	t0 := time.Now()
-	//hfadvet:replay-exempt KindUndo KindChunk — both terminate inside the WAL: undo records drive rollback through chain resolution and chunk records reassemble oversized payloads before Recover ever surfaces a logical record here
-	n, err := v.log.Recover(func(r redo.Record) error { return timed(&rep.Replay, func() error { return apply(r) }) })
+	n, err := v.log.Recover(func(r redo.Record) error { return timed(&rep.Replay, func() error { return x.replay(r) }) })
 	if err != nil {
 		return nil, err
 	}
@@ -170,11 +205,11 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 	rep.LogBytes = st.BytesScanned
 	rep.Replay.Count = int64(n)
 	if n == 0 {
-		return allocs, nil
+		return x.allocs, nil
 	}
 	err = timed(&rep.Replay, func() error {
-		for pno, d := range pages {
-			if bytes.Equal(d, pristine[pno]) {
+		for pno, d := range x.pages {
+			if bytes.Equal(d, x.pristine[pno]) {
 				// The home already holds the WAL-prescribed content (it was
 				// flushed after the last sidecar flush), so the durable sum
 				// may trail it: refresh the entry from the materialized
@@ -192,12 +227,12 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 			}
 			rep.PagesHome++
 		}
-		if err := v.settleDataSums(wrote, built); err != nil {
+		if err := v.settleDataSums(x.wrote, x.built); err != nil {
 			return err
 		}
 		return v.raw.Sync()
 	})
-	return allocs, err
+	return x.allocs, err
 }
 
 // settleDataSums gives the blocks the log tail wrote straight to the

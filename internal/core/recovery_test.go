@@ -577,7 +577,7 @@ func TestRecoveryLosers(t *testing.T) {
 		img := loserImage(t, v, mem, func(b *Batch, i int) error {
 			if i == 0 {
 				none := func() ([]byte, []byte, bool, error) { return nil, nil, false, nil }
-				if _, err := btree.Build(v.pg, pageAlloc{v.ba}, b.op, none); err != nil {
+				if _, err := btree.Build(v.pg, v.ba, b.op, none); err != nil {
 					return err
 				}
 				ext, err := extent.Open(v.pg, v.ba, m.Root, uint64(m.OID), v.opts.ExtentConfig, nil)

@@ -117,14 +117,23 @@ func (v *Volume) undoLosers(chains []wal.LoserChain) error {
 // steal moved the physical bytes since capture. A key already gone, or
 // an object a neighbour deleted since, is tolerated.
 func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
-	switch u.Code {
-	case undo.OpKeyPut:
+	if int(u.Code) >= len(undoOps) || undoOps[u.Code] == nil {
+		return fmt.Errorf("core: unknown undo opcode %d", u.Code)
+	}
+	return undoOps[u.Code](v, op, u)
+}
+
+// undoOps is the undo vocabulary's execution, indexed by opcode: the one
+// place an inverse's effect is defined. A retired opcode has no entry.
+var undoOps = [undo.OpCount]func(v *Volume, op *pager.Op, u undo.Op) error{
+	undo.OpKeyPut: func(v *Volume, op *pager.Op, u undo.Op) error {
 		tr, err := v.treeByHeader(u.Hdr)
 		if err != nil {
 			return err
 		}
 		return tr.PutOp(op, u.Key, u.Data)
-	case undo.OpKeyDel:
+	},
+	undo.OpKeyDel: func(v *Volume, op *pager.Op, u undo.Op) error {
 		tr, err := v.treeByHeader(u.Hdr)
 		if err != nil {
 			return err
@@ -133,36 +142,48 @@ func (v *Volume) applyUndo(op *pager.Op, u undo.Op) error {
 			return err
 		}
 		return nil
-	case undo.OpExtWrite, undo.OpExtIns, undo.OpExtDel:
-		obj, err := v.openForUndo(osd.OID(u.Hdr))
-		if err != nil || obj == nil {
-			return err
-		}
-		defer obj.Close()
-		switch u.Code {
-		case undo.OpExtWrite:
-			return obj.WriteAtDeferred(op, u.Data, u.Off)
-		case undo.OpExtIns:
-			return obj.InsertAtDeferred(op, u.Off, u.Data)
-		default:
-			return obj.TruncateRangeDeferred(op, u.Off, u.N)
-		}
-	case undo.OpReclaim:
+	},
+	undo.OpExtWrite: onObject(func(obj *osd.Object, op *pager.Op, u undo.Op) error {
+		return obj.WriteAtDeferred(op, u.Data, u.Off)
+	}),
+	undo.OpExtIns: onObject(func(obj *osd.Object, op *pager.Op, u undo.Op) error {
+		return obj.InsertAtDeferred(op, u.Off, u.Data)
+	}),
+	undo.OpExtDel: onObject(func(obj *osd.Object, op *pager.Op, u undo.Op) error {
+		return obj.TruncateRangeDeferred(op, u.Off, u.N)
+	}),
+	undo.OpReclaim: func(v *Volume, op *pager.Op, u undo.Op) error {
 		return pager.NewSpace(v.pg, v.ba).Reclaim(op, u.Runs)
-	case undo.OpBtreeDrop:
-		tr, err := btree.Open(v.pg, pageAlloc{v.ba}, u.Hdr)
+	},
+	undo.OpBtreeDrop: func(v *Volume, op *pager.Op, u undo.Op) error {
+		tr, err := btree.Open(v.pg, v.ba, u.Hdr)
 		if err != nil {
 			return err
 		}
 		return tr.Drop(op)
-	case undo.OpExtentDrop:
+	},
+	undo.OpExtentDrop: func(v *Volume, op *pager.Op, u undo.Op) error {
 		return v.OSD.DestroyTree(op, osd.OID(u.Hdr))
-	case undo.OpMetaPut:
+	},
+	undo.OpFulltext: func(v *Volume, op *pager.Op, _ undo.Op) error { return v.ft.Inner().Undo(op) },
+	undo.OpMetaPut: func(v *Volume, op *pager.Op, u undo.Op) error {
 		return v.OSD.RestoreMeta(op, osd.OID(u.Hdr), u.Data)
-	case undo.OpFulltext:
-		return v.ft.Inner().Undo(op)
-	default:
-		return fmt.Errorf("core: unknown undo opcode %d", u.Code)
+	},
+}
+
+// onObject is the entry of an inverse that runs on object u.Hdr, opened
+// for it; an object a neighbour deleted since has nothing to undo.
+func onObject(fn func(obj *osd.Object, op *pager.Op, u undo.Op) error) func(*Volume, *pager.Op, undo.Op) error {
+	return func(v *Volume, op *pager.Op, u undo.Op) error {
+		obj, err := v.OSD.OpenObject(osd.OID(u.Hdr))
+		if errors.Is(err, osd.ErrNotFound) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		defer obj.Close()
+		return fn(obj, op, u)
 	}
 }
 
@@ -176,17 +197,4 @@ func (v *Volume) treeByHeader(hdr uint64) (*btree.Tree, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: no btree with header page %d", ErrNotFound, hdr)
-}
-
-// openForUndo opens object oid for an inverse to run through. Returns
-// (nil, nil) when the object does not exist any more.
-func (v *Volume) openForUndo(oid osd.OID) (*osd.Object, error) {
-	obj, err := v.OSD.OpenObject(oid)
-	if errors.Is(err, osd.ErrNotFound) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return obj, nil
 }

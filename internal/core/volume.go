@@ -238,12 +238,6 @@ func (v *Volume) rlock() (func(), error) {
 	return v.mu.RUnlock, nil
 }
 
-// pageAlloc adapts the buddy allocator for btrees.
-type pageAlloc struct{ ba *buddy.Allocator }
-
-func (a pageAlloc) AllocPage() (uint64, error) { return a.ba.Alloc(1) }
-func (a pageAlloc) FreePage(no uint64) error   { return a.ba.Free(no, 1) }
-
 // Create formats dev as a new hFAD volume.
 func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	opts.fill()
@@ -307,11 +301,11 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.catalog, err = btree.Create(v.pg, pageAlloc{v.ba})
+	v.catalog, err = btree.Create(v.pg, v.ba)
 	if err != nil {
 		return nil, err
 	}
-	v.reverse, err = btree.Create(v.pg, pageAlloc{v.ba})
+	v.reverse, err = btree.Create(v.pg, v.ba)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +376,7 @@ func (v *Volume) enableSteal() {
 func (v *Volume) createIndexes() error {
 	// Unsharded path indexes (prefix scans stay single-structure).
 	for _, tag := range []string{index.TagPOSIX, "PDIR"} {
-		kv, err := index.NewKVIndex(tag, v.pg, pageAlloc{v.ba})
+		kv, err := index.NewKVIndex(tag, v.pg, v.ba)
 		if err != nil {
 			return err
 		}
@@ -396,7 +390,7 @@ func (v *Volume) createIndexes() error {
 	for _, tag := range []string{index.TagUser, index.TagUDef, index.TagApp} {
 		var shards []index.Store
 		for i := 0; i < v.opts.IndexShards; i++ {
-			kv, err := index.NewKVIndex(tag, v.pg, pageAlloc{v.ba})
+			kv, err := index.NewKVIndex(tag, v.pg, v.ba)
 			if err != nil {
 				return err
 			}
@@ -412,7 +406,7 @@ func (v *Volume) createIndexes() error {
 			v.registry.Register(index.NewSharded(tag, shards))
 		}
 	}
-	ftIdx, err := fulltext.Create(v.pg, pageAlloc{v.ba}, v.fulltextConfig())
+	ftIdx, err := fulltext.Create(v.pg, v.ba, v.fulltextConfig())
 	if err != nil {
 		return err
 	}
@@ -422,7 +416,7 @@ func (v *Volume) createIndexes() error {
 	v.ft = index.NewFulltext(ftIdx)
 	v.registry.Register(v.ft)
 
-	v.img, err = index.NewImageIndex(v.pg, pageAlloc{v.ba})
+	v.img, err = index.NewImageIndex(v.pg, v.ba)
 	if err != nil {
 		return err
 	}
@@ -607,7 +601,7 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.catalog, err = btree.Open(v.pg, pageAlloc{v.ba}, sb.catalogHeader)
+	v.catalog, err = btree.Open(v.pg, v.ba, sb.catalogHeader)
 	if err != nil {
 		return nil, err
 	}
@@ -615,7 +609,7 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.reverse, err = btree.Open(v.pg, pageAlloc{v.ba}, revPno)
+	v.reverse, err = btree.Open(v.pg, v.ba, revPno)
 	if err != nil {
 		return nil, err
 	}
@@ -700,7 +694,7 @@ func (v *Volume) openIndexes() error {
 		if err != nil {
 			return err
 		}
-		kv, err := index.OpenKVIndex(tag, v.pg, pageAlloc{v.ba}, pno)
+		kv, err := index.OpenKVIndex(tag, v.pg, v.ba, pno)
 		if err != nil {
 			return err
 		}
@@ -717,7 +711,7 @@ func (v *Volume) openIndexes() error {
 			if err != nil {
 				return err
 			}
-			kv, err := index.OpenKVIndex(tag, v.pg, pageAlloc{v.ba}, pno)
+			kv, err := index.OpenKVIndex(tag, v.pg, v.ba, pno)
 			if err != nil {
 				return err
 			}
@@ -737,7 +731,7 @@ func (v *Volume) openIndexes() error {
 	if err != nil {
 		return err
 	}
-	ftIdx, err := fulltext.Open(v.pg, pageAlloc{v.ba}, ftPno, v.fulltextConfig())
+	ftIdx, err := fulltext.Open(v.pg, v.ba, ftPno, v.fulltextConfig())
 	if err != nil {
 		return err
 	}
@@ -748,7 +742,7 @@ func (v *Volume) openIndexes() error {
 	if err != nil {
 		return err
 	}
-	v.img, err = index.OpenImageIndex(v.pg, pageAlloc{v.ba}, imgPno)
+	v.img, err = index.OpenImageIndex(v.pg, v.ba, imgPno)
 	if err != nil {
 		return err
 	}

@@ -610,7 +610,7 @@ func (t *Tree) bumpCounts(path []pathElem, delta int64) error {
 			c := n.childCell(pe.idx)
 			c.bytes = uint64(int64(c.bytes) + delta)
 			n.setChildCell(pe.idx, c)
-			t.rec(pg, t.curOp, func() []byte { return encXop(xopBump, xu16(pe.idx), xu64(uint64(delta))) })
+			t.rec(pg, t.curOp, func() []byte { return redo.EncodeOp(xopBump, redo.U16(pe.idx), redo.U64(uint64(delta))) })
 			return nil
 		})
 		if err != nil {

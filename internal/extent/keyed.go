@@ -40,18 +40,12 @@ type KeyedMap struct {
 // NewKeyedMap creates an empty offset-keyed extent map.
 func NewKeyedMap(pg *pager.Pager, ba *buddy.Allocator, cfg Config) (*KeyedMap, error) {
 	cfg.Fill(pg.BlockSize())
-	tr, err := btree.Create(pg, pageAlloc{ba})
+	tr, err := btree.Create(pg, ba)
 	if err != nil {
 		return nil, err
 	}
 	return &KeyedMap{tr: tr, ba: ba, pg: pg, bs: uint64(pg.BlockSize()), cfg: cfg}, nil
 }
-
-// pageAlloc adapts the buddy allocator to btree.PageAllocator.
-type pageAlloc struct{ ba *buddy.Allocator }
-
-func (a pageAlloc) AllocPage() (uint64, error) { return a.ba.Alloc(1) }
-func (a pageAlloc) FreePage(no uint64) error   { return a.ba.Free(no, 1) }
 
 // Size returns the object's logical size.
 func (m *KeyedMap) Size() uint64 {

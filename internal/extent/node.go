@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pager"
+	"repro/internal/redo"
 )
 
 // insertCellAtOff inserts extent e at the extent boundary at byte offset
@@ -45,7 +46,7 @@ func (t *Tree) insertCell(off uint64, e Extent) (bool, error) {
 			}
 			if inserted = n.ncells() < t.capOf(leafPno, pageLeaf); inserted {
 				n.insertLeafCell(idx, e)
-				t.rec(pg, t.curOp, func() []byte { return encXop(xopLeafIns, xu16(idx), encCell(e)) })
+				t.rec(pg, t.curOp, func() []byte { return redo.EncodeOp(xopLeafIns, redo.U16(idx), encCell(e)) })
 			}
 			return nil
 		})
@@ -109,7 +110,7 @@ func (t *Tree) splitNode(path []pathElem, pno uint64) (uint64, uint64, int, erro
 				n.setNext(rightPno)
 			}
 			leftSum, rightSum = n.sum(), rn.sum()
-			t.rec(pg, op, func() []byte { return encXop(xopSplit, xu64(rightPno), xu16(mid)) })
+			t.rec(pg, op, func() []byte { return redo.EncodeOp(xopSplit, redo.U64(rightPno), redo.U16(mid)) })
 			// The right page is fresh and fully determined by the split
 			// record; it needs no record (or base image) of its own.
 			t.pg.MarkDirty(rpg)
@@ -123,7 +124,7 @@ func (t *Tree) splitNode(path []pathElem, pno uint64) (uint64, uint64, int, erro
 	if oldNext != 0 {
 		err := t.pg.With(oldNext, func(npg *pager.Page) error {
 			nodeRef{npg.Data()}.setPrev(rightPno)
-			t.recRange(npg, op, offPtrB, xu64(rightPno))
+			t.recRange(npg, op, offPtrB, redo.U64(rightPno))
 			return nil
 		})
 		if err != nil {
@@ -140,9 +141,9 @@ func (t *Tree) splitNode(path []pathElem, pno uint64) (uint64, uint64, int, erro
 			return fmt.Errorf("%w: parent cell %d does not reach split child %d", ErrCorrupt, pidx, pno)
 		}
 		pn.setChildCell(pidx, childEntry{pno, leftSum})
-		t.rec(ppg, op, func() []byte { return encXop(xopChildSet, xu16(pidx), xu64(pno)) })
+		t.rec(ppg, op, func() []byte { return redo.EncodeOp(xopChildSet, redo.U16(pidx), redo.U64(pno)) })
 		pn.insertChildCell(pidx+1, childEntry{rightPno, rightSum})
-		t.rec(ppg, op, func() []byte { return encXop(xopChildIns, xu16(pidx+1), xu64(rightPno)) })
+		t.rec(ppg, op, func() []byte { return redo.EncodeOp(xopChildIns, redo.U16(pidx+1), redo.U64(rightPno)) })
 		return nil
 	}
 	full := false
@@ -182,7 +183,9 @@ func (t *Tree) pushDown() (uint64, error) {
 		cnt := root.ncells()
 		copy(cellBytes(cn, 0, cnt), cellBytes(root, 0, cnt))
 		cn.setNCells(cnt)
-		t.rec(cpg, op, func() []byte { return encXop(xopInit, []byte{cn.typ()}, xu64(t.owner), cellBytes(cn, 0, cnt)) })
+		t.rec(cpg, op, func() []byte {
+			return redo.EncodeOp(xopInit, []byte{cn.typ()}, redo.U64(t.owner), cellBytes(cn, 0, cnt))
+		})
 		root.data[offType] = pageInternal
 		root.setChildCell(0, childEntry{child, cn.sum()})
 		root.setNCells(1)
@@ -213,7 +216,7 @@ func (t *Tree) removeCellAt(path []pathElem, leafPno uint64, idx int, off uint64
 	err := t.with(leafPno, func(n nodeRef, pg *pager.Page) error {
 		e = n.leafCell(idx)
 		n.removeLeafCell(idx)
-		t.rec(pg, t.curOp, func() []byte { return encXop(xopLeafDel, xu16(idx)) })
+		t.rec(pg, t.curOp, func() []byte { return redo.EncodeOp(xopLeafDel, redo.U16(idx)) })
 		underfull = n.ncells() < t.leafCap()/4
 		return nil
 	})
@@ -349,9 +352,9 @@ func (t *Tree) maybeMerge(sys *pager.Op, path []pathElem, nodePno uint64) (bool,
 			}
 			// Parent: left entry absorbs right's bytes; right entry removed.
 			pn.setChildCell(li, childEntry{left.child, left.bytes + rc.bytes})
-			t.rec(ppg, sys, func() []byte { return encXop(xopChildSet, xu16(li), xu64(left.child)) })
+			t.rec(ppg, sys, func() []byte { return redo.EncodeOp(xopChildSet, redo.U16(li), redo.U64(left.child)) })
 			pn.removeChildCell(li + 1)
-			t.rec(ppg, sys, func() []byte { return encXop(xopChildDel, xu16(li+1)) })
+			t.rec(ppg, sys, func() []byte { return redo.EncodeOp(xopChildDel, redo.U16(li+1)) })
 			right = rc.child
 			underfull = pn.ncells() < t.internalCap()/4
 			return nil
@@ -403,7 +406,7 @@ func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, err
 				if ln.typ() == pageLeaf {
 					ln.setNext(next)
 				}
-				t.rec(lpg, sys, func() []byte { return encXop(xopAbsorb, xu64(rightPno)) })
+				t.rec(lpg, sys, func() []byte { return redo.EncodeOp(xopAbsorb, redo.U64(rightPno)) })
 				merged = true
 			}
 			if next == 0 {
@@ -417,7 +420,7 @@ func (t *Tree) mergeChildren(sys *pager.Op, leftPno, rightPno uint64) (bool, err
 			return t.pg.With(next, func(npg *pager.Page) error {
 				absorb()
 				nodeRef{npg.Data()}.setPrev(leftPno)
-				t.recRange(npg, sys, offPtrB, xu64(leftPno))
+				t.recRange(npg, sys, offPtrB, redo.U64(leftPno))
 				return nil
 			})
 		})
@@ -473,7 +476,7 @@ func (t *Tree) setLeafCellLen(path []pathElem, leafPno uint64, idx int, newLen u
 		delta = int64(newLen) - int64(e.Len)
 		e.Len = newLen
 		n.setLeafCell(idx, e)
-		t.rec(pg, t.curOp, func() []byte { return encXop(xopLeafSet, xu16(idx), encCell(e)) })
+		t.rec(pg, t.curOp, func() []byte { return redo.EncodeOp(xopLeafSet, redo.U16(idx), encCell(e)) })
 		return nil
 	})
 	if err != nil {

@@ -41,31 +41,44 @@
 //	xopAbsorb   right u64                     (right's cells append to the
 //	                                           page; a leaf takes right's next)
 //
-// Opcodes 9, 10, 12 and 13 are retired: they grew a root above the old
-// one, merged two children through their parent, and pushed a root page
-// down and pulled it up, in older formats whose roots had pages. So is
-// opcode 11, which named the data blocks an operation wrote: that is a
-// redo.KindWrote record now, which built btree pages share; the volume
-// format that retired it refuses older logs.
+// Each opcode's replay is its entry in replayOps. Opcodes 9, 10, 12 and
+// 13 are retired: they grew a root above the old one, merged two
+// children through their parent, and pushed a root page down and pulled
+// it up, in older formats whose roots had pages. So is opcode 11, which
+// named the data blocks an operation wrote: that is a redo.KindWrote
+// record now, which built btree pages share; the volume format that
+// retired it refuses older logs.
 package extent
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+
+	"repro/internal/redo"
 )
 
-// Extent redo opcodes (payload byte 0 of a redo.KindExtentOp record).
+// Extent redo opcodes (payload byte 0 of a redo.KindExtentOp record), in
+// one block that ends in xopCount; a retired value holds a blank, so no
+// wire value moves.
 const (
-	xopInit     = 1
-	xopLeafIns  = 2
-	xopLeafSet  = 3
-	xopLeafDel  = 4
-	xopChildIns = 5
-	xopChildSet = 6
-	xopBump     = 7
-	xopSplit    = 8
-	xopAbsorb   = 14
-	xopChildDel = 15
+	_           = iota // 0: never written
+	xopInit            // 1
+	xopLeafIns         // 2
+	xopLeafSet         // 3
+	xopLeafDel         // 4
+	xopChildIns        // 5
+	xopChildSet        // 6
+	xopBump            // 7
+	xopSplit           // 8
+	_                  // 9: retired (grew a root above the old one)
+	_                  // 10: retired (merged two children through their parent)
+	_                  // 11: retired (named written data blocks; now redo.KindWrote)
+	_                  // 12: retired (pushed a root page down)
+	_                  // 13: retired (pulled a root page up)
+	xopAbsorb          // 14
+	xopChildDel        // 15
+	xopCount
 )
 
 func encCell(e Extent) []byte {
@@ -76,63 +89,38 @@ func encCell(e Extent) []byte {
 	return b[:]
 }
 
-func decCell(b []byte) Extent {
-	return Extent{
-		Alloc:       binary.LittleEndian.Uint64(b),
-		AllocBlocks: binary.LittleEndian.Uint32(b[8:]),
-		Len:         binary.LittleEndian.Uint32(b[12:]),
-	}
+// takeCell reads one leaf cell.
+func takeCell(r *redo.Reader) Extent {
+	return Extent{Alloc: r.U64(), AllocBlocks: r.U32(), Len: r.U32()}
 }
 
-func encXop(code byte, parts ...[]byte) []byte {
-	n := 1
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]byte, 1, n)
-	out[0] = code
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+// xopReplay is one op being re-executed: the node it names, the accessor
+// for the other pages it spans, and a reader over its fields.
+type xopReplay struct {
+	get func(pno uint64) ([]byte, error)
+	pno uint64
+	n   nodeRef
+	r   redo.Reader
 }
 
-func xu16(v int) []byte {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], uint16(v))
-	return b[:]
+// replayOps is the extent redo vocabulary, indexed by opcode: the one
+// place an opcode's replay is defined. A retired opcode has no entry.
+var replayOps = [xopCount]func(x xopReplay) error{
+	xopInit:     replayInit,
+	xopLeafIns:  replayLeafIns,
+	xopLeafSet:  replayLeafSet,
+	xopLeafDel:  replayLeafDel,
+	xopChildIns: replayChildIns,
+	xopChildSet: replayChildSet,
+	xopBump:     replayBump,
+	xopSplit:    replaySplit,
+	xopAbsorb:   replayAbsorb,
+	xopChildDel: replayChildDel,
 }
 
-func xu64(v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-// errXReplay wraps replay decoding/execution failures.
-func errXReplay(format string, args ...any) error {
+// errReplay wraps replay decoding/execution failures.
+func errReplay(format string, args ...any) error {
 	return fmt.Errorf("%w: replay: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-func xTakeU16(b []byte) (int, []byte, error) {
-	if len(b) < 2 {
-		return 0, nil, errXReplay("short u16")
-	}
-	return int(binary.LittleEndian.Uint16(b)), b[2:], nil
-}
-
-func xTakeU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errXReplay("short u64")
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-func xTakeCell(b []byte) (Extent, []byte, error) {
-	if len(b) < leafCellSize {
-		return Extent{}, nil, errXReplay("short cell")
-	}
-	return decCell(b), b[leafCellSize:], nil
 }
 
 // subtreeBytes is the byte total under page pno as replay has built it.
@@ -147,7 +135,7 @@ func subtreeBytes(get func(pno uint64) ([]byte, error), pno uint64) (uint64, err
 	}
 	n := nodeRef{d}
 	if t := n.typ(); t != pageLeaf && t != pageInternal {
-		return 0, errXReplay("split child %d is page type %d", pno, t)
+		return 0, errReplay("split child %d is page type %d", pno, t)
 	}
 	return n.sum(), nil
 }
@@ -165,179 +153,179 @@ func cellBytes(n nodeRef, i, j int) []byte {
 // fetch the others through get.
 func ReplayOp(get func(pno uint64) ([]byte, error), pageNo uint64, payload []byte) error {
 	if len(payload) == 0 {
-		return errXReplay("empty op payload")
+		return errReplay("empty op payload")
 	}
-	code, b := payload[0], payload[1:]
+	code := payload[0]
+	if int(code) >= len(replayOps) || replayOps[code] == nil {
+		return errReplay("unknown opcode %d", code)
+	}
 	data, err := get(pageNo)
 	if err != nil {
 		return err
 	}
-	n := nodeRef{data}
-
-	switch code {
-	case xopInit:
-		if len(b) < 9 || (len(b)-9)%leafCellSize != 0 || hdrSize+len(b)-9 > len(data)-ownerLen {
-			return errXReplay("xopInit payload of %d bytes", len(b))
-		}
-		n = initNode(data, b[0], binary.LittleEndian.Uint64(b[1:]))
-		cnt := (len(b) - 9) / leafCellSize
-		copy(cellBytes(n, 0, cnt), b[9:])
-		n.setNCells(cnt)
-		return nil
-
-	case xopLeafIns:
-		idx, rest, err := xTakeU16(b)
-		if err != nil {
-			return err
-		}
-		e, _, err := xTakeCell(rest)
-		if err != nil {
-			return err
-		}
-		cnt := n.ncells()
-		if idx > cnt || hdrSize+(cnt+1)*leafCellSize > len(data)-ownerLen {
-			return errXReplay("leaf insert at %d of %d on page %d", idx, cnt, pageNo)
-		}
-		n.insertLeafCell(idx, e)
-		return nil
-
-	case xopLeafSet:
-		idx, rest, err := xTakeU16(b)
-		if err != nil {
-			return err
-		}
-		e, _, err := xTakeCell(rest)
-		if err != nil {
-			return err
-		}
-		if idx >= n.ncells() {
-			return errXReplay("leaf set at %d of %d on page %d", idx, n.ncells(), pageNo)
-		}
-		n.setLeafCell(idx, e)
-		return nil
-
-	case xopLeafDel:
-		idx, _, err := xTakeU16(b)
-		if err != nil {
-			return err
-		}
-		if idx >= n.ncells() {
-			return errXReplay("leaf delete at %d of %d on page %d", idx, n.ncells(), pageNo)
-		}
-		n.removeLeafCell(idx)
-		return nil
-
-	case xopChildDel:
-		idx, _, err := xTakeU16(b)
-		if err != nil {
-			return err
-		}
-		if idx >= n.ncells() {
-			return errXReplay("child delete at %d of %d on page %d", idx, n.ncells(), pageNo)
-		}
-		n.removeChildCell(idx)
-		return nil
-
-	case xopChildIns, xopChildSet:
-		idx, rest, err := xTakeU16(b)
-		if err != nil {
-			return err
-		}
-		child, _, err := xTakeU64(rest)
-		if err != nil {
-			return err
-		}
-		cnt := n.ncells()
-		if code == xopChildSet && idx >= cnt {
-			return errXReplay("child set at %d of %d on page %d", idx, cnt, pageNo)
-		}
-		if code == xopChildIns && (idx > cnt || hdrSize+(cnt+1)*internalCellSize > len(data)-ownerLen) {
-			return errXReplay("child insert at %d of %d on page %d", idx, cnt, pageNo)
-		}
-		bytes, err := subtreeBytes(get, child)
-		if err != nil {
-			return err
-		}
-		if code == xopChildSet {
-			n.setChildCell(idx, childEntry{child, bytes})
-		} else {
-			n.insertChildCell(idx, childEntry{child, bytes})
-		}
-		return nil
-
-	case xopBump:
-		idx, rest, err := xTakeU16(b)
-		if err != nil {
-			return err
-		}
-		delta, _, err := xTakeU64(rest)
-		if err != nil {
-			return err
-		}
-		if idx >= n.ncells() {
-			return errXReplay("bump at %d of %d on page %d", idx, n.ncells(), pageNo)
-		}
-		c := n.childCell(idx)
-		c.bytes = uint64(int64(c.bytes) + int64(delta))
-		n.setChildCell(idx, c)
-		return nil
-
-	case xopSplit:
-		right, rest, err := xTakeU64(b)
-		if err != nil {
-			return err
-		}
-		at, _, err := xTakeU16(rest)
-		if err != nil {
-			return err
-		}
-		cnt := n.ncells()
-		if at > cnt {
-			return errXReplay("split at %d of %d on page %d", at, cnt, pageNo)
-		}
-		rdata, err := get(right)
-		if err != nil {
-			return err
-		}
-		rn := initNode(rdata, n.typ(), n.owner())
-		copy(cellBytes(rn, 0, cnt-at), cellBytes(n, at, cnt))
-		rn.setNCells(cnt - at)
-		n.setNCells(at)
-		if n.typ() == pageLeaf {
-			rn.setNext(n.next())
-			rn.setPrev(pageNo)
-			n.setNext(right)
-			// The old next leaf's prev pointer is fixed by its own range
-			// record in the same operation.
-		}
-		return nil
-
-	case xopAbsorb:
-		right, _, err := xTakeU64(b)
-		if err != nil {
-			return err
-		}
-		rdata, err := get(right)
-		if err != nil {
-			return err
-		}
-		rn := nodeRef{rdata}
-		if n.typ() != rn.typ() {
-			return errXReplay("absorb of page %d into page %d of another type", right, pageNo)
-		}
-		base, rcnt := n.ncells(), rn.ncells()
-		if hdrSize+(base+rcnt)*leafCellSize > len(data)-ownerLen {
-			return errXReplay("absorb overflows page %d", pageNo)
-		}
-		copy(cellBytes(n, base, base+rcnt), cellBytes(rn, 0, rcnt))
-		n.setNCells(base + rcnt)
-		if n.typ() == pageLeaf {
-			n.setNext(rn.next())
-			// The next leaf's prev pointer rides its own range record.
-		}
-		return nil
-
-	default:
-		return errXReplay("unknown opcode %d", code)
+	// An entry reads all its fields, then checks the reader's error
+	// before it touches a page: a payload cut short is corrupt.
+	err = replayOps[code](xopReplay{get: get, pno: pageNo, n: nodeRef{data}, r: redo.NewReader(payload[1:])})
+	if errors.Is(err, redo.ErrShort) {
+		return errReplay("opcode %d: %v", code, err)
 	}
+	return err
+}
+
+// index checks the fields read so far, and the cell index read with
+// them: it names a cell of the node, or, for an insert into a node with
+// room for one more cell, the slot past the last.
+func (x *xopReplay) index(idx int, insert bool, what string) error {
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	cnt := x.n.ncells()
+	if idx > cnt || idx == cnt && !insert || insert && hdrSize+(cnt+1)*leafCellSize > len(x.n.data)-ownerLen {
+		return errReplay("%s at %d of %d on page %d", what, idx, cnt, x.pno)
+	}
+	return nil
+}
+
+func replayInit(x xopReplay) error {
+	typ, owner, cells := x.r.U8(), x.r.U64(), x.r.Rest()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	if len(cells)%leafCellSize != 0 || hdrSize+len(cells) > len(x.n.data)-ownerLen {
+		return errReplay("xopInit with %d bytes of cells", len(cells))
+	}
+	n := initNode(x.n.data, typ, owner)
+	cnt := len(cells) / leafCellSize
+	copy(cellBytes(n, 0, cnt), cells)
+	n.setNCells(cnt)
+	return nil
+}
+
+func replayLeafIns(x xopReplay) error {
+	idx, e := x.r.U16(), takeCell(&x.r)
+	if err := x.index(idx, true, "leaf insert"); err != nil {
+		return err
+	}
+	x.n.insertLeafCell(idx, e)
+	return nil
+}
+
+func replayLeafSet(x xopReplay) error {
+	idx, e := x.r.U16(), takeCell(&x.r)
+	if err := x.index(idx, false, "leaf set"); err != nil {
+		return err
+	}
+	x.n.setLeafCell(idx, e)
+	return nil
+}
+
+func replayLeafDel(x xopReplay) error {
+	idx := x.r.U16()
+	if err := x.index(idx, false, "leaf delete"); err != nil {
+		return err
+	}
+	x.n.removeLeafCell(idx)
+	return nil
+}
+
+func replayChildDel(x xopReplay) error {
+	idx := x.r.U16()
+	if err := x.index(idx, false, "child delete"); err != nil {
+		return err
+	}
+	x.n.removeChildCell(idx)
+	return nil
+}
+
+// child reads an entry's index and child page, and sums the child as
+// replay has built it.
+func (x *xopReplay) child(insert bool, what string) (int, childEntry, error) {
+	idx, child := x.r.U16(), x.r.U64()
+	if err := x.index(idx, insert, what); err != nil {
+		return 0, childEntry{}, err
+	}
+	bytes, err := subtreeBytes(x.get, child)
+	return idx, childEntry{child, bytes}, err
+}
+
+func replayChildIns(x xopReplay) error {
+	idx, c, err := x.child(true, "child insert")
+	if err != nil {
+		return err
+	}
+	x.n.insertChildCell(idx, c)
+	return nil
+}
+
+func replayChildSet(x xopReplay) error {
+	idx, c, err := x.child(false, "child set")
+	if err != nil {
+		return err
+	}
+	x.n.setChildCell(idx, c)
+	return nil
+}
+
+func replayBump(x xopReplay) error {
+	idx, delta := x.r.U16(), x.r.U64()
+	if err := x.index(idx, false, "bump"); err != nil {
+		return err
+	}
+	c := x.n.childCell(idx)
+	c.bytes = uint64(int64(c.bytes) + int64(delta))
+	x.n.setChildCell(idx, c)
+	return nil
+}
+
+func replaySplit(x xopReplay) error {
+	right, at := x.r.U64(), x.r.U16()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	n, cnt := x.n, x.n.ncells()
+	if at > cnt {
+		return errReplay("split at %d of %d on page %d", at, cnt, x.pno)
+	}
+	rdata, err := x.get(right)
+	if err != nil {
+		return err
+	}
+	rn := initNode(rdata, n.typ(), n.owner())
+	copy(cellBytes(rn, 0, cnt-at), cellBytes(n, at, cnt))
+	rn.setNCells(cnt - at)
+	n.setNCells(at)
+	if n.typ() == pageLeaf {
+		rn.setNext(n.next())
+		rn.setPrev(x.pno)
+		n.setNext(right)
+		// The old next leaf's prev pointer is fixed by its own range
+		// record in the same operation.
+	}
+	return nil
+}
+
+func replayAbsorb(x xopReplay) error {
+	right := x.r.U64()
+	if err := x.r.Err(); err != nil {
+		return err
+	}
+	rdata, err := x.get(right)
+	if err != nil {
+		return err
+	}
+	n, rn := x.n, nodeRef{rdata}
+	if n.typ() != rn.typ() {
+		return errReplay("absorb of page %d into page %d of another type", right, x.pno)
+	}
+	base, rcnt := n.ncells(), rn.ncells()
+	if hdrSize+(base+rcnt)*leafCellSize > len(n.data)-ownerLen {
+		return errReplay("absorb overflows page %d", x.pno)
+	}
+	copy(cellBytes(n, base, base+rcnt), cellBytes(rn, 0, rcnt))
+	n.setNCells(base + rcnt)
+	if n.typ() == pageLeaf {
+		n.setNext(rn.next())
+		// The next leaf's prev pointer rides its own range record.
+	}
+	return nil
 }

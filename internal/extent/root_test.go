@@ -7,6 +7,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/buddy"
 	"repro/internal/pager"
+	"repro/internal/redo"
 )
 
 // TestOpenDerivesSizeFromTheRoot: no page stores a tree's size, extent
@@ -136,30 +137,30 @@ func TestReplayDerivesSplitSums(t *testing.T) {
 	}
 	cell := func(n uint32) []byte { return encCell(Extent{Len: n}) }
 	const parent, leaf, right, right2, owner = 10, 11, 12, 13, 77
-	entry := append(xu64(leaf), xu64(1000)...)
+	entry := append(redo.U64(leaf), redo.U64(1000)...)
 	steps := []struct {
 		page    uint64
 		payload []byte
 	}{
 		// A pushed-down root: the leaf comes with its cells, the parent
 		// with its one entry.
-		{leaf, encXop(xopInit, []byte{pageLeaf}, xu64(owner), cell(100), cell(200), cell(300), cell(400))},
-		{parent, encXop(xopInit, []byte{pageInternal}, xu64(owner), entry)},
+		{leaf, redo.EncodeOp(xopInit, []byte{pageLeaf}, redo.U64(owner), cell(100), cell(200), cell(300), cell(400))},
+		{parent, redo.EncodeOp(xopInit, []byte{pageInternal}, redo.U64(owner), entry)},
 		// The leaf splits under the parent: [100 200] | [300 400].
-		{leaf, encXop(xopSplit, xu64(right), xu16(2))},
-		{parent, encXop(xopChildSet, xu16(0), xu64(leaf))},
-		{parent, encXop(xopChildIns, xu16(1), xu64(right))},
+		{leaf, redo.EncodeOp(xopSplit, redo.U64(right), redo.U16(2))},
+		{parent, redo.EncodeOp(xopChildSet, redo.U16(0), redo.U64(leaf))},
+		{parent, redo.EncodeOp(xopChildIns, redo.U16(1), redo.U64(right))},
 		// The right leaf grows by 500, and its entry by a delta.
-		{right, encXop(xopLeafIns, xu16(2), cell(500))},
-		{parent, encXop(xopBump, xu16(1), xu64(500))},
+		{right, redo.EncodeOp(xopLeafIns, redo.U16(2), cell(500))},
+		{parent, redo.EncodeOp(xopBump, redo.U16(1), redo.U64(500))},
 		// It splits: [300] | [400 500].
-		{right, encXop(xopSplit, xu64(right2), xu16(1))},
-		{parent, encXop(xopChildSet, xu16(1), xu64(right))},
-		{parent, encXop(xopChildIns, xu16(2), xu64(right2))},
+		{right, redo.EncodeOp(xopSplit, redo.U64(right2), redo.U16(1))},
+		{parent, redo.EncodeOp(xopChildSet, redo.U16(1), redo.U64(right))},
+		{parent, redo.EncodeOp(xopChildIns, redo.U16(2), redo.U64(right2))},
 		// And merges back: [300 400 500].
-		{right, encXop(xopAbsorb, xu64(right2))},
-		{parent, encXop(xopChildSet, xu16(1), xu64(right))},
-		{parent, encXop(xopChildDel, xu16(2))},
+		{right, redo.EncodeOp(xopAbsorb, redo.U64(right2))},
+		{parent, redo.EncodeOp(xopChildSet, redo.U16(1), redo.U64(right))},
+		{parent, redo.EncodeOp(xopChildDel, redo.U16(2))},
 	}
 	for i, s := range steps {
 		if err := ReplayOp(get, s.page, s.payload); err != nil {

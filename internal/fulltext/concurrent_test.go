@@ -88,7 +88,7 @@ func TestLazyIndexerSurvivesStopStart(t *testing.T) {
 // shrinks the index's page footprint.
 func TestCompactionFreesDeletedMajority(t *testing.T) {
 	e := newEnv(t)
-	x, err := Create(e.pg, pageAlloc{e.ba}, Config{FlushDocs: 32, MaxSegments: 100})
+	x, err := Create(e.pg, e.ba, Config{FlushDocs: 32, MaxSegments: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCompactionFreesDeletedMajority(t *testing.T) {
 // reopen cycles.
 func TestReopenAfterCompaction(t *testing.T) {
 	e := newEnv(t)
-	x, err := Create(e.pg, pageAlloc{e.ba}, Config{FlushDocs: 4})
+	x, err := Create(e.pg, e.ba, Config{FlushDocs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReopenAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg2 := pager.New(e.dev, 256, true)
-	y, err := Open(pg2, pageAlloc{e.ba}, x.ManifestPage(), Config{})
+	y, err := Open(pg2, e.ba, x.ManifestPage(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,6 @@ import (
 	"repro/internal/pager"
 )
 
-type pageAlloc struct{ ba *buddy.Allocator }
-
-func (a pageAlloc) AllocPage() (uint64, error) { return a.ba.Alloc(1) }
-func (a pageAlloc) FreePage(no uint64) error   { return a.ba.Free(no, 1) }
-
 type env struct {
 	dev *blockdev.MemDevice
 	pg  *pager.Pager
@@ -34,7 +29,7 @@ func newEnv(t *testing.T) *env {
 func newIndex(t *testing.T, cfg Config) (*Index, *env) {
 	t.Helper()
 	e := newEnv(t)
-	x, err := Create(e.pg, pageAlloc{e.ba}, cfg)
+	x, err := Create(e.pg, e.ba, cfg)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -340,7 +335,7 @@ func TestAutoCompaction(t *testing.T) {
 
 func TestPersistenceAcrossReopen(t *testing.T) {
 	e := newEnv(t)
-	x, err := Create(e.pg, pageAlloc{e.ba}, Config{FlushDocs: 3})
+	x, err := Create(e.pg, e.ba, Config{FlushDocs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +355,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 
 	pg2 := pager.New(e.dev, 256, true)
-	y, err := Open(pg2, pageAlloc{e.ba}, x.ManifestPage(), Config{})
+	y, err := Open(pg2, e.ba, x.ManifestPage(), Config{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

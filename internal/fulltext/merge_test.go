@@ -75,7 +75,7 @@ func TestMergeRewritesEachPostingLogTimes(t *testing.T) {
 func TestReopenAfterPartialMergeDeleteHides(t *testing.T) {
 	e := newEnv(t)
 	cfg := Config{FlushDocs: 1, MaxSegments: 2}
-	x, err := Create(e.pg, pageAlloc{e.ba}, cfg)
+	x, err := Create(e.pg, e.ba, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReopenAfterPartialMergeDeleteHides(t *testing.T) {
 	if err := e.pg.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Open(pager.New(e.dev, 256, true), pageAlloc{e.ba}, x.ManifestPage(), cfg)
+	y, err := Open(pager.New(e.dev, 256, true), e.ba, x.ManifestPage(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

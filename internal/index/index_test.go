@@ -14,11 +14,6 @@ import (
 	"repro/internal/pager"
 )
 
-type pageAlloc struct{ ba *buddy.Allocator }
-
-func (a pageAlloc) AllocPage() (uint64, error) { return a.ba.Alloc(1) }
-func (a pageAlloc) FreePage(no uint64) error   { return a.ba.Free(no, 1) }
-
 type env struct {
 	dev *blockdev.MemDevice
 	pg  *pager.Pager
@@ -34,7 +29,7 @@ func newEnv(t *testing.T) *env {
 func newKV(t *testing.T, tag string) (*KVIndex, *env) {
 	t.Helper()
 	e := newEnv(t)
-	x, err := NewKVIndex(tag, e.pg, pageAlloc{e.ba})
+	x, err := NewKVIndex(tag, e.pg, e.ba)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +131,7 @@ func TestKVRangeLookup(t *testing.T) {
 
 func TestKVPersistence(t *testing.T) {
 	e := newEnv(t)
-	x, err := NewKVIndex(TagApp, e.pg, pageAlloc{e.ba})
+	x, err := NewKVIndex(TagApp, e.pg, e.ba)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +142,7 @@ func TestKVPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg2 := pager.New(e.dev, 64, true)
-	y, err := OpenKVIndex(TagApp, pg2, pageAlloc{e.ba}, x.HeaderPage())
+	y, err := OpenKVIndex(TagApp, pg2, e.ba, x.HeaderPage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +156,7 @@ func TestShardedRoutesAndMerges(t *testing.T) {
 	e := newEnv(t)
 	var shards []Store
 	for i := 0; i < 4; i++ {
-		kv, err := NewKVIndex(TagUser, e.pg, pageAlloc{e.ba})
+		kv, err := NewKVIndex(TagUser, e.pg, e.ba)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +253,7 @@ func TestSetOps(t *testing.T) {
 
 func TestFulltextAdapter(t *testing.T) {
 	e := newEnv(t)
-	fx, err := fulltext.Create(e.pg, pageAlloc{e.ba}, fulltext.Config{})
+	fx, err := fulltext.Create(e.pg, e.ba, fulltext.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +337,7 @@ func TestImageSignatureProperties(t *testing.T) {
 
 func TestImageIndexExactAndNear(t *testing.T) {
 	e := newEnv(t)
-	x, err := NewImageIndex(e.pg, pageAlloc{e.ba})
+	x, err := NewImageIndex(e.pg, e.ba)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +430,7 @@ var _ Ranged = (*KVIndex)(nil)
 var _ Ranged = (*Sharded)(nil)
 var _ Store = (*Fulltext)(nil)
 var _ Store = (*ImageIndex)(nil)
-var _ btree.PageAllocator = pageAlloc{}
+var _ btree.PageAllocator = (*buddy.Allocator)(nil)
 
 func TestKVInsertManyMatchesInsert(t *testing.T) {
 	batched, _ := newKV(t, TagUDef)
@@ -478,7 +473,7 @@ func TestShardedInsertManyRoutesLikeInsert(t *testing.T) {
 	mk := func() *Sharded {
 		var shards []Store
 		for i := 0; i < 4; i++ {
-			kv, err := NewKVIndex(TagUDef, e.pg, pageAlloc{e.ba})
+			kv, err := NewKVIndex(TagUDef, e.pg, e.ba)
 			if err != nil {
 				t.Fatal(err)
 			}

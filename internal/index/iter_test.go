@@ -191,7 +191,7 @@ func TestShardedIterRoutes(t *testing.T) {
 	e := newEnv(t)
 	var shards []Store
 	for i := 0; i < 4; i++ {
-		kv, err := NewKVIndex(TagUser, e.pg, pageAlloc{e.ba})
+		kv, err := NewKVIndex(TagUser, e.pg, e.ba)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestShardedIterRoutes(t *testing.T) {
 
 func TestFulltextIter(t *testing.T) {
 	e := newEnv(t)
-	ft, err := fulltext.Create(e.pg, pageAlloc{e.ba}, fulltext.Config{})
+	ft, err := fulltext.Create(e.pg, e.ba, fulltext.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestShardedRangeLookupSortedDedup(t *testing.T) {
 	e := newEnv(t)
 	var shards []Store
 	for i := 0; i < 4; i++ {
-		kv, err := NewKVIndex(TagUDef, e.pg, pageAlloc{e.ba})
+		kv, err := NewKVIndex(TagUDef, e.pg, e.ba)
 		if err != nil {
 			t.Fatal(err)
 		}

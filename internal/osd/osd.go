@@ -189,7 +189,7 @@ func Create(pg *pager.Pager, ba *buddy.Allocator, opts Options) (*Store, error) 
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	mt, err := btree.Create(pg, pageAlloc{ba})
+	mt, err := btree.Create(pg, ba)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, opts Options) 
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	mt, err := btree.Open(pg, pageAlloc{ba}, headerPno)
+	mt, err := btree.Open(pg, ba, headerPno)
 	if err != nil {
 		return nil, err
 	}
@@ -217,12 +217,6 @@ func Open(pg *pager.Pager, ba *buddy.Allocator, headerPno uint64, opts Options) 
 	s.nextOID = OID(binary.LittleEndian.Uint64(v))
 	return s, nil
 }
-
-// pageAlloc adapts buddy to btree page allocation.
-type pageAlloc struct{ ba *buddy.Allocator }
-
-func (a pageAlloc) AllocPage() (uint64, error) { return a.ba.Alloc(1) }
-func (a pageAlloc) FreePage(no uint64) error   { return a.ba.Free(no, 1) }
 
 // HeaderPage identifies the store for reopening.
 func (s *Store) HeaderPage() uint64 { return s.meta.HeaderPage() }

@@ -54,37 +54,45 @@ package redo
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
-// Record kinds. Values 2 and 3 are reserved by the WAL (commit,
-// checkpoint).
+// Record kinds, in one block that ends in KindCount: a replay table
+// sized by KindCount has a slot for every kind. A value no kind uses any
+// more, or one the WAL keeps for itself (2 is its commit record, 3 its
+// checkpoint record), holds a blank, so no wire value moves.
 const (
-	KindImage    = 1
-	KindRange    = 4
-	KindBtreeOp  = 5
-	KindExtentOp = 6
+	_            = iota // 0: never written
+	KindImage           // 1
+	_                   // 2: the WAL's commit record
+	_                   // 3: the WAL's checkpoint record
+	KindRange           // 4
+	KindBtreeOp         // 5
+	KindExtentOp        // 6
 	// KindUndo carries a logical inverse (package undo encoding) prefixed
 	// with the staging transaction's previous undo LSN (u64) — the ARIES
 	// prevLSN back-chain. Undo records reach the log only when a
 	// transaction's records are flushed before commit (steal, dependency
 	// flush); recovery never redoes them, it executes them backward to
 	// roll back losers. Page is 0: inverses are position-independent.
-	KindUndo = 7
+	KindUndo // 7
 	// KindChunk terminates a mid-transaction flush of one transaction's
 	// staged records (steal / cross-transaction dependency). Payload is
 	// the u64 txid of the previous chunk of the same transaction (0 for
 	// the first). The commit or abort record that eventually terminates
 	// the transaction names its last chunk, and recovery resolves the
 	// chain backward; an unresolved chain is a loser.
-	KindChunk = 8
+	KindChunk // 8
 	// KindAlloc logs one allocator mutation (see EncodeAlloc).
-	KindAlloc = 9
+	KindAlloc // 9
 	// KindWrote names blocks written outside the log (see WroteSums).
-	KindWrote = 10
+	KindWrote // 10
 	// KindBuilt names the pages of a built tree, written once outside
 	// the log; its payload is KindWrote's.
-	KindBuilt = 11
+	KindBuilt // 11
+	// KindCount is one past the largest kind.
+	KindCount // 12
 )
 
 // FlagCLR marks a record as a Compensation Log Record: a redo record
@@ -167,3 +175,121 @@ func WroteSums(first uint64, payload []byte, fn func(block uint64, sum uint32)) 
 	}
 	return nil
 }
+
+// EncodeOp builds a typed-operation payload (a btree or extent op, an
+// undo inverse): the opcode byte, then each part in order. U16, U32,
+// U64 and Key render the parts; Reader reads them back.
+func EncodeOp(code byte, parts ...[]byte) []byte {
+	n := 1
+	for _, p := range parts {
+		n += len(p)
+	}
+	out := make([]byte, 1, n)
+	out[0] = code
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// U16, U32 and U64 render little-endian integer fields.
+func U16(v int) []byte {
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], uint16(v))
+	return b[:]
+}
+
+func U32(v int) []byte {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(v))
+	return b[:]
+}
+
+func U64(v uint64) []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return b[:]
+}
+
+// Key renders a key field: a uvarint length, then the key.
+func Key(k []byte) []byte {
+	return append(binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(k)), uint64(len(k))), k...)
+}
+
+// ErrShort is the error of a Reader whose payload ended inside a field.
+var ErrShort = errors.New("payload ends inside a field")
+
+// Reader reads the fields of a payload in order. The first field that
+// runs past the end latches ErrShort; it and every later field read as
+// zero, so a decoder reads all its fields and then checks Err once.
+type Reader struct {
+	b   []byte
+	n   int // the payload's length, for the error
+	err error
+}
+
+// NewReader returns a Reader over b.
+func NewReader(b []byte) Reader { return Reader{b: b, n: len(b)} }
+
+// take returns the next n bytes, or nil once the payload is short.
+func (r *Reader) take(n uint64, what string) []byte {
+	if n > uint64(len(r.b)) {
+		r.fail(what)
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// fail latches the first error and drops what is left.
+func (r *Reader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s at byte %d of %d", ErrShort, what, r.n-len(r.b), r.n)
+		r.b = nil
+	}
+}
+
+var zeros [8]byte
+
+// fixed returns the next n ≤ 8 bytes, or n zeros once the payload is short.
+func (r *Reader) fixed(n uint64, what string) []byte {
+	if b := r.take(n, what); b != nil {
+		return b
+	}
+	return zeros[:n]
+}
+
+// U8, U16, U32 and U64 read one byte and little-endian integers.
+func (r *Reader) U8() byte    { return r.fixed(1, "u8")[0] }
+func (r *Reader) U16() int    { return int(binary.LittleEndian.Uint16(r.fixed(2, "u16"))) }
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4, "u32")) }
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8, "u64")) }
+
+// Uvarint reads a uvarint.
+func (r *Reader) Uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("uvarint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// Bytes reads the next n bytes.
+func (r *Reader) Bytes(n uint64) []byte { return r.take(n, "byte string") }
+
+// Key reads a key field: a uvarint length, then the key.
+func (r *Reader) Key() []byte { return r.Bytes(r.Uvarint()) }
+
+// Rest reads whatever the payload has left.
+func (r *Reader) Rest() []byte { return r.take(uint64(len(r.b)), "") }
+
+// Len is the number of bytes left.
+func (r *Reader) Len() int { return len(r.b) }
+
+// Err is the latched error: nil unless a field ran past the end.
+func (r *Reader) Err() error { return r.err }

@@ -45,20 +45,28 @@ package undo
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/redo"
 )
 
-// Opcodes.
+// Opcodes, in one block that ends in OpCount: a table sized by OpCount
+// has a slot for every opcode. A retired value holds a blank, so no wire
+// value moves.
 const (
-	OpKeyPut     = 1  // restore key → old value in the btree rooted at Hdr
-	OpKeyDel     = 2  // delete key from the btree rooted at Hdr (undo of a fresh insert)
-	OpExtWrite   = 3  // overwrite old bytes at Off in object Hdr
-	OpExtIns     = 4  // re-insert old bytes at Off (undo of a delete-range)
-	OpExtDel     = 5  // delete N bytes at Off (undo of an append/insert/grow)
-	OpReclaim    = 8  // take the freed Runs back (undo of a destroy or drop)
-	OpBtreeDrop  = 9  // drop the btree rooted at Hdr (undo of its creation)
-	OpExtentDrop = 10 // destroy object Hdr's extent tree (undo of its creation)
-	OpFulltext   = 11 // revert a fulltext index's in-memory state (fulltext.Index.Undo)
-	OpMetaPut    = 12 // restore object Hdr's row fields from Data, keeping its root
+	_            = iota // 0: never written
+	OpKeyPut            // 1: restore key → old value in the btree rooted at Hdr
+	OpKeyDel            // 2: delete key from the btree rooted at Hdr (undo of a fresh insert)
+	OpExtWrite          // 3: overwrite old bytes at Off in object Hdr
+	OpExtIns            // 4: re-insert old bytes at Off (undo of a delete-range)
+	OpExtDel            // 5: delete N bytes at Off (undo of an append/insert/grow)
+	_                   // 6: retired (restored a raw page before-image)
+	_                   // 7: retired (destroyed a created object)
+	OpReclaim           // 8: take the freed Runs back (undo of a destroy or drop)
+	OpBtreeDrop         // 9: drop the btree rooted at Hdr (undo of its creation)
+	OpExtentDrop        // 10: destroy object Hdr's extent tree (undo of its creation)
+	OpFulltext          // 11: revert a fulltext index's in-memory state (fulltext.Index.Undo)
+	OpMetaPut           // 12: restore object Hdr's row fields from Data, keeping its root
+	OpCount
 )
 
 // Run is one allocator run: the address and block count a free was given.
@@ -77,47 +85,25 @@ type Op struct {
 
 // KeyPut encodes "restore key → old value in tree hdr".
 func KeyPut(hdr uint64, key, val []byte) []byte {
-	out := make([]byte, 1+8+4+len(key)+len(val))
-	out[0] = OpKeyPut
-	binary.LittleEndian.PutUint64(out[1:], hdr)
-	binary.LittleEndian.PutUint32(out[9:], uint32(len(key)))
-	copy(out[13:], key)
-	copy(out[13+len(key):], val)
-	return out
+	return redo.EncodeOp(OpKeyPut, redo.U64(hdr), redo.U32(len(key)), key, val)
 }
 
 // KeyDel encodes "delete key from tree hdr".
-func KeyDel(hdr uint64, key []byte) []byte {
-	out := make([]byte, 1+8+len(key))
-	out[0] = OpKeyDel
-	binary.LittleEndian.PutUint64(out[1:], hdr)
-	copy(out[9:], key)
-	return out
-}
-
-func extBytes(code byte, hdr, off uint64, data []byte) []byte {
-	out := make([]byte, 1+8+8+len(data))
-	out[0] = code
-	binary.LittleEndian.PutUint64(out[1:], hdr)
-	binary.LittleEndian.PutUint64(out[9:], off)
-	copy(out[17:], data)
-	return out
-}
+func KeyDel(hdr uint64, key []byte) []byte { return redo.EncodeOp(OpKeyDel, redo.U64(hdr), key) }
 
 // ExtWrite encodes "overwrite old bytes at off in object oid".
-func ExtWrite(oid, off uint64, old []byte) []byte { return extBytes(OpExtWrite, oid, off, old) }
+func ExtWrite(oid, off uint64, old []byte) []byte {
+	return redo.EncodeOp(OpExtWrite, redo.U64(oid), redo.U64(off), old)
+}
 
 // ExtIns encodes "re-insert old bytes at off in object oid".
-func ExtIns(oid, off uint64, old []byte) []byte { return extBytes(OpExtIns, oid, off, old) }
+func ExtIns(oid, off uint64, old []byte) []byte {
+	return redo.EncodeOp(OpExtIns, redo.U64(oid), redo.U64(off), old)
+}
 
 // ExtDel encodes "delete n bytes at off in object oid".
 func ExtDel(oid, off, n uint64) []byte {
-	out := make([]byte, 1+8+8+8)
-	out[0] = OpExtDel
-	binary.LittleEndian.PutUint64(out[1:], oid)
-	binary.LittleEndian.PutUint64(out[9:], off)
-	binary.LittleEndian.PutUint64(out[17:], n)
-	return out
+	return redo.EncodeOp(OpExtDel, redo.U64(oid), redo.U64(off), redo.U64(n))
 }
 
 // Reclaim encodes "take these freed runs back". A destroy stages it
@@ -134,78 +120,57 @@ func Reclaim(runs []Run) []byte {
 }
 
 // BtreeDrop encodes "drop the btree rooted at hdr".
-func BtreeDrop(hdr uint64) []byte { return hdrOnly(OpBtreeDrop, hdr) }
+func BtreeDrop(hdr uint64) []byte { return redo.EncodeOp(OpBtreeDrop, redo.U64(hdr)) }
 
 // ExtentDrop encodes "destroy object oid's extent tree".
-func ExtentDrop(oid uint64) []byte { return hdrOnly(OpExtentDrop, oid) }
+func ExtentDrop(oid uint64) []byte { return redo.EncodeOp(OpExtentDrop, redo.U64(oid)) }
 
 // MetaPut encodes "restore object oid's row fields from row, keeping the
 // root the row holds": row is the old row with an empty root.
-func MetaPut(oid uint64, row []byte) []byte {
-	out := hdrOnly(OpMetaPut, oid)
-	return append(out, row...)
-}
-
-func hdrOnly(code byte, hdr uint64) []byte {
-	out := make([]byte, 1+8)
-	out[0] = code
-	binary.LittleEndian.PutUint64(out[1:], hdr)
-	return out
-}
+func MetaPut(oid uint64, row []byte) []byte { return redo.EncodeOp(OpMetaPut, redo.U64(oid), row) }
 
 // Fulltext encodes "revert the fulltext index's in-memory state".
 func Fulltext() []byte { return []byte{OpFulltext} }
 
+// decoders is the undo vocabulary's decoding, indexed by opcode: each
+// entry reads its opcode's fields. A retired opcode has no entry.
+var decoders = [OpCount]func(r *redo.Reader, op *Op){
+	OpKeyPut: func(r *redo.Reader, op *Op) {
+		op.Hdr = r.U64()
+		op.Key = r.Bytes(uint64(r.U32()))
+		op.Data = r.Rest()
+	},
+	OpKeyDel:   func(r *redo.Reader, op *Op) { op.Hdr, op.Key = r.U64(), r.Rest() },
+	OpExtWrite: extData,
+	OpExtIns:   extData,
+	OpExtDel:   func(r *redo.Reader, op *Op) { op.Hdr, op.Off, op.N = r.U64(), r.U64(), r.U64() },
+	OpReclaim: func(r *redo.Reader, op *Op) {
+		for r.Len() > 0 {
+			op.Runs = append(op.Runs, Run{r.U64(), r.U64()})
+		}
+	},
+	OpBtreeDrop:  hdrOnly,
+	OpExtentDrop: hdrOnly,
+	OpFulltext:   func(*redo.Reader, *Op) {},
+	OpMetaPut:    func(r *redo.Reader, op *Op) { op.Hdr, op.Data = r.U64(), r.Rest() },
+}
+
+func extData(r *redo.Reader, op *Op) { op.Hdr, op.Off, op.Data = r.U64(), r.U64(), r.Rest() }
+
+func hdrOnly(r *redo.Reader, op *Op) { op.Hdr = r.U64() }
+
 // Decode parses an undo record body.
 func Decode(b []byte) (Op, error) {
-	if len(b) < 1 || (len(b) < 9 && b[0] != OpReclaim && b[0] != OpFulltext) {
-		return Op{}, fmt.Errorf("undo: short record (%d bytes)", len(b))
+	if len(b) == 0 {
+		return Op{}, fmt.Errorf("undo: empty record")
 	}
-	op := Op{Code: b[0]}
-	switch op.Code {
-	case OpKeyPut:
-		if len(b) < 13 {
-			return Op{}, fmt.Errorf("undo: short KeyPut (%d bytes)", len(b))
-		}
-		op.Hdr = binary.LittleEndian.Uint64(b[1:])
-		klen := int(binary.LittleEndian.Uint32(b[9:]))
-		if 13+klen > len(b) {
-			return Op{}, fmt.Errorf("undo: KeyPut key overruns record")
-		}
-		op.Key = b[13 : 13+klen]
-		op.Data = b[13+klen:]
-	case OpKeyDel:
-		op.Hdr = binary.LittleEndian.Uint64(b[1:])
-		op.Key = b[9:]
-	case OpMetaPut:
-		op.Hdr = binary.LittleEndian.Uint64(b[1:])
-		op.Data = b[9:]
-	case OpExtWrite, OpExtIns:
-		if len(b) < 17 {
-			return Op{}, fmt.Errorf("undo: short extent record (%d bytes)", len(b))
-		}
-		op.Hdr = binary.LittleEndian.Uint64(b[1:])
-		op.Off = binary.LittleEndian.Uint64(b[9:])
-		op.Data = b[17:]
-	case OpExtDel:
-		if len(b) < 25 {
-			return Op{}, fmt.Errorf("undo: short ExtDel (%d bytes)", len(b))
-		}
-		op.Hdr = binary.LittleEndian.Uint64(b[1:])
-		op.Off = binary.LittleEndian.Uint64(b[9:])
-		op.N = binary.LittleEndian.Uint64(b[17:])
-	case OpReclaim:
-		if (len(b)-1)%16 != 0 {
-			return Op{}, fmt.Errorf("undo: Reclaim of %d bytes is not whole runs", len(b)-1)
-		}
-		for p := b[1:]; len(p) > 0; p = p[16:] {
-			op.Runs = append(op.Runs, Run{binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])})
-		}
-	case OpBtreeDrop, OpExtentDrop:
-		op.Hdr = binary.LittleEndian.Uint64(b[1:])
-	case OpFulltext:
-	default:
-		return Op{}, fmt.Errorf("undo: unknown opcode %d", op.Code)
+	if int(b[0]) >= len(decoders) || decoders[b[0]] == nil {
+		return Op{}, fmt.Errorf("undo: unknown opcode %d", b[0])
+	}
+	op, r := Op{Code: b[0]}, redo.NewReader(b[1:])
+	decoders[op.Code](&r, &op)
+	if err := r.Err(); err != nil {
+		return Op{}, fmt.Errorf("undo: opcode %d: %w", op.Code, err)
 	}
 	return op, nil
 }

@@ -48,7 +48,8 @@
 //	[0:4]   crc32 (castagnoli) of bytes [4:recordLen]
 //	[4:8]   payload length
 //	[8]     kind (1=page image, 2=commit, 3=checkpoint, 4=range, 5=btree op,
-//	        6=extent op, 7=undo, 8=chunk, 9=allocator; 0x80 flags a CLR)
+//	        6=extent op, 7=undo, 8=chunk, 9=allocator, 10=wrote, 11=built;
+//	        0x80 flags a CLR)
 //	[9:17]  txn id
 //	[17:25] page number (redo records)
 //	[25:33] lsn (redo records; 0 in an older binary's image-mode records)
@@ -348,40 +349,18 @@ func (l *Log) commitGroup(group []*gcBatch) {
 
 	appended := 0
 	for _, b := range group {
-		if l.wedged {
-			// An unlogged structure modification is pending a checkpoint;
-			// nothing may commit on top of it.
-			b.err = fmt.Errorf("%w: log wedged pending checkpoint", ErrFull)
-			continue
-		}
-		// Space check: all records + commit + end marker must fit. A
-		// commit resolving a chunk chain carries the chain txid as its
+		// A commit resolving a chunk chain carries the chain txid as its
 		// payload (8 bytes); plain commits stay payload-free, keeping the
 		// committed-path wire bytes identical to the redo-only protocol.
 		var chainPayload []byte
 		if b.txn.chain != 0 {
-			chainPayload = make([]byte, 8)
-			binary.LittleEndian.PutUint64(chainPayload, b.txn.chain)
+			chainPayload = binary.LittleEndian.AppendUint64(nil, b.txn.chain)
 		}
-		need := uint64(recHdrSize + len(chainPayload) + 8)
-		for _, r := range b.txn.recs {
-			need += recHdrSize + uint64(len(r.Data))
+		b.txn.id, b.err = l.appendTxnLocked(b.txn.recs, kindCommit, chainPayload)
+		if errors.Is(b.err, ErrFull) {
+			continue // this batch alone: its neighbours still commit
 		}
-		if l.head.Load()+need > l.Capacity() {
-			b.err = fmt.Errorf("%w: need %d bytes, %d available", ErrFull, need, l.Capacity()-l.head.Load())
-			continue
-		}
-		// Definitive id, assigned in append order.
-		id := l.nextTx.Add(1) - 1
-		b.txn.id = id
-		for _, r := range b.txn.recs {
-			if b.err = l.appendLocked(r.Kind, id, r.Page, r.LSN, r.Data); b.err != nil {
-				l.failGroup(group, b.err)
-				return
-			}
-			l.stats.PagesLogged++
-		}
-		if b.err = l.appendLocked(kindCommit, id, 0, 0, chainPayload); b.err != nil {
+		if b.err != nil {
 			l.failGroup(group, b.err)
 			return
 		}
@@ -463,35 +442,15 @@ func (l *Log) AppendSystem(recs []redo.Record) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.wedged {
-		return fmt.Errorf("%w: log wedged pending checkpoint", ErrFull)
+	_, err := l.appendTxnLocked(recs, kindCommit, nil)
+	if err == nil {
+		l.stats.SystemTxns++
+		err = l.terminateLocked()
 	}
-	need := uint64(recHdrSize + 8)
-	for _, r := range recs {
-		need += recHdrSize + uint64(len(r.Data))
+	if err != nil {
+		l.wedged = true // unlogged, or tail state unknown: fail stop until checkpoint
 	}
-	if l.head.Load()+need > l.Capacity() {
-		l.wedged = true
-		return fmt.Errorf("%w: system txn needs %d bytes, %d available", ErrFull, need, l.Capacity()-l.head.Load())
-	}
-	id := l.nextTx.Add(1) - 1
-	for _, r := range recs {
-		if err := l.appendLocked(r.Kind, id, r.Page, r.LSN, r.Data); err != nil {
-			l.wedged = true // tail state unknown: fail stop until checkpoint
-			return err
-		}
-		l.stats.PagesLogged++
-	}
-	if err := l.appendLocked(kindCommit, id, 0, 0, nil); err != nil {
-		l.wedged = true
-		return err
-	}
-	l.stats.SystemTxns++
-	if err := l.terminateLocked(); err != nil {
-		l.wedged = true
-		return err
-	}
-	return nil
+	return err
 }
 
 // AppendChunk appends recs as one mid-transaction chunk: the records of
@@ -516,38 +475,48 @@ func (l *Log) AppendChunk(prev uint64, recs []redo.Record) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.wedged {
-		return 0, fmt.Errorf("%w: log wedged pending checkpoint", ErrFull)
+	id, err := l.appendTxnLocked(recs, kindChunk, binary.LittleEndian.AppendUint64(nil, prev))
+	if err == nil {
+		l.stats.ChunkRecords += int64(len(recs))
+		l.stats.Chunks++
+		err = l.terminateLocked()
 	}
-	need := uint64(recHdrSize + 8 + 8) // chunk marker + its payload + end marker
-	for _, r := range recs {
-		need += recHdrSize + uint64(len(r.Data))
-	}
-	if l.head.Load()+need > l.Capacity() {
-		l.wedged = true
-		return 0, fmt.Errorf("%w: chunk needs %d bytes, %d available", ErrFull, need, l.Capacity()-l.head.Load())
-	}
-	id := l.nextTx.Add(1) - 1
-	for _, r := range recs {
-		if err := l.appendLocked(r.Kind, id, r.Page, r.LSN, r.Data); err != nil {
-			l.wedged = true
-			return 0, err
-		}
-		l.stats.PagesLogged++
-		l.stats.ChunkRecords++
-	}
-	var payload [8]byte
-	binary.LittleEndian.PutUint64(payload[:], prev)
-	if err := l.appendLocked(kindChunk, id, 0, 0, payload[:]); err != nil {
-		l.wedged = true
-		return 0, err
-	}
-	l.stats.Chunks++
-	if err := l.terminateLocked(); err != nil {
+	if err != nil {
 		l.wedged = true
 		return 0, err
 	}
 	return id, nil
+}
+
+// appendTxnLocked appends recs and the record that terminates them —
+// termKind with termPayload: a commit, or a chunk marker — as one
+// transaction under a fresh id. It fails with ErrFull, having written
+// nothing, when the log is wedged or the records, their terminator and
+// the end marker after them do not fit (so no later write runs out of
+// room); the caller decides whether that wedges the log. Any other error
+// is the device's, after a partial write.
+func (l *Log) appendTxnLocked(recs []redo.Record, termKind uint8, termPayload []byte) (uint64, error) {
+	if l.wedged {
+		// An unlogged structure modification is pending a checkpoint;
+		// nothing may commit on top of it.
+		return 0, fmt.Errorf("%w: log wedged pending checkpoint", ErrFull)
+	}
+	need := uint64(recHdrSize + len(termPayload) + 8)
+	for _, r := range recs {
+		need += recHdrSize + uint64(len(r.Data))
+	}
+	if l.head.Load()+need > l.Capacity() {
+		return 0, fmt.Errorf("%w: need %d bytes, %d available", ErrFull, need, l.Capacity()-l.head.Load())
+	}
+	// Definitive id, assigned in append order.
+	id := l.nextTx.Add(1) - 1
+	for _, r := range recs {
+		if err := l.appendLocked(r.Kind, id, r.Page, r.LSN, r.Data); err != nil {
+			return 0, err
+		}
+		l.stats.PagesLogged++
+	}
+	return id, l.appendLocked(termKind, id, 0, 0, termPayload)
 }
 
 // failGroup resolves a group after a device error. The log wedges either
