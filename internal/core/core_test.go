@@ -20,15 +20,32 @@ import (
 func newVolume(t *testing.T, opts Options) (*Volume, *blockdev.MemDevice) {
 	t.Helper()
 	dev := blockdev.NewMem(32768, blockdev.DefaultBlockSize) // 128 MiB
-	v, err := Create(dev, opts)
+	v, err := createVolume(t, dev, opts)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	// A test that abandons the volume (a crash) would leave its
-	// checkpointer running, and the goroutine would keep the volume and
-	// its 128 MiB device alive for the rest of the package's tests.
-	t.Cleanup(v.stopCheckpointer)
 	return v, dev
+}
+
+// createVolume is Create for a test. A test that abandons the volume (a
+// crash) would leave its checkpointer running, and the goroutine would
+// keep the volume and its device alive for the rest of the package's
+// tests; the test's cleanup stops it.
+func createVolume(t testing.TB, dev blockdev.Device, opts Options) (*Volume, error) {
+	v, err := Create(dev, opts)
+	if err == nil {
+		t.Cleanup(v.stopCheckpointer)
+	}
+	return v, err
+}
+
+// openVolume is Open for a test, with createVolume's cleanup.
+func openVolume(t testing.TB, dev blockdev.Device, opts Options) (*Volume, error) {
+	v, err := Open(dev, opts)
+	if err == nil {
+		t.Cleanup(v.stopCheckpointer)
+	}
+	return v, err
 }
 
 func mustCreateObject(t *testing.T, v *Volume, owner string, content string) OID {
@@ -56,7 +73,7 @@ func TestCreateAndReopenVolume(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	v2, err := Open(dev, Options{})
+	v2, err := openVolume(t, dev, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -82,14 +99,14 @@ func TestCreateAndReopenVolume(t *testing.T) {
 
 func TestOpenRejectsGarbage(t *testing.T) {
 	dev := blockdev.NewMem(1024, blockdev.DefaultBlockSize)
-	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
 		t.Errorf("Open(blank) = %v, want ErrBadSuperblock", err)
 	}
 }
 
 func TestCreateTooSmall(t *testing.T) {
 	dev := blockdev.NewMem(32, blockdev.DefaultBlockSize)
-	if _, err := Create(dev, Options{}); !errors.Is(err, ErrTooSmall) {
+	if _, err := createVolume(t, dev, Options{}); !errors.Is(err, ErrTooSmall) {
 		t.Errorf("Create(tiny) = %v, want ErrTooSmall", err)
 	}
 }
@@ -442,7 +459,7 @@ func TestVolumeWALBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for reopen := 1; reopen <= 2; reopen++ {
-		v2, err := Open(dev, Options{})
+		v2, err := openVolume(t, dev, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +493,7 @@ func TestOpenRefusesVolumeWithoutLog(t *testing.T) {
 	if err := dev.WriteBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
 		t.Fatalf("Open of a volume without a log region: %v, want ErrBadSuperblock", err)
 	}
 }
@@ -496,6 +513,39 @@ func TestOpenRefusesV3Superblock(t *testing.T) { refuseVersion(t, 3) }
 // longer reads; Open refuses it rather than fail mid-replay.
 func TestOpenRefusesV4Superblock(t *testing.T) { refuseVersion(t, 4) }
 
+// TestOpenRefusesV5Superblock: a version 5 volume's log holds records
+// with 33-byte headers, not frames; Open refuses it rather than read its
+// log as an empty one.
+func TestOpenRefusesV5Superblock(t *testing.T) { refuseVersion(t, 5) }
+
+// TestOpenRefusesWAL1Log: a log region whose header carries the magic of
+// the record-per-header format ("WAL1") is refused with ErrBadSuperblock
+// even under a current superblock. Create still formats over one.
+func TestOpenRefusesWAL1Log(t *testing.T) {
+	v, dev := newVolume(t, Options{})
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, dev.BlockSize())
+	if err := dev.ReadBlock(1, b); err != nil { // the log's header block
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[0:], 0x57414C31)
+	if err := dev.WriteBlock(1, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+		t.Fatalf("Open of a WAL1 log: %v, want ErrBadSuperblock", err)
+	}
+	v2, err := createVolume(t, dev, Options{})
+	if err != nil {
+		t.Fatalf("Create over a WAL1 log: %v", err)
+	}
+	if err := v2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // refuseVersion stamps a fresh volume's superblock with version ver and
 // requires Open to refuse it.
 func refuseVersion(t *testing.T, ver uint32) {
@@ -512,7 +562,7 @@ func refuseVersion(t *testing.T, ver uint32) {
 	if err := dev.WriteBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
 		t.Fatalf("Open of a version %d volume: %v, want ErrBadSuperblock", ver, err)
 	}
 }
@@ -572,7 +622,7 @@ func TestCrashRecoveryDirtyOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2, err := Open(dev, Options{})
+	v2, err := openVolume(t, dev, Options{})
 	if err != nil {
 		t.Fatalf("dirty Open: %v", err)
 	}
@@ -603,7 +653,7 @@ func TestCrashRecoveryDirtyOpen(t *testing.T) {
 func TestCrashRecoveryWAL(t *testing.T) {
 	mem := blockdev.NewMem(32768, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{})
+	v, err := createVolume(t, fd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +680,7 @@ func TestCrashRecoveryWAL(t *testing.T) {
 	}
 
 	// "Reboot": reopen from the raw memory device.
-	v2, err := Open(mem, Options{})
+	v2, err := openVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery Open: %v", err)
 	}
@@ -699,7 +749,7 @@ func TestObjectDataIntact(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := Open(dev, Options{})
+	v2, err := openVolume(t, dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ import (
 func TestCrashLoop(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{WALBlocks: 128})
+	v, err := createVolume(t, fd, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCrashLoop(t *testing.T) {
 		fd.Disarm()
 
 		// "Reboot": recover from the raw surviving image.
-		v2, err := Open(mem, Options{})
+		v2, err := openVolume(t, mem, Options{})
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
@@ -124,7 +124,7 @@ func TestCrashLoop(t *testing.T) {
 		// Continue the loop on the recovered volume, re-wrapping the
 		// device with a fresh fault injector.
 		fd = blockdev.NewFault(mem)
-		v3, err := Open(fd, Options{})
+		v3, err := openVolume(t, fd, Options{})
 		if err != nil {
 			t.Fatalf("round %d re-wrap open: %v", round, err)
 		}
@@ -136,7 +136,7 @@ func TestCrashLoop(t *testing.T) {
 // the shared-page commit anomaly: two operation brackets open
 // concurrently, the first mutates an index page and never commits, the
 // second mutates the *same* page and commits, then the volume crashes.
-// Under whole-page image logging (retired; BENCH_pr4 keeps its numbers)
+// Under whole-page image logging (retired; DESIGN.md keeps its numbers)
 // the committed transaction's page images carried the neighbour's
 // uncommitted bytes and recovery surfaced them; each commit now carries
 // only its own typed records, so the "ghost" name must not resolve and
@@ -144,7 +144,7 @@ func TestCrashLoop(t *testing.T) {
 func TestSharedPageAnomalyFixed(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{
+	v, err := createVolume(t, fd, Options{
 		WALBlocks:   128,
 		IndexShards: 1, // one UDEF tree, so both names share its leaf
 	})
@@ -203,7 +203,7 @@ func TestSharedPageAnomalyFixed(t *testing.T) {
 	// Crash: no further device writes land.
 	fd.FailAfterWrites(0)
 
-	v2, err := Open(mem, Options{})
+	v2, err := openVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestSharedPageAnomalyFixed(t *testing.T) {
 func TestCrashLoopConcurrentWriters(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{WALBlocks: 128, IndexShards: 1})
+	v, err := createVolume(t, fd, Options{WALBlocks: 128, IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 		v.stopCheckpointer()
 		fd.Disarm()
 
-		v2, err := Open(mem, Options{})
+		v2, err := openVolume(t, mem, Options{})
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
@@ -321,7 +321,7 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 			}
 		}
 		fd = blockdev.NewFault(mem)
-		v3, err := Open(fd, Options{})
+		v3, err := openVolume(t, fd, Options{})
 		if err != nil {
 			t.Fatalf("round %d re-wrap open: %v", round, err)
 		}
@@ -334,7 +334,7 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 func TestTornWALTailRecovered(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{WALBlocks: 128})
+	v, err := createVolume(t, fd, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 		}
 	}
 
-	v2, err := Open(mem, Options{})
+	v2, err := openVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -378,7 +378,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 // already-split leaf wipes the right sibling and corrupts the chain.
 func TestReplayOverAppliedPagesIdempotent(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{WALBlocks: 2048, IndexShards: 1})
+	v, err := createVolume(t, mem, Options{WALBlocks: 2048, IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestReplayOverAppliedPagesIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2, err := Open(mem, Options{})
+	v2, err := openVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery over applied pages: %v", err)
 	}

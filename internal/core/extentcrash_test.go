@@ -85,7 +85,7 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 		t.Run(fmt.Sprintf("failWrite%d", n), func(t *testing.T) {
 			mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 			fd := &failNthDevice{Device: mem}
-			v, err := Create(fd, Options{
+			v, err := createVolume(t, fd, Options{
 				WALBlocks:    512,
 				ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 			})
@@ -115,7 +115,7 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 			// volume's checkpointer goes with it, so it can neither write
 			// under the recovery nor keep the crashed volume alive.
 			v.stopCheckpointer()
-			v2, err := Open(mem, Options{})
+			v2, err := openVolume(t, mem, Options{})
 			if err != nil {
 				t.Fatalf("recovery open (fault at write %d, op err %v): %v", n, werr, err)
 			}
@@ -156,7 +156,7 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 // ownership fsck would flag (and readers would see torn content).
 func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{
+	v, err := createVolume(t, mem, Options{
 		WALBlocks:    1024,
 		ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 	})
@@ -202,7 +202,7 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 	// Crash before any checkpoint: recovery replays the truncate and the
 	// new writers; nothing may own a block twice and the truncated
 	// object's surviving bytes must be intact.
-	v2, err := Open(mem, Options{})
+	v2, err := openVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -236,7 +236,7 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 // reports the size the row holds, and fsck names the disagreement.
 func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{
+	v, err := createVolume(t, mem, Options{
 		WALBlocks:    256,
 		ExtentConfig: extent.Config{MaxExtentBytes: 4096},
 	})
@@ -299,7 +299,7 @@ func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 		t.Fatal("tail extent cell not found on raw image")
 	}
 	// "Crash" (the superblock is still marked dirty).
-	v2, err := Open(mem, Options{})
+	v2, err := openVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatalf("unclean open over a skewed leaf: %v", err)
 	}
@@ -364,7 +364,7 @@ func TestCrashAppendOverOpenGrowth(t *testing.T) {
 // closeFirst closes the batch's handle before edit opens the object.
 func crashOverOpenGrowth(t *testing.T, closeFirst bool, edit func(*osd.Object) error, want []byte) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{WALBlocks: 1024})
+	v, err := createVolume(t, mem, Options{WALBlocks: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func crashOverOpenGrowth(t *testing.T, closeFirst bool, edit func(*osd.Object) e
 func TestCrashLoopExtentChurn(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := Create(fd, Options{
+	v, err := createVolume(t, fd, Options{
 		WALBlocks:    256,
 		ExtentConfig: extent.Config{MaxExtentBytes: 4096},
 	})
@@ -539,7 +539,7 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 		v.stopCheckpointer()
 		fd.Disarm()
 
-		v2, err := Open(mem, Options{})
+		v2, err := openVolume(t, mem, Options{})
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
@@ -577,7 +577,7 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 		mu.Unlock()
 
 		fd = blockdev.NewFault(mem)
-		v3, err := Open(fd, Options{})
+		v3, err := openVolume(t, fd, Options{})
 		if err != nil {
 			t.Fatalf("round %d re-wrap open: %v", round, err)
 		}
@@ -616,7 +616,7 @@ func refreshSidecarSum(t *testing.T, dev blockdev.Device, b uint64, content []by
 func TestCrashRootCrossesR(t *testing.T) {
 	opts := Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}}
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := Create(mem, opts)
+	v, err := createVolume(t, mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestCrashRootCrossesR(t *testing.T) {
 		}
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
-		v, err := Open(fd, opts)
+		v, err := openVolume(t, fd, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -745,7 +745,7 @@ func TestCrashRootCrossesR(t *testing.T) {
 // crash.
 func TestRecoverRollbackAcrossNeighbourSplit(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := createVolume(t, mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -906,7 +906,7 @@ func deleteHead(t *testing.T, v *Volume, oid OID, n uint64) *pager.Op {
 // is always redone.
 func TestRecoverDeferredMergeAfterNeighbourAppend(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := createVolume(t, mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -978,7 +978,7 @@ func (d *pauseReadDevice) ReadBlock(n uint64, p []byte) error {
 func TestRecoverDeferredMergeBesideMetaUpdate(t *testing.T) {
 	opts := Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}}
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := Create(mem, opts)
+	v, err := createVolume(t, mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -987,7 +987,7 @@ func TestRecoverDeferredMergeBesideMetaUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := &pauseReadDevice{Device: mem, paused: make(chan struct{}), resume: make(chan struct{})}
-	v, err = Open(dev, opts) // a cold cache: the merge reads the second leaf
+	v, err = openVolume(t, dev, opts) // a cold cache: the merge reads the second leaf
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func indexedAs(t *testing.T, v *Volume, term string, oids ...OID) []OID {
 func TestBatchIndexContentReadsNothingBack(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	sim := blockdev.NewSim(mem, nil)
-	v, err := Create(sim, Options{})
+	v, err := createVolume(t, sim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBatchIndexContentReadsNothingBack(t *testing.T) {
 func TestBatchTextBound(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	sim := blockdev.NewSim(mem, nil)
-	v, err := Create(sim, Options{})
+	v, err := createVolume(t, sim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestBatchTextBound(t *testing.T) {
 func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 	const committed, batched, scanned, cache = 200, 8, 8, 3
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{CachePages: cache})
+	v, err := createVolume(t, mem, Options{CachePages: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
 		ops = &opLog{writeLog: writeLog{Device: fd}}
-		v, err := Open(ops, Options{CachePages: cache})
+		v, err := openVolume(t, ops, Options{CachePages: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +492,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 // the checkpoint has to make them durable first.
 func TestCrashCheckpointAfterDeferredMerge(t *testing.T) {
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{IndexShards: 1})
+	v, err := createVolume(t, mem, Options{IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestCrashCheckpointAfterDeferredMerge(t *testing.T) {
 		}
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
-		v, err := Open(fd, Options{})
+		v, err := openVolume(t, fd, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -651,7 +651,7 @@ func TestSameSeedSameImage(t *testing.T) {
 	build := func() ([]byte, int64, []uint64) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
 		dev := &writeLog{Device: mem}
-		v, err := Create(dev, Options{WALBlocks: 32, Clock: func() time.Time { return epoch }})
+		v, err := createVolume(t, dev, Options{WALBlocks: 32, Clock: func() time.Time { return epoch }})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/extent"
 	"repro/internal/redo"
+	"repro/internal/wal"
 )
 
 // RecoveryPhase is one phase of Open: how much it handled and how long
@@ -28,8 +30,8 @@ type RecoveryReport struct {
 	Clean bool
 	// SidecarLoad: checksum sidecar blocks read.
 	SidecarLoad RecoveryPhase
-	// LogScan: records of every kind read from the log region, LogBytes
-	// their size — the tail.
+	// LogScan: records read from the log region's frames, LogBytes the
+	// frames' size — the tail.
 	LogScan  RecoveryPhase
 	LogBytes int64
 	// Replay: redo records re-executed; PagesHome the pages that differed
@@ -197,6 +199,9 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 	rep := &v.recovery
 	t0 := time.Now()
 	n, err := v.log.Recover(func(r redo.Record) error { return timed(&rep.Replay, func() error { return x.replay(r) }) })
+	if errors.Is(err, wal.ErrFormat) || errors.Is(err, wal.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", ErrBadSuperblock, err) // a log this volume did not write
+	}
 	if err != nil {
 		return nil, err
 	}

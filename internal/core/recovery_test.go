@@ -51,7 +51,7 @@ func crashCopy(t testing.TB, v *Volume, dev *blockdev.MemDevice) *blockdev.MemDe
 // oracle, and returns it.
 func mustOpenExact(t testing.TB, dev blockdev.Device) *Volume {
 	t.Helper()
-	v, err := Open(dev, Options{})
+	v, err := openVolume(t, dev, Options{})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -101,7 +101,7 @@ func fill(n int, seed byte) []byte {
 // to heal.
 func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{})
+	v, err := createVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	t.Run("append into an extent's slack", func(t *testing.T) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{})
+		v, err := createVolume(t, mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	t.Run("overwrite in place", func(t *testing.T) {
 		// No leaf cell changes: the overwrite's own record must name the run.
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{})
+		v, err := createVolume(t, mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	})
 	t.Run("new extent on a block freed earlier", func(t *testing.T) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{})
+		v, err := createVolume(t, mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestRecoveryCheckpointCutEverywhere(t *testing.T) {
 	for cut := int64(0); ; cut++ {
 		mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
 		fd := blockdev.NewFault(mem)
-		v, err := Create(fd, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
+		v, err := createVolume(t, fd, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestRecoveryCheckpointCutEverywhere(t *testing.T) {
 // not fatal; the other slot, damaged, changes nothing.
 func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{})
+	v, err := createVolume(t, mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 // fails; the next one recovers from whatever it left, exactly.
 func TestRecoveryCutDuringWriteHome(t *testing.T) {
 	mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
+	v, err := createVolume(t, mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestRecoveryCutDuringWriteHome(t *testing.T) {
 		fd := blockdev.NewFault(img)
 		fd.SetTornWrites(true)
 		fd.FailAfterWrites(cut)
-		vi, err := Open(fd, Options{})
+		vi, err := openVolume(t, fd, Options{})
 		if err == nil {
 			vi.stopCheckpointer()
 			if cut < 4 {
@@ -485,7 +485,7 @@ func loserImage(t *testing.T, v *Volume, mem *blockdev.MemDevice, step func(b *B
 func TestRecoveryLosers(t *testing.T) {
 	setup := func(t *testing.T) (*Volume, *blockdev.MemDevice, []OID) {
 		mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{CachePages: 64, WALBlocks: 4096})
+		v, err := createVolume(t, mem, Options{CachePages: 64, WALBlocks: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -674,7 +674,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 	for name, mk := range steps {
 		t.Run(name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
-			v, err := Create(mem, Options{CachePages: 64, WALBlocks: 512,
+			v, err := createVolume(t, mem, Options{CachePages: 64, WALBlocks: 512,
 				FulltextConfig: fulltext.Config{FlushDocs: 2, MaxSegments: 2}})
 			if err != nil {
 				t.Fatal(err)
@@ -704,7 +704,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 				fd := blockdev.NewFault(img)
 				fd.SetTornWrites(true)
 				fd.FailAfterWrites(cut)
-				vi, err := Open(fd, Options{})
+				vi, err := openVolume(t, fd, Options{})
 				if err == nil {
 					vi.stopCheckpointer()
 					if vi.Recovery().Undo.Count == 0 {
@@ -715,7 +715,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 					}
 					return // recovery ran to completion: every write was cut
 				}
-				v2, err := Open(img, Options{})
+				v2, err := openVolume(t, img, Options{})
 				if err != nil {
 					t.Fatalf("cut at recovery write %d: reopen: %v", cut, err)
 				}
@@ -749,7 +749,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 // the inverse is never run.
 func TestRecoveryDeleteInTail(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := createVolume(t, mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -792,7 +792,9 @@ func TestRecoveryDeleteInTail(t *testing.T) {
 
 // TestRecoveryCostIsTheTail reopens two crashed volumes, one ten times
 // the other, with the same log tail. Everything RecoveryReport counts is
-// the same but the sidecar (sized with the device) — the walk that made
+// the same but the sidecar (sized with the device) and the log's bytes,
+// which may differ by the width of the varint page and LSN deltas, at
+// most a byte each per record on a volume ten times larger — the walk that made
 // reopen proportional to the volume is gone — and so, within
 // tallerTreeReads, is the number of blocks Open reads from the device:
 // no phase walks a tree the tail did not touch. The same holds when the
@@ -808,7 +810,7 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 	const tallerTreeReads = 2
 	run := func(n int, loser bool) (RecoveryReport, int64) {
 		mem := blockdev.NewMem(1<<16, blockdev.DefaultBlockSize)
-		v, err := Create(mem, Options{WALBlocks: 4096})
+		v, err := createVolume(t, mem, Options{WALBlocks: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -860,7 +862,7 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 		// whole footprint).
 		v.stopCheckpointer()
 		sim := blockdev.NewSim(mem, nil)
-		v2, err := Open(sim, Options{})
+		v2, err := openVolume(t, sim, Options{})
 		if err != nil {
 			t.Fatalf("recovery open: %v", err)
 		}
@@ -874,8 +876,8 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 		}
 		return v2.Recovery(), reads
 	}
-	counts := func(r RecoveryReport) [7]int64 {
-		return [7]int64{r.LogScan.Count, r.LogBytes, r.Replay.Count, r.PagesHome, r.Allocator.Count,
+	counts := func(r RecoveryReport) [6]int64 {
+		return [6]int64{r.LogScan.Count, r.Replay.Count, r.PagesHome, r.Allocator.Count,
 			r.Undo.Count, r.Checkpoint.Count}
 	}
 	for _, loser := range []bool{false, true} {
@@ -884,6 +886,9 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 		t.Logf("loser=%v\n  2 000: %d device reads, %s\n 20 000: %d device reads, %s", loser, smallReads, small, bigReads, big)
 		if counts(small) != counts(big) {
 			t.Fatalf("loser=%v: recovery counts differ with the volume's size:\n  2 000: %s\n 20 000: %s", loser, small, big)
+		}
+		if d := big.LogBytes - small.LogBytes; d < 0 || d > 2*big.LogScan.Count {
+			t.Fatalf("loser=%v: a tail of %d records is %d B at 2 000 objects, %d B at 20 000", loser, big.LogScan.Count, small.LogBytes, big.LogBytes)
 		}
 		if bigReads > smallReads+tallerTreeReads {
 			t.Fatalf("loser=%v: Open read %d blocks at 20 000 objects, %d at 2 000: more than %d apart", loser, bigReads, smallReads, tallerTreeReads)
@@ -908,7 +913,7 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 // records into the log. After the crash the count is the committed one.
 func TestRecoverLoserKeepsObjectCount(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{WALBlocks: 4096})
+	v, err := createVolume(t, mem, Options{WALBlocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -966,7 +971,7 @@ func TestRecoverLoserKeepsObjectCount(t *testing.T) {
 // phase, and each field of the report must say so.
 func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{CachePages: 64, WALBlocks: 4096})
+	v, err := createVolume(t, mem, Options{CachePages: 64, WALBlocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1013,7 +1018,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	if err := v2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v3, err := Open(img, Options{})
+	v3, err := openVolume(t, img, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1032,7 +1037,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 // fits again, recovery is back on the slot.
 func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{SnapshotBlocks: 2}) // one-block slots: ~500 chunks
+	v, err := createVolume(t, mem, Options{SnapshotBlocks: 2}) // one-block slots: ~500 chunks
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,10 @@ func TestCrashDeleteBesideOpenGrowth(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-			v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: tc.cfg})
+			v, err := createVolume(t, mem, Options{WALBlocks: 1024, ExtentConfig: tc.cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(v.stopCheckpointer)
 			obj, err := v.OSD.CreateObject("grow", osd.ModeRegular)
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +139,7 @@ func crashSegmentBuild(t *testing.T, merge, rollback bool) {
 	const flushDocs = 8
 	opts := Options{WALBlocks: 512, FulltextConfig: fulltext.Config{FlushDocs: flushDocs, MaxSegments: 2}}
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := Create(mem, opts)
+	v, err := createVolume(t, mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +176,10 @@ func crashSegmentBuild(t *testing.T, merge, rollback bool) {
 		}
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
-		v, err := Open(fd, opts)
+		v, err := openVolume(t, fd, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(v.stopCheckpointer)
 		v.stopCheckpointer()
 		w0 := sim.Stats().Writes
 		if limit >= 0 {
@@ -227,7 +225,7 @@ func crashSegmentBuild(t *testing.T, merge, rollback bool) {
 		if err := mem.RestoreFrom(img); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Open(mem, opts)
+		ref, err := openVolume(t, mem, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +265,7 @@ func TestRecoverHoldsBuiltPageToItsSum(t *testing.T) {
 	const flushDocs = 8
 	opts := Options{WALBlocks: 512, FulltextConfig: fulltext.Config{FlushDocs: flushDocs, MaxSegments: 2}}
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := Create(mem, opts)
+	v, err := createVolume(t, mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +281,10 @@ func TestRecoverHoldsBuiltPageToItsSum(t *testing.T) {
 		if err := mem.RestoreFrom(img); err != nil {
 			t.Fatal(err)
 		}
-		v, err := Open(dev, opts)
+		v, err := openVolume(t, dev, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(v.stopCheckpointer)
 		v.stopCheckpointer()
 		err = v.withOp(func(op *pager.Op) error {
 			for i, oid := range oids {
@@ -325,7 +322,7 @@ func TestRecoverHoldsBuiltPageToItsSum(t *testing.T) {
 	if flip.Fired() != 1 {
 		t.Fatalf("the flip fired %d times", flip.Fired())
 	}
-	v2, err := Open(crashCopy(t, nil, mem), Options{})
+	v2, err := openVolume(t, crashCopy(t, nil, mem), Options{})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}

@@ -84,7 +84,7 @@ type OID = osd.OID
 //	[96:100] crc32 of bytes [0:96]
 const (
 	sbMagic   = 0x68464144 // "hFAD"
-	sbVersion = 5          // v5: data and built-page sums ride redo.KindWrote
+	sbVersion = 6          // v6: one CRC-checked WAL frame per append
 
 	flagLogged = 1 << 0
 	flagClean  = 1 << 1
@@ -281,7 +281,9 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	// commit could let recovery replay the old generation over the fresh
 	// format, and old high-id leftovers past a new tail would slip the
 	// monotonic fences.
-	if _, err := v.log.Recover(nil); err != nil {
+	// A region of another log format holds nothing this one would read:
+	// its records' CRCs cover other spans than a frame's.
+	if _, err := v.log.Recover(nil); err != nil && !errors.Is(err, wal.ErrFormat) {
 		return nil, err
 	}
 	v.pg.SeedLSN(v.log.MaxLSN())
@@ -876,7 +878,7 @@ func (v *Volume) runDeferred(op *pager.Op) error {
 func (v *Volume) CheckpointFallbacks() int64 { return v.ckptFallbacks.Load() }
 
 // commitOp makes one operation's redo records durable through the group
-// committer: the records plus a commit record reach the log in one
+// committer: the records reach the log as one commit frame in a
 // contiguous append shared with concurrent committers, under a single
 // device sync. Replay order is governed by the records' mutation-time
 // LSNs, not commit order, so no close/enqueue atomicity dance is needed.

@@ -12,12 +12,11 @@
 // committed records in LSN order and reproduces the committed state even
 // when transactions committed out of mutation order.
 //
-// Record kinds (these are also the WAL wire kinds; 2 and 3 are reserved
-// by the WAL for commit and checkpoint records):
+// Record kinds (a record's kind byte in a WAL frame; 2 is the WAL's
+// commit frame kind, and 3 its retired checkpoint record):
 //
 //   - KindImage: Data is the full page image. Used for first-touch base
-//     images (an older binary's image-logging mode also wrote them, with
-//     LSN 0; recovery still replays those).
+//     images.
 //   - KindRange: Data is a u32 page offset followed by the bytes written
 //     there. Idempotent absolute overwrite; used for pointer stitches,
 //     btree headers, and overflow-page content.
@@ -60,8 +59,8 @@ import (
 
 // Record kinds, in one block that ends in KindCount: a replay table
 // sized by KindCount has a slot for every kind. A value no kind uses any
-// more, or one the WAL keeps for itself (2 is its commit record, 3 its
-// checkpoint record), holds a blank, so no wire value moves.
+// more, or one the WAL keeps for itself (2 is its commit frame kind, 3
+// its retired checkpoint record), holds a blank, so no wire value moves.
 const (
 	_            = iota // 0: never written
 	KindImage           // 1
@@ -105,7 +104,7 @@ func BaseKind(k uint8) uint8 { return k &^ FlagCLR }
 
 // Record is one physiological redo record.
 type Record struct {
-	LSN  uint64 // mutation-time sequence number; 0 = unstamped (image-mode)
+	LSN  uint64 // mutation-time sequence number, never 0: the WAL refuses an unstamped record
 	Page uint64 // page the record applies to (ops may reference others in Data)
 	Kind uint8
 	Data []byte

@@ -16,14 +16,14 @@
 //     page latch, and the logical inverse that would undo it.
 //  2. At commit the operation's records are handed to the group
 //     committer: a leader drains the queue of pending commit batches,
-//     appends all their records plus commit records in one contiguous
-//     write, and issues a single device sync that releases every waiter —
-//     N concurrent committers pay one sync.
+//     appends each as one commit frame in one contiguous write, and
+//     issues a single device sync that releases every waiter — N
+//     concurrent committers pay one sync.
 //  3. Pages are NOT forced home at commit. A dirty page — even one with
 //     uncommitted edits — may be written home once every record staged
 //     against it is durably logged; to get there the pager flushes an open
 //     operation's records early as a *chunk* (AppendChunk), chained to the
-//     operation's earlier chunks and resolved by its commit record.
+//     operation's earlier chunks and resolved by its commit frame.
 //     Structure modifications (splits, merges, first-touch base images)
 //     are auto-committed *system transactions* (AppendSystem). Chunks and
 //     system transactions wait in the staging buffer: the log writes a
@@ -35,32 +35,46 @@
 //     resets the log behind an LSN fence.
 //
 // Recover scans the region once, front to back, through one block buffer,
-// and "repeats history": records of committed transactions, system
-// transactions and unresolved chunk chains (losers) all replay, in LSN
-// (mutation) order; torn or never-terminated tails are detected by CRC
-// and dropped. The caller then rolls each loser chain back through its
-// undo records (Losers). Whole-page image records written by an older
-// binary's image-logging mode carry LSN 0 and replay in log order (the
-// stable sort preserves it), so such a log still recovers.
+// and "repeats history": committed transactions, system transactions and
+// unresolved chunk chains (losers) all replay, in LSN (mutation) order;
+// torn or never-terminated tails are detected by CRC and dropped. The
+// caller then rolls each loser chain back through its undo records
+// (Losers).
 //
-// Log record layout (little-endian), packed back to back across blocks:
+// Frame layout. Each append — a commit batch, a system transaction or a
+// chunk — is one CRC-checked frame, the unit recovery keeps or drops
+// whole; frames are packed back to back across blocks (little-endian):
 //
-//	[0:4]   crc32 (castagnoli) of bytes [4:recordLen]
-//	[4:8]   payload length
-//	[8]     kind (1=page image, 2=commit, 3=checkpoint, 4=range, 5=btree op,
-//	        6=extent op, 7=undo, 8=chunk, 9=allocator, 10=wrote, 11=built;
-//	        0x80 flags a CLR)
-//	[9:17]  txn id
-//	[17:25] page number (redo records)
-//	[25:33] lsn (redo records; 0 in an older binary's image-mode records)
-//	[33:]   payload (redo records)
+//	[0:4]     n, the length of the body
+//	[4:4+n]   body
+//	[4+n:8+n] crc32 (castagnoli) of bytes [0:4+n]
+//	body:
+//	  kind  byte     what terminates the frame: 2 = commit, 8 = chunk
+//	  txid  uvarint  the frame's transaction id
+//	  link  uvarint  commit: the last chunk of the chain it resolves;
+//	                 chunk: the same transaction's previous chunk (0 = none)
+//	  count uvarint  records that follow
+//	  each record:
+//	    kind  byte    redo kind (1=page image, 4=range, 5=btree op,
+//	                  6=extent op, 7=undo, 9=allocator, 10=wrote,
+//	                  11=built; 0x80 flags a CLR)
+//	    len   uvarint payload length
+//	    page  varint  page − the previous record's page (zigzag; 0 before
+//	                  the first record of the frame)
+//	    lsn   varint  lsn − the previous record's lsn (zigzag, likewise)
+//	    payload
 //
-// A zero length+crc marks the end of the log.
+// A small record costs its payload and about 6 bytes. A zero length marks
+// the end of the log. The CRC comes last so that a frame is whole only
+// once its last bytes are on the device: a torn frame's missing tail is
+// whatever the region held before, and a zero-filled tail (a page image
+// of zeros) over a zeroed region would match it — the frame's own CRC
+// trailer matches stale bytes only by a 2^-32 chance.
 //
-// The first hdrSize bytes of the region are a persistent header holding a
-// magic number, the transaction-id high-water mark, and the LSN fence of
+// The first logHdrSize bytes of the region are a persistent header holding
+// a magic number, the transaction-id high-water mark, and the LSN fence of
 // the last checkpoint. Ids must stay monotonic across checkpoints and
-// re-opens — recovery uses "txid went backwards" to detect stale records
+// re-opens — recovery uses "txid went backwards" to detect stale frames
 // beyond the true tail, and an id reset would let leftovers from earlier
 // log passes masquerade as fresh commits. The LSN fence is the second
 // seat belt: any record whose LSN predates the last checkpoint is a
@@ -68,12 +82,14 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,29 +97,39 @@ import (
 	"repro/internal/redo"
 )
 
-// Record kinds. Redo, undo and chunk kinds (1, 4–11) are shared with
-// package redo; commit and checkpoint are log-internal.
+// Frame kinds: what terminates a frame. A chunk frame's kind is package
+// redo's KindChunk; commit is log-internal.
 const (
-	kindPage       = redo.KindImage
-	kindCommit     = 2
-	kindCheckpoint = 3
-	kindChunk      = redo.KindChunk
+	kindCommit = 2
+	kindChunk  = redo.KindChunk
 )
 
-const recHdrSize = 33
+// A frame's length field (and the end marker, a zero length), and the
+// bytes it adds to its body: the length and the CRC trailer.
+const (
+	lenSize       = 4
+	frameOverhead = lenSize + 4
+)
 
 // Log-region header (start of the first block).
 const (
-	logMagic   = 0x57414C31 // "WAL1"
+	logMagic   = 0x57414C32 // "WAL2": one frame per append
 	logHdrSize = 24         // magic u32 + pad u32 + nextTx u64 + lsn fence u64
 )
 
 // WAL errors.
 var (
-	ErrFull     = errors.New("wal: log region full")
-	ErrCorrupt  = errors.New("wal: corrupt record")
-	ErrTornTail = errors.New("wal: torn record at tail") // informational
+	ErrFull = errors.New("wal: log region full")
+	// ErrCorrupt: a frame whose CRC holds does not decode, or a record
+	// that cannot be logged. This package wrote neither.
+	ErrCorrupt = errors.New("wal: corrupt frame")
+	// ErrFormat: the region's header names another log format.
+	ErrFormat = errors.New("wal: log region of another format")
 )
+
+// errTorn is a frame whose length or CRC does not hold: the tail of a
+// write the device never finished. Recover stops there.
+var errTorn = errors.New("wal: torn frame")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -113,7 +139,7 @@ type Stats struct {
 	Groups          int64 // group-commit rounds (≤ Commits; Commits/Groups is the batching factor)
 	Syncs           int64 // device syncs issued by commits (one per group)
 	PagesLogged     int64 // redo records appended (images, ranges, ops)
-	BytesLogged     int64
+	BytesLogged     int64 // frame bytes appended
 	BlockWrites     int64 // device block writes: filled or synced staging blocks, and region headers
 	SystemTxns      int64 // auto-committed structure-modification transactions
 	Chunks          int64 // mid-transaction chunk flushes (steal / dependency)
@@ -121,8 +147,8 @@ type Stats struct {
 	Checkpoints     int64
 	SalvagedCommits int64 // commits acknowledged from the durable frontier after a device error
 	Recoveries      int64
-	RecordsScanned  int64 // records of every kind the last Recover read from the region
-	BytesScanned    int64 // their bytes: the length of the tail that Recover cost
+	RecordsScanned  int64 // records the last Recover decoded from the region's frames
+	BytesScanned    int64 // those frames' bytes: the length of the tail that Recover cost
 	PagesReplayed   int64 // redo records replayed
 	LoserChains     int64 // unresolved chunk chains found by the last Recover
 }
@@ -159,6 +185,8 @@ type Log struct {
 	bufOK  bool
 	// bufDirty: buf holds appended bytes the device has not been given.
 	bufDirty bool
+	// enc is the frame being appended, reused from append to append.
+	enc []byte
 
 	// Group-commit queue. Committers enqueue their transaction and wait;
 	// the first non-leader in line becomes leader, drains the whole queue
@@ -194,8 +222,8 @@ type gcBatch struct {
 	txn  *Txn
 	done bool
 	err  error
-	// end is the head offset just past this batch's commit record, set
-	// once the batch is fully staged. On a device error mid-group it is
+	// end is the head offset just past this batch's frame, set once the
+	// batch is fully staged. On a device error mid-group it is
 	// compared against the durable frontier to decide whether recovery
 	// will replay this batch (see failGroup).
 	end uint64
@@ -251,7 +279,7 @@ type Txn struct {
 }
 
 // SetChain names the last chunk previously flushed for this transaction
-// (0 for none). The commit record carries it so recovery can resolve the
+// (0 for none). The commit frame carries it so recovery can resolve the
 // whole chunk chain as committed.
 func (t *Txn) SetChain(last uint64) { t.chain = last }
 
@@ -264,18 +292,8 @@ func (l *Log) Begin() *Txn {
 	return &Txn{l: l}
 }
 
-// LogPage records the post-image of page no. The data is copied. Image
-// records carry LSN 0 and replay in log order — the shape an older
-// binary's image-logging mode wrote; this package's tests stage records
-// with it.
-func (t *Txn) LogPage(no uint64, data []byte) {
-	c := make([]byte, len(data))
-	copy(c, data)
-	t.recs = append(t.recs, redo.Record{Page: no, Kind: redo.KindImage, Data: c})
-}
-
-// LogRecord stages one physiological redo record (already LSN-stamped by
-// the pager).
+// LogRecord stages one physiological redo record, already LSN-stamped by
+// the pager; a record with LSN 0 fails the commit with ErrCorrupt.
 func (t *Txn) LogRecord(r redo.Record) {
 	t.recs = append(t.recs, r)
 }
@@ -285,8 +303,8 @@ func (t *Txn) PageCount() int { return len(t.recs) }
 
 // Commit makes the transaction durable via group commit: the caller's
 // batch joins a queue; a leader drains the queue, appends every waiting
-// transaction's page images plus commit records in one contiguous write,
-// and issues a single device sync that releases all of them. N concurrent
+// transaction as one commit frame in one contiguous write, and issues a
+// single device sync that releases all of them. N concurrent
 // committers therefore pay one sync, not N. On ErrFull (this batch alone
 // does not fit in the remaining log space) the caller should checkpoint;
 // other batches in the same group are unaffected.
@@ -349,16 +367,9 @@ func (l *Log) commitGroup(group []*gcBatch) {
 
 	appended := 0
 	for _, b := range group {
-		// A commit resolving a chunk chain carries the chain txid as its
-		// payload (8 bytes); plain commits stay payload-free, keeping the
-		// committed-path wire bytes identical to the redo-only protocol.
-		var chainPayload []byte
-		if b.txn.chain != 0 {
-			chainPayload = binary.LittleEndian.AppendUint64(nil, b.txn.chain)
-		}
-		b.txn.id, b.err = l.appendTxnLocked(b.txn.recs, kindCommit, chainPayload)
-		if errors.Is(b.err, ErrFull) {
-			continue // this batch alone: its neighbours still commit
+		b.txn.id, b.err = l.appendTxnLocked(b.txn.recs, kindCommit, b.txn.chain)
+		if errors.Is(b.err, ErrFull) || errors.Is(b.err, ErrCorrupt) {
+			continue // this batch alone, and nothing written: its neighbours still commit
 		}
 		if b.err != nil {
 			l.failGroup(group, b.err)
@@ -392,18 +403,19 @@ func (l *Log) commitGroup(group []*gcBatch) {
 	}
 }
 
-// terminateLocked puts the end marker (zero crc + zero length) that the
-// NEXT append overwrites into the staging buffer, and rewinds head so the
-// marker is not part of the log. Without the marker, records left over
+// terminateLocked puts the end marker (a zero length) that the NEXT
+// append overwrites into the staging buffer, and rewinds head so the
+// marker is not part of the log. Without the marker, frames left over
 // from a previous log generation could sit immediately after the tail
 // with valid CRCs and recovery would replay their stale contents over
 // newer state. The marker reaches the device with the block that holds
 // it: whichever of a block filling, a commit or Sync writes it first.
 func (l *Log) terminateLocked() error {
-	if err := l.writeBytesLocked(make([]byte, 8)); err != nil {
+	var end [lenSize]byte
+	if err := l.writeBytesLocked(end[:]); err != nil {
 		return err
 	}
-	l.head.Add(^uint64(7)) // head -= 8
+	l.head.Add(^uint64(lenSize - 1)) // head -= lenSize
 	return nil
 }
 
@@ -422,8 +434,8 @@ func (l *Log) Sync() error {
 	return l.dev.Sync()
 }
 
-// AppendSystem appends recs plus a commit record as one auto-committed
-// transaction, without a device write or sync: the records wait in the
+// AppendSystem appends recs as one auto-committed transaction, a commit
+// frame, without a device write or sync: the records wait in the
 // staging buffer. A system transaction (page split, merge, base image)
 // must be *ordered before* any commit that builds on the modified
 // structure, and the log is sequential, so the next group commit, Sync or
@@ -442,7 +454,7 @@ func (l *Log) AppendSystem(recs []redo.Record) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, err := l.appendTxnLocked(recs, kindCommit, nil)
+	_, err := l.appendTxnLocked(recs, kindCommit, 0)
 	if err == nil {
 		l.stats.SystemTxns++
 		err = l.terminateLocked()
@@ -456,11 +468,11 @@ func (l *Log) AppendSystem(recs []redo.Record) error {
 // AppendChunk appends recs as one mid-transaction chunk: the records of
 // an open (uncommitted) transaction forced to the log early, because the
 // pager wants to steal one of their dirty pages or a committing
-// neighbour depends on them. The chunk gets its own txid (returned) and
-// is terminated by a KindChunk marker whose payload names prev — the
-// txid of the same transaction's previous chunk (0 for the first) — so
-// recovery can stitch the chunks back into one chain. The chain is
-// resolved when a commit record later names its last chunk; an
+// neighbour depends on them. The chunk is a frame of kind KindChunk with
+// its own txid (returned) whose link names prev — the txid of the same
+// transaction's previous chunk (0 for the first) — so recovery can stitch
+// the chunks back into one chain. The chain is resolved when a commit
+// frame later names its last chunk; an
 // unresolved chain is a loser: recovery replays its records ("repeat
 // history") and then executes its undo records backward.
 //
@@ -475,7 +487,7 @@ func (l *Log) AppendChunk(prev uint64, recs []redo.Record) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	id, err := l.appendTxnLocked(recs, kindChunk, binary.LittleEndian.AppendUint64(nil, prev))
+	id, err := l.appendTxnLocked(recs, kindChunk, prev)
 	if err == nil {
 		l.stats.ChunkRecords += int64(len(recs))
 		l.stats.Chunks++
@@ -488,48 +500,134 @@ func (l *Log) AppendChunk(prev uint64, recs []redo.Record) (uint64, error) {
 	return id, nil
 }
 
-// appendTxnLocked appends recs and the record that terminates them —
-// termKind with termPayload: a commit, or a chunk marker — as one
-// transaction under a fresh id. It fails with ErrFull, having written
-// nothing, when the log is wedged or the records, their terminator and
-// the end marker after them do not fit (so no later write runs out of
-// room); the caller decides whether that wedges the log. Any other error
-// is the device's, after a partial write.
-func (l *Log) appendTxnLocked(recs []redo.Record, termKind uint8, termPayload []byte) (uint64, error) {
+// appendTxnLocked appends recs as one frame of the given kind and link
+// under a fresh id. It fails, having written nothing, with ErrFull when
+// the log is wedged or the frame and the end marker after it do not fit
+// (so no later write runs out of room), and with ErrCorrupt when a record
+// is not stamped; the caller decides whether that wedges the log. Any
+// other error is the device's, after a partial write.
+func (l *Log) appendTxnLocked(recs []redo.Record, kind uint8, link uint64) (uint64, error) {
 	if l.wedged {
 		// An unlogged structure modification is pending a checkpoint;
 		// nothing may commit on top of it.
 		return 0, fmt.Errorf("%w: log wedged pending checkpoint", ErrFull)
 	}
-	need := uint64(recHdrSize + len(termPayload) + 8)
-	for _, r := range recs {
-		need += recHdrSize + uint64(len(r.Data))
+	// Definitive id, assigned in append order.
+	id := l.nextTx.Load()
+	frame, err := appendFrame(l.enc[:0], kind, id, link, recs)
+	l.enc = frame
+	if err != nil {
+		return 0, err
 	}
-	if l.head.Load()+need > l.Capacity() {
+	if need := uint64(len(frame)) + lenSize; l.head.Load()+need > l.Capacity() {
 		return 0, fmt.Errorf("%w: need %d bytes, %d available", ErrFull, need, l.Capacity()-l.head.Load())
 	}
-	// Definitive id, assigned in append order.
-	id := l.nextTx.Add(1) - 1
-	for _, r := range recs {
-		if err := l.appendLocked(r.Kind, id, r.Page, r.LSN, r.Data); err != nil {
-			return 0, err
-		}
-		l.stats.PagesLogged++
-	}
-	return id, l.appendLocked(termKind, id, 0, 0, termPayload)
+	l.nextTx.Store(id + 1)
+	l.stats.PagesLogged += int64(len(recs))
+	l.stats.BytesLogged += int64(len(frame))
+	return id, l.writeBytesLocked(frame)
 }
+
+// appendFrame appends to dst the frame of the given kind, txid and link
+// holding recs. It fails with ErrCorrupt for a record without an LSN:
+// Recover would refuse the frame.
+func appendFrame(dst []byte, kind uint8, txid, link uint64, recs []redo.Record) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, lenSize)...)
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, txid)
+	dst = binary.AppendUvarint(dst, link)
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	var page, lsn uint64
+	for _, r := range recs {
+		if r.LSN == 0 {
+			return dst, fmt.Errorf("%w: record for page %d has no LSN", ErrCorrupt, r.Page)
+		}
+		dst = append(dst, r.Kind)
+		dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
+		dst = binary.AppendVarint(dst, int64(r.Page-page))
+		dst = binary.AppendVarint(dst, int64(r.LSN-lsn))
+		dst = append(dst, r.Data...)
+		page, lsn = r.Page, r.LSN
+	}
+	n := len(dst) - start - lenSize
+	if uint64(n) > math.MaxUint32 {
+		return dst, fmt.Errorf("%w: a frame of %d bytes", ErrFull, n)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(n))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
+}
+
+// frameHdr is a decoded frame's header.
+type frameHdr struct {
+	kind       uint8
+	txid, link uint64
+}
+
+// decodeFrame decodes one whole frame, length and CRC included, appending its
+// records to recs; their Data alias f. A frame whose length or CRC does
+// not hold is torn (errTorn). One whose CRC holds but whose fields do not
+// — a count or a length that overruns the frame, bytes left over, an
+// unknown frame kind, a record with LSN 0 — fails with ErrCorrupt: this
+// package stamps every record it writes, so a frame that holds LSN 0 was
+// not written by it.
+func decodeFrame(f []byte, recs []redo.Record) (frameHdr, []redo.Record, error) {
+	var h frameHdr
+	if len(f) < frameOverhead || uint64(binary.LittleEndian.Uint32(f)) != uint64(len(f)-frameOverhead) {
+		return h, recs, errTorn
+	}
+	end := len(f) - 4
+	if crc32.Checksum(f[:end], crcTable) != binary.LittleEndian.Uint32(f[end:]) {
+		return h, recs, errTorn
+	}
+	d := redo.NewReader(f[lenSize:end])
+	h.kind = d.U8()
+	h.txid = d.Uvarint()
+	h.link = d.Uvarint()
+	count := d.Uvarint()
+	if d.Err() == nil && h.kind != kindCommit && h.kind != kindChunk {
+		return h, recs, fmt.Errorf("%w: frame kind %d", ErrCorrupt, h.kind)
+	}
+	// A record takes at least four bytes, so a count the body cannot hold
+	// is refused before anything is allocated for it.
+	if d.Err() == nil && count > uint64(d.Len())/4 {
+		return h, recs, fmt.Errorf("%w: %d records in %d bytes", ErrCorrupt, count, d.Len())
+	}
+	var page, lsn uint64
+	for i := uint64(0); i < count && d.Err() == nil; i++ {
+		kind := d.U8()
+		n := d.Uvarint()
+		page += uint64(zigzag(d.Uvarint()))
+		lsn += uint64(zigzag(d.Uvarint()))
+		data := d.Bytes(n)
+		if d.Err() == nil && lsn == 0 {
+			return h, recs, fmt.Errorf("%w: record for page %d has no LSN", ErrCorrupt, page)
+		}
+		recs = append(recs, redo.Record{LSN: lsn, Page: page, Kind: kind, Data: data})
+	}
+	if err := d.Err(); err != nil {
+		return h, recs, fmt.Errorf("%w: txid %d: %v", ErrCorrupt, h.txid, err)
+	}
+	if d.Len() != 0 {
+		return h, recs, fmt.Errorf("%w: txid %d: %d bytes after the last record", ErrCorrupt, h.txid, d.Len())
+	}
+	return h, recs, nil
+}
+
+// zigzag undoes binary.AppendVarint's zigzag encoding of a uvarint.
+func zigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // failGroup resolves a group after a device error. The log wedges either
 // way — no further appends until a checkpoint resets the region — but the
 // per-batch verdicts must agree with what recovery will do, and "error
 // everything" does not: the staging buffer flushes whenever head crosses
-// a block boundary, so a batch's records and commit record can already be
-// durable when a later write in the same group fails. Erroring such a
+// a block boundary, so a batch's frame can already be durable when a
+// later write in the same group fails. Erroring such a
 // batch resurrects it at recovery — the caller was told the operation
 // failed, yet replay applies it. failGroup instead computes the exact
-// durable frontier and acknowledges every batch whose commit record lies
-// at or below it; batches recovery cannot commit (their commit record is
-// past the frontier, so replay's CRC/prefix scan stops before it) fail.
+// durable frontier and acknowledges every batch whose frame lies at or
+// below it; batches recovery cannot commit (their frame ends past the
+// frontier, so replay's CRC scan stops at it) fail.
 func (l *Log) failGroup(group []*gcBatch, err error) {
 	l.wedged = true
 	frontier := l.durableFrontierLocked()
@@ -538,7 +636,7 @@ func (l *Log) failGroup(group []*gcBatch, err error) {
 			continue // ErrFull or the failing append's own error
 		}
 		if b.end != 0 && b.end <= frontier {
-			// Commit record provably durable: recovery will replay this
+			// Frame provably durable: recovery will replay this
 			// transaction, so its caller must be told it committed.
 			l.stats.Commits++
 			l.stats.SalvagedCommits++
@@ -587,22 +685,6 @@ func (l *Log) durableFrontierLocked() uint64 {
 
 // Abort discards the staged records; nothing was written.
 func (t *Txn) Abort() { t.recs = nil }
-
-// appendLocked writes one record at head, buffering partial blocks.
-func (l *Log) appendLocked(kind uint8, txid, pageNo, lsn uint64, payload []byte) error {
-	rec := make([]byte, recHdrSize+len(payload))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(payload)))
-	rec[8] = kind
-	binary.LittleEndian.PutUint64(rec[9:], txid)
-	binary.LittleEndian.PutUint64(rec[17:], pageNo)
-	binary.LittleEndian.PutUint64(rec[25:], lsn)
-	copy(rec[recHdrSize:], payload)
-	crc := crc32.Checksum(rec[4:], crcTable)
-	binary.LittleEndian.PutUint32(rec[0:], crc)
-
-	l.stats.BytesLogged += int64(len(rec))
-	return l.writeBytesLocked(rec)
-}
 
 // writeBytesLocked streams bytes into the region at head via the staging
 // buffer.
@@ -702,43 +784,37 @@ func (l *Log) Used() uint64 {
 	return l.head.Load() - logHdrSize
 }
 
-// Recover scans the log and replays redo records through apply, ordered
-// by LSN (mutation order; records without an LSN — image-mode — keep log
-// order under the stable sort). Replay "repeats history": committed
-// transactions, resolved chunk chains, AND loser chains (chunks never
-// terminated by a commit) all replay — losers must be physically present
-// before their logical inverses can run; the caller fetches them from
-// Losers afterwards and rolls them back. Records of transactions that
-// never reached the log through a commit, chunk, or system append are
-// torn appends and are dropped. Undo records are never passed to apply.
-// It tolerates a torn tail (CRC mismatch) by stopping there, drops
-// records whose LSN predates the last checkpoint's fence, and positions
-// head for continued appends. Returns the number of records replayed;
-// MaxLSN afterwards reports the largest LSN seen so the volume can seed
-// its LSN counter past it.
+// Recover scans the log frame by frame and replays redo records through
+// apply, ordered by LSN (mutation order). Replay "repeats history":
+// committed transactions, resolved chunk chains, AND loser chains (chunks
+// never resolved by a commit) all replay — losers must be physically
+// present before their logical inverses can run; the caller fetches them
+// from Losers afterwards and rolls them back. Undo records are never
+// passed to apply. A torn frame (a length past the region, a CRC
+// mismatch) or a txid that does not go forward ends the scan; a frame
+// whose CRC holds but that does not decode fails with ErrCorrupt, and a
+// header of another format with ErrFormat. Records whose LSN predates the
+// last checkpoint's fence are dropped, and head is positioned for
+// continued appends. Returns the number of records replayed; MaxLSN
+// afterwards reports the largest LSN seen so the volume can seed its LSN
+// counter past it.
 func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
-	type rec struct {
-		kind   uint8
-		txid   uint64
-		pageNo uint64
-		lsn    uint64
-		data   []byte
-	}
-	var recs []rec
-	pos := uint64(logHdrSize)
-
 	// The header survives checkpoints and carries the id high-water mark
-	// and the LSN fence.
+	// and the LSN fence. A region no checkpoint has reset yet has none.
 	var hdrTx, hdrFence uint64
 	if err := l.dev.ReadBlock(l.start, l.buf); err != nil {
 		return 0, err
 	}
-	if binary.LittleEndian.Uint32(l.buf[0:]) == logMagic {
+	switch magic := binary.LittleEndian.Uint32(l.buf[0:]); magic {
+	case logMagic:
 		hdrTx = binary.LittleEndian.Uint64(l.buf[8:])
 		hdrFence = binary.LittleEndian.Uint64(l.buf[16:])
+	case 0:
+	default:
+		return 0, fmt.Errorf("%w: magic %#x, want %#x", ErrFormat, magic, logMagic)
 	}
 
 	// The scan only moves forward, so one block buffer serves it: the
@@ -749,9 +825,6 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 		for len(p) > 0 {
 			blk := off / uint64(l.bs)
 			bo := int(off % uint64(l.bs))
-			if blk >= l.blocks {
-				return ErrFull
-			}
 			if blk != held {
 				if err := l.dev.ReadBlock(l.start+blk, l.buf); err != nil {
 					return err
@@ -765,165 +838,134 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 		return nil
 	}
 
-	var lastTxid uint64
-	for {
-		if pos+8 > l.Capacity() {
-			break
-		}
-		var pre [8]byte
+	// frames[i] holds recs[frames[i].lo:frames[i].hi].
+	type scanned struct {
+		frameHdr
+		lo, hi int
+	}
+	var frames []scanned
+	var recs []redo.Record
+	pos := uint64(logHdrSize)
+	for pos+lenSize <= l.Capacity() {
+		var pre [lenSize]byte
 		if err := readAt(pos, pre[:]); err != nil {
 			return 0, err
 		}
-		crc := binary.LittleEndian.Uint32(pre[0:])
-		plen := binary.LittleEndian.Uint32(pre[4:])
-		if crc == 0 && plen == 0 {
+		n := uint64(binary.LittleEndian.Uint32(pre[:]))
+		if n == 0 {
 			break // end marker
 		}
-		if pos+recHdrSize+uint64(plen) > l.Capacity() {
+		if pos+frameOverhead+n > l.Capacity() {
 			break // torn tail
 		}
-		full := make([]byte, recHdrSize+int(plen))
-		copy(full, pre[:])
-		if err := readAt(pos+8, full[8:]); err != nil {
+		f := make([]byte, frameOverhead+n)
+		copy(f, pre[:])
+		if err := readAt(pos+lenSize, f[lenSize:]); err != nil {
 			return 0, err
 		}
-		if crc32.Checksum(full[4:], crcTable) != crc {
+		lo := len(recs)
+		h, more, err := decodeFrame(f, recs)
+		if errors.Is(err, errTorn) {
 			break // torn tail: stop scanning
 		}
-		r := rec{
-			kind:   full[8],
-			txid:   binary.LittleEndian.Uint64(full[9:]),
-			pageNo: binary.LittleEndian.Uint64(full[17:]),
-			lsn:    binary.LittleEndian.Uint64(full[25:]),
+		if err != nil {
+			return 0, err
 		}
 		// Transaction ids are globally monotonic (never reset, even by
-		// checkpoints), and the log is written front to back — so a
-		// record whose txid goes backwards is a leftover from an earlier
-		// log pass sitting beyond the true tail. Replaying it would
-		// regress pages to stale images. Stop here. (The end marker
-		// written after each commit also terminates the log, but a crash
-		// between the commit record reaching the device and the marker
-		// doing so leaves exactly this dangling-stale-suffix window.)
-		if r.txid < lastTxid {
+		// checkpoints), and the log is written front to back — so a frame
+		// whose txid does not go forward is a leftover from an earlier log
+		// pass sitting beyond the true tail. Replaying it would regress
+		// pages to stale images. Stop here. (The end marker written after
+		// each append also terminates the log, but a crash between a
+		// frame reaching the device and the marker doing so — the marker
+		// in the next block — leaves exactly this stale-suffix window.)
+		if len(frames) > 0 && h.txid <= frames[len(frames)-1].txid {
 			break
 		}
-		lastTxid = r.txid
-		if plen > 0 {
-			r.data = full[recHdrSize:]
-		}
-		recs = append(recs, r)
-		pos += recHdrSize + uint64(plen)
+		recs = more
+		frames = append(frames, scanned{h, lo, len(recs)})
+		pos += frameOverhead + n
 	}
 
-	committed := map[uint64]bool{}
-	chunkPrev := map[uint64]uint64{} // chunk txid → previous chunk txid (0 = first)
-	isChunk := map[uint64]bool{}
-	var chains []uint64 // last-chunk txids named by commit records
-	maxTx, maxLSN := uint64(0), uint64(0)
-	for _, r := range recs {
-		switch r.kind {
-		case kindCommit:
-			committed[r.txid] = true
-			if len(r.data) >= 8 {
-				if c := binary.LittleEndian.Uint64(r.data); c != 0 {
-					chains = append(chains, c)
-				}
-			}
-		case kindChunk:
-			isChunk[r.txid] = true
-			if len(r.data) >= 8 {
-				chunkPrev[r.txid] = binary.LittleEndian.Uint64(r.data)
-			}
-		}
-		if r.txid > maxTx {
-			maxTx = r.txid
-		}
-		if r.lsn > maxLSN {
-			maxLSN = r.lsn
-		}
-	}
 	// Resolve chunk chains named by commits: every chunk reachable
 	// backward from a committed chain tail is committed.
-	for _, c := range chains {
-		for c != 0 && !committed[c] {
-			committed[c] = true
-			c = chunkPrev[c]
+	chunkPrev := map[uint64]uint64{} // chunk txid → previous chunk txid (0 = first)
+	for _, f := range frames {
+		if f.kind == kindChunk {
+			chunkPrev[f.txid] = f.link
 		}
 	}
-	// Remaining chunks are losers. Group them into chains (tail = the
+	resolved := map[uint64]bool{}
+	for _, f := range frames {
+		if f.kind == kindCommit {
+			for c := f.link; c != 0 && !resolved[c]; c = chunkPrev[c] {
+				resolved[c] = true
+			}
+		}
+	}
+	// The remaining chunks are losers. Group them into chains (tail = the
 	// chunk no other loser chunk names as its predecessor), collecting
 	// each chain's undo records for the caller to roll back.
+	isLoser := func(id uint64) bool {
+		_, chunk := chunkPrev[id]
+		return chunk && !resolved[id]
+	}
+	var loserIDs []uint64
+	referenced := map[uint64]bool{}
+	for id, prev := range chunkPrev {
+		if isLoser(id) {
+			loserIDs = append(loserIDs, id)
+			referenced[prev] = true
+		}
+	}
+	slices.Sort(loserIDs)
 	loserOf := map[uint64]int{} // chunk txid → index into l.losers
 	l.losers = nil
-	{
-		referenced := map[uint64]bool{}
-		var loserIDs []uint64
-		for id := range isChunk {
-			if !committed[id] {
-				loserIDs = append(loserIDs, id)
+	for _, tail := range loserIDs {
+		if referenced[tail] {
+			continue
+		}
+		loserOf[tail] = len(l.losers)
+		for c := chunkPrev[tail]; isLoser(c); c = chunkPrev[c] {
+			loserOf[c] = len(l.losers)
+		}
+		l.losers = append(l.losers, LoserChain{Tail: tail})
+	}
+	// Repeat history: every frame replays; undo records replay nowhere —
+	// losers' undo records are collected for the caller, committed
+	// transactions' are dead weight already paid for by the chunk flush
+	// that wrote them. Replay runs in LSN order: transactions append in
+	// commit order but mutate in LSN order, and per-page correctness
+	// requires the latter.
+	maxTx, maxLSN := uint64(0), uint64(0)
+	var live []redo.Record
+	for _, f := range frames {
+		maxTx = max(maxTx, f.txid)
+		idx, loser := loserOf[f.txid]
+		for _, r := range recs[f.lo:f.hi] {
+			maxLSN = max(maxLSN, r.LSN)
+			if r.LSN <= hdrFence {
+				continue // stale-generation leftover beyond the fence
 			}
-		}
-		sort.Slice(loserIDs, func(i, j int) bool { return loserIDs[i] < loserIDs[j] })
-		loserSet := map[uint64]bool{}
-		for _, id := range loserIDs {
-			loserSet[id] = true
-		}
-		for _, id := range loserIDs {
-			if p := chunkPrev[id]; p != 0 && loserSet[p] {
-				referenced[p] = true
-			}
-		}
-		for _, tail := range loserIDs {
-			if referenced[tail] {
+			if redo.BaseKind(r.Kind) == redo.KindUndo {
+				if loser {
+					l.losers[idx].Undos = append(l.losers[idx].Undos, r)
+				}
 				continue
 			}
-			idx := len(l.losers)
-			l.losers = append(l.losers, LoserChain{Tail: tail})
-			for c := tail; c != 0 && loserSet[c]; c = chunkPrev[c] {
-				loserOf[c] = idx
-			}
+			r.Kind = redo.BaseKind(r.Kind)
+			live = append(live, r)
 		}
 	}
-	// Replay in LSN order: transactions append in commit order but mutate
-	// in LSN order, and per-page correctness requires the latter. The
-	// sort is stable so LSN-0 image records (an older binary's
-	// image-logging mode) keep their log order.
-	// Repeat history: committed transactions AND loser chunks replay;
-	// undo records replay nowhere — losers' undo records are collected
-	// for the caller, committed transactions' are dead weight already
-	// paid for by the chunk flush that wrote them.
-	live := recs[:0]
-	for _, r := range recs {
-		switch r.kind {
-		case kindCommit, kindCheckpoint, kindChunk:
-			continue
-		}
-		_, loser := loserOf[r.txid]
-		if !committed[r.txid] && !loser {
-			continue // torn append: never terminated, drop
-		}
-		if r.lsn > 0 && r.lsn <= hdrFence {
-			continue // stale-generation leftover beyond the fence
-		}
-		if redo.BaseKind(r.kind) == redo.KindUndo {
-			if idx, ok := loserOf[r.txid]; ok {
-				l.losers[idx].Undos = append(l.losers[idx].Undos, redo.Record{
-					LSN: r.lsn, Page: r.pageNo, Kind: r.kind, Data: r.data,
-				})
-			}
-			continue
-		}
-		live = append(live, r)
-	}
+	byLSN := func(a, b redo.Record) int { return cmp.Compare(a.LSN, b.LSN) }
 	for i := range l.losers {
-		u := l.losers[i].Undos
-		sort.SliceStable(u, func(a, b int) bool { return u[a].LSN < u[b].LSN })
+		slices.SortStableFunc(l.losers[i].Undos, byLSN)
 	}
-	sort.SliceStable(live, func(i, j int) bool { return live[i].lsn < live[j].lsn })
+	slices.SortStableFunc(live, byLSN)
 	replayed := 0
 	for _, r := range live {
 		if apply != nil {
-			if err := apply(redo.Record{LSN: r.lsn, Page: r.pageNo, Kind: redo.BaseKind(r.kind), Data: r.data}); err != nil {
+			if err := apply(r); err != nil {
 				return replayed, err
 			}
 		}
@@ -932,18 +974,9 @@ func (l *Log) Recover(apply func(r redo.Record) error) (int, error) {
 	l.stats.LoserChains += int64(len(l.losers))
 	l.head.Store(pos)
 	l.bufOK, l.bufDirty = false, false
-	next := maxTx + 1
-	if hdrTx > next {
-		next = hdrTx
-	}
-	l.nextTx.Store(next)
-	if hdrFence > maxLSN {
-		maxLSN = hdrFence
-	}
-	l.maxLSN = maxLSN
-	if hdrFence > l.lsnFence {
-		l.lsnFence = hdrFence
-	}
+	l.nextTx.Store(max(maxTx+1, hdrTx))
+	l.maxLSN = max(maxLSN, hdrFence)
+	l.lsnFence = max(l.lsnFence, hdrFence)
 	l.stats.Recoveries++
 	l.stats.RecordsScanned = int64(len(recs))
 	l.stats.BytesScanned = int64(pos - logHdrSize)
