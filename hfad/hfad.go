@@ -345,8 +345,10 @@ func (s *Store) Check() (*core.CheckReport, error) { return s.vol.Check() }
 func (s *Store) RecoveryReport() core.RecoveryReport { return s.vol.Recovery() }
 
 // Health reports the volume's degraded/wedged state and fault counters.
-// A degraded store fails mutations fast with core.ErrReadOnly while
-// reads keep serving and the background checkpointer retries.
+// A degraded store fails mutations fast with core.ErrReadOnly while reads
+// keep serving. Once the retry backoff has elapsed on Options.Clock, the
+// next mutation or Health call retries the failed checkpoint, so an idle
+// store heals when its health is next asked for.
 func (s *Store) Health() core.Health { return s.vol.Health() }
 
 // Degraded reports whether the store is in read-only degraded mode.

@@ -29,7 +29,7 @@ func TestConcurrentBracketsSameObjectAbort(t *testing.T) {
 		return p
 	}
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{
+	v, err := Create(mem, Options{
 		WALBlocks:    2048,
 		ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 	})
@@ -127,7 +127,7 @@ func TestConcurrentBracketsSameObjectAbort(t *testing.T) {
 	if err := snap.RestoreFrom(mem.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := openVolume(t, snap, Options{})
+	v2, err := Open(snap, Options{})
 	if err != nil {
 		t.Fatalf("crash reopen: %v", err)
 	}

@@ -20,7 +20,7 @@ import (
 func newTxnVolume(t *testing.T, opts Options) (*Volume, *blockdev.MemDevice) {
 	t.Helper()
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, dev, opts)
+	v, err := Create(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestBatchErrorSkipsBufferedTags(t *testing.T) {
 // crash in full — recovery may not resurrect half a batch.
 func TestBatchCrashRecoversAtomically(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, dev, Options{WALBlocks: 256})
+	v, err := Create(dev, Options{WALBlocks: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestBatchCrashRecoversAtomically(t *testing.T) {
 	}
 	// Crash: reopen from the raw image without Close (pages were never
 	// forced home — recovery must replay the batch from the log).
-	v2, err := openVolume(t, dev, Options{})
+	v2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestConcurrentWritersGroupCommit(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := openVolume(t, dev, Options{})
+	v2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestConcurrentAppendsSameObjectNoLostUpdate(t *testing.T) {
 }
 
 // TestHighWaterCheckpointKeepsLogFlowing: with a deliberately tiny log,
-// sustained ingest must trigger background checkpoints (high-water mark)
+// sustained ingest must trigger checkpoints at the high-water mark
 // rather than stumbling over ErrFull, and everything stays durable.
 func TestHighWaterCheckpointKeepsLogFlowing(t *testing.T) {
 	v, dev := newTxnVolume(t, Options{WALBlocks: 64})
@@ -348,7 +348,7 @@ func TestHighWaterCheckpointKeepsLogFlowing(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := openVolume(t, dev, Options{})
+	v2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestBatchConcurrentCloseNoDeadlock(t *testing.T) {
 // checkpoint at all.
 func TestDirtyHighWaterTriggersCheckpoint(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, dev, Options{WALBlocks: 4096, CachePages: 64})
+	v, err := Create(dev, Options{WALBlocks: 4096, CachePages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestDirtyHighWaterTriggersCheckpoint(t *testing.T) {
 // let recovery replay the previous generation over the fresh volume.
 func TestReformatDoesNotResurrectOldLog(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, dev, Options{WALBlocks: 128})
+	v, err := Create(dev, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,12 +468,12 @@ func TestReformatDoesNotResurrectOldLog(t *testing.T) {
 	}
 	// No Close: the log region holds the old generation's committed
 	// records. Reformat, then "crash" (no clean shutdown) and reopen.
-	v2, err := createVolume(t, dev, Options{WALBlocks: 128})
+	v2, err := Create(dev, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatalf("reformat: %v", err)
 	}
 	_ = v2
-	v3, err := openVolume(t, dev, Options{})
+	v3, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatalf("dirty open after reformat: %v", err)
 	}
@@ -499,7 +499,7 @@ func TestReformatDoesNotResurrectOldLog(t *testing.T) {
 // WAL-committed and survive a crash without a clean close.
 func TestLazyIndexingSurvivesCrash(t *testing.T) {
 	dev := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, dev, Options{WALBlocks: 256})
+	v, err := Create(dev, Options{WALBlocks: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestLazyIndexingSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash without Close; recovery must replay the lazy postings.
-	v2, err := openVolume(t, dev, Options{})
+	v2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -20,32 +20,11 @@ import (
 func newVolume(t *testing.T, opts Options) (*Volume, *blockdev.MemDevice) {
 	t.Helper()
 	dev := blockdev.NewMem(32768, blockdev.DefaultBlockSize) // 128 MiB
-	v, err := createVolume(t, dev, opts)
+	v, err := Create(dev, opts)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	return v, dev
-}
-
-// createVolume is Create for a test. A test that abandons the volume (a
-// crash) would leave its checkpointer running, and the goroutine would
-// keep the volume and its device alive for the rest of the package's
-// tests; the test's cleanup stops it.
-func createVolume(t testing.TB, dev blockdev.Device, opts Options) (*Volume, error) {
-	v, err := Create(dev, opts)
-	if err == nil {
-		t.Cleanup(v.stopCheckpointer)
-	}
-	return v, err
-}
-
-// openVolume is Open for a test, with createVolume's cleanup.
-func openVolume(t testing.TB, dev blockdev.Device, opts Options) (*Volume, error) {
-	v, err := Open(dev, opts)
-	if err == nil {
-		t.Cleanup(v.stopCheckpointer)
-	}
-	return v, err
 }
 
 func mustCreateObject(t *testing.T, v *Volume, owner string, content string) OID {
@@ -73,7 +52,7 @@ func TestCreateAndReopenVolume(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	v2, err := openVolume(t, dev, Options{})
+	v2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -99,14 +78,14 @@ func TestCreateAndReopenVolume(t *testing.T) {
 
 func TestOpenRejectsGarbage(t *testing.T) {
 	dev := blockdev.NewMem(1024, blockdev.DefaultBlockSize)
-	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
 		t.Errorf("Open(blank) = %v, want ErrBadSuperblock", err)
 	}
 }
 
 func TestCreateTooSmall(t *testing.T) {
 	dev := blockdev.NewMem(32, blockdev.DefaultBlockSize)
-	if _, err := createVolume(t, dev, Options{}); !errors.Is(err, ErrTooSmall) {
+	if _, err := Create(dev, Options{}); !errors.Is(err, ErrTooSmall) {
 		t.Errorf("Create(tiny) = %v, want ErrTooSmall", err)
 	}
 }
@@ -459,7 +438,7 @@ func TestVolumeWALBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for reopen := 1; reopen <= 2; reopen++ {
-		v2, err := openVolume(t, dev, Options{})
+		v2, err := Open(dev, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +472,7 @@ func TestOpenRefusesVolumeWithoutLog(t *testing.T) {
 	if err := dev.WriteBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
 		t.Fatalf("Open of a volume without a log region: %v, want ErrBadSuperblock", err)
 	}
 }
@@ -534,10 +513,10 @@ func TestOpenRefusesWAL1Log(t *testing.T) {
 	if err := dev.WriteBlock(1, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
 		t.Fatalf("Open of a WAL1 log: %v, want ErrBadSuperblock", err)
 	}
-	v2, err := createVolume(t, dev, Options{})
+	v2, err := Create(dev, Options{})
 	if err != nil {
 		t.Fatalf("Create over a WAL1 log: %v", err)
 	}
@@ -562,7 +541,7 @@ func refuseVersion(t *testing.T, ver uint32) {
 	if err := dev.WriteBlock(0, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openVolume(t, dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
+	if _, err := Open(dev, Options{}); !errors.Is(err, ErrBadSuperblock) {
 		t.Fatalf("Open of a version %d volume: %v, want ErrBadSuperblock", ver, err)
 	}
 }
@@ -622,7 +601,7 @@ func TestCrashRecoveryDirtyOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2, err := openVolume(t, dev, Options{})
+	v2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatalf("dirty Open: %v", err)
 	}
@@ -653,7 +632,7 @@ func TestCrashRecoveryDirtyOpen(t *testing.T) {
 func TestCrashRecoveryWAL(t *testing.T) {
 	mem := blockdev.NewMem(32768, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := createVolume(t, fd, Options{})
+	v, err := Create(fd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +659,7 @@ func TestCrashRecoveryWAL(t *testing.T) {
 	}
 
 	// "Reboot": reopen from the raw memory device.
-	v2, err := openVolume(t, mem, Options{})
+	v2, err := Open(mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery Open: %v", err)
 	}
@@ -749,7 +728,7 @@ func TestObjectDataIntact(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := openVolume(t, dev, Options{})
+	v2, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

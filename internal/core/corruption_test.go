@@ -38,7 +38,7 @@ type corruptionFixture struct {
 func buildCorruptionFixture(t *testing.T) *corruptionFixture {
 	t.Helper()
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{WALBlocks: 256})
+	v, err := Create(mem, Options{WALBlocks: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCorruptionSweepAllClasses(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := fx.restore(t, fx.byClass[tc.class], blockdev.DefaultBlockSize/3)
-			v, err := openVolume(t, mem, Options{})
+			v, err := Open(mem, Options{})
 			if err != nil {
 				if !corruptionDetected(err) {
 					t.Fatalf("open: untyped error %v", err)
@@ -265,7 +265,7 @@ func TestCorruptionSweepAllClasses(t *testing.T) {
 	t.Run("volume-header", func(t *testing.T) {
 		// Byte 40 sits inside the superblock's CRC-covered region [0:96].
 		mem := fx.restore(t, 0, 40)
-		_, err := openVolume(t, mem, Options{})
+		_, err := Open(mem, Options{})
 		if err == nil {
 			t.Fatal("open succeeded with corrupt superblock")
 		}
@@ -278,7 +278,7 @@ func TestCorruptionSweepAllClasses(t *testing.T) {
 		// No flip: every read must succeed and scrub must come back clean,
 		// proving the detections above are the flip and not the fixture.
 		mem := fx.restore(t, ^uint64(0), 0)
-		v, err := openVolume(t, mem, Options{})
+		v, err := Open(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ import (
 func TestCrashLoop(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := createVolume(t, fd, Options{WALBlocks: 128})
+	v, err := Create(fd, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,10 @@ func TestCrashLoop(t *testing.T) {
 				t.Fatalf("round %d: fault did not fire", round)
 			}
 		}
-		// The crashed volume's checkpointer would otherwise resurrect once
-		// the fault disarms and scribble over the recovered image; a real
-		// crash kills the process, so kill its background writer here.
-		v.stopCheckpointer()
 		fd.Disarm()
 
 		// "Reboot": recover from the raw surviving image.
-		v2, err := openVolume(t, mem, Options{})
+		v2, err := Open(mem, Options{})
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
@@ -124,7 +120,7 @@ func TestCrashLoop(t *testing.T) {
 		// Continue the loop on the recovered volume, re-wrapping the
 		// device with a fresh fault injector.
 		fd = blockdev.NewFault(mem)
-		v3, err := openVolume(t, fd, Options{})
+		v3, err := Open(fd, Options{})
 		if err != nil {
 			t.Fatalf("round %d re-wrap open: %v", round, err)
 		}
@@ -144,7 +140,7 @@ func TestCrashLoop(t *testing.T) {
 func TestSharedPageAnomalyFixed(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := createVolume(t, fd, Options{
+	v, err := Create(fd, Options{
 		WALBlocks:   128,
 		IndexShards: 1, // one UDEF tree, so both names share its leaf
 	})
@@ -203,7 +199,7 @@ func TestSharedPageAnomalyFixed(t *testing.T) {
 	// Crash: no further device writes land.
 	fd.FailAfterWrites(0)
 
-	v2, err := openVolume(t, mem, Options{})
+	v2, err := Open(mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -234,7 +230,7 @@ func TestSharedPageAnomalyFixed(t *testing.T) {
 func TestCrashLoopConcurrentWriters(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := createVolume(t, fd, Options{WALBlocks: 128, IndexShards: 1})
+	v, err := Create(fd, Options{WALBlocks: 128, IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,13 +283,9 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 			fd.FailAfterWrites(0)
 			_, _ = v.OSD.CreateObject("x", osd.ModeRegular)
 		}
-		// The crashed volume's checkpointer would otherwise resurrect once
-		// the fault disarms and scribble over the recovered image; a real
-		// crash kills the process, so kill its background writer here.
-		v.stopCheckpointer()
 		fd.Disarm()
 
-		v2, err := openVolume(t, mem, Options{})
+		v2, err := Open(mem, Options{})
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
@@ -321,7 +313,7 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 			}
 		}
 		fd = blockdev.NewFault(mem)
-		v3, err := openVolume(t, fd, Options{})
+		v3, err := Open(fd, Options{})
 		if err != nil {
 			t.Fatalf("round %d re-wrap open: %v", round, err)
 		}
@@ -334,7 +326,7 @@ func TestCrashLoopConcurrentWriters(t *testing.T) {
 func TestTornWALTailRecovered(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := createVolume(t, fd, Options{WALBlocks: 128})
+	v, err := Create(fd, Options{WALBlocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +346,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 		}
 	}
 
-	v2, err := openVolume(t, mem, Options{})
+	v2, err := Open(mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -378,7 +370,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 // already-split leaf wipes the right sibling and corrupts the chain.
 func TestReplayOverAppliedPagesIdempotent(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{WALBlocks: 2048, IndexShards: 1})
+	v, err := Create(mem, Options{WALBlocks: 2048, IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +397,7 @@ func TestReplayOverAppliedPagesIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2, err := openVolume(t, mem, Options{})
+	v2, err := Open(mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery over applied pages: %v", err)
 	}

@@ -143,7 +143,7 @@ func TestEstimateShapes(t *testing.T) {
 // recorded at mkfs and wins over whatever a later Open passes.
 func TestExtentConfigPersisted(t *testing.T) {
 	dev := blockdevNewMemForTest()
-	v, err := createVolume(t, dev, Options{ExtentConfig: extentConfigForTest(64 << 10)})
+	v, err := Create(dev, Options{ExtentConfig: extentConfigForTest(64 << 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestExtentConfigPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen with a different (conflicting) cap; the persisted one wins.
-	v2, err := openVolume(t, dev, Options{ExtentConfig: extentConfigForTest(1 << 20)})
+	v2, err := Open(dev, Options{ExtentConfig: extentConfigForTest(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 		t.Run(fmt.Sprintf("failWrite%d", n), func(t *testing.T) {
 			mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 			fd := &failNthDevice{Device: mem}
-			v, err := createVolume(t, fd, Options{
+			v, err := Create(fd, Options{
 				WALBlocks:    512,
 				ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 			})
@@ -111,11 +111,8 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 			fd.countdown.Store(0)
 			wrote := werr == nil
 
-			// Crash: reopen from the raw surviving image. The crashed
-			// volume's checkpointer goes with it, so it can neither write
-			// under the recovery nor keep the crashed volume alive.
-			v.stopCheckpointer()
-			v2, err := openVolume(t, mem, Options{})
+			// Crash: reopen from the raw surviving image.
+			v2, err := Open(mem, Options{})
 			if err != nil {
 				t.Fatalf("recovery open (fault at write %d, op err %v): %v", n, werr, err)
 			}
@@ -156,7 +153,7 @@ func TestExtentMidChainFaultStillRecoverable(t *testing.T) {
 // ownership fsck would flag (and readers would see torn content).
 func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{
+	v, err := Create(mem, Options{
 		WALBlocks:    1024,
 		ExtentConfig: extent.Config{MaxExtentBytes: 8192},
 	})
@@ -202,7 +199,7 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 	// Crash before any checkpoint: recovery replays the truncate and the
 	// new writers; nothing may own a block twice and the truncated
 	// object's surviving bytes must be intact.
-	v2, err := openVolume(t, mem, Options{})
+	v2, err := Open(mem, Options{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -236,7 +233,7 @@ func TestTruncateFreesStayInLimboUntilCheckpoint(t *testing.T) {
 // reports the size the row holds, and fsck names the disagreement.
 func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{
+	v, err := Create(mem, Options{
 		WALBlocks:    256,
 		ExtentConfig: extent.Config{MaxExtentBytes: 4096},
 	})
@@ -299,7 +296,7 @@ func TestCheckDetectsLeafSkewAfterCrash(t *testing.T) {
 		t.Fatal("tail extent cell not found on raw image")
 	}
 	// "Crash" (the superblock is still marked dirty).
-	v2, err := openVolume(t, mem, Options{})
+	v2, err := Open(mem, Options{})
 	if err != nil {
 		t.Fatalf("unclean open over a skewed leaf: %v", err)
 	}
@@ -364,7 +361,7 @@ func TestCrashAppendOverOpenGrowth(t *testing.T) {
 // closeFirst closes the batch's handle before edit opens the object.
 func crashOverOpenGrowth(t *testing.T, closeFirst bool, edit func(*osd.Object) error, want []byte) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{WALBlocks: 1024})
+	v, err := Create(mem, Options{WALBlocks: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +377,6 @@ func crashOverOpenGrowth(t *testing.T, closeFirst bool, edit func(*osd.Object) e
 	if err := v.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// The open batch holds the checkpoint fence shared; a checkpoint
-	// waiting on it would block the neighbour's bracket behind it.
-	v.stopCheckpointer()
 	var img *blockdev.MemDevice
 	err = v.Batch(func(b *Batch) error {
 		o, err := v.OSD.OpenObject(oid)
@@ -408,7 +402,7 @@ func crashOverOpenGrowth(t *testing.T, closeFirst bool, edit func(*osd.Object) e
 		if err := <-done; err != nil {
 			return err
 		}
-		img = crashCopy(t, nil, mem)
+		img = crashCopy(t, mem)
 		return nil
 	})
 	if err != nil {
@@ -438,7 +432,7 @@ func crashOverOpenGrowth(t *testing.T, closeFirst bool, edit func(*osd.Object) e
 func TestCrashLoopExtentChurn(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	fd := blockdev.NewFault(mem)
-	v, err := createVolume(t, fd, Options{
+	v, err := Create(fd, Options{
 		WALBlocks:    256,
 		ExtentConfig: extent.Config{MaxExtentBytes: 4096},
 	})
@@ -533,13 +527,9 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 			fd.FailAfterWrites(0)
 			_, _ = v.OSD.CreateObject("x", osd.ModeRegular)
 		}
-		// The crashed volume's checkpointer would otherwise resurrect once
-		// the fault disarms and scribble over the recovered image; a real
-		// crash kills the process, so kill its background writer here.
-		v.stopCheckpointer()
 		fd.Disarm()
 
-		v2, err := openVolume(t, mem, Options{})
+		v2, err := Open(mem, Options{})
 		if err != nil {
 			t.Fatalf("round %d recovery open: %v", round, err)
 		}
@@ -577,7 +567,7 @@ func TestCrashLoopExtentChurn(t *testing.T) {
 		mu.Unlock()
 
 		fd = blockdev.NewFault(mem)
-		v3, err := openVolume(t, fd, Options{})
+		v3, err := Open(fd, Options{})
 		if err != nil {
 			t.Fatalf("round %d re-wrap open: %v", round, err)
 		}
@@ -616,7 +606,7 @@ func refreshSidecarSum(t *testing.T, dev blockdev.Device, b uint64, content []by
 func TestCrashRootCrossesR(t *testing.T) {
 	opts := Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}}
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, opts)
+	v, err := Create(mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +653,7 @@ func TestCrashRootCrossesR(t *testing.T) {
 		}
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
-		v, err := openVolume(t, fd, opts)
+		v, err := Open(fd, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -694,7 +684,6 @@ func TestCrashRootCrossesR(t *testing.T) {
 			}
 			_ = v.Sync()
 		}()
-		v.stopCheckpointer()
 		fd.Disarm()
 		return sim.Stats().Writes - w0, acked
 	}
@@ -745,7 +734,7 @@ func TestCrashRootCrossesR(t *testing.T) {
 // crash.
 func TestRecoverRollbackAcrossNeighbourSplit(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,7 +821,7 @@ func TestRecoverRollbackAcrossNeighbourSplit(t *testing.T) {
 	}
 	check("live", v)
 	assertRecoveryExact(t, v)
-	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	v2 := mustOpenExact(t, crashCopy(t, mem))
 	defer v2.Close()
 	check("recovered", v2)
 }
@@ -906,11 +895,10 @@ func deleteHead(t *testing.T, v *Volume, oid OID, n uint64) *pager.Op {
 // is always redone.
 func TestRecoverDeferredMergeAfterNeighbourAppend(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.stopCheckpointer()
 	oid, base := twoLeafObject(t, v)
 	op := deleteHead(t, v, oid, 70*4096)
 	neighbour := fill(8192, 0x4E)
@@ -947,7 +935,7 @@ func TestRecoverDeferredMergeAfterNeighbourAppend(t *testing.T) {
 	}
 	check("live", v)
 	assertRecoveryExact(t, v)
-	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	v2 := mustOpenExact(t, crashCopy(t, mem))
 	defer v2.Close()
 	check("recovered", v2)
 }
@@ -978,7 +966,7 @@ func (d *pauseReadDevice) ReadBlock(n uint64, p []byte) error {
 func TestRecoverDeferredMergeBesideMetaUpdate(t *testing.T) {
 	opts := Options{WALBlocks: 1024, ExtentConfig: extent.Config{MaxExtentBytes: 4096}}
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, opts)
+	v, err := Create(mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -987,11 +975,10 @@ func TestRecoverDeferredMergeBesideMetaUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := &pauseReadDevice{Device: mem, paused: make(chan struct{}), resume: make(chan struct{})}
-	v, err = openVolume(t, dev, opts) // a cold cache: the merge reads the second leaf
+	v, err = Open(dev, opts) // a cold cache: the merge reads the second leaf
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.stopCheckpointer()
 	m, err := v.OSD.Stat(oid)
 	if err != nil {
 		t.Fatal(err)
@@ -1032,7 +1019,7 @@ func TestRecoverDeferredMergeBesideMetaUpdate(t *testing.T) {
 	if err := v.log.Sync(); err != nil { // the merge's system transaction, not the open operation
 		t.Fatal(err)
 	}
-	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	v2 := mustOpenExact(t, crashCopy(t, mem))
 	defer v2.Close()
 	got, err := v2.OSD.Stat(oid)
 	if err != nil {

@@ -48,7 +48,7 @@ func indexedAs(t *testing.T, v *Volume, term string, oids ...OID) []OID {
 func TestBatchIndexContentReadsNothingBack(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	sim := blockdev.NewSim(mem, nil)
-	v, err := createVolume(t, sim, Options{})
+	v, err := Create(sim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBatchIndexContentReadsNothingBack(t *testing.T) {
 func TestBatchTextBound(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
 	sim := blockdev.NewSim(mem, nil)
-	v, err := createVolume(t, sim, Options{})
+	v, err := Create(sim, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestBatchTextBound(t *testing.T) {
 func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 	const committed, batched, scanned, cache = 200, 8, 8, 3
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{CachePages: cache})
+	v, err := Create(mem, Options{CachePages: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 	// device writes (all of them when limit < 0), and leaves in mem what
 	// survives; it returns the batch's write count, the pages it stole and
 	// its outcome. Every cut reuses the one device: the crashed volume
-	// is abandoned with its checkpointer stopped, the recovered one closed.
+	// is abandoned, the recovered one closed.
 	cut := func(limit int64) (int64, int64, error) {
 		if err := mem.RestoreFrom(img); err != nil {
 			t.Fatal(err)
@@ -372,7 +372,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
 		ops = &opLog{writeLog: writeLog{Device: fd}}
-		v, err := openVolume(t, ops, Options{CachePages: cache})
+		v, err := Open(ops, Options{CachePages: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,6 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 			fd.FailAfterWrites(limit)
 		}
 		berr := v.Batch(func(b *Batch) error { return body(v, b) })
-		v.stopCheckpointer()
 		fd.Disarm()
 		return sim.Stats().Writes - w0, v.Pager().Stats().Steals - s0, berr
 	}
@@ -492,7 +491,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 // the checkpoint has to make them durable first.
 func TestCrashCheckpointAfterDeferredMerge(t *testing.T) {
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{IndexShards: 1})
+	v, err := Create(mem, Options{IndexShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +536,7 @@ func TestCrashCheckpointAfterDeferredMerge(t *testing.T) {
 		}
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
-		v, err := openVolume(t, fd, Options{})
+		v, err := Open(fd, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +548,6 @@ func TestCrashCheckpointAfterDeferredMerge(t *testing.T) {
 		if err == nil {
 			err = v.Sync()
 		}
-		v.stopCheckpointer()
 		fd.Disarm()
 		return sim.Stats().Writes - w0, err
 	}
@@ -651,7 +649,7 @@ func TestSameSeedSameImage(t *testing.T) {
 	build := func() ([]byte, int64, []uint64) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
 		dev := &writeLog{Device: mem}
-		v, err := createVolume(t, dev, Options{WALBlocks: 32, Clock: func() time.Time { return epoch }})
+		v, err := Create(dev, Options{WALBlocks: 32, Clock: func() time.Time { return epoch }})
 		if err != nil {
 			t.Fatal(err)
 		}

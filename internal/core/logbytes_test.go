@@ -122,7 +122,7 @@ func TestLogBytesPerSmallEdit(t *testing.T) {
 func TestSegmentFlushLogsNoPostings(t *testing.T) {
 	const flushDocs, maxSegs, walBlocks = 64, 2, 4096
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{WALBlocks: walBlocks,
+	v, err := Create(mem, Options{WALBlocks: walBlocks,
 		FulltextConfig: fulltext.Config{FlushDocs: flushDocs, MaxSegments: maxSegs}})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,6 @@ func TestSegmentFlushLogsNoPostings(t *testing.T) {
 	if err := v.Sync(); err != nil { // the log starts empty
 		t.Fatal(err)
 	}
-	v.stopCheckpointer()
 	segPages := func() map[uint64]bool {
 		pages := map[uint64]bool{}
 		for _, tr := range v.Fulltext().Inner().Trees()[1:] { // [0] is the manifest
@@ -185,7 +184,7 @@ func TestSegmentFlushLogsNoPostings(t *testing.T) {
 		t.Fatalf("%d flushes and %d merges, want %d and 1", flushes, merges, maxSegs+1)
 	}
 	// Read the log back, as recovery does, from a copy of the device.
-	img := crashCopy(t, v, mem)
+	img := crashCopy(t, mem)
 	var pageRecs int
 	if _, err := wal.New(img, 1, walBlocks).Recover(func(r redo.Record) error {
 		if k := redo.BaseKind(r.Kind); (k == redo.KindBtreeOp || k == redo.KindRange) && built[r.Page] {

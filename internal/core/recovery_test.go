@@ -33,13 +33,9 @@ func assertRecoveryExact(t testing.TB, v *Volume) {
 
 // crashCopy is a power cut: the bytes on dev at this instant, on a device
 // of their own. The crashed volume keeps running on the original until
-// the test drops it; its background checkpointer is stopped so it cannot
-// outlive the "crash".
-func crashCopy(t testing.TB, v *Volume, dev *blockdev.MemDevice) *blockdev.MemDevice {
+// the test drops it.
+func crashCopy(t testing.TB, dev *blockdev.MemDevice) *blockdev.MemDevice {
 	t.Helper()
-	if v != nil {
-		v.stopCheckpointer()
-	}
 	img := blockdev.NewMem(dev.NumBlocks(), dev.BlockSize())
 	if err := img.RestoreFrom(dev.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -51,7 +47,7 @@ func crashCopy(t testing.TB, v *Volume, dev *blockdev.MemDevice) *blockdev.MemDe
 // oracle, and returns it.
 func mustOpenExact(t testing.TB, dev blockdev.Device) *Volume {
 	t.Helper()
-	v, err := openVolume(t, dev, Options{})
+	v, err := Open(dev, Options{})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -101,7 +97,7 @@ func fill(n int, seed byte) []byte {
 // to heal.
 func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{})
+	v, err := Create(mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +107,7 @@ func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 	}
 	reopen := func(label string, maxPages int64) {
 		t.Helper()
-		v2 := mustOpenExact(t, crashCopy(t, v, mem))
+		v2 := mustOpenExact(t, crashCopy(t, mem))
 		defer v2.Close()
 		if n := v2.WAL().Stats().BytesLogged; n > maxPages*(4096+128) {
 			t.Errorf("%s: recovery logged %d bytes", label, n)
@@ -141,7 +137,7 @@ func TestReopenConsistentVolumeLogsNothing(t *testing.T) {
 func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	t.Run("append into an extent's slack", func(t *testing.T) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := createVolume(t, mem, Options{})
+		v, err := Create(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +157,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, more...)
-		v2 := mustOpenExact(t, crashCopy(t, v, mem))
+		v2 := mustOpenExact(t, crashCopy(t, mem))
 		defer v2.Close()
 		if got := readExtObj(t, v2, obj.OID(), len(want)); !bytes.Equal(got, want) {
 			t.Fatal("acknowledged append diverged after the crash")
@@ -170,7 +166,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	t.Run("overwrite in place", func(t *testing.T) {
 		// No leaf cell changes: the overwrite's own record must name the run.
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := createVolume(t, mem, Options{})
+		v, err := Create(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +190,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 			}
 			copy(want[w.off:], p)
 		}
-		v2 := mustOpenExact(t, crashCopy(t, v, mem))
+		v2 := mustOpenExact(t, crashCopy(t, mem))
 		defer v2.Close()
 		if got := readExtObj(t, v2, obj.OID(), len(want)); !bytes.Equal(got, want) {
 			t.Fatal("acknowledged overwrite diverged after the crash")
@@ -202,7 +198,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 	})
 	t.Run("new extent on a block freed earlier", func(t *testing.T) {
 		mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-		v, err := createVolume(t, mem, Options{})
+		v, err := Create(mem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +245,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 		if !reused {
 			t.Fatal("no new payload landed on the freed run; the test no longer tests the reuse")
 		}
-		v2 := mustOpenExact(t, crashCopy(t, v, mem))
+		v2 := mustOpenExact(t, crashCopy(t, mem))
 		defer v2.Close()
 		for oid, w := range want {
 			if got := readExtObj(t, v2, oid, len(w)); !bytes.Equal(got, w) {
@@ -269,7 +265,7 @@ func TestRecoveryCheckpointCutEverywhere(t *testing.T) {
 	for cut := int64(0); ; cut++ {
 		mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
 		fd := blockdev.NewFault(mem)
-		v, err := createVolume(t, fd, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
+		v, err := Create(fd, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,10 +293,9 @@ func TestRecoveryCheckpointCutEverywhere(t *testing.T) {
 		fd.SetTornWrites(true)
 		fd.FailAfterWrites(cut)
 		serr := v.Sync() // generation 2's checkpoint, cut short
-		v.stopCheckpointer()
 		fd.Disarm()
 
-		v2 := mustOpenExact(t, crashCopy(t, nil, mem))
+		v2 := mustOpenExact(t, crashCopy(t, mem))
 		if got := readExtObj(t, v2, obj.OID(), len(want)); !bytes.Equal(got, want) {
 			t.Fatalf("cut at write %d: acknowledged content diverged", cut)
 		}
@@ -323,7 +318,7 @@ func TestRecoveryCheckpointCutEverywhere(t *testing.T) {
 // not fatal; the other slot, damaged, changes nothing.
 func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{})
+	v, err := Create(mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +345,7 @@ func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	img := crashCopy(t, v, mem)
+	img := crashCopy(t, mem)
 	flip(img, 1-cur)
 	v2 := mustOpenExact(t, img)
 	if why := v2.Recovery().AllocWalk; why != "" {
@@ -358,7 +353,7 @@ func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 	}
 	v2.Close()
 
-	img = crashCopy(t, nil, mem)
+	img = crashCopy(t, mem)
 	flip(img, cur)
 	v3 := mustOpenExact(t, img)
 	defer v3.Close()
@@ -376,7 +371,7 @@ func TestRecoveryTornSlotFallsBackToWalk(t *testing.T) {
 // fails; the next one recovers from whatever it left, exactly.
 func TestRecoveryCutDuringWriteHome(t *testing.T) {
 	mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
+	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 8192}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,15 +394,14 @@ func TestRecoveryCutDuringWriteHome(t *testing.T) {
 	if err := v.DeleteObject(oids[20]); err != nil {
 		t.Fatal(err)
 	}
-	crash := crashCopy(t, v, mem)
+	crash := crashCopy(t, mem)
 	for cut := int64(0); ; cut++ {
-		img := crashCopy(t, nil, crash)
+		img := crashCopy(t, crash)
 		fd := blockdev.NewFault(img)
 		fd.SetTornWrites(true)
 		fd.FailAfterWrites(cut)
-		vi, err := openVolume(t, fd, Options{})
+		vi, err := Open(fd, Options{})
 		if err == nil {
-			vi.stopCheckpointer()
 			if cut < 4 {
 				t.Fatalf("recovery completed in %d writes; the sweep covered nothing", cut)
 			}
@@ -455,7 +449,7 @@ func loserImage(t *testing.T, v *Volume, mem *blockdev.MemDevice, step func(b *B
 				return err
 			}
 			if v.Pager().Stats().ChunkFlushes > flushed && i%16 == 15 {
-				img = crashCopy(t, nil, mem)
+				img = crashCopy(t, mem)
 				return nil
 			}
 			if i > 1<<16 {
@@ -485,7 +479,7 @@ func loserImage(t *testing.T, v *Volume, mem *blockdev.MemDevice, step func(b *B
 func TestRecoveryLosers(t *testing.T) {
 	setup := func(t *testing.T) (*Volume, *blockdev.MemDevice, []OID) {
 		mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-		v, err := createVolume(t, mem, Options{CachePages: 64, WALBlocks: 4096})
+		v, err := Create(mem, Options{CachePages: 64, WALBlocks: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +505,6 @@ func TestRecoveryLosers(t *testing.T) {
 			// reverse and forward entries now, as single operations do.
 			return v.addNameDeferred(b.op, oids[i%len(oids)], "UDEF", []byte(fmt.Sprintf("loser-%06d", i)))
 		})
-		v.stopCheckpointer()
 		v2 := mustOpenExact(t, img)
 		defer v2.Close()
 		rep := v2.Recovery()
@@ -543,7 +536,6 @@ func TestRecoveryLosers(t *testing.T) {
 			created = append(created, o.OID())
 			return fillPaged(b, o, byte(i))
 		})
-		v.stopCheckpointer()
 		v2 := mustOpenExact(t, img)
 		defer v2.Close()
 		rep := v2.Recovery()
@@ -562,7 +554,7 @@ func TestRecoveryLosers(t *testing.T) {
 			t.Fatal("committed content diverged")
 		}
 		// Recovery's checkpoint left a slot for the result: crash again.
-		v3 := mustOpenExact(t, crashCopy(t, v2, img))
+		v3 := mustOpenExact(t, crashCopy(t, img))
 		defer v3.Close()
 		if why := v3.Recovery().AllocWalk; why != "" {
 			t.Fatalf("second recovery walked (%s): the first left no usable slot", why)
@@ -588,7 +580,6 @@ func TestRecoveryLosers(t *testing.T) {
 			}
 			return v.addNameDeferred(b.op, oids[i%len(oids)], "UDEF", []byte(fmt.Sprintf("loser-%06d", i)))
 		})
-		v.stopCheckpointer()
 		zero := make([]byte, img.BlockSize())
 		for slot := uint64(0); slot < 2; slot++ {
 			if err := img.WriteBlock(v.snapStart+slot*v.slotBlocks(), zero); err != nil {
@@ -674,7 +665,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 	for name, mk := range steps {
 		t.Run(name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<11, blockdev.DefaultBlockSize)
-			v, err := createVolume(t, mem, Options{CachePages: 64, WALBlocks: 512,
+			v, err := Create(mem, Options{CachePages: 64, WALBlocks: 512,
 				FulltextConfig: fulltext.Config{FlushDocs: 2, MaxSegments: 2}})
 			if err != nil {
 				t.Fatal(err)
@@ -686,7 +677,6 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 			step := mk(v, oids)
 			ft0 := v.Fulltext().Inner().Stats()
 			crash := loserImage(t, v, mem, step)
-			v.stopCheckpointer()
 			if ft := v.Fulltext().Inner().Stats(); name == "fulltext" && (ft.Flushes == ft0.Flushes || ft.Compactions == ft0.Compactions) {
 				t.Fatalf("the loser did not both flush and compact the index: %+v", ft)
 			}
@@ -700,13 +690,12 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 				stride *= 6 // the detector is after the races, not the cut points
 			}
 			for cut := int64(0); ; cut += stride {
-				img := crashCopy(t, nil, crash)
+				img := crashCopy(t, crash)
 				fd := blockdev.NewFault(img)
 				fd.SetTornWrites(true)
 				fd.FailAfterWrites(cut)
-				vi, err := openVolume(t, fd, Options{})
+				vi, err := Open(fd, Options{})
 				if err == nil {
-					vi.stopCheckpointer()
 					if vi.Recovery().Undo.Count == 0 {
 						t.Fatalf("no loser chain in the image: %s", vi.Recovery())
 					}
@@ -715,7 +704,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 					}
 					return // recovery ran to completion: every write was cut
 				}
-				v2, err := openVolume(t, img, Options{})
+				v2, err := Open(img, Options{})
 				if err != nil {
 					t.Fatalf("cut at recovery write %d: reopen: %v", cut, err)
 				}
@@ -737,7 +726,6 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 				if err := v2.OSD.ForEach(func(osd.Meta) bool { n++; return true }); err != nil || n != len(oids) {
 					t.Fatalf("cut at recovery write %d: %d objects (%v), want %d", cut, n, err, len(oids))
 				}
-				v2.stopCheckpointer()
 			}
 		})
 	}
@@ -749,7 +737,7 @@ func TestRecoveryCutDuringLoserUndo(t *testing.T) {
 // the inverse is never run.
 func TestRecoveryDeleteInTail(t *testing.T) {
 	mem := blockdev.NewMem(1<<13, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -773,7 +761,7 @@ func TestRecoveryDeleteInTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	v2 := mustOpenExact(t, crashCopy(t, mem))
 	defer v2.Close()
 	rep := v2.Recovery()
 	if rep.AllocWalk != "" || rep.Allocator.Count == 0 {
@@ -810,7 +798,7 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 	const tallerTreeReads = 2
 	run := func(n int, loser bool) (RecoveryReport, int64) {
 		mem := blockdev.NewMem(1<<16, blockdev.DefaultBlockSize)
-		v, err := createVolume(t, mem, Options{WALBlocks: 4096})
+		v, err := Create(mem, Options{WALBlocks: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -857,12 +845,11 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The crash: v is abandoned, cache, checkpointer and all, and the
+		// The crash: v is abandoned, cache and all, and the
 		// device reopened in place (a copy of 256 MiB per run is the test's
 		// whole footprint).
-		v.stopCheckpointer()
 		sim := blockdev.NewSim(mem, nil)
-		v2, err := openVolume(t, sim, Options{})
+		v2, err := Open(sim, Options{})
 		if err != nil {
 			t.Fatalf("recovery open: %v", err)
 		}
@@ -913,7 +900,7 @@ func TestRecoveryCostIsTheTail(t *testing.T) {
 // records into the log. After the crash the count is the committed one.
 func TestRecoverLoserKeepsObjectCount(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{WALBlocks: 4096})
+	v, err := Create(mem, Options{WALBlocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -924,7 +911,6 @@ func TestRecoverLoserKeepsObjectCount(t *testing.T) {
 	if err := v.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	v.stopCheckpointer()
 	L := v.pg.NewOp(sysAppender{v})
 	for _, oid := range oids[1:11] {
 		if err := v.OSD.DeleteObjectDeferred(L, oid); err != nil {
@@ -971,7 +957,7 @@ func TestRecoverLoserKeepsObjectCount(t *testing.T) {
 // phase, and each field of the report must say so.
 func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{CachePages: 64, WALBlocks: 4096})
+	v, err := Create(mem, Options{CachePages: 64, WALBlocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -993,7 +979,6 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	img := loserImage(t, v, mem, func(b *Batch, i int) error {
 		return v.addNameDeferred(b.op, oids[i%len(oids)], "UDEF", []byte(fmt.Sprintf("loser-%06d", i)))
 	})
-	v.stopCheckpointer()
 	v2 := mustOpenExact(t, img)
 	rep := v2.Recovery()
 	for _, f := range []struct {
@@ -1018,7 +1003,7 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 	if err := v2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v3, err := openVolume(t, img, Options{})
+	v3, err := Open(img, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1037,13 +1022,10 @@ func TestRecoveryReportEveryFieldMoves(t *testing.T) {
 // fits again, recovery is back on the slot.
 func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{SnapshotBlocks: 2}) // one-block slots: ~500 chunks
+	v, err := Create(mem, Options{SnapshotBlocks: 2}) // one-block slots: ~500 chunks
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every checkpoint below is the test's own Sync: it reads v.snapCur,
-	// which a background checkpoint would write concurrently.
-	v.stopCheckpointer()
 	oids := populate(t, v, 3000)
 	// A byte each gives every object a data run, which its delete frees.
 	for i := 0; i < len(oids); i += 500 {
@@ -1107,7 +1089,7 @@ func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	if err := obj.Append(fill(9000, 6)); err != nil { // acknowledged
 		t.Fatal(err)
 	}
-	img := crashCopy(t, v, mem)
+	img := crashCopy(t, mem)
 	for round := 0; round < 2; round++ {
 		v2 := mustOpenExact(t, img)
 		if v2.Recovery().AllocWalk == "" {
@@ -1119,7 +1101,7 @@ func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 		if err := v2.AddName(oids[1], "UDEF", []byte(fmt.Sprintf("round-%d", round))); err != nil {
 			t.Fatalf("round %d: recovered volume refuses mutations: %v", round, err)
 		}
-		img = crashCopy(t, v2, img)
+		img = crashCopy(t, img)
 	}
 	// A clean shutdown in this state leaves no slot either; the clean open
 	// walks instead of failing.
@@ -1131,7 +1113,6 @@ func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	if rep := v4.Recovery(); !rep.Clean || rep.AllocWalk == "" {
 		t.Fatalf("clean open after an oversize close: %s", rep)
 	}
-	v4.stopCheckpointer()
 
 	// Back on the original: free the rest, the runs coalesce, the snapshot
 	// fits, and a crash recovers from the slot again.
@@ -1142,7 +1123,7 @@ func TestRecoverySnapshotOutgrowsSlot(t *testing.T) {
 	if v.snapCur < 0 {
 		t.Fatal("coalesced allocator still written to no slot")
 	}
-	v5 := mustOpenExact(t, crashCopy(t, v, mem))
+	v5 := mustOpenExact(t, crashCopy(t, mem))
 	defer v5.Close()
 	if why := v5.Recovery().AllocWalk; why != "" {
 		t.Fatalf("snapshot fits again, yet recovery walked: %s", why)

@@ -30,7 +30,7 @@ func assertRolledBack(t *testing.T, v *Volume, mem *blockdev.MemDevice, check fu
 		t.Fatalf("live fsck: %v %v", err, rep.Problems)
 	}
 	check("live", v)
-	v2 := mustOpenExact(t, crashCopy(t, v, mem))
+	v2 := mustOpenExact(t, crashCopy(t, mem))
 	defer v2.Close()
 	check("after a crash", v2)
 }
@@ -43,7 +43,7 @@ func assertRolledBack(t *testing.T, v *Volume, mem *blockdev.MemDevice, check fu
 // writes.
 func TestRecoverAbortedDeleteObject(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{
+	v, err := Create(mem, Options{
 		ExtentConfig:   extent.Config{MaxExtentBytes: 4096},
 		FulltextConfig: fulltext.Config{FlushDocs: 1},
 	})
@@ -120,7 +120,7 @@ func TestRecoverAbortedDeleteObject(t *testing.T) {
 // stays exact and the object is gone, live and after a crash.
 func TestRecoverAbortedCreateObject(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
+	v, err := Create(mem, Options{ExtentConfig: extent.Config{MaxExtentBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRecoverAbortedFulltextBatch(t *testing.T) {
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-			v, err := createVolume(t, mem, Options{FulltextConfig: leg.cfg})
+			v, err := Create(mem, Options{FulltextConfig: leg.cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestRecoverAbortedFulltextBatch(t *testing.T) {
 // committed is found, live and after a crash.
 func TestRecoverAbortedFulltextBesideCompaction(t *testing.T) {
 	mem := blockdev.NewMem(1<<14, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, Options{FulltextConfig: fulltext.Config{FlushDocs: 2, MaxSegments: 1}})
+	v, err := Create(mem, Options{FulltextConfig: fulltext.Config{FlushDocs: 2, MaxSegments: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

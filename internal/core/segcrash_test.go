@@ -32,7 +32,7 @@ func TestCrashDeleteBesideOpenGrowth(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-			v, err := createVolume(t, mem, Options{WALBlocks: 1024, ExtentConfig: tc.cfg})
+			v, err := Create(mem, Options{WALBlocks: 1024, ExtentConfig: tc.cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,9 +48,6 @@ func TestCrashDeleteBesideOpenGrowth(t *testing.T) {
 			if err := v.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			// The open batch holds the checkpoint fence shared; a checkpoint
-			// waiting on it would block the delete's bracket behind it.
-			v.stopCheckpointer()
 			var img *blockdev.MemDevice
 			err = v.Batch(func(b *Batch) error {
 				o, err := v.OSD.OpenObject(oid)
@@ -66,7 +63,7 @@ func TestCrashDeleteBesideOpenGrowth(t *testing.T) {
 				if err := <-done; err != nil {
 					return err
 				}
-				img = crashCopy(t, nil, mem)
+				img = crashCopy(t, mem)
 				return nil
 			})
 			if img == nil {
@@ -139,7 +136,7 @@ func crashSegmentBuild(t *testing.T, merge, rollback bool) {
 	const flushDocs = 8
 	opts := Options{WALBlocks: 512, FulltextConfig: fulltext.Config{FlushDocs: flushDocs, MaxSegments: 2}}
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, opts)
+	v, err := Create(mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +173,10 @@ func crashSegmentBuild(t *testing.T, merge, rollback bool) {
 		}
 		sim := blockdev.NewSim(mem, nil)
 		fd := blockdev.NewFault(sim)
-		v, err := openVolume(t, fd, opts)
+		v, err := Open(fd, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.stopCheckpointer()
 		w0 := sim.Stats().Writes
 		if limit >= 0 {
 			fd.FailAfterWrites(limit)
@@ -225,14 +221,13 @@ func crashSegmentBuild(t *testing.T, merge, rollback bool) {
 		if err := mem.RestoreFrom(img); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := openVolume(t, mem, opts)
+		ref, err := Open(mem, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if free := ref.Allocator().FreeBlocks(); free != healthyFree {
 			t.Fatalf("the rolled-back build leaked %d blocks", int64(free)-int64(healthyFree))
 		}
-		ref.stopCheckpointer()
 	} else if fmt.Sprint(after) == fmt.Sprint(before) {
 		t.Fatal("the operation changed no result")
 	}
@@ -265,7 +260,7 @@ func TestRecoverHoldsBuiltPageToItsSum(t *testing.T) {
 	const flushDocs = 8
 	opts := Options{WALBlocks: 512, FulltextConfig: fulltext.Config{FlushDocs: flushDocs, MaxSegments: 2}}
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := createVolume(t, mem, opts)
+	v, err := Create(mem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +276,10 @@ func TestRecoverHoldsBuiltPageToItsSum(t *testing.T) {
 		if err := mem.RestoreFrom(img); err != nil {
 			t.Fatal(err)
 		}
-		v, err := openVolume(t, dev, opts)
+		v, err := Open(dev, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.stopCheckpointer()
 		err = v.withOp(func(op *pager.Op) error {
 			for i, oid := range oids {
 				if err := v.addNameDeferred(op, oid, index.TagFulltext, segmentDoc(i)); err != nil {
@@ -322,7 +316,7 @@ func TestRecoverHoldsBuiltPageToItsSum(t *testing.T) {
 	if flip.Fired() != 1 {
 		t.Fatalf("the flip fired %d times", flip.Fired())
 	}
-	v2, err := openVolume(t, crashCopy(t, nil, mem), Options{})
+	v2, err := Open(crashCopy(t, mem), Options{})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}

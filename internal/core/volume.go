@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,10 +60,10 @@ var (
 	ErrNotFound      = errors.New("core: not found")
 	ErrClosed        = errors.New("core: volume closed")
 	// ErrReadOnly fails mutations fast while the volume is degraded: the
-	// log wedged (or the device refused a flush) and the checkpoint that
-	// would clear it keeps failing. Reads continue; the background
-	// checkpointer retries with capped backoff and lifts the state on
-	// success.
+	// last checkpoint failed — the device refused a flush or the sync —
+	// and the retry that would clear it is not due yet or failed again.
+	// Reads continue; the next mutation or Health call after the backoff
+	// retries the checkpoint and lifts the state on success.
 	ErrReadOnly = errors.New("core: volume degraded (read-only)")
 )
 
@@ -106,7 +107,8 @@ type Options struct {
 	ExtentConfig extent.Config
 	// FulltextConfig tunes the inverted index.
 	FulltextConfig fulltext.Config
-	// Clock injects timestamps (tests); nil = time.Now.
+	// Clock injects timestamps and times the degraded retry backoff
+	// (tests); nil = time.Now.
 	Clock func() time.Time
 }
 
@@ -125,6 +127,9 @@ func (o *Options) fill() {
 	}
 	if o.IndexShards == 0 {
 		o.IndexShards = 4
+	}
+	if o.Clock == nil {
+		o.Clock = time.Now
 	}
 }
 
@@ -185,16 +190,9 @@ type Volume struct {
 	ckptMu sync.RWMutex
 	// ckptDue is set by a commit that finds the log past its high-water
 	// mark (maybeTriggerCheckpoint); the operation that claims it runs
-	// the checkpoint once it has left the fence (withOp).
+	// the checkpoint once it has left the fence (withOp). A log that is
+	// full or wedged behind a system transaction sets it too (sysAppender).
 	ckptDue atomic.Bool
-	// ckptCh pokes the background checkpointer, which is left only the
-	// checkpoints no operation can run: retries while degraded, and the
-	// one a wedged log asks for (sysAppender); ckptQuit stops it;
-	// ckptDone closes when it exits.
-	ckptCh       chan struct{}
-	ckptQuit     chan struct{}
-	ckptDone     chan struct{}
-	ckptStopOnce sync.Once
 
 	// abortMu serializes rollbacks: at most one operation executes its
 	// inverses at a time, so a rollback never waits on another unfinished
@@ -209,14 +207,19 @@ type Volume struct {
 	ckptFallbacks atomic.Int64
 
 	// degraded latches when a checkpoint fails and clears when one
-	// succeeds: mutations fail fast with ErrReadOnly, reads keep serving,
-	// and the background checkpointer retries with capped backoff.
+	// succeeds: mutations fail fast with ErrReadOnly and reads keep
+	// serving. The first mutation or Health call at or after retryAt
+	// (UnixNano on opts.Clock) claims the retry and runs the checkpoint.
 	degraded atomic.Bool
+	retryAt  atomic.Int64
+	// retryWait is the backoff the last failure set, doubled on each
+	// further one; checkpointNow keeps it under ckptMu.
+	retryWait time.Duration
 	// ckptFailures counts failed checkpoints since open (health surface).
 	ckptFailures atomic.Int64
 }
 
-// Background checkpoint retry backoff while degraded.
+// Checkpoint retry backoff while degraded.
 const (
 	ckptRetryMin = 5 * time.Millisecond
 	ckptRetryMax = time.Second
@@ -350,7 +353,6 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	}
 	v.enableBaseImages()
 	v.enableSteal()
-	v.startCheckpointer()
 	return v, nil
 }
 
@@ -648,7 +650,6 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	if err := v.writeSuperblock(false); err != nil {
 		return nil, err
 	}
-	v.startCheckpointer()
 	rep.Total = time.Since(t0)
 	return v, nil
 }
@@ -754,24 +755,26 @@ func (v *Volume) openIndexes() error {
 
 // sysAppender routes structure-modification system transactions from the
 // pager's op captures into the WAL. A full log is not an error here: the
-// WAL wedges (no later commit can land) and the enclosing operation's
-// commit falls back to a checkpoint, which writes the modification home.
+// WAL wedges (no later commit can land) and the checkpoint it marks due
+// writes the modification home — run by the enclosing operation once it
+// leaves the fence, or by its commit's ErrFull fallback.
 type sysAppender struct{ v *Volume }
 
 func (a sysAppender) AppendSystem(recs []redo.Record) error {
 	err := a.v.log.AppendSystem(recs)
 	if errors.Is(err, wal.ErrFull) {
-		a.v.pokeCheckpointer()
+		a.v.ckptDue.Store(true)
 		return nil
 	}
 	return err
 }
 
 // Wedge implements pager.Appender: fail-stop the log until a checkpoint
-// (used when a base image could not be captured).
+// (used when a base image could not be captured), and mark that
+// checkpoint due.
 func (a sysAppender) Wedge() {
 	a.v.log.Wedge()
-	a.v.pokeCheckpointer()
+	a.v.ckptDue.Store(true)
 }
 
 // fulltextConfig is the user's fulltext tuning plus the volume's
@@ -795,9 +798,10 @@ func (v *Volume) fulltextConfig() fulltext.Config {
 // Deferred variants of sub-operations inside a single fn.
 //
 // A degraded volume refuses the bracket before fn runs — mutations must
-// not half-apply against a log that cannot commit them.
+// not half-apply against a log that cannot commit them — unless this call
+// claims the due retry (healIfDue) and its checkpoint succeeds.
 func (v *Volume) withOp(fn func(*pager.Op) error) error {
-	if v.degraded.Load() {
+	if !v.healIfDue() {
 		return ErrReadOnly
 	}
 	v.ckptMu.RLock()
@@ -838,15 +842,31 @@ func (v *Volume) withOp(fn func(*pager.Op) error) error {
 	return err
 }
 
-// checkpointIfDue runs the checkpoint a commit marked due, if no other
-// operation has claimed it, after the caller has left the fence — as the
-// ErrFull fallback does. The operation's outcome stands either way: a
-// failed checkpoint latches the volume degraded and leaves the retries to
-// the background checkpointer.
+// checkpointIfDue runs the checkpoint a commit or a full log marked due,
+// if no other operation has claimed it, after the caller has left the
+// fence — as the ErrFull fallback does. The operation's outcome stands
+// either way: a failed checkpoint latches the volume degraded, and the
+// first mutation or Health call after the backoff retries it (healIfDue).
 func (v *Volume) checkpointIfDue() {
 	if v.ckptDue.CompareAndSwap(true, false) {
 		_ = v.checkpointNow()
 	}
+}
+
+// healIfDue reports whether the volume is healthy, retrying the failed
+// checkpoint first if the volume is degraded and its backoff has elapsed
+// on opts.Clock. Of the callers that find the retry due, the one whose
+// CAS claims it runs the checkpoint; the others see it not due. The
+// caller must hold no checkpoint fence.
+func (v *Volume) healIfDue() bool {
+	if !v.degraded.Load() {
+		return true
+	}
+	at := v.retryAt.Load()
+	if v.opts.Clock().UnixNano() < at || !v.retryAt.CompareAndSwap(at, math.MaxInt64) {
+		return !v.degraded.Load() // a claimed retry may just have healed it
+	}
+	return v.checkpointNow() == nil
 }
 
 // runDeferred runs what op registered with Defer once its commit is
@@ -926,71 +946,14 @@ func (v *Volume) commitOpChain(op *pager.Op, chain uint64) error {
 // high-water mark, or when deferred frees pile up past the cache's size.
 // Dirty pages need no trigger of their own: steal eviction bounds
 // residency. The committing operation runs the checkpoint (withOp), so
-// it happens at the commit that crossed the mark, not whenever a
-// goroutine is scheduled, and the same workload checkpoints at the same
-// points on every run.
+// it happens at the commit that crossed the mark, and the same workload
+// checkpoints at the same points on every run.
 func (v *Volume) maybeTriggerCheckpoint() {
 	logHigh := v.log.Used()*ckptHighWaterDen >= v.log.Capacity()*ckptHighWaterNum
 	limboHigh := v.ba.LimboBlocks() >= uint64(v.opts.CachePages)
 	if logHigh || limboHigh {
 		v.ckptDue.Store(true)
 	}
-}
-
-// startCheckpointer launches the background checkpoint goroutine: it
-// retries a failed checkpoint while the volume is degraded, and runs the
-// one a wedged log asks for (sysAppender).
-func (v *Volume) startCheckpointer() {
-	v.ckptCh = make(chan struct{}, 1)
-	v.ckptQuit = make(chan struct{})
-	v.ckptDone = make(chan struct{})
-	go func() {
-		defer close(v.ckptDone)
-		backoff := time.Duration(0)
-		for {
-			if backoff > 0 {
-				// Degraded: retry the failed checkpoint on a capped
-				// exponential backoff rather than waiting for a poke —
-				// while read-only, no commit will arrive to send one.
-				select {
-				case <-v.ckptQuit:
-					return
-				case <-time.After(backoff):
-				}
-			} else {
-				select {
-				case <-v.ckptQuit:
-					return
-				case <-v.ckptCh:
-				}
-			}
-			// Best effort: a failing checkpoint leaves the log as is
-			// and latches the volume degraded; the retry above keeps
-			// trying until the device recovers.
-			if err := v.checkpointNow(); err != nil {
-				if backoff == 0 {
-					backoff = ckptRetryMin
-				} else if backoff < ckptRetryMax {
-					backoff *= 2
-					if backoff > ckptRetryMax {
-						backoff = ckptRetryMax
-					}
-				}
-			} else {
-				backoff = 0
-			}
-		}
-	}()
-}
-
-// stopCheckpointer shuts the background checkpointer down and waits for
-// it to drain. Safe to call more than once; ckptCh stays valid so late
-// pokes remain harmless.
-func (v *Volume) stopCheckpointer() {
-	v.ckptStopOnce.Do(func() {
-		close(v.ckptQuit)
-		<-v.ckptDone
-	})
 }
 
 // checkpointNow quiesces mutating operations (checkpoint fence), writes
@@ -1002,24 +965,29 @@ func (v *Volume) stopCheckpointer() {
 // dirty in the cache is committed state — and every deferred page free
 // can finally be released for reuse.
 //
-// Failure latches the volume degraded (read-only); success lifts it. The
-// background checkpointer keeps retrying a failed checkpoint with capped
-// backoff, so a transient device fault heals without intervention.
+// Failure latches the volume degraded (read-only) and sets when the retry
+// is due: ckptRetryMin after the first failure, doubling with each
+// further one up to ckptRetryMax. Success lifts the state and resets the
+// backoff. Nothing retries on its own: the retry waits for the next
+// mutation or Health call (healIfDue).
 func (v *Volume) checkpointNow() error {
-	err := v.doCheckpoint()
-	if err != nil {
+	v.ckptMu.Lock()
+	defer v.ckptMu.Unlock()
+	if err := v.doCheckpoint(); err != nil {
 		v.ckptFailures.Add(1)
+		v.retryWait = min(max(2*v.retryWait, ckptRetryMin), ckptRetryMax)
+		// retryAt before degraded: whoever sees the latch sees its time.
+		v.retryAt.Store(v.opts.Clock().Add(v.retryWait).UnixNano())
 		v.degraded.Store(true)
-		v.pokeCheckpointer()
 		return err
 	}
+	v.retryWait = 0
 	v.degraded.Store(false)
 	return nil
 }
 
+// doCheckpoint is checkpointNow's work, under the exclusive fence.
 func (v *Volume) doCheckpoint() error {
-	v.ckptMu.Lock()
-	defer v.ckptMu.Unlock()
 	v.ckptDue.Store(false)
 	// Write-ahead: what the log holds for the pages about to go home —
 	// system transactions and chunks still in its staging block included —
@@ -1057,22 +1025,11 @@ func (v *Volume) doCheckpoint() error {
 	return v.ba.ReleaseLimbo()
 }
 
-// pokeCheckpointer nudges the background checkpointer (non-blocking; nil
-// before startCheckpointer runs, e.g. during Open's recovery pass).
-func (v *Volume) pokeCheckpointer() {
-	if v.ckptCh == nil {
-		return
-	}
-	select {
-	case v.ckptCh <- struct{}{}:
-	default:
-	}
-}
-
 // Health is a point-in-time snapshot of the volume's fault state.
 type Health struct {
 	// Degraded: mutations fail fast with ErrReadOnly; reads keep serving
-	// while the background checkpointer retries.
+	// until a mutation or Health call retries the checkpoint and it
+	// succeeds.
 	Degraded bool
 	// WALWedged: the log refuses appends until a checkpoint clears it.
 	WALWedged bool
@@ -1083,7 +1040,14 @@ type Health struct {
 }
 
 // Health reports the volume's degraded/wedged state and fault counters.
+// On an open degraded volume whose retry backoff has elapsed it first
+// retries the checkpoint, as a mutation would: an idle volume heals when
+// its health is next asked for, not on its own.
 func (v *Volume) Health() Health {
+	if unlock, err := v.rlock(); err == nil {
+		v.healIfDue()
+		unlock()
+	}
 	return Health{
 		Degraded:           v.degraded.Load(),
 		WALWedged:          v.log.Wedged(),
@@ -1132,7 +1096,6 @@ func (v *Volume) Close() error {
 	if v.closed {
 		return nil
 	}
-	v.stopCheckpointer()
 	if err := v.ft.Inner().Close(); err != nil && !errors.Is(err, fulltext.ErrClosed) {
 		return err
 	}
@@ -1147,11 +1110,4 @@ func (v *Volume) Close() error {
 	}
 	v.closed = true
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

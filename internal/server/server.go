@@ -431,10 +431,12 @@ type HealthResp struct {
 }
 
 // handleHealthz reports liveness and fault state: 200 while the store is
-// fully operational, 503 once it is degraded (read-only: the WAL wedged
-// and the clearing checkpoint keeps failing) so load balancers stop
-// routing writes — reads keep being served on the data endpoints either
-// way. No admission slot: health probes must answer under overload.
+// fully operational, 503 while it is degraded (read-only: its last
+// checkpoint failed) so load balancers stop routing writes — reads keep
+// being served on the data endpoints either way. The probe itself retries
+// the checkpoint once the store's backoff has elapsed (Store.Health), so
+// a polled idle store heals. No admission slot: health probes must answer
+// under overload.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := s.st.Health()
 	resp := HealthResp{
@@ -670,8 +672,9 @@ func writeErr(w http.ResponseWriter, err error) {
 		retryMS = shutdownRetryMS
 		w.Header().Set("Retry-After", strconv.Itoa(shutdownRetryMS/1000))
 	case errors.Is(err, core.ErrReadOnly):
-		// Degraded (read-only) store: the write may succeed once the
-		// checkpoint retry clears the wedge, so advertise a retry.
+		// Degraded (read-only) store: a later write, or a health probe,
+		// after the store's backoff retries the failed checkpoint, and
+		// the write may succeed once it does, so advertise a retry.
 		code = http.StatusServiceUnavailable
 		retryMS = shutdownRetryMS
 		w.Header().Set("Retry-After", strconv.Itoa(shutdownRetryMS/1000))
