@@ -15,10 +15,13 @@ import (
 // The tree is built bottom-up, as an SSTable is: leaves are packed full
 // in key order, and each level keeps one open page, whose finished
 // predecessors have gone to the device. The pages have the format a tree
-// grown by puts has — leaf chain, internal cells, overflow chains for
-// values over maxInlineValue, header page — so every reader works on it
-// unchanged. A built tree is read-only: nothing puts into it or deletes
-// from it, so packing its pages full costs no split later.
+// grown by puts has — leaf chain, internal cells, overflow chains, header
+// page — so every reader works on it unchanged. A built tree is
+// read-only: nothing puts into it or deletes from it, so packing its
+// pages full costs no split later, and a value stays in its leaf cell
+// whenever that cell fits an empty leaf (fitsEmptyLeaf). Only a larger
+// value gets an overflow chain, where a put chains any value over
+// maxInlineValue.
 //
 // Each page is written once, as it is finished, through
 // pager.WriteFresh: home at once and clean in the cache, with no record
@@ -41,6 +44,13 @@ func Build(pg *pager.Pager, alloc PageAllocator, op *pager.Op, next func() (key,
 	}
 	op.StageUndo(undo.BtreeDrop(t.hdrPno))
 	return t, nil
+}
+
+// fitsEmptyLeaf reports whether a leaf cell holding a klen-byte key and
+// a vlen-byte value inline fits, with its slot, an empty leaf of a
+// blockSize-byte page: the rule by which Build keeps a value in its leaf.
+func fitsEmptyLeaf(blockSize, klen, vlen int) bool {
+	return encodedLeafCellSize(klen, vlen, true)+2 <= blockSize-hdrSize
 }
 
 // builder is one Build in progress: t, once its header is written.
@@ -142,14 +152,14 @@ func (b *builder) build(next func() ([]byte, []byte, bool, error)) error {
 // the pair's cell does not fit.
 func (b *builder) add(key, val []byte) error {
 	var enc []byte
-	if len(val) > b.t.maxInlineValue() {
+	if fitsEmptyLeaf(b.pg.BlockSize(), len(key), len(val)) {
+		enc = encodeLeafCell(nil, key, val, uint64(len(val)), 0)
+	} else {
 		ovf, err := b.overflow(val)
 		if err != nil {
 			return err
 		}
 		enc = encodeLeafCell(nil, key, nil, uint64(len(val)), ovf)
-	} else {
-		enc = encodeLeafCell(nil, key, val, uint64(len(val)), 0)
 	}
 	l := b.levels[0]
 	if !l.p.insertRaw(l.p.ncells(), enc) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/pager"
 	"repro/internal/redo"
 	"repro/internal/undo"
@@ -30,11 +31,13 @@ func (ps *pairs) iter() func() ([]byte, []byte, bool, error) {
 	}
 }
 
-// cellBytes is what the pairs take in leaves, each cell with its slot:
-// in all, and the most one takes.
-func (ps *pairs) cellBytes(maxInline int) (total, most int) {
+// cellBytes is what the pairs take in the leaves of a tree built with
+// blockSize-byte pages, each cell with its slot: in all, and the most one
+// takes. A value is in its cell when the cell fits an empty leaf, as
+// Build encodes it.
+func (ps *pairs) cellBytes(blockSize int) (total, most int) {
 	for i, k := range ps.keys {
-		n := encodedLeafCellSize(len(k), len(ps.vals[i]), len(ps.vals[i]) <= maxInline) + 2
+		n := encodedLeafCellSize(len(k), len(ps.vals[i]), fitsEmptyLeaf(blockSize, len(k), len(ps.vals[i]))) + 2
 		total += n
 		most = max(most, n)
 	}
@@ -129,11 +132,13 @@ func assertTwins(t *testing.T, built, grown *Tree, ps *pairs) {
 }
 
 // TestBuildMatchesPuts builds trees from sorted pairs — none, one, values
-// on both sides of maxInlineValue, enough for three levels — and holds
-// each to a twin grown by puts of the same pairs. Leaves are packed full:
-// none had room for the cell that opened the next, so there are no more
-// than the cells' bytes over a leaf's capacity less the largest cell, plus
-// one.
+// on both sides of maxInlineValue and of the largest value a leaf holds,
+// values between the two, enough for three levels — and holds each to a
+// twin grown by puts of the same pairs. Leaves are packed full: none had
+// room for the cell that opened the next, so there are no more than the
+// cells' bytes over a leaf's capacity less the largest cell, plus one. A
+// value between maxInlineValue and a leaf's capacity stays in the built
+// tree's leaf, where its put-grown twin chains it.
 func TestBuildMatchesPuts(t *testing.T) {
 	big := func(n int, seed byte) []byte {
 		v := make([]byte, n)
@@ -150,8 +155,19 @@ func TestBuildMatchesPuts(t *testing.T) {
 			ps.add("a-at", big(maxInline, 1))
 			ps.add("b-over", big(maxInline+1, 2))
 			ps.add("c-chain", big(5*maxInline, 3))
+			ps.add("c-leaf-over", big(leafMost(len("c-leaf-over"))+1, 4))
 			ps.add("d-empty", nil)
 			ps.add("e-small", []byte("x"))
+			return ps
+		},
+		"leaf inline": func(maxInline int) *pairs {
+			ps := &pairs{}
+			ps.add("a-over", big(maxInline+1, 1))
+			ps.add("b-half", big(2*maxInline, 2))
+			ps.add("c-most", big(3000, 3))
+			for i := 0; i < 20; i++ {
+				ps.add(fmt.Sprintf("d-%02d", i), big(maxInline+1+i*100, byte(i)))
+			}
 			return ps
 		},
 		"three levels": func(maxInline int) *pairs {
@@ -187,9 +203,18 @@ func TestBuildMatchesPuts(t *testing.T) {
 			res := mustCheck(t, built)
 			assertPackedFull(t, built)
 			capacity := env.pg.BlockSize() - hdrSize
-			cells, maxCell := ps.cellBytes(built.maxInlineValue())
+			cells, maxCell := ps.cellBytes(env.pg.BlockSize())
 			if bound := (cells+capacity-maxCell-1)/(capacity-maxCell) + 1; res.Leaves > bound {
 				t.Errorf("%d leaves for %d cell bytes of at most %d each, want at most %d", res.Leaves, cells, maxCell, bound)
+			}
+			if name == "leaf inline" {
+				grownRes := mustCheck(t, grown)
+				if ovf := len(res.AllPages) - res.Pages - 1; ovf != 0 {
+					t.Errorf("the built tree has %d overflow pages, want none", ovf)
+				}
+				if ovf := len(grownRes.AllPages) - grownRes.Pages - 1; ovf < len(ps.keys) {
+					t.Errorf("the grown twin has %d overflow pages for %d values over maxInlineValue", ovf, len(ps.keys))
+				}
 			}
 			if name == "three levels" && built.Height() < 3 {
 				t.Errorf("height %d, want at least 3", built.Height())
@@ -203,6 +228,39 @@ func TestBuildMatchesPuts(t *testing.T) {
 			}
 			assertTwins(t, again, grown, ps)
 		})
+	}
+}
+
+// leafMost is the largest value whose cell, beside a klen-byte key,
+// fits an empty leaf of the default block size.
+func leafMost(klen int) int {
+	n := 0
+	for fitsEmptyLeaf(blockdev.DefaultBlockSize, klen, n+1) {
+		n++
+	}
+	return n
+}
+
+// TestBuildLeafEdge: the largest value whose cell fits an empty leaf is
+// built into a leaf of its own with no overflow page, and one byte more
+// takes a chain; both read back.
+func TestBuildLeafEdge(t *testing.T) {
+	env := newEnv(t, 1024, 64)
+	ps := &pairs{}
+	ps.add("a", bytes.Repeat([]byte{'a'}, leafMost(1)))
+	ps.add("b", bytes.Repeat([]byte{'b'}, leafMost(1)+1))
+	tr := mustBuild(t, env, ps)
+	res := mustCheck(t, tr)
+	if res.Leaves != 2 {
+		t.Errorf("%d leaves, want 2: one full leaf, and one for the chained value's cell", res.Leaves)
+	}
+	if ovf := len(res.AllPages) - res.Pages - 1; ovf != 1 {
+		t.Errorf("%d overflow pages, want the one that holds %d bytes", ovf, leafMost(1)+1)
+	}
+	for i, k := range ps.keys {
+		if got, err := tr.Get(k); err != nil || !bytes.Equal(got, ps.vals[i]) {
+			t.Errorf("Get(%q): %d bytes, %v; want %d", k, len(got), err, len(ps.vals[i]))
+		}
 	}
 }
 

@@ -150,7 +150,10 @@ func (t *Tree) writeHeaderOp(op *pager.Op) error {
 // MaxKeyLen returns the largest key this tree accepts.
 func (t *Tree) MaxKeyLen() int { return t.pg.BlockSize() / 8 }
 
-// maxInlineValue is the largest value stored inside a leaf cell.
+// maxInlineValue is the largest value a put stores inside a leaf cell: a
+// quarter page, so that a leaf keeps room for several cells and a split
+// has cells to divide. Build, whose leaves never split, keeps any value
+// whose cell fits an empty leaf (fitsEmptyLeaf).
 func (t *Tree) maxInlineValue() int { return t.pg.BlockSize() / 4 }
 
 // Get returns the value for key, or ErrNotFound.

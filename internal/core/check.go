@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/btree"
 	"repro/internal/buddy"
 	"repro/internal/extent"
+	"repro/internal/fulltext"
 	"repro/internal/index"
 	"repro/internal/osd"
 )
@@ -157,6 +159,9 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 // Check runs a full volume consistency check:
 //
 //   - every component tree passes its own structural check
+//   - every posting list of every full-text segment decodes; each
+//     segment that fails is one problem, and a segment page that cannot
+//     be read for a reason other than corruption fails Check itself
 //   - no block is owned by two structures
 //   - all owned blocks lie inside the data region
 //   - the allocator agrees: owned blocks are not free, and the free count
@@ -196,6 +201,12 @@ func (v *Volume) Check() (*CheckReport, error) {
 	}
 	if err := v.ba.CheckFreeIntegrity(); err != nil {
 		report.addf("allocator: %v", err)
+	}
+	for _, err := range v.ft.Inner().Check() {
+		if !errors.Is(err, fulltext.ErrCorrupt) && !errors.Is(err, btree.ErrCorrupt) && !errors.Is(err, ErrCorrupt) {
+			return nil, err
+		}
+		report.addf("%v", err)
 	}
 	v.checkNaming(report)
 	return report, nil

@@ -497,6 +497,12 @@ func TestOpenRefusesV4Superblock(t *testing.T) { refuseVersion(t, 4) }
 // log as an empty one.
 func TestOpenRefusesV5Superblock(t *testing.T) { refuseVersion(t, 5) }
 
+// TestOpenRefusesV6Superblock: a version 6 volume's full-text segments
+// code each posting as a docID gap and a frequency, which this format's
+// decoder would misread as gaps flagged with a frequency of one; Open
+// refuses it rather than answer searches wrongly.
+func TestOpenRefusesV6Superblock(t *testing.T) { refuseVersion(t, 6) }
+
 // TestOpenRefusesWAL1Log: a log region whose header carries the magic of
 // the record-per-header format ("WAL1") is refused with ErrBadSuperblock
 // even under a current superblock. Create still formats over one.

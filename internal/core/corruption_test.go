@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/fulltext"
 	"repro/internal/index"
 	"repro/internal/osd"
 )
@@ -294,4 +296,74 @@ func TestCorruptionSweepAllClasses(t *testing.T) {
 			t.Fatalf("clean image scrub dirty: %v", rep)
 		}
 	})
+}
+
+// TestCheckDecodesPostings: fsck decodes every posting list of every
+// full-text segment. A list whose count is raised past what its bytes
+// can hold, planted in a segment leaf whose sidecar sum is refreshed to match
+// (the page reads back clean and its tree's structure is sound), is
+// reported against its segment, and a search of the term fails with
+// fulltext.ErrCorrupt rather than answer from the decodable part. When
+// the leaf cannot be read at all, Check fails with the device's error
+// instead of reporting it as a bad list.
+func TestCheckDecodesPostings(t *testing.T) {
+	v, dev := newVolume(t, Options{})
+	oid := mustCreateObject(t, v, "u", "x")
+	if err := v.AddName(oid, index.TagFulltext, []byte("zqxj")); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil { // flushes the segment and writes it home
+		t.Fatal(err)
+	}
+	// The term's leaf cell: key length, key, inline tag, then the list's
+	// length (one byte, for a list this short) and the list, whose count
+	// becomes that length: more postings than the bytes after it.
+	cell := []byte("\x04zqxj\x00")
+	buf := make([]byte, dev.BlockSize())
+	planted := false
+	var leaf uint64
+	for b := uint64(0); b < dev.NumBlocks() && !planted; b++ {
+		if err := dev.ReadBlock(b, buf); err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(buf, cell) + len(cell); i >= len(cell) {
+			buf[i+1] = buf[i]
+			if err := dev.WriteBlock(b, buf); err != nil {
+				t.Fatal(err)
+			}
+			refreshSidecarSum(t, dev, b, buf)
+			planted, leaf = true, b
+		}
+	}
+	if !planted {
+		t.Fatal("no leaf holds the term's cell")
+	}
+	v2, err := Open(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := v2.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], "segment") || !strings.Contains(rep.Problems[0], `"zqxj"`) {
+		t.Errorf("Check problems %q, want one naming the segment and the term", rep.Problems)
+	}
+	if _, err := v2.Fulltext().Lookup([]byte("zqxj")); !errors.Is(err, fulltext.ErrCorrupt) {
+		t.Errorf("Lookup of the planted term: %v, want fulltext.ErrCorrupt", err)
+	}
+	if err := v2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fd := blockdev.NewFault(dev)
+	fd.AddRule(blockdev.FaultRule{Kind: blockdev.FaultError, Op: blockdev.OpRead, Lo: leaf, Hi: leaf + 1})
+	v3, err := Open(fd, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v3.Close()
+	if rep, err := v3.Check(); !errors.Is(err, blockdev.ErrInjected) {
+		t.Errorf("Check over an unreadable leaf: %v, %v; want blockdev.ErrInjected", rep, err)
+	}
 }

@@ -85,7 +85,7 @@ type OID = osd.OID
 //	[96:100] crc32 of bytes [0:96]
 const (
 	sbMagic   = 0x68464144 // "hFAD"
-	sbVersion = 6          // v6: one CRC-checked WAL frame per append
+	sbVersion = 7          // v7: a full-text posting flags a frequency of one in its gap
 
 	flagLogged = 1 << 0
 	flagClean  = 1 << 1

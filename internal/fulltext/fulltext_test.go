@@ -178,6 +178,34 @@ func TestRankingByTermFrequency(t *testing.T) {
 	}
 }
 
+// TestArgumentMatchesEveryTerm: a query argument of several words
+// matches the documents that hold every term it yields, and a term it
+// yields twice counts once toward a ranked score; two arguments each
+// count.
+func TestArgumentMatchesEveryTerm(t *testing.T) {
+	x, _ := newIndex(t, Config{})
+	for doc, text := range map[uint64]string{1: "disk disk seek", 2: "disk", 3: "seek"} {
+		if err := x.Add(nil, doc, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids, err := x.Search("disk seek"); err != nil || !reflect.DeepEqual(ids, []uint64{1}) {
+		t.Errorf(`Search("disk seek") = %v, %v; want [1]`, ids, err)
+	}
+	for _, c := range []struct {
+		args  []string
+		score uint64
+	}{
+		{[]string{"disk disks"}, 2},
+		{[]string{"disk", "disks"}, 4},
+	} {
+		scored, err := x.SearchRanked(c.args...)
+		if err != nil || len(scored) != 2 || scored[0] != (ScoredDoc{1, c.score}) {
+			t.Errorf("SearchRanked(%q) = %+v, %v; want doc 1 first with score %d", c.args, scored, err, c.score)
+		}
+	}
+}
+
 func TestFlushAndSearchAcrossSegments(t *testing.T) {
 	x, _ := newIndex(t, Config{FlushDocs: 4})
 	for i := uint64(1); i <= 10; i++ {
@@ -442,25 +470,41 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 	}
 }
 
+// TestPostingsCodecRoundtrip: postings round-trip through the codec; an
+// empty list is a count of zero, and no bytes at all are refused (a
+// stored list always opens with its count). A posting with frequency one
+// and a gap under 64 takes one byte, and any other frequency one more.
 func TestPostingsCodecRoundtrip(t *testing.T) {
 	ps := []Posting{{1, 3}, {5, 1}, {1000000, 42}, {1000001, 1}}
-	got := appendPostingsLive(nil, appendPostings(nil, ps), nil)
-	if !reflect.DeepEqual(got, ps) {
-		t.Errorf("codec roundtrip = %v, want %v", got, ps)
+	got, err := appendPostingsLive(nil, appendPostings(nil, ps), nil)
+	if err != nil || !reflect.DeepEqual(got, ps) {
+		t.Errorf("codec roundtrip = %v, %v; want %v", got, err, ps)
 	}
-	if got := appendPostingsLive(nil, nil, nil); got != nil {
-		t.Errorf("decode(nil) = %v", got)
+	if got, err := appendPostingsLive(nil, nil, nil); got != nil || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("decode(nil) = %v, %v; want ErrCorrupt", got, err)
 	}
-	if got := appendPostingsLive(nil, appendPostings(nil, nil), nil); len(got) != 0 {
-		t.Errorf("decode(encode(nil)) = %v", got)
+	if got, err := appendPostingsLive(nil, appendPostings(nil, nil), nil); err != nil || len(got) != 0 {
+		t.Errorf("decode(encode(nil)) = %v, %v", got, err)
+	}
+	for _, c := range []struct {
+		ps   []Posting
+		size int
+	}{
+		{[]Posting{{1, 1}, {2, 1}, {65, 1}}, 1 + 3},
+		{[]Posting{{1, 1}, {66, 1}}, 1 + 1 + 2},
+		{[]Posting{{1, 2}, {2, 1}, {3, 127}, {4, 128}}, 1 + 2 + 1 + 2 + 3},
+	} {
+		if enc := appendPostings(nil, c.ps); len(enc) != c.size {
+			t.Errorf("%v encodes in %d bytes, want %d", c.ps, len(enc), c.size)
+		}
 	}
 }
 
+// TestLargePostingsListOverflows: a posting list larger than a leaf
+// takes an overflow chain in its segment, and reads back whole.
 func TestLargePostingsListOverflows(t *testing.T) {
-	// Enough postings for one term that the segment btree must use
-	// overflow chains (value > page/4).
 	x, _ := newIndex(t, Config{FlushDocs: 100000})
-	for i := uint64(1); i <= 3000; i++ {
+	for i := uint64(1); i <= 10000; i++ {
 		if err := x.Add(nil, i, "ubiquitous"); err != nil {
 			t.Fatal(err)
 		}
@@ -468,12 +512,19 @@ func TestLargePostingsListOverflows(t *testing.T) {
 	if err := x.Flush(nil); err != nil {
 		t.Fatal(err)
 	}
+	res, err := x.Trees()[1].Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ovf := len(res.AllPages) - res.Pages - 1; ovf == 0 {
+		t.Errorf("a %d-page segment has no overflow page", len(res.AllPages))
+	}
 	ids, err := x.Search("ubiquitous")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 3000 {
-		t.Errorf("found %d, want 3000", len(ids))
+	if len(ids) != 10000 {
+		t.Errorf("found %d, want 10000", len(ids))
 	}
 }
 

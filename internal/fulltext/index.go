@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -18,6 +19,8 @@ import (
 // Index errors.
 var (
 	ErrClosed = errors.New("fulltext: index closed")
+	// ErrCorrupt reports a stored posting list whose bytes do not decode.
+	ErrCorrupt = errors.New("fulltext: corrupt posting list")
 )
 
 // Posting pairs a document with a term frequency.
@@ -619,8 +622,11 @@ func (x *Index) mergeSegments(op *pager.Op, in []*segment, live map[uint64]bool)
 				if !h.ok || !bytes.Equal(h.key, term) {
 					continue
 				}
-				ps = appendPostingsLive(ps, h.val, in[i].dead)
-				if err := h.next(); err != nil {
+				var err error
+				if ps, err = appendPostingsLive(ps, h.val, in[i].dead); err != nil {
+					return nil, nil, false, in[i].errAt(term, err)
+				}
+				if err = h.next(); err != nil {
 					return nil, nil, false, err
 				}
 			}
@@ -714,6 +720,11 @@ func (x *Index) Undo(op *pager.Op) error {
 	return nil
 }
 
+// errAt names s and term in err, a failure to read term's postings.
+func (s *segment) errAt(term []byte, err error) error {
+	return fmt.Errorf("fulltext: segment %d, term %q: %w", s.id, term, err)
+}
+
 // postings returns the live postings for term across memory and segments.
 func (x *Index) postings(term string) ([]Posting, error) {
 	var out []Posting
@@ -722,10 +733,12 @@ func (x *Index) postings(term string) ([]Posting, error) {
 		if errors.Is(err, btree.ErrNotFound) {
 			continue
 		}
-		if err != nil {
-			return nil, err
+		if err == nil {
+			out, err = appendPostingsLive(out, v, s.dead)
 		}
-		out = appendPostingsLive(out, v, s.dead)
+		if err != nil {
+			return nil, s.errAt([]byte(term), err)
+		}
 	}
 	if ps := x.mem[term]; ps != nil {
 		out = append(out, *ps...)
@@ -734,31 +747,47 @@ func (x *Index) postings(term string) ([]Posting, error) {
 	return out, nil
 }
 
-// DocFreq returns the number of live postings for term — the planner's
-// selectivity estimate.
+// DocFreq returns the number of live postings for term, an analyzed term
+// as Tokenize returns it — the planner's selectivity estimate.
 func (x *Index) DocFreq(term string) (int, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	ps, err := x.postings(stemQuery(term))
-	if err != nil {
-		return 0, err
-	}
-	return len(ps), nil
+	ps, err := x.postings(term)
+	return len(ps), err
 }
 
-// stemQuery normalizes a query term with the same analyzer as documents.
-func stemQuery(term string) string {
-	toks := Tokenize(term)
-	if len(toks) == 0 {
-		return ""
+// Check decodes every posting list of every segment, strictly. It
+// returns one error per segment that does not read through, naming the
+// segment and the term it stopped at: a list that does not decode wraps
+// ErrCorrupt, and a page that cannot be read carries the pager's error.
+func (x *Index) Check() []error {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	var errs []error
+	var ps []Posting
+	for _, s := range x.segments {
+		cur := s.tree.NewCursor(nil, nil)
+		for {
+			term, v, ok, err := cur.Next()
+			if err == nil && ok {
+				ps, err = appendPostingsLive(ps[:0], v, nil)
+			}
+			if err != nil {
+				errs = append(errs, s.errAt(term, err))
+			}
+			if err != nil || !ok {
+				break
+			}
+		}
 	}
-	return toks[0]
+	return errs
 }
 
 // Search returns the docIDs containing every query term (conjunction),
-// ascending. Terms are analyzed with the document analyzer. The posting
-// lists are already sorted by docID, so the conjunction is a merge,
-// smallest list first; a docID a list carries twice counts once.
+// ascending. Each argument is analyzed with the document analyzer, once,
+// and every term it yields must match. The posting lists are already
+// sorted by docID, so the conjunction is a merge, smallest list first; a
+// docID a list carries twice counts once.
 func (x *Index) Search(terms ...string) ([]uint64, error) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -828,27 +857,31 @@ func (x *Index) SearchRanked(terms ...string) ([]ScoredDoc, error) {
 	return out, nil
 }
 
-// termPostings analyzes each query term and returns its live posting
-// list, shortest first; nil when there are no terms or some term matches
+// termPostings analyzes each query argument and returns the live
+// posting list of every distinct term it yields, shortest first; nil
+// when there are no arguments, one yields no term, or some term matches
 // nothing. The caller holds x.mu.
-func (x *Index) termPostings(terms []string) ([][]Posting, error) {
-	if len(terms) == 0 {
+func (x *Index) termPostings(args []string) ([][]Posting, error) {
+	if len(args) == 0 {
 		return nil, nil
 	}
-	lists := make([][]Posting, 0, len(terms))
-	for _, t := range terms {
-		qt := stemQuery(t)
-		if qt == "" {
+	lists := make([][]Posting, 0, len(args))
+	for _, arg := range args {
+		terms := Tokenize(arg)
+		if len(terms) == 0 {
 			return nil, nil
 		}
-		ps, err := x.postings(qt)
-		if err != nil {
-			return nil, err
+		slices.Sort(terms)
+		for _, term := range slices.Compact(terms) {
+			ps, err := x.postings(term)
+			if err != nil {
+				return nil, err
+			}
+			if len(ps) == 0 {
+				return nil, nil
+			}
+			lists = append(lists, ps)
 		}
-		if len(ps) == 0 {
-			return nil, nil
-		}
-		lists = append(lists, ps)
 	}
 	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
 	return lists, nil
@@ -959,48 +992,72 @@ func (x *Index) close(op *pager.Op, flush bool) error {
 
 // --- postings codec ---
 
-// appendPostings appends the encoding of sorted postings ps to dst: a
-// uvarint count followed by (delta docID, tf) uvarint pairs.
+// appendPostings appends the encoding of postings ps, whose docIDs ascend
+// strictly and are below 2^63, to dst: a uvarint count, then each posting
+// as Lucene's frequency file codes it. The gap from the previous docID
+// (from 0 for the first) is shifted left a bit, and the bit says whether
+// the term frequency is one: uvarint(gap<<1 | 1) when it is, else
+// uvarint(gap<<1) and uvarint(tf). Most postings have tf 1, so most take
+// one byte.
 func appendPostings(dst []byte, ps []Posting) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ps)))
 	var prev uint64
 	for _, p := range ps {
-		dst = binary.AppendUvarint(dst, p.DocID-prev)
-		dst = binary.AppendUvarint(dst, uint64(p.TF))
+		gap := (p.DocID - prev) << 1
+		if p.TF == 1 {
+			dst = binary.AppendUvarint(dst, gap|1)
+		} else {
+			dst = binary.AppendUvarint(dst, gap)
+			dst = binary.AppendUvarint(dst, uint64(p.TF))
+		}
 		prev = p.DocID
 	}
 	return dst
 }
 
 // appendPostingsLive decodes appendPostings output b onto dst, skipping
-// the documents dead holds; malformed input yields the successfully
-// decoded prefix.
-func appendPostingsLive(dst []Posting, b []byte, dead map[uint64]bool) []Posting {
+// the documents dead holds. Bytes that are not such an output — a count
+// they cannot hold, a posting cut short, a docID that does not ascend, a
+// tf over 32 bits, bytes after the last posting — return dst as it was
+// passed and an error wrapping ErrCorrupt.
+func appendPostingsLive(dst []Posting, b []byte, dead map[uint64]bool) ([]Posting, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return dst
+		return dst, fmt.Errorf("%w: no count", ErrCorrupt)
 	}
-	b = b[n:]
-	// A posting takes at least two bytes, which bounds a corrupt count.
-	dst = slices.Grow(dst, int(min(count, uint64(len(b)/2))))
-	var prev uint64
+	// A posting takes at least one byte, which bounds a sound count.
+	if b = b[n:]; count > uint64(len(b)) {
+		return dst, fmt.Errorf("%w: %d postings in %d bytes", ErrCorrupt, count, len(b))
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, int(count))
+	var doc uint64
 	for i := uint64(0); i < count; i++ {
-		d, n := binary.Uvarint(b)
+		code, n := binary.Uvarint(b)
 		if n <= 0 {
-			break
+			return dst[:base], fmt.Errorf("%w: posting %d of %d cut short", ErrCorrupt, i, count)
 		}
 		b = b[n:]
-		tf, n := binary.Uvarint(b)
-		if n <= 0 {
-			break
+		tf := uint64(1)
+		if code&1 == 0 {
+			if tf, n = binary.Uvarint(b); n <= 0 || tf > math.MaxUint32 {
+				return dst[:base], fmt.Errorf("%w: posting %d of %d has no 32-bit tf", ErrCorrupt, i, count)
+			}
+			b = b[n:]
 		}
-		b = b[n:]
-		prev += d
-		if !dead[prev] {
-			dst = append(dst, Posting{prev, uint32(tf)})
+		gap := code >> 1
+		if i > 0 && (gap == 0 || doc+gap < doc) {
+			return dst[:base], fmt.Errorf("%w: posting %d of %d does not ascend", ErrCorrupt, i, count)
+		}
+		doc += gap
+		if !dead[doc] {
+			dst = append(dst, Posting{doc, uint32(tf)})
 		}
 	}
-	return dst
+	if len(b) != 0 {
+		return dst[:base], fmt.Errorf("%w: %d bytes after the last of %d postings", ErrCorrupt, len(b), count)
+	}
+	return dst, nil
 }
 
 // Trees returns every btree owned by the index (manifest plus segments),

@@ -34,13 +34,10 @@ func (f *Fulltext) Remove(op *pager.Op, value []byte, oid OID) error {
 }
 
 // Lookup treats value as one search term (or a phrase of terms, all of
-// which must match).
+// which must match). Search analyzes it, once: a term analyzed twice may
+// stem again ("weddings" → "wedding" → "wedd") and name other documents.
 func (f *Fulltext) Lookup(value []byte) ([]OID, error) {
-	terms := fulltext.Tokenize(string(value))
-	if len(terms) == 0 {
-		return nil, nil
-	}
-	ids, err := f.idx.Search(terms...)
+	ids, err := f.idx.Search(string(value))
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +67,8 @@ func (f *Fulltext) Count(value []byte) (int, error) {
 	if len(terms) == 0 {
 		return 0, nil
 	}
-	// Conjunction selectivity is bounded by the rarest term.
+	// Conjunction selectivity is bounded by the rarest term. Tokenize's
+	// terms are analyzed already, as DocFreq takes them.
 	min := -1
 	for _, t := range terms {
 		df, err := f.idx.DocFreq(t)

@@ -292,6 +292,29 @@ func TestFulltextAdapter(t *testing.T) {
 	}
 }
 
+// TestFulltextAnalyzesOnce: Lookup and Count analyze the value once, as
+// documents are. Analyzed again, "weddings" → "wedding" stems on to
+// "wedd", the term of another document.
+func TestFulltextAnalyzesOnce(t *testing.T) {
+	e := newEnv(t)
+	fx, err := fulltext.Create(e.pg, e.ba, fulltext.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFulltext(fx)
+	for oid, text := range map[OID]string{1: "weddings", 2: "wedd", 3: "wedding"} {
+		if err := f.Insert(nil, []byte(text), oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := f.Lookup([]byte("weddings")); err != nil || !reflect.DeepEqual(got, []OID{1}) {
+		t.Errorf("Lookup(weddings) = %v, %v; want [1]", got, err)
+	}
+	if n, err := f.Count([]byte("weddings")); err != nil || n != 1 {
+		t.Errorf("Count(weddings) = %d, %v; want 1", n, err)
+	}
+}
+
 func makeBitmap(t *testing.T, w, h int, f func(x, y int) byte) []byte {
 	t.Helper()
 	px := make([]byte, w*h)
