@@ -394,8 +394,8 @@ func execute(st *hfad.Store, cmd []string) error {
 			return err
 		}
 		if rep.Ok() {
-			fmt.Printf("clean: %d objects, %d extents (%d holes) on %d extent pages below their rows, %d metadata pages, %d used / %d free blocks\n",
-				rep.Objects, rep.Extents, rep.Holes, rep.ExtentPages, rep.MetadataPages, rep.UsedBlocks, rep.FreeBlocks)
+			fmt.Printf("clean: %d objects, %d extents (%d holes) on %d extent pages below their rows, %d metadata pages, %d used / %d free sectors\n",
+				rep.Objects, rep.Extents, rep.Holes, rep.ExtentPages, rep.MetadataPages, rep.UsedSectors, rep.FreeSectors)
 			return nil
 		}
 		for _, p := range rep.Problems {

@@ -9,6 +9,7 @@
 //	hfadfsck          # healthy + corrupted demonstration
 //	hfadfsck -crash   # crash-injection + recovery + fsck demonstration
 //	hfadfsck -extents # extent-tree structural verification demonstration
+//	hfadfsck -slots   # per-sector ownership of packed small objects
 //	hfadfsck -scrub   # checksum scrub over seeded media corruption
 package main
 
@@ -17,9 +18,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/hfad"
 	"repro/internal/blockdev"
+	"repro/internal/core"
+	"repro/internal/extent"
 	"repro/internal/osd"
 )
 
@@ -27,6 +31,7 @@ func main() {
 	crash := flag.Bool("crash", false, "demonstrate crash recovery instead of corruption detection")
 	extents := flag.Bool("extents", false, "demonstrate extent-tree structural verification")
 	scrub := flag.Bool("scrub", false, "demonstrate the checksum scrub over seeded media corruption")
+	slots := flag.Bool("slots", false, "demonstrate per-sector ownership checks of packed small objects")
 	flag.Parse()
 	var err error
 	switch {
@@ -34,6 +39,8 @@ func main() {
 		err = crashDemo()
 	case *extents:
 		err = extentDemo()
+	case *slots:
+		err = slotDemo()
 	case *scrub:
 		err = scrubDemo()
 	default:
@@ -75,8 +82,8 @@ func report(st *hfad.Store) error {
 		return err
 	}
 	if rep.Ok() {
-		fmt.Printf("  clean: %d objects, %d extents on %d extent pages below their rows, %d metadata pages, %d used + %d free blocks\n",
-			rep.Objects, rep.Extents, rep.ExtentPages, rep.MetadataPages, rep.UsedBlocks, rep.FreeBlocks)
+		fmt.Printf("  clean: %d objects, %d extents on %d extent pages below their rows, %d metadata pages, %d used + %d free sectors\n",
+			rep.Objects, rep.Extents, rep.ExtentPages, rep.MetadataPages, rep.UsedSectors, rep.FreeSectors)
 		return nil
 	}
 	fmt.Printf("  %d problem(s):\n", len(rep.Problems))
@@ -274,6 +281,76 @@ func extentDemo() error {
 		// leak while the claimed range collides with its neighbour's.
 		alloc := binary.LittleEndian.Uint64(leaf[hdrSize:])
 		binary.LittleEndian.PutUint64(leaf[hdrSize:], alloc+1)
+	})
+}
+
+// slotDemo packs four small objects into one block with a Batch, then
+// plants two faults the checker must name per sector: a slot two objects
+// claim, and a slot whose sectors the allocator holds free.
+func slotDemo() error {
+	build := func() (*hfad.Store, []hfad.OID, error) {
+		st, err := hfad.Create(blockdev.NewMem(1<<13, blockdev.DefaultBlockSize), hfad.Options{})
+		if err != nil {
+			return nil, nil, err
+		}
+		var oids []hfad.OID
+		err = st.Batch(func(b *hfad.Batch) error {
+			for i := 0; i < 4; i++ {
+				obj, err := b.CreateObject("slots")
+				if err != nil {
+					return err
+				}
+				oids = append(oids, obj.OID())
+				err = b.Append(obj, []byte(strings.Repeat(fmt.Sprint(i), 1000)))
+				obj.Close()
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		return st, oids, err
+	}
+	scenario := func(label string, plant func(v *core.Volume, oids []hfad.OID) error) error {
+		fmt.Printf("== %s ==\n", label)
+		st, oids, err := build()
+		if err != nil {
+			return err
+		}
+		if plant != nil {
+			if err := plant(st.Volume(), oids); err != nil {
+				return err
+			}
+		}
+		return report(st)
+	}
+	if err := scenario("four 1000-byte objects packed into one block", nil); err != nil {
+		return err
+	}
+	if err := scenario("a slot two objects claim: object 2's row names object 1's slot", func(v *core.Volume, oids []hfad.OID) error {
+		key := func(oid hfad.OID) []byte { return binary.BigEndian.AppendUint64(nil, uint64(oid)) }
+		row, err := v.OSD.MetaTree().Get(key(oids[0]))
+		if err != nil {
+			return err
+		}
+		return v.OSD.MetaTree().PutOp(nil, key(oids[1]), row)
+	}); err != nil {
+		return err
+	}
+	return scenario("a slot on free sectors: object 3's slot handed back to the allocator", func(v *core.Volume, oids []hfad.OID) error {
+		obj, err := v.OSD.OpenObject(oids[2])
+		if err != nil {
+			return err
+		}
+		defer obj.Close()
+		var slot extent.Extent
+		if err := obj.ExtentTree().Extents(func(_ uint64, e extent.Extent) bool { slot = e; return false }); err != nil {
+			return err
+		}
+		if err := v.Allocator().FreeSectors(slot.Sector, uint64(slot.Sectors)); err != nil {
+			return err
+		}
+		return v.Allocator().ReleaseLimbo()
 	})
 }
 

@@ -122,6 +122,37 @@ func TestChaosMediaFaults(t *testing.T) {
 
 	for i := 0; i < ops; i++ {
 		switch op := rng.IntN(10); {
+		case op < 1: // a batch of small objects, packed into shared blocks
+			contents := make([][]byte, 1+rng.IntN(5))
+			for j := range contents {
+				contents[j] = body(50 + rng.IntN(2000))
+			}
+			var made []hfad.OID
+			berr := st.Batch(func(b *hfad.Batch) error {
+				for _, c := range contents {
+					obj, err := b.CreateObject("chaos")
+					if err != nil {
+						return err
+					}
+					made = append(made, obj.OID())
+					err = b.Append(obj, c)
+					obj.Close()
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if berr != nil {
+				if !typedChaosErr(berr) {
+					t.Fatalf("op %d batch: untyped error %v", i, berr)
+				}
+				continue // rolled back: nothing acked
+			}
+			for j, oid := range made {
+				oracle[oid] = contents[j]
+				oids = append(oids, oid)
+			}
 		case op < 4 || len(oids) == 0: // create
 			obj, err := st.CreateObject("chaos")
 			if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/buddy"
 	"repro/internal/pager"
 	"repro/internal/redo"
 	"repro/internal/undo"
@@ -26,12 +27,12 @@ type PageAllocator interface {
 // pager.BlockAllocator.
 type pageRuns struct{ a PageAllocator }
 
-func (r pageRuns) Alloc(uint64) (uint64, error) { return r.a.AllocPage() }
-func (r pageRuns) Free(addr, _ uint64) error    { return r.a.FreePage(addr) }
+func (r pageRuns) Alloc(uint64) (uint64, error)  { return r.a.AllocPage() }
+func (r pageRuns) FreeSectors(s, _ uint64) error { return r.a.FreePage(s >> buddy.SectorShift) }
 
-// AllocAt is never asked of a tree's Space: the runs a dropped tree gave
-// up come back through the volume allocator's (Space.Reclaim).
-func (r pageRuns) AllocAt(uint64, uint64) error { return errors.ErrUnsupported }
+// AllocSectorsAt is never asked of a tree's Space: the runs a dropped tree
+// gave up come back through the volume allocator's (Space.Reclaim).
+func (r pageRuns) AllocSectorsAt(uint64, uint64) error { return errors.ErrUnsupported }
 
 // Header page field offsets.
 const (

@@ -4,6 +4,19 @@
 // managed range, merges freed buddies eagerly, and can snapshot and restore
 // its state so a volume can persist allocator state across open/close.
 //
+// The allocator counts in sectors, an eighth of a block each (512 bytes
+// at 4 KiB blocks), so that a block carved into slots — aligned
+// power-of-two parts of one block, the way FFS splits a block into
+// fragments — needs no structure of its own: limbo, the snapshot,
+// AllocSectorsAt, FromUsedSectors, IsFreeSectors and CheckFreeIntegrity
+// cover a slot as they cover a run of blocks. One rule keeps slots
+// write-once: Alloc never returns less than a block. A run smaller than a
+// block comes only from carving a block its owner has just allocated;
+// once freed it waits on a free list until its buddies are freed too and
+// the block coalesces. A block that holds a live slot is therefore never
+// handed out again. The free sectors of such a block are stranded: free,
+// but of no use to Alloc until the block coalesces (Stats.Stranded).
+//
 // Free lists are kept as sorted slices so allocation order is deterministic
 // (lowest address first), which keeps layout experiments reproducible.
 package buddy
@@ -26,18 +39,26 @@ var (
 	ErrDoubleFree = errors.New("buddy: double free")
 )
 
-const maxOrders = 48 // supports up to 2^47 blocks; far beyond any test device
+const maxOrders = 51 // supports up to 2^50 sectors; far beyond any test device
 
-// Allocator manages the block range [Base, Base+Size).
+// SectorShift is log2 of SectorsPerBlock.
+const SectorShift = 3
+
+// SectorsPerBlock is the number of sectors in a block: the allocator's
+// unit is a sector, and a whole block is a run of order SectorShift.
+const SectorsPerBlock = 1 << SectorShift
+
+// Allocator manages the block range [Base, Base+Size), which is the sector
+// range [Base*SectorsPerBlock, (Base+Size)*SectorsPerBlock).
 type Allocator struct {
 	mu   sync.Mutex
-	base uint64
-	size uint64
-	// free[k] holds sorted base-relative addresses of free chunks of
-	// 2^k blocks.
+	base uint64 // in blocks
+	size uint64 // in blocks
+	// free[k] holds sorted base-relative sector addresses of free chunks
+	// of 2^k sectors.
 	free [maxOrders][]uint64
 
-	freeBlocks  uint64
+	freeSectors uint64
 	allocCalls  uint64
 	freeCalls   uint64
 	splitCount  uint64
@@ -56,8 +77,8 @@ type Allocator struct {
 	// gone; the checkpoint's snapshot already counts it free
 	// (SnapshotReleased).
 	deferFrees bool
-	limbo      map[uint64]uint64 // parked run address → the n it was freed with
-	limboTotal uint64
+	limbo      map[uint64]uint64 // parked run's first sector → the sectors it was freed with
+	limboTotal uint64            // in sectors
 }
 
 // New creates an allocator over [base, base+size). Size need not be a
@@ -65,23 +86,30 @@ type Allocator struct {
 // chunks.
 func New(base, size uint64) *Allocator {
 	a := &Allocator{base: base, size: size}
-	// Decompose [0, size) into maximal chunks aligned to their own size.
-	addr := uint64(0)
-	for addr < size {
-		// Largest order allowed by alignment of addr.
+	a.addGap(0, a.sectors())
+	return a
+}
+
+// sectors is the size of the managed range in sectors.
+func (a *Allocator) sectors() uint64 { return a.size << SectorShift }
+
+// addGap puts the free sectors [lo, hi) on the free lists as maximal
+// chunks aligned to their own size.
+func (a *Allocator) addGap(lo, hi uint64) {
+	for lo < hi {
+		// Largest order allowed by alignment of lo.
 		k := maxOrders - 1
-		if addr != 0 && bits.TrailingZeros64(addr) < k {
-			k = bits.TrailingZeros64(addr)
+		if lo != 0 && bits.TrailingZeros64(lo) < k {
+			k = bits.TrailingZeros64(lo)
 		}
 		// Largest order that fits in the remaining space.
-		for k > 0 && addr+(uint64(1)<<k) > size {
+		for k > 0 && lo+(uint64(1)<<k) > hi {
 			k--
 		}
-		a.free[k] = append(a.free[k], addr)
-		addr += uint64(1) << k
+		a.free[k] = append(a.free[k], lo)
+		a.freeSectors += uint64(1) << k
+		lo += uint64(1) << k
 	}
-	a.freeBlocks = size
-	return a
 }
 
 // Base returns the first managed block address.
@@ -112,12 +140,13 @@ func (a *Allocator) FreePage(no uint64) error { return a.Free(no, 1) }
 
 // Alloc reserves a run of at least n blocks and returns its absolute
 // starting block address. The reservation is RoundUp(n) blocks; Free must
-// be called with the same n (or its round-up).
+// be called with the same n (or its round-up). It never returns less than
+// a block, so it never takes a chunk a carved block's free slots left.
 func (a *Allocator) Alloc(n uint64) (uint64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("%w: zero-length alloc", ErrBadSize)
 	}
-	k := orderFor(n)
+	k := orderFor(n) + SectorShift
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// Find the smallest order >= k with a free chunk.
@@ -127,7 +156,7 @@ func (a *Allocator) Alloc(n uint64) (uint64, error) {
 	}
 	if j >= maxOrders {
 		a.failedAlloc++
-		return 0, fmt.Errorf("%w: want %d blocks (order %d), %d free", ErrNoSpace, n, k, a.freeBlocks)
+		return 0, fmt.Errorf("%w: want %d blocks, %d free", ErrNoSpace, n, a.freeBlocksLocked())
 	}
 	// Take the lowest-addressed chunk at order j.
 	addr := a.free[j][0]
@@ -140,26 +169,28 @@ func (a *Allocator) Alloc(n uint64) (uint64, error) {
 		a.insertFree(j, upper)
 	}
 	a.allocCalls++
-	a.freeBlocks -= uint64(1) << k
-	return a.base + addr, nil
+	a.freeSectors -= uint64(1) << k
+	return a.base + addr>>SectorShift, nil
 }
 
-// AllocAt reserves the specific run [addr, addr+RoundUp(n)). It is the
-// redo of a logged allocation — recovery restores a checkpoint's snapshot
-// and replays the log tail's allocations onto it, so it must take exactly
-// the blocks the original Alloc took — and the inverse of a free that is
-// rolled back. A run a deferred free parked in limbo comes back out of
-// limbo; any other run must be wholly free.
-func (a *Allocator) AllocAt(addr, n uint64) error {
+// AllocSectorsAt reserves the specific run of sectors [addr,
+// addr+RoundUp(n)).
+// It is the redo of a logged allocation — recovery restores a
+// checkpoint's snapshot and replays the log tail's allocations onto it,
+// so it must take exactly the sectors the original allocation took — and
+// the inverse of a free that is rolled back. A run a deferred free parked
+// in limbo comes back out of limbo; any other run must be wholly free.
+func (a *Allocator) AllocSectorsAt(addr, n uint64) error {
 	if n == 0 {
 		return fmt.Errorf("%w: zero-length alloc", ErrBadSize)
 	}
 	k := orderFor(n)
 	sz := uint64(1) << k
-	if addr < a.base || addr-a.base+sz > a.size || (addr-a.base)&(sz-1) != 0 {
+	sbase := a.base << SectorShift
+	if addr < sbase || addr-sbase+sz > a.sectors() || (addr-sbase)&(sz-1) != 0 {
 		return fmt.Errorf("%w: run [%d,+%d) outside range or misaligned", ErrBadFree, addr, sz)
 	}
-	rel := addr - a.base
+	rel := addr - sbase
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if parked, ok := a.limbo[addr]; ok && RoundUp(parked) == sz {
@@ -188,10 +219,10 @@ func (a *Allocator) AllocAt(addr, n uint64) error {
 			}
 		}
 		a.allocCalls++
-		a.freeBlocks -= sz
+		a.freeSectors -= sz
 		return nil
 	}
-	return fmt.Errorf("%w: run [%d,+%d) is not free", ErrBadFree, rel, sz)
+	return fmt.Errorf("%w: sector run [%d,+%d) is not free", ErrBadFree, rel, sz)
 }
 
 // SetDeferredFrees toggles limbo mode (see the field comment). Frees
@@ -202,13 +233,21 @@ func (a *Allocator) SetDeferredFrees(on bool) {
 	a.mu.Unlock()
 }
 
-// LimboBlocks returns the number of blocks parked by deferred frees.
-// fsck counts them alongside free blocks: they are owned by no structure
-// but not yet reusable.
+// LimboBlocks returns the number of whole blocks' worth of sectors parked
+// by deferred frees.
 func (a *Allocator) LimboBlocks() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.limboTotal
+	return a.limboTotal >> SectorShift
+}
+
+// SectorCounts returns the free sectors (stranded ones included) and the
+// sectors parked by deferred frees. fsck counts limbo alongside free
+// space: it is owned by no structure but not yet reusable.
+func (a *Allocator) SectorCounts() (free, limbo uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.freeSectors, a.limboTotal
 }
 
 // ReleaseLimbo performs every deferred free, in address order. Call only
@@ -240,15 +279,25 @@ func (a *Allocator) limboRunsLocked() [][2]uint64 {
 	return runs
 }
 
-// Free releases the run previously returned by Alloc(addr, n). The n must
-// match the allocation request (any value with the same RoundUp). In
-// deferred mode the run is parked in limbo until ReleaseLimbo.
+// Free releases the run previously returned by Alloc(addr, n): FreeSectors
+// for a run of whole blocks.
 func (a *Allocator) Free(addr, n uint64) error {
+	return a.FreeSectors(addr<<SectorShift, n<<SectorShift)
+}
+
+// FreeSectors releases the run of sectors at addr that an allocation took:
+// a run of whole blocks Alloc returned, or a slot carved from a block its
+// owner allocated. The n must match that run (any value with the same
+// RoundUp): a slot is freed with its own size, never as part of its
+// block. Freed sectors merge with their free buddies, so a block whose
+// every slot is free is a whole free block again. In deferred mode the
+// run is parked in limbo until ReleaseLimbo.
+func (a *Allocator) FreeSectors(addr, n uint64) error {
 	a.mu.Lock()
 	if a.deferFrees {
 		defer a.mu.Unlock()
 		if _, ok := a.limbo[addr]; ok {
-			return fmt.Errorf("%w: [%d,+%d) is already in limbo", ErrDoubleFree, addr, RoundUp(n))
+			return fmt.Errorf("%w: sectors [%d,+%d) are already in limbo", ErrDoubleFree, addr, RoundUp(n))
 		}
 		if a.limbo == nil {
 			a.limbo = make(map[uint64]uint64)
@@ -266,29 +315,30 @@ func (a *Allocator) freeNow(addr, n uint64) error {
 	if n == 0 {
 		return fmt.Errorf("%w: zero-length free", ErrBadSize)
 	}
-	if addr < a.base {
-		return fmt.Errorf("%w: address %d below base %d", ErrBadFree, addr, a.base)
+	sbase := a.base << SectorShift
+	if addr < sbase {
+		return fmt.Errorf("%w: sector %d below base %d", ErrBadFree, addr, sbase)
 	}
-	rel := addr - a.base
+	rel := addr - sbase
 	k := orderFor(n)
 	sz := uint64(1) << k
-	if rel+sz > a.size {
-		return fmt.Errorf("%w: [%d,+%d) beyond range size %d", ErrBadFree, rel, sz, a.size)
+	if rel+sz > a.sectors() {
+		return fmt.Errorf("%w: sectors [%d,+%d) beyond range size %d", ErrBadFree, rel, sz, a.sectors())
 	}
 	if rel&(sz-1) != 0 {
-		return fmt.Errorf("%w: address %d not aligned to order %d", ErrBadFree, addr, k)
+		return fmt.Errorf("%w: sector %d not aligned to order %d", ErrBadFree, addr, k)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.overlapsFreeLocked(rel, k) {
-		return fmt.Errorf("%w: [%d,+%d)", ErrDoubleFree, rel, sz)
+		return fmt.Errorf("%w: sectors [%d,+%d)", ErrDoubleFree, rel, sz)
 	}
 	a.freeCalls++
-	a.freeBlocks += sz
+	a.freeSectors += sz
 	// Merge with buddy while possible.
 	for k < maxOrders-1 {
 		buddy := rel ^ (uint64(1) << k)
-		if buddy+(uint64(1)<<k) > a.size {
+		if buddy+(uint64(1)<<k) > a.sectors() {
 			break
 		}
 		if !a.removeFree(k, buddy) {
@@ -345,9 +395,15 @@ func (a *Allocator) removeFree(k int, rel uint64) bool {
 
 // Stats describes allocator occupancy and churn.
 type Stats struct {
-	Base, Size   uint64
-	FreeBlocks   uint64
-	UsedBlocks   uint64
+	Base, Size uint64
+	// FreeBlocks counts the whole free blocks, which Alloc can hand out;
+	// UsedBlocks every other block: each holds a live sector, or one
+	// parked in limbo.
+	FreeBlocks uint64
+	UsedBlocks uint64
+	// Stranded counts the free sectors of used blocks: a carved block's
+	// freed slots, which wait for the rest of their block.
+	Stranded     uint64
 	LargestFree  uint64 // blocks in the largest free chunk
 	FreeChunks   int
 	AllocCalls   uint64
@@ -356,6 +412,9 @@ type Stats struct {
 	Merges       uint64
 	FailedAllocs uint64
 }
+
+// StrandedBlocks is Stranded in blocks.
+func (s Stats) StrandedBlocks() float64 { return float64(s.Stranded) / SectorsPerBlock }
 
 // Fragmentation returns 1 - largestFree/freeBlocks, the standard external
 // fragmentation metric (0 when all free space is one chunk).
@@ -370,21 +429,23 @@ func (s Stats) Fragmentation() float64 {
 func (a *Allocator) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	free := a.freeBlocksLocked()
 	s := Stats{
 		Base:         a.base,
 		Size:         a.size,
-		FreeBlocks:   a.freeBlocks,
-		UsedBlocks:   a.size - a.freeBlocks,
+		FreeBlocks:   free,
+		UsedBlocks:   a.size - free,
+		Stranded:     a.freeSectors - free<<SectorShift,
 		AllocCalls:   a.allocCalls,
 		FreeCalls:    a.freeCalls,
 		Splits:       a.splitCount,
 		Merges:       a.mergeCount,
 		FailedAllocs: a.failedAlloc,
 	}
-	for k := maxOrders - 1; k >= 0; k-- {
+	for k := maxOrders - 1; k >= SectorShift; k-- {
 		if n := len(a.free[k]); n > 0 {
 			if s.LargestFree == 0 {
-				s.LargestFree = uint64(1) << k
+				s.LargestFree = uint64(1) << (k - SectorShift)
 			}
 			s.FreeChunks += n
 		}
@@ -392,17 +453,28 @@ func (a *Allocator) Stats() Stats {
 	return s
 }
 
-// FreeBlocks returns the number of free blocks.
+// FreeBlocks returns the number of whole free blocks.
 func (a *Allocator) FreeBlocks() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.freeBlocks
+	return a.freeBlocksLocked()
+}
+
+// freeBlocksLocked sums the free chunks of a block or more. Buddies merge
+// eagerly, so a block with no used sector is always one such chunk or part
+// of one: the smaller chunks are exactly the stranded sectors.
+func (a *Allocator) freeBlocksLocked() uint64 {
+	stranded := uint64(0)
+	for k := 0; k < SectorShift; k++ {
+		stranded += uint64(len(a.free[k])) << k
+	}
+	return (a.freeSectors - stranded) >> SectorShift
 }
 
 const snapMagic = 0xb0dd1e5a
 
-// Snapshot serializes the allocator's free lists. The snapshot is
-// self-describing and validated on Restore.
+// Snapshot serializes the allocator's free lists, in sectors. The
+// snapshot is self-describing and validated on Restore.
 func (a *Allocator) Snapshot() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -431,7 +503,7 @@ func (a *Allocator) Snapshot() []byte {
 // is not changed.
 func (a *Allocator) SnapshotReleased() ([]byte, error) {
 	a.mu.Lock()
-	c := &Allocator{base: a.base, size: a.size, freeBlocks: a.freeBlocks}
+	c := &Allocator{base: a.base, size: a.size, freeSectors: a.freeSectors}
 	for k := range a.free {
 		c.free[k] = append([]uint64(nil), a.free[k]...)
 	}
@@ -469,13 +541,17 @@ func Restore(data []byte) (*Allocator, error) {
 		return nil, err
 	}
 	a := &Allocator{base: base, size: size}
+	sectors := a.sectors()
+	if sectors>>SectorShift != size {
+		return nil, ErrCorrupt
+	}
 	var freeTotal uint64
 	for k := 0; k < maxOrders; k++ {
 		n, err := get64()
 		if err != nil {
 			return nil, err
 		}
-		if n > size {
+		if n > sectors {
 			return nil, ErrCorrupt
 		}
 		fl := make([]uint64, n)
@@ -484,8 +560,8 @@ func Restore(data []byte) (*Allocator, error) {
 			if err != nil {
 				return nil, err
 			}
-			if v+(uint64(1)<<k) > size {
-				return nil, fmt.Errorf("%w: chunk beyond range", ErrCorrupt)
+			if v+(uint64(1)<<k) > sectors || v&(uint64(1)<<k-1) != 0 {
+				return nil, fmt.Errorf("%w: chunk beyond range or misaligned", ErrCorrupt)
 			}
 			fl[i] = v
 		}
@@ -495,10 +571,10 @@ func Restore(data []byte) (*Allocator, error) {
 		a.free[k] = fl
 		freeTotal += n << k
 	}
-	if freeTotal > size {
-		return nil, fmt.Errorf("%w: free total %d exceeds size %d", ErrCorrupt, freeTotal, size)
+	if freeTotal > sectors {
+		return nil, fmt.Errorf("%w: free total %d exceeds size %d", ErrCorrupt, freeTotal, sectors)
 	}
-	a.freeBlocks = freeTotal
+	a.freeSectors = freeTotal
 	return a, nil
 }
 
@@ -518,39 +594,42 @@ func (a *Allocator) ReplaceWith(src *Allocator) error {
 	for k := range a.free {
 		a.free[k] = append([]uint64(nil), src.free[k]...)
 	}
-	a.freeBlocks = src.freeBlocks
+	a.freeSectors = src.freeSectors
 	a.limbo, a.limboTotal = nil, 0
 	return nil
 }
 
-// IsFree reports whether any block of [addr, addr+n) is currently on a
+// IsFreeSectors reports whether any sector of [s, s+n) is currently on a
 // free list. Used by fsck to cross-check reachability against allocation.
-func (a *Allocator) IsFree(addr, n uint64) bool {
-	if addr < a.base {
+func (a *Allocator) IsFreeSectors(s, n uint64) bool {
+	sbase := a.base << SectorShift
+	if s < sbase {
 		return false
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	k := orderFor(n)
-	return a.overlapsFreeLocked(addr-a.base, k)
+	return a.overlapsFreeLocked(s-sbase, orderFor(n))
 }
 
-// FromUsed reconstructs an allocator for [base, base+size) in which the
-// given absolute block ranges are allocated and everything else is free.
-// This is the allocator's definition — what fsck holds it to — and the
-// volume's repair when a crashed device offers no snapshot to restore:
-// walk all reachable structures and rebuild allocator state from them.
-// Ranges may be unsorted but must not overlap or leave the region.
-func FromUsed(base, size uint64, used [][2]uint64) (*Allocator, error) {
+// FromUsedSectors reconstructs an allocator for the blocks [base,
+// base+size) in which the given absolute sector ranges are allocated and
+// everything else is free. This is the allocator's definition — what
+// fsck holds it to — and the volume's repair when a crashed device offers
+// no snapshot to restore: walk all reachable structures and rebuild
+// allocator state from them. Ranges may be unsorted but must not overlap
+// or leave the region.
+func FromUsedSectors(base, size uint64, used [][2]uint64) (*Allocator, error) {
+	a := &Allocator{base: base, size: size}
+	sbase, sectors := base<<SectorShift, a.sectors()
 	rel := make([][2]uint64, 0, len(used))
 	for _, r := range used {
 		if r[1] <= r[0] {
 			return nil, fmt.Errorf("%w: empty used range", ErrBadSize)
 		}
-		if r[0] < base || r[1] > base+size {
-			return nil, fmt.Errorf("%w: used range [%d,%d) outside region", ErrBadFree, r[0], r[1])
+		if r[0] < sbase || r[1] > sbase+sectors {
+			return nil, fmt.Errorf("%w: used sectors [%d,%d) outside region", ErrBadFree, r[0], r[1])
 		}
-		rel = append(rel, [2]uint64{r[0] - base, r[1] - base})
+		rel = append(rel, [2]uint64{r[0] - sbase, r[1] - sbase})
 	}
 	sort.Slice(rel, func(i, j int) bool { return rel[i][0] < rel[j][0] })
 	for i := 1; i < len(rel); i++ {
@@ -558,47 +637,34 @@ func FromUsed(base, size uint64, used [][2]uint64) (*Allocator, error) {
 			return nil, fmt.Errorf("%w: overlapping used ranges", ErrBadFree)
 		}
 	}
-	a := &Allocator{base: base, size: size}
-	addGap := func(lo, hi uint64) {
-		for lo < hi {
-			k := maxOrders - 1
-			if lo != 0 && bits.TrailingZeros64(lo) < k {
-				k = bits.TrailingZeros64(lo)
-			}
-			for k > 0 && lo+(uint64(1)<<k) > hi {
-				k--
-			}
-			a.free[k] = append(a.free[k], lo)
-			a.freeBlocks += uint64(1) << k
-			lo += uint64(1) << k
-		}
-	}
 	cursor := uint64(0)
 	for _, r := range rel {
 		if cursor < r[0] {
-			addGap(cursor, r[0])
+			a.addGap(cursor, r[0])
 		}
 		cursor = r[1]
 	}
-	if cursor < size {
-		addGap(cursor, size)
+	if cursor < sectors {
+		a.addGap(cursor, sectors)
 	}
 	return a, nil
 }
 
-// CheckFreeIntegrity verifies that no two free chunks overlap and that all
-// lie within the managed range. It is O(chunks log chunks); used by fsck
-// and property tests.
+// CheckFreeIntegrity verifies that no two free chunks overlap, that all
+// lie within the managed range, and that the free count is their sum. It
+// is O(chunks log chunks); used by fsck and property tests.
 func (a *Allocator) CheckFreeIntegrity() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	type chunk struct{ lo, hi uint64 }
 	var chunks []chunk
+	var total uint64
 	for k := 0; k < maxOrders; k++ {
 		sz := uint64(1) << k
+		total += uint64(len(a.free[k])) << k
 		for _, addr := range a.free[k] {
-			if addr+sz > a.size {
-				return fmt.Errorf("buddy: free chunk [%d,+%d) beyond size %d", addr, sz, a.size)
+			if addr+sz > a.sectors() {
+				return fmt.Errorf("buddy: free chunk [%d,+%d) beyond size %d", addr, sz, a.sectors())
 			}
 			if addr&(sz-1) != 0 {
 				return fmt.Errorf("buddy: free chunk %d misaligned for order %d", addr, k)
@@ -612,6 +678,9 @@ func (a *Allocator) CheckFreeIntegrity() error {
 			return fmt.Errorf("buddy: overlapping free chunks [%d,%d) and [%d,%d)",
 				chunks[i-1].lo, chunks[i-1].hi, chunks[i].lo, chunks[i].hi)
 		}
+	}
+	if total != a.freeSectors {
+		return fmt.Errorf("buddy: free lists hold %d sectors, the count says %d", total, a.freeSectors)
 	}
 	return nil
 }

@@ -369,14 +369,14 @@ func TestDeferredFreesLimbo(t *testing.T) {
 	if a.LimboBlocks() != 4 {
 		t.Fatalf("LimboBlocks = %d, want 4", a.LimboBlocks())
 	}
-	if a.IsFree(p, 4) {
+	if isFree(a, p, 4) {
 		t.Fatal("limbo run reported free")
 	}
 	if err := a.ReleaseLimbo(); err != nil {
 		t.Fatal(err)
 	}
-	if a.LimboBlocks() != 0 || !a.IsFree(p, 4) {
-		t.Fatalf("after release: limbo=%d free=%v", a.LimboBlocks(), a.IsFree(p, 4))
+	if a.LimboBlocks() != 0 || !isFree(a, p, 4) {
+		t.Fatalf("after release: limbo=%d free=%v", a.LimboBlocks(), isFree(a, p, 4))
 	}
 	if err := a.CheckFreeIntegrity(); err != nil {
 		t.Fatal(err)
@@ -438,7 +438,7 @@ func TestAllocAtReplaysHistory(t *testing.T) {
 		if e.free {
 			err = b.Free(e.addr, e.n)
 		} else {
-			err = b.AllocAt(e.addr, e.n)
+			err = allocAt(b, e.addr, e.n)
 		}
 		if err != nil {
 			t.Fatalf("tail event %d (%+v): %v", i, e, err)
@@ -451,7 +451,7 @@ func TestAllocAtReplaysHistory(t *testing.T) {
 	for _, r := range live {
 		used = append(used, [2]uint64{r.addr, r.addr + RoundUp(r.n)})
 	}
-	w, err := FromUsed(base, size, used)
+	w, err := fromUsed(base, size, used)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,17 +481,17 @@ func TestAllocAtRejects(t *testing.T) {
 		{"below base", 2, 1},
 		{"beyond range", 10 + 64, 1},
 	} {
-		if err := a.AllocAt(c.addr, c.n); !errors.Is(err, ErrBadFree) {
+		if err := allocAt(a, c.addr, c.n); !errors.Is(err, ErrBadFree) {
 			t.Errorf("%s: AllocAt(%d,%d) = %v, want ErrBadFree", c.name, c.addr, c.n, err)
 		}
 	}
-	if err := a.AllocAt(10+32, 0); !errors.Is(err, ErrBadSize) {
+	if err := allocAt(a, 10+32, 0); !errors.Is(err, ErrBadSize) {
 		t.Errorf("zero-length AllocAt = %v, want ErrBadSize", err)
 	}
-	if err := a.AllocAt(10+32, 16); err != nil {
+	if err := allocAt(a, 10+32, 16); err != nil {
 		t.Fatalf("AllocAt of a free run: %v", err)
 	}
-	if a.IsFree(10+32, 16) || a.FreeBlocks() != 64-4-16 {
+	if isFree(a, 10+32, 16) || a.FreeBlocks() != 64-4-16 {
 		t.Fatalf("after AllocAt: free=%d", a.FreeBlocks())
 	}
 }
@@ -572,4 +572,22 @@ func TestReleaseLimboFreesInAddressOrder(t *testing.T) {
 	if got := a.FreeBlocks(); got != 1024-64+41 {
 		t.Fatalf("%d blocks free, want the runs below the bad one freed (%d)", got, 1024-64+41)
 	}
+}
+
+// allocAt, isFree and fromUsed are AllocSectorsAt, IsFreeSectors and
+// FromUsedSectors for runs of whole blocks.
+func allocAt(a *Allocator, addr, n uint64) error {
+	return a.AllocSectorsAt(addr*SectorsPerBlock, n*SectorsPerBlock)
+}
+
+func isFree(a *Allocator, addr, n uint64) bool {
+	return a.IsFreeSectors(addr*SectorsPerBlock, n*SectorsPerBlock)
+}
+
+func fromUsed(base, size uint64, used [][2]uint64) (*Allocator, error) {
+	sectors := make([][2]uint64, len(used))
+	for i, r := range used {
+		sectors[i] = [2]uint64{r[0] * SectorsPerBlock, r[1] * SectorsPerBlock}
+	}
+	return FromUsedSectors(base, size, sectors)
 }

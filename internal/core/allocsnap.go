@@ -160,18 +160,19 @@ func (v *Volume) wipeAllocSlots() error {
 	return nil
 }
 
-// allocRec is one redo.KindAlloc record of the log tail.
+// allocRec is one redo.KindAlloc record of the log tail: a run of n
+// sectors at sector addr.
 type allocRec struct {
 	free    bool
 	addr, n uint64
 }
 
 func decodeAllocRec(r redo.Record) (allocRec, error) {
-	free, n, err := redo.DecodeAlloc(r.Data)
+	free, addr, n, err := redo.DecodeAlloc(r.Page, r.Data)
 	if err != nil {
 		return allocRec{}, fmt.Errorf("%w: %v", ErrBadSuperblock, err)
 	}
-	return allocRec{free: free, addr: r.Page, n: n}, nil
+	return allocRec{free: free, addr: addr, n: n}, nil
 }
 
 // replayAllocator rebuilds the allocator from a slot payload plus the
@@ -187,9 +188,9 @@ func replayAllocator(payload []byte, tail []allocRec) (*buddy.Allocator, error) 
 	ba.SetDeferredFrees(true)
 	for _, r := range tail {
 		if r.free {
-			err = ba.Free(r.addr, r.n)
+			err = ba.FreeSectors(r.addr, r.n)
 		} else {
-			err = ba.AllocAt(r.addr, r.n)
+			err = ba.AllocSectorsAt(r.addr, r.n)
 		}
 		if err != nil {
 			return nil, err

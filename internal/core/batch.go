@@ -29,6 +29,12 @@ import (
 // A Batch keeps a copy of the bytes it writes to objects it created, so
 // IndexContent indexes them without reading back what it was just given
 // (see IndexContent).
+//
+// A Batch packs the small objects it creates: the first write to an
+// empty object, when it fits half a block, goes into a slot of a block
+// the batch shares among such objects, and that block is written once,
+// when it is full or the batch ends (pager.Space.Slot). Two 2 KiB
+// documents thus cost one data block write, not two.
 type Batch struct {
 	v    *Volume
 	op   *pager.Op
@@ -70,11 +76,16 @@ func (v *Volume) Batch(fn func(*Batch) error) error {
 	}
 	defer unlock()
 	return v.withOp(func(op *pager.Op) error {
+		op.StartPacking()
 		b := &Batch{v: v, op: op, puts: make(map[index.Store][]index.Put), texts: make(map[OID][]byte)}
-		if err := fn(b); err != nil {
-			return err
+		err := fn(b)
+		if err == nil {
+			err = b.flush()
 		}
-		return b.flush()
+		if cerr := op.ClosePack(); err == nil {
+			err = cerr
+		}
+		return err
 	})
 }
 

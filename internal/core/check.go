@@ -21,10 +21,13 @@ type CheckReport struct {
 	Holes         uint64
 	ExtentPages   int // extent-tree pages below the rows, across all objects
 	MetadataPages int // btree pages
-	UsedBlocks    uint64
-	FreeBlocks    uint64
-	LimboBlocks   uint64 // freed but parked until the next checkpoint
-	Problems      []string
+	// Space in sectors (buddy.SectorsPerBlock to a block): owned by a
+	// structure, free (stranded sectors included), and freed but parked
+	// until the next checkpoint.
+	UsedSectors  uint64
+	FreeSectors  uint64
+	LimboSectors uint64
+	Problems     []string
 }
 
 // Ok reports whether the check found no problems.
@@ -34,12 +37,14 @@ func (r *CheckReport) addf(format string, args ...any) {
 	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
 }
 
-// usage accumulates every block owned by some structure.
+// usage accumulates every sector owned by some structure.
 type usage struct {
-	ranges [][2]uint64 // absolute [lo, hi)
+	ranges [][2]uint64 // absolute sectors [lo, hi)
 }
 
-func (u *usage) addPage(pno uint64)     { u.ranges = append(u.ranges, [2]uint64{pno, pno + 1}) }
+func (u *usage) addPage(pno uint64) {
+	u.ranges = append(u.ranges, [2]uint64{pno << buddy.SectorShift, (pno + 1) << buddy.SectorShift})
+}
 func (u *usage) addRange(lo, hi uint64) { u.ranges = append(u.ranges, [2]uint64{lo, hi}) }
 
 func (u *usage) total() uint64 {
@@ -56,7 +61,7 @@ func (u *usage) sortAndValidate(report *CheckReport) error {
 	sort.Slice(u.ranges, func(i, j int) bool { return u.ranges[i][0] < u.ranges[j][0] })
 	for i := 1; i < len(u.ranges); i++ {
 		if u.ranges[i][0] < u.ranges[i-1][1] {
-			msg := fmt.Sprintf("blocks [%d,%d) and [%d,%d) doubly owned",
+			msg := fmt.Sprintf("sectors [%d,%d) and [%d,%d) doubly owned",
 				u.ranges[i-1][0], u.ranges[i-1][1], u.ranges[i][0], u.ranges[i][1])
 			if report == nil {
 				return fmt.Errorf("core: %s", msg)
@@ -68,7 +73,7 @@ func (u *usage) sortAndValidate(report *CheckReport) error {
 }
 
 // collectUsage walks every structure on the volume and returns the set of
-// blocks they own, filling counts into report when non-nil. Shared by
+// sectors they own, filling counts into report when non-nil. Shared by
 // Check and rebuildAllocator.
 func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 	u := &usage{}
@@ -141,7 +146,7 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 			u.addPage(p)
 		}
 		for _, e := range res.DataExtents {
-			u.addRange(e.Alloc, e.Alloc+uint64(e.AllocBlocks))
+			u.addRange(e.Sector, e.Sector+uint64(e.Sectors))
 		}
 		if report != nil {
 			report.Objects++
@@ -162,10 +167,11 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 //   - every posting list of every full-text segment decodes; each
 //     segment that fails is one problem, and a segment page that cannot
 //     be read for a reason other than corruption fails Check itself
-//   - no block is owned by two structures
-//   - all owned blocks lie inside the data region
-//   - the allocator agrees: owned blocks are not free, and the free count
-//     complements the owned count exactly (no leaks)
+//   - no sector is owned by two structures (a slot of a pack is owned
+//     on its own, so two objects in one pack are not a conflict)
+//   - all owned sectors lie inside the data region
+//   - the allocator agrees: owned sectors are not free, and the free
+//     count complements the owned count exactly, in sectors (no leaks)
 //   - per-object metadata agrees between the object table and the extent
 //     tree: its size, and the owner its nodes point back to
 //   - every reverse-index entry has a matching forward index entry and an
@@ -179,24 +185,24 @@ func (v *Volume) Check() (*CheckReport, error) {
 	if err := u.sortAndValidate(report); err != nil {
 		return nil, err
 	}
+	lo, hi := v.dataStart<<buddy.SectorShift, (v.dataStart+v.dataBlocks)<<buddy.SectorShift
 	for _, r := range u.ranges {
-		if r[0] < v.dataStart || r[1] > v.dataStart+v.dataBlocks {
-			report.addf("blocks [%d,%d) outside data region", r[0], r[1])
+		if r[0] < lo || r[1] > hi {
+			report.addf("sectors [%d,%d) outside data region", r[0], r[1])
 		}
 	}
-	report.UsedBlocks = u.total()
-	report.FreeBlocks = v.ba.FreeBlocks()
+	report.UsedSectors = u.total()
 	// Deferred frees sit in limbo until the next checkpoint: owned by no
 	// structure, but not yet reusable either. They count as free space in
 	// the leak equation.
-	report.LimboBlocks = v.ba.LimboBlocks()
-	if report.UsedBlocks+report.FreeBlocks+report.LimboBlocks != v.dataBlocks {
-		report.addf("leak: %d used + %d free + %d limbo != %d data blocks",
-			report.UsedBlocks, report.FreeBlocks, report.LimboBlocks, v.dataBlocks)
+	report.FreeSectors, report.LimboSectors = v.ba.SectorCounts()
+	if report.UsedSectors+report.FreeSectors+report.LimboSectors != hi-lo {
+		report.addf("leak: %d used + %d free + %d limbo != %d data sectors",
+			report.UsedSectors, report.FreeSectors, report.LimboSectors, hi-lo)
 	}
 	for _, r := range u.ranges {
-		if v.ba.IsFree(r[0], r[1]-r[0]) {
-			report.addf("blocks [%d,%d) are owned but marked free", r[0], r[1])
+		if v.ba.IsFreeSectors(r[0], r[1]-r[0]) {
+			report.addf("sectors [%d,%d) are owned but marked free", r[0], r[1])
 		}
 	}
 	if err := v.ba.CheckFreeIntegrity(); err != nil {
@@ -290,11 +296,11 @@ func posted(st index.Store, value []byte, oid OID) (bool, error) {
 }
 
 // VerifyAllocator holds the allocator to its definition, exactly: the
-// free lists (limbo counted free) must be the ones buddy.FromUsed builds
-// from the blocks the reachability walk finds owned — order for order,
-// not merely the same number of free blocks. Check's leak equation
-// follows from it; recovery's tests call it after every Open, because
-// Open no longer computes the allocator this way.
+// free lists (limbo counted free) must be the ones buddy.FromUsedSectors
+// builds from the sectors the reachability walk finds owned — order for
+// order, not merely the same number of free sectors. Check's leak
+// equation follows from it; recovery's tests call it after every Open,
+// because Open no longer computes the allocator this way.
 func (v *Volume) VerifyAllocator() error {
 	u, err := v.collectUsage(nil)
 	if err != nil {
@@ -303,7 +309,7 @@ func (v *Volume) VerifyAllocator() error {
 	if err := u.sortAndValidate(nil); err != nil {
 		return err
 	}
-	want, err := buddy.FromUsed(v.dataStart, v.dataBlocks, u.ranges)
+	want, err := buddy.FromUsedSectors(v.dataStart, v.dataBlocks, u.ranges)
 	if err != nil {
 		return err
 	}
@@ -312,8 +318,10 @@ func (v *Volume) VerifyAllocator() error {
 		return err
 	}
 	if !bytes.Equal(got, want.Snapshot()) {
-		return fmt.Errorf("core: allocator holds %d free blocks, the reachability walk %d, or the same in other runs",
-			v.ba.FreeBlocks()+v.ba.LimboBlocks(), want.FreeBlocks())
+		free, limbo := v.ba.SectorCounts()
+		wfree, _ := want.SectorCounts()
+		return fmt.Errorf("core: allocator holds %d free sectors, the reachability walk %d, or the same in other runs",
+			free+limbo, wfree)
 	}
 	return nil
 }
@@ -338,7 +346,7 @@ func (v *Volume) rebuildAllocator(tail []allocRec) error {
 		return err
 	}
 	v.recovery.Allocator.Count = int64(len(u.ranges))
-	ba, err := buddy.FromUsed(v.dataStart, v.dataBlocks, u.ranges)
+	ba, err := buddy.FromUsedSectors(v.dataStart, v.dataBlocks, u.ranges)
 	if err != nil {
 		return err
 	}
@@ -349,12 +357,12 @@ func (v *Volume) rebuildAllocator(tail []allocRec) error {
 		return err
 	}
 	for _, r := range tail {
-		// AllocAt fails only on a run the walk found linked.
-		if err := v.ba.AllocAt(r.addr, r.n); err != nil && v.ba.IsFree(r.addr, r.n) {
+		// AllocSectorsAt fails only on a run the walk found linked.
+		if err := v.ba.AllocSectorsAt(r.addr, r.n); err != nil && v.ba.IsFreeSectors(r.addr, r.n) {
 			return err
 		}
 		if r.free {
-			if err := v.ba.Free(r.addr, r.n); err != nil {
+			if err := v.ba.FreeSectors(r.addr, r.n); err != nil {
 				return err
 			}
 		}

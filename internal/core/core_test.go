@@ -415,8 +415,8 @@ func TestFsckCleanVolume(t *testing.T) {
 	if rep.Objects != 20 {
 		t.Errorf("fsck objects = %d", rep.Objects)
 	}
-	if rep.UsedBlocks == 0 || rep.FreeBlocks == 0 {
-		t.Errorf("fsck block counts: used=%d free=%d", rep.UsedBlocks, rep.FreeBlocks)
+	if rep.UsedSectors == 0 || rep.FreeSectors == 0 {
+		t.Errorf("fsck sector counts: used=%d free=%d", rep.UsedSectors, rep.FreeSectors)
 	}
 }
 
@@ -502,6 +502,12 @@ func TestOpenRefusesV5Superblock(t *testing.T) { refuseVersion(t, 5) }
 // decoder would misread as gaps flagged with a frequency of one; Open
 // refuses it rather than answer searches wrongly.
 func TestOpenRefusesV6Superblock(t *testing.T) { refuseVersion(t, 6) }
+
+// TestOpenRefusesV7Superblock: a version 7 volume's allocator snapshot
+// and log records count blocks, where this format's count sectors, and
+// its extent cells and full-text manifest values are in the older
+// layouts; Open refuses it rather than misread its free space.
+func TestOpenRefusesV7Superblock(t *testing.T) { refuseVersion(t, 7) }
 
 // TestOpenRefusesWAL1Log: a log region whose header carries the magic of
 // the record-per-header format ("WAL1") is refused with ErrBadSuperblock

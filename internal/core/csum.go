@@ -214,7 +214,9 @@ func (v *Volume) loadPageSums() error {
 				// validates wrong data as right.
 				e = 0
 			}
-			s.v[base+uint64(i)].Store(e)
+			if e != 0 { // the table is fresh: an unknown entry is already 0
+				s.v[base+uint64(i)].Store(e)
+			}
 		}
 	}
 	for i := range s.dirty {

@@ -109,6 +109,30 @@ func TestLogBytesPerSmallEdit(t *testing.T) {
 			}
 		})
 	}
+
+	// A batch packs its 2 KiB documents two to a block: each document logs
+	// its row and the allocation of its slot, and each pack one sum, where
+	// a block per document logged an allocation and a sum for every one
+	// (188.2 B per document). A pack logs no allocation of its own: the
+	// log knows it by its slots (pager.Space.Slot), so a batch that dies
+	// with a pack open leaves none of its sectors taken. The bound is the
+	// measured value.
+	t.Run("batch-25x2KiB", func(t *testing.T) {
+		v, _ := newVolume(t, Options{WALBlocks: 4096})
+		defer v.Close()
+		const batches, docs = 10, 25
+		before := v.WAL().Stats().BytesLogged
+		for i := 0; i < batches; i++ {
+			if _, err := packDocs(v, repeat(2048, docs), byte(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := float64(v.WAL().Stats().BytesLogged-before) / (batches * docs)
+		t.Logf("%.1f B per document", got)
+		if got > 185 {
+			t.Errorf("a packed document logs %.1f B, want ≤ 185", got)
+		}
+	})
 }
 
 // TestSegmentFlushLogsNoPostings: a full-text flush builds its segment

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/btree"
+	"repro/internal/buddy"
 	"repro/internal/extent"
 	"repro/internal/fulltext"
 	"repro/internal/index"
@@ -210,7 +211,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 		var oldRun uint64
-		if err := old.ExtentTree().Extents(func(_ uint64, e extent.Extent) bool { oldRun = e.Alloc; return false }); err != nil {
+		if err := old.ExtentTree().Extents(func(_ uint64, e extent.Extent) bool { oldRun = e.Sector; return false }); err != nil {
 			t.Fatal(err)
 		}
 		if err := v.Sync(); err != nil { // the sidecar now holds the old bytes' sums
@@ -235,7 +236,7 @@ func TestAckedObjectBytesSurviveCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := o.ExtentTree().Extents(func(_ uint64, e extent.Extent) bool {
-				reused = reused || (e.Alloc >= oldRun && e.Alloc < oldRun+4)
+				reused = reused || (e.Sector >= oldRun && e.Sector < oldRun+4*buddy.SectorsPerBlock)
 				return true
 			}); err != nil {
 				t.Fatal(err)

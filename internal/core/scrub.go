@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/btree"
+	"repro/internal/buddy"
 	"repro/internal/extent"
 	"repro/internal/osd"
 )
@@ -119,7 +120,7 @@ func (v *Volume) scrubClassify(rep *ScrubReport) map[uint64]int {
 			class[p] = classExtentNode
 		}
 		for _, e := range res.DataExtents {
-			for b := e.Alloc; b < e.Alloc+uint64(e.AllocBlocks); b++ {
+			for b := e.Sector >> buddy.SectorShift; b<<buddy.SectorShift < e.Sector+uint64(e.Sectors); b++ {
 				class[b] = classData
 			}
 		}

@@ -84,8 +84,12 @@ type OID = osd.OID
 //	[80:88]  checksum sidecar start [88:96] checksum sidecar blocks
 //	[96:100] crc32 of bytes [0:96]
 const (
-	sbMagic   = 0x68464144 // "hFAD"
-	sbVersion = 7          // v7: a full-text posting flags a frequency of one in its gap
+	sbMagic = 0x68464144 // "hFAD"
+	// v8: the allocator, its snapshot and its log records count in
+	// sectors, an extent cell addresses sectors (a batch packs small
+	// objects into slots of shared blocks), and a full-text segment's
+	// manifest value carries its docID range.
+	sbVersion = 8
 
 	flagLogged = 1 << 0
 	flagClean  = 1 << 1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/buddy"
 	"repro/internal/pager"
 )
 
@@ -33,7 +34,8 @@ func (r *CheckResult) InternalFragmentation() uint64 {
 //     its subtree
 //   - all leaves at equal depth, chained consistently left to right
 //   - the size the tree keeps (the root's sum at Open) matches the leaves
-//   - extent Len ≤ AllocBlocks × block size for real extents
+//   - extent Len ≤ its sectors' bytes for real extents, and a slot lies
+//     in one block
 //   - no page is reached twice
 //   - every page names the tree's owner
 func (t *Tree) Check() (*CheckResult, error) {
@@ -74,18 +76,21 @@ func (t *Tree) Check() (*CheckResult, error) {
 					res.Extents++
 					if e.IsHole() {
 						res.Holes++
-						if e.AllocBlocks != 0 {
+						if e.Sectors != 0 {
 							return fmt.Errorf("%w: hole with allocation", ErrCorrupt)
 						}
 						continue
 					}
-					if uint64(e.Len) > uint64(e.AllocBlocks)*t.bsU64 {
-						return fmt.Errorf("%w: extent len %d exceeds alloc %d blocks", ErrCorrupt, e.Len, e.AllocBlocks)
+					if uint64(e.Len) > e.reserved(t.bsU64) {
+						return fmt.Errorf("%w: extent len %d exceeds alloc %d sectors", ErrCorrupt, e.Len, e.Sectors)
+					}
+					if n := uint64(e.Sectors); n != buddy.RoundUp(n) || (n < buddy.SectorsPerBlock && e.Sector%n != 0) {
+						return fmt.Errorf("%w: extent at sector %d: %d sectors is not a run or an aligned slot", ErrCorrupt, e.Sector, n)
 					}
 					if e.Len == 0 {
 						return fmt.Errorf("%w: zero-length real extent", ErrCorrupt)
 					}
-					res.AllocatedBytes += uint64(e.AllocBlocks) * t.bsU64
+					res.AllocatedBytes += e.reserved(t.bsU64)
 					res.DataExtents = append(res.DataExtents, e)
 				}
 				res.Bytes += sum
@@ -153,14 +158,14 @@ func (t *Tree) Check() (*CheckResult, error) {
 	}
 	// No allocation may be referenced by two extents of this tree (each
 	// allocation has exactly one owner; boundary splits copy the tail
-	// into a fresh allocation). Sort by first block and check adjacency.
+	// into a fresh allocation). Sort by first sector and check adjacency.
 	sorted := append([]Extent(nil), res.DataExtents...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Alloc < sorted[j].Alloc })
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Sector < sorted[j].Sector })
 	for i := 1; i < len(sorted); i++ {
 		prev := sorted[i-1]
-		if prev.Alloc+uint64(prev.AllocBlocks) > sorted[i].Alloc {
+		if prev.Sector+uint64(prev.Sectors) > sorted[i].Sector {
 			return nil, fmt.Errorf("%w: extent allocations overlap: [%d,+%d) and [%d,+%d)",
-				ErrCorrupt, prev.Alloc, prev.AllocBlocks, sorted[i].Alloc, sorted[i].AllocBlocks)
+				ErrCorrupt, prev.Sector, prev.Sectors, sorted[i].Sector, sorted[i].Sectors)
 		}
 	}
 	return res, nil

@@ -219,11 +219,11 @@ func restoreAllocator(t *testing.T, allocSnap []byte, tail []redo.Record) *buddy
 	}
 	ba.SetDeferredFrees(true)
 	for _, r := range tail {
-		free, n, err := redo.DecodeAlloc(r.Data)
+		free, sec, n, err := redo.DecodeAlloc(r.Page, r.Data)
 		if err == nil && free {
-			err = ba.Free(r.Page, n)
+			err = ba.FreeSectors(sec, n)
 		} else if err == nil {
-			err = ba.AllocAt(r.Page, n)
+			err = ba.AllocSectorsAt(sec, n)
 		}
 		if err != nil {
 			t.Fatalf("apply allocator record (lsn %d): %v", r.LSN, err)
@@ -243,12 +243,12 @@ func assertAllocatorIsWalk(t *testing.T, label string, ba *buddy.Allocator, tr *
 	}
 	var used [][2]uint64
 	for _, p := range res.AllPages {
-		used = append(used, [2]uint64{p, p + 1})
+		used = append(used, [2]uint64{p * buddy.SectorsPerBlock, (p + 1) * buddy.SectorsPerBlock})
 	}
 	for _, ex := range res.DataExtents {
-		used = append(used, [2]uint64{ex.Alloc, ex.Alloc + uint64(ex.AllocBlocks)})
+		used = append(used, [2]uint64{ex.Sector, ex.Sector + uint64(ex.Sectors)})
 	}
-	want, err := buddy.FromUsed(crDataStart, crBlocks-crDataStart, used)
+	want, err := buddy.FromUsedSectors(crDataStart, crBlocks-crDataStart, used)
 	if err != nil {
 		t.Fatalf("%s: walk: %v", label, err)
 	}

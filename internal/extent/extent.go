@@ -11,10 +11,18 @@
 // update plus a bounded tail copy. The paper's literal offset-keyed design
 // is also provided (see keyed.go) as the ablation for experiment E7.
 //
-// Extents reference buddy-allocator block runs on the device. Invariant:
-// each allocation is referenced by exactly one extent (splits copy the
-// right-hand tail into a fresh allocation), so freeing an extent frees its
-// whole allocation. An extent with Alloc == 0 is a hole: Len bytes of
+// Extents reference buddy-allocator runs on the device, addressed in
+// sectors (an eighth of a block, buddy.SectorsPerBlock). An extent is a
+// run of whole blocks, or a slot: a part of a block that an operation
+// carved into slots for the small objects it created (pager.Space.Slot).
+// A slot never crosses a block boundary, so reading a packed object costs
+// one device read. Invariant: each allocation — each run, and each slot —
+// is referenced by exactly one extent (splits copy the right-hand tail
+// into a fresh allocation), so freeing an extent frees its whole
+// allocation. A slot is written once, with its pack: an append, an
+// overwrite, an insert or a truncate-grow of a packed object first moves
+// the slot's bytes into a run of whole blocks, in the same operation, and
+// frees the slot. An extent with Sector == 0 is a hole: Len bytes of
 // zeros with no storage, created by sparse writes and truncate-grow.
 //
 // The root node does not have a page of its own: it lives in the tree's
@@ -30,8 +38,8 @@
 // On-page layouts (little-endian):
 //
 //	leaf (type 6):  common 24-byte header (ptrA=next leaf, ptrB=prev);
-//	                cells: 16 bytes each = alloc uint64, allocBlocks
-//	                uint32, len uint32
+//	                cells: 16 bytes each = first sector uint64,
+//	                sectors uint32, len uint32
 //	internal (type 7): common header; cells: 16 bytes each =
 //	                child uint64, subtree byte total uint64
 //	every page:     its last 8 bytes name the owner (the OID of the
@@ -137,13 +145,36 @@ var (
 
 // Extent describes one run of object bytes.
 type Extent struct {
-	Alloc       uint64 // first block of the buddy allocation; 0 = hole
-	AllocBlocks uint32 // blocks reserved (buddy round-up); 0 for holes
-	Len         uint32 // live bytes (≤ AllocBlocks * blockSize)
+	Sector  uint64 // first sector of the buddy allocation; 0 = hole
+	Sectors uint32 // sectors reserved (buddy round-up); 0 for holes
+	Len     uint32 // live bytes (≤ Sectors * the sector size)
 }
 
 // IsHole reports whether the extent is unbacked zeros.
-func (e Extent) IsHole() bool { return e.Alloc == 0 }
+func (e Extent) IsHole() bool { return e.Sector == 0 }
+
+// IsSlot reports whether the extent is a slot of a pack: less than a block.
+func (e Extent) IsSlot() bool { return !e.IsHole() && e.Sectors < buddy.SectorsPerBlock }
+
+// blockRun is the extent of the first n bytes of the run Alloc(blocks)
+// returned at block.
+func blockRun(block, blocks uint64, n int) Extent {
+	return Extent{
+		Sector:  block << buddy.SectorShift,
+		Sectors: uint32(buddy.RoundUp(blocks) << buddy.SectorShift),
+		Len:     uint32(n),
+	}
+}
+
+// reserved is the number of device bytes the extent's allocation holds at
+// block size bs.
+func (e Extent) reserved(bs uint64) uint64 { return uint64(e.Sectors) * (bs >> buddy.SectorShift) }
+
+// at is the device byte address of byte off of the extent at block size bs.
+func (e Extent) at(bs, off uint64) uint64 { return e.Sector*(bs>>buddy.SectorShift) + off }
+
+// run is the allocator run the extent holds.
+func (e Extent) run() undo.Run { return undo.Run{Addr: e.Sector, N: uint64(e.Sectors)} }
 
 // Config tunes the tree.
 type Config struct {
@@ -436,16 +467,16 @@ func (t *Tree) with(no uint64, fn func(n nodeRef, pg *pager.Page) error) error {
 func (n nodeRef) leafCell(i int) Extent {
 	b := n.data[hdrSize+i*leafCellSize:]
 	return Extent{
-		Alloc:       binary.LittleEndian.Uint64(b),
-		AllocBlocks: binary.LittleEndian.Uint32(b[8:]),
-		Len:         binary.LittleEndian.Uint32(b[12:]),
+		Sector:  binary.LittleEndian.Uint64(b),
+		Sectors: binary.LittleEndian.Uint32(b[8:]),
+		Len:     binary.LittleEndian.Uint32(b[12:]),
 	}
 }
 
 func (n nodeRef) setLeafCell(i int, e Extent) {
 	b := n.data[hdrSize+i*leafCellSize:]
-	binary.LittleEndian.PutUint64(b, e.Alloc)
-	binary.LittleEndian.PutUint32(b[8:], e.AllocBlocks)
+	binary.LittleEndian.PutUint64(b, e.Sector)
+	binary.LittleEndian.PutUint32(b[8:], e.Sectors)
 	binary.LittleEndian.PutUint32(b[12:], e.Len)
 }
 

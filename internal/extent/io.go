@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/blockdev"
-	"repro/internal/buddy"
 	"repro/internal/pager"
 	"repro/internal/undo"
 )
@@ -82,7 +81,7 @@ func (t *Tree) readAtLocked(p []byte, off uint64) (int, error) {
 				for i := range dst {
 					dst[i] = 0
 				}
-			} else if err := readRun(t.dev, j.e, j.eOff, dst); err != nil {
+			} else if err := readRun(t.pg, j.e, j.eOff, dst); err != nil {
 				return pos, err
 			}
 			pos += j.m
@@ -172,6 +171,14 @@ func (t *Tree) writeAtLocked(p []byte, off uint64) error {
 		m := len(p) - done
 		if uint64(m) > avail {
 			m = int(avail)
+		}
+		if e.IsSlot() {
+			// A slot is never written in place: move the object out of it,
+			// then write again.
+			if err := t.moveOut(path, leafPno, idx, e, nil); err != nil {
+				return err
+			}
+			continue
 		}
 		if !e.IsHole() {
 			if err := t.writeData(e, uint64(e.Len), eOff, p[done:done+m]); err != nil {
@@ -266,6 +273,9 @@ func (t *Tree) InsertAtOp(op *pager.Op, off uint64, p []byte) (err error) {
 }
 
 func (t *Tree) insertAtLocked(off uint64, p []byte) error {
+	if err := t.unpack(); err != nil {
+		return err
+	}
 	if err := t.splitBoundaryLocked(off); err != nil {
 		return err
 	}
@@ -335,7 +345,7 @@ func (t *Tree) deleteRangeLocked(off, n uint64) error {
 			// before this delete's commit — and the checkpoint covering it
 			// — are durable, or a crash could replay the old extent over a
 			// new owner's blocks.
-			if err := t.space.Free(t.curOp, e.Alloc, uint64(e.AllocBlocks)); err != nil {
+			if err := t.space.FreeSectors(t.curOp, e.Sector, uint64(e.Sectors)); err != nil {
 				return err
 			}
 		}
@@ -373,6 +383,9 @@ func (t *Tree) TruncateOp(op *pager.Op, newSize uint64) (err error) {
 			// Inverse of a grow: delete the appended hole.
 			op.StageUndo(undo.ExtDel(t.owner, t.size, newSize-t.size))
 		}
+		if err := t.unpack(); err != nil {
+			return err
+		}
 		return t.appendHole(newSize - t.size)
 	default:
 		return nil
@@ -402,7 +415,7 @@ func (t *Tree) Destroy(op *pager.Op) error {
 				if level < t.height-1 {
 					children = append(children, node.childCell(i).child)
 				} else if e := node.leafCell(i); !e.IsHole() {
-					data = append(data, undo.Run{Addr: e.Alloc, N: uint64(e.AllocBlocks)})
+					data = append(data, e.run())
 				}
 			}
 			return nil
@@ -509,7 +522,7 @@ func (t *Tree) splitBoundaryLocked(off uint64) error {
 	}
 	// Copy the tail into a fresh allocation.
 	buf := make([]byte, rightLen)
-	if err := readRun(t.dev, e, eOff, buf); err != nil {
+	if err := readRun(t.pg, e, eOff, buf); err != nil {
 		return err
 	}
 	right, err := t.allocAndWrite(buf)
@@ -518,7 +531,7 @@ func (t *Tree) splitBoundaryLocked(off uint64) error {
 	}
 	t.addStat(func(s *Stats) { s.ExtentSplits++; s.TailCopyBytes += int64(rightLen) })
 	if err := t.setLeafCellLen(path, leafPno, idx, uint32(eOff)); err != nil {
-		_ = t.space.Free(t.curOp, right.Alloc, uint64(right.AllocBlocks)) // never joined the tree
+		_ = t.space.FreeSectors(t.curOp, right.Sector, uint64(right.Sectors)) // never joined the tree
 		return err
 	}
 	return t.insertCellAtOff(off, right)
@@ -547,7 +560,9 @@ func (t *Tree) insertBytesAt(off uint64, p []byte) error {
 }
 
 // appendBytes appends p at the end of the object, extending the final
-// extent in place when its allocation has slack.
+// extent in place when its allocation has slack. A final extent that is a
+// slot moves out instead, taking the first bytes of p with it into its new
+// run in the same write.
 func (t *Tree) appendBytes(p []byte) error {
 	for len(p) > 0 {
 		path, leafPno, _, err := t.descend(t.size)
@@ -558,8 +573,17 @@ func (t *Tree) appendBytes(p []byte) error {
 		if err != nil {
 			return err
 		}
+		if cnt > 0 && last.IsSlot() {
+			m := min(len(p), int(t.cfg.MaxExtentBytes)-int(last.Len))
+			if err := t.moveOut(path, leafPno, cnt-1, last, p[:m]); err != nil {
+				return err
+			}
+			t.size += uint64(m)
+			p = p[m:]
+			continue
+		}
 		if cnt > 0 && !last.IsHole() {
-			slack := uint64(last.AllocBlocks)*t.bsU64 - uint64(last.Len)
+			slack := last.reserved(t.bsU64) - uint64(last.Len)
 			if slack > 0 {
 				m := uint64(len(p))
 				if m > slack {
@@ -631,13 +655,22 @@ func (t *Tree) appendHole(n uint64) error {
 }
 
 // allocAndWrite allocates blocks for p and writes it, returning the extent.
+// The first bytes of an empty object go in a slot instead when the
+// operation packs and they fit one (pager.Space.Slot): its pack writes
+// them.
 func (t *Tree) allocAndWrite(p []byte) (Extent, error) {
+	if t.size == 0 {
+		sec, n, ok, err := t.space.Slot(t.curOp, p)
+		if ok || err != nil {
+			return Extent{Sector: sec, Sectors: uint32(n), Len: uint32(len(p))}, err
+		}
+	}
 	blocks := (uint64(len(p)) + t.bsU64 - 1) / t.bsU64
 	alloc, err := t.space.Alloc(t.curOp, blocks)
 	if err != nil {
 		return Extent{}, err
 	}
-	e := Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(len(p))}
+	e := blockRun(alloc, blocks, len(p))
 	if err := t.writeData(e, 0, 0, p); err != nil {
 		// The run never joined the tree. Its allocation is already in the
 		// operation's records, which commit even when the operation fails,
@@ -646,6 +679,45 @@ func (t *Tree) allocAndWrite(p []byte) (Extent, error) {
 		return Extent{}, err
 	}
 	return e, nil
+}
+
+// moveOut moves the object out of slot e, cell idx of leaf leafPno: its
+// bytes, followed by extra (an append's first bytes), go to a fresh run of
+// whole blocks in one write, the cell takes the run, and the slot is
+// freed. The path's counts grow by len(extra); the caller grows the size.
+func (t *Tree) moveOut(path []pathElem, leafPno uint64, idx int, e Extent, extra []byte) error {
+	buf := make([]byte, int(e.Len)+len(extra))
+	if err := readRun(t.pg, e, 0, buf[:e.Len]); err != nil {
+		return err
+	}
+	copy(buf[e.Len:], extra)
+	ne, err := t.allocAndWrite(buf)
+	if err != nil {
+		return err
+	}
+	if err := t.editLeafCell(path, leafPno, idx, func(c *Extent) { *c = ne }); err != nil {
+		_ = t.space.FreeSectors(t.curOp, ne.Sector, uint64(ne.Sectors)) // never joined the tree
+		return err
+	}
+	return t.space.FreeSectors(t.curOp, e.Sector, uint64(e.Sectors))
+}
+
+// unpack moves the object out of its slot, if its first extent is one:
+// the only place a slot can be, since only an empty object's first write
+// takes one.
+func (t *Tree) unpack() error {
+	if t.size == 0 {
+		return nil
+	}
+	path, leafPno, _, err := t.descend(0)
+	if err != nil {
+		return err
+	}
+	idx, _, e, err := t.cellAt(leafPno, 0)
+	if err != nil || idx != 0 || !e.IsSlot() {
+		return err
+	}
+	return t.moveOut(path, leafPno, 0, e, nil)
 }
 
 // --- raw device data I/O ---
@@ -667,8 +739,11 @@ func blockBuf(bs int) *[]byte {
 	return bp
 }
 
-// readRun reads len(p) bytes of extent e from extOff on dev.
-func readRun(dev blockdev.Device, e Extent, extOff uint64, p []byte) error {
+// readRun reads len(p) bytes of extent e from extOff on pg's device. A
+// slot of a pack an open operation is still filling is read from the
+// pack's buffer (pager.ReadPending).
+func readRun(pg *pager.Pager, e Extent, extOff uint64, p []byte) error {
+	dev := pg.Device()
 	bs := dev.BlockSize()
 	var bp *[]byte
 	defer func() {
@@ -677,8 +752,12 @@ func readRun(dev blockdev.Device, e Extent, extOff uint64, p []byte) error {
 		}
 	}()
 	for len(p) > 0 {
-		blk := e.Alloc + extOff/uint64(bs)
-		bo := int(extOff % uint64(bs))
+		at := e.at(uint64(bs), extOff)
+		blk := at / uint64(bs)
+		bo := int(at % uint64(bs))
+		if e.IsSlot() && pg.ReadPending(blk, bo, p) {
+			return nil // a slot lies in one block
+		}
 		if bo == 0 && len(p) >= bs {
 			if err := dev.ReadBlock(blk, p[:bs]); err != nil {
 				return err
@@ -715,8 +794,9 @@ func writeRun(dev blockdev.Device, e Extent, live, extOff uint64, p []byte) ([]b
 	}()
 	var sums []byte
 	for len(p) > 0 {
-		blk := e.Alloc + extOff/uint64(bs)
-		bo := int(extOff % uint64(bs))
+		at := e.at(uint64(bs), extOff)
+		blk := at / uint64(bs)
+		bo := int(at % uint64(bs))
 		n := min(len(p), bs-bo)
 		block := p[:n]
 		if n < bs {
@@ -749,9 +829,12 @@ func writeRun(dev blockdev.Device, e Extent, live, extOff uint64, p []byte) ([]b
 // nothing in the log would say what the blocks now hold, and recovery
 // would hold them to the sums of the checkpoint before.
 func (t *Tree) writeData(e Extent, live, extOff uint64, p []byte) error {
+	if e.IsSlot() {
+		return fmt.Errorf("%w: write into the slot at sector %d", ErrCorrupt, e.Sector)
+	}
 	sums, err := writeRun(t.dev, e, live, extOff, p)
 	if err == nil {
-		t.curOp.Wrote(e.Alloc+extOff/t.bsU64, sums)
+		t.curOp.Wrote(e.at(t.bsU64, extOff)/t.bsU64, sums)
 	}
 	return err
 }

@@ -72,17 +72,17 @@ func decodeOffset(k []byte) uint64 { return binary.BigEndian.Uint64(k) }
 
 func encodeExtentVal(e Extent) []byte {
 	var v [16]byte
-	binary.LittleEndian.PutUint64(v[:], e.Alloc)
-	binary.LittleEndian.PutUint32(v[8:], e.AllocBlocks)
+	binary.LittleEndian.PutUint64(v[:], e.Sector)
+	binary.LittleEndian.PutUint32(v[8:], e.Sectors)
 	binary.LittleEndian.PutUint32(v[12:], e.Len)
 	return v[:]
 }
 
 func decodeExtentVal(v []byte) Extent {
 	return Extent{
-		Alloc:       binary.LittleEndian.Uint64(v),
-		AllocBlocks: binary.LittleEndian.Uint32(v[8:]),
-		Len:         binary.LittleEndian.Uint32(v[12:]),
+		Sector:  binary.LittleEndian.Uint64(v),
+		Sectors: binary.LittleEndian.Uint32(v[8:]),
+		Len:     binary.LittleEndian.Uint32(v[12:]),
 	}
 }
 
@@ -173,7 +173,7 @@ func (m *KeyedMap) ReadAt(p []byte, off uint64) (int, error) {
 			for i := range dst {
 				dst[i] = 0
 			}
-		} else if err := readRun(m.pg.Device(), s.e, eOff, dst); err != nil {
+		} else if err := readRun(m.pg, s.e, eOff, dst); err != nil {
 			return done, err
 		}
 		done += mlen
@@ -300,7 +300,7 @@ func (m *KeyedMap) DeleteRangeOp(op *pager.Op, off, n uint64) error {
 			return err
 		}
 		if !d.e.IsHole() {
-			if err := m.ba.Free(d.e.Alloc, uint64(d.e.AllocBlocks)); err != nil {
+			if err := m.ba.FreeSectors(d.e.Sector, uint64(d.e.Sectors)); err != nil {
 				return err
 			}
 		}
@@ -348,10 +348,10 @@ func (m *KeyedMap) splitBoundary(op *pager.Op, off uint64) error {
 			return err
 		}
 		buf := make([]byte, rightLen)
-		if err := readRun(m.pg.Device(), e, k, buf); err != nil {
+		if err := readRun(m.pg, e, k, buf); err != nil {
 			return err
 		}
-		right = Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(rightLen)}
+		right = blockRun(alloc, blocks, int(rightLen))
 		if _, err := writeRun(m.pg.Device(), right, 0, 0, buf); err != nil {
 			return err
 		}
@@ -369,7 +369,7 @@ func (m *KeyedMap) allocAndWrite(p []byte) (Extent, error) {
 	if err != nil {
 		return Extent{}, err
 	}
-	e := Extent{Alloc: alloc, AllocBlocks: uint32(buddy.RoundUp(blocks)), Len: uint32(len(p))}
+	e := blockRun(alloc, blocks, len(p))
 	if _, err := writeRun(m.pg.Device(), e, 0, 0, p); err != nil {
 		return Extent{}, err
 	}

@@ -22,7 +22,7 @@ import (
 func (t *Tree) insertCellAtOff(off uint64, e Extent) error {
 	inserted, err := t.insertCell(off, e)
 	if !inserted && !e.IsHole() {
-		_ = t.space.Free(t.curOp, e.Alloc, uint64(e.AllocBlocks))
+		_ = t.space.FreeSectors(t.curOp, e.Sector, uint64(e.Sectors))
 	}
 	return err
 }
@@ -470,11 +470,17 @@ func (t *Tree) inverts(op *pager.Op) bool {
 
 // setLeafCellLen updates the Len of one cell and fixes counts along path.
 func (t *Tree) setLeafCellLen(path []pathElem, leafPno uint64, idx int, newLen uint32) error {
+	return t.editLeafCell(path, leafPno, idx, func(e *Extent) { e.Len = newLen })
+}
+
+// editLeafCell rewrites one cell through f and fixes counts along path.
+func (t *Tree) editLeafCell(path []pathElem, leafPno uint64, idx int, f func(*Extent)) error {
 	var delta int64
 	err := t.with(leafPno, func(n nodeRef, pg *pager.Page) error {
 		e := n.leafCell(idx)
-		delta = int64(newLen) - int64(e.Len)
-		e.Len = newLen
+		old := e.Len
+		f(&e)
+		delta = int64(e.Len) - int64(old)
 		n.setLeafCell(idx, e)
 		t.rec(pg, t.curOp, func() []byte { return redo.EncodeOp(xopLeafSet, redo.U16(idx), encCell(e)) })
 		return nil

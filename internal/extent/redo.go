@@ -83,15 +83,15 @@ const (
 
 func encCell(e Extent) []byte {
 	var b [leafCellSize]byte
-	binary.LittleEndian.PutUint64(b[:], e.Alloc)
-	binary.LittleEndian.PutUint32(b[8:], e.AllocBlocks)
+	binary.LittleEndian.PutUint64(b[:], e.Sector)
+	binary.LittleEndian.PutUint32(b[8:], e.Sectors)
 	binary.LittleEndian.PutUint32(b[12:], e.Len)
 	return b[:]
 }
 
 // takeCell reads one leaf cell.
 func takeCell(r *redo.Reader) Extent {
-	return Extent{Alloc: r.U64(), AllocBlocks: r.U32(), Len: r.U32()}
+	return Extent{Sector: r.U64(), Sectors: r.U32(), Len: r.U32()}
 }
 
 // xopReplay is one op being re-executed: the node it names, the accessor

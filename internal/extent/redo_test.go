@@ -52,7 +52,7 @@ func node(typ byte, cells ...[]byte) []byte {
 	return redo.EncodeOp(xopInit, append([][]byte{{typ}, redo.U64(77)}, cells...)...)
 }
 
-func cell(n uint32) []byte { return encCell(Extent{Alloc: 100, AllocBlocks: 1, Len: n}) }
+func cell(n uint32) []byte { return encCell(Extent{Sector: 800, Sectors: 8, Len: n}) }
 
 func entry(child uint64) []byte { return append(redo.U64(child), redo.U64(0)...) }
 

@@ -278,3 +278,60 @@ func TestBuiltPagesPerPosting(t *testing.T) {
 		t.Errorf("%.5f built pages per posting, want at most 0.00046", perPosting)
 	}
 }
+
+// TestDeleteTombstonesOnlyItsSegment: 20 flushed documents spread over 4
+// segments, each segment with its docID range in its manifest value; a
+// delete writes one tombstone, in the one segment whose range holds the
+// document, where tombstoning every segment wrote 4. The range survives
+// a reopen and a merge, and the deleted document is gone from both.
+func TestDeleteTombstonesOnlyItsSegment(t *testing.T) {
+	x, e := newIndex(t, Config{FlushDocs: 5, MaxSegments: 100})
+	for doc := uint64(1); doc <= 20; doc++ {
+		if err := x.Add(nil, doc, fmt.Sprintf("shared word%d", doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(x.Layout()); n != 4 {
+		t.Fatalf("%d segments, want 4", n)
+	}
+	tombs := func(x *Index) int {
+		n := 0
+		if err := x.manifest.ScanPrefix([]byte("T/"), func(_, _ []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if err := x.Delete(nil, 7); err != nil {
+		t.Fatal(err)
+	}
+	if n := tombs(x); n != 1 {
+		t.Fatalf("deleting one document wrote %d tombstones, want 1", n)
+	}
+	check := func(x *Index) {
+		t.Helper()
+		got, err := x.Search("shared")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 19 || slices.Contains(got, 7) {
+			t.Fatalf("search after the delete: %v", got)
+		}
+	}
+	check(x)
+	y, err := Open(e.pg, e.ba, x.ManifestPage(), Config{FlushDocs: 5, MaxSegments: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range y.segments {
+		if s.lo != uint64(5*i+1) || s.hi != uint64(5*i+5) {
+			t.Fatalf("segment %d reopened with docIDs [%d, %d]", i, s.lo, s.hi)
+		}
+	}
+	if err := y.Compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := y.segments; len(s) != 1 || s[0].lo != 1 || s[0].hi != 20 {
+		t.Fatalf("the merge left %d segments, the first [%d, %d]", len(s), s[0].lo, s[0].hi)
+	}
+	check(y)
+}

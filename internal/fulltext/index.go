@@ -93,10 +93,17 @@ type segment struct {
 	id uint64
 	// level is 0 for a flushed segment and L+1 for a merge of level L.
 	level int
-	tree  *btree.Tree
+	// lo and hi bound the docIDs the segment can hold: a flush's documents,
+	// or the union of a merge's inputs' ranges. A delete tombstones only
+	// the segments whose range holds the document.
+	lo, hi uint64
+	tree   *btree.Tree
 	// dead holds docIDs tombstoned against this segment.
 	dead map[uint64]bool
 }
+
+// holds reports whether docID lies in the segment's range.
+func (s *segment) holds(docID uint64) bool { return s.lo <= docID && docID <= s.hi }
 
 // Index is a segmented inverted index with tombstoned deletes and optional
 // background (lazy) indexing.
@@ -143,7 +150,8 @@ type lazyJob struct {
 	text  string
 }
 
-// Manifest key prefixes: "S/<seg-id>" → segment header page and level,
+// Manifest key prefixes: "S/<seg-id>" → segment header page, level and
+// docID range,
 // "T/<seg-id>/<doc-id>" → tombstone, "D/<doc-id>" → doc-in-segments flag.
 func segKey(id uint64) []byte {
 	k := make([]byte, 2+8)
@@ -168,12 +176,17 @@ func tombKey(seg, doc uint64) []byte {
 	return k
 }
 
-// segValue is a segment's "S/" value: its tree's header page, then its
-// level.
-func segValue(hdr uint64, level int) []byte {
-	v := make([]byte, 9)
-	binary.LittleEndian.PutUint64(v, hdr)
-	v[8] = byte(level)
+// segValueLen is the length of a segment's "S/" value: its tree's header
+// page, its level, then the lowest and highest docID it can hold.
+const segValueLen = 25
+
+// segValue encodes s's "S/" value.
+func segValue(s *segment) []byte {
+	v := make([]byte, segValueLen)
+	binary.LittleEndian.PutUint64(v, s.tree.HeaderPage())
+	v[8] = byte(s.level)
+	binary.LittleEndian.PutUint64(v[9:], s.lo)
+	binary.LittleEndian.PutUint64(v[17:], s.hi)
 	return v
 }
 
@@ -219,11 +232,14 @@ func (x *Index) loadSegments() error {
 	var err error
 	serr := x.manifest.ScanPrefix([]byte("S/"), func(k, v []byte) bool {
 		id := binary.BigEndian.Uint64(k[2:])
-		if len(v) != 9 {
-			err = fmt.Errorf("fulltext: segment %d has a %d-byte manifest value, want 9", id, len(v))
+		if len(v) != segValueLen {
+			err = fmt.Errorf("fulltext: segment %d has a %d-byte manifest value, want %d", id, len(v), segValueLen)
 			return false
 		}
-		s := &segment{id: id, level: int(v[8]), tree: have[id], dead: map[uint64]bool{}}
+		s := &segment{
+			id: id, level: int(v[8]), tree: have[id], dead: map[uint64]bool{},
+			lo: binary.LittleEndian.Uint64(v[9:]), hi: binary.LittleEndian.Uint64(v[17:]),
+		}
 		if s.id >= x.nextSeg {
 			x.nextSeg = s.id + 1
 		}
@@ -365,7 +381,7 @@ func (x *Index) deleteLocked(op *pager.Op, docID uint64) error {
 		return err
 	}
 	for _, s := range x.segments {
-		if !s.dead[docID] {
+		if s.holds(docID) && !s.dead[docID] {
 			s.dead[docID] = true
 			x.onUndo(op, func() { delete(s.dead, docID) })
 			if err := x.manifest.PutOp(op, tombKey(s.id, docID), nil); err != nil {
@@ -426,14 +442,19 @@ func (x *Index) flushLocked(op *pager.Op) error {
 	x.onUndo(op, func() { x.mem, x.memDocs, x.segments = mem, docs, segs })
 	id := x.nextSeg
 	x.nextSeg++
-	x.segments = append(x.segments, &segment{id: id, tree: tr, dead: map[uint64]bool{}})
+	sorted := sortedDocs(docs)
+	seg := &segment{id: id, tree: tr, dead: map[uint64]bool{}, lo: math.MaxUint64}
+	if len(sorted) > 0 {
+		seg.lo, seg.hi = sorted[0], sorted[len(sorted)-1]
+	}
+	x.segments = append(x.segments, seg)
 	x.mem = make(map[string]*[]Posting)
 	x.memDocs = make(map[uint64]bool)
 	x.flushes++
-	if err := x.manifest.PutOp(op, segKey(id), segValue(tr.HeaderPage(), 0)); err != nil {
+	if err := x.manifest.PutOp(op, segKey(id), segValue(seg)); err != nil {
 		return err
 	}
-	for _, doc := range sortedDocs(docs) {
+	for _, doc := range sorted {
 		if err := x.manifest.PutOp(op, docKey(doc), nil); err != nil {
 			return err
 		}
@@ -558,7 +579,11 @@ func (x *Index) mergeLocked(op *pager.Op, in []*segment, level int, all bool) er
 			kept = append(kept, s)
 		}
 	}
-	x.segments = append(kept, &segment{id: id, level: level, tree: tr, dead: map[uint64]bool{}})
+	seg := &segment{id: id, level: level, tree: tr, dead: map[uint64]bool{}, lo: math.MaxUint64}
+	for _, s := range in {
+		seg.lo, seg.hi = min(seg.lo, s.lo), max(seg.hi, s.hi)
+	}
+	x.segments = append(kept, seg)
 	x.compactions++
 	x.mergedPostings += written
 	for _, s := range in {
@@ -574,7 +599,7 @@ func (x *Index) mergeLocked(op *pager.Op, in []*segment, level int, all bool) er
 			return err
 		}
 	}
-	if err := x.manifest.PutOp(op, segKey(id), segValue(tr.HeaderPage(), level)); err != nil {
+	if err := x.manifest.PutOp(op, segKey(id), segValue(seg)); err != nil {
 		return err
 	}
 	for _, k := range pruned {

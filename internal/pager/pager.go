@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/blockdev"
+	"repro/internal/buddy"
 	"repro/internal/redo"
 	"repro/internal/undo"
 )
@@ -239,6 +240,13 @@ type Pager struct {
 
 	steals       atomic.Int64
 	chunkFlushes atomic.Int64
+
+	// pending holds the buffer of every pack an open operation is still
+	// filling, by block (see Slot); npending is its size, so that a read
+	// of a slot with no pack pending costs one atomic load.
+	packMu   sync.Mutex
+	pending  map[uint64][]byte
+	npending atomic.Int32
 }
 
 // ChunkAppender is the log as steal sees it. AppendChunk appends the
@@ -743,6 +751,12 @@ type Op struct {
 	finished  bool             // sealed: no further chunk flush may take its records
 	closed    bool             // FinishOp ran (finishCh closed)
 	finishCh  chan struct{}    // closed by FinishOp; dependency flushes wait on it
+
+	// packing says the op packs the small objects it creates (StartPacking);
+	// pk is its open pack, if any. Only the op's own goroutine touches them.
+	packing    bool
+	pk         *pack
+	packFailed error
 }
 
 // NewOp opens a per-operation redo capture. app receives system
@@ -1196,11 +1210,13 @@ func (op *Op) wrote(kind uint8, first uint64, sums []byte) {
 	}
 }
 
-// BlockAllocator is the raw allocator under a Space (buddy.Allocator).
+// BlockAllocator is the raw allocator under a Space (buddy.Allocator):
+// whole blocks are allocated, and a run of sectors — a run of blocks, or a
+// slot of one — is taken back or given back.
 type BlockAllocator interface {
 	Alloc(n uint64) (uint64, error)
-	AllocAt(addr, n uint64) error
-	Free(addr, n uint64) error
+	AllocSectorsAt(s, n uint64) error
+	FreeSectors(s, n uint64) error
 }
 
 // Space is the structure layers' only door to the block allocator: both
@@ -1222,16 +1238,22 @@ func NewSpace(pg *Pager, a BlockAllocator) Space { return Space{pg, a} }
 func (s Space) Alloc(op *Op, n uint64) (uint64, error) {
 	addr, err := s.a.Alloc(n)
 	if err == nil {
-		op.stageAlloc(false, addr, n)
+		op.stageAlloc(false, addr<<buddy.SectorShift, n<<buddy.SectorShift)
 	}
 	return addr, err
 }
 
 // Free releases the run Alloc(n) returned at addr, on behalf of op.
 func (s Space) Free(op *Op, addr, n uint64) error {
-	err := s.a.Free(addr, n)
+	return s.FreeSectors(op, addr<<buddy.SectorShift, n<<buddy.SectorShift)
+}
+
+// FreeSectors releases the run of n sectors at sector sec, on behalf of
+// op: a run of blocks, or a slot of a pack (see Slot).
+func (s Space) FreeSectors(op *Op, sec, n uint64) error {
+	err := s.a.FreeSectors(sec, n)
 	if err == nil {
-		op.stageAlloc(true, addr, n)
+		op.stageAlloc(true, sec, n)
 	}
 	return err
 }
@@ -1242,7 +1264,7 @@ func (s Space) Free(op *Op, addr, n uint64) error {
 // there too, so nothing can have reused them.
 func (s Space) Reclaim(op *Op, runs []undo.Run) error {
 	for _, r := range runs {
-		if err := s.a.AllocAt(r.Addr, r.N); err != nil {
+		if err := s.a.AllocSectorsAt(r.Addr, r.N); err != nil {
 			return err
 		}
 		op.stageAlloc(false, r.Addr, r.N)
@@ -1251,11 +1273,11 @@ func (s Space) Reclaim(op *Op, runs []undo.Run) error {
 }
 
 // Drop frees everything a destroyed structure owns — its cached node
-// pages and its data runs (a run of Alloc(n) is {addr, n}) — for op. One
-// inverse naming all of them is staged before anything is freed, in the
-// same atomic section, and no page is edited, so a rollback that takes
-// the runs back finds them intact. For the same reason the pages leave
-// the cache only once op commits.
+// pages and its data runs (in sectors) — for op. One inverse naming all
+// of them is staged before anything is freed, in the same atomic section,
+// and no page is edited, so a rollback that takes the runs back finds
+// them intact. For the same reason the pages leave the cache only once op
+// commits.
 func (s Space) Drop(op *Op, pages []uint64, data []undo.Run) error {
 	invalidate := func(*Op) error {
 		for _, no := range pages {
@@ -1267,14 +1289,14 @@ func (s Space) Drop(op *Op, pages []uint64, data []undo.Run) error {
 	}
 	runs := make([]undo.Run, 0, len(pages)+len(data))
 	for _, no := range pages {
-		runs = append(runs, undo.Run{Addr: no, N: 1})
+		runs = append(runs, undo.Run{Addr: no << buddy.SectorShift, N: buddy.SectorsPerBlock})
 	}
 	runs = append(runs, data...)
 	op.BeginAtomic()
 	defer op.EndAtomic()
 	op.StageUndo(undo.Reclaim(runs))
 	for _, r := range runs {
-		if err := s.Free(op, r.Addr, r.N); err != nil {
+		if err := s.FreeSectors(op, r.Addr, r.N); err != nil {
 			return err
 		}
 	}
@@ -1285,11 +1307,12 @@ func (s Space) Drop(op *Op, pages []uint64, data []undo.Run) error {
 	return nil
 }
 
-// stageAlloc stages the allocator record of a run just taken or given
-// back. Nil-safe.
-func (op *Op) stageAlloc(free bool, addr, n uint64) {
+// stageAlloc stages the allocator record of a run of sectors just taken
+// or given back. Nil-safe.
+func (op *Op) stageAlloc(free bool, sec, n uint64) {
 	if op != nil {
-		op.stage(redo.Record{LSN: op.p.lsn.Add(1), Page: addr, Kind: redo.KindAlloc, Data: redo.EncodeAlloc(free, n)})
+		page, data := redo.EncodeAlloc(free, sec, n)
+		op.stage(redo.Record{LSN: op.p.lsn.Add(1), Page: page, Kind: redo.KindAlloc, Data: data})
 	}
 }
 

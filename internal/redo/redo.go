@@ -30,9 +30,11 @@
 //     extent.ReplayOp — cell inserts/removes/rewrites, subtree count
 //     deltas, and the split/merge/root structure modifications that ride
 //     WAL system transactions.
-//   - KindAlloc: Page is the first block of a buddy-allocator run and
-//     Data names what happened to it: a u8 code (allocated / freed) and
-//     the u32 block count the structure layer asked for. The record rides
+//   - KindAlloc: Page is the block that holds the first sector of a
+//     buddy-allocator run and Data names what happened to it: a u8 code
+//     (allocated / freed, with the run's first sector within the block in
+//     its high nibble) and the u32 sector count the structure layer asked
+//     for — a slot is a run of less than a block. The record rides
 //     the operation that allocated or freed — committed, chunk-flushed
 //     and replayed with it — so recovery rebuilds the allocator from the
 //     last checkpoint's snapshot plus the log tail instead of walking the
@@ -55,6 +57,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/buddy"
 )
 
 // Record kinds, in one block that ends in KindCount: a replay table
@@ -135,30 +139,40 @@ func ApplyRange(page, payload []byte) error {
 	return nil
 }
 
-// Allocator mutation codes (byte 0 of a KindAlloc payload).
+// Allocator mutation codes (the low nibble of byte 0 of a KindAlloc
+// payload).
 const (
 	allocTake = 1
 	allocGive = 2
 )
 
-// EncodeAlloc builds a KindAlloc payload for a run of n blocks that was
-// allocated (free == false) or freed (free == true).
-func EncodeAlloc(free bool, n uint64) []byte {
+// EncodeAlloc builds the page and payload of a KindAlloc record for the
+// run of n sectors at sector s that was allocated (free == false) or
+// freed (free == true). The page is the block holding s, so the record's
+// page delta stays as small as a block number's.
+func EncodeAlloc(free bool, s, n uint64) (uint64, []byte) {
 	out := make([]byte, 5)
 	out[0] = allocTake
 	if free {
 		out[0] = allocGive
 	}
+	out[0] |= byte(s%buddy.SectorsPerBlock) << 4
 	binary.LittleEndian.PutUint32(out[1:], uint32(n))
-	return out
+	return s >> buddy.SectorShift, out
 }
 
-// DecodeAlloc parses a KindAlloc payload.
-func DecodeAlloc(payload []byte) (free bool, n uint64, err error) {
-	if len(payload) != 5 || (payload[0] != allocTake && payload[0] != allocGive) {
-		return false, 0, fmt.Errorf("redo: malformed alloc payload (%d bytes)", len(payload))
+// DecodeAlloc parses a KindAlloc record's page and payload into the run
+// of n sectors at sector s it names.
+func DecodeAlloc(page uint64, payload []byte) (free bool, s, n uint64, err error) {
+	if len(payload) != 5 {
+		return false, 0, 0, fmt.Errorf("redo: malformed alloc payload (%d bytes)", len(payload))
 	}
-	return payload[0] == allocGive, uint64(binary.LittleEndian.Uint32(payload[1:])), nil
+	code, off := payload[0]&0xf, uint64(payload[0]>>4)
+	if (code != allocTake && code != allocGive) || off >= buddy.SectorsPerBlock {
+		return false, 0, 0, fmt.Errorf("redo: malformed alloc payload (code %#x)", payload[0])
+	}
+	n = uint64(binary.LittleEndian.Uint32(payload[1:]))
+	return code == allocGive, page<<buddy.SectorShift | off, n, nil
 }
 
 // WroteSums calls fn with each block a KindWrote or KindBuilt record names, from

@@ -88,11 +88,15 @@ type WALMetrics struct {
 	AvgGroup    float64 `json:"avg_group"` // commits per group
 }
 
-// AllocMetrics is the block-allocator counters.
+// AllocMetrics is the block-allocator counters. StrandedBlocks is the
+// free space, in blocks, that waits inside used blocks: the freed slots
+// of packed small objects, of no use until their block's other slots
+// are freed too (buddy.Stats.Stranded).
 type AllocMetrics struct {
-	FreeBlocks uint64  `json:"free_blocks"`
-	UsedBlocks uint64  `json:"used_blocks"`
-	Frag       float64 `json:"fragmentation"`
+	FreeBlocks     uint64  `json:"free_blocks"`
+	UsedBlocks     uint64  `json:"used_blocks"`
+	StrandedBlocks float64 `json:"stranded_blocks"`
+	Frag           float64 `json:"fragmentation"`
 }
 
 // Metrics snapshots the server and its store. Safe to call concurrently
@@ -137,9 +141,10 @@ func (s *Server) Metrics() Metrics {
 		m.Cache.HitRate = float64(c.Hits) / float64(total)
 	}
 	m.Alloc = AllocMetrics{
-		FreeBlocks: ss.Alloc.FreeBlocks,
-		UsedBlocks: ss.Alloc.UsedBlocks,
-		Frag:       ss.Alloc.Fragmentation(),
+		FreeBlocks:     ss.Alloc.FreeBlocks,
+		UsedBlocks:     ss.Alloc.UsedBlocks,
+		StrandedBlocks: ss.Alloc.StrandedBlocks(),
+		Frag:           ss.Alloc.Fragmentation(),
 	}
 	h := s.st.Health()
 	m.Health = HealthMetrics{
@@ -207,6 +212,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	g("hfadd_alloc_free_blocks", float64(m.Alloc.FreeBlocks))
 	g("hfadd_alloc_used_blocks", float64(m.Alloc.UsedBlocks))
+	g("hfadd_alloc_stranded_blocks", m.Alloc.StrandedBlocks)
 	g("hfadd_alloc_fragmentation", m.Alloc.Frag)
 
 	if w := m.WAL; w != nil {

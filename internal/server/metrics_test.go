@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"regexp"
@@ -46,4 +47,59 @@ func TestWALMetricsEveryFieldMoves(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^hfadd_wal_block_writes_total [1-9][0-9]*$`).Match(body) {
 		t.Errorf("/metrics has no moving hfadd_wal_block_writes_total:\n%s", body)
 	}
+}
+
+// TestAllocStrandedMetricMoves: a batch packs four 1 KiB objects into one
+// block; with three of them deleted and limbo drained, the block's free
+// three quarters are stranded, in /debug/stats and in /metrics, and with
+// the fourth deleted too the block coalesces and nothing is stranded.
+func TestAllocStrandedMetricMoves(t *testing.T) {
+	srv, c := newTestServer(t, Options{})
+	req := &BatchReq{}
+	for i := 0; i < 4; i++ {
+		req.Items = append(req.Items, BatchItem{Create: &CreateReq{Owner: "s", Data: make([]byte, 1000)}})
+	}
+	resp, err := c.Batch(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranded := func(want float64) {
+		t.Helper()
+		if err := srv.st.Sync(); err != nil { // a checkpoint drains limbo
+			t.Fatal(err)
+		}
+		if got := srv.Metrics().Alloc.StrandedBlocks; got != want {
+			t.Errorf("StrandedBlocks = %v, want %v", got, want)
+		}
+		body := metricsBody(t, c)
+		if !regexp.MustCompile(fmt.Sprintf(`(?m)^hfadd_alloc_stranded_blocks %v$`, want)).Match(body) {
+			t.Errorf("/metrics has no hfadd_alloc_stranded_blocks %v:\n%s", want, body)
+		}
+	}
+	stranded(0)
+	for _, r := range resp.Results[:3] {
+		if err := c.Delete(r.OID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stranded(0.75)
+	if err := c.Delete(resp.Results[3].OID); err != nil {
+		t.Fatal(err)
+	}
+	stranded(0)
+}
+
+// metricsBody fetches /metrics.
+func metricsBody(t *testing.T, c *Client) []byte {
+	t.Helper()
+	resp, err := http.Get(c.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }

@@ -69,7 +69,8 @@ const (
 	OpCount
 )
 
-// Run is one allocator run: the address and block count a free was given.
+// Run is one allocator run: the first sector and the sector count a free
+// was given.
 type Run struct{ Addr, N uint64 }
 
 // Op is one decoded undo record.
