@@ -84,6 +84,10 @@ func report(st *hfad.Store) error {
 	if rep.Ok() {
 		fmt.Printf("  clean: %d objects, %d extents on %d extent pages below their rows, %d metadata pages, %d used + %d free sectors\n",
 			rep.Objects, rep.Extents, rep.ExtentPages, rep.MetadataPages, rep.UsedSectors, rep.FreeSectors)
+		fmt.Printf("  %-14s %7s %6s\n", "tree", "leaves", "fill")
+		for _, tf := range rep.Trees {
+			fmt.Printf("  %-14s %7d %6.2f\n", tf.Name, tf.Leaves, tf.Fill)
+		}
 		return nil
 	}
 	fmt.Printf("  %d problem(s):\n", len(rep.Problems))

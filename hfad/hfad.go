@@ -262,7 +262,7 @@ func (s *Store) FindPage(p Page, pairs ...TagValue) ([]OID, error) {
 //		return nil
 //	})
 //
-// A non-nil error from fn skips the buffered tag puts, rolls back what
+// A non-nil error from fn skips the buffered name puts, rolls back what
 // fn already applied (object deletes included) and is returned. Run independent batches from independent goroutines; a
 // single Batch is not for concurrent use.
 //

@@ -10,11 +10,23 @@ import (
 
 // CheckResult summarizes a tree integrity walk.
 type CheckResult struct {
-	Pages    int      // node pages visited (excluding overflow)
-	Keys     uint64   // total keys found in leaves
-	Leaves   int      // leaf count
-	Depth    int      // measured depth
-	AllPages []uint64 // every page owned by the tree (nodes, overflow, header)
+	Pages     int      // node pages visited (excluding overflow)
+	Keys      uint64   // total keys found in leaves
+	Leaves    int      // leaf count
+	LeafBytes int      // bytes the leaves' cells and their slots take
+	Depth     int      // measured depth
+	AllPages  []uint64 // every page owned by the tree (nodes, overflow, header)
+	leafCap   int      // bytes a leaf holds past its header
+}
+
+// LeafFill is the share of the leaves' room their cells take: near 1
+// when every leaf is packed, near 0.5 when each split leaf was left half
+// empty. An empty tree has fill 0.
+func (r *CheckResult) LeafFill() float64 {
+	if r.Leaves == 0 {
+		return 0
+	}
+	return float64(r.LeafBytes) / float64(r.Leaves*r.leafCap)
 }
 
 // Check walks the entire tree verifying structural invariants:
@@ -32,7 +44,7 @@ func (t *Tree) Check() (*CheckResult, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
-	res := &CheckResult{AllPages: []uint64{t.hdrPno}}
+	res := &CheckResult{AllPages: []uint64{t.hdrPno}, leafCap: t.pg.BlockSize() - hdrSize}
 	seen := map[uint64]bool{t.hdrPno: true}
 
 	var leafChain []uint64
@@ -86,6 +98,7 @@ func (t *Tree) Check() (*CheckResult, error) {
 					}
 				}
 				res.Leaves++
+				res.LeafBytes += p.usedBytes()
 				leafChain = append(leafChain, pno)
 				return nil
 			case pageInternal:

@@ -194,31 +194,21 @@ func replaySplitLeaf(x opReplay) error {
 	if err != nil {
 		return err
 	}
-	lp := x.p
-	n := lp.ncells()
-	var keep, move [][]byte
-	for i := 0; i < n; i++ {
-		off := lp.slot(i)
-		sz := lp.cellLenAt(off)
-		raw := make([]byte, sz)
-		copy(raw, lp.data[off:off+sz])
-		if bytes.Compare(decodeKeyFromRaw(raw), sep) <= 0 {
-			keep = append(keep, raw)
-		} else {
-			move = append(move, raw)
-		}
-	}
-	oldNext := lp.ptrA()
-	oldPrev := lp.ptrB()
-	lp = initPage(lp.data, pageLeaf)
-	for i, raw := range keep {
-		if !lp.insertRaw(i, raw) {
-			return errReplay("split-leaf left overflow")
-		}
-	}
+	// The left leaf is rebuilt in place, so its cells are read from one
+	// copy of it; each lands, in slot order, on the side sep gives it.
+	src := pageRef{bytes.Clone(x.p.data)}
+	oldNext := src.ptrA()
+	oldPrev := src.ptrB()
+	lp := initPage(x.p.data, pageLeaf)
 	rp := initPage(rdata, pageLeaf)
-	for i, raw := range move {
-		if !rp.insertRaw(i, raw) {
+	for i := 0; i < src.ncells(); i++ {
+		off := src.slot(i)
+		raw := src.data[off : off+src.cellLenAt(off)]
+		if bytes.Compare(decodeKeyFromRaw(raw), sep) <= 0 {
+			if !lp.insertRaw(lp.ncells(), raw) {
+				return errReplay("split-leaf left overflow")
+			}
+		} else if !rp.insertRaw(rp.ncells(), raw) {
 			return errReplay("split-leaf right overflow")
 		}
 	}

@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -134,6 +136,95 @@ func TestReplayRejectsBadPayloads(t *testing.T) {
 		payload := append([]byte{byte(code)}, redo.U64(2)...)
 		if err := replayOn(map[uint64][]byte{1: leafPage("a")}, payload); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("opcode %d: got %v, want ErrCorrupt", code, err)
+		}
+	}
+}
+
+// splitLeafByCopies re-partitions a leaf the plain way, through one
+// allocated copy per cell: the reference replaySplitLeaf's rebuild from
+// a single page copy must match byte for byte, so that a log replays to
+// the same pages whichever of the two runs it.
+func splitLeafByCopies(left, right, sep []byte, leftPno, rightPno uint64) {
+	lp := pageRef{left}
+	var keep, move [][]byte
+	for i := 0; i < lp.ncells(); i++ {
+		off := lp.slot(i)
+		raw := slices.Clone(lp.data[off : off+lp.cellLenAt(off)])
+		if bytes.Compare(decodeKeyFromRaw(raw), sep) <= 0 {
+			keep = append(keep, raw)
+		} else {
+			move = append(move, raw)
+		}
+	}
+	oldNext, oldPrev := lp.ptrA(), lp.ptrB()
+	lp = initPage(left, pageLeaf)
+	for i, raw := range keep {
+		lp.insertRaw(i, raw)
+	}
+	rp := initPage(right, pageLeaf)
+	for i, raw := range move {
+		rp.insertRaw(i, raw)
+	}
+	rp.setPtrA(oldNext)
+	rp.setPtrB(leftPno)
+	lp.setPtrA(rightPno)
+	lp.setPtrB(oldPrev)
+}
+
+// TestReplaySplitLeafMatchesCopies replays leaf splits of random leaves
+// (cells of mixed sizes, some removed so that the cell area holds
+// fragments and its order differs from the slots') around random
+// separators, onto right pages full of stale bytes, and holds both pages
+// to the reference byte for byte.
+func TestReplaySplitLeafMatchesCopies(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for round := 0; round < 300; round++ {
+		p := initPage(make([]byte, blockdev.DefaultBlockSize), pageLeaf)
+		p.setPtrA(uint64(rng.IntN(100)))
+		p.setPtrB(uint64(rng.IntN(100)))
+		var keys []string
+		for {
+			k := fmt.Sprintf("k%05d", rng.IntN(100000))
+			i, found := slices.BinarySearch(keys, k)
+			if found {
+				continue
+			}
+			val := make([]byte, rng.IntN(200))
+			for j := range val {
+				val[j] = byte(rng.Uint32())
+			}
+			if !p.insertRaw(i, encodeLeafCell(nil, []byte(k), val, 0, 0)) {
+				break
+			}
+			keys = slices.Insert(keys, i, k)
+		}
+		for j := rng.IntN(len(keys) / 2); j > 0; j-- {
+			i := rng.IntN(len(keys))
+			p.removeCell(i)
+			keys = slices.Delete(keys, i, i+1)
+		}
+		right := make([]byte, blockdev.DefaultBlockSize)
+		for j := range right {
+			right[j] = byte(rng.Uint32())
+		}
+		var sep []byte
+		switch rng.IntN(4) {
+		case 0:
+			sep = []byte("k") // every cell moves
+		case 1:
+			sep = []byte("l") // no cell moves
+		default:
+			sep = []byte(fmt.Sprintf("k%05d", rng.IntN(100000)))
+		}
+
+		wantL, wantR := slices.Clone(p.data), slices.Clone(right)
+		splitLeafByCopies(wantL, wantR, sep, 1, 2)
+		pages := map[uint64][]byte{1: p.data, 2: right}
+		if err := replayOn(pages, redo.EncodeOp(opSplitLeaf, redo.U64(2), redo.Key(sep))); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !bytes.Equal(pages[1], wantL) || !bytes.Equal(pages[2], wantR) {
+			t.Fatalf("round %d: %d cells split at %q: pages differ from the reference", round, len(keys), sep)
 		}
 	}
 }

@@ -454,7 +454,9 @@ func (t *Tree) putLocked(op *pager.Op, key, val []byte, inverse bool) error {
 // records, as an ordinary put against whichever half it landed on —
 // replay re-partitions the committed cells around the recorded separator
 // and then re-inserts the cell, so the always-redone split never carries
-// the (possibly uncommitted) new cell.
+// the (possibly uncommitted) new cell. An append split whose operation
+// never commits thus replays to an empty right leaf, which later puts
+// fill as any other.
 func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte) (sep []byte, rightPno, oldNext uint64, err error) {
 	p := pageRef{pg.Data()}
 	n := p.ncells()
@@ -479,25 +481,12 @@ func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte)
 	raws = append(raws[:idx], append([][]byte{enc}, raws[idx:]...)...)
 	keys = append(keys[:idx], append([][]byte{newKey}, keys[idx:]...)...)
 
-	// Split point by bytes: grow the left side toward half the total but
-	// never beyond page capacity, so max-size cells cannot overflow either
-	// half.
-	total := 0
-	for _, r := range raws {
-		total += len(r) + 2
-	}
-	capacity := len(pg.Data()) - hdrSize
-	splitAt, acc := 0, 0
-	for i, r := range raws {
-		sz := len(r) + 2
-		if splitAt > 0 && (acc >= total/2 || acc+sz > capacity) {
-			break
-		}
-		acc += sz
-		splitAt = i + 1
-	}
-	if splitAt >= len(raws) {
-		splitAt = len(raws) - 1
+	// An append splits at the insert point: the left leaf keeps every
+	// old cell, and the right leaf starts with the new one alone, so a
+	// tree that grows at its right edge leaves full leaves behind.
+	splitAt := n
+	if idx < n {
+		splitAt = midSplit(raws, len(pg.Data())-hdrSize)
 	}
 
 	if rightPno, err = t.space.Alloc(sys, 1); err != nil {
@@ -542,6 +531,26 @@ func (t *Tree) splitLeaf(op, sys *pager.Op, pg *pager.Page, idx int, enc []byte)
 		return nil, 0, 0, err
 	}
 	return sep, rightPno, oldNext, nil
+}
+
+// midSplit is the byte-midpoint split point of raws: the left side grows
+// toward half the total but never beyond capacity, so max-size cells
+// cannot overflow either half.
+func midSplit(raws [][]byte, capacity int) int {
+	total := 0
+	for _, r := range raws {
+		total += len(r) + 2
+	}
+	splitAt, acc := 0, 0
+	for i, r := range raws {
+		sz := len(r) + 2
+		if splitAt > 0 && (acc >= total/2 || acc+sz > capacity) {
+			break
+		}
+		acc += sz
+		splitAt = i + 1
+	}
+	return min(splitAt, len(raws)-1)
 }
 
 // linkLeafSplit finishes splitLeaf's system transaction: the old right

@@ -10,16 +10,19 @@ import (
 // Batch composes several mutations — object creation, appends, naming,
 // content indexing — into one commit unit: a single per-transaction write
 // set, one group-commit enqueue, one shot at a device sync (shared with
-// whatever else is in the group). Tag insertions for stores that support
-// it are additionally buffered and applied as one batched multi-put (one
-// index-lock acquisition and one sorted descent region per store) when
-// the batch commits.
+// whatever else is in the group). Every reverse-index key the batch
+// names, and the forward puts of stores that support it, are buffered
+// and applied as one batched multi-put per tree (one index-lock
+// acquisition and one sorted descent region) when the batch commits. The
+// reverse keys of a batch's fresh objects sort past every key already in
+// the tree, so the multi-put appends them at its right edge and fills the
+// leaves it splits (see btree's splitLeaf).
 //
 // A Batch is not safe for concurrent use; run independent batches from
 // independent goroutines instead — their write sets build concurrently
-// and only the commit enqueue serializes. Buffered tag puts become
-// visible to queries when the batch commits, so a query issued inside the
-// callback does not see the batch's own names yet.
+// and only the commit enqueue serializes. Every name of a batch becomes
+// visible at commit, so a query issued inside the callback does not see
+// the batch's own names yet.
 //
 // Inside the callback, mutate the volume only through the Batch's own
 // methods: the callback runs under the batch's operation bracket, and
@@ -56,7 +59,7 @@ type Batch struct {
 // pager chunk-flushes and evicts as it goes (WAL-before-data), and the
 // final commit just seals the chunk chain.
 //
-// A non-nil error from fn skips the buffered tag multi-puts and rolls
+// A non-nil error from fn skips the buffered name multi-puts and rolls
 // the batch back: every mutation fn applied (created and deleted
 // objects, appended bytes, inserted names) is undone via its captured
 // logical inverse, and the compensations commit so the whole batch is a
@@ -89,13 +92,14 @@ func (v *Volume) Batch(fn func(*Batch) error) error {
 	})
 }
 
-// flush applies the buffered index work: one multi-put for the reverse
-// index, then one multi-put per tag store, in the order the batch first
-// named the stores. Reverse first: if the flush dies in the middle,
-// reverse-only leftovers are self-healing (RemoveAllNames walks the
-// reverse index and removing an absent forward pair is idempotent),
-// whereas forward-only leftovers would be unreachable garbage that Find
-// returns forever.
+// flush applies the buffered index work: one multi-put of every reverse
+// key the batch named, then one multi-put per tag store, in the order the
+// batch first named the stores. An error here rolls the batch back, as a
+// callback error does. Reverse first, for a rollback that cannot finish
+// (abortOp then commits what went in): reverse-only leftovers are
+// self-healing (RemoveAllNames walks the reverse index and removing an
+// absent forward pair is idempotent), whereas forward-only leftovers
+// would be unreachable garbage that Find returns forever.
 func (b *Batch) flush() error {
 	if len(b.revK) > 0 {
 		vals := make([][]byte, len(b.revK))
@@ -177,17 +181,16 @@ func (b *Batch) keep(oid OID, off uint64, p []byte, err error) {
 }
 
 // AddName attaches a (tag, value) name inside the batch's transaction.
-// For stores with batched insertion the forward put and its reverse
-// entry are both buffered and applied as multi-puts at commit; other
-// stores insert both sides immediately (still inside the same
-// transaction) — forward and reverse indexes stay symmetric even when a
-// callback error skips the buffered flush.
+// Its reverse entry is buffered and applied by flush's multi-put. So is
+// the forward put, for stores with batched insertion; other stores
+// (full text) insert the forward side immediately, inside the same
+// transaction. A callback error skips the flush, and the rollback takes
+// back whatever forward side went in, so the indexes stay symmetric.
 func (b *Batch) AddName(oid OID, tag string, value []byte) error {
 	st, err := b.v.registry.Get(tag)
 	if err != nil {
 		return err
 	}
-	rk := revKey(oid, tag, reverseValue(tag, value))
 	if _, ok := st.(index.BatchInserter); ok {
 		// Copy: the caller may reuse the value buffer before flush.
 		c := append([]byte(nil), value...)
@@ -195,13 +198,11 @@ func (b *Batch) AddName(oid OID, tag string, value []byte) error {
 			b.stores = append(b.stores, st)
 		}
 		b.puts[st] = append(b.puts[st], index.Put{Value: c, OID: oid})
-		b.revK = append(b.revK, rk)
-		return nil
-	}
-	if err := st.Insert(b.op, value, oid); err != nil {
+	} else if err := st.Insert(b.op, value, oid); err != nil {
 		return err
 	}
-	return b.v.reverse.PutOp(b.op, rk, nil)
+	b.revK = append(b.revK, revKey(oid, tag, reverseValue(tag, value)))
+	return nil
 }
 
 // Tag is AddName with string arguments.

@@ -21,6 +21,9 @@ type CheckReport struct {
 	Holes         uint64
 	ExtentPages   int // extent-tree pages below the rows, across all objects
 	MetadataPages int // btree pages
+	// Trees holds each B-tree's leaf count and fill, in the order Check
+	// walks them.
+	Trees []TreeFill
 	// Space in sectors (buddy.SectorsPerBlock to a block): owned by a
 	// structure, free (stranded sectors included), and freed but parked
 	// until the next checkpoint.
@@ -28,6 +31,15 @@ type CheckReport struct {
 	FreeSectors  uint64
 	LimboSectors uint64
 	Problems     []string
+}
+
+// TreeFill is one B-tree's line of a CheckReport: how many leaves it
+// has and what share of their room its cells take
+// (btree.CheckResult.LeafFill).
+type TreeFill struct {
+	Name   string
+	Leaves int
+	Fill   float64
 }
 
 // Ok reports whether the check found no problems.
@@ -91,6 +103,7 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 		}
 		if report != nil {
 			report.MetadataPages += len(res.AllPages)
+			report.Trees = append(report.Trees, TreeFill{Name: name, Leaves: res.Leaves, Fill: res.LeafFill()})
 		}
 		return nil
 	}

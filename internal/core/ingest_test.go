@@ -283,7 +283,7 @@ func TestBatchTextBound(t *testing.T) {
 // page home that the log can neither rebuild nor roll back. Every cut must recover
 // exactly and leave the batch all there or not at all.
 func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
-	const committed, batched, scanned, cache = 200, 8, 8, 3
+	const committed, batched, scanned, cache = 150, 8, 8, 3
 	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
 	v, err := Create(mem, Options{CachePages: cache})
 	if err != nil {
@@ -655,7 +655,7 @@ func TestSameSeedSameImage(t *testing.T) {
 		}
 		rng := rand.New(rand.NewPCG(7, 39))
 		var oids []OID
-		for step := 0; step < 480; step++ {
+		for step := 0; step < 560; step++ {
 			switch {
 			case step%4 == 0 || len(oids) == 0:
 				err = v.Batch(func(b *Batch) error {

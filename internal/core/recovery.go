@@ -83,12 +83,11 @@ func timed(p *RecoveryPhase, fn func() error) error {
 // replayer is the state of one replay of the log: the pages it has
 // materialized and what it learned for the steps after replay.
 type replayer struct {
-	v        *Volume
-	pages    map[uint64][]byte
-	pristine map[uint64][]byte
-	wrote    map[uint64][]uint32 // block → the sums its logged writes left, in order
-	built    map[uint64]bool     // block → its last logged write was a built page's
-	allocs   []allocRec
+	v      *Volume
+	pages  map[uint64][]byte
+	wrote  map[uint64][]uint32 // block → the sums its logged writes left, in order
+	built  map[uint64]bool     // block → its last logged write was a built page's
+	allocs []allocRec
 }
 
 // replayKinds is the redo vocabulary's replay, indexed by record kind:
@@ -99,11 +98,18 @@ var replayKinds = [redo.KindCount]func(x *replayer, r redo.Record) error{
 		if len(r.Data) != x.v.raw.BlockSize() {
 			return fmt.Errorf("%w: logged page image has %d bytes", ErrBadSuperblock, len(r.Data))
 		}
-		d, err := x.page(r.Page)
-		if err == nil {
+		if d, ok := x.pages[r.Page]; ok {
 			copy(d, r.Data)
+			return nil
 		}
-		return err
+		if r.Page >= x.v.raw.NumBlocks() {
+			return fmt.Errorf("%w: replayed page %d beyond device", ErrBadSuperblock, r.Page)
+		}
+		// A page's first logged image is its replay copy as it stands:
+		// the record's bytes are its own (wal.Recover), and no home read
+		// is needed under an image that covers the whole page.
+		x.pages[r.Page] = r.Data[:len(r.Data):len(r.Data)]
+		return nil
 	},
 	redo.KindRange: func(x *replayer, r redo.Record) error {
 		d, err := x.page(r.Page)
@@ -144,14 +150,15 @@ func (x *replayer) replay(r redo.Record) error {
 	return replayKinds[r.Kind](x, r)
 }
 
-// page materializes page pno. Materialization reads bypass checksum
-// verification: a stolen page's home legitimately leads the
-// checkpoint-time sidecar, and a page the log modifies is rebuilt from
-// its logged first-touch base image before any delta applies, so disk
-// content is only a placeholder. The pristine copy lets the write-home
-// loop skip pages replay merely fetched — rewriting those through the
-// checksumming device would launder any rot in them into a fresh valid
-// sum.
+// page materializes page pno from its home. Materialization reads
+// bypass checksum verification: a stolen page's home legitimately leads
+// the checkpoint-time sidecar, and a page the log modifies is rebuilt
+// from its logged first-touch base image before any delta applies, so
+// disk content is only a placeholder. Nothing writes a home until replay
+// ends, so the write-home loop reads each home again then, rather than
+// keep a second copy of every page from here, and skips the pages replay
+// merely fetched: rewriting those through the checksumming device would
+// launder any rot in them into a fresh valid sum.
 func (x *replayer) page(pno uint64) ([]byte, error) {
 	if d, ok := x.pages[pno]; ok {
 		return d, nil
@@ -165,7 +172,6 @@ func (x *replayer) page(pno uint64) ([]byte, error) {
 		return nil, err
 	}
 	x.pages[pno] = d
-	x.pristine[pno] = slices.Clone(d)
 	return d, nil
 }
 
@@ -190,11 +196,10 @@ func (x *replayer) wroteSums(r redo.Record) error {
 // page: they are returned, in LSN order, for replayAllocator.
 func (v *Volume) replayLog() ([]allocRec, error) {
 	x := &replayer{
-		v:        v,
-		pages:    make(map[uint64][]byte),
-		pristine: make(map[uint64][]byte),
-		wrote:    make(map[uint64][]uint32),
-		built:    make(map[uint64]bool),
+		v:     v,
+		pages: make(map[uint64][]byte),
+		wrote: make(map[uint64][]uint32),
+		built: make(map[uint64]bool),
 	}
 	rep := &v.recovery
 	t0 := time.Now()
@@ -213,8 +218,12 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 		return x.allocs, nil
 	}
 	err = timed(&rep.Replay, func() error {
+		home := make([]byte, v.raw.BlockSize())
 		for pno, d := range x.pages {
-			if bytes.Equal(d, x.pristine[pno]) {
+			if err := v.raw.ReadBlock(pno, home); err != nil {
+				return err
+			}
+			if bytes.Equal(d, home) {
 				// The home already holds the WAL-prescribed content (it was
 				// flushed after the last sidecar flush), so the durable sum
 				// may trail it: refresh the entry from the materialized

@@ -790,7 +790,8 @@ func (l *Log) Used() uint64 {
 // never resolved by a commit) all replay — losers must be physically
 // present before their logical inverses can run; the caller fetches them
 // from Losers afterwards and rolls them back. Undo records are never
-// passed to apply. A torn frame (a length past the region, a CRC
+// passed to apply. A record's Data is bytes of its own, which apply may
+// keep and modify. A torn frame (a length past the region, a CRC
 // mismatch) or a txid that does not go forward ends the scan; a frame
 // whose CRC holds but that does not decode fails with ErrCorrupt, and a
 // header of another format with ErrFormat. Records whose LSN predates the

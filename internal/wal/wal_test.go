@@ -1271,3 +1271,42 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestRecoveredRecordsOwnTheirBytes: apply may keep a record's Data and
+// write to it (recovery takes a page's first logged image as the page
+// itself), so no record's bytes may alias another's, within a frame or
+// across frames.
+func TestRecoveredRecordsOwnTheirBytes(t *testing.T) {
+	l, dev := newLog(t, 128)
+	for i := 0; i < 6; i++ {
+		tx := l.Begin()
+		for j := 0; j < 3; j++ {
+			logImage(tx, uint64(3*i+j), page(byte(3*i+j+1)))
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept [][]byte
+	n, err := New(dev, 10, 128).Recover(func(r redo.Record) error {
+		if !bytes.Equal(r.Data, page(byte(r.Page+1))) {
+			return fmt.Errorf("page %d: its bytes changed under an earlier record's apply", r.Page)
+		}
+		for i := range r.Data {
+			r.Data[i] = 0xEE
+		}
+		kept = append(kept, r.Data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 18 {
+		t.Fatalf("replayed %d, want 18", n)
+	}
+	for i, d := range kept {
+		if !bytes.Equal(d, bytes.Repeat([]byte{0xEE}, bs)) {
+			t.Fatalf("record %d: kept bytes changed after its apply", i)
+		}
+	}
+}
