@@ -375,7 +375,7 @@ func scrubDemo() error {
 	}
 
 	fmt.Println("== clean scrub ==")
-	rep, err := st.Scrub(hfad.ScrubOptions{})
+	rep, err := st.Scrub()
 	if err != nil {
 		return err
 	}
@@ -407,7 +407,7 @@ func scrubDemo() error {
 		flipped++
 	}
 	fmt.Printf("== after flipping one bit in %d occupied blocks ==\n", flipped)
-	rep, err = st.Scrub(hfad.ScrubOptions{})
+	rep, err = st.Scrub()
 	if err != nil {
 		return err
 	}

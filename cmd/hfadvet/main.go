@@ -16,8 +16,6 @@
 //	                 osd.Store.rowMu → btree.Tree.mu → pager shard
 //	                 latches never inverts
 //	sentinelerr      sentinel errors are matched with errors.Is, not ==
-//	waldata          no direct device writes bypass the WAL capture in
-//	                 btree, extent, osd
 //	pinescape        values derived from a page pinned by a With closure
 //	                 must not outlive the closure (interprocedural taint
 //	                 facts); Acquire/Release are not called outside pager
@@ -30,6 +28,11 @@
 // return, and pager.With takes the pinned page as a closure and unpins it
 // on return, so neither a bracket that never commits nor a leaked pin can
 // be written.
+//
+// Nor does WAL-before-data in the structure layers: btree, extent, osd,
+// fulltext and index hold no device — the pager is their only door to it,
+// and it stages the sum of every block it writes outside the log — and a
+// unit test in pager fails if one of them imports blockdev.
 //
 // Nor does recovery's coverage of the log: each log vocabulary (redo
 // kinds, btree, extent and undo opcodes) is dispatched through one table
@@ -52,14 +55,12 @@ import (
 	"repro/internal/analysis/sentinelerr"
 	"repro/internal/analysis/syncerr"
 	"repro/internal/analysis/unitchecker"
-	"repro/internal/analysis/waldata"
 )
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockorder.Analyzer,
 		sentinelerr.Analyzer,
-		waldata.Analyzer,
 		pinescape.Analyzer,
 		syncerr.Analyzer,
 	}

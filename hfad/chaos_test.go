@@ -307,7 +307,7 @@ func TestChaosMediaFaults(t *testing.T) {
 		}
 	}
 
-	rep, err := st2.Scrub(hfad.ScrubOptions{})
+	rep, err := st2.Scrub()
 	if err != nil {
 		t.Fatalf("scrub: %v", err)
 	}

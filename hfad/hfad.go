@@ -356,14 +356,10 @@ func (s *Store) Degraded() bool { return s.vol.Degraded() }
 
 // Scrub walks every checksummed block on the volume, verifies it against
 // its recorded CRC32C, and reports corruption counts per block class.
-// It is safe (and intended) to run against a live store; set
-// opts.Throttle to cede the device to foreground I/O.
-func (s *Store) Scrub(opts core.ScrubOptions) (*core.ScrubReport, error) {
-	return s.vol.Scrub(opts)
+// It is safe (and intended) to run against a live store.
+func (s *Store) Scrub() (*core.ScrubReport, error) {
+	return s.vol.Scrub()
 }
-
-// ScrubOptions tunes Store.Scrub.
-type ScrubOptions = core.ScrubOptions
 
 // ScrubReport is the result of a Store.Scrub pass.
 type ScrubReport = core.ScrubReport

@@ -97,9 +97,10 @@ func (v *Volume) Batch(fn func(*Batch) error) error {
 // batch first named the stores. An error here rolls the batch back, as a
 // callback error does. Reverse first, for a rollback that cannot finish
 // (abortOp then commits what went in): reverse-only leftovers are
-// self-healing (RemoveAllNames walks the reverse index and removing an
-// absent forward pair is idempotent), whereas forward-only leftovers
-// would be unreachable garbage that Find returns forever.
+// self-healing (DeleteObject strips the names its reverse entries list,
+// and removing an absent forward pair is idempotent), whereas
+// forward-only leftovers would be unreachable garbage that Find returns
+// forever.
 func (b *Batch) flush() error {
 	if len(b.revK) > 0 {
 		vals := make([][]byte, len(b.revK))

@@ -49,15 +49,41 @@ func (r *CheckReport) addf(format string, args ...any) {
 	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
 }
 
-// usage accumulates every sector owned by some structure.
+// usage accumulates every sector owned by some structure, and the class
+// of its owner.
 type usage struct {
 	ranges [][2]uint64 // absolute sectors [lo, hi)
+	class  []int       // ranges[i]'s owner: classBtree, classExtentNode or classData
 }
 
-func (u *usage) addPage(pno uint64) {
-	u.ranges = append(u.ranges, [2]uint64{pno << buddy.SectorShift, (pno + 1) << buddy.SectorShift})
+func (u *usage) addPage(pno uint64, class int) {
+	u.addRange(pno<<buddy.SectorShift, (pno+1)<<buddy.SectorShift, class)
 }
-func (u *usage) addRange(lo, hi uint64) { u.ranges = append(u.ranges, [2]uint64{lo, hi}) }
+
+func (u *usage) addRange(lo, hi uint64, class int) {
+	u.ranges = append(u.ranges, [2]uint64{lo, hi})
+	u.class = append(u.class, class)
+}
+
+// usage sorts by first sector, keeping each range's class with it.
+func (u *usage) Len() int           { return len(u.ranges) }
+func (u *usage) Less(i, j int) bool { return u.ranges[i][0] < u.ranges[j][0] }
+func (u *usage) Swap(i, j int) {
+	u.ranges[i], u.ranges[j] = u.ranges[j], u.ranges[i]
+	u.class[i], u.class[j] = u.class[j], u.class[i]
+}
+
+// classes maps every block a structure owns to its owner's class; a
+// block with two owners gets the one walked last.
+func (u *usage) classes() map[uint64]int {
+	class := make(map[uint64]int)
+	for i, r := range u.ranges {
+		for b := r[0] >> buddy.SectorShift; b<<buddy.SectorShift < r[1]; b++ {
+			class[b] = u.class[i]
+		}
+	}
+	return class
+}
 
 func (u *usage) total() uint64 {
 	var n uint64
@@ -70,7 +96,7 @@ func (u *usage) total() uint64 {
 // sortAndValidate orders ranges and reports overlaps through report (or
 // returns an error when report is nil).
 func (u *usage) sortAndValidate(report *CheckReport) error {
-	sort.Slice(u.ranges, func(i, j int) bool { return u.ranges[i][0] < u.ranges[j][0] })
+	sort.Sort(u)
 	for i := 1; i < len(u.ranges); i++ {
 		if u.ranges[i][0] < u.ranges[i-1][1] {
 			msg := fmt.Sprintf("sectors [%d,%d) and [%d,%d) doubly owned",
@@ -85,49 +111,29 @@ func (u *usage) sortAndValidate(report *CheckReport) error {
 }
 
 // collectUsage walks every structure on the volume and returns the set of
-// sectors they own, filling counts into report when non-nil. Shared by
-// Check and rebuildAllocator.
-func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
-	u := &usage{}
-	addTree := func(name string, tr *btree.Tree) error {
-		res, err := tr.Check()
+// sectors they own, each with its owner's class, filling counts into
+// report when non-nil. Shared by Check, Scrub and rebuildAllocator. With
+// a report, a structure that cannot be walked is a problem in it; only a
+// failed object-table scan fails the walk, and then u holds what was
+// walked before it.
+func (v *Volume) collectUsage(report *CheckReport) (u *usage, err error) {
+	u = &usage{}
+	for _, nt := range v.allTrees() {
+		res, err := nt.tree.Check()
 		if err != nil {
 			if report != nil {
-				report.addf("%s: %v", name, err)
-				return nil
+				report.addf("%s: %v", nt.name(), err)
+				continue
 			}
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", nt.name(), err)
 		}
 		for _, p := range res.AllPages {
-			u.addPage(p)
+			u.addPage(p, classBtree)
 		}
 		if report != nil {
 			report.MetadataPages += len(res.AllPages)
-			report.Trees = append(report.Trees, TreeFill{Name: name, Leaves: res.Leaves, Fill: res.LeafFill()})
+			report.Trees = append(report.Trees, TreeFill{Name: nt.name(), Leaves: res.Leaves, Fill: res.LeafFill()})
 		}
-		return nil
-	}
-	if err := addTree("catalog", v.catalog); err != nil {
-		return nil, err
-	}
-	if err := addTree("reverse", v.reverse); err != nil {
-		return nil, err
-	}
-	if err := addTree("object-table", v.OSD.MetaTree()); err != nil {
-		return nil, err
-	}
-	for i, tr := range v.kvTrees {
-		if err := addTree(fmt.Sprintf("kv-index-%d", i), tr); err != nil {
-			return nil, err
-		}
-	}
-	for i, tr := range v.ft.Inner().Trees() {
-		if err := addTree(fmt.Sprintf("fulltext-%d", i), tr); err != nil {
-			return nil, err
-		}
-	}
-	if err := addTree("image-index", v.img.Tree()); err != nil {
-		return nil, err
 	}
 
 	// Objects: walk each extent tree, claiming node pages and data blocks.
@@ -136,7 +142,7 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 		metas = append(metas, m)
 		return true
 	}); err != nil {
-		return nil, err
+		return u, err
 	}
 	for _, m := range metas {
 		ext, err := extent.Open(v.pg, v.ba, m.Root, uint64(m.OID), v.opts.ExtentConfig, nil)
@@ -156,10 +162,10 @@ func (v *Volume) collectUsage(report *CheckReport) (*usage, error) {
 			return nil, err
 		}
 		for _, p := range res.AllPages {
-			u.addPage(p)
+			u.addPage(p, classExtentNode)
 		}
 		for _, e := range res.DataExtents {
-			u.addRange(e.Sector, e.Sector+uint64(e.Sectors))
+			u.addRange(e.Sector, e.Sector+uint64(e.Sectors), classData)
 		}
 		if report != nil {
 			report.Objects++

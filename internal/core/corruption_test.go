@@ -90,11 +90,12 @@ func buildCorruptionFixture(t *testing.T) *corruptionFixture {
 
 	// Classify while the volume is healthy and pick a deterministic
 	// representative block (lowest number) for each class.
-	rep := &ScrubReport{}
-	class := v.scrubClassify(rep)
-	if len(rep.WalkProblems) != 0 {
-		t.Fatalf("healthy classify walk problems: %v", rep.WalkProblems)
+	walk := &CheckReport{}
+	u, err := v.collectUsage(walk)
+	if err != nil || len(walk.Problems) != 0 {
+		t.Fatalf("healthy classify walk: %v, problems %v", err, walk.Problems)
 	}
+	class := u.classes()
 	blocks := make([]uint64, 0, len(class))
 	for b := range class {
 		blocks = append(blocks, b)
@@ -245,7 +246,7 @@ func TestCorruptionSweepAllClasses(t *testing.T) {
 				t.Fatalf("bit flip in %s (block %d) never detected", tc.name, fx.byClass[tc.class])
 			}
 
-			rep, err := v.Scrub(ScrubOptions{})
+			rep, err := v.Scrub()
 			if err != nil {
 				t.Fatalf("scrub: %v", err)
 			}
@@ -288,7 +289,7 @@ func TestCorruptionSweepAllClasses(t *testing.T) {
 		if n := fx.sweepReads(t, v); n != 0 {
 			t.Fatalf("clean image produced %d corruption errors", n)
 		}
-		rep, err := v.Scrub(ScrubOptions{})
+		rep, err := v.Scrub()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -393,7 +393,7 @@ func TestReplayOverAppliedPagesIdempotent(t *testing.T) {
 	if err := v.pg.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.dev.Sync(); err != nil {
+	if err := v.cdev.Sync(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,11 +14,11 @@ import (
 //
 // Every block of the data region carries a CRC32C, kept in memory while
 // the volume is open and persisted to a sidecar region (between the
-// allocator snapshot and the data region) at every checkpoint. Reads of
-// data-region blocks — pager fills and the extent layer's direct data
-// I/O both go through the csumDevice wrapper — verify the stored sum and
-// surface a mismatch as a typed ErrCorruptPage instead of silently
-// decoding garbage.
+// allocator snapshot and the data region) at every checkpoint. The
+// csumDevice wrapper sits under the pager, the structure layers' only door
+// to the device, so every read of a data-region block — a page fill or
+// object data (pager.ReadData) — verifies the stored sum and surfaces a
+// mismatch as a typed ErrCorruptPage instead of silently decoding garbage.
 //
 // Crash consistency: the sidecar is written inside the checkpoint, after
 // FlushDirty and before the device sync that the log reset depends on,

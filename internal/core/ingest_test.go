@@ -281,40 +281,49 @@ func TestBatchTextBound(t *testing.T) {
 // stolen page is the one whose base image is still waiting, the steal has
 // to write the staging block first, or a cut between the two leaves a
 // page home that the log can neither rebuild nor roll back. Every cut must recover
-// exactly and leave the batch all there or not at all.
+// exactly and leave the batch all there or not at all. The fixture's size
+// is the smallest in a range at which such a steal happens.
 func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
-	const committed, batched, scanned, cache = 150, 8, 8, 3
-	mem := blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
-	v, err := Create(mem, Options{CachePages: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	walBlocks := uint64(v.opts.WALBlocks) // the log is blocks 1 to walBlocks
-	oids := populate(t, v, committed)
-	// Each object the batch scans gets an extent leaf page of its own: its
-	// root's cells move down into it after extent.R+1 inserts.
-	leafOf := make(map[OID]uint64)
-	for _, oid := range oids[batched : batched+scanned] {
-		obj, err := v.OSD.OpenObject(oid)
+	const batched, scanned, cache = 8, 8, 3
+	var (
+		mem       *blockdev.MemDevice
+		walBlocks uint64 // the log is blocks 1 to walBlocks
+		oids      []OID
+		img       []byte
+	)
+	// build makes mem a fresh volume of committed objects, whose image is
+	// img.
+	build := func(committed int) {
+		mem = blockdev.NewMem(1<<12, blockdev.DefaultBlockSize)
+		v, err := Create(mem, Options{CachePages: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i <= extent.R; i++ { // whole blocks: appends take fresh runs
-			if err := obj.InsertAt(0, fill(4096, byte(i))); err != nil {
+		walBlocks = uint64(v.opts.WALBlocks)
+		oids = populate(t, v, committed)
+		// Each object the batch scans gets an extent leaf page of its own:
+		// its root's cells move down into it after extent.R+1 inserts.
+		for _, oid := range oids[batched : batched+scanned] {
+			obj, err := v.OSD.OpenObject(oid)
+			if err != nil {
 				t.Fatal(err)
 			}
+			for i := 0; i <= extent.R; i++ { // whole blocks: appends take fresh runs
+				if err := obj.InsertAt(0, fill(4096, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := obj.ExtentTree().Check()
+			if err != nil || res.Pages != 1 {
+				t.Fatalf("object %d has %d extent pages (%v), want 1", oid, res.Pages, err)
+			}
+			obj.Close()
 		}
-		res, err := obj.ExtentTree().Check()
-		if err != nil || res.Pages != 1 {
-			t.Fatalf("object %d has %d extent pages (%v), want 1", oid, res.Pages, err)
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
 		}
-		leafOf[oid] = res.AllPages[0]
-		obj.Close()
+		img = mem.Snapshot()
 	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
-	img := mem.Snapshot()
 
 	appendTo := func(v *Volume, b *Batch, oid OID, p []byte) error {
 		obj, err := v.OSD.OpenObject(oid)
@@ -398,40 +407,51 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 		return out
 	}
 
-	if err := mem.RestoreFrom(img); err != nil {
-		t.Fatal(err)
-	}
-	v = mustOpenExact(t, mem)
-	before := content(v)
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
-	writes, steals, err := cut(-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Some page was written home while its base image's tail was still in
-	// the log's staging block: between the base image and the page's write
-	// the log wrote no block but the staging one, at the sync before it.
-	var waited []uint64
-	for _, base := range ops.bases {
-		rest := ops.blocks[base.at:]
-		k := slices.Index(rest, base.page)
-		if k < 0 || !slices.Contains(rest[:k], syncMark) {
-			continue
-		}
-		logWrites := 0
-		for _, no := range rest[:k] {
-			if no >= 1 && no < 1+walBlocks {
-				logWrites++
+	// waitedSteals lists the pages the run under way wrote home while their
+	// base image's tail was still in the log's staging block: between the
+	// base image and the page's write the log wrote no block but the
+	// staging one, at the sync before it.
+	waitedSteals := func() []uint64 {
+		var waited []uint64
+		for _, base := range ops.bases {
+			rest := ops.blocks[base.at:]
+			k := slices.Index(rest, base.page)
+			if k < 0 || !slices.Contains(rest[:k], syncMark) {
+				continue
+			}
+			logWrites := 0
+			for _, no := range rest[:k] {
+				if no >= 1 && no < 1+walBlocks {
+					logWrites++
+				}
+			}
+			if logWrites <= 1 {
+				waited = append(waited, base.page)
 			}
 		}
-		if logWrites <= 1 {
-			waited = append(waited, base.page)
+		return waited
+	}
+
+	// Whether the hand steals a page whose base image waits depends on
+	// where every page of the fixture lies, which any change to a layout
+	// moves. So the test looks for a fixture size at which it does, and
+	// fails if none in its range does: it never passes without testing
+	// that steal.
+	const minObjects, maxObjects = 100, 400
+	var (
+		writes, steals int64
+		waited         []uint64
+	)
+	for committed := minObjects; committed <= maxObjects && len(waited) == 0; committed += 10 {
+		build(committed)
+		var err error
+		if writes, steals, err = cut(-1); err != nil {
+			t.Fatal(err)
 		}
+		waited = waitedSteals()
 	}
 	if len(waited) == 0 {
-		t.Fatal("the batch stole no page whose base image was still waiting; the test no longer tests that steal")
+		t.Fatalf("at no fixture size from %d to %d objects did the batch steal a page whose base image was still waiting; the test no longer tests that steal", minObjects, maxObjects)
 	}
 	home := make([]byte, mem.BlockSize())
 	for _, no := range waited {
@@ -442,8 +462,16 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 			t.Fatalf("page %d was written home unchanged", no)
 		}
 	}
-	v = mustOpenExact(t, mem)
+	v := mustOpenExact(t, mem)
 	after := content(v)
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.RestoreFrom(img); err != nil {
+		t.Fatal(err)
+	}
+	v = mustOpenExact(t, mem)
+	before := content(v)
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +481,7 @@ func TestCrashStealAfterBufferedBaseImage(t *testing.T) {
 			touched = append(touched, oid)
 		}
 	}
-	t.Logf("the batch makes %d device writes and steals %d pages, %d right after their base image", writes, steals, len(waited))
+	t.Logf("with %d objects, the batch makes %d device writes and steals %d pages, %d right after their base image", len(oids), writes, steals, len(waited))
 	for limit := int64(0); limit <= writes; limit++ {
 		_, _, berr := cut(limit)
 		v := mustOpenExact(t, mem)

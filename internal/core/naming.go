@@ -141,18 +141,10 @@ func (v *Volume) namesLocked(oid OID) ([]TagValue, error) {
 	return out, err
 }
 
-// RemoveAllNames strips every name from the object (used before deletion:
-// "only the identifier for the data in the OSD layer must be unique" —
-// once the names are gone, the object is unreachable except by ID).
-func (v *Volume) RemoveAllNames(oid OID) error {
-	unlock, err := v.rlock()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	return v.withOp(func(op *pager.Op) error { return v.removeAllNamesDeferred(op, oid) })
-}
-
+// removeAllNamesDeferred strips every name from the object in op (used
+// before deletion: "only the identifier for the data in the OSD layer must
+// be unique" — once the names are gone, the object is unreachable except
+// by ID). The names come from the reverse index.
 func (v *Volume) removeAllNamesDeferred(op *pager.Op, oid OID) error {
 	names, err := v.namesLocked(oid)
 	if err != nil {

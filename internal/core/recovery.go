@@ -236,7 +236,7 @@ func (v *Volume) replayLog() ([]allocRec, error) {
 			}
 			// Through the checksumming device: replayed pages get their sums
 			// recomputed as they go home.
-			if err := v.dev.WriteBlock(pno, d); err != nil {
+			if err := v.cdev.WriteBlock(pno, d); err != nil {
 				return err
 			}
 			rep.PagesHome++
@@ -283,9 +283,32 @@ func (v *Volume) settleDataSums(wrote map[uint64][]uint32, built map[uint64]bool
 	return nil
 }
 
-// allTrees lists every btree of the volume.
-func (v *Volume) allTrees() []*btree.Tree {
-	trees := []*btree.Tree{v.catalog, v.reverse, v.OSD.MetaTree(), v.img.Tree()}
-	trees = append(trees, v.kvTrees...)
-	return append(trees, v.ft.Inner().Trees()...)
+// namedTree is one B-tree of the volume: the i-th tree of its kind, or
+// the only one when i is -1.
+type namedTree struct {
+	kind string
+	i    int
+	tree *btree.Tree
+}
+
+// name is the tree's name in fsck's reports. It is formatted on demand:
+// rollback looks trees up by header page for every undo record it runs.
+func (nt namedTree) name() string {
+	if nt.i < 0 {
+		return nt.kind
+	}
+	return fmt.Sprintf("%s-%d", nt.kind, nt.i)
+}
+
+// allTrees lists every B-tree of the volume, in the order Check walks and
+// reports them.
+func (v *Volume) allTrees() []namedTree {
+	trees := []namedTree{{"catalog", -1, v.catalog}, {"reverse", -1, v.reverse}, {"object-table", -1, v.OSD.MetaTree()}}
+	for i, tr := range v.kvTrees {
+		trees = append(trees, namedTree{"kv-index", i, tr})
+	}
+	for i, tr := range v.ft.Inner().Trees() {
+		trees = append(trees, namedTree{"fulltext", i, tr})
+	}
+	return append(trees, namedTree{"image-index", -1, v.img.Tree()})
 }

@@ -2,35 +2,19 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/btree"
-	"repro/internal/buddy"
-	"repro/internal/extent"
-	"repro/internal/osd"
 )
-
-// ScrubOptions tunes a scrub pass.
-type ScrubOptions struct {
-	// Throttle, when non-zero, sleeps this long after every ThrottleEvery
-	// blocks — the "low priority" knob: a scrub over a live volume cedes
-	// the device to foreground I/O instead of saturating it.
-	Throttle time.Duration
-	// ThrottleEvery is the block batch between throttle sleeps
-	// (default 256).
-	ThrottleEvery int
-}
 
 // ScrubReport summarizes one scrub pass over the volume.
 type ScrubReport struct {
 	Scanned uint64 // data-region blocks whose checksum was verified
 	Unknown uint64 // blocks with no recorded sum (never written or read)
 
-	// Per-class corruption counts. Classification comes from a tolerant
-	// structure walk run before the scan; corruption in blocks no
-	// surviving structure reaches (free space, limbo, or below a broken
-	// interior node) lands in Unreachable.
+	// Per-class corruption counts. Classification comes from Check's
+	// structure walk (collectUsage), run tolerantly before the scan;
+	// corruption in blocks no surviving structure reaches (free space,
+	// limbo, or below a broken interior node) lands in Unreachable.
 	CorruptBtreeNodes  uint64
 	CorruptExtentNodes uint64
 	CorruptDataBlocks  uint64
@@ -41,8 +25,9 @@ type ScrubReport struct {
 
 	// CorruptPages lists the first corrupt block numbers found (capped).
 	CorruptPages []uint64
-	// WalkProblems records structures the classification walk could not
-	// traverse (their pages scan as Unreachable).
+	// WalkProblems records what the classification walk found wrong,
+	// structures it could not traverse among them (their pages scan as
+	// Unreachable).
 	WalkProblems []string
 }
 
@@ -65,91 +50,14 @@ func (r *ScrubReport) String() string {
 		r.CorruptDataBlocks, r.CorruptUnreachable, r.HeaderCorrupt)
 }
 
-// scrub block classes.
+// Block classes: what owns a block, as collectUsage records it and
+// Scrub counts its corruption.
 const (
 	classUnreachable = iota
 	classBtree
 	classExtentNode
 	classData
 )
-
-// scrubClassify walks every structure tolerantly and maps each reachable
-// block to its class. Walk failures (a corrupt interior page, say) are
-// recorded and the unreachable subtree's blocks stay unclassified — the
-// scan still verifies them, it just cannot name their owner.
-func (v *Volume) scrubClassify(rep *ScrubReport) map[uint64]int {
-	class := make(map[uint64]int)
-	addTree := func(name string, pages []uint64, err error) {
-		if err != nil {
-			rep.WalkProblems = append(rep.WalkProblems, fmt.Sprintf("%s: %v", name, err))
-			return
-		}
-		for _, p := range pages {
-			class[p] = classBtree
-		}
-	}
-	for _, nt := range v.scrubTrees() {
-		res, err := nt.tree.Check()
-		if err != nil {
-			addTree(nt.name, nil, err)
-			continue
-		}
-		addTree(nt.name, res.AllPages, nil)
-	}
-
-	var metas []osd.Meta
-	if err := v.OSD.ForEach(func(m osd.Meta) bool {
-		metas = append(metas, m)
-		return true
-	}); err != nil {
-		rep.WalkProblems = append(rep.WalkProblems, fmt.Sprintf("object table: %v", err))
-		return class
-	}
-	for _, m := range metas {
-		ext, err := extent.Open(v.pg, v.ba, m.Root, uint64(m.OID), v.opts.ExtentConfig, nil)
-		if err != nil {
-			rep.WalkProblems = append(rep.WalkProblems, fmt.Sprintf("object %d: %v", m.OID, err))
-			continue
-		}
-		res, err := ext.Check()
-		if err != nil {
-			rep.WalkProblems = append(rep.WalkProblems, fmt.Sprintf("object %d: %v", m.OID, err))
-			continue
-		}
-		for _, p := range res.AllPages {
-			class[p] = classExtentNode
-		}
-		for _, e := range res.DataExtents {
-			for b := e.Sector >> buddy.SectorShift; b<<buddy.SectorShift < e.Sector+uint64(e.Sectors); b++ {
-				class[b] = classData
-			}
-		}
-	}
-	return class
-}
-
-// namedTree pairs a btree with a name for walk diagnostics.
-type namedTree struct {
-	name string
-	tree *btree.Tree
-}
-
-// scrubTrees lists every btree on the volume.
-func (v *Volume) scrubTrees() []namedTree {
-	trees := []namedTree{
-		{"catalog", v.catalog},
-		{"reverse", v.reverse},
-		{"object-table", v.OSD.MetaTree()},
-		{"image-index", v.img.Tree()},
-	}
-	for i, tr := range v.kvTrees {
-		trees = append(trees, namedTree{fmt.Sprintf("kv-index-%d", i), tr})
-	}
-	for i, tr := range v.ft.Inner().Trees() {
-		trees = append(trees, namedTree{fmt.Sprintf("fulltext-%d", i), tr})
-	}
-	return trees
-}
 
 // Scrub verifies every checksummed block of the data region against the
 // in-memory sum table, reading the raw device so cached copies cannot
@@ -163,22 +71,22 @@ func (v *Volume) scrubTrees() []namedTree {
 // The checksum sidecar itself carries no second-level checksum: rot
 // there misreports a good block as bad — fail-stop, never silent wrong
 // data (see csum.go).
-func (v *Volume) Scrub(opts ScrubOptions) (*ScrubReport, error) {
-	if opts.ThrottleEvery <= 0 {
-		opts.ThrottleEvery = 256
-	}
+func (v *Volume) Scrub() (*ScrubReport, error) {
 	rep := &ScrubReport{}
 	if _, err := readSuperblock(v.raw); err != nil {
 		rep.HeaderCorrupt = true
 	}
-	class := v.scrubClassify(rep)
+	walk := &CheckReport{}
+	u, err := v.collectUsage(walk)
+	rep.WalkProblems = walk.Problems
+	if err != nil {
+		rep.WalkProblems = append(rep.WalkProblems, fmt.Sprintf("object table: %v", err))
+	}
+	class := u.classes()
 
 	const maxListed = 64
 	buf := make([]byte, v.raw.BlockSize())
 	for no := v.dataStart; no < v.dataStart+v.dataBlocks; no++ {
-		if opts.Throttle > 0 && (no-v.dataStart) > 0 && (no-v.dataStart)%uint64(opts.ThrottleEvery) == 0 {
-			time.Sleep(opts.Throttle)
-		}
 		ok, known, err := v.scrubBlock(no, buf)
 		if err != nil {
 			return rep, err

@@ -325,7 +325,7 @@ func TestRecoverHoldsBuiltPageToItsSum(t *testing.T) {
 		t.Fatal("the image needed no recovery")
 	}
 	buf := make([]byte, mem.BlockSize())
-	if err := v2.dev.ReadBlock(target, buf); !errors.Is(err, ErrCorrupt) {
+	if err := v2.cdev.ReadBlock(target, buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("reading built page %d written with a flipped bit: %v, want ErrCorrupt", target, err)
 	}
 }

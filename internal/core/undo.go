@@ -191,9 +191,9 @@ func onObject(fn func(obj *osd.Object, op *pager.Op, u undo.Op) error) func(*Vol
 // the catalog, reverse index, object table, image index, KV index
 // shards, or a fulltext segment tree.
 func (v *Volume) treeByHeader(hdr uint64) (*btree.Tree, error) {
-	for _, tr := range v.allTrees() {
-		if tr.HeaderPage() == hdr {
-			return tr, nil
+	for _, nt := range v.allTrees() {
+		if nt.tree.HeaderPage() == hdr {
+			return nt.tree, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: no btree with header page %d", ErrNotFound, hdr)

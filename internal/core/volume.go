@@ -139,17 +139,17 @@ func (o *Options) fill() {
 
 // Volume is an open hFAD volume.
 type Volume struct {
-	// dev is the checksumming view of the device: data-region writes
-	// record CRC32C sums, reads verify them (see csum.go). Everything
-	// that touches home pages — the pager, the extent layer's direct
-	// data I/O — goes through it.
-	dev blockdev.Device
 	// raw is the device itself, for I/O that must bypass verification:
 	// superblock and sidecar maintenance, and recovery's replay reads
 	// (home pages may legitimately trail or lead the checkpoint-time
 	// sidecar; replay rebuilds them from logged base images).
 	raw  blockdev.Device
 	sums *pageSums
+	// cdev is the checksumming view of the device: data-region writes
+	// record CRC32C sums, reads verify them (see csum.go). Everything
+	// that touches home pages goes through it: the pager, which every
+	// structure layer's I/O passes, object data included, and recovery's
+	// write-home.
 	cdev *csumDevice
 	opts Options
 	pg   *pager.Pager
@@ -278,8 +278,7 @@ func Create(dev blockdev.Device, opts Options) (*Volume, error) {
 	}
 	v.sums = newPageSums(dataStart, dataBlocks, dev.BlockSize())
 	v.cdev = &csumDevice{inner: dev, sums: v.sums}
-	v.dev = v.cdev
-	v.pg = pager.New(v.dev, opts.CachePages, false)
+	v.pg = pager.New(v.cdev, opts.CachePages, false)
 	v.log = wal.New(dev, 1, opts.WALBlocks)
 	// The device may previously have held a volume whose log region still
 	// contains CRC-valid committed records. Scan it (replaying nothing) to
@@ -452,10 +451,10 @@ func (v *Volume) catalogGet(key string) (uint64, error) {
 // writeSuperblock persists block 0 directly (not through the pager, so it
 // never participates in WAL logging).
 func (v *Volume) writeSuperblock(clean bool) error {
-	b := make([]byte, v.dev.BlockSize())
+	b := make([]byte, v.raw.BlockSize())
 	binary.LittleEndian.PutUint32(b[0:], sbMagic)
 	binary.LittleEndian.PutUint32(b[4:], sbVersion)
-	binary.LittleEndian.PutUint32(b[8:], uint32(v.dev.BlockSize()))
+	binary.LittleEndian.PutUint32(b[8:], uint32(v.raw.BlockSize()))
 	flags := uint32(flagLogged)
 	if clean {
 		flags |= flagClean
@@ -570,14 +569,13 @@ func Open(dev blockdev.Device, opts Options) (*Volume, error) {
 	v.sums = newPageSums(sb.dataStart, sb.dataBlocks, dev.BlockSize())
 	// The durable sidecar matches the last durable checkpoint; any later
 	// home write is covered by WAL records whose replay below rewrites the
-	// page (recomputing its sum) through v.dev.
+	// page (recomputing its sum) through v.cdev.
 	if err := timed(&rep.SidecarLoad, v.loadPageSums); err != nil {
 		return nil, err
 	}
 	rep.SidecarLoad.Count = int64(sb.csumBlocks)
 	v.cdev = &csumDevice{inner: dev, sums: v.sums}
-	v.dev = v.cdev
-	v.pg = pager.New(v.dev, opts.CachePages, false)
+	v.pg = pager.New(v.cdev, opts.CachePages, false)
 
 	// Recover the WAL first so all metadata pages are current: redo
 	// records replay in LSN (mutation) order against an in-memory
@@ -1017,7 +1015,7 @@ func (v *Volume) doCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := v.dev.Sync(); err != nil {
+	if err := v.cdev.Sync(); err != nil {
 		return err
 	}
 	if err := v.log.Checkpoint(fence); err != nil {
@@ -1109,7 +1107,7 @@ func (v *Volume) Close() error {
 	if err := v.writeSuperblock(true); err != nil {
 		return err
 	}
-	if err := v.dev.Sync(); err != nil {
+	if err := v.cdev.Sync(); err != nil {
 		return err
 	}
 	v.closed = true

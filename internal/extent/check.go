@@ -19,15 +19,6 @@ type CheckResult struct {
 	DataExtents    []Extent // real extents, for allocator cross-checks
 }
 
-// InternalFragmentation returns reserved-but-unused device bytes.
-func (r *CheckResult) InternalFragmentation() uint64 {
-	var live uint64
-	for _, e := range r.DataExtents {
-		live += uint64(e.Len)
-	}
-	return r.AllocatedBytes - live
-}
-
 // Check verifies the counted-tree invariants:
 //
 //   - every internal child entry's byte total equals the recursive sum of

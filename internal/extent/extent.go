@@ -25,6 +25,11 @@
 // frees the slot. An extent with Sector == 0 is a hole: Len bytes of
 // zeros with no storage, created by sparse writes and truncate-grow.
 //
+// The tree holds no device. Its node pages are pager pages, and its data
+// goes through the pager too (pager.ReadData, pager.WriteData), which
+// stages the sum of every data block it writes in the operation's log
+// records: a data write whose sum goes unlogged cannot be written here.
+//
 // The root node does not have a page of its own: it lives in the tree's
 // anchor — the object's row in the object table — as a header byte and up
 // to R cells, the way ext4 keeps the root of an inode's extent tree in the
@@ -56,7 +61,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/blockdev"
 	"repro/internal/buddy"
 	"repro/internal/pager"
 	"repro/internal/redo"
@@ -210,7 +214,6 @@ type Tree struct {
 	// space is the tree's only door to the allocator: every allocation
 	// and free names the operation whose log records carry it.
 	space pager.Space
-	dev   blockdev.Device
 	cfg   Config
 	// owner is the OID every page of the tree names (0 outside a volume),
 	// and anchor keeps the root (nil: only rootBuf does).
@@ -355,7 +358,7 @@ func Open(pg *pager.Pager, ba *buddy.Allocator, root Root, owner uint64, cfg Con
 func makeTree(pg *pager.Pager, ba *buddy.Allocator, cfg Config, owner uint64, anchor Anchor) *Tree {
 	cfg.Fill(pg.BlockSize())
 	t := &Tree{
-		pg: pg, space: pager.NewSpace(pg, ba), dev: pg.Device(), cfg: cfg,
+		pg: pg, space: pager.NewSpace(pg, ba), cfg: cfg,
 		owner: owner, anchor: anchor, bs: pg.BlockSize(), bsU64: uint64(pg.BlockSize()),
 		rootBuf: make([]byte, hdrSize+R*leafCellSize+ownerLen),
 	}

@@ -1,13 +1,10 @@
 package extent
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
-	"repro/internal/blockdev"
 	"repro/internal/pager"
 	"repro/internal/undo"
 )
@@ -81,7 +78,7 @@ func (t *Tree) readAtLocked(p []byte, off uint64) (int, error) {
 				for i := range dst {
 					dst[i] = 0
 				}
-			} else if err := readRun(t.pg, j.e, j.eOff, dst); err != nil {
+			} else if err := t.readData(j.e, j.eOff, dst); err != nil {
 				return pos, err
 			}
 			pos += j.m
@@ -522,7 +519,7 @@ func (t *Tree) splitBoundaryLocked(off uint64) error {
 	}
 	// Copy the tail into a fresh allocation.
 	buf := make([]byte, rightLen)
-	if err := readRun(t.pg, e, eOff, buf); err != nil {
+	if err := t.readData(e, eOff, buf); err != nil {
 		return err
 	}
 	right, err := t.allocAndWrite(buf)
@@ -687,7 +684,7 @@ func (t *Tree) allocAndWrite(p []byte) (Extent, error) {
 // freed. The path's counts grow by len(extra); the caller grows the size.
 func (t *Tree) moveOut(path []pathElem, leafPno uint64, idx int, e Extent, extra []byte) error {
 	buf := make([]byte, int(e.Len)+len(extra))
-	if err := readRun(t.pg, e, 0, buf[:e.Len]); err != nil {
+	if err := t.readData(e, 0, buf[:e.Len]); err != nil {
 		return err
 	}
 	copy(buf[e.Len:], extra)
@@ -720,123 +717,21 @@ func (t *Tree) unpack() error {
 	return t.moveOut(path, leafPno, 0, e, nil)
 }
 
-// --- raw device data I/O ---
+// --- object data I/O ---
 
-// blockBufs recycles the scratch block a partial-block read or write goes
-// through. A tree's readers share only its read lock, so one buffer per
-// tree would race; a pool gives each concurrent read its own without
-// allocating.
-var blockBufs sync.Pool // of *[]byte
-
-// blockBuf takes a block-sized scratch buffer from blockBufs; give it
-// back with blockBufs.Put.
-func blockBuf(bs int) *[]byte {
-	bp, _ := blockBufs.Get().(*[]byte)
-	if bp == nil || len(*bp) != bs {
-		b := make([]byte, bs)
-		bp = &b
-	}
-	return bp
+// readData reads len(p) bytes of extent e from its byte extOff.
+func (t *Tree) readData(e Extent, extOff uint64, p []byte) error {
+	return t.pg.ReadData(e.at(t.bsU64, extOff), p)
 }
 
-// readRun reads len(p) bytes of extent e from extOff on pg's device. A
-// slot of a pack an open operation is still filling is read from the
-// pack's buffer (pager.ReadPending).
-func readRun(pg *pager.Pager, e Extent, extOff uint64, p []byte) error {
-	dev := pg.Device()
-	bs := dev.BlockSize()
-	var bp *[]byte
-	defer func() {
-		if bp != nil {
-			blockBufs.Put(bp)
-		}
-	}()
-	for len(p) > 0 {
-		at := e.at(uint64(bs), extOff)
-		blk := at / uint64(bs)
-		bo := int(at % uint64(bs))
-		if e.IsSlot() && pg.ReadPending(blk, bo, p) {
-			return nil // a slot lies in one block
-		}
-		if bo == 0 && len(p) >= bs {
-			if err := dev.ReadBlock(blk, p[:bs]); err != nil {
-				return err
-			}
-			p = p[bs:]
-			extOff += uint64(bs)
-			continue
-		}
-		if bp == nil {
-			bp = blockBuf(bs)
-		}
-		if err := dev.ReadBlock(blk, *bp); err != nil {
-			return err
-		}
-		n := copy(p, (*bp)[bo:])
-		p = p[n:]
-		extOff += uint64(n)
-	}
-	return nil
-}
-
-// writeRun writes p into extent e from extOff on dev and returns the sums
-// of the blocks it wrote, from the one holding extOff on. Only the first
-// live bytes of e hold content (0 for a run just allocated): a partial
-// block is read, modified and written back when it holds some of them
-// outside p, and is otherwise written zero-padded, unread.
-func writeRun(dev blockdev.Device, e Extent, live, extOff uint64, p []byte) ([]byte, error) {
-	bs := dev.BlockSize()
-	var bp *[]byte
-	defer func() {
-		if bp != nil {
-			blockBufs.Put(bp)
-		}
-	}()
-	var sums []byte
-	for len(p) > 0 {
-		at := e.at(uint64(bs), extOff)
-		blk := at / uint64(bs)
-		bo := int(at % uint64(bs))
-		n := min(len(p), bs-bo)
-		block := p[:n]
-		if n < bs {
-			if bp == nil {
-				bp = blockBuf(bs)
-			}
-			block = *bp
-			if bo > 0 || extOff+uint64(n) < live {
-				if err := dev.ReadBlock(blk, block); err != nil {
-					return nil, err
-				}
-			} else {
-				clear(block[n:])
-			}
-			copy(block[bo:], p[:n])
-		}
-		//hfadvet:allow waldata — raw object data rides outside the WAL by design: old-or-new content atomicity, durability carried by the enclosing extent records
-		if err := dev.WriteBlock(blk, block); err != nil {
-			return nil, err
-		}
-		sums = binary.LittleEndian.AppendUint32(sums, blockdev.Sum(block))
-		p = p[n:]
-		extOff += uint64(n)
-	}
-	return sums, nil
-}
-
-// writeData writes p into extent e from extOff (see writeRun) and stages
-// the sums of the blocks it wrote (see redo.KindWrote): without them
-// nothing in the log would say what the blocks now hold, and recovery
-// would hold them to the sums of the checkpoint before.
+// writeData writes p into extent e from extOff, through the pager, which
+// stages the sums of the blocks it wrote (pager.WriteData). Only the first
+// live bytes of e hold content (0 for a run just allocated).
 func (t *Tree) writeData(e Extent, live, extOff uint64, p []byte) error {
 	if e.IsSlot() {
 		return fmt.Errorf("%w: write into the slot at sector %d", ErrCorrupt, e.Sector)
 	}
-	sums, err := writeRun(t.dev, e, live, extOff, p)
-	if err == nil {
-		t.curOp.Wrote(e.at(t.bsU64, extOff)/t.bsU64, sums)
-	}
-	return err
+	return t.pg.WriteData(t.curOp, e.at(t.bsU64, extOff), e.at(t.bsU64, live), p)
 }
 
 // Extents calls fn for every extent in order with its starting offset.

@@ -173,7 +173,7 @@ func (m *KeyedMap) ReadAt(p []byte, off uint64) (int, error) {
 			for i := range dst {
 				dst[i] = 0
 			}
-		} else if err := readRun(m.pg, s.e, eOff, dst); err != nil {
+		} else if err := m.pg.ReadData(s.e.at(m.bs, eOff), dst); err != nil {
 			return done, err
 		}
 		done += mlen
@@ -348,11 +348,11 @@ func (m *KeyedMap) splitBoundary(op *pager.Op, off uint64) error {
 			return err
 		}
 		buf := make([]byte, rightLen)
-		if err := readRun(m.pg, e, k, buf); err != nil {
+		if err := m.pg.ReadData(e.at(m.bs, k), buf); err != nil {
 			return err
 		}
 		right = blockRun(alloc, blocks, int(rightLen))
-		if _, err := writeRun(m.pg.Device(), right, 0, 0, buf); err != nil {
+		if err := m.pg.WriteData(nil, right.at(m.bs, 0), 0, buf); err != nil {
 			return err
 		}
 	}
@@ -370,7 +370,7 @@ func (m *KeyedMap) allocAndWrite(p []byte) (Extent, error) {
 		return Extent{}, err
 	}
 	e := blockRun(alloc, blocks, len(p))
-	if _, err := writeRun(m.pg.Device(), e, 0, 0, p); err != nil {
+	if err := m.pg.WriteData(nil, e.at(m.bs, 0), 0, p); err != nil {
 		return Extent{}, err
 	}
 	return e, nil

@@ -1,9 +1,6 @@
 package pager
 
 import (
-	"encoding/binary"
-
-	"repro/internal/blockdev"
 	"repro/internal/buddy"
 	"repro/internal/redo"
 )
@@ -46,7 +43,7 @@ func (op *Op) StartPacking() {
 // of op's open pack, opening a pack when op has none or p does not fit the
 // one open. It returns the slot's first sector and its length in sectors;
 // ok is false, and nothing is done, when op does not pack or p is more
-// than half a block. The slot's bytes are readable (ReadPending) from the
+// than half a block. The slot's bytes are readable (ReadData) from the
 // moment Slot returns. On an error no slot is taken.
 func (s Space) Slot(op *Op, p []byte) (sec, n uint64, ok bool, err error) {
 	bs := s.pg.BlockSize()
@@ -122,10 +119,9 @@ func (op *Op) ClosePack() error {
 	k := op.pk
 	op.pk = nil
 	p := op.p
-	//hfadvet:allow waldata — a pack is written once, outside the WAL, its sum logged as a built page's
-	err := p.dev.WriteBlock(k.block, k.buf)
+	sums, err := p.putBlock(k.block, k.buf, nil)
 	if err == nil {
-		op.wrote(redo.KindBuilt, k.block, binary.LittleEndian.AppendUint32(nil, blockdev.Sum(k.buf)))
+		op.wrote(redo.KindBuilt, k.block, sums)
 	} else {
 		op.packFailed = err
 	}
@@ -152,9 +148,9 @@ func (op *Op) ClosePack() error {
 	return err
 }
 
-// ReadPending copies into dst the bytes at byte off of block, if block is
+// readPending copies into dst the bytes at byte off of block, if block is
 // a pack an open operation is still filling, and reports whether it was.
-func (p *Pager) ReadPending(block uint64, off int, dst []byte) bool {
+func (p *Pager) readPending(block uint64, off int, dst []byte) bool {
 	if p.npending.Load() == 0 {
 		return false
 	}

@@ -15,7 +15,8 @@ import (
 // go back as the largest aligned runs they make.
 func TestPackCarvesAndCloses(t *testing.T) {
 	dev := blockdev.NewMem(64, 4096)
-	p := New(dev, 8, false)
+	sim := blockdev.NewSim(dev, nil)
+	p := New(sim, 8, false)
 	ba := buddy.New(1, 63)
 	s := NewSpace(p, ba)
 	op := p.NewOp(nil)
@@ -35,16 +36,27 @@ func TestPackCarvesAndCloses(t *testing.T) {
 	if _, _, ok, _ := s.Slot(op, make([]byte, 2049)); ok {
 		t.Fatal("more than half a block took a slot")
 	}
+	// While the pack is open, a read of a slot comes from its buffer: the
+	// device is not read, and its block holds nothing yet.
 	got := make([]byte, 10)
 	block := secs[0] / buddy.SectorsPerBlock
-	if !p.ReadPending(block, 2*unit, got) || !bytes.Equal(got, bytes.Repeat([]byte{10}, 10)) {
-		t.Fatalf("pending read of the second slot: %v", got)
+	at := secs[1] * uint64(unit)
+	if err := p.ReadData(at, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{10}, 10)) {
+		t.Fatalf("pending read of the second slot: %v %v", got, err)
+	}
+	if r := sim.Stats().Reads; r != 0 {
+		t.Fatalf("a read of an open pack's slot made %d device reads", r)
 	}
 	if err := op.ClosePack(); err != nil {
 		t.Fatal(err)
 	}
-	if p.ReadPending(block, 0, got) {
-		t.Fatal("a closed pack is still pending")
+	// Once closed, the pack is read from its block.
+	clear(got)
+	if err := p.ReadData(at, got); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{10}, 10)) {
+		t.Fatalf("read of the second slot after the close: %v %v", got, err)
+	}
+	if r := sim.Stats().Reads; r != 1 {
+		t.Fatalf("a read of a closed pack's slot made %d device reads, want 1", r)
 	}
 	raw := make([]byte, 4096)
 	if err := dev.ReadBlock(block, raw); err != nil {

@@ -8,11 +8,16 @@
 // queue's hand picks, writing it home first if it is dirty, and reuses
 // its frame.
 //
-// A page reaches the device three ways: eviction writes a dirty page
-// home, FlushDirty writes every dirty page home at a checkpoint, and
-// WriteFresh writes a page that will never change — a freshly allocated
-// page of a tree built whole (btree.Build) — once, at once, leaving it
-// clean in the cache, admitted as visited, and logging only its sum. When a
+// The pager is the structure layers' only door to the device; none of
+// them holds one. A page reaches the device three ways: eviction writes a
+// dirty page home, FlushDirty writes every dirty page home at a
+// checkpoint, and WriteFresh writes a page that will never change — a
+// freshly allocated page of a tree built whole (btree.Build) — once, at
+// once, leaving it clean in the cache, admitted as visited, and logging
+// only its sum. Object data passes the pager but not its frames (see
+// data.go): ReadData and WriteData move an extent's bytes straight to and
+// from the device, and WriteData, like WriteFresh and a pack's write
+// (ClosePack), stages the sum of every block it wrote. When a
 // write-ahead log governs the volume, the pager runs a *steal* policy with
 // WAL-before-data: a dirty page — even one carrying uncommitted edits — may
 // be written home by eviction once every record staged against it (redo and
@@ -100,10 +105,6 @@ type Page struct {
 
 // No returns the page's block number.
 func (p *Page) No() uint64 { return p.no }
-
-// LSN returns the pageLSN — the LSN of the last redo record stamped for
-// this page (0 if none this session).
-func (p *Page) LSN() uint64 { return p.lsn.Load() }
 
 // Data returns the page contents. The slice is valid only inside the With
 // that pinned the page: copy out what must outlive it.
@@ -294,9 +295,6 @@ func (p *Pager) shardOf(no uint64) *shard {
 
 // BlockSize returns the underlying device block size.
 func (p *Pager) BlockSize() int { return p.dev.BlockSize() }
-
-// Device returns the underlying device.
-func (p *Pager) Device() blockdev.Device { return p.dev }
 
 // With pins page no, reading it from the device on a miss, runs fn on it
 // and unpins it when fn returns, panics included. The page and every
@@ -1197,13 +1195,10 @@ func (op *Op) stage(r redo.Record) {
 	op.mu.Unlock()
 }
 
-// Wrote stages a redo.KindWrote record: the operation wrote the blocks
-// from first on straight to the device, outside the log, and sums holds
-// the u32 sum of each. The record edits no cached page; replay only reads
-// it. Nil-safe.
-func (op *Op) Wrote(first uint64, sums []byte) { op.wrote(redo.KindWrote, first, sums) }
-
-// wrote stages a KindWrote or KindBuilt record. Nil-safe.
+// wrote stages a redo.KindWrote or KindBuilt record: the operation wrote
+// the blocks from first on straight to the device, outside the log, and
+// sums holds the u32 sum of each (putBlock). The record edits no cached
+// page; replay only reads it. Nil-safe.
 func (op *Op) wrote(kind uint8, first uint64, sums []byte) {
 	if op != nil {
 		op.stage(redo.Record{LSN: op.p.lsn.Add(1), Page: first, Kind: kind, Data: sums})
@@ -1402,7 +1397,7 @@ func (p *Pager) WriteFresh(op *Op, no uint64, data []byte) error {
 		return err
 	}
 	copy(pg.data, data)
-	err = p.dev.WriteBlock(no, pg.data)
+	sums, err := p.putBlock(no, pg.data, nil)
 	s := p.shardOf(no)
 	s.mu.Lock()
 	if pg.dirty {
@@ -1424,7 +1419,7 @@ func (p *Pager) WriteFresh(op *Op, no uint64, data []byte) error {
 		_ = p.Invalidate(no)
 		return err
 	}
-	op.wrote(redo.KindBuilt, no, binary.LittleEndian.AppendUint32(nil, blockdev.Sum(data)))
+	op.wrote(redo.KindBuilt, no, sums)
 	return nil
 }
 

@@ -904,9 +904,9 @@ func TestMarkDirtyRecStampsAndAttributes(t *testing.T) {
 	op1 := p.NewOp(nil)
 	op2 := p.NewOp(nil)
 	p.MarkDirtyRec(pg, op1, redo.KindRange, redo.EncodeRange(0, []byte("a")))
-	first := pg.LSN()
+	first := pg.lsn.Load()
 	p.MarkDirtyRec(pg, op2, redo.KindRange, redo.EncodeRange(0, []byte("b")))
-	second := pg.LSN()
+	second := pg.lsn.Load()
 	if first == 0 || second <= first {
 		t.Fatalf("pageLSN not monotone: %d then %d", first, second)
 	}
@@ -982,7 +982,7 @@ func TestAfterFollowsOpenOpsOnly(t *testing.T) {
 	a, b := p.NewOp(nil), p.NewOp(nil)
 	p.After(9, a)
 	p.MarkDirtyRec(pg, a, redo.KindRange, redo.EncodeRange(0, []byte("a")))
-	lsn := pg.LSN()
+	lsn := pg.lsn.Load()
 	p.After(9, b)
 	p.After(9, b)
 	p.FlushOpDeps(b)
